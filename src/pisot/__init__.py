@@ -2,7 +2,6 @@
 totally real Galois fields, and fast nearest-integer powers of Pisot numbers
 (exact, modular, and as O(log n) straight-line programs)."""
 
-from ._backend import BACKEND
 from .algebraic import (
     EmbeddingMatrix,
     FieldSpec,
@@ -33,7 +32,6 @@ from .slp import SLP, emit_power_slp, format_slp, parse_slp, slp_eval, slp_for_c
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CompanionMatrix",
     "EmbeddingMatrix",
     "FieldSpec",

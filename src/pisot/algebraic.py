@@ -16,6 +16,7 @@ from mpmath import mp, mpc, mpf
 
 from . import errors
 from .balls import GUARD_BITS, Ball, CBall, ball_det, mpf_to_fraction
+from .lattice import IntLattice
 
 ROOT_RETRY_CAP = 16
 DET_RETRY_CAP = 8
@@ -286,8 +287,11 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
 
     Root disks come from the Weierstrass residual bound: the disks of radius
     d*|f(x_i)| / |prod_{j != i} (x_i - x_j)| around the approximations jointly
-    cover the roots, and contain exactly one root each once disjoint.
+    cover the roots, and contain exactly one root each once disjoint. A
+    repeated root is ruled out exactly first, since no precision separates it.
     """
+    if _resultant_with_derivative(f) == 0:
+        raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
     d = f.degree
     lead = f.coefficients[-1]
     coeffs_desc = [c for c in reversed(f.coefficients)]
@@ -332,8 +336,19 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
                 ok = False
         w *= 2
     raise errors.PrecisionExhausted(
-        "root disks could not be separated; the polynomial is likely not squarefree"
+        "root disks could not be separated within the retry cap"
     )
+
+
+def _resultant_with_derivative(f: IntPoly) -> int:
+    """Res(f, f'): the determinant of the (2d-1)x(2d-1) Sylvester matrix of f
+    and f'. It is zero exactly when f has a repeated root."""
+    d = f.degree
+    f_desc = list(reversed(f.coefficients))
+    df_desc = [e * f.coefficients[e] for e in range(d, 0, -1)]
+    rows = [[0] * i + f_desc + [0] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[0] * i + df_desc + [0] * (d - 1 - i) for i in range(d)]
+    return IntLattice(tuple(map(tuple, rows))).det()
 
 
 def _classify_roots(approx, radii, prec) -> list[PolyRoot] | None:

@@ -106,10 +106,21 @@ def _parse_n(s: str) -> int:
     return v
 
 
+def _precision_bits(s: str) -> int:
+    """argparse type for --precision: a whole number of bits, at least 1."""
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 bit, got {v}")
+    return v
+
+
 def _monic_poly(expr: str) -> IntPoly:
     f = parse_poly(expr)
     if not f.is_monic:
-        raise errors.NonMonic(f"a monic polynomial is required, got {f}")
+        raise errors.NotMonic(f"a monic polynomial is required, got {f}")
     return f
 
 
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_field_flags(p):
         p.add_argument("--conductor", type=int, help="cyclotomic conductor n")
         p.add_argument("--field", help="path to a FieldSpec JSON file")
-        p.add_argument("--precision", type=int, default=256, metavar="BITS")
+        p.add_argument("--precision", type=_precision_bits, default=256, metavar="BITS")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("find", help="search for an (epsilon-)Pisot generator")
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minpoly", required=True, help='e.g. "x^2-x-1"')
     p.add_argument("-n", required=True)
     p.add_argument("-m", dest="modulus")
-    p.add_argument("--precision", type=int, default=128, metavar="BITS")
+    p.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pow)
 
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--minpoly", required=True)
     pe.add_argument("-n", required=True)
     pe.add_argument("-o", dest="output", help="output file (default stdout)")
-    pe.add_argument("--precision", type=int, default=128, metavar="BITS")
+    pe.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     pe.set_defaults(func=_cmd_slp_emit)
     pv = slp_sub.add_parser("eval", help="evaluate a program file")
     pv.add_argument("file")
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="trace-path threshold n0 of a Pisot minpoly")
     p.add_argument("--minpoly", required=True)
-    p.add_argument("--precision", type=int, default=128, metavar="BITS")
+    p.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_threshold)
 
@@ -303,7 +314,7 @@ _USAGE_ERRORS = (
     errors.PolySyntaxError,
     errors.ParseError,
     errors.MalformedProgram,
-    errors.NonMonic,
+    errors.NotMonic,
 )
 
 

@@ -19,6 +19,11 @@ class PrecisionExhausted(PisotError):
     pass
 
 
+class NotSquarefree(PrecisionExhausted):
+    """The polynomial has a repeated root, so its root disks can never be
+    separated; decided exactly, before any precision escalation."""
+
+
 class ParseError(PisotError):
     pass
 
@@ -45,10 +50,6 @@ class NotPisot(PisotError):
 
 class NotMonic(PisotError):
     pass
-
-
-# Alias: CLI-facing name for the same condition.
-NonMonic = NotMonic
 
 
 # --- lattice -----------------------------------------------------------------
@@ -89,6 +90,3 @@ class PolySyntaxError(PisotError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-SyntaxError = PolySyntaxError

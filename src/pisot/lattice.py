@@ -1,5 +1,10 @@
 """Exact-integer LLL reduction with transform tracking, plus verification
-and a brute-force shortest-vector oracle for tests."""
+and a brute-force shortest-vector oracle for tests.
+
+The LLL is the all-integer variant of de Weger / Cohen Alg. 2.6.7: every
+quantity is an exact integer, so results are reproducible across runs and
+platforms.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from ._backend import lll_kernel, svp_kernel
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,88 @@ def lll_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    try:
-        reduced_cols, u_cols = lll_kernel(
-            [list(c) for c in lat.basis], delta.numerator, delta.denominator
-        )
-    except ValueError as exc:
-        raise errors.RankDeficient(str(exc)) from exc
+    reduced_cols, u_cols = _lll_columns(lat.basis, delta.numerator, delta.denominator)
     return LLLResult(
         reduced=IntLattice(tuple(tuple(c) for c in reduced_cols)),
         transform=tuple(tuple(c) for c in u_cols),
         delta=delta,
     )
+
+
+def _dot(u, v):
+    s = 0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _lll_columns(basis, delta_num, delta_den):
+    """All-integer LLL on column vectors.
+
+    `basis` is a sequence of n column vectors of n ints each. Returns
+    (reduced_columns, transform_columns) with reduced = original * U and
+    det(U) = +-1. Raises RankDeficient on rank-deficient input.
+    """
+    n = len(basis)
+    b = [list(col) for col in basis]
+    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of U
+
+    # D[i] = Gram determinant of the first i vectors (D[0] = 1);
+    # lam[i][j] = D[j+1] * mu_{i,j} with all entries integral.
+    big_d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            t = _dot(b[i], b[j])
+            for k in range(j):
+                t = (big_d[k + 1] * t - lam[i][k] * lam[j][k]) // big_d[k]
+            if j < i:
+                lam[i][j] = t
+            else:
+                if t <= 0:
+                    raise errors.RankDeficient("basis is rank deficient")
+                big_d[i + 1] = t
+
+    def size_reduce(k, l):
+        dl = big_d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            if lam[k][l] >= 0:
+                r = (2 * lam[k][l] + dl) // (2 * dl)
+            else:
+                r = -((-2 * lam[k][l] + dl) // (2 * dl))
+            bk, bl = b[k], b[l]
+            for i in range(n):
+                bk[i] -= r * bl[i]
+            uk, ul = u[k], u[l]
+            for i in range(n):
+                uk[i] -= r * ul[i]
+            lam[k][l] -= r * dl
+            for j in range(l):
+                lam[k][j] -= r * lam[l][j]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        # Lovasz condition in integral form; swap only on strict failure.
+        lkk = lam[k][k - 1]
+        if delta_den * (big_d[k + 1] * big_d[k - 1] + lkk * lkk) < delta_num * big_d[k] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            lam_val = lam[k][k - 1]
+            new_dk = (big_d[k - 1] * big_d[k + 1] + lam_val * lam_val) // big_d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (big_d[k + 1] * lam[i][k - 1] - lam_val * t) // big_d[k]
+                lam[i][k - 1] = (new_dk * t + lam_val * lam[i][k]) // big_d[k + 1]
+            big_d[k] = new_dk
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b, u
 
 
 def _gram_schmidt(cols):
@@ -148,5 +223,42 @@ def svp_bruteforce(lat: IntLattice, coeff_bound: int):
         raise errors.DimensionTooLarge("brute-force oracle is limited to k <= 6")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    vec, coeffs, norm = svp_kernel([list(c) for c in lat.basis], coeff_bound)
-    return tuple(vec), tuple(coeffs), norm
+    basis = lat.basis
+    n = lat.k
+    best_norm = None
+    best_vec = None
+    best_coeffs = None
+    partial = [0] * n
+    coeffs = [0] * n
+
+    # Only coefficient vectors whose first nonzero entry is positive are
+    # visited (sign symmetry); the first minimum in depth-first
+    # lexicographic order wins.
+    def recurse(i, nonzero_seen):
+        nonlocal best_norm, best_vec, best_coeffs
+        if i == n:
+            if not nonzero_seen:
+                return
+            norm = 0
+            for x in partial:
+                norm += x * x
+            if best_norm is None or norm < best_norm:
+                best_norm = norm
+                best_vec = tuple(partial)
+                best_coeffs = tuple(coeffs)
+            return
+        lo = 0 if not nonzero_seen else -coeff_bound
+        col = basis[i]
+        for c in range(lo, coeff_bound + 1):
+            coeffs[i] = c
+            if c != 0:
+                for j in range(n):
+                    partial[j] += c * col[j]
+            recurse(i + 1, nonzero_seen or c != 0)
+            if c != 0:
+                for j in range(n):
+                    partial[j] -= c * col[j]
+        coeffs[i] = 0
+
+    recurse(0, False)
+    return best_vec, best_coeffs, best_norm

@@ -225,3 +225,12 @@ class TestAnalyzeMinpoly:
     def test_non_monic_rejected(self):
         with pytest.raises(errors.NotMonic):
             analyze_minpoly(IntPoly((-1, -1, 2)), 64)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1, -2, 1), (1, 2, -1, -2, 1)],  # (x-1)^2, (x^2-x-1)^2
+        ids=["(x-1)^2", "(x^2-x-1)^2"],
+    )
+    def test_not_squarefree_rejected(self, coeffs):
+        with pytest.raises(errors.NotSquarefree):
+            analyze_minpoly(IntPoly(coeffs), 64)

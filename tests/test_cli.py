@@ -86,6 +86,11 @@ class TestThresholdAndBound:
         obj = json.loads(out)
         assert obj["threshold_n0"] == 2
 
+    def test_threshold_not_squarefree(self, capsys):
+        # (x^2-x-1)^2: rejected exactly, not after exhausting precision
+        code, _, err = invoke(capsys, "threshold", "--minpoly", "x^4-2x^3-x^2+2x+1")
+        assert code == 1 and "NotSquarefree" in err
+
     def test_bound(self, capsys):
         code, out, _ = invoke(
             capsys, "bound", "--degree", "4", "--disc", "1125", "--delta", "1/2"
@@ -177,3 +182,19 @@ class TestFindAndVerify:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pow", "--minpoly", "x^2-x-1", "-n", "5", "--precision", "0"),
+        ("threshold", "--minpoly", "x^3-x-1", "--precision", "-5"),
+        ("slp", "emit", "--minpoly", "x^2-x-1", "-n", "5", "--precision", "0"),
+        ("find", "--conductor", "15", "--precision", "0"),
+        ("verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139", "--precision", "0"),
+    ],
+    ids=["pow", "threshold", "slp-emit", "find", "verify"],
+)
+def test_precision_below_one_is_usage_error(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2 and "--precision" in err

@@ -78,10 +78,15 @@ class TestLLL:
         assert abs(IntLattice(res.transform).det()) == 1
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("k", [2, 3, 5, 8])
-    def test_random_lattices_fully_reduced(self, seed, k):
+    @pytest.mark.parametrize(
+        "k,bound",
+        [pytest.param(k, 1 << 20, id=str(k)) for k in (2, 3, 5, 8)]
+        # entries as long as the search's scaled lattices produce
+        + [pytest.param(4, 1 << 200, id="4-2^200")],
+    )
+    def test_random_lattices_fully_reduced(self, seed, k, bound):
         rng = random.Random(1000 * k + seed)
-        lat = random_lattice(rng, k)
+        lat = random_lattice(rng, k, bound)
         res = lll_reduce(lat)
         report = check_reduced(res, lat)
         assert report.basis_product_ok
