@@ -20,6 +20,7 @@ from .lattice import IntLattice
 
 ROOT_RETRY_CAP = 16
 DET_RETRY_CAP = 8
+THRESHOLD_CAP = 99999
 
 
 @dataclass(frozen=True)
@@ -424,6 +425,8 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
     if f.degree < 2:
         raise errors.NotPisot("degree must be at least 2")
+    if f.coefficients[0] == 0:
+        raise errors.NotPisot(f"f(0) = 0, so x divides {f}: it is not irreducible")
 
     prec = precision_bits
     for _ in range(8):
@@ -487,19 +490,36 @@ def _certify_pisot_roots(roots):
 def _threshold_n0(second: Ball, d: int, prec: int) -> int | None:
     """Smallest n with (d-1)*|alpha_2|^n < 1/2, by certified comparison.
 
-    Returns None when a comparison at the 1/2 boundary is not certified at
-    the current precision; the caller then retries with more bits.
+    The sequence decreases in n, so n is estimated from logarithms at the
+    midpoint, moved while the certified comparisons say so, and certified by
+    two ball powers: below 1/2 at n and at least 1/2 at n-1. Returns None
+    when a comparison at the 1/2 boundary is not certified at the current
+    precision (the caller then retries with more bits), or when n would
+    exceed THRESHOLD_CAP.
     """
     half = Fraction(1, 2)
     dm1 = Ball.from_int(d - 1, prec)
-    for n in range(1, 100000):
+
+    def side(n):
+        """-1 if certified below 1/2, 1 if certified at least 1/2, else 0."""
+        if n == 0:
+            return 1  # d - 1 >= 1
         b = dm1 * second.pow_int(n)
         if mpf_to_fraction(b.upper()) < half:
-            # every earlier n was certified >= 1/2, so this n is minimal
-            return n
-        if mpf_to_fraction(b.lower()) < half:
-            return None
-    return None
+            return -1
+        return 1 if mpf_to_fraction(b.lower()) >= half else 0
+
+    with mp.workprec(prec):
+        mid = abs(second.mid)
+        estimate = THRESHOLD_CAP
+        if 0 < mid < 1:
+            estimate = min(estimate, mpmath.ceil(-mpmath.log(2 * (d - 1)) / mpmath.log(mid)))
+    n = max(1, int(estimate))
+    while n > 1 and side(n - 1) < 0:
+        n -= 1
+    while n < THRESHOLD_CAP and side(n) > 0:
+        n += 1
+    return n if side(n) < 0 and side(n - 1) > 0 else None
 
 
 def _round_if_near_integer(b: Ball) -> int | None:

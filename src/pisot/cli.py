@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +23,10 @@ from .powtrace import nearest_power, nearest_power_mod
 from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 
 MAX_N = 10**19
+MAX_N_CHARS = 20
 MAX_EXACT_N = 10**6
+# Below this many bits, str() is faster than the decimal split.
+_STR_BITS = 12000
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -97,6 +101,9 @@ def _parse_rational(s: str) -> Fraction:
 
 
 def _parse_n(s: str) -> int:
+    # The int->str digit limit is lifted in `run`, so bound the input first.
+    if len(s) > MAX_N_CHARS:
+        raise errors.ParseError(f"n must lie in [0, 10^19], got {len(s)} characters")
     try:
         v = int(s)
     except ValueError as exc:
@@ -132,8 +139,42 @@ def _field_spec(args) -> FieldSpec:
     raise errors.ParseError("one of --conductor or --field is required")
 
 
-def _json_int(v: int):
-    return v if abs(v) < 10**15 else str(v)
+def _int_to_str(v: int) -> str:
+    """Decimal digits of v in subquadratic time: split in binary, join the
+    halves in `decimal`, whose big products are subquadratic."""
+    if v.bit_length() < _STR_BITS:
+        return str(v)
+    powers = {}
+
+    def two_to(w):
+        if w not in powers:
+            if w <= _STR_BITS:
+                powers[w] = decimal.Decimal(2) ** w
+            else:
+                powers[w] = two_to(w // 2) * two_to(w - w // 2)
+        return powers[w]
+
+    def join(x, w):
+        if w <= _STR_BITS:
+            return decimal.Decimal(x)
+        half = w // 2
+        hi = x >> half
+        return join(hi, w - half) * two_to(half) + join(x - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(v), v.bit_length()))
+    return "-" + digits if v < 0 else digits
+
+
+def _json_int(v: int, text: str | None = None):
+    """A JSON number below 10^15, else its decimal string (`text`, if the
+    caller has it already)."""
+    if abs(v) < 10**15:
+        return v
+    return str(v) if text is None else text
 
 
 def _emit(args, obj: dict, plain_lines):
@@ -185,8 +226,7 @@ def _cmd_pow(args):
     if args.modulus is not None:
         m = _parse_n(args.modulus)
         r = nearest_power_mod(f, n, m, info)
-        obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m),
-               "result": _json_int(r)}
+        obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
     else:
         if n > MAX_EXACT_N:
             raise errors.ParseError(
@@ -194,8 +234,10 @@ def _cmd_pow(args):
                 "of n*log2(alpha) bits; compute it modulo m instead"
             )
         r = nearest_power(f, n, info)
-        obj = {"minpoly": str(f), "n": _json_int(n), "result": _json_int(r)}
-    _emit(args, obj, [str(r)])
+        obj = {"minpoly": str(f), "n": _json_int(n)}
+    text = _int_to_str(r)
+    obj["result"] = _json_int(r, text)
+    _emit(args, obj, [text])
     return 0
 
 
@@ -219,8 +261,9 @@ def _cmd_slp_eval(args):
         r = slp_eval(p, _parse_n(args.modulus))
     else:
         r = slp_eval(p)
-    obj = {"length": slp_length(p), "result": _json_int(r)}
-    _emit(args, obj, [str(r)])
+    text = _int_to_str(r)
+    obj = {"length": slp_length(p), "result": _json_int(r, text)}
+    _emit(args, obj, [text])
     return 0
 
 
@@ -319,6 +362,11 @@ _USAGE_ERRORS = (
 
 
 def run(argv) -> int:
+    # Exact results may have millions of digits. The limit stays lifted after
+    # run returns, so a caller in the same process can parse them with int().
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_digit_limit is not None:
+        set_digit_limit(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

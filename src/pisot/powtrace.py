@@ -1,8 +1,16 @@
-"""Nearest integer to alpha^n via companion-matrix powers.
+"""Nearest integer to alpha^n through power sums of the roots.
 
 For n at or above the certified threshold, [alpha^n] equals the integer
-power sum of the roots, i.e. the trace of C(f)^n; below it, the dominant
-root is powered directly in ball arithmetic and rounded.
+power sum p_n of the roots of f. One engine computes it: x^floor(n/2) mod f
+by square-and-reduce, then p_n = sum_{i,j} r_i r_j p_{i+j+(n mod 2)} with the
+first 2d power sums from the Newton identities (Fiduccia, "An efficient
+formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
+runs on exact integers, on integers mod m and on straight-line program
+instructions. Below the threshold, the dominant root is powered directly in
+ball arithmetic and rounded.
+
+`companion_matrix` and `matpow` compute p_n independently as the trace of
+C(f)^n; the tests use them as the oracle for the engine.
 """
 
 from __future__ import annotations
@@ -82,8 +90,89 @@ def matpow(c: CompanionMatrix, n: int, modulus: int | None = None):
     return result
 
 
-def _trace(m) -> int:
-    return sum(m[i][i] for i in range(len(m)))
+def _axpy(acc, c: int, t):
+    """acc + c*t for an integer c != 0, where acc None stands for zero.
+    Multiplications by +-1 are left out, which keeps programs short."""
+    if acc is None:
+        return t if c == 1 else t * c
+    if c == 1:
+        return acc + t
+    if c == -1:
+        return acc - t
+    return acc + t * c
+
+
+def _first_power_sums(c: tuple[int, ...], count: int) -> list[int]:
+    """p_0 ... p_{count-1} of the roots of x^d + c_{d-1} x^{d-1} + ... + c_0,
+    by the Newton identities."""
+    d = len(c)
+    p = [d]
+    for n in range(1, count):
+        s = -n * c[d - n] if n <= d else 0
+        for i in range(1, min(n - 1, d) + 1):
+            s -= c[d - i] * p[n - i]
+        p.append(s)
+    return p
+
+
+def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
+    """p_n, the sum of the n-th powers of the roots of the monic f with f(0) != 0.
+
+    Computes r = x^floor(n/2) mod f by square-and-reduce and reads p_n off it
+    without forming the last square: p_n = sum_{i,j} r_i r_j p_{i+j+(n mod 2)}.
+    The coefficients are whatever `lift` turns an integer into (integers by
+    default); they need only +, - and * with each other and with ints. With
+    a modulus, every step is reduced mod m and the result lies in [0, m).
+    """
+    if n < 0:
+        raise ValueError("exponent must be nonnegative")
+    if modulus is not None and modulus < 2:
+        raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
+    if not f.is_monic:
+        raise errors.NotMonic("power sums require a monic polynomial")
+    c = f.coefficients[:-1]
+    if c[0] == 0:
+        raise ValueError("f(0) must be nonzero")
+    d = len(c)
+    if lift is None:
+        lift = int if modulus is None else (lambda v: v % modulus)
+    p = _first_power_sums(c, 2 * d)
+    if n < 2 * d:
+        return lift(p[n])
+    k, odd = divmod(n, 2)
+    # Start at x^j for the longest leading bit string j of k with j < d.
+    shift = k.bit_length()
+    while k >> (shift - 1) < d:
+        shift -= 1
+    r = [lift(1 if i == k >> shift else 0) for i in range(d)]
+    for bit in range(shift - 1, -1, -1):
+        # Symmetric square: d(d+1)/2 products, cross terms doubled once.
+        s = [None] * (2 * d - 1)
+        for i in range(d):
+            for j in range(i + 1, d):
+                s[i + j] = _axpy(s[i + j], 1, r[i] * r[j])
+        s = [v if v is None else v + v for v in s]
+        for i in range(d):
+            s[2 * i] = _axpy(s[2 * i], 1, r[i] * r[i])
+        if k >> bit & 1:
+            s.insert(0, None)  # times x
+        # x^e = -sum_i c_i x^(e-d+i) for each e >= d, from the top down.
+        for e in range(len(s) - 1, d - 1, -1):
+            t = s.pop()
+            for i in range(d):
+                if c[i]:
+                    s[e - d + i] = _axpy(s[e - d + i], -c[i], t)
+        r = s if modulus is None else [v % modulus for v in s]
+    # sum_i r_i u_i with u_i = sum_j p_{i+j+odd} r_j: only d full products.
+    total = None
+    for i in range(d):
+        u = None
+        for j in range(d):
+            if p[i + j + odd]:
+                u = _axpy(u, p[i + j + odd], r[j])
+        if u is not None:
+            total = _axpy(total, 1, r[i] * u)
+    return total if modulus is None else total % modulus
 
 
 def nearest_power(f: IntPoly, n: int, info: MinPolyInfo) -> int:
@@ -93,7 +182,7 @@ def nearest_power(f: IntPoly, n: int, info: MinPolyInfo) -> int:
     if n == 0:
         return 1
     if n >= info.threshold_n0:
-        return _trace(matpow(companion_matrix(f), n))
+        return power_sum(f, n)
     # Small n: power the certified dominant root directly and round.
     prec = info.precision_bits
     root = info.dominant_root.value
@@ -123,5 +212,5 @@ def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n != 0 and n >= info.threshold_n0:
-        return _trace(matpow(companion_matrix(f), n, m)) % m
+        return power_sum(f, n, m)
     return nearest_power(f, n, info) % m

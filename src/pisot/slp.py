@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .algebraic import IntPoly, MinPolyInfo
-from .powtrace import nearest_power
+from .powtrace import nearest_power, power_sum
 
 ONE = ("one",)
 _BINARY_OPS = ("add", "sub", "mul")
@@ -84,40 +84,43 @@ def slp_for_constant(c: int) -> SLP:
     return b.finish(b.const(c))
 
 
+class _Ref:
+    """An instruction of a _Builder. Its ring operators emit instructions, so
+    `power_sum` builds a program when its coefficients are _Refs."""
+
+    __slots__ = ("builder", "index")
+
+    def __init__(self, builder: _Builder, index: int):
+        self.builder = builder
+        self.index = index
+
+    def _op(self, op, other):
+        b = self.builder
+        j = other.index if isinstance(other, _Ref) else b.const(other)
+        return _Ref(b, b.emit(op, self.index, j))
+
+    def __add__(self, other):
+        return self._op("add", other)
+
+    def __sub__(self, other):
+        return self._op("sub", other)
+
+    def __mul__(self, other):
+        return self._op("mul", other)
+
+
 def emit_power_slp(f: IntPoly, n: int, info: MinPolyInfo) -> SLP:
-    """O(log n)-length program for [alpha^n]: build the companion matrix
-    entries as constants, square-and-multiply symbolically, sum the diagonal."""
+    """O(log n)-length program for [alpha^n]. At or above the threshold it is
+    the power-sum engine run on instructions: about 3d^2/2 products per bit
+    of n, for x^floor(n/2) mod f, plus the constants c_i and p_k it uses.
+    Below the threshold it is the constant [alpha^n]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < info.threshold_n0 or n == 0:
         return slp_for_constant(nearest_power(f, n, info))
-    d = f.degree
     b = _Builder()
-    comp = [[b.const(0)] * d for _ in range(d)]
-    for i in range(d):
-        if i > 0:
-            comp[i][i - 1] = b.const(1)
-        comp[i][d - 1] = b.const(-f.coefficients[i])
-
-    def matmul(x, y):
-        out = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                acc = b.emit("mul", x[i][0], y[0][j])
-                for l in range(1, d):
-                    acc = b.emit("add", acc, b.emit("mul", x[i][l], y[l][j]))
-                out[i][j] = acc
-        return out
-
-    r = comp
-    for bit in bin(n)[3:]:
-        r = matmul(r, r)
-        if bit == "1":
-            r = matmul(r, comp)
-    tr = r[0][0]
-    for i in range(1, d):
-        tr = b.emit("add", tr, r[i][i])
-    return b.finish(tr)
+    result = power_sum(f, n, lift=lambda v: _Ref(b, b.const(v)))
+    return b.finish(result.index)
 
 
 def slp_eval(p: SLP, modulus: int | None = None) -> int:

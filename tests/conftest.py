@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+from pisot.algebraic import IntPoly
+
 
 def lucas_sequence(limit: int) -> list[int]:
     """L_0 = 2, L_1 = 1, L_n = L_{n-1} + L_{n-2}."""
@@ -43,6 +45,14 @@ def newton_power_sums(coefficients: tuple[int, ...], limit: int) -> list[int]:
             total -= coefficients[d - i] * s[n - i]
         s.append(total)
     return s
+
+
+def pisot_shaped(d: int, rng) -> IntPoly:
+    """x^d - (2d+1) x^(d-1) + (terms with coefficients in {-1, 0, 1}),
+    f(0) != 0. By Rouche's theorem on |x| = 1, d-1 roots lie inside the unit
+    disk, so the last root is a real Pisot number."""
+    low = [rng.choice((-1, 1))] + [rng.randint(-1, 1) for _ in range(d - 2)]
+    return IntPoly(tuple(low) + (-(2 * d + 1), 1))
 
 
 @pytest.fixture(scope="session")

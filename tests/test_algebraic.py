@@ -18,7 +18,7 @@ from pisot.algebraic import (
     minimal_polynomial,
     poly_roots,
 )
-from pisot.balls import mpf_to_fraction
+from pisot.balls import Ball, mpf_to_fraction
 
 GOLDEN = IntPoly((-1, -1, 1))  # x^2 - x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -234,3 +234,37 @@ class TestAnalyzeMinpoly:
     def test_not_squarefree_rejected(self, coeffs):
         with pytest.raises(errors.NotSquarefree):
             analyze_minpoly(IntPoly(coeffs), 64)
+
+    def test_zero_constant_term_rejected(self, monkeypatch):
+        # x(x^2-x-1) is reducible; it is rejected before any root isolation
+        def no_numerics(*args):
+            raise AssertionError("poly_roots ran")
+
+        monkeypatch.setattr("pisot.algebraic.poly_roots", no_numerics)
+        with pytest.raises(errors.NotPisot):
+            analyze_minpoly(IntPoly((0, -1, -1, 1)), 64)
+
+
+def _scanned_threshold(second, d, prec):
+    """Brute-force n0: scan n = 1, 2, ... with certified ball comparisons."""
+    half = Fraction(1, 2)
+    b = Ball.from_int(d - 1, prec)
+    for n in range(1, 100000):
+        b = b * second
+        if mpf_to_fraction(b.upper()) < half:
+            return n
+        if mpf_to_fraction(b.lower()) < half:
+            return None
+    return None
+
+
+THRESHOLD_POLYS = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
+THRESHOLD_POLYS["plastic"] = PLASTIC
+THRESHOLD_POLYS["quartic"] = IntPoly((1, 21, -229, -4899, 1))
+
+
+@pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
+def test_threshold_matches_scan(f):
+    info = analyze_minpoly(f, 128)
+    expect = _scanned_threshold(info.second_modulus, f.degree, info.precision_bits)
+    assert info.threshold_n0 == expect

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from pisot import errors
@@ -74,6 +75,61 @@ class TestPow:
         assert code == 2
 
 
+# x^2-3x+1 has roots phi^2 and phi^-2, so [alpha^n] = a_n with a_0 = 2,
+# a_1 = 3 and a_{n+2} = 3a_{n+1} - a_n; at n = 11000 it has about 4600
+# digits, more than Python's default int->str limit of 4300.
+LONG_N = 11000
+PRIME = 2**61 - 1
+
+
+def check_long_power(text: str):
+    a, b = 2, 3
+    for _ in range(LONG_N):
+        a, b = b, (3 * b - a) % PRIME
+    assert int(text) % PRIME == a
+    with mpmath.workdps(40):
+        digits = int(mpmath.floor(LONG_N * mpmath.log10((3 + mpmath.sqrt(5)) / 2))) + 1
+    assert len(text) == digits
+
+
+class TestLongResults:
+    def test_pow_json(self, capsys):
+        code, out, _ = invoke(
+            capsys, "pow", "--minpoly", "x^2-3x+1", "-n", str(LONG_N), "--json"
+        )
+        assert code == 0
+        check_long_power(json.loads(out)["result"])
+
+    def test_pow_plain(self, capsys):
+        code, out, _ = invoke(capsys, "pow", "--minpoly", "x^2-3x+1", "-n", str(LONG_N))
+        assert code == 0
+        check_long_power(out.strip())
+
+    def test_slp_eval_exact(self, capsys, tmp_path):
+        path = tmp_path / "long.slp"
+        code, _, _ = invoke(
+            capsys, "slp", "emit", "--minpoly", "x^2-3x+1", "-n", str(LONG_N),
+            "-o", str(path),
+        )
+        assert code == 0
+        code, out, _ = invoke(capsys, "slp", "eval", str(path))
+        assert code == 0
+        check_long_power(out.strip())
+        code, out, _ = invoke(capsys, "slp", "eval", str(path), "--json")
+        assert code == 0
+        check_long_power(json.loads(out)["result"])
+
+    def test_21_character_n_is_usage_error(self, capsys):
+        code, _, err = invoke(
+            capsys, "pow", "--minpoly", "x^2-x-1", "-n", "1" * 21, "-m", "7"
+        )
+        assert code == 2 and "ParseError" in err
+        code, _, err = invoke(
+            capsys, "pow", "--minpoly", "x^2-x-1", "-n", "5", "-m", "0" * 21
+        )
+        assert code == 2 and "ParseError" in err
+
+
 class TestThresholdAndBound:
     def test_threshold(self, capsys):
         code, out, _ = invoke(capsys, "threshold", "--minpoly", "x^3-x-1")
@@ -90,6 +146,11 @@ class TestThresholdAndBound:
         # (x^2-x-1)^2: rejected exactly, not after exhausting precision
         code, _, err = invoke(capsys, "threshold", "--minpoly", "x^4-2x^3-x^2+2x+1")
         assert code == 1 and "NotSquarefree" in err
+
+    def test_threshold_zero_constant_term(self, capsys):
+        # x(x^2-x-1) is reducible, so it is no Pisot minimal polynomial
+        code, _, err = invoke(capsys, "threshold", "--minpoly", "x^3-x^2-x")
+        assert code == 1 and "NotPisot" in err
 
     def test_bound(self, capsys):
         code, out, _ = invoke(

@@ -1,4 +1,5 @@
-"""Nearest-integer powers via companion-matrix traces, exact and modular."""
+"""Nearest-integer powers via power sums, exact and modular, checked against
+companion-matrix traces."""
 
 import random
 
@@ -11,8 +12,9 @@ from pisot.powtrace import (
     matpow,
     nearest_power,
     nearest_power_mod,
+    power_sum,
 )
-from conftest import newton_power_sums
+from conftest import newton_power_sums, pisot_shaped
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -127,3 +129,60 @@ class TestNewtonIdentityOracle:
                 assert sums[n] == sum(
                     matpow(c, n)[i][i] for i in range(f.degree)
                 ), f"mismatch at n={n} for {f}"
+
+
+def matpow_trace(f, n, m=None):
+    power = matpow(companion_matrix(f), n, m)
+    t = sum(power[i][i] for i in range(f.degree))
+    return t if m is None else t % m
+
+
+ENGINE_POLYS = [IntPoly((-1,) * k + (1,)) for k in (2, 3, 5, 8, 12)] + [
+    pisot_shaped(d, random.Random(d)) for d in range(2, 13)
+]
+
+
+class TestPowerSumEngine:
+    @pytest.mark.parametrize("f", ENGINE_POLYS, ids=str)
+    def test_exact_matches_matpow(self, f):
+        d = f.degree
+        rng = random.Random(str(f))
+        ns = list(range(0, 2 * d + 3)) + [rng.randint(2 * d, 600) for _ in range(20)]
+        ns += [599, 600]
+        for n in ns:
+            assert power_sum(f, n) == matpow_trace(f, n), f"n={n}"
+
+    @pytest.mark.parametrize("f", ENGINE_POLYS, ids=str)
+    def test_modular_matches_matpow(self, f):
+        rng = random.Random(str(f))
+        for n in (10**19, rng.randint(0, 10**19), rng.randint(0, 10**6)):
+            m = rng.randint(2, 1 << 64)
+            assert power_sum(f, n, m) == matpow_trace(f, n, m), f"n={n}, m={m}"
+
+    def test_recurrences_both_parities(self, lucas200, perrin200):
+        # n < 2d returns a Newton power sum; beyond, odd and even n take
+        # different read-off offsets
+        for n in range(0, 201):
+            assert power_sum(GOLDEN, n) == lucas200[n]
+            assert power_sum(PLASTIC, n) == perrin200[n]
+            assert power_sum(PLASTIC, n, 7) == perrin200[n] % 7
+
+    def test_matches_newton_sums(self):
+        for f in ENGINE_POLYS:
+            sums = newton_power_sums(f.coefficients, 600)
+            assert [power_sum(f, n) for n in range(601)] == sums, str(f)
+
+    def test_negative_small_sum_reduced(self):
+        f = IntPoly((-1, 0, 3, 1))  # p_1 = -3
+        assert power_sum(f, 1) == -3
+        assert power_sum(f, 1, 7) == 4
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            power_sum(GOLDEN, -1)
+        with pytest.raises(errors.BadModulus):
+            power_sum(GOLDEN, 5, 1)
+        with pytest.raises(errors.NotMonic):
+            power_sum(IntPoly((1, 1, 2)), 5)
+        with pytest.raises(ValueError):
+            power_sum(IntPoly((0, -1, 1)), 5)

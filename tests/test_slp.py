@@ -17,6 +17,7 @@ from pisot.slp import (
     slp_for_constant,
     slp_length,
 )
+from conftest import pisot_shaped
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -87,6 +88,30 @@ class TestEmitPowerSLP:
     def test_negative_n(self, golden_info):
         with pytest.raises(ValueError):
             emit_power_slp(GOLDEN, -3, golden_info)
+
+    @pytest.mark.parametrize(
+        "f",
+        [IntPoly((-1,) * k + (1,)) for k in (2, 4, 12)]
+        + [pisot_shaped(d, random.Random(d)) for d in (3, 5, 8, 12)],
+        ids=str,
+    )
+    def test_huge_exponents_match_modular_path(self, f):
+        info = analyze_minpoly(f, 128)
+        rng = random.Random(str(f))
+        for n in (10**19, rng.randint(0, 10**19), 2 * f.degree - 1, 2 * f.degree):
+            n = max(n, info.threshold_n0)
+            p = emit_power_slp(f, n, info)
+            m = rng.randint(2, 1 << 64)
+            assert slp_eval(p, m) == nearest_power_mod(f, n, m, info), f"n={n}"
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1, 21, -229, -4899, 1), (-1, -1, -1, -1, 1)], ids=["quartic", "4-nacci"]
+    )
+    def test_degree4_length_at_1e19(self, coeffs):
+        # about 3d^2/2 products per bit of n; d^3 per bit would exceed 9,000
+        f = IntPoly(coeffs)
+        p = emit_power_slp(f, 10**19, analyze_minpoly(f, 128))
+        assert slp_length(p) <= 4500
 
 
 class TestEval:
