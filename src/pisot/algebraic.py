@@ -13,13 +13,13 @@ from math import gcd
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_shift, to_int
 
 from . import errors
-from .balls import GUARD_BITS, Ball, CBall, ball_det, mpf_to_fraction
+from .balls import GUARD_BITS, Ball, CBall, mpf_to_fraction
 from .lattice import IntLattice
 
 ROOT_RETRY_CAP = 16
-DET_RETRY_CAP = 8
 THRESHOLD_CAP = 99999
 
 
@@ -164,7 +164,13 @@ def _coprime_residues(n: int) -> list[int]:
 
 def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatrix:
     """Embedding matrix of the real subfield of the cyclotomic field of the
-    given conductor, with integral basis {2cos(2*pi*a/n)}."""
+    given conductor n, with integral basis {2cos(2*pi*a/n) : a in reps}.
+
+    For n not squarefree the sum of that basis is mu(n) = 0, so it is
+    dependent (discriminant 0), and the power basis {1, 2cos(2*pi*j/n) :
+    1 <= j < k} of Z[2cos(2*pi/n)], the ring of integers (Washington,
+    Introduction to Cyclotomic Fields, Prop. 2.16), replaces it.
+    """
     n = int(conductor)
     if n % 4 == 2:
         raise errors.UnsupportedConductor(f"conductor {n} is 2 mod 4")
@@ -172,42 +178,38 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     k = len(reps)
     if k < 2:
         raise errors.UnsupportedConductor(f"conductor {n} gives degree {k} < 2")
-
     prec = precision_bits
-    for _ in range(DET_RETRY_CAP):
+
+    def embed(exponents):
+        # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
         entries = []
         with mp.workprec(prec + GUARD_BITS):
             two_pi = 2 * mpmath.pi
             for t in reps:
                 row = []
-                for a in reps:
+                for a in exponents:
+                    if a == 0:
+                        row.append(Ball.from_int(1, prec))
+                        continue
                     v = 2 * mpmath.cos(two_pi * ((t * a) % n) / n)
                     rad = (abs(v) + 1) * mpf(2) ** (1 - prec)
                     row.append(Ball(v, rad, prec))
                 entries.append(tuple(row))
-        try:
-            det = ball_det([list(r) for r in entries], prec)
-            break
-        except errors.PrecisionError:
-            prec *= 2
-    else:
-        raise errors.PrecisionError(
-            f"could not certify det != 0 for conductor {n} within the retry cap"
-        )
+        return tuple(entries)
 
-    det_abs = abs(det)
-    disc = _round_if_near_integer(det_abs * det_abs)
-    verified = False
-    if disc is not None and _is_prime(n):
-        verified = disc == n ** ((n - 3) // 2)
+    entries = embed(reps)
+    disc = _discriminant(entries)
+    if disc == 0:
+        entries = embed(range(k))
+        disc = _discriminant(entries)
     return EmbeddingMatrix(
         k=k,
-        entries=tuple(entries),
-        det_abs=det_abs,
+        entries=entries,
+        det_abs=Ball.from_int(disc, prec).sqrt(),
         precision_bits=prec,
         conductor=n,
         discriminant=disc,
-        basis_verified=verified,
+        basis_verified=True,
     )
 
 
@@ -229,36 +231,62 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
         parsed = []
         for s in row:
             try:
-                parsed.append(Ball.from_str(s, precision_bits))
+                ball = Ball.from_str(s, precision_bits)
+                mpf_to_fraction(ball.mid)  # rejects inf and nan
             except ValueError as exc:
                 raise errors.ParseError(f"bad decimal entry {s!r}") from exc
+            parsed.append(ball)
         entries.append(tuple(parsed))
 
-    try:
-        det = ball_det([list(r) for r in entries], precision_bits)
-    except errors.PrecisionError as exc:
-        raise errors.RankDeficient(
-            "embedding matrix determinant not certified nonzero"
-        ) from exc
-    det_abs = abs(det)
-
-    if spec.discriminant is not None:
-        det_sq = det_abs * det_abs
-        target = abs(spec.discriminant)
-        lo = mpf_to_fraction(det_sq.lower())
-        hi = mpf_to_fraction(det_sq.upper())
-        if not (lo <= target <= hi):
-            raise errors.DiscriminantMismatch(
-                f"det^2 in [{float(lo):.6g}, {float(hi):.6g}] but |discriminant| = {target}"
-            )
+    disc = _discriminant(entries)
+    if disc == 0:
+        raise errors.RankDeficient("the basis is linearly dependent: its discriminant is 0")
+    if spec.discriminant is not None and abs(spec.discriminant) != disc:
+        raise errors.DiscriminantMismatch(
+            f"the basis has discriminant {disc}, but {abs(spec.discriminant)} is stated"
+        )
     return EmbeddingMatrix(
         k=k,
         entries=tuple(entries),
-        det_abs=det_abs,
+        det_abs=Ball.from_int(disc, precision_bits).sqrt(),
         precision_bits=precision_bits,
-        discriminant=spec.discriminant,
+        discriminant=disc,
         basis_verified=spec.discriminant is not None,
     )
+
+
+def _discriminant(entries) -> int:
+    """disc = det(Tr(b_i b_j)) exactly, for the basis embedded as entries[t][j].
+
+    The trace form G_ij = sum_t sigma_t(b_i) sigma_t(b_j) of an integral basis
+    is an integer matrix. It is summed exactly from midpoints scaled to
+    integers m = trunc(2^s * mid), with one error bound E = k*e*(2A + e) for
+    |sigma - m/2^s| <= e and |m/2^s| <= A. With E < 1/2, G_ij is the one
+    integer within E of its sum; no integer there means a non-integral basis.
+    """
+    k = len(entries)
+    s = min(b.prec for row in entries for b in row)
+    scaled = [[to_int(mpf_shift(b.mid._mpf_, s)) for b in row] for row in entries]
+    e = mpf_to_fraction(max(b.rad for row in entries for b in row)) + Fraction(1, 1 << s)
+    amax = Fraction(max(abs(m) for row in scaled for m in row), 1 << s)
+    bound = k * e * (2 * amax + e)
+    if bound >= Fraction(1, 2):
+        raise errors.PrecisionError(
+            f"trace form error bound {float(bound):.3g} is not below 1/2 at {s} bits"
+        )
+    one = 1 << (2 * s)
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            acc = sum(scaled[t][i] * scaled[t][j] for t in range(k))
+            g = (2 * acc + one) // (2 * one)
+            if Fraction(abs(acc - g * one), one) > bound:
+                raise errors.NotIntegral(
+                    f"Tr(b_{i} b_{j}) ~ {acc / one:.6g} is not an integer: "
+                    "the basis is not integral"
+                )
+            gram[i][j] = gram[j][i] = g
+    return IntLattice(tuple(map(tuple, gram))).det()
 
 
 def embeddings_for(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix:
@@ -291,7 +319,9 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     cover the roots, and contain exactly one root each once disjoint. A
     repeated root is ruled out exactly first, since no precision separates it.
     """
-    if _resultant_with_derivative(f) == 0:
+    f_desc = list(reversed(f.coefficients))
+    df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
+    if _resultant(f_desc, df_desc) == 0:
         raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
     d = f.degree
     lead = f.coefficients[-1]
@@ -341,14 +371,13 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     )
 
 
-def _resultant_with_derivative(f: IntPoly) -> int:
-    """Res(f, f'): the determinant of the (2d-1)x(2d-1) Sylvester matrix of f
-    and f'. It is zero exactly when f has a repeated root."""
-    d = f.degree
-    f_desc = list(reversed(f.coefficients))
-    df_desc = [e * f.coefficients[e] for e in range(d, 0, -1)]
-    rows = [[0] * i + f_desc + [0] * (d - 2 - i) for i in range(d - 1)]
-    rows += [[0] * i + df_desc + [0] * (d - 1 - i) for i in range(d)]
+def _resultant(f_desc, g_desc) -> int:
+    """Res(f, g) for coefficient lists with the leading coefficient first:
+    the determinant of the Sylvester matrix. It is zero exactly when f and g
+    have a common root."""
+    m, n = len(f_desc) - 1, len(g_desc) - 1
+    rows = [[0] * i + f_desc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g_desc + [0] * (m - 1 - i) for i in range(m)]
     return IntLattice(tuple(map(tuple, rows))).det()
 
 
@@ -427,6 +456,13 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
         raise errors.NotPisot("degree must be at least 2")
     if f.coefficients[0] == 0:
         raise errors.NotPisot(f"f(0) = 0, so x divides {f}: it is not irreducible")
+    # At d >= 3 an irreducible Pisot f shares no root with x^d f(1/x): that
+    # makes f reciprocal, pairing each root r with 1/r, and one root outside
+    # the unit disk cannot pair with d-1 >= 2 inside. A root on the unit
+    # circle is shared (its conjugate is its reciprocal). x^2 - 3x + 1 is
+    # reciprocal and Pisot, so d = 2 is exempt.
+    if f.degree >= 3 and _resultant(list(reversed(f.coefficients)), list(f.coefficients)) == 0:
+        raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
     prec = precision_bits
     for _ in range(8):
@@ -520,20 +556,3 @@ def _threshold_n0(second: Ball, d: int, prec: int) -> int | None:
     while n < THRESHOLD_CAP and side(n) > 0:
         n += 1
     return n if side(n) < 0 and side(n - 1) > 0 else None
-
-
-def _round_if_near_integer(b: Ball) -> int | None:
-    n = b.nearest_int()
-    err = abs(mpf_to_fraction(b.mid) - n) + mpf_to_fraction(b.rad)
-    return n if err < Fraction(1, 4) else None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True

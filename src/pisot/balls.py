@@ -160,10 +160,6 @@ class Ball:
         with mp.workprec(self.prec + GUARD_BITS):
             return self.mid - self.rad
 
-    def contains_zero(self) -> bool:
-        with mp.workprec(self.prec + GUARD_BITS):
-            return abs(self.mid) <= self.rad
-
     def gt(self, bound) -> bool:
         """Certified `self > bound` for an int/Fraction bound."""
         return mpf_to_fraction(self.lower()) > Fraction(bound)
@@ -269,34 +265,3 @@ def _ccoerce(x, prec: int) -> CBall:
     if isinstance(x, int):
         return CBall.from_int(x, prec)
     raise TypeError(f"cannot mix CBall with {type(x).__name__}")
-
-
-def ball_det(rows: list[list[Ball]], prec: int) -> Ball:
-    """Determinant of a square Ball matrix via Gaussian elimination.
-
-    Raises PrecisionError if a pivot ball contains zero, which happens both
-    for genuinely singular matrices and for insufficient precision; callers
-    decide which interpretation applies.
-    """
-    from . import errors
-
-    k = len(rows)
-    m = [row[:] for row in rows]
-    det = Ball.from_int(1, prec)
-    sign = 1
-    for col in range(k):
-        pivot_row = max(range(col, k), key=lambda r: abs(m[r][col].mid))
-        pivot = m[pivot_row][col]
-        if pivot.contains_zero():
-            raise errors.PrecisionError(
-                "pivot ball contains zero during determinant elimination"
-            )
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        det = det * pivot
-        for r in range(col + 1, k):
-            factor = m[r][col] / pivot
-            for c in range(col + 1, k):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det if sign == 1 else -det

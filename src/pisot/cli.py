@@ -18,6 +18,7 @@ from .pisotsearch import (
     format_fraction,
     minkowski_bound,
     verify_pisot,
+    verify_precision,
 )
 from .powtrace import nearest_power, nearest_power_mod
 from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
@@ -213,7 +214,7 @@ def _cmd_verify(args):
         z = [int(c) for c in args.coeffs.split(",")]
     except ValueError as exc:
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
-    emb = embeddings_for(spec, args.precision)
+    emb = embeddings_for(spec, verify_precision(z, spec, args.precision))
     cand = verify_pisot(z, emb, _parse_rational(args.epsilon))
     _candidate_output(args, cand)
     return 0

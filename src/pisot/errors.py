@@ -36,6 +36,10 @@ class RankDeficient(PisotError):
     pass
 
 
+class NotIntegral(PisotError):
+    """The trace form Tr(b_i b_j) is not integral: not a basis of integers."""
+
+
 class AmbiguousRounding(PisotError):
     pass
 

@@ -1,16 +1,18 @@
 """Search for a Pisot generator of a totally real Galois field.
 
-Builds the scaled embedding lattice, LLL-reduces it, reads candidate
-coefficient vectors off the unimodular transform, and certifies each
-candidate from scratch in ball arithmetic. Rounding the scaled matrix to
-integers is repaired by a verify-and-retry loop that doubles the working
-scale Q and the precision until a candidate certifies.
+Builds the embedding lattice scaled by P (chosen from |det D| = sqrt(disc),
+with the discriminant computed exactly), rounds it at scale Q, LLL-reduces
+it, and reads candidate coefficient vectors off the unimodular transform.
+Each candidate is certified from scratch in ball arithmetic at a precision
+sized from the candidate itself. If no candidate of a reduction certifies,
+Q doubles; that is the only retry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 
 import mpmath
 
@@ -27,13 +29,13 @@ from .balls import Ball, mpf_to_fraction
 from .lattice import IntLattice, lll_reduce
 
 DEFAULT_Q = 1 << 32
+SEARCH_RETRY_CAP = 8
 
 
 @dataclass(frozen=True)
 class SearchParams:
     epsilon: Fraction = field(default_factory=lambda: Fraction(1))
     precision_bits: int = 256
-    retry_cap: int = 8
 
     def __post_init__(self):
         eps = Fraction(self.epsilon)
@@ -93,28 +95,21 @@ def format_fraction(q: Fraction) -> str:
 
 
 def compute_scale_P(k: int, det_abs, epsilon) -> int:
-    """Smallest integer strictly greater than (2/sqrt(3))^(k^2) * k^(k/2) *
-    |det D| / epsilon^k, certified by outward rounding."""
+    """An integer strictly greater than (2/sqrt(3))^(k^2) * k^(k/2) * |det D|
+    / epsilon^k: one more than the floor of its certified upper bound. Any
+    integer above the bound is a valid scale, so no precision is retried."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if k < 2:
         raise ValueError("k must be >= 2")
-    det_ball = det_abs if isinstance(det_abs, Ball) else None
-
-    prec = 128 if det_ball is None else max(128, det_ball.prec)
-    for _ in range(8):
-        d = det_ball if det_ball is not None else Ball.from_str(str(det_abs), prec)
-        factor = (Ball.from_int(4, prec) / Ball.from_int(3, prec)).sqrt().pow_int(k * k)
-        factor = factor * Ball.from_int(k, prec).sqrt().pow_int(k)
-        factor = factor * d
-        factor = factor * Ball.from_fraction(1 / eps**k, prec)
-        lo = mpf_to_fraction(factor.lower())
-        hi = mpf_to_fraction(factor.upper())
-        if lo > 0 and lo.__floor__() == hi.__floor__():
-            return int(lo.__floor__()) + 1
-        prec *= 2
-    raise errors.PrecisionError("could not certify the scale P at the retry cap")
+    if not isinstance(det_abs, Ball):
+        det_abs = Ball.from_str(str(det_abs), 128)
+    prec = max(128, det_abs.prec)
+    factor = (Ball.from_int(4, prec) / Ball.from_int(3, prec)).sqrt().pow_int(k * k)
+    factor = factor * Ball.from_int(k, prec).sqrt().pow_int(k) * det_abs
+    factor = factor * Ball.from_fraction(1 / eps**k, prec)
+    return floor(mpf_to_fraction(factor.upper())) + 1
 
 
 def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> ScaledLatticeBasis:
@@ -185,36 +180,38 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     )
 
 
+def verify_precision(z, spec: FieldSpec, precision_bits: int) -> int:
+    """Precision that certifies candidate z: at least `precision_bits`, and
+    2*bits(||z||_1) + 2k + 32 (capped at an explicit field's stated precision).
+    The conjugates lose bits(||z||_1) bits to cancellation, and the minpoly's
+    coefficients grow like ||z||_1 * 2^k, so its 1/4-rounding needs twice that."""
+    need = 2 * sum(abs(int(c)) for c in z).bit_length() + 2 * len(z) + 32
+    if spec.stated_precision_bits is not None:
+        need = min(need, spec.stated_precision_bits)
+    return max(precision_bits, need)
+
+
 def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCandidate:
     """Algorithm: scale, round, LLL-reduce, then certify candidate vectors
     taken from the transform columns (first reduced vector first)."""
     params = params or SearchParams()
     eps = params.epsilon
-    prec = params.precision_bits
-    emb = embeddings_for(spec, prec)
+    emb = embeddings_for(spec, params.precision_bits)
     P = compute_scale_P(emb.k, emb.det_abs, eps)
     Q = DEFAULT_Q
     last_failure = None
-    for _ in range(params.retry_cap):
+    for _ in range(SEARCH_RETRY_CAP):
         need = P.bit_length() + Q.bit_length() + 64
         if emb.precision_bits < need:
-            prec = max(prec, need)
-            emb = embeddings_for(spec, prec)
-        try:
-            slat = build_scaled_lattice(emb, P, Q)
-        except errors.PrecisionError as exc:
-            last_failure = exc
-            prec *= 2
-            continue
-        result = lll_reduce(slat.lattice)
-        for j in range(emb.k):
-            z = result.transform[j]
+            emb = embeddings_for(spec, max(params.precision_bits, need))
+        result = lll_reduce(build_scaled_lattice(emb, P, Q).lattice)
+        for z in result.transform:
+            prec = verify_precision(z, spec, params.precision_bits)
             try:
-                return verify_pisot(z, emb, eps)
+                return verify_pisot(z, embeddings_for(spec, prec), eps)
             except (errors.NotPisot, errors.NotPrimitive, errors.AmbiguousRounding) as exc:
                 last_failure = exc
         Q <<= 1
-        prec *= 2
     raise errors.SearchFailed(f"retry cap exhausted; last failure: {last_failure}")
 
 

@@ -28,6 +28,10 @@ def _mid(b):
     return float(b.mid)
 
 
+def _exact_one(b):
+    return mpf_to_fraction(b.mid) == 1 and b.rad == 0
+
+
 class TestIntPoly:
     def test_degree_and_monic(self):
         assert GOLDEN.degree == 2 and GOLDEN.is_monic
@@ -97,6 +101,18 @@ class TestCyclotomicEmbeddings:
         assert emb.k == 2
         assert emb.discriminant == 5
 
+    def test_conductor_41_exact_discriminant(self):
+        # p^((p-3)/2) for a prime conductor p: 4394336169668803158610484050361
+        assert cyclotomic_embeddings(41, 256).discriminant == 41**19
+
+    @pytest.mark.parametrize("n, disc", [(9, 81), (12, 12), (16, 2048)])
+    def test_power_basis_for_non_squarefree(self, n, disc):
+        # The cosine basis is dependent here; {1, 2cos(2 pi j/n)} replaces it.
+        emb = cyclotomic_embeddings(n, 128)
+        assert emb.discriminant == disc
+        assert all(_exact_one(row[0]) for row in emb.entries)
+        assert _mid(emb.row(0)[1]) == pytest.approx(2 * mpmath.cos(2 * mpmath.pi / n))
+
     def test_rejects_2_mod_4(self):
         with pytest.raises(errors.UnsupportedConductor):
             cyclotomic_embeddings(6, 128)
@@ -140,6 +156,30 @@ class TestExplicitEmbeddings:
     def test_rejects_overclaimed_precision(self):
         with pytest.raises(errors.PrecisionError):
             explicit_embeddings(self._sqrt2_spec(stated=64), 128)
+
+    def test_rejects_non_integral_basis(self):
+        # {1, (1+sqrt2)/2}: Tr(b_1^2) = 3/2
+        with mp.workprec(220):
+            r = (1 + mpmath.sqrt(2)) / 2
+            rows = (("1", mpmath.nstr(r, 60)), ("1", mpmath.nstr(1 - r, 60)))
+        spec = FieldSpec(
+            kind="explicit",
+            basis_labels=("1", "(1+sqrt2)/2"),
+            embedding_rows=rows,
+            stated_precision_bits=190,
+        )
+        with pytest.raises(errors.NotIntegral):
+            explicit_embeddings(spec, 128)
+
+    @pytest.mark.parametrize("entry", ["inf", "nan", "1.5x"])
+    def test_rejects_bad_entry(self, entry):
+        spec = FieldSpec(
+            kind="explicit",
+            embedding_rows=(("1", entry), ("1", "-1.5")),
+            stated_precision_bits=64,
+        )
+        with pytest.raises(errors.ParseError):
+            explicit_embeddings(spec, 32)
 
     def test_rejects_rank_deficient(self):
         spec = FieldSpec(
@@ -245,6 +285,25 @@ class TestAnalyzeMinpoly:
             analyze_minpoly(IntPoly((0, -1, -1, 1)), 64)
 
 
+RECIPROCAL = {
+    "Lehmer": (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+    "Salem quartic": (1, -1, -1, -1, 1),  # x^4 - x^3 - x^2 - x + 1
+    "(x+1)(x^2-x-1)": (-1, -2, 0, 1),
+    "(x-1)(x^3-x-1)": (1, 0, -1, -1, 1),
+}
+
+
+@pytest.mark.parametrize("coeffs", RECIPROCAL.values(), ids=RECIPROCAL.keys())
+def test_shared_root_with_reciprocal_rejected(coeffs, monkeypatch):
+    # Decided by Res(f, x^d f(1/x)) = 0, before any root isolation.
+    def no_numerics(*args):
+        raise AssertionError("poly_roots ran")
+
+    monkeypatch.setattr("pisot.algebraic.poly_roots", no_numerics)
+    with pytest.raises(errors.NotPisot, match="reciprocal"):
+        analyze_minpoly(IntPoly(coeffs), 64)
+
+
 def _scanned_threshold(second, d, prec):
     """Brute-force n0: scan n = 1, 2, ... with certified ball comparisons."""
     half = Fraction(1, 2)
@@ -261,6 +320,7 @@ def _scanned_threshold(second, d, prec):
 THRESHOLD_POLYS = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
 THRESHOLD_POLYS["plastic"] = PLASTIC
 THRESHOLD_POLYS["quartic"] = IntPoly((1, 21, -229, -4899, 1))
+THRESHOLD_POLYS["x^2-3x+1"] = IntPoly((1, -3, 1))  # reciprocal, and Pisot
 
 
 @pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())

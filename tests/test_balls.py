@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from pisot import errors
-from pisot.balls import Ball, CBall, ball_det, mpf_to_fraction
+from pisot.balls import Ball, CBall, mpf_to_fraction
 
 
 def exact(b: Ball) -> Fraction:
@@ -83,7 +83,6 @@ def test_certified_comparisons():
     assert b.lt(3)
     assert not b.gt(Fraction(5, 2))  # boundary is never certified
     wide = Ball(mpmath.mpf(0), mpmath.mpf(1), 64)
-    assert wide.contains_zero()
     assert not wide.gt(0) and not wide.lt(0)
 
 
@@ -109,24 +108,3 @@ def test_cball_abs_and_mul():
     w = z * z
     assert abs(mpf_to_fraction(w.mid.real) - (-7)) < Fraction(1, 2**80)
     assert abs(mpf_to_fraction(w.mid.imag) - 24) < Fraction(1, 2**80)
-
-
-def test_ball_det_identity_and_known():
-    prec = 128
-    ident = [[Ball.from_int(1 if i == j else 0, prec) for j in range(3)] for i in range(3)]
-    assert abs(exact(ball_det(ident, prec)) - 1) < Fraction(1, 2**100)
-    m = [
-        [Ball.from_int(2, prec), Ball.from_int(1, prec)],
-        [Ball.from_int(7, prec), Ball.from_int(4, prec)],
-    ]
-    assert abs(exact(ball_det(m, prec)) - 1) < Fraction(1, 2**100)
-
-
-def test_ball_det_singular_raises():
-    prec = 64
-    m = [
-        [Ball.from_int(1, prec), Ball.from_int(2, prec)],
-        [Ball.from_int(2, prec), Ball.from_int(4, prec)],
-    ]
-    with pytest.raises(errors.PrecisionError):
-        ball_det(m, prec)

@@ -215,6 +215,26 @@ class TestFindAndVerify:
         )
         assert code == 2
 
+    def test_verify_accepts_find_answer(self, capsys):
+        # The answer has 128-bit coefficients; verify sizes its precision
+        # from them, so the default --precision certifies it.
+        code, out, _ = invoke(
+            capsys, "find", "--conductor", "31", "--epsilon", "1/4", "--json"
+        )
+        assert code == 0
+        found = json.loads(out)
+        code, out, err = invoke(
+            capsys,
+            "verify", "--conductor", "31",
+            "--coeffs=" + ",".join(found["coefficients"]),
+            "--epsilon", "1/4",
+            "--json",
+        )
+        assert code == 0, err
+        verified = json.loads(out)
+        assert verified["coefficients"] == found["coefficients"]
+        assert verified["minpoly"] == found["minpoly"]
+
     def test_find_requires_field(self, capsys):
         code, _, err = invoke(capsys, "find")
         assert code == 2

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from pisot.pisotsearch import (
     format_fraction,
     minkowski_bound,
     verify_pisot,
+    verify_precision,
 )
 
 FIXTURE_Z15 = (2105, 1215, 1440, 139)
@@ -30,6 +32,7 @@ FIXTURE_Z17 = (
     677007046,
     725583357,
 )
+NON_SQUAREFREE = (8, 9, 12, 16, 20, 24, 25, 27, 28, 32, 36, 40)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,18 @@ class TestComputeScaleP:
         p2 = compute_scale_P(4, emb15.det_abs, Fraction(1, 2))
         assert p2 > p1
 
+    def test_degree26_returns(self):
+        # P has more bits than the embeddings; any integer above the bound is valid.
+        emb = cyclotomic_embeddings(53, 256)
+        P = compute_scale_P(26, emb.det_abs, 1)
+        with mp.workdps(100):
+            bound = (
+                (2 / mpmath.sqrt(3)) ** (26 * 26)
+                * mpmath.mpf(26) ** 13
+                * mpmath.sqrt(emb.discriminant)
+            )
+            assert bound < P < bound * (1 + mpmath.mpf(2) ** -200)
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             compute_scale_P(2, 1, 0)
@@ -92,6 +107,24 @@ class TestBuildScaledLattice:
     def test_rejects_bad_scales(self, emb15):
         with pytest.raises(ValueError):
             build_scaled_lattice(emb15, P=0, Q=1)
+
+
+class TestVerifyPrecision:
+    def test_sized_from_candidate(self):
+        spec = FieldSpec(kind="cyclotomic", conductor=15)
+        assert verify_precision(FIXTURE_Z15, spec, 256) == 256
+        z = (1 << 200, 1, 1, 1)
+        assert verify_precision(z, spec, 256) == 2 * 201 + 8 + 32
+
+    def test_capped_at_stated_precision(self):
+        spec = FieldSpec(
+            kind="explicit",
+            embedding_rows=(("1", "1"), ("1", "-1")),
+            stated_precision_bits=300,
+        )
+        assert verify_precision((1 << 200, 1), spec, 256) == 300
+        assert verify_precision((1 << 200, 1), spec, 64) == 300
+        assert verify_precision((1, 1), spec, 64) == 64
 
 
 class TestVerifyPisot:
@@ -172,6 +205,31 @@ class TestFindPisot:
         assert cand.minpoly.degree == 2
         # the silver ratio 1 + sqrt(2) is the natural answer here
         assert cand.minpoly == IntPoly((-1, -2, 1))
+
+    @pytest.mark.parametrize("n", NON_SQUAREFREE)
+    def test_non_squarefree_conductor(self, n):
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=n))
+        # Checked independently on the power basis {1, 2cos(2 pi j/n)}.
+        k = len(cand.coefficients)
+        reps = [a for a in range(1, n // 2 + 1) if gcd(a, n) == 1]
+        assert len(reps) == k
+        with mp.workdps(120):
+            conj = [
+                cand.coefficients[0]
+                + sum(
+                    c * 2 * mpmath.cos(2 * mpmath.pi * t * j / n)
+                    for j, c in enumerate(cand.coefficients[1:], start=1)
+                )
+                for t in reps
+            ]
+            assert conj[0] > 1
+            assert all(abs(v) < 1 for v in conj[1:])
+            poly = [mpmath.mpf(1)]  # ascending coefficients of prod (x - v)
+            for v in conj:
+                poly = [a - v * b for a, b in zip([0] + poly, poly + [0])]
+            rounded = [int(mpmath.nint(c)) for c in poly]
+            assert all(abs(c - r) < mpmath.mpf(10) ** -50 for c, r in zip(poly, rounded))
+        assert cand.minpoly.coefficients == tuple(rounded)
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
