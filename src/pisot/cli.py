@@ -101,6 +101,13 @@ def _parse_rational(s: str) -> Fraction:
         raise errors.ParseError(f"bad rational {s!r}") from exc
 
 
+def _parse_epsilon(s: str) -> Fraction:
+    eps = _parse_rational(s)
+    if not 0 < eps <= 1:
+        raise errors.ParseError(f"--epsilon must lie in (0, 1], got {s}")
+    return eps
+
+
 def _parse_n(s: str) -> int:
     # The int->str digit limit is lifted in `run`, so bound the input first.
     if len(s) > MAX_N_CHARS:
@@ -202,7 +209,7 @@ def _candidate_output(args, cand):
 def _cmd_find(args):
     spec = _field_spec(args)
     params = SearchParams(
-        epsilon=_parse_rational(args.epsilon), precision_bits=args.precision
+        epsilon=_parse_epsilon(args.epsilon), precision_bits=args.precision
     )
     _candidate_output(args, find_pisot(spec, params))
     return 0
@@ -210,12 +217,19 @@ def _cmd_find(args):
 
 def _cmd_verify(args):
     spec = _field_spec(args)
+    eps = _parse_epsilon(args.epsilon)
     try:
         z = [int(c) for c in args.coeffs.split(",")]
     except ValueError as exc:
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
+    if not any(z):
+        raise errors.ParseError("--coeffs must not be all zero")
     emb = embeddings_for(spec, verify_precision(z, spec, args.precision))
-    cand = verify_pisot(z, emb, _parse_rational(args.epsilon))
+    if len(z) != emb.k:
+        raise errors.ParseError(
+            f"--coeffs has {len(z)} entries, but the field has degree {emb.k}"
+        )
+    cand = verify_pisot(z, emb, eps)
     _candidate_output(args, cand)
     return 0
 
@@ -281,7 +295,10 @@ def _cmd_threshold(args):
 
 
 def _cmd_bound(args):
-    b = minkowski_bound(args.degree, args.disc, _parse_rational(args.delta))
+    delta = _parse_rational(args.delta)
+    if not 0 < delta < 1:
+        raise errors.ParseError(f"--delta must lie in (0, 1), got {args.delta}")
+    b = minkowski_bound(args.degree, args.disc, delta)
     obj = {
         "degree": args.degree,
         "disc": _json_int(args.disc),
@@ -301,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_flags(p):
-        p.add_argument("--conductor", type=int, help="cyclotomic conductor n")
-        p.add_argument("--field", help="path to a FieldSpec JSON file")
+        field = p.add_mutually_exclusive_group()
+        field.add_argument("--conductor", type=int, help="cyclotomic conductor n")
+        field.add_argument("--field", help="path to a FieldSpec JSON file")
         p.add_argument("--precision", type=_precision_bits, default=256, metavar="BITS")
         p.add_argument("--json", action="store_true")
 

@@ -1,17 +1,27 @@
-"""Exact-integer LLL reduction with transform tracking, plus verification
-and a brute-force shortest-vector oracle for tests.
+"""LLL reduction with transform tracking, plus verification and a
+brute-force shortest-vector oracle for tests.
 
-The LLL is the all-integer variant of de Weger / Cohen Alg. 2.6.7: every
-quantity is an exact integer, so results are reproducible across runs and
-platforms.
+`lll_reduce` runs two passes. A floating-point pass (after Nguyen and
+Stehle's L^2) does the bulk of the work: exact integer basis and transform
+updates, Gram-Schmidt coefficients as floats from exact inner products, and
+the exact kernel's decision rules. The all-integer kernel of de Weger /
+Cohen Alg. 2.6.7 then runs on its result, starting from its transform: every
+quantity there is an exact integer, so it certifies the reduction and
+repairs any decision the floats got wrong, and results are reproducible
+across runs and platforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
+
+# The largest squared norm is shifted to below 2^_FLOAT_BITS before it
+# becomes a float, which leaves 2^63 of headroom under the float range.
+_FLOAT_BITS = 960
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,15 @@ class ReducednessReport:
 
 def lll_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
     """LLL-reduce the lattice basis; the returned transform U is unimodular
-    with reduced.basis = lat.basis * U."""
+    with reduced.basis = lat.basis * U. The float pass runs first and the
+    exact kernel finishes from its basis and transform."""
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    reduced_cols, u_cols = _lll_columns(lat.basis, delta.numerator, delta.denominator)
+    b = [list(col) for col in lat.basis]
+    u = [[int(i == j) for i in range(lat.k)] for j in range(lat.k)]
+    _float_pass(b, u, delta)
+    reduced_cols, u_cols = _lll_columns(b, delta.numerator, delta.denominator, u)
     return LLLResult(
         reduced=IntLattice(tuple(tuple(c) for c in reduced_cols)),
         transform=tuple(tuple(c) for c in u_cols),
@@ -101,16 +115,130 @@ def _dot(u, v):
     return s
 
 
-def _lll_columns(basis, delta_num, delta_den):
+def _float_pass(b, u, delta):
+    """LLL with exact integer updates and a floating-point Gram-Schmidt, in
+    the manner of Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
+
+    Reduces the columns `b` in place and applies every column operation to
+    the columns `u` and to their exact Gram matrix as well, so b = original
+    * u keeps holding. r and mu are floats computed from the exact inner
+    products, all shifted right by one common power of two so they fit a
+    float; mu and the Lovasz test do not depend on that scale. The decisions are the exact kernel's: reduce when
+    |mu| > 1/2, rounding half away from zero, and swap on strict failure of
+    Lovasz with the caller's delta. Column k is size-reduced against all
+    earlier columns before its Lovasz test; that changes b_k only by
+    multiples of b_0 ... b_{k-2}, which leaves mu_{k,k-1}, r_kk and so every
+    swap the same. A wrong decision near a tie is possible, so the pass
+    certifies nothing: the exact kernel runs after it. The pass never
+    raises; on a column it cannot accept with r_kk > 0, a non-finite mu or
+    more swaps than exact LLL can make, it stops where it is.
+    """
+    n = len(b)
+    g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix, kept with b
+    top = max(g[i][i] for i in range(n)).bit_length()
+    shift = max(0, top - _FLOAT_BITS)
+    r = [[0.0] * n for _ in range(n)]
+    mu = [[0.0] * n for _ in range(n)]
+    d = float(delta)
+    # Every exact swap multiplies prod_i D_i, at most 2^(n*n*top) and at
+    # least 1, by less than delta.
+    swaps_left = math.ceil(n * n * top / (1 - delta))
+
+    def gso_row(k):
+        # r[k][:k+1] and mu[k][:k] of column k.
+        gk, rk, muk = g[k], r[k], mu[k]
+        for j in range(k):
+            muj = mu[j]
+            t = float(gk[j] >> shift)
+            for i in range(j):
+                t -= muj[i] * rk[i]
+            rk[j] = t
+            muk[j] = t / r[j][j]
+        t = float(gk[k] >> shift)
+        for j in range(k):
+            t -= muk[j] * rk[j]
+        rk[k] = t
+
+    def size_reduce(k):
+        # Sweeps column k until no |mu| exceeds 1/2 or a sweep stops
+        # shrinking it; False on a non-finite mu.
+        gso_row(k)
+        bk, uk, gk, muk = b[k], u[k], g[k], mu[k]
+        while True:
+            norm, swept = gk[k], False
+            for l in range(k - 1, -1, -1):
+                m = muk[l]
+                if abs(m) > 0.5:
+                    swept = True
+                    if not math.isfinite(m):
+                        return False
+                    x = math.floor(abs(m) + 0.5)
+                    if m < 0:
+                        x = -x
+                    bl, ul, gl, mul = b[l], u[l], g[l], mu[l]
+                    for i in range(n):
+                        bk[i] -= x * bl[i]
+                        uk[i] -= x * ul[i]
+                    gkk = gk[k] - x * (2 * gk[l] - x * gl[l])
+                    for j in range(n):
+                        gk[j] -= x * gl[j]
+                    gk[k] = gkk
+                    for j in range(n):
+                        g[j][k] = gk[j]
+                    for j in range(l):
+                        muk[j] -= x * mul[j]
+            if not swept:
+                return True
+            gso_row(k)
+            if gk[k] >= norm:
+                return True
+
+    def swap(k):
+        for v in (b, u, g):
+            v[k], v[k - 1] = v[k - 1], v[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+
+    try:
+        gso_row(0)
+        if not r[0][0] > 0:
+            return
+        k = 1
+        while k < n:
+            if not size_reduce(k):
+                return
+            rkk, prev, m = r[k][k], r[k - 1][k - 1], mu[k][k - 1]
+            # Cancellation can leave a tiny r_kk <= 0; then Lovasz fails
+            # and b_k moves down, so no r_kk <= 0 is ever divided by.
+            if rkk + m * m * prev < d * prev:
+                swap(k)
+                swaps_left -= 1
+                if swaps_left < 0:
+                    return
+                if k == 1:
+                    gso_row(0)
+                    if not r[0][0] > 0:
+                        return
+                k = max(k - 1, 1)
+            elif rkk > 0:
+                k += 1
+            else:
+                return
+    except OverflowError:
+        return
+
+
+def _lll_columns(basis, delta_num, delta_den, transform):
     """All-integer LLL on column vectors.
 
-    `basis` is a sequence of n column vectors of n ints each. Returns
-    (reduced_columns, transform_columns) with reduced = original * U and
-    det(U) = +-1. Raises RankDeficient on rank-deficient input.
+    `basis` is a sequence of n column vectors of n ints each, and
+    `transform` the columns of a unimodular U0. Returns (reduced_columns,
+    transform_columns) with reduced = basis * U' and transform = U0 * U',
+    det(U') = +-1. Raises RankDeficient on rank-deficient input.
     """
     n = len(basis)
     b = [list(col) for col in basis]
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of U
+    u = [list(col) for col in transform]  # columns of U
 
     # D[i] = Gram determinant of the first i vectors (D[0] = 1);
     # lam[i][j] = D[j+1] * mu_{i,j} with all entries integral.

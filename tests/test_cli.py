@@ -279,3 +279,40 @@ class TestFindAndVerify:
 def test_precision_below_one_is_usage_error(capsys, argv):
     code, _, err = invoke(capsys, *argv)
     assert code == 2 and "--precision" in err
+
+
+@pytest.mark.parametrize(
+    "coeffs", ["1,2", "1,2,3,4,5", "0,0,0,0"], ids=["short", "long", "zero"]
+)
+def test_verify_bad_coefficient_vector_is_usage_error(capsys, coeffs):
+    code, _, err = invoke(capsys, "verify", "--conductor", "15", "--coeffs", coeffs)
+    assert code == 2 and "ParseError" in err and "--coeffs" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("find", "--conductor", "15", "--epsilon", "2"), "--epsilon"),
+        (("find", "--conductor", "15", "--epsilon", "0"), "--epsilon"),
+        (("verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139",
+          "--epsilon", "-1"), "--epsilon"),
+        (("verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139",
+          "--epsilon", "3/2"), "--epsilon"),
+        (("bound", "--degree", "4", "--disc", "1125", "--delta", "2"), "--delta"),
+        (("bound", "--degree", "4", "--disc", "1125", "--delta", "0"), "--delta"),
+    ],
+    ids=["find-2", "find-0", "verify-neg", "verify-3/2", "bound-2", "bound-0"],
+)
+def test_out_of_range_rational_is_usage_error(capsys, argv, flag):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2 and "ParseError" in err and flag in err
+
+
+@pytest.mark.parametrize("command", ["find", "verify"])
+def test_conductor_and_field_together_is_usage_error(capsys, tmp_path, command):
+    argv = [command, "--conductor", "15", "--field", str(tmp_path / "field.json")]
+    if command == "verify":
+        argv += ["--coeffs", "2105,1215,1440,139"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err

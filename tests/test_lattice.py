@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from pisot import errors
-from pisot.lattice import IntLattice, check_reduced, lll_reduce, svp_bruteforce
+from pisot.algebraic import FieldSpec, embeddings_for
+from pisot.lattice import (
+    IntLattice,
+    _float_pass,
+    _lll_columns,
+    check_reduced,
+    lll_reduce,
+    svp_bruteforce,
+)
+from pisot.pisotsearch import DEFAULT_Q, build_scaled_lattice, compute_scale_P
 
 
 def random_lattice(rng: random.Random, k: int, bound: int = 1 << 20) -> IntLattice:
@@ -109,6 +118,78 @@ class TestLLL:
             res = lll_reduce(lat)
             _, _, opt = svp_bruteforce(res.reduced, coeff_bound=4)
             assert norm_sq(res.reduced.column(0)) <= 2 ** (k - 1) * opt
+
+
+def identity(k: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(k)] for j in range(k)]
+
+
+def exact_kernel_alone(lat: IntLattice, delta: Fraction):
+    reduced, transform = _lll_columns(
+        lat.basis, delta.numerator, delta.denominator, identity(lat.k)
+    )
+    return tuple(map(tuple, reduced)), tuple(map(tuple, transform))
+
+
+def assert_same_as_exact_kernel(lat: IntLattice, delta: Fraction):
+    res = lll_reduce(lat, delta)
+    reduced, transform = exact_kernel_alone(lat, delta)
+    assert res.reduced.basis == reduced
+    assert res.transform == transform
+
+
+class TestFloatPass:
+    """lll_reduce runs a floating-point pass before the exact kernel; it must
+    return what the exact kernel returns on its own."""
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_random_bases_match_exact_kernel(self, k, delta):
+        rng = random.Random(7919 * k + delta.denominator)
+        for bits in (8, 64, 200):
+            assert_same_as_exact_kernel(random_lattice(rng, k, 1 << bits), delta)
+
+    @pytest.mark.parametrize("conductor", [15, 17, 29])
+    def test_scaled_search_lattices_match_exact_kernel(self, conductor):
+        # Conductor 17's lattice drives the float r_kk to <= 0 by cancellation.
+        spec = FieldSpec(kind="cyclotomic", conductor=conductor)
+        emb = embeddings_for(spec, 256)
+        P = compute_scale_P(emb.k, emb.det_abs, 1)
+        emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
+        lat = build_scaled_lattice(emb, P, DEFAULT_Q).lattice
+        assert_same_as_exact_kernel(lat, Fraction(3, 4))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entries_beyond_float_range(self, seed):
+        # Inner products near 2^1400 overflow float() unless scaled first.
+        rng = random.Random(600 + seed)
+        lat = IntLattice(tuple(
+            tuple(rng.choice((-1, 1)) * rng.randint(1 << 600, 1 << 700) for _ in range(5))
+            for _ in range(5)
+        ))
+        assert lat.det() != 0
+        res = lll_reduce(lat)
+        assert check_reduced(res, lat).all_ok
+        # The float pass alone already reaches the exact kernel's basis.
+        b, u = [list(col) for col in lat.basis], identity(5)
+        _float_pass(b, u, res.delta)
+        assert tuple(map(tuple, b)) == res.reduced.basis
+        assert tuple(map(tuple, u)) == res.transform
+
+    def test_norms_spanning_more_than_the_float_range(self):
+        # Shifted to fit the largest norm, the small ones underflow to 0.0:
+        # the pass stops and the exact kernel reduces the rest.
+        big = 1 << 2500
+        lat = IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7)))
+        res = lll_reduce(lat)
+        assert check_reduced(res, lat).all_ok
+
+    def test_rank_deficient_large_rejected(self):
+        rng = random.Random(5)
+        cols = [tuple(rng.randint(-(1 << 100), 1 << 100) for _ in range(6)) for _ in range(5)]
+        cols.append(tuple(a - 3 * b for a, b in zip(cols[0], cols[4])))
+        with pytest.raises(errors.RankDeficient):
+            lll_reduce(IntLattice(tuple(cols)))
 
 
 class TestSVP:
