@@ -15,7 +15,7 @@ from .algebraic import (
     minimal_polynomial,
     poly_roots,
 )
-from .lattice import IntLattice, LLLResult, check_reduced, lll_reduce, svp_bruteforce
+from .lattice import IntLattice, LLLResult, check_reduced, lll_reduce
 from .pisotsearch import (
     PisotCandidate,
     ScaledLatticeBasis,
@@ -26,13 +26,12 @@ from .pisotsearch import (
     minkowski_bound,
     verify_pisot,
 )
-from .powtrace import CompanionMatrix, companion_matrix, matpow, nearest_power, nearest_power_mod
+from .powtrace import nearest_power, nearest_power_mod
 from .slp import SLP, emit_power_slp, format_slp, parse_slp, slp_eval, slp_for_constant, slp_length
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompanionMatrix",
     "EmbeddingMatrix",
     "FieldSpec",
     "IntLattice",
@@ -46,7 +45,6 @@ __all__ = [
     "analyze_minpoly",
     "build_scaled_lattice",
     "check_reduced",
-    "companion_matrix",
     "compute_scale_P",
     "cyclotomic_embeddings",
     "embeddings_for",
@@ -56,7 +54,6 @@ __all__ = [
     "find_pisot",
     "format_slp",
     "lll_reduce",
-    "matpow",
     "minimal_polynomial",
     "minkowski_bound",
     "nearest_power",
@@ -66,6 +63,5 @@ __all__ = [
     "slp_eval",
     "slp_for_constant",
     "slp_length",
-    "svp_bruteforce",
     "verify_pisot",
 ]

@@ -1,6 +1,10 @@
 """Totally real fields, their embeddings, and certified polynomial root data.
 
-Everything numeric is carried as balls (midpoint + error radius); every
+Embeddings are fixed-point integers: entry m stands for 2^s * sigma, known to
+within one error bound err for the whole matrix. The trace form, the
+discriminant, the values of an integer combination and the minimal
+polynomial built from them are exact integer computations checked against
+that bound. Polynomial roots are balls (midpoint + error radius); every
 certification made here states the radius it was checked against.
 """
 
@@ -118,17 +122,19 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """All real embeddings of an integral basis; row 0 is the identity embedding."""
+    """All real embeddings of an integral basis in fixed point; row 0 is the
+    identity embedding. entries[t][j] is an int m with
+    |2^s * sigma_t(b_j) - m| <= err, where s = precision_bits."""
 
     k: int
-    entries: tuple[tuple[Ball, ...], ...]
-    det_abs: Ball
+    entries: tuple[tuple[int, ...], ...]
+    err: int
     precision_bits: int
     conductor: int | None = None
     discriminant: int | None = None
     basis_verified: bool = False
 
-    def row(self, i: int) -> tuple[Ball, ...]:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
 
@@ -170,6 +176,10 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     dependent (discriminant 0), and the power basis {1, 2cos(2*pi*j/n) :
     1 <= j < k} of Z[2cos(2*pi/n)], the ring of integers (Washington,
     Introduction to Cyclotomic Fields, Prop. 2.16), replaces it.
+
+    Each cosine is evaluated at s + GUARD_BITS bits, to within 2^-10 units
+    of 2^-s, then rounded to the nearest integer at scale 2^s; err = 1 covers
+    both.
     """
     n = int(conductor)
     if n % 4 == 2:
@@ -178,35 +188,31 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     k = len(reps)
     if k < 2:
         raise errors.UnsupportedConductor(f"conductor {n} gives degree {k} < 2")
-    prec = precision_bits
+    s = precision_bits
 
     def embed(exponents):
         # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
         entries = []
-        with mp.workprec(prec + GUARD_BITS):
+        with mp.workprec(s + GUARD_BITS):
             two_pi = 2 * mpmath.pi
             for t in reps:
                 row = []
                 for a in exponents:
-                    if a == 0:
-                        row.append(Ball.from_int(1, prec))
-                        continue
-                    v = 2 * mpmath.cos(two_pi * ((t * a) % n) / n)
-                    rad = (abs(v) + 1) * mpf(2) ** (1 - prec)
-                    row.append(Ball(v, rad, prec))
+                    v = 2 * mpmath.cos(two_pi * ((t * a) % n) / n) if a else mpf(1)
+                    row.append(to_int(mpf_shift(v._mpf_, s), "n"))
                 entries.append(tuple(row))
         return tuple(entries)
 
     entries = embed(reps)
-    disc = _discriminant(entries)
+    disc = _discriminant(entries, s, 1)
     if disc == 0:
         entries = embed(range(k))
-        disc = _discriminant(entries)
+        disc = _discriminant(entries, s, 1)
     return EmbeddingMatrix(
         k=k,
         entries=entries,
-        det_abs=Ball.from_int(disc, prec).sqrt(),
-        precision_bits=prec,
+        err=1,
+        precision_bits=s,
         conductor=n,
         discriminant=disc,
         basis_verified=True,
@@ -214,7 +220,12 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
 
 
 def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix:
-    """Embedding matrix parsed from decimal strings supplied by the user."""
+    """Embedding matrix parsed from decimal strings supplied by the user.
+
+    An entry x stands for sigma within (|x| + 1) * 2^(1-s), s = precision_bits
+    (at most the stated precision); rounded to an integer at scale 2^s, it is
+    within err = 2 * (A + 1) + 1 units for |x| <= A over the matrix.
+    """
     if spec.kind != "explicit":
         raise errors.ParseError("explicit_embeddings requires an explicit-kind FieldSpec")
     if spec.stated_precision_bits is None or spec.stated_precision_bits < precision_bits:
@@ -226,19 +237,21 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     if k < 2 or any(len(r) != k for r in rows):
         raise errors.ParseError("embedding matrix must be square with k >= 2")
 
+    s = precision_bits
     entries = []
     for row in rows:
         parsed = []
-        for s in row:
+        for x in row:
             try:
-                ball = Ball.from_str(s, precision_bits)
-                mpf_to_fraction(ball.mid)  # rejects inf and nan
-            except ValueError as exc:
-                raise errors.ParseError(f"bad decimal entry {s!r}") from exc
-            parsed.append(ball)
+                q = Fraction(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise errors.ParseError(f"bad decimal entry {x!r}") from exc
+            parsed.append(round_div(q.numerator << s, q.denominator))
         entries.append(tuple(parsed))
+    entries = tuple(entries)
+    err = 2 * ((max(abs(m) for row in entries for m in row) >> s) + 2) + 1
 
-    disc = _discriminant(entries)
+    disc = _discriminant(entries, s, err)
     if disc == 0:
         raise errors.RankDeficient("the basis is linearly dependent: its discriminant is 0")
     if spec.discriminant is not None and abs(spec.discriminant) != disc:
@@ -247,42 +260,54 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
         )
     return EmbeddingMatrix(
         k=k,
-        entries=tuple(entries),
-        det_abs=Ball.from_int(disc, precision_bits).sqrt(),
-        precision_bits=precision_bits,
+        entries=entries,
+        err=err,
+        precision_bits=s,
         discriminant=disc,
         basis_verified=spec.discriminant is not None,
     )
 
 
-def _discriminant(entries) -> int:
-    """disc = det(Tr(b_i b_j)) exactly, for the basis embedded as entries[t][j].
+def round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, half away from zero (b > 0)."""
+    q = (2 * abs(a) + b) // (2 * b)
+    return q if a >= 0 else -q
+
+
+def approx_ratio(a: int, b: int, digits: int) -> str:
+    """a / b (b > 0) for a message: as a float when it fits one, else as a
+    power of two, so that no input ends in an OverflowError."""
+    try:
+        return f"{a / b:.{digits}g}"
+    except OverflowError:
+        return f"{'-' if a < 0 else ''}~2^{abs(a).bit_length() - b.bit_length()}"
+
+
+def _discriminant(entries, s: int, err: int) -> int:
+    """disc = det(Tr(b_i b_j)) exactly, for the basis embedded as entries[t][j]
+    with |2^s * sigma_t(b_j) - entries[t][j]| <= err.
 
     The trace form G_ij = sum_t sigma_t(b_i) sigma_t(b_j) of an integral basis
-    is an integer matrix. It is summed exactly from midpoints scaled to
-    integers m = trunc(2^s * mid), with one error bound E = k*e*(2A + e) for
-    |sigma - m/2^s| <= e and |m/2^s| <= A. With E < 1/2, G_ij is the one
-    integer within E of its sum; no integer there means a non-integral basis.
+    is an integer matrix. Summed exactly from the entries, 2^(2s) * G_ij is
+    known within E = k * err * (2A + err), where A = max |entry|. With
+    E < 2^(2s) / 2, G_ij is the one integer within E of its sum; no integer
+    there means a non-integral basis.
     """
     k = len(entries)
-    s = min(b.prec for row in entries for b in row)
-    scaled = [[to_int(mpf_shift(b.mid._mpf_, s)) for b in row] for row in entries]
-    e = mpf_to_fraction(max(b.rad for row in entries for b in row)) + Fraction(1, 1 << s)
-    amax = Fraction(max(abs(m) for row in scaled for m in row), 1 << s)
-    bound = k * e * (2 * amax + e)
-    if bound >= Fraction(1, 2):
-        raise errors.PrecisionError(
-            f"trace form error bound {float(bound):.3g} is not below 1/2 at {s} bits"
-        )
+    bound = k * err * (2 * max(abs(m) for row in entries for m in row) + err)
     one = 1 << (2 * s)
+    if 2 * bound >= one:
+        raise errors.PrecisionError(
+            f"trace form error bound {approx_ratio(bound, one, 3)} is not below 1/2 at {s} bits"
+        )
     gram = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            acc = sum(scaled[t][i] * scaled[t][j] for t in range(k))
-            g = (2 * acc + one) // (2 * one)
-            if Fraction(abs(acc - g * one), one) > bound:
+            acc = sum(row[i] * row[j] for row in entries)
+            g = round_div(acc, one)
+            if abs(acc - g * one) > bound:
                 raise errors.NotIntegral(
-                    f"Tr(b_{i} b_{j}) ~ {acc / one:.6g} is not an integer: "
+                    f"Tr(b_{i} b_{j}) ~ {approx_ratio(acc, one, 6)} is not an integer: "
                     "the basis is not integral"
                 )
             gram[i][j] = gram[j][i] = g
@@ -295,20 +320,14 @@ def embeddings_for(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix:
     return explicit_embeddings(spec, precision_bits)
 
 
-def eval_combination(z, emb: EmbeddingMatrix) -> list[Ball]:
-    """Images of sum_j z_j * beta_j under every embedding; component 0 is the
-    value itself."""
+def eval_combination(z, emb: EmbeddingMatrix) -> list[int]:
+    """Images of sum_j z_j * beta_j under every embedding, in fixed point:
+    each is an int within ||z||_1 * err of 2^s times the image. Component 0
+    is the value itself."""
     z = [int(c) for c in z]
     if len(z) != emb.k:
         raise ValueError(f"coefficient vector has length {len(z)}, expected {emb.k}")
-    out = []
-    for row in emb.entries:
-        acc = Ball.from_int(0, emb.precision_bits)
-        for c, b in zip(z, row):
-            if c:
-                acc = acc + b * Ball.from_int(c, emb.precision_bits)
-        out.append(acc)
-    return out
+    return [sum(c * m for c, m in zip(z, row)) for row in emb.entries]
 
 
 def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
@@ -405,46 +424,44 @@ def _classify_roots(approx, radii, prec) -> list[PolyRoot] | None:
     return roots
 
 
-def minimal_polynomial(conjugates) -> IntPoly:
-    """Monic integer polynomial with the given certified values as its roots.
+def minimal_polynomial(values, s: int, e: int) -> IntPoly:
+    """Monic integer polynomial prod_t (x - sigma_t) from fixed-point values:
+    each v_t is an int within e of 2^s * sigma_t.
 
-    Expands the product of (x - v_i) in ball arithmetic and rounds each
-    coefficient, requiring the whole error interval to sit within 1/4 of an
-    integer.
+    With X = 2^s * x, prod_t (X - v_t) is exact, and its coefficient of X^j
+    stands for 2^(s(k-j)) * c_j within the coefficient of X^j in
+    prod_t (X + |v_t| + e) - prod_t (X + |v_t|). A bound of at least 1/2
+    (in units of c_j) raises PrecisionError; no integer within it raises
+    NotIntegral.
     """
-    values = [v if isinstance(v, CBall) else CBall.from_ball(v) for v in conjugates]
+    values = [int(v) for v in values]
     if not values:
         raise ValueError("need at least one conjugate")
-    prec = min(v.prec for v in values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if not values[i].disjoint(values[j]):
-                raise errors.DuplicateConjugates(
-                    f"conjugates {i} and {j} are not certified distinct"
-                )
-
-    coeffs = [CBall.from_int(1, prec)]
-    for v in values:
-        nxt = [CBall.from_int(0, prec) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - v * c
-        coeffs = nxt
-
+    k = len(values)
+    exact = _from_roots(values)
+    low = _from_roots([-abs(v) for v in values])
+    high = _from_roots([-abs(v) - e for v in values])
     out = []
-    quarter = Fraction(1, 4)
-    for c in coeffs:
-        with mp.workprec(c.prec + GUARD_BITS):
-            re_ball = Ball(c.mid.real, c.rad + abs(c.mid.imag), c.prec)
-        n = re_ball.nearest_int()
-        err = abs(mpf_to_fraction(re_ball.mid) - n) + mpf_to_fraction(re_ball.rad)
-        if err >= quarter:
-            raise errors.AmbiguousRounding(
-                f"coefficient near {n} has error {float(err):.3g} >= 1/4; "
-                "re-evaluate at higher precision"
+    for j in range(k + 1):
+        shift = s * (k - j)
+        bound = high[j] - low[j]
+        if 2 * bound >= 1 << shift:
+            raise errors.PrecisionError(
+                f"the coefficient of x^{j} has an error bound of at least 1/2 at {s} bits"
             )
-        out.append(n)
+        c = round_div(exact[j], 1 << shift)
+        if abs(exact[j] - (c << shift)) > bound:
+            raise errors.NotIntegral(f"the coefficient of x^{j} is not an integer")
+        out.append(c)
     return IntPoly(tuple(out))
+
+
+def _from_roots(roots) -> list[int]:
+    """Ascending coefficients of prod_r (X - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:

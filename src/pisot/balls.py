@@ -4,6 +4,11 @@ A ball is a midpoint together with an error radius. Radii are propagated
 first-order through every operation plus a rounding slack of a few ulps;
 this is a ball-arithmetic contract, not rigorous directed rounding. The
 precision (in bits) of a result is the minimum of the operand precisions.
+
+Balls serve root isolation, the threshold n0, small powers of the dominant
+root and `minkowski_bound`, and report a search candidate's value and
+conjugate moduli. The search itself certifies on fixed-point integers
+(`algebraic.EmbeddingMatrix`), with no ball arithmetic.
 """
 
 from __future__ import annotations
@@ -59,16 +64,6 @@ class Ball:
             rad = abs(mid) * mpf(2) ** (2 - prec)
         return cls(mid, rad, prec)
 
-    @classmethod
-    def from_str(cls, s: str, prec: int) -> "Ball":
-        with mp.workprec(prec + GUARD_BITS):
-            mid = mpf(s)
-            rad = (abs(mid) + 1) * mpf(2) ** (1 - prec)
-        return cls(mid, rad, prec)
-
-    def _slack(self, mid):
-        return abs(mid) * mpf(2) ** (2 - self.prec)
-
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self):
@@ -110,21 +105,6 @@ class Ball:
 
     def __rsub__(self, other):
         return _coerce(other, self.prec) - self
-
-    def __truediv__(self, other):
-        other = _coerce(other, self.prec)
-        prec = min(self.prec, other.prec)
-        lb = abs(other.mid) - other.rad
-        if lb <= 0:
-            from . import errors
-
-            raise errors.PrecisionError("division by a ball containing zero")
-        with mp.workprec(prec + GUARD_BITS):
-            mid = self.mid / other.mid
-            rad = (self.rad * abs(other.mid) + abs(self.mid) * other.rad) / (
-                lb * abs(other.mid)
-            ) + abs(mid) * mpf(2) ** (2 - prec)
-        return Ball(mid, rad, prec)
 
     def sqrt(self):
         lb = self.mid - self.rad
@@ -168,10 +148,6 @@ class Ball:
         """Certified `self < bound` for an int/Fraction bound."""
         return mpf_to_fraction(self.upper()) < Fraction(bound)
 
-    def disjoint(self, other: "Ball") -> bool:
-        with mp.workprec(min(self.prec, other.prec) + GUARD_BITS):
-            return abs(self.mid - other.mid) > self.rad + other.rad
-
     def nearest_int(self) -> int:
         """Nearest integer to the midpoint, half away from zero."""
         f = mpf_to_fraction(self.mid)
@@ -209,59 +185,8 @@ class CBall:
     def __repr__(self):
         return f"CBall({mpmath.nstr(self.mid, 17)}, rad={mpmath.nstr(self.rad, 5)}, prec={self.prec})"
 
-    @classmethod
-    def from_ball(cls, b: Ball) -> "CBall":
-        return cls(b.mid, b.rad, b.prec)
-
-    @classmethod
-    def from_int(cls, n: int, prec: int) -> "CBall":
-        b = Ball.from_int(n, prec)
-        return cls(b.mid, b.rad, prec)
-
-    def __neg__(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return CBall(-self.mid, self.rad, self.prec)
-
-    def __add__(self, other):
-        other = _ccoerce(other, self.prec)
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + GUARD_BITS):
-            mid = self.mid + other.mid
-            rad = self.rad + other.rad + abs(mid) * mpf(2) ** (2 - prec)
-        return CBall(mid, rad, prec)
-
-    def __sub__(self, other):
-        return self + (-_ccoerce(other, self.prec))
-
-    def __mul__(self, other):
-        other = _ccoerce(other, self.prec)
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + GUARD_BITS):
-            mid = self.mid * other.mid
-            rad = (
-                abs(self.mid) * other.rad
-                + abs(other.mid) * self.rad
-                + self.rad * other.rad
-                + abs(mid) * mpf(2) ** (2 - prec)
-            )
-        return CBall(mid, rad, prec)
-
     def abs_ball(self) -> Ball:
         with mp.workprec(self.prec + GUARD_BITS):
             m = abs(self.mid)
             rad = self.rad + m * mpf(2) ** (2 - self.prec)
         return Ball(m, rad, self.prec)
-
-    def disjoint(self, other: "CBall") -> bool:
-        with mp.workprec(min(self.prec, other.prec) + GUARD_BITS):
-            return abs(self.mid - other.mid) > self.rad + other.rad
-
-
-def _ccoerce(x, prec: int) -> CBall:
-    if isinstance(x, CBall):
-        return x
-    if isinstance(x, Ball):
-        return CBall.from_ball(x)
-    if isinstance(x, int):
-        return CBall.from_int(x, prec)
-    raise TypeError(f"cannot mix CBall with {type(x).__name__}")

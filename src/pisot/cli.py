@@ -141,6 +141,8 @@ def _monic_poly(expr: str) -> IntPoly:
 
 def _field_spec(args) -> FieldSpec:
     if getattr(args, "conductor", None) is not None:
+        if args.conductor < 1:
+            raise errors.ParseError(f"--conductor must be at least 1, got {args.conductor}")
         return FieldSpec(kind="cyclotomic", conductor=args.conductor)
     if getattr(args, "field", None):
         return FieldSpec.from_file(args.field)
@@ -298,6 +300,10 @@ def _cmd_bound(args):
     delta = _parse_rational(args.delta)
     if not 0 < delta < 1:
         raise errors.ParseError(f"--delta must lie in (0, 1), got {args.delta}")
+    if args.degree < 2:
+        raise errors.ParseError(f"--degree must be at least 2, got {args.degree}")
+    if args.disc == 0:
+        raise errors.ParseError("--disc must be nonzero")
     b = minkowski_bound(args.degree, args.disc, delta)
     obj = {
         "degree": args.degree,

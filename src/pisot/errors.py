@@ -40,14 +40,6 @@ class NotIntegral(PisotError):
     """The trace form Tr(b_i b_j) is not integral: not a basis of integers."""
 
 
-class AmbiguousRounding(PisotError):
-    pass
-
-
-class DuplicateConjugates(PisotError):
-    pass
-
-
 class NotPisot(PisotError):
     pass
 
@@ -56,17 +48,7 @@ class NotMonic(PisotError):
     pass
 
 
-# --- lattice -----------------------------------------------------------------
-
-class DimensionTooLarge(PisotError):
-    pass
-
-
 # --- pisotsearch -------------------------------------------------------------
-
-class NotPrimitive(PisotError):
-    pass
-
 
 class SearchFailed(PisotError):
     pass

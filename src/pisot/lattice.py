@@ -1,5 +1,4 @@
-"""LLL reduction with transform tracking, plus verification and a
-brute-force shortest-vector oracle for tests.
+"""LLL reduction with transform tracking, plus a reducedness check.
 
 `lll_reduce` runs two passes. A floating-point pass (after Nguyen and
 Stehle's L^2) does the bulk of the work: exact integer basis and transform
@@ -339,54 +338,3 @@ def check_reduced(result: LLLResult, original: IntLattice) -> ReducednessReport:
             lovasz_ok = False
             break
     return ReducednessReport(product_ok, unimodular_ok, size_ok, lovasz_ok)
-
-
-def svp_bruteforce(lat: IntLattice, coeff_bound: int):
-    """Shortest nonzero vector with coefficients bounded by coeff_bound.
-
-    Exhaustive; intended as a test oracle on small, already-reduced bases.
-    Returns (vector, coefficients, norm_sq).
-    """
-    if lat.k > 6:
-        raise errors.DimensionTooLarge("brute-force oracle is limited to k <= 6")
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
-    basis = lat.basis
-    n = lat.k
-    best_norm = None
-    best_vec = None
-    best_coeffs = None
-    partial = [0] * n
-    coeffs = [0] * n
-
-    # Only coefficient vectors whose first nonzero entry is positive are
-    # visited (sign symmetry); the first minimum in depth-first
-    # lexicographic order wins.
-    def recurse(i, nonzero_seen):
-        nonlocal best_norm, best_vec, best_coeffs
-        if i == n:
-            if not nonzero_seen:
-                return
-            norm = 0
-            for x in partial:
-                norm += x * x
-            if best_norm is None or norm < best_norm:
-                best_norm = norm
-                best_vec = tuple(partial)
-                best_coeffs = tuple(coeffs)
-            return
-        lo = 0 if not nonzero_seen else -coeff_bound
-        col = basis[i]
-        for c in range(lo, coeff_bound + 1):
-            coeffs[i] = c
-            if c != 0:
-                for j in range(n):
-                    partial[j] += c * col[j]
-            recurse(i + 1, nonzero_seen or c != 0)
-            if c != 0:
-                for j in range(n):
-                    partial[j] -= c * col[j]
-        coeffs[i] = 0
-
-    recurse(0, False)
-    return best_vec, best_coeffs, best_norm

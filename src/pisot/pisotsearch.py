@@ -1,31 +1,38 @@
 """Search for a Pisot generator of a totally real Galois field.
 
-Builds the embedding lattice scaled by P (chosen from |det D| = sqrt(disc),
+Builds the embedding lattice scaled by P (exact, from |det D| = sqrt(disc),
 with the discriminant computed exactly), rounds it at scale Q, LLL-reduces
 it, and reads candidate coefficient vectors off the unimodular transform.
-Each candidate is certified from scratch in ball arithmetic at a precision
-sized from the candidate itself. If no candidate of a reduction certifies,
-Q doubles; that is the only retry.
+Each candidate is certified from scratch at a precision sized from the
+candidate itself. Every step works on the fixed-point integers of
+`EmbeddingMatrix` and checks one error bound: the lattice rounding, value
+> 1, conjugate moduli < epsilon, and the minimal polynomial's integer
+coefficients. If no candidate of a reduction certifies, Q doubles; that is
+the only retry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import isqrt
 
 import mpmath
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from . import errors
 from .algebraic import (
     EmbeddingMatrix,
     FieldSpec,
     IntPoly,
+    approx_ratio,
     embeddings_for,
     eval_combination,
     minimal_polynomial,
+    round_div,
 )
-from .balls import Ball, mpf_to_fraction
+from .balls import Ball
 from .lattice import IntLattice, lll_reduce
 
 DEFAULT_Q = 1 << 32
@@ -94,87 +101,82 @@ def format_fraction(q: Fraction) -> str:
     return f"{sign}{s[:-shift]}.{s[-shift:]}"
 
 
-def compute_scale_P(k: int, det_abs, epsilon) -> int:
-    """An integer strictly greater than (2/sqrt(3))^(k^2) * k^(k/2) * |det D|
-    / epsilon^k: one more than the floor of its certified upper bound. Any
-    integer above the bound is a valid scale, so no precision is retried."""
+def compute_scale_P(k: int, disc: int, epsilon) -> int:
+    """The least integer P > (2/sqrt(3))^(k^2) * k^(k/2) * sqrt(disc) /
+    epsilon^k, exactly: P = isqrt(floor(B)) + 1, where
+    B = (4/3)^(k^2) * k^k * disc / epsilon^(2k) is the square of that bound."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not isinstance(det_abs, Ball):
-        det_abs = Ball.from_str(str(det_abs), 128)
-    prec = max(128, det_abs.prec)
-    factor = (Ball.from_int(4, prec) / Ball.from_int(3, prec)).sqrt().pow_int(k * k)
-    factor = factor * Ball.from_int(k, prec).sqrt().pow_int(k) * det_abs
-    factor = factor * Ball.from_fraction(1 / eps**k, prec)
-    return floor(mpf_to_fraction(factor.upper())) + 1
+    B = Fraction(4, 3) ** (k * k) * k**k * int(disc) / eps ** (2 * k)
+    return isqrt(B.numerator // B.denominator) + 1
 
 
 def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> ScaledLatticeBasis:
-    """Integer lattice with columns (round(Q*beta_j), round(Q*P*sigma_i(beta_j)))."""
+    """Integer lattice with columns (round(Q*beta_j), round(Q*P*sigma_i(beta_j))),
+    each rounded half away from zero from the fixed-point entries. The
+    largest scaled error, Q*P*err / 2^s, must stay below 1/2."""
     if P < 1 or Q < 1:
         raise ValueError("P and Q must be >= 1")
-    prec = emb.precision_bits
-    half = Fraction(1, 2)
-    q_ball = Ball.from_int(Q, prec)
-    qp_ball = Ball.from_int(Q * P, prec)
-    columns = []
-    for j in range(emb.k):
-        col = []
-        for i in range(emb.k):
-            scaled = emb.entries[i][j] * (q_ball if i == 0 else qp_ball)
-            if not mpf_to_fraction(scaled.rad) < half:
-                raise errors.PrecisionError(
-                    f"entry ({i}, {j}) has rounding radius >= 1/2 at {prec} bits"
-                )
-            col.append(scaled.nearest_int())
-        columns.append(tuple(col))
-    return ScaledLatticeBasis(P=P, Q=Q, lattice=IntLattice(tuple(columns)))
+    s = emb.precision_bits
+    if 2 * Q * P * emb.err >= 1 << s:
+        raise errors.PrecisionError(f"scaled rounding error is not below 1/2 at {s} bits")
+    columns = tuple(
+        tuple(
+            round_div((Q if i == 0 else Q * P) * emb.entries[i][j], 1 << s)
+            for i in range(emb.k)
+        )
+        for j in range(emb.k)
+    )
+    return ScaledLatticeBasis(P=P, Q=Q, lattice=IntLattice(columns))
+
+
+def _fixed_ball(v: int, s: int, e: int) -> Ball:
+    """The ball of radius e / 2^s around v / 2^s, both exact."""
+    return Ball(mp.make_mpf(from_man_exp(v, -s)), mp.make_mpf(from_man_exp(e, -s)), s)
 
 
 def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     """Certify that the integer combination z over the integral basis is an
-    epsilon-Pisot generator; sign-normalizes z so the value is positive."""
+    epsilon-Pisot generator; sign-normalizes z so the value is positive.
+
+    Value > 1 and every other conjugate modulus < epsilon are decided on the
+    fixed-point values, each within e = ||z||_1 * err. Then alpha is the one
+    conjugate above 1, so prod_t (x - sigma_t(alpha)) = m_alpha^(k / deg alpha)
+    is the minimal polynomial and alpha generates the field."""
     eps = Fraction(epsilon)
     z = tuple(int(c) for c in z)
     if all(c == 0 for c in z):
         raise ValueError("coefficient vector must be nonzero")
     values = eval_combination(z, emb)
-    if values[0].mid < 0:
+    if values[0] < 0:
         z = tuple(-c for c in z)
         values = [-v for v in values]
-    value = values[0]
-    if not value.gt(1):
+    s = emb.precision_bits
+    e = sum(abs(c) for c in z) * emb.err
+    value = _fixed_ball(values[0], s, e)
+    if not values[0] - e > 1 << s:
         raise errors.NotPisot(
             f"value {mpmath.nstr(value.mid, 10)} not certified > 1"
         )
     moduli = []
     for i, v in enumerate(values[1:], start=1):
-        m = abs(v)
-        if not m.lt(eps):
-            excess = mpf_to_fraction(m.upper()) - eps
+        m = _fixed_ball(abs(v), s, e)
+        excess = Fraction(abs(v) + e, 1 << s) - eps
+        if excess >= 0:
             raise errors.NotPisot(
                 f"conjugate {i} has modulus ~{mpmath.nstr(m.mid, 8)}, "
-                f"exceeding epsilon={format_fraction(eps)} by {float(excess):.3g}"
+                f"exceeding epsilon={format_fraction(eps)} by "
+                f"{approx_ratio(excess.numerator, excess.denominator, 3)}"
             )
         moduli.append(m)
-    try:
-        mp_poly = minimal_polynomial(values)
-    except errors.DuplicateConjugates as exc:
-        raise errors.NotPrimitive(
-            "conjugates are not distinct; the candidate does not generate the field"
-        ) from exc
-    if mp_poly.degree != emb.k:
-        raise errors.NotPrimitive(
-            f"minimal polynomial has degree {mp_poly.degree}, expected {emb.k}"
-        )
     return PisotCandidate(
         coefficients=z,
         value=value,
         conjugate_moduli=tuple(moduli),
-        minpoly=mp_poly,
+        minpoly=minimal_polynomial(values, s, e),
         epsilon_certified=eps,
         conductor=emb.conductor,
     )
@@ -183,8 +185,9 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
 def verify_precision(z, spec: FieldSpec, precision_bits: int) -> int:
     """Precision that certifies candidate z: at least `precision_bits`, and
     2*bits(||z||_1) + 2k + 32 (capped at an explicit field's stated precision).
-    The conjugates lose bits(||z||_1) bits to cancellation, and the minpoly's
-    coefficients grow like ||z||_1 * 2^k, so its 1/4-rounding needs twice that."""
+    The conjugates lose bits(||z||_1) bits to cancellation, and the error
+    bound of the minpoly's coefficients grows like ||z||_1^2 * 2^k, which
+    must stay below 1/2 for them to round to integers."""
     need = 2 * sum(abs(int(c)) for c in z).bit_length() + 2 * len(z) + 32
     if spec.stated_precision_bits is not None:
         need = min(need, spec.stated_precision_bits)
@@ -197,7 +200,7 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
     params = params or SearchParams()
     eps = params.epsilon
     emb = embeddings_for(spec, params.precision_bits)
-    P = compute_scale_P(emb.k, emb.det_abs, eps)
+    P = compute_scale_P(emb.k, emb.discriminant, eps)
     Q = DEFAULT_Q
     last_failure = None
     for _ in range(SEARCH_RETRY_CAP):
@@ -206,10 +209,10 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
             emb = embeddings_for(spec, max(params.precision_bits, need))
         result = lll_reduce(build_scaled_lattice(emb, P, Q).lattice)
         for z in result.transform:
-            prec = verify_precision(z, spec, params.precision_bits)
+            emb_z = embeddings_for(spec, verify_precision(z, spec, params.precision_bits))
             try:
-                return verify_pisot(z, embeddings_for(spec, prec), eps)
-            except (errors.NotPisot, errors.NotPrimitive, errors.AmbiguousRounding) as exc:
+                return verify_pisot(z, emb_z, eps)
+            except (errors.NotPisot, errors.PrecisionError) as exc:
                 last_failure = exc
         Q <<= 1
     raise errors.SearchFailed(f"retry cap exhausted; last failure: {last_failure}")

@@ -8,14 +8,10 @@ formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
 runs on exact integers, on integers mod m and on straight-line program
 instructions. Below the threshold, the dominant root is powered directly in
 ball arithmetic and rounded.
-
-`companion_matrix` and `matpow` compute p_n independently as the trace of
-C(f)^n; the tests use them as the oracle for the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -23,71 +19,6 @@ from .algebraic import IntPoly, MinPolyInfo, poly_roots
 from .balls import Ball, mpf_to_fraction
 
 DIRECT_RETRY_CAP = 16
-
-
-@dataclass(frozen=True)
-class CompanionMatrix:
-    d: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.d))
-
-
-def companion_matrix(f: IntPoly) -> CompanionMatrix:
-    """Companion matrix: subdiagonal ones, last column -c_0 ... -c_{d-1}."""
-    if not f.is_monic:
-        raise errors.NotMonic("companion matrix requires a monic polynomial")
-    d = f.degree
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    rows = []
-    for i in range(d):
-        row = [0] * d
-        if i > 0:
-            row[i - 1] = 1
-        row[d - 1] = -f.coefficients[i]
-        rows.append(tuple(row))
-    return CompanionMatrix(d=d, rows=tuple(rows))
-
-
-def _mat_mul(a, b, d, m=None):
-    out = []
-    for i in range(d):
-        row = []
-        ai = a[i]
-        for j in range(d):
-            s = 0
-            for l in range(d):
-                s += ai[l] * b[l][j]
-            row.append(s % m if m is not None else s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def matpow(c: CompanionMatrix, n: int, modulus: int | None = None):
-    """C^n by repeated squaring, optionally with entries reduced mod m."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    if modulus is not None and modulus < 2:
-        raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
-    d = c.d
-    ident = tuple(
-        tuple((1 if i == j else 0) % modulus if modulus is not None else (1 if i == j else 0)
-              for j in range(d))
-        for i in range(d)
-    )
-    if n == 0:
-        return ident
-    base = tuple(
-        tuple(x % modulus if modulus is not None else x for x in row) for row in c.rows
-    )
-    result = base
-    for bit in bin(n)[3:]:
-        result = _mat_mul(result, result, d, modulus)
-        if bit == "1":
-            result = _mat_mul(result, base, d, modulus)
-    return result
 
 
 def _axpy(acc, c: int, t):

@@ -1,0 +1,135 @@
+"""Test oracles: a brute-force shortest vector and companion-matrix powers.
+
+They compute what the package computes by slower, independent means, so the
+tests compare against them; the package itself does not use them.
+`companion_matrix` and `matpow` give p_n as the trace of C(f)^n, the oracle
+for the power-sum engine.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from pisot import errors
+from pisot.algebraic import IntPoly
+from pisot.lattice import IntLattice
+
+
+class DimensionTooLarge(errors.PisotError):
+    pass
+
+
+def svp_bruteforce(lat: IntLattice, coeff_bound: int):
+    """Shortest nonzero vector with coefficients bounded by coeff_bound.
+
+    Exhaustive; intended as a test oracle on small, already-reduced bases.
+    Returns (vector, coefficients, norm_sq).
+    """
+    if lat.k > 6:
+        raise DimensionTooLarge("brute-force oracle is limited to k <= 6")
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    basis = lat.basis
+    n = lat.k
+    best_norm = None
+    best_vec = None
+    best_coeffs = None
+    partial = [0] * n
+    coeffs = [0] * n
+
+    # Only coefficient vectors whose first nonzero entry is positive are
+    # visited (sign symmetry); the first minimum in depth-first
+    # lexicographic order wins.
+    def recurse(i, nonzero_seen):
+        nonlocal best_norm, best_vec, best_coeffs
+        if i == n:
+            if not nonzero_seen:
+                return
+            norm = 0
+            for x in partial:
+                norm += x * x
+            if best_norm is None or norm < best_norm:
+                best_norm = norm
+                best_vec = tuple(partial)
+                best_coeffs = tuple(coeffs)
+            return
+        lo = 0 if not nonzero_seen else -coeff_bound
+        col = basis[i]
+        for c in range(lo, coeff_bound + 1):
+            coeffs[i] = c
+            if c != 0:
+                for j in range(n):
+                    partial[j] += c * col[j]
+            recurse(i + 1, nonzero_seen or c != 0)
+            if c != 0:
+                for j in range(n):
+                    partial[j] -= c * col[j]
+        coeffs[i] = 0
+
+    recurse(0, False)
+    return best_vec, best_coeffs, best_norm
+
+
+@dataclass(frozen=True)
+class CompanionMatrix:
+    d: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def trace(self) -> int:
+        return sum(self.rows[i][i] for i in range(self.d))
+
+
+def companion_matrix(f: IntPoly) -> CompanionMatrix:
+    """Companion matrix: subdiagonal ones, last column -c_0 ... -c_{d-1}."""
+    if not f.is_monic:
+        raise errors.NotMonic("companion matrix requires a monic polynomial")
+    d = f.degree
+    if d < 2:
+        raise ValueError("degree must be >= 2")
+    rows = []
+    for i in range(d):
+        row = [0] * d
+        if i > 0:
+            row[i - 1] = 1
+        row[d - 1] = -f.coefficients[i]
+        rows.append(tuple(row))
+    return CompanionMatrix(d=d, rows=tuple(rows))
+
+
+def _mat_mul(a, b, d, m=None):
+    out = []
+    for i in range(d):
+        row = []
+        ai = a[i]
+        for j in range(d):
+            s = 0
+            for l in range(d):
+                s += ai[l] * b[l][j]
+            row.append(s % m if m is not None else s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def matpow(c: CompanionMatrix, n: int, modulus: int | None = None):
+    """C^n by repeated squaring, optionally with entries reduced mod m."""
+    if n < 0:
+        raise ValueError("exponent must be nonnegative")
+    if modulus is not None and modulus < 2:
+        raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
+    d = c.d
+    ident = tuple(
+        tuple((1 if i == j else 0) % modulus if modulus is not None else (1 if i == j else 0)
+              for j in range(d))
+        for i in range(d)
+    )
+    if n == 0:
+        return ident
+    base = tuple(
+        tuple(x % modulus if modulus is not None else x for x in row) for row in c.rows
+    )
+    result = base
+    for bit in bin(n)[3:]:
+        result = _mat_mul(result, result, d, modulus)
+        if bit == "1":
+            result = _mat_mul(result, base, d, modulus)
+    return result

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 
 from pisot.algebraic import FieldSpec, IntPoly, analyze_minpoly, cyclotomic_embeddings
-from pisot.lattice import IntLattice, check_reduced, lll_reduce, svp_bruteforce
+from pisot.lattice import IntLattice, check_reduced, lll_reduce
 from pisot.pisotsearch import SearchParams, compute_scale_P, find_pisot, verify_pisot
-from pisot.powtrace import companion_matrix, matpow, nearest_power, nearest_power_mod
+from pisot.powtrace import nearest_power, nearest_power_mod
 from pisot.slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 from conftest import lucas_sequence, newton_power_sums, perrin_sequence
+from oracles import companion_matrix, matpow, svp_bruteforce
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -88,7 +89,7 @@ def test_criterion_4_degree4_fixture():
     moduli_ok = cand.minpoly.degree == 4 and all(
         abs(a - b) < 1e-5 for a, b in zip(moduli, expected)
     )
-    p_ok = compute_scale_P(4, emb.det_abs, Fraction(1, 2)) == 85769
+    p_ok = compute_scale_P(4, emb.discriminant, Fraction(1, 2)) == 85769
     report(4, "conductor-15 fixture moduli and scale P = 85769", moduli_ok and p_ok)
 
 

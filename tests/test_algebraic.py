@@ -1,7 +1,9 @@
 """Embeddings, certified roots, minimal polynomials, thresholds."""
 
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -13,6 +15,7 @@ from pisot.algebraic import (
     IntPoly,
     analyze_minpoly,
     cyclotomic_embeddings,
+    embeddings_for,
     explicit_embeddings,
     eval_combination,
     minimal_polynomial,
@@ -28,8 +31,9 @@ def _mid(b):
     return float(b.mid)
 
 
-def _exact_one(b):
-    return mpf_to_fraction(b.mid) == 1 and b.rad == 0
+def _real(emb, m):
+    """The real number a fixed-point entry or value of emb stands for."""
+    return m / 2**emb.precision_bits
 
 
 class TestIntPoly:
@@ -83,9 +87,7 @@ class TestCyclotomicEmbeddings:
         emb = cyclotomic_embeddings(15, 256)
         assert emb.k == 4
         assert emb.discriminant == 1125
-        # det(D)^2 = 1125, so |det D| = sqrt(1125) ~ 33.541
-        assert abs(_mid(emb.det_abs) - 1125**0.5) < 1e-9
-        row0 = [_mid(b) for b in emb.row(0)]
+        row0 = [_real(emb, m) for m in emb.row(0)]
         assert row0 == pytest.approx(
             [1.82709, 1.33826, -0.20906, -1.95630], abs=1e-5
         )
@@ -110,8 +112,8 @@ class TestCyclotomicEmbeddings:
         # The cosine basis is dependent here; {1, 2cos(2 pi j/n)} replaces it.
         emb = cyclotomic_embeddings(n, 128)
         assert emb.discriminant == disc
-        assert all(_exact_one(row[0]) for row in emb.entries)
-        assert _mid(emb.row(0)[1]) == pytest.approx(2 * mpmath.cos(2 * mpmath.pi / n))
+        assert all(row[0] == 1 << emb.precision_bits for row in emb.entries)
+        assert _real(emb, emb.row(0)[1]) == pytest.approx(2 * mpmath.cos(2 * mpmath.pi / n))
 
     def test_rejects_2_mod_4(self):
         with pytest.raises(errors.UnsupportedConductor):
@@ -124,8 +126,9 @@ class TestCyclotomicEmbeddings:
     def test_eval_combination_known_vector(self):
         emb = cyclotomic_embeddings(15, 256)
         vals = eval_combination((2105, 1215, 1440, 139), emb)
-        assert _mid(vals[0]) == pytest.approx(4899.0467, abs=1e-3)
-        moduli = sorted(abs(_mid(v)) for v in vals[1:])
+        assert all(isinstance(v, int) for v in vals)
+        assert _real(emb, vals[0]) == pytest.approx(4899.0467, abs=1e-3)
+        moduli = sorted(abs(_real(emb, v)) for v in vals[1:])
         assert moduli == pytest.approx(
             sorted([0.063765, 0.065726, 0.048703]), abs=1e-5
         )
@@ -147,7 +150,7 @@ class TestExplicitEmbeddings:
     def test_accepts_consistent_discriminant(self):
         emb = explicit_embeddings(self._sqrt2_spec(), 128)
         assert emb.k == 2 and emb.basis_verified
-        assert abs(_mid(emb.det_abs) - 8**0.5) < 1e-12
+        assert emb.discriminant == 8
 
     def test_rejects_wrong_discriminant(self):
         with pytest.raises(errors.DiscriminantMismatch):
@@ -193,6 +196,37 @@ class TestExplicitEmbeddings:
             explicit_embeddings(spec, 128)
 
 
+def _cosine_rows(n, prec):
+    """sigma_t(2cos(2 pi a/n)) on the cosine basis, at prec bits."""
+    reps = [a for a in range(1, n // 2 + 1) if gcd(a, n) == 1]
+    with mp.workprec(prec):
+        return [[2 * mpmath.cospi(mpmath.mpf(2 * (t * a % n)) / n) for a in reps] for t in reps]
+
+
+@pytest.mark.parametrize("field", ["15", "17", "29", "explicit-15"])
+def test_eval_combination_within_error_bound(field):
+    # Every value is within ||z||_1 * err of 2^s times the image, checked
+    # against the embedding computed at four times the precision.
+    s = 256
+    n = int(field.split("-")[-1])
+    if field.isdigit():
+        spec = FieldSpec(kind="cyclotomic", conductor=n)
+    else:
+        with mp.workprec(1100):
+            rows = tuple(tuple(mpmath.nstr(x, 320) for x in row) for row in _cosine_rows(n, 1100))
+        spec = FieldSpec(kind="explicit", embedding_rows=rows, stated_precision_bits=1024)
+    emb = embeddings_for(spec, s)
+    reference = _cosine_rows(n, 4 * s)
+    rng = random.Random(n)
+    for _ in range(20):
+        z = [rng.randint(-(1 << 64), 1 << 64) for _ in range(emb.k)]
+        bound = sum(map(abs, z)) * emb.err
+        with mp.workprec(4 * s):
+            for v, row in zip(eval_combination(z, emb), reference):
+                image = mpmath.fsum(c * x for c, x in zip(z, row)) * 2**s
+                assert abs(v - image) <= bound
+
+
 class TestPolyRoots:
     def test_golden_roots(self):
         roots = poly_roots(GOLDEN, 128)
@@ -221,22 +255,34 @@ class TestPolyRoots:
             poly_roots(square, 64)
 
 
+def _fixed_roots(f, s):
+    """Fixed-point values of f's real roots at scale 2^s, and one error
+    bound e that covers every certified root disk."""
+    values, e = [], 0
+    for r in poly_roots(f, s):
+        assert r.is_real
+        q = mpf_to_fraction(r.value.mid.real) * 2**s
+        values.append(round(q))
+        e = max(e, int(abs(q - round(q)) + mpf_to_fraction(r.value.rad) * 2**s) + 1)
+    return values, e
+
+
 class TestMinimalPolynomial:
     def test_golden_from_certified_roots(self):
-        roots = poly_roots(GOLDEN, 128)
-        f = minimal_polynomial([r.value for r in roots])
-        assert f == GOLDEN
-
-    def test_plastic_from_certified_roots(self):
-        roots = poly_roots(PLASTIC, 192)
-        f = minimal_polynomial([r.value for r in roots])
-        assert f == PLASTIC
+        values, e = _fixed_roots(GOLDEN, 128)
+        assert minimal_polynomial(values, 128, e) == GOLDEN
 
     def test_duplicate_conjugates_rejected(self):
-        roots = poly_roots(GOLDEN, 128)
-        v = roots[0].value
-        with pytest.raises(errors.DuplicateConjugates):
-            minimal_polynomial([v, v])
+        # (x - phi)^2 = x^2 - 2 phi x + phi^2 has no integer coefficients.
+        values, e = _fixed_roots(GOLDEN, 128)
+        with pytest.raises(errors.NotIntegral):
+            minimal_polynomial([values[0], values[0]], 128, e)
+
+    def test_wide_error_bound_raises_precision_error(self):
+        values, _ = _fixed_roots(GOLDEN, 128)
+        minimal_polynomial(values, 128, 1 << 100)
+        with pytest.raises(errors.PrecisionError):
+            minimal_polynomial(values, 128, 1 << 126)
 
 
 class TestAnalyzeMinpoly:

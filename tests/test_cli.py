@@ -316,3 +316,46 @@ def test_conductor_and_field_together_is_usage_error(capsys, tmp_path, command):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("bound", "--degree", "0", "--disc", "5", "--delta", "1/2"), "--degree"),
+        (("bound", "--degree", "-3", "--disc", "5", "--delta", "1/2"), "--degree"),
+        (("bound", "--degree", "4", "--disc", "0", "--delta", "1/2"), "--disc"),
+        (("find", "--conductor", "0"), "--conductor"),
+        (("find", "--conductor", "-7"), "--conductor"),
+        (("verify", "--conductor", "0", "--coeffs", "1,2"), "--conductor"),
+        (("verify", "--conductor", "-7", "--coeffs", "1,2"), "--conductor"),
+    ],
+    ids=["degree-0", "degree-neg", "disc-0", "find-0", "find-neg", "verify-0", "verify-neg"],
+)
+def test_out_of_range_integer_is_usage_error(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError:") and flag in err
+
+
+@pytest.mark.parametrize("conductor", ["1", "4", "6"])
+def test_unsupported_conductor_is_a_failure(capsys, conductor):
+    # A well-formed conductor whose field has degree < 2 or is 2 mod 4.
+    code, _, err = invoke(capsys, "find", "--conductor", conductor)
+    assert code == 1 and err.startswith("UnsupportedConductor:")
+
+
+def test_huge_values_fail_with_a_typed_message(capsys, tmp_path):
+    # Error messages print these magnitudes; beyond the float range they
+    # must not end in an OverflowError traceback.
+    code, _, err = invoke(
+        capsys, "verify", "--conductor", "15", "--coeffs", f"{10**400},1,1,1"
+    )
+    assert code == 1 and err.startswith("NotPisot:") and "e+400" in err
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "embedding_rows": [["1", "1e400"], ["1", "-1e400"]],
+        "precision_bits": 256,
+    }))
+    code, _, err = invoke(capsys, "find", "--field", str(path))
+    assert code == 1 and err.startswith("PrecisionError:")

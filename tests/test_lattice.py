@@ -14,9 +14,9 @@ from pisot.lattice import (
     _lll_columns,
     check_reduced,
     lll_reduce,
-    svp_bruteforce,
 )
 from pisot.pisotsearch import DEFAULT_Q, build_scaled_lattice, compute_scale_P
+from oracles import DimensionTooLarge, svp_bruteforce
 
 
 def random_lattice(rng: random.Random, k: int, bound: int = 1 << 20) -> IntLattice:
@@ -154,7 +154,7 @@ class TestFloatPass:
         # Conductor 17's lattice drives the float r_kk to <= 0 by cancellation.
         spec = FieldSpec(kind="cyclotomic", conductor=conductor)
         emb = embeddings_for(spec, 256)
-        P = compute_scale_P(emb.k, emb.det_abs, 1)
+        P = compute_scale_P(emb.k, emb.discriminant, 1)
         emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
         lat = build_scaled_lattice(emb, P, DEFAULT_Q).lattice
         assert_same_as_exact_kernel(lat, Fraction(3, 4))
@@ -209,5 +209,5 @@ class TestSVP:
         cols = tuple(
             tuple(1 if i == j else 0 for i in range(7)) for j in range(7)
         )
-        with pytest.raises(errors.DimensionTooLarge):
+        with pytest.raises(DimensionTooLarge):
             svp_bruteforce(IntLattice(cols), 1)

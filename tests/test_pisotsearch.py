@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from pisot import errors
+from pisot import errors, pisotsearch
 from pisot.algebraic import FieldSpec, IntPoly, cyclotomic_embeddings
 from pisot.pisotsearch import (
     SearchParams,
@@ -63,20 +63,20 @@ class TestComputeScaleP:
         assert compute_scale_P(2, 1, 1) == 4
 
     def test_degree4_fixture(self, emb15):
-        assert compute_scale_P(4, emb15.det_abs, Fraction(1, 2)) == 85769
+        assert compute_scale_P(4, emb15.discriminant, Fraction(1, 2)) == 85769
 
     def test_degree8_fixture(self, emb17):
-        assert compute_scale_P(8, emb17.det_abs, 1) == 825982306366
+        assert compute_scale_P(8, emb17.discriminant, 1) == 825982306366
 
     def test_epsilon_monotone(self, emb15):
-        p1 = compute_scale_P(4, emb15.det_abs, 1)
-        p2 = compute_scale_P(4, emb15.det_abs, Fraction(1, 2))
+        p1 = compute_scale_P(4, emb15.discriminant, 1)
+        p2 = compute_scale_P(4, emb15.discriminant, Fraction(1, 2))
         assert p2 > p1
 
     def test_degree26_returns(self):
         # P has more bits than the embeddings; any integer above the bound is valid.
         emb = cyclotomic_embeddings(53, 256)
-        P = compute_scale_P(26, emb.det_abs, 1)
+        P = compute_scale_P(26, emb.discriminant, 1)
         with mp.workdps(100):
             bound = (
                 (2 / mpmath.sqrt(3)) ** (26 * 26)
@@ -84,6 +84,15 @@ class TestComputeScaleP:
                 * mpmath.sqrt(emb.discriminant)
             )
             assert bound < P < bound * (1 + mpmath.mpf(2) ** -200)
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_least_integer_above_bound(self, k, eps):
+        # bound^2 = (4/3)^(k^2) * k^k * disc / eps^(2k), compared exactly
+        for disc in (1, 5 ** (k - 1), 10**k + 7):
+            P = compute_scale_P(k, disc, eps)
+            square = Fraction(4, 3) ** (k * k) * k**k * disc / eps ** (2 * k)
+            assert (P - 1) ** 2 <= square < P**2
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -160,7 +169,7 @@ class TestVerifyPisot:
 
     def test_rejects_non_generator(self, emb15):
         # 1 + 0*b1 + ... is rational: conjugates collide
-        with pytest.raises((errors.NotPisot, errors.NotPrimitive)):
+        with pytest.raises(errors.NotPisot):
             verify_pisot((2, 0, 0, 0), emb15, 1)
 
     def test_rejects_zero_vector(self, emb15):
@@ -230,6 +239,27 @@ class TestFindPisot:
             rounded = [int(mpmath.nint(c)) for c in poly]
             assert all(abs(c - r) < mpmath.mpf(10) ** -50 for c, r in zip(poly, rounded))
         assert cand.minpoly.coefficients == tuple(rounded)
+
+    def test_skips_candidate_whose_minpoly_is_not_certified(self, monkeypatch):
+        # A PrecisionError from the minimal polynomial rejects that candidate
+        # only; the search goes on to the next one.
+        real = pisotsearch.minimal_polynomial
+        calls = []
+
+        def first_fails(values, s, e):
+            calls.append(values)
+            if len(calls) == 1:
+                raise errors.PrecisionError("coefficient error bound >= 1/2")
+            return real(values, s, e)
+
+        spec = FieldSpec(kind="cyclotomic", conductor=15)
+        first = find_pisot(spec)
+        monkeypatch.setattr(pisotsearch, "minimal_polynomial", first_fails)
+        cand = find_pisot(spec)
+        assert len(calls) == 2
+        assert cand.coefficients != first.coefficients
+        assert cand.minpoly.degree == 4
+        assert cand.value.gt(1) and all(m.lt(1) for m in cand.conjugate_moduli)
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
