@@ -4,26 +4,28 @@ Embeddings are fixed-point integers: entry m stands for 2^s * sigma, known to
 within one error bound err for the whole matrix. The trace form, the
 discriminant, the values of an integer combination and the minimal
 polynomial built from them are exact integer computations checked against
-that bound. Polynomial roots are balls (midpoint + error radius); every
+that bound. Polynomial roots are balls (midpoint + error radius) from
+`roots.poly_roots`, whose radii rest on an exact residual; every
 certification made here states the radius it was checked against.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import mpf_shift, to_int
 
 from . import errors
-from .balls import GUARD_BITS, Ball, CBall, mpf_to_fraction
+from .balls import GUARD_BITS, Ball, mpf_to_fraction
 from .lattice import IntLattice
+from .roots import MAX_WORK_BITS, PolyRoot, poly_roots, share_root, work_bits
 
-ROOT_RETRY_CAP = 16
 THRESHOLD_CAP = 99999
 
 
@@ -46,13 +48,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return self.coefficients[-1] == 1
-
-    def eval_mpc(self, x):
-        """Horner evaluation at an mpf/mpc point, under the caller's precision."""
-        acc = mpc(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def __str__(self):
         terms = []
@@ -136,15 +131,6 @@ class EmbeddingMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-
-@dataclass(frozen=True)
-class PolyRoot:
-    value: CBall
-    is_real: bool
-
-    def modulus(self) -> Ball:
-        return self.value.abs_ball()
 
 
 @dataclass(frozen=True)
@@ -242,10 +228,22 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     for row in rows:
         parsed = []
         for x in row:
+            # Fraction expands x = m * 10^e into an integer of about e digits,
+            # so the size of an entry is read off its decimal exponent first.
+            # log2(10) > 3.3219, so neither test misjudges a magnitude.
+            e10 = _decimal_exponent(x) if isinstance(x, str) else None
+            if e10 is not None and (e10 - 1) * 33219 > (s + 64) * 10000:
+                raise errors.PrecisionError(
+                    f"entry {x[:40]!r} exceeds 2^{s + 64} in magnitude: "
+                    f"no error bound below 1/2 holds at {s} bits"
+                )
+            if e10 is not None and -e10 * 33219 > (s + 64) * 10000:
+                parsed.append(0)  # below 2^-(s+64): rounds to 0 at scale 2^s
+                continue
             try:
                 q = Fraction(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise errors.ParseError(f"bad decimal entry {x!r}") from exc
+            except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+                raise errors.ParseError(f"bad decimal entry {x!r:.60}") from exc
             parsed.append(round_div(q.numerator << s, q.denominator))
         entries.append(tuple(parsed))
     entries = tuple(entries)
@@ -266,6 +264,31 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
         discriminant=disc,
         basis_verified=spec.discriminant is not None,
     )
+
+
+_DECIMAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<int>\d*(?:_\d+)*)(?:\.(?P<frac>\d*(?:_\d+)*))?"
+    r"(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?\s*"
+)
+
+
+def _decimal_exponent(x: str) -> int | None:
+    """E with 10^(E-1) <= |x| < 10^E for a decimal string x, found without
+    expanding x; None for zero, a fraction p/q or anything else, which
+    Fraction then parses or rejects."""
+    m = _DECIMAL.fullmatch(x)
+    if m is None:
+        return None
+    frac = (m["frac"] or "").replace("_", "")
+    digits = (m["int"].replace("_", "") + frac).lstrip("0")
+    if not digits:
+        return None
+    exp = (m["exp"] or "0").replace("_", "")
+    sign = -1 if exp[0] == "-" else 1
+    exp = exp.lstrip("+-").lstrip("0") or "0"
+    # Past 40 digits only the sign matters: no precision comes near 10^40 bits.
+    e = sign * (int(exp) if len(exp) <= 40 else 10**40)
+    return len(digits) - len(frac) + e
 
 
 def round_div(a: int, b: int) -> int:
@@ -330,100 +353,6 @@ def eval_combination(z, emb: EmbeddingMatrix) -> list[int]:
     return [sum(c * m for c, m in zip(z, row)) for row in emb.entries]
 
 
-def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
-    """All complex roots with certified, pairwise disjoint error disks.
-
-    Root disks come from the Weierstrass residual bound: the disks of radius
-    d*|f(x_i)| / |prod_{j != i} (x_i - x_j)| around the approximations jointly
-    cover the roots, and contain exactly one root each once disjoint. A
-    repeated root is ruled out exactly first, since no precision separates it.
-    """
-    f_desc = list(reversed(f.coefficients))
-    df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
-    if _resultant(f_desc, df_desc) == 0:
-        raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
-    d = f.degree
-    lead = f.coefficients[-1]
-    coeffs_desc = [c for c in reversed(f.coefficients)]
-    w = precision_bits + 32
-    for _ in range(ROOT_RETRY_CAP):
-        try:
-            with mp.workprec(w):
-                approx = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=w)
-        except (mpmath.libmp.NoConvergence, ZeroDivisionError):
-            w *= 2
-            continue
-        with mp.workprec(w):
-            radii = []
-            ok = True
-            for i, x in enumerate(approx):
-                denom = mpc(lead)
-                for j, y in enumerate(approx):
-                    if j != i:
-                        denom *= x - y
-                if denom == 0:
-                    ok = False
-                    break
-                r = d * abs(f.eval_mpc(x) / denom)
-                radii.append(r * (1 + mpf(2) ** -20) + mpf(2) ** (-2 * w))
-            if ok:
-                for i in range(d):
-                    if radii[i] > mpf(2) ** (-precision_bits) * (abs(approx[i]) + 1):
-                        ok = False
-                        break
-            if ok:
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        if abs(approx[i] - approx[j]) <= radii[i] + radii[j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                roots = _classify_roots(approx, radii, precision_bits)
-                if roots is not None:
-                    return roots
-                ok = False
-        w *= 2
-    raise errors.PrecisionExhausted(
-        "root disks could not be separated within the retry cap"
-    )
-
-
-def _resultant(f_desc, g_desc) -> int:
-    """Res(f, g) for coefficient lists with the leading coefficient first:
-    the determinant of the Sylvester matrix. It is zero exactly when f and g
-    have a common root."""
-    m, n = len(f_desc) - 1, len(g_desc) - 1
-    rows = [[0] * i + f_desc + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + g_desc + [0] * (m - 1 - i) for i in range(m)]
-    return IntLattice(tuple(map(tuple, rows))).det()
-
-
-def _classify_roots(approx, radii, prec) -> list[PolyRoot] | None:
-    """Flag real roots by conjugation symmetry; None means ambiguous (retry)."""
-    d = len(approx)
-    roots = []
-    for i, x in enumerate(approx):
-        r = radii[i]
-        if abs(x.imag) > r:
-            roots.append(PolyRoot(CBall(x, r, prec), is_real=False))
-            continue
-        # Disk crosses the real axis. The conjugate of the true root is also
-        # a root; if it cannot lie in any other disk it lies in this one, so
-        # the root is fixed by conjugation, i.e. real.
-        conj = mpc(x.real, -x.imag)
-        clash = any(
-            j != i and abs(conj - approx[j]) <= r + radii[j] for j in range(d)
-        )
-        if clash:
-            return None
-        roots.append(
-            PolyRoot(CBall(mpc(x.real, 0), r + abs(x.imag), prec), is_real=True)
-        )
-    return roots
-
-
 def minimal_polynomial(values, s: int, e: int) -> IntPoly:
     """Monic integer polynomial prod_t (x - sigma_t) from fixed-point values:
     each v_t is an int within e of 2^s * sigma_t.
@@ -478,11 +407,11 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
     # the unit disk cannot pair with d-1 >= 2 inside. A root on the unit
     # circle is shared (its conjugate is its reciprocal). x^2 - 3x + 1 is
     # reciprocal and Pisot, so d = 2 is exempt.
-    if f.degree >= 3 and _resultant(list(reversed(f.coefficients)), list(f.coefficients)) == 0:
+    if f.degree >= 3 and share_root(list(reversed(f.coefficients)), list(f.coefficients)):
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
     prec = precision_bits
-    for _ in range(8):
+    while work_bits(prec) <= MAX_WORK_BITS:
         roots = poly_roots(f, prec)
         verdict = _certify_pisot_roots(roots)
         if verdict == "ambiguous":
@@ -504,7 +433,10 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
                 precision_bits=prec,
             )
         prec *= 2
-    raise errors.PrecisionExhausted("could not certify Pisot structure at the retry cap")
+    raise errors.PrecisionExhausted(
+        f"could not certify the Pisot structure of {f}: {prec}-bit roots need "
+        f"{work_bits(prec)} working bits, above the cap of {MAX_WORK_BITS}"
+    )
 
 
 def _certify_pisot_roots(roots):

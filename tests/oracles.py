@@ -1,14 +1,19 @@
-"""Test oracles: a brute-force shortest vector and companion-matrix powers.
+"""Test oracles: a brute-force shortest vector, companion-matrix powers and
+polynomial roots.
 
 They compute what the package computes by slower, independent means, so the
 tests compare against them; the package itself does not use them.
 `companion_matrix` and `matpow` give p_n as the trace of C(f)^n, the oracle
-for the power-sum engine.
+for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
+Durand-Kerner solver, the oracle for root isolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import mpmath
+from mpmath import mp
 
 from pisot import errors
 from pisot.algebraic import IntPoly
@@ -133,3 +138,9 @@ def matpow(c: CompanionMatrix, n: int, modulus: int | None = None):
         if bit == "1":
             result = _mat_mul(result, base, d, modulus)
     return result
+
+
+def polyroots_oracle(f: IntPoly, bits: int) -> list:
+    """All complex roots of f from `mpmath.polyroots` at `bits` bits."""
+    with mp.workprec(bits):
+        return mpmath.polyroots(list(reversed(f.coefficients)), maxsteps=400, extraprec=64)

@@ -2,14 +2,16 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from pisot import errors
+from pisot import roots as isolation
 from pisot.algebraic import (
     FieldSpec,
     IntPoly,
@@ -22,6 +24,10 @@ from pisot.algebraic import (
     poly_roots,
 )
 from pisot.balls import Ball, mpf_to_fraction
+from pisot.roots import MAX_WORK_BITS
+
+from conftest import pisot_shaped
+from oracles import polyroots_oracle
 
 GOLDEN = IntPoly((-1, -1, 1))  # x^2 - x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -51,10 +57,6 @@ class TestIntPoly:
             IntPoly((7,))
         with pytest.raises(ValueError):
             IntPoly((1, 0))
-
-    def test_eval(self):
-        with mp.workprec(64):
-            assert GOLDEN.eval_mpc(mpmath.mpf(2)) == 1
 
 
 class TestFieldSpec:
@@ -253,6 +255,161 @@ class TestPolyRoots:
         square = IntPoly((1, -2, 1))  # (x-1)^2
         with pytest.raises(errors.PrecisionExhausted):
             poly_roots(square, 64)
+
+
+QUARTIC = IntPoly((1, 21, -229, -4899, 1))
+# x^12 - 2(2^10 x - 1)^2: two real roots about 2^-70 apart near 2^-10, which
+# floats do not separate.
+MIGNOTTE = IntPoly((-2, 2**12, -(2**21)) + (0,) * 9 + (1,))
+# (x - N)(x^2 - x - 1) with N = 10^401 + 7: coefficients beyond the float range.
+BIG = 10**401 + 7
+WIDE = IntPoly((BIG, BIG - 1, -(BIG + 1), 1))
+
+
+def _assert_isolated(f, roots, bits):
+    """Each root of f from the oracle at `bits` bits lies in exactly one
+    certified disk, no disk holds two, and a disk is flagged real exactly
+    when its root is real."""
+    assert len(roots) == f.degree
+    hits = []
+    with mp.workprec(bits):
+        for z in polyroots_oracle(f, bits):
+            inside = [i for i, r in enumerate(roots) if abs(z - r.value.mid) <= r.value.rad]
+            assert len(inside) == 1, f"{mpmath.nstr(z, 20)} lies in {len(inside)} disks"
+            assert roots[inside[0]].is_real == (abs(mpmath.im(z)) < mpf(2) ** (-bits // 2))
+            hits += inside
+    assert sorted(hits) == list(range(f.degree))
+
+
+class TestSoundDisks:
+    def test_quartic_fixture_at_64_bits(self):
+        _assert_isolated(QUARTIC, poly_roots(QUARTIC, 64), 2000)
+
+    def test_random_pisot_shaped(self):
+        rng = random.Random(2024)
+        for _ in range(50):
+            f = pisot_shaped(rng.randint(2, 12), rng)
+            _assert_isolated(f, poly_roots(f, 64), 2000)
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_knacci_roots_match_oracle(k):
+    f = IntPoly((-1,) * k + (1,))
+    _assert_isolated(f, poly_roots(f, 128), 256)
+
+
+def test_close_roots_take_the_precision_path(monkeypatch):
+    rounds = []
+    certify = isolation._certified_roots
+
+    def counted(f, zs, w, prec):
+        rounds.append(w)
+        return certify(f, zs, w, prec)
+
+    monkeypatch.setattr(isolation, "_certified_roots", counted)
+    roots = poly_roots(MIGNOTTE, 64)
+    assert len(rounds) > 1
+    _assert_isolated(MIGNOTTE, roots, 2000)
+
+
+def test_coefficients_beyond_floats_take_the_mpc_start_path(monkeypatch):
+    kinds = []
+    aberth = isolation._aberth
+
+    def recorded(coeffs, zs, unit, steps):
+        kinds.append(type(zs[0]))
+        return aberth(coeffs, zs, unit, steps)
+
+    monkeypatch.setattr(isolation, "_aberth", recorded)
+    roots = poly_roots(WIDE, 128)
+    assert kinds and complex not in kinds
+    _assert_isolated(WIDE, roots, 2000)
+
+
+def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
+    # The midpoints and radii that reach the classification, checked in
+    # exact rationals: radius^2 >= d^2 |f(x_i)|^2 / |lead prod (x_i - x_j)|^2.
+    seen = []
+    classify = isolation._classify_roots
+
+    def recorded(approx, radii, prec):
+        seen.append((approx, radii))
+        return classify(approx, radii, prec)
+
+    monkeypatch.setattr(isolation, "_classify_roots", recorded)
+    rng = random.Random(5)
+    for f in [QUARTIC] + [pisot_shaped(rng.randint(2, 12), rng) for _ in range(10)]:
+        seen.clear()
+        poly_roots(f, 64)
+        approx, radii = seen[-1]
+        xs = [(mpf_to_fraction(z.real), mpf_to_fraction(z.imag)) for z in approx]
+        d, lead = f.degree, f.coefficients[-1]
+        for i, (a, b) in enumerate(xs):
+            fr, fi = Fraction(lead), Fraction(0)
+            for c in reversed(f.coefficients[:-1]):
+                fr, fi = fr * a - fi * b + c, fr * b + fi * a
+            denom = Fraction(lead * lead)
+            for j, (u, v) in enumerate(xs):
+                if j != i:
+                    denom *= (a - u) ** 2 + (b - v) ** 2
+            assert mpf_to_fraction(radii[i]) ** 2 * denom >= d * d * (fr * fr + fi * fi)
+
+
+def test_overlapping_disks_are_not_certified():
+    # Roots i and 2^-30 + i (and conjugates), with two midpoints near i and
+    # two near -i: each disk is small enough, but the disks around i
+    # overlap, so they certify nothing.
+    m, w = 30, 64
+    f = IntPoly((4**m + 1, -(2 ** (m + 1)), 2 * 4**m + 1, -(2 ** (m + 1)), 4**m))
+    eps = 1 << (w - 40)
+    zs = [(eps, 1 << w), (-eps, 1 << w), (eps, -(1 << w)), (-eps, -(1 << w))]
+    assert isolation._certified_roots(f, zs, w, 16) is None
+
+
+def test_disks_wider_than_the_precision_are_not_certified():
+    # Midpoints of x^2 - x - 1 good to about 2^-11: the disks are disjoint,
+    # and fine for 4 bits but not for 64.
+    w = 64
+    zs = [(round(x * 2**10) << (w - 10), 0) for x in (1.6180339887, -0.6180339887)]
+    assert isolation._certified_roots(GOLDEN, zs, w, 4) is not None
+    assert isolation._certified_roots(GOLDEN, zs, w, 64) is None
+
+
+def test_modular_gcd_decides_common_roots_as_the_resultant_does():
+    # Random pairs, a third with a planted common factor, some with the
+    # leading coefficient a multiple of the gcd prime (the resultant decides).
+    rng = random.Random(11)
+
+    def poly(d):
+        return [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(d)]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for n in range(600):
+        f, g = poly(rng.randint(1, 7)), poly(rng.randint(1, 7))
+        if n % 3 == 0:
+            h = poly(rng.randint(1, 3))
+            f, g = times(f, h), times(g, h)
+        if n % 10 == 0:
+            f[0] *= isolation._GCD_PRIME
+        assert isolation.share_root(f, g) == (isolation._resultant(f, g) == 0)
+
+
+def test_working_bits_are_capped(monkeypatch):
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        poly_roots(GOLDEN, MAX_WORK_BITS)
+    monkeypatch.setattr("pisot.algebraic._certify_pisot_roots", lambda roots: "ambiguous")
+    start = time.perf_counter()
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        analyze_minpoly(GOLDEN, 64)
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        analyze_minpoly(PLASTIC, 64)
+    assert time.perf_counter() - start < 5
 
 
 def _fixed_roots(f, s):

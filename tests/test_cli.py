@@ -1,6 +1,11 @@
 """CLI: parsing, subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -359,3 +364,90 @@ def test_huge_values_fail_with_a_typed_message(capsys, tmp_path):
     }))
     code, _, err = invoke(capsys, "find", "--field", str(path))
     assert code == 1 and err.startswith("PrecisionError:")
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "1e-10000000"], ids=["huge", "tiny"])
+def test_extreme_decimal_exponents_end_at_once(capsys, tmp_path, entry):
+    # The entry is sized from its exponent, never expanded: one too large for
+    # any error bound at 2^256 is a PrecisionError, and one below 2^-320 is 0
+    # at that scale, which leaves a dependent basis.
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "embedding_rows": [["1", entry], ["1", "-" + entry]],
+        "precision_bits": 256,
+    }))
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "find", "--field", str(path))
+    assert time.perf_counter() - start < 1
+    expected = "PrecisionError:" if entry == "1e10000000" else "RankDeficient:"
+    assert code == 1 and err.startswith(expected)
+
+
+@pytest.mark.parametrize("entry", ["1e400", "null"])
+def test_non_decimal_entries_are_usage_errors(capsys, tmp_path, entry):
+    # The JSON number 1e400 (unquoted) loads as a float infinity; neither it
+    # nor null is a decimal entry.
+    path = tmp_path / "field.json"
+    path.write_text(
+        '{"kind": "explicit", "embedding_rows": [[1, %s], [1, 2]], "precision_bits": 256}' % entry
+    )
+    code, _, err = invoke(capsys, "find", "--field", str(path))
+    assert code == 2 and err.startswith("ParseError:")
+
+
+# `threshold --json` as the mpmath.polyroots-based root isolation printed it;
+# any root solver must give the same n0 and the same 20 digits.
+KNACCI_PINS = {  # k: (n0, second_modulus) of x^k - x^(k-1) - ... - 1
+    2: (2, "0.6180339887498948482"),
+    3: (5, "0.7373527057603276752"),
+    4: (9, "0.81827609877953977222"),
+    5: (16, "0.87104794173717675365"),
+    6: (24, "0.90621496381267945505"),
+    7: (35, "0.93029164666568139217"),
+    8: (49, "0.94718711090513550339"),
+    9: (67, "0.95930122629471424411"),
+    10: (90, "0.96815244813705596131"),
+    11: (118, "0.97472909312757126196"),
+    12: (151, "0.97969042595716280908"),
+    13: (191, "0.98348557859041516741"),
+    14: (239, "0.98642616831409409259"),
+    15: (295, "0.98873192259386034317"),
+    16: (359, "0.99056005087351504616"),
+    17: (433, "0.99202454820713995515"),
+    18: (518, "0.99320910929519144432"),
+    19: (614, "0.99417590354480942781"),
+    20: (722, "0.99497162160481132464"),
+    21: (843, "0.99563169541356674006"),
+    22: (978, "0.99618327872486781054"),
+    23: (1127, "0.9966473758586983876"),
+    24: (1292, "0.99704037828720914062"),
+    25: (1473, "0.99737518501614357706"),
+    26: (1672, "0.99766202738793118435"),
+    27: (1888, "0.99790908188760101422"),
+    28: (2124, "0.99812292945445978108"),
+    29: (2379, "0.99830890264713406242"),
+    30: (2655, "0.99847135015711797108"),
+}
+THRESHOLD_PINS = {
+    **{f"{k}-nacci": (str(IntPoly((-1,) * k + (1,))), *pin) for k, pin in KNACCI_PINS.items()},
+    "plastic": ("x^3 - x - 1", 10, "0.86883696183270930181"),
+    "quartic": ("x^4 - 4899x^3 - 229x^2 + 21x + 1", 1, "0.065726438484347730112"),
+    "x^2-3x+1": ("x^2 - 3x + 1", 1, "0.3819660112501051518"),
+}
+
+
+@pytest.mark.parametrize("expr,n0,modulus", THRESHOLD_PINS.values(), ids=THRESHOLD_PINS)
+def test_threshold_json_is_pinned(capsys, expr, n0, modulus):
+    code, out, _ = invoke(capsys, "threshold", "--minpoly", expr, "--json")
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["threshold_n0"], obj["second_modulus"]) == (n0, modulus)
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is not a dependency: CI installs only mpmath and pytest.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, pisot.cli; sys.exit(3 if 'numpy' in sys.modules else 0)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
