@@ -12,8 +12,8 @@ certification made here states the radius it was checked against.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +24,7 @@ from mpmath.libmp import mpf_shift, to_int
 from . import errors
 from .balls import GUARD_BITS, Ball, mpf_to_fraction
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, poly_roots, share_root, work_bits
+from .roots import MAX_WORK_BITS, PolyRoot, poly_roots, resultant, work_bits
 
 THRESHOLD_CAP = 99999
 
@@ -266,29 +266,18 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     )
 
 
-_DECIMAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<int>\d*(?:_\d+)*)(?:\.(?P<frac>\d*(?:_\d+)*))?"
-    r"(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?\s*"
-)
-
-
 def _decimal_exponent(x: str) -> int | None:
-    """E with 10^(E-1) <= |x| < 10^E for a decimal string x, found without
-    expanding x; None for zero, a fraction p/q or anything else, which
-    Fraction then parses or rejects."""
-    m = _DECIMAL.fullmatch(x)
-    if m is None:
-        return None
-    frac = (m["frac"] or "").replace("_", "")
-    digits = (m["int"].replace("_", "") + frac).lstrip("0")
-    if not digits:
-        return None
-    exp = (m["exp"] or "0").replace("_", "")
-    sign = -1 if exp[0] == "-" else 1
-    exp = exp.lstrip("+-").lstrip("0") or "0"
-    # Past 40 digits only the sign matters: no precision comes near 10^40 bits.
-    e = sign * (int(exp) if len(exp) <= 40 else 10**40)
-    return len(digits) - len(frac) + e
+    """E with 10^(E-1) <= |x| < 10^E for a finite nonzero decimal string x,
+    read by Decimal without expanding x; None for zero, infinities, NaN and
+    fractions p/q, which Fraction then parses or rejects. A string Decimal
+    cannot read, such as an exponent beyond 10^18, is a ParseError."""
+    try:
+        d = Decimal(x)
+    except InvalidOperation:
+        if "/" in x:
+            return None
+        raise errors.ParseError(f"bad decimal entry {x!r:.60}") from None
+    return d.adjusted() + 1 if d.is_finite() and d else None
 
 
 def round_div(a: int, b: int) -> int:
@@ -407,11 +396,13 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
     # the unit disk cannot pair with d-1 >= 2 inside. A root on the unit
     # circle is shared (its conjugate is its reciprocal). x^2 - 3x + 1 is
     # reciprocal and Pisot, so d = 2 is exempt.
-    if f.degree >= 3 and share_root(list(reversed(f.coefficients)), list(f.coefficients)):
+    if f.degree >= 3 and resultant(list(reversed(f.coefficients)), list(f.coefficients)) == 0:
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
     prec = precision_bits
-    while work_bits(prec) <= MAX_WORK_BITS:
+    # Doublings stop at MAX_WORK_BITS; a larger request is tried once.
+    cap = max(MAX_WORK_BITS, work_bits(precision_bits))
+    while work_bits(prec) <= cap:
         roots = poly_roots(f, prec)
         verdict = _certify_pisot_roots(roots)
         if verdict == "ambiguous":
@@ -435,7 +426,7 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
         prec *= 2
     raise errors.PrecisionExhausted(
         f"could not certify the Pisot structure of {f}: {prec}-bit roots need "
-        f"{work_bits(prec)} working bits, above the cap of {MAX_WORK_BITS}"
+        f"{work_bits(prec)} working bits, above the cap of {cap}"
     )
 
 

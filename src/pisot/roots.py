@@ -3,7 +3,7 @@
 `poly_roots` finds every root by Aberth-Ehrlich iterations in floats and
 Newton steps on fixed-point Gaussian integers, and certifies each with a
 disk whose radius comes from an exact residual: f evaluated exactly at the
-dyadic midpoint, whatever solver found it. `share_root` decides exactly
+dyadic midpoint, whatever solver found it. `resultant` decides exactly
 whether two integer polynomials have a common root.
 """
 
@@ -25,15 +25,14 @@ from .lattice import IntLattice
 if TYPE_CHECKING:
     from .algebraic import IntPoly
 
-# Root isolation never works at more bits than this; poly_roots and
-# analyze_minpoly raise PrecisionExhausted, naming the bits reached, instead.
+# Working bits that root isolation may reach by its own doublings: past them
+# poly_roots and analyze_minpoly raise PrecisionExhausted, naming the bits.
+# A caller's larger request is served; poly_roots then doubles it once.
 MAX_WORK_BITS = 1 << 15
 # Sweeps of one Aberth-Ehrlich run, at 53 bits or at a working precision.
 ABERTH_STEPS = 200
 # Direction in which Aberth moves an approximation off a coincidence.
 _NUDGE = complex(0.6, 0.8)
-# A Mersenne prime for the modular gcd in `share_root`.
-_GCD_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,15 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     rounded upward only once. Those disks jointly cover the roots, and
     contain exactly one root each once disjoint. When a certificate fails,
     Aberth iterations at w bits separate what floats could not, and w
-    doubles, up to MAX_WORK_BITS.
+    doubles, up to MAX_WORK_BITS or twice the requested w, whichever is
+    larger.
     """
     f_desc = list(reversed(f.coefficients))
     df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
-    if share_root(f_desc, df_desc):
+    if resultant(f_desc, df_desc) == 0:
         raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
     w = work_bits(precision_bits)
-    if w > MAX_WORK_BITS:
-        raise errors.PrecisionExhausted(
-            f"{precision_bits}-bit root disks need {w} working bits, "
-            f"above the cap of {MAX_WORK_BITS}"
-        )
+    cap = max(MAX_WORK_BITS, 2 * w)
     approx, bits = _float_starts(f_desc), 53
     while True:
         starts = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
@@ -78,10 +74,10 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
         roots = _certified_roots(f, fixed, w, precision_bits)
         if roots is not None:
             return roots
-        if 2 * w > MAX_WORK_BITS:
+        if 2 * w > cap:
             raise errors.PrecisionExhausted(
                 f"root disks of {f} were not certified at {w} working bits; "
-                f"the cap is {MAX_WORK_BITS}"
+                f"the cap is {cap}"
             )
         with mp.workprec(w):
             unit = mpf(2) ** -w
@@ -269,30 +265,7 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
         return _classify_roots(approx, [mpf((r, -w - g)) for r in radii], prec)
 
 
-def share_root(f_desc, g_desc) -> bool:
-    """Whether f and g (coefficient lists, leading coefficient first) have a
-    common root, i.e. Res(f, g) = 0. A common factor h of f and g in Z[x]
-    would reduce modulo a prime p dividing neither leading coefficient to a
-    common factor of the same degree, so gcd(f, g) = 1 mod p rules it out in
-    O(d^2) operations on integers below p^2; otherwise the exact resultant
-    decides."""
-    p = _GCD_PRIME
-    if f_desc[0] % p and g_desc[0] % p:
-        a, b = [c % p for c in f_desc], [c % p for c in g_desc]
-        while b:
-            inv = pow(b[0], -1, p)
-            while len(a) >= len(b):
-                q = a[0] * inv % p
-                a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b):]
-                while a and not a[0]:
-                    a.pop(0)
-            a, b = b, a
-        if len(a) == 1:
-            return False
-    return _resultant(f_desc, g_desc) == 0
-
-
-def _resultant(f_desc, g_desc) -> int:
+def resultant(f_desc, g_desc) -> int:
     """Res(f, g) for coefficient lists with the leading coefficient first:
     the determinant of the Sylvester matrix. It is zero exactly when f and g
     have a common root."""

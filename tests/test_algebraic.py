@@ -24,7 +24,7 @@ from pisot.algebraic import (
     poly_roots,
 )
 from pisot.balls import Ball, mpf_to_fraction
-from pisot.roots import MAX_WORK_BITS
+from pisot.roots import MAX_WORK_BITS, work_bits
 
 from conftest import pisot_shaped
 from oracles import polyroots_oracle
@@ -375,34 +375,7 @@ def test_disks_wider_than_the_precision_are_not_certified():
     assert isolation._certified_roots(GOLDEN, zs, w, 64) is None
 
 
-def test_modular_gcd_decides_common_roots_as_the_resultant_does():
-    # Random pairs, a third with a planted common factor, some with the
-    # leading coefficient a multiple of the gcd prime (the resultant decides).
-    rng = random.Random(11)
-
-    def poly(d):
-        return [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(d)]
-
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    for n in range(600):
-        f, g = poly(rng.randint(1, 7)), poly(rng.randint(1, 7))
-        if n % 3 == 0:
-            h = poly(rng.randint(1, 3))
-            f, g = times(f, h), times(g, h)
-        if n % 10 == 0:
-            f[0] *= isolation._GCD_PRIME
-        assert isolation.share_root(f, g) == (isolation._resultant(f, g) == 0)
-
-
 def test_working_bits_are_capped(monkeypatch):
-    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        poly_roots(GOLDEN, MAX_WORK_BITS)
     monkeypatch.setattr("pisot.algebraic._certify_pisot_roots", lambda roots: "ambiguous")
     start = time.perf_counter()
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
@@ -410,6 +383,20 @@ def test_working_bits_are_capped(monkeypatch):
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         analyze_minpoly(PLASTIC, 64)
     assert time.perf_counter() - start < 5
+    # A request above the cap is tried once, not refused.
+    with pytest.raises(errors.PrecisionExhausted, match=str(work_bits(40000))):
+        analyze_minpoly(GOLDEN, 40000)
+    monkeypatch.setattr(isolation, "_certified_roots", lambda *args: None)
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        poly_roots(GOLDEN, 64)
+    # Past the cap, poly_roots still doubles a request once.
+    with pytest.raises(errors.PrecisionExhausted, match=str(2 * work_bits(40000))):
+        poly_roots(GOLDEN, 40000)
+
+
+def test_requests_above_the_cap_are_served():
+    roots = poly_roots(GOLDEN, MAX_WORK_BITS)
+    assert all(r.value.rad < mpmath.mpf(2) ** (2 - MAX_WORK_BITS) for r in roots)
 
 
 def _fixed_roots(f, s):

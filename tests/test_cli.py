@@ -384,10 +384,13 @@ def test_extreme_decimal_exponents_end_at_once(capsys, tmp_path, entry):
     assert code == 1 and err.startswith(expected)
 
 
-@pytest.mark.parametrize("entry", ["1e400", "null"])
+@pytest.mark.parametrize(
+    "entry", ["1e400", "null", '"1e%s"' % ("9" * 50)], ids=["inf", "null", "exponent"]
+)
 def test_non_decimal_entries_are_usage_errors(capsys, tmp_path, entry):
     # The JSON number 1e400 (unquoted) loads as a float infinity; neither it
-    # nor null is a decimal entry.
+    # nor null is a decimal entry. An exponent of 50 digits is refused as
+    # written, never expanded.
     path = tmp_path / "field.json"
     path.write_text(
         '{"kind": "explicit", "embedding_rows": [[1, %s], [1, 2]], "precision_bits": 256}' % entry
@@ -443,6 +446,13 @@ def test_threshold_json_is_pinned(capsys, expr, n0, modulus):
     obj = json.loads(out)
     assert code == 0
     assert (obj["threshold_n0"], obj["second_modulus"]) == (n0, modulus)
+
+
+def test_threshold_at_a_precision_above_the_root_bits_cap(capsys):
+    code, out, _ = invoke(
+        capsys, "threshold", "--minpoly", "x^2-x-1", "--precision", "33000", "--json"
+    )
+    assert code == 0 and json.loads(out)["threshold_n0"] == 2
 
 
 def test_cli_import_loads_no_numpy():

@@ -3,13 +3,14 @@ companion-matrix traces."""
 
 import random
 
+import mpmath
 import pytest
 
 from pisot import errors
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
 from conftest import newton_power_sums, pisot_shaped
-from oracles import companion_matrix, matpow
+from oracles import companion_matrix, matpow, polyroots_oracle
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -84,6 +85,23 @@ class TestNearestPower:
     def test_negative_n(self, golden_info):
         with pytest.raises(ValueError):
             nearest_power(GOLDEN, -1, golden_info)
+
+    def test_direct_path_beyond_the_root_bits_cap(self):
+        # |beta| ~ 0.9995 puts n0 near 2770, so alpha^2000 (about 19,950
+        # bits) is powered directly and needs roots past MAX_WORK_BITS / 2.
+        f = IntPoly((-999, 0, -1000, 1))
+        info = analyze_minpoly(f, 128)
+        n = 2000
+        assert n < info.threshold_n0
+        # alpha^n = p_n - 2 Re(beta^n), with p_n the trace of C(f)^n.
+        power = matpow(companion_matrix(f), n)
+        p_n = sum(power[i][i] for i in range(3))
+        with mpmath.mp.workprec(256):
+            beta = min(polyroots_oracle(f, 256), key=abs)
+            small = 2 * (beta**n).real
+            assert abs(small - mpmath.nint(small)) > 0.01
+            expected = p_n - int(mpmath.nint(small))
+        assert nearest_power(f, n, info) == expected
 
 
 class TestNearestPowerMod:
