@@ -4,14 +4,17 @@ Embeddings are fixed-point integers: entry m stands for 2^s * sigma, known to
 within one error bound err for the whole matrix. The trace form, the
 discriminant, the values of an integer combination and the minimal
 polynomial built from them are exact integer computations checked against
-that bound. Polynomial roots are balls (midpoint + error radius) from
-`roots.poly_roots`, whose radii rest on an exact residual; every
-certification made here states the radius it was checked against.
+that bound. Polynomial roots are integer disks (a Gaussian-integer center
+and a radius at one scale) from `roots.poly_roots`, whose radii rest on an
+exact residual. The Pisot layout and the threshold n0 are integer
+comparisons against those radii; n0 compares fixed-point powers of the upper
+and lower bounds of |alpha_2|, each with its carried error bound, to 1/2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -22,9 +25,9 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_shift, to_int
 
 from . import errors
-from .balls import GUARD_BITS, Ball, mpf_to_fraction
+from .balls import GUARD_BITS, Ball
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, poly_roots, resultant, work_bits
+from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, resultant, work_bits
 
 THRESHOLD_CAP = 99999
 
@@ -412,8 +415,8 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
             raise errors.NotPisot(verdict)
         dominant_index = verdict
         others = [r for i, r in enumerate(roots) if i != dominant_index]
-        second = max((r.modulus() for r in others), key=lambda b: b.upper())
-        n0 = _threshold_n0(second, f.degree, prec)
+        second = max((r.modulus() for r in others), key=lambda b: b.center + b.radius)
+        n0 = _threshold_n0(second, f.degree)
         if n0 is not None:
             return MinPolyInfo(
                 poly=f,
@@ -431,17 +434,16 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
 
 
 def _certify_pisot_roots(roots):
-    """Index of the dominant root, a NotPisot reason string, or 'ambiguous'."""
+    """Index of the dominant root, a NotPisot reason string, or 'ambiguous'.
+    Every test compares a disk's integer bounds with 1 at its scale."""
     dominant = []
     for i, r in enumerate(roots):
         if not r.is_real:
             continue
-        real_ball = Ball(r.value.mid.real, r.value.rad, r.value.prec)
-        lo = mpf_to_fraction(real_ball.lower())
-        hi = mpf_to_fraction(real_ball.upper())
-        if lo > 1:
+        v = r.value
+        if v.re - v.radius > 1 << v.scale:
             dominant.append(i)
-        elif hi > 1:
+        elif v.re + v.radius > 1 << v.scale:
             return "ambiguous"
     if len(dominant) > 1:
         return "more than one real root greater than 1"
@@ -454,7 +456,7 @@ def _certify_pisot_roots(roots):
         m = r.modulus()
         if m.lt(1):
             continue
-        if mpf_to_fraction(m.lower()) >= 1:
+        if m.center - m.radius >= 1 << m.scale:
             return (
                 f"conjugate root {i} has modulus >= 1 "
                 f"(~{mpmath.nstr(m.mid, 8)})"
@@ -463,36 +465,43 @@ def _certify_pisot_roots(roots):
     return idx
 
 
-def _threshold_n0(second: Ball, d: int, prec: int) -> int | None:
+def _threshold_n0(second: Ball, d: int) -> int | None:
     """Smallest n with (d-1)*|alpha_2|^n < 1/2, by certified comparison.
 
     The sequence decreases in n, so n is estimated from logarithms at the
-    midpoint, moved while the certified comparisons say so, and certified by
-    two ball powers: below 1/2 at n and at least 1/2 at n-1. Returns None
-    when a comparison at the 1/2 boundary is not certified at the current
-    precision (the caller then retries with more bits), or when n would
-    exceed THRESHOLD_CAP.
+    center, moved while the certified comparisons say so, and certified by
+    two fixed-point powers: the upper bound of |alpha_2| to the n below 1/2,
+    and the lower bound to the n-1 at least 1/2. Returns None when a
+    comparison at the 1/2 boundary is not certified at the current precision
+    (the caller then retries with more bits). Raises PrecisionExhausted when
+    (d-1)*|alpha_2|^THRESHOLD_CAP is certified at least 1/2: n0 exceeds the
+    cap, and no precision changes that.
     """
-    half = Fraction(1, 2)
-    dm1 = Ball.from_int(d - 1, prec)
+    s = second.scale
+    hi, lo = second.center + second.radius, second.center - second.radius
 
     def side(n):
         """-1 if certified below 1/2, 1 if certified at least 1/2, else 0."""
         if n == 0:
             return 1  # d - 1 >= 1
-        b = dm1 * second.pow_int(n)
-        if mpf_to_fraction(b.upper()) < half:
+        u, _, e = fixed_power(hi, 0, n, s)
+        if 2 * (d - 1) * (u + e) < 1 << s:
             return -1
-        return 1 if mpf_to_fraction(b.lower()) >= half else 0
+        u, _, e = fixed_power(max(lo, 0), 0, n, s)
+        return 1 if 2 * (d - 1) * (u - e) >= 1 << s else 0
 
-    with mp.workprec(prec):
-        mid = abs(second.mid)
-        estimate = THRESHOLD_CAP
-        if 0 < mid < 1:
-            estimate = min(estimate, mpmath.ceil(-mpmath.log(2 * (d - 1)) / mpmath.log(mid)))
-    n = max(1, int(estimate))
+    estimate = THRESHOLD_CAP
+    mid = second.center / (1 << s)
+    if 0 < mid < 1:
+        estimate = min(estimate, math.ceil(math.log(2 * (d - 1)) / -math.log(mid)))
+    n = max(1, estimate)
     while n > 1 and side(n - 1) < 0:
         n -= 1
     while n < THRESHOLD_CAP and side(n) > 0:
         n += 1
+    if n == THRESHOLD_CAP and side(n) > 0:
+        raise errors.PrecisionExhausted(
+            f"threshold n0 > {THRESHOLD_CAP}: (d-1)*|alpha_2|^{THRESHOLD_CAP} >= 1/2 "
+            f"with |alpha_2| ~ {mpmath.nstr(second.mid, 8)}, at any precision"
+        )
     return n if side(n) < 0 and side(n - 1) > 0 else None

@@ -1,192 +1,77 @@
-"""Arbitrary-precision real and complex ball arithmetic.
+"""Certified real and complex numbers held as exact integers.
 
-A ball is a midpoint together with an error radius. Radii are propagated
-first-order through every operation plus a rounding slack of a few ulps;
-this is a ball-arithmetic contract, not rigorous directed rounding. The
-precision (in bits) of a result is the minimum of the operand precisions.
+A `Ball` is an integer center c, an integer radius r and a scale s: the
+number lies in [(c - r)/2^s, (c + r)/2^s]. A `CBall` has a Gaussian-integer
+center (re, im) and stands for a complex number within r/2^s of
+(re + im*i)/2^s. Whoever builds a record states its bound; the records do no
+arithmetic, so no rounding can loosen one. `lt` and `gt` are exact integer
+comparisons, and `.mid` and `.rad` are exact mpmath views for printing.
 
-Balls serve root isolation, the threshold n0, small powers of the dominant
-root and `minkowski_bound`, and report a search candidate's value and
-conjugate moduli. The search itself certifies on fixed-point integers
-(`algebraic.EmbeddingMatrix`), with no ball arithmetic.
+Root isolation (`roots.poly_roots`) returns its disks as `CBall`s, a search
+candidate reports its value and conjugate moduli as `Ball`s built from its
+fixed-point integers, and `minkowski_bound` returns one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
-# Extra working bits so that midpoint rounding stays well below the slack term.
+# Guard bits beyond a requested precision: in the working precision of root
+# isolation and of the cyclotomic embeddings, and in a root disk's radius
+# below the scale of its midpoint.
 GUARD_BITS = 16
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    if not mpmath.isfinite(x):
-        raise ValueError(f"cannot convert {x!r} to a fraction")
-    sign, man, exp, _ = x._mpf_
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+def _exact(m: int, s: int):
+    """The mpf m / 2^s, exact whatever the context precision."""
+    return mp.make_mpf(from_man_exp(m, -s))
 
 
+@dataclass(frozen=True)
 class Ball:
-    """A real number known to lie within `rad` of `mid`."""
+    """A real number within radius / 2^scale of center / 2^scale."""
 
-    __slots__ = ("mid", "rad", "prec")
+    center: int
+    radius: int
+    scale: int
 
-    def __init__(self, mid, rad, prec: int):
-        # mpf()/mpc() round to the *current* context precision, so values
-        # computed under workprec must be stored as-is, never reconstructed.
-        self.prec = int(prec)
-        if isinstance(mid, mpf):
-            self.mid = mid
-        else:
-            with mp.workprec(self.prec + GUARD_BITS):
-                self.mid = mpf(mid)
-        self.rad = rad if isinstance(rad, mpf) else mpf(rad)
+    @property
+    def mid(self):
+        return _exact(self.center, self.scale)
 
-    def __repr__(self):
-        return f"Ball({mpmath.nstr(self.mid, 17)}, rad={mpmath.nstr(self.rad, 5)}, prec={self.prec})"
-
-    @classmethod
-    def from_int(cls, n: int, prec: int) -> "Ball":
-        with mp.workprec(prec + GUARD_BITS):
-            mid = mpf(n)
-        rad = mpf(0) if abs(n).bit_length() <= prec else abs(mid) * mpf(2) ** (1 - prec)
-        return cls(mid, rad, prec)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction, prec: int) -> "Ball":
-        with mp.workprec(prec + GUARD_BITS):
-            mid = mpf(q.numerator) / q.denominator
-            rad = abs(mid) * mpf(2) ** (2 - prec)
-        return cls(mid, rad, prec)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __neg__(self):
-        # Even negation re-rounds to the ambient context precision in mpmath,
-        # so it must run under this ball's working precision.
-        with mp.workprec(self.prec + GUARD_BITS):
-            return Ball(-self.mid, self.rad, self.prec)
-
-    def __abs__(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return Ball(abs(self.mid), self.rad, self.prec)
-
-    def __add__(self, other):
-        other = _coerce(other, self.prec)
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + GUARD_BITS):
-            mid = self.mid + other.mid
-            rad = self.rad + other.rad + abs(mid) * mpf(2) ** (2 - prec)
-        return Ball(mid, rad, prec)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other, self.prec))
-
-    def __mul__(self, other):
-        other = _coerce(other, self.prec)
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + GUARD_BITS):
-            mid = self.mid * other.mid
-            rad = (
-                abs(self.mid) * other.rad
-                + abs(other.mid) * self.rad
-                + self.rad * other.rad
-                + abs(mid) * mpf(2) ** (2 - prec)
-            )
-        return Ball(mid, rad, prec)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return _coerce(other, self.prec) - self
-
-    def sqrt(self):
-        lb = self.mid - self.rad
-        if lb <= 0:
-            from . import errors
-
-            raise errors.PrecisionError("sqrt of a ball not certified positive")
-        with mp.workprec(self.prec + GUARD_BITS):
-            mid = mpmath.sqrt(self.mid)
-            rad = self.rad / (2 * mpmath.sqrt(lb)) + abs(mid) * mpf(2) ** (2 - self.prec)
-        return Ball(mid, rad, self.prec)
-
-    def pow_int(self, n: int) -> "Ball":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = Ball.from_int(1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    # -- certified queries -------------------------------------------------
-
-    def upper(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self.mid + self.rad
-
-    def lower(self):
-        with mp.workprec(self.prec + GUARD_BITS):
-            return self.mid - self.rad
+    @property
+    def rad(self):
+        return _exact(self.radius, self.scale)
 
     def gt(self, bound) -> bool:
         """Certified `self > bound` for an int/Fraction bound."""
-        return mpf_to_fraction(self.lower()) > Fraction(bound)
+        q = Fraction(bound)
+        return (self.center - self.radius) * q.denominator > q.numerator << self.scale
 
     def lt(self, bound) -> bool:
         """Certified `self < bound` for an int/Fraction bound."""
-        return mpf_to_fraction(self.upper()) < Fraction(bound)
-
-    def nearest_int(self) -> int:
-        """Nearest integer to the midpoint, half away from zero."""
-        f = mpf_to_fraction(self.mid)
-        n = f.numerator
-        d = f.denominator
-        if n >= 0:
-            return (2 * n + d) // (2 * d)
-        return -((-2 * n + d) // (2 * d))
+        q = Fraction(bound)
+        return (self.center + self.radius) * q.denominator < q.numerator << self.scale
 
 
-def _coerce(x, prec: int) -> Ball:
-    if isinstance(x, Ball):
-        return x
-    if isinstance(x, int):
-        return Ball.from_int(x, prec)
-    if isinstance(x, Fraction):
-        return Ball.from_fraction(x, prec)
-    raise TypeError(f"cannot mix Ball with {type(x).__name__}")
-
-
+@dataclass(frozen=True)
 class CBall:
-    """A complex number known to lie within `rad` of `mid`."""
+    """A complex number within radius / 2^scale of (re + im*i) / 2^scale."""
 
-    __slots__ = ("mid", "rad", "prec")
+    re: int
+    im: int
+    radius: int
+    scale: int
 
-    def __init__(self, mid, rad, prec: int):
-        self.prec = int(prec)
-        if isinstance(mid, mpc):
-            self.mid = mid
-        else:
-            with mp.workprec(self.prec + GUARD_BITS):
-                self.mid = mpc(mid)
-        self.rad = rad if isinstance(rad, mpf) else mpf(rad)
+    @property
+    def mid(self):
+        s = -self.scale
+        return mp.make_mpc((from_man_exp(self.re, s), from_man_exp(self.im, s)))
 
-    def __repr__(self):
-        return f"CBall({mpmath.nstr(self.mid, 17)}, rad={mpmath.nstr(self.rad, 5)}, prec={self.prec})"
-
-    def abs_ball(self) -> Ball:
-        with mp.workprec(self.prec + GUARD_BITS):
-            m = abs(self.mid)
-            rad = self.rad + m * mpf(2) ** (2 - self.prec)
-        return Ball(m, rad, self.prec)
+    @property
+    def rad(self):
+        return _exact(self.radius, self.scale)

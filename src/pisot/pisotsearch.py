@@ -18,8 +18,6 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from . import errors
 from .algebraic import (
@@ -133,11 +131,6 @@ def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> ScaledLatticeB
     return ScaledLatticeBasis(P=P, Q=Q, lattice=IntLattice(columns))
 
 
-def _fixed_ball(v: int, s: int, e: int) -> Ball:
-    """The ball of radius e / 2^s around v / 2^s, both exact."""
-    return Ball(mp.make_mpf(from_man_exp(v, -s)), mp.make_mpf(from_man_exp(e, -s)), s)
-
-
 def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     """Certify that the integer combination z over the integral basis is an
     epsilon-Pisot generator; sign-normalizes z so the value is positive.
@@ -156,14 +149,14 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
         values = [-v for v in values]
     s = emb.precision_bits
     e = sum(abs(c) for c in z) * emb.err
-    value = _fixed_ball(values[0], s, e)
+    value = Ball(values[0], e, s)
     if not values[0] - e > 1 << s:
         raise errors.NotPisot(
             f"value {mpmath.nstr(value.mid, 10)} not certified > 1"
         )
     moduli = []
     for i, v in enumerate(values[1:], start=1):
-        m = _fixed_ball(abs(v), s, e)
+        m = Ball(abs(v), e, s)
         excess = Fraction(abs(v) + e, 1 << s) - eps
         if excess >= 0:
             raise errors.NotPisot(
@@ -224,7 +217,9 @@ def minkowski_bound(k: int, disc_abs: int, delta) -> Ball:
     d = Fraction(delta)
     if not 0 < d < 1:
         raise ValueError("delta must lie in (0, 1)")
-    prec = 128
-    return Ball.from_int(abs(int(disc_abs)), prec).sqrt() * Ball.from_fraction(
-        1 / d ** (k - 1), prec
-    )
+    # The bound is at least 1, so 144 fractional bits keep 144 significant
+    # ones; the floor of its square root is within one unit of it. The bound
+    # is sqrt(|disc|) * num / den with num / den = 1 / delta^(k-1).
+    s = 144
+    num, den = d.denominator ** (k - 1), d.numerator ** (k - 1)
+    return Ball(isqrt((abs(int(disc_abs)) * num * num << (2 * s)) // (den * den)), 1, s)

@@ -6,19 +6,16 @@ by square-and-reduce, then p_n = sum_{i,j} r_i r_j p_{i+j+(n mod 2)} with the
 first 2d power sums from the Newton identities (Fiduccia, "An efficient
 formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
 runs on exact integers, on integers mod m and on straight-line program
-instructions. Below the threshold, the dominant root is powered directly in
-ball arithmetic and rounded.
+instructions. Below the threshold, alpha^n = p_n - S_n, where
+S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
+minus the nearest integer to S_n, which the certified root disks enclose.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import errors
-from .algebraic import IntPoly, MinPolyInfo, poly_roots
-from .balls import Ball, mpf_to_fraction
-
-DIRECT_RETRY_CAP = 16
+from .algebraic import IntPoly, MinPolyInfo, poly_roots, round_div
+from .roots import MAX_WORK_BITS, fixed_power, work_bits
 
 
 def _axpy(acc, c: int, t):
@@ -106,34 +103,47 @@ def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
     return total if modulus is None else total % modulus
 
 
+def _rounded_conjugate_sum(f: IntPoly, n: int, info: MinPolyInfo) -> int:
+    """The nearest integer to S_n = sum_{i >= 2} beta_i^n, so that
+    [alpha^n] = p_n minus it; 0 from the threshold n0 on.
+
+    Each beta_i lies in a certified disk of center c and radius R inside the
+    unit disk, so |beta_i^n - c^n| <= n*R, and c^n comes from `fixed_power`
+    with its truncation bound. When S_n lies within the summed bound of a
+    half-integer, the roots are isolated again at twice the precision, up
+    to MAX_WORK_BITS.
+    """
+    if n >= info.threshold_n0:
+        return 0
+    roots, dom, prec = info.roots, info.dominant_index, info.precision_bits
+    while True:
+        others = [r for i, r in enumerate(roots) if i != dom]
+        s = others[0].value.scale  # one scale for all disks of an isolation
+        # The n*R bound needs every disk inside the unit disk.
+        if all(r.modulus().lt(1) for r in others):
+            total = err = 0
+            for r in others:
+                u, _, e = fixed_power(r.value.re, r.value.im, n, s)
+                total += u
+                err += e + n * r.value.radius
+            k = round_div(total, 1 << s)
+            if 2 * (abs(total - (k << s)) + err) < 1 << s:
+                return k
+        prec *= 2
+        if work_bits(prec) > MAX_WORK_BITS:
+            raise errors.PrecisionExhausted(
+                f"could not certify the nearest integer to alpha^{n} below "
+                f"{MAX_WORK_BITS} working bits"
+            )
+        roots = poly_roots(f, prec)
+        dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].value.re)
+
+
 def nearest_power(f: IntPoly, n: int, info: MinPolyInfo) -> int:
     """[alpha^n] exactly, where alpha is the Pisot root of f."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    if n >= info.threshold_n0:
-        return power_sum(f, n)
-    # Small n: power the certified dominant root directly and round.
-    prec = info.precision_bits
-    root = info.dominant_root.value
-    alpha = Ball(root.mid.real, root.rad, root.prec)
-    for _ in range(DIRECT_RETRY_CAP):
-        p = alpha.pow_int(n)
-        m = p.nearest_int()
-        err = abs(mpf_to_fraction(p.mid) - m) + mpf_to_fraction(p.rad)
-        if err < Fraction(1, 2):
-            return m
-        prec *= 2
-        roots = poly_roots(f, prec)
-        dom = max(
-            (r for r in roots if r.is_real),
-            key=lambda r: r.value.mid.real,
-        )
-        alpha = Ball(dom.value.mid.real, dom.value.rad, dom.value.prec)
-    raise errors.PrecisionExhausted(
-        f"could not certify the nearest integer to alpha^{n}"
-    )
+    return power_sum(f, n) - _rounded_conjugate_sum(f, n, info)
 
 
 def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:
@@ -142,6 +152,4 @@ def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:
         raise errors.BadModulus(f"modulus must be >= 2, got {m}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n != 0 and n >= info.threshold_n0:
-        return power_sum(f, n, m)
-    return nearest_power(f, n, info) % m
+    return (power_sum(f, n, m) - _rounded_conjugate_sum(f, n, info)) % m

@@ -4,7 +4,9 @@
 Newton steps on fixed-point Gaussian integers, and certifies each with a
 disk whose radius comes from an exact residual: f evaluated exactly at the
 dyadic midpoint, whatever solver found it. `resultant` decides exactly
-whether two integer polynomials have a common root.
+whether two integer polynomials have a common root. `fixed_power` powers a
+fixed-point Gaussian integer with an integer error bound, for the threshold
+n0 and for the powers of the small roots below it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ class PolyRoot:
     is_real: bool
 
     def modulus(self) -> Ball:
-        return self.value.abs_ball()
+        """|root| as a Ball: the center's modulus rounded down by isqrt, so
+        that the radius grows by one unit to cover the rounding."""
+        v = self.value
+        return Ball(isqrt(v.re * v.re + v.im * v.im), v.radius + 1, v.scale)
 
 
 def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
@@ -57,9 +62,9 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
     rounded upward only once. Those disks jointly cover the roots, and
     contain exactly one root each once disjoint. When a certificate fails,
-    Aberth iterations at w bits separate what floats could not, and w
-    doubles, up to MAX_WORK_BITS or twice the requested w, whichever is
-    larger.
+    w doubles, up to MAX_WORK_BITS or twice the requested w, whichever is
+    larger, and Aberth iterations at the new w separate what floats could
+    not before Newton refines them.
     """
     f_desc = list(reversed(f.coefficients))
     df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
@@ -79,17 +84,17 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
                 f"root disks of {f} were not certified at {w} working bits; "
                 f"the cap is {cap}"
             )
+        old, w = w, 2 * w
         with mp.workprec(w):
-            unit = mpf(2) ** -w
             approx, _ = _aberth(
                 [mpf(c) for c in f_desc],
-                [mpc(mpf((a, -w)), mpf((b, -w))) for a, b in fixed],
-                unit,
+                [mpc(mpf((a, -old)), mpf((b, -old))) for a, b in fixed],
+                mpf(2) ** -w,
                 ABERTH_STEPS,
             )
         # The Aberth values carry w bits relative to their size, so they are
-        # read at the new scale: a root below 2^-w is not rounded to 0.
-        bits = w = 2 * w
+        # read at that scale: a root below 2^-old is not rounded to 0.
+        bits = w
 
 
 def work_bits(precision_bits: int) -> int:
@@ -259,10 +264,7 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
         for j in range(i + 1, d):
             if gaps[i][j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
                 return None
-    bits = max(max(abs(a).bit_length(), abs(b).bit_length()) for a, b in zs)
-    with mp.workprec(bits + max(r.bit_length() for r in radii) + 2 * g + 64):
-        approx = [mpc(mpf((a, -w)), mpf((b, -w))) for a, b in zs]
-        return _classify_roots(approx, [mpf((r, -w - g)) for r in radii], prec)
+    return _classify_roots(zs, radii, w)
 
 
 def resultant(f_desc, g_desc) -> int:
@@ -275,25 +277,45 @@ def resultant(f_desc, g_desc) -> int:
     return IntLattice(tuple(map(tuple, rows))).det()
 
 
-def _classify_roots(approx, radii, prec) -> list[PolyRoot] | None:
-    """Flag real roots by conjugation symmetry; None means ambiguous (retry)."""
-    d = len(approx)
+def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
+    """Flag real roots by conjugation symmetry; None means ambiguous (retry).
+    The midpoints (a, b) are at scale 2^w, the radii at 2^(w + GUARD_BITS),
+    and every test is an integer comparison."""
+    g = GUARD_BITS
     roots = []
-    for i, x in enumerate(approx):
-        r = radii[i]
-        if abs(x.imag) > r:
-            roots.append(PolyRoot(CBall(x, r, prec), is_real=False))
+    for i, ((a, b), r) in enumerate(zip(zs, radii)):
+        if abs(b) << g > r:
+            roots.append(PolyRoot(CBall(a << g, b << g, r, w + g), is_real=False))
             continue
         # Disk crosses the real axis. The conjugate of the true root is also
         # a root; if it cannot lie in any other disk it lies in this one, so
         # the root is fixed by conjugation, i.e. real.
-        conj = mpc(x.real, -x.imag)
-        clash = any(
-            j != i and abs(conj - approx[j]) <= r + radii[j] for j in range(d)
-        )
-        if clash:
+        if any(
+            j != i and ((a - u) ** 2 + (b + v) ** 2) << (2 * g) <= (r + radii[j]) ** 2
+            for j, (u, v) in enumerate(zs)
+        ):
             return None
-        roots.append(
-            PolyRoot(CBall(mpc(x.real, 0), r + abs(x.imag), prec), is_real=True)
-        )
+        roots.append(PolyRoot(CBall(a << g, 0, r + (abs(b) << g), w + g), is_real=True))
     return roots
+
+
+def fixed_power(a: int, b: int, n: int, s: int) -> tuple[int, int, int]:
+    """z^n for z = (a + bi)/2^s in fixed point: (u, v, e) with
+    |(u + vi)/2^s - z^n| <= e/2^s. Square-and-multiply on Gaussian integers
+    at scale 2^s truncates each product, which moves each part by less than
+    one unit; an operand's error carries through |x| by the bound
+    |XY - xy| <= |x||Y - y| + |y||X - x| + |X - x||Y - y|, with every modulus
+    and quotient rounded up."""
+    if n == 0:
+        return 1 << s, 0, 0
+    u, v, e = a, b, 0
+    for bit in bin(n)[3:]:
+        u, v, e = _fixed_mul(u, v, e, u, v, e, s)
+        if bit == "1":
+            u, v, e = _fixed_mul(u, v, e, a, b, 0, s)
+    return u, v, e
+
+
+def _fixed_mul(xr, xi, xe, yr, yi, ye, s):
+    bound = (isqrt(xr * xr + xi * xi) + 1) * ye + (isqrt(yr * yr + yi * yi) + 1) * xe + xe * ye
+    return (xr * yr - xi * yi) >> s, (xr * yi + xi * yr) >> s, 2 - (-bound >> s)

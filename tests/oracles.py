@@ -5,12 +5,16 @@ They compute what the package computes by slower, independent means, so the
 tests compare against them; the package itself does not use them.
 `companion_matrix` and `matpow` give p_n as the trace of C(f)^n, the oracle
 for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
-Durand-Kerner solver, the oracle for root isolation.
+Durand-Kerner solver, the oracle for root isolation, for the threshold n0
+(`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -140,7 +144,53 @@ def matpow(c: CompanionMatrix, n: int, modulus: int | None = None):
     return result
 
 
-def polyroots_oracle(f: IntPoly, bits: int) -> list:
-    """All complex roots of f from `mpmath.polyroots` at `bits` bits."""
+@functools.lru_cache(maxsize=None)
+def polyroots_oracle(f: IntPoly, bits: int) -> tuple:
+    """All complex roots of f from `mpmath.polyroots` at `bits` bits; cached,
+    since several tests ask for the same polynomial at 2000 bits."""
     with mp.workprec(bits):
-        return mpmath.polyroots(list(reversed(f.coefficients)), maxsteps=400, extraprec=64)
+        return tuple(mpmath.polyroots(list(reversed(f.coefficients)), maxsteps=400, extraprec=64))
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a finite mpf."""
+    if not mpmath.isfinite(x):
+        raise ValueError(f"cannot convert {x!r} to a fraction")
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -v if sign else v
+
+
+def scanned_threshold(f: IntPoly, bits: int = 2000, cap: int = 99999):
+    """Brute-force n0 of the Pisot polynomial f: the least n >= 1 with
+    (d-1)|alpha_2|^n < 1/2, where |alpha_2| is the second largest root
+    modulus from the oracle at `bits` bits. The scan compares in exact
+    rationals, from dyadic bounds lo/2^t <= |alpha_2| <= hi/2^t with
+    t = 256, far wider than the oracle's error. None when n passes the cap,
+    or when the bounds cannot decide a comparison."""
+    with mp.workprec(bits):
+        second = mpf_to_fraction(sorted(abs(z) for z in polyroots_oracle(f, bits))[-2])
+    # (d-1)(hi/2^t)^n < 1/2 exactly when 2(d-1)hi^n < 2^(tn); so for lo.
+    t = 256
+    hi = math.ceil(second * 2**t) + 1
+    lo = math.floor(second * 2**t) - 1
+    up = down = 2 * (f.degree - 1)
+    for n in range(1, cap + 1):
+        up, down = up * hi, down * lo
+        if up.bit_length() <= t * n:
+            return n
+        if down.bit_length() <= t * n:
+            return None
+    return None
+
+
+def nearest_power_oracle(f: IntPoly, ns) -> dict:
+    """[alpha^n] for each n in ns, from the Pisot root alpha given by the
+    oracle at max(n) * log2(alpha) + 64 bits or more: alpha^n is then within
+    about n * 2^-64 of its true value. Below 2000 bits the 2000-bit roots
+    serve, which other tests have often cached already."""
+    alpha = max(polyroots_oracle(f, 64), key=lambda z: z.real).real
+    bits = max(2000, int(max(ns) * math.log2(alpha)) + 64)
+    with mp.workprec(bits):
+        alpha = max(polyroots_oracle(f, bits), key=lambda z: z.real).real
+        return {n: int(mpmath.nint(alpha**n)) for n in ns}

@@ -23,11 +23,11 @@ from pisot.algebraic import (
     minimal_polynomial,
     poly_roots,
 )
-from pisot.balls import Ball, mpf_to_fraction
+from pisot.balls import GUARD_BITS
 from pisot.roots import MAX_WORK_BITS, work_bits
 
 from conftest import pisot_shaped
-from oracles import polyroots_oracle
+from oracles import mpf_to_fraction, polyroots_oracle, scanned_threshold
 
 GOLDEN = IntPoly((-1, -1, 1))  # x^2 - x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -281,15 +281,34 @@ def _assert_isolated(f, roots, bits):
     assert sorted(hits) == list(range(f.degree))
 
 
+def _random_pisot_shaped(count, seed=2024):
+    rng = random.Random(seed)
+    return [pisot_shaped(rng.randint(2, 12), rng) for _ in range(count)]
+
+
 class TestSoundDisks:
     def test_quartic_fixture_at_64_bits(self):
         _assert_isolated(QUARTIC, poly_roots(QUARTIC, 64), 2000)
 
     def test_random_pisot_shaped(self):
-        rng = random.Random(2024)
-        for _ in range(50):
-            f = pisot_shaped(rng.randint(2, 12), rng)
+        for f in _random_pisot_shaped(50):
             _assert_isolated(f, poly_roots(f, 64), 2000)
+
+
+KNACCI = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
+RANDOM_PISOT = {f"random-{i}": f for i, f in enumerate(_random_pisot_shaped(50))}
+
+
+@pytest.mark.parametrize("f", [*KNACCI.values(), *RANDOM_PISOT.values()], ids=[*KNACCI, *RANDOM_PISOT])
+def test_modulus_bounds_hold_the_oracle_modulus(f):
+    # modulus() rounds |center| down by isqrt; its interval must still hold
+    # the modulus of the root that the 2000-bit oracle puts in the disk.
+    roots = poly_roots(f, 128)
+    with mp.workprec(2000):
+        for z in polyroots_oracle(f, 2000):
+            (root,) = [r for r in roots if abs(z - r.value.mid) <= r.value.rad]
+            m = root.modulus()
+            assert m.center - m.radius <= mpf_to_fraction(abs(z)) * 2**m.scale <= m.center + m.radius
 
 
 @pytest.mark.parametrize("k", range(2, 31))
@@ -312,6 +331,21 @@ def test_close_roots_take_the_precision_path(monkeypatch):
     _assert_isolated(MIGNOTTE, roots, 2000)
 
 
+def test_clustered_roots_take_two_rounds(monkeypatch):
+    # w doubles before Aberth runs again, so Aberth resolves the pair 2^-70
+    # apart at the precision that certifies it: 112, then 224 working bits.
+    rounds = []
+    certify = isolation._certified_roots
+
+    def counted(f, zs, w, prec):
+        rounds.append(w)
+        return certify(f, zs, w, prec)
+
+    monkeypatch.setattr(isolation, "_certified_roots", counted)
+    poly_roots(MIGNOTTE, 64)
+    assert rounds == [work_bits(64), 2 * work_bits(64)]
+
+
 def test_coefficients_beyond_floats_take_the_mpc_start_path(monkeypatch):
     kinds = []
     aberth = isolation._aberth
@@ -332,17 +366,17 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
     seen = []
     classify = isolation._classify_roots
 
-    def recorded(approx, radii, prec):
-        seen.append((approx, radii))
-        return classify(approx, radii, prec)
+    def recorded(zs, radii, w):
+        seen.append((zs, radii, w))
+        return classify(zs, radii, w)
 
     monkeypatch.setattr(isolation, "_classify_roots", recorded)
     rng = random.Random(5)
     for f in [QUARTIC] + [pisot_shaped(rng.randint(2, 12), rng) for _ in range(10)]:
         seen.clear()
         poly_roots(f, 64)
-        approx, radii = seen[-1]
-        xs = [(mpf_to_fraction(z.real), mpf_to_fraction(z.imag)) for z in approx]
+        zs, radii, w = seen[-1]
+        xs = [(Fraction(a, 2**w), Fraction(b, 2**w)) for a, b in zs]
         d, lead = f.degree, f.coefficients[-1]
         for i, (a, b) in enumerate(xs):
             fr, fi = Fraction(lead), Fraction(0)
@@ -352,7 +386,29 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
             for j, (u, v) in enumerate(xs):
                 if j != i:
                     denom *= (a - u) ** 2 + (b - v) ** 2
-            assert mpf_to_fraction(radii[i]) ** 2 * denom >= d * d * (fr * fr + fi * fi)
+            radius = Fraction(radii[i], 2 ** (w + GUARD_BITS))
+            assert radius**2 * denom >= d * d * (fr * fr + fi * fi)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 255, 1000])
+def test_fixed_power_error_bound_holds(n):
+    # (u + vi)/2^s is within e/2^s of z^n, checked against the exact
+    # Gaussian-integer power; for |z| < 1 the bound stays a few units per
+    # multiplication.
+    rng = random.Random(n)
+    s = 80
+    c = (7 << s) // 10  # |z| < 0.99
+    for _ in range(20):
+        a, b = rng.randint(-c, c), rng.randint(-c, c)
+        u, v, e = isolation.fixed_power(a, b, n, s)
+        xr, xi = 1, 0
+        for _ in range(n):
+            xr, xi = xr * a - xi * b, xr * b + xi * a
+        scale = 1 << (s * max(n - 1, 0))
+        if n == 0:
+            xr <<= s
+        assert (u * scale - xr) ** 2 + (v * scale - xi) ** 2 <= (e * scale) ** 2
+        assert e <= 8 * (n + 1)
 
 
 def test_overlapping_disks_are_not_certified():
@@ -494,27 +550,14 @@ def test_shared_root_with_reciprocal_rejected(coeffs, monkeypatch):
         analyze_minpoly(IntPoly(coeffs), 64)
 
 
-def _scanned_threshold(second, d, prec):
-    """Brute-force n0: scan n = 1, 2, ... with certified ball comparisons."""
-    half = Fraction(1, 2)
-    b = Ball.from_int(d - 1, prec)
-    for n in range(1, 100000):
-        b = b * second
-        if mpf_to_fraction(b.upper()) < half:
-            return n
-        if mpf_to_fraction(b.lower()) < half:
-            return None
-    return None
-
-
-THRESHOLD_POLYS = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
+THRESHOLD_POLYS = dict(KNACCI)
 THRESHOLD_POLYS["plastic"] = PLASTIC
 THRESHOLD_POLYS["quartic"] = IntPoly((1, 21, -229, -4899, 1))
 THRESHOLD_POLYS["x^2-3x+1"] = IntPoly((1, -3, 1))  # reciprocal, and Pisot
+THRESHOLD_POLYS.update(RANDOM_PISOT)
 
 
 @pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
 def test_threshold_matches_scan(f):
-    info = analyze_minpoly(f, 128)
-    expect = _scanned_threshold(info.second_modulus, f.degree, info.precision_bits)
-    assert info.threshold_n0 == expect
+    # (d-1)|alpha_2|^n0 < 1/2 <= (d-1)|alpha_2|^(n0-1) in exact rationals.
+    assert analyze_minpoly(f, 128).threshold_n0 == scanned_threshold(f)

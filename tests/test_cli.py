@@ -448,6 +448,25 @@ def test_threshold_json_is_pinned(capsys, expr, n0, modulus):
     assert (obj["threshold_n0"], obj["second_modulus"]) == (n0, modulus)
 
 
+@pytest.mark.parametrize("expr", ["x^3-100000x^2-99999", "x^3-1000000x^2-999999"])
+def test_threshold_beyond_the_cap_fails_at_once(capsys, monkeypatch, expr):
+    # |alpha_2| ~ 1 - 1/(2N) puts n0 near 2.8N: certified above the cap from
+    # the first root isolation, which no precision doubling could change.
+    import pisot.algebraic
+
+    calls = []
+    isolate = pisot.algebraic.poly_roots
+
+    def counted(f, prec):
+        calls.append(prec)
+        return isolate(f, prec)
+
+    monkeypatch.setattr(pisot.algebraic, "poly_roots", counted)
+    code, _, err = invoke(capsys, "threshold", "--minpoly", expr)
+    assert code == 1 and err.startswith("PrecisionExhausted: threshold n0 > 99999")
+    assert len(calls) == 1
+
+
 def test_threshold_at_a_precision_above_the_root_bits_cap(capsys):
     code, out, _ = invoke(
         capsys, "threshold", "--minpoly", "x^2-x-1", "--precision", "33000", "--json"

@@ -1,16 +1,18 @@
 """Nearest-integer powers via power sums, exact and modular, checked against
 companion-matrix traces."""
 
+import dataclasses
 import random
 
 import mpmath
 import pytest
 
-from pisot import errors
+from pisot import errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
+from pisot.balls import CBall
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
 from conftest import newton_power_sums, pisot_shaped
-from oracles import companion_matrix, matpow, polyroots_oracle
+from oracles import companion_matrix, matpow, nearest_power_oracle, polyroots_oracle
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -102,6 +104,52 @@ class TestNearestPower:
             assert abs(small - mpmath.nint(small)) > 0.01
             expected = p_n - int(mpmath.nint(small))
         assert nearest_power(f, n, info) == expected
+
+
+SUB_THRESHOLD = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
+SUB_THRESHOLD["x^3-1000x^2-999"] = IntPoly((-999, 0, -1000, 1))
+SUB_THRESHOLD["plastic"] = PLASTIC
+SUB_THRESHOLD["quartic"] = IntPoly((1, 21, -229, -4899, 1))
+
+
+@pytest.mark.parametrize("f", SUB_THRESHOLD.values(), ids=SUB_THRESHOLD)
+def test_every_power_below_the_threshold(f, monkeypatch):
+    # p_n minus the rounded conjugate sum, against nint(alpha^n) from the
+    # oracle, for every n < n0 up to 200 and at n0/2 and n0 - 1. The disks
+    # of analyze_minpoly suffice: no root isolation runs again.
+    info = analyze_minpoly(f, 128)
+    n0 = info.threshold_n0
+    ns = sorted(set(range(min(n0, 201))) | {n0 // 2, n0 - 1})
+    expected = nearest_power_oracle(f, ns)
+    calls = []
+    monkeypatch.setattr(powtrace, "poly_roots", lambda *args: calls.append(args))
+    m = 2**61 - 1
+    for n in ns:
+        assert nearest_power(f, n, info) == expected[n]
+        assert nearest_power_mod(f, n, m, info) == expected[n] % m
+    assert not calls
+
+
+def test_undecided_rounding_isolates_the_roots_again(plastic_info, monkeypatch):
+    # A small root's disk widened to radius 1/16 still lies inside the unit
+    # disk, but n/16 per root leaves S_n undecided from n = 3 on; the roots
+    # are then isolated at twice the precision, and the answers hold.
+    roots = list(plastic_info.roots)
+    i = next(i for i in range(3) if i != plastic_info.dominant_index)
+    v = roots[i].value
+    roots[i] = dataclasses.replace(roots[i], value=CBall(v.re, v.im, 1 << (v.scale - 4), v.scale))
+    info = dataclasses.replace(plastic_info, roots=tuple(roots))
+    calls = []
+    isolate = powtrace.poly_roots
+
+    def counted(f, prec):
+        calls.append(prec)
+        return isolate(f, prec)
+
+    monkeypatch.setattr(powtrace, "poly_roots", counted)
+    rho = 1.3247179572447460
+    assert [nearest_power(PLASTIC, n, info) for n in range(10)] == [round(rho**n) for n in range(10)]
+    assert calls and set(calls) == {2 * plastic_info.precision_bits}
 
 
 class TestNearestPowerMod:
