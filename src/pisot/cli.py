@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,8 +27,6 @@ from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 MAX_N = 10**19
 MAX_N_CHARS = 20
 MAX_EXACT_N = 10**6
-# Below this many bits, str() is faster than the decimal split.
-_STR_BITS = 12000
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -149,42 +148,27 @@ def _field_spec(args) -> FieldSpec:
     raise errors.ParseError("one of --conductor or --field is required")
 
 
-def _int_to_str(v: int) -> str:
-    """Decimal digits of v in subquadratic time: split in binary, join the
-    halves in `decimal`, whose big products are subquadratic."""
-    if v.bit_length() < _STR_BITS:
-        return str(v)
-    powers = {}
-
-    def two_to(w):
-        if w not in powers:
-            if w <= _STR_BITS:
-                powers[w] = decimal.Decimal(2) ** w
-            else:
-                powers[w] = two_to(w // 2) * two_to(w - w // 2)
-        return powers[w]
-
-    def join(x, w):
-        if w <= _STR_BITS:
-            return decimal.Decimal(x)
-        half = w // 2
-        hi = x >> half
-        return join(hi, w - half) * two_to(half) + join(x - (hi << half), half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(join(abs(v), v.bit_length()))
-    return "-" + digits if v < 0 else digits
+def _exact_decimal():
+    """A local `decimal` context for exact integer results: at MAX_PREC no
+    sum or product of integers rounds, and if any operation would round,
+    Inexact raises instead of giving a wrong digit. libmpdec multiplies
+    large numbers by a number-theoretic transform, faster than int's
+    Karatsuba, and str() of an integral Decimal needs no base conversion.
+    The caller's context is restored on exit."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    return decimal.localcontext(ctx)
 
 
-def _json_int(v: int, text: str | None = None):
-    """A JSON number below 10^15, else its decimal string (`text`, if the
-    caller has it already)."""
-    if abs(v) < 10**15:
-        return v
-    return str(v) if text is None else text
+def _json_int(v):
+    """v, an int or an integral Decimal, as a JSON number below 10^15, else
+    as its decimal string. No Decimal reaches json, and a Decimal -0 reads 0."""
+    return int(v) if -(10**15) < v < 10**15 else str(v)
+
+
+def _emit_result(args, obj: dict, r):
+    obj["result"] = _json_int(r)
+    _emit(args, obj, [str(obj["result"])])
 
 
 def _emit(args, obj: dict, plain_lines):
@@ -242,19 +226,17 @@ def _cmd_pow(args):
     info = analyze_minpoly(f, args.precision)
     if args.modulus is not None:
         m = _parse_n(args.modulus)
-        r = nearest_power_mod(f, n, m, info)
         obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
-    else:
-        if n > MAX_EXACT_N:
-            raise errors.ParseError(
-                f"n > {MAX_EXACT_N} needs -m: the exact answer has on the order "
-                "of n*log2(alpha) bits; compute it modulo m instead"
-            )
-        r = nearest_power(f, n, info)
-        obj = {"minpoly": str(f), "n": _json_int(n)}
-    text = _int_to_str(r)
-    obj["result"] = _json_int(r, text)
-    _emit(args, obj, [text])
+        _emit_result(args, obj, nearest_power_mod(f, n, m, info))
+        return 0
+    if n > MAX_EXACT_N:
+        raise errors.ParseError(
+            f"n > {MAX_EXACT_N} needs -m: the exact answer has on the order "
+            "of n*log2(alpha) bits; compute it modulo m instead"
+        )
+    obj = {"minpoly": str(f), "n": _json_int(n)}
+    with _exact_decimal():
+        _emit_result(args, obj, nearest_power(f, n, info, lift=decimal.Decimal))
     return 0
 
 
@@ -274,13 +256,12 @@ def _cmd_slp_emit(args):
 def _cmd_slp_eval(args):
     with open(args.file, "r", encoding="ascii") as fh:
         p = parse_slp(fh.read())
+    obj = {"length": slp_length(p)}
     if args.modulus is not None:
-        r = slp_eval(p, _parse_n(args.modulus))
-    else:
-        r = slp_eval(p)
-    text = _int_to_str(r)
-    obj = {"length": slp_length(p), "result": _json_int(r, text)}
-    _emit(args, obj, [text])
+        _emit_result(args, obj, slp_eval(p, _parse_n(args.modulus)))
+        return 0
+    with _exact_decimal():
+        _emit_result(args, obj, slp_eval(p, lift=decimal.Decimal))
     return 0
 
 
@@ -378,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first run, not at import, and kept: building it costs more
+# than a whole modular request.
+_parser = functools.cache(build_parser)
+
 _USAGE_ERRORS = (
     errors.PolySyntaxError,
     errors.ParseError,
@@ -392,8 +377,7 @@ def run(argv) -> int:
     set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_digit_limit is not None:
         set_digit_limit(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -6,7 +6,9 @@ by square-and-reduce, then p_n = sum_{i,j} r_i r_j p_{i+j+(n mod 2)} with the
 first 2d power sums from the Newton identities (Fiduccia, "An efficient
 formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
 runs on exact integers, on integers mod m and on straight-line program
-instructions. Below the threshold, alpha^n = p_n - S_n, where
+instructions, and on any other ring its `lift` maps the integers into: the
+CLI runs it on `decimal.Decimal` in an exact context, whose products of
+large numbers are faster than int's. Below the threshold, alpha^n = p_n - S_n, where
 S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
 minus the nearest integer to S_n, which the certified root disks enclose.
 """
@@ -139,11 +141,13 @@ def _rounded_conjugate_sum(f: IntPoly, n: int, info: MinPolyInfo) -> int:
         dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].value.re)
 
 
-def nearest_power(f: IntPoly, n: int, info: MinPolyInfo) -> int:
-    """[alpha^n] exactly, where alpha is the Pisot root of f."""
+def nearest_power(f: IntPoly, n: int, info: MinPolyInfo, lift=int):
+    """[alpha^n] exactly, where alpha is the Pisot root of f. p_n is computed
+    on whatever `lift` turns an integer into (an int by default), as in
+    `power_sum`, and the integer round(S_n) is subtracted from it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return power_sum(f, n) - _rounded_conjugate_sum(f, n, info)
+    return power_sum(f, n, lift=lift) - _rounded_conjugate_sum(f, n, info)
 
 
 def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:

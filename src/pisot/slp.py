@@ -123,15 +123,18 @@ def emit_power_slp(f: IntPoly, n: int, info: MinPolyInfo) -> SLP:
     return b.finish(result.index)
 
 
-def slp_eval(p: SLP, modulus: int | None = None) -> int:
-    """Exact value of the program, or its canonical representative mod m."""
+def slp_eval(p: SLP, modulus: int | None = None, lift=int):
+    """Exact value of the program, or its canonical representative mod m.
+    The exact value is computed on whatever `lift` turns the constant 1
+    into (an int by default); a ring with +, - and *, such as
+    `decimal.Decimal` in an exact context, will do."""
     if modulus is not None and modulus < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
     p.validate()
     values = []
     for ins in p.instructions:
         if ins == ONE:
-            v = 1 % modulus if modulus is not None else 1
+            v = 1 % modulus if modulus is not None else lift(1)
         else:
             op, a, b = ins
             x, y = values[a], values[b]

@@ -1,7 +1,9 @@
 """CLI: parsing, subcommands, exit codes, JSON output."""
 
+import decimal
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +12,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from pisot import errors
-from pisot.algebraic import IntPoly
+from pisot import cli, errors
+from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
+from pisot.powtrace import nearest_power
+from conftest import pisot_shaped
 
 
 def invoke(capsys, *argv):
@@ -133,6 +137,125 @@ class TestLongResults:
             capsys, "pow", "--minpoly", "x^2-x-1", "-n", "5", "-m", "0" * 21
         )
         assert code == 2 and "ParseError" in err
+
+
+EXACT_POLYS = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 13)}
+EXACT_POLYS.update(
+    {f"shaped-{d}": pisot_shaped(d, random.Random(1000 + d)) for d in range(2, 13)}
+)
+
+
+class TestExactDecimal:
+    """Exact results are computed and printed in `decimal`; they must carry
+    the int engine's digits, and leave the caller's context alone."""
+
+    @pytest.mark.parametrize("f", EXACT_POLYS.values(), ids=EXACT_POLYS)
+    def test_same_digits_as_the_int_engine(self, capsys, f):
+        info = analyze_minpoly(f, 128)
+        n0 = info.threshold_n0
+        rng = random.Random(str(f))
+        with cli._exact_decimal():
+            for n in range(601):
+                exact = nearest_power(f, n, info, lift=decimal.Decimal)
+                assert str(exact) == str(nearest_power(f, n, info)), f"n={n}"
+        # Through the CLI's printer around n0, also as JSON, and up to 10^5.
+        for n in sorted({max(n0 - 1, 0), n0, n0 + 1}):
+            code, out, _ = invoke(capsys, "pow", "--minpoly", str(f), "-n", str(n), "--json")
+            assert code == 0 and int(json.loads(out)["result"]) == nearest_power(f, n, info)
+        sampled = {rng.randint(601, 10**4), rng.randint(10**4, 10**5)}
+        for n in sorted({max(n0 - 1, 0), n0, n0 + 1} | sampled):
+            code, out, _ = invoke(capsys, "pow", "--minpoly", str(f), "-n", str(n))
+            assert code == 0 and out == f"{nearest_power(f, n, info)}\n", f"n={n}"
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 500])
+    def test_slp_eval_equals_pow(self, capsys, tmp_path, n):
+        # The plastic number has n0 = 10: below it the program is a constant.
+        path = tmp_path / "prog.slp"
+        code, _, _ = invoke(
+            capsys, "slp", "emit", "--minpoly", "x^3-x-1", "-n", str(n), "-o", str(path)
+        )
+        assert code == 0
+        for flags in ([], ["--json"]):
+            _, powered, _ = invoke(capsys, "pow", "--minpoly", "x^3-x-1", "-n", str(n), *flags)
+            code, evaluated, _ = invoke(capsys, "slp", "eval", str(path), *flags)
+            assert code == 0
+            if flags:
+                assert json.loads(evaluated)["result"] == json.loads(powered)["result"]
+            else:
+                assert evaluated == powered
+
+    def test_json_number_below_1e15_and_string_above(self, capsys, monkeypatch):
+        # L_71 < 10^15 < L_72 (Lucas numbers, x^2-x-1).
+        dumps = json.dumps
+
+        def checked(obj):
+            assert not any(isinstance(v, decimal.Decimal) for v in obj.values())
+            return dumps(obj)
+
+        monkeypatch.setattr(cli.json, "dumps", checked)
+        code, out, _ = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "71", "--json")
+        assert code == 0 and json.loads(out)["result"] == 688846502588399
+        code, out, _ = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "72", "--json")
+        assert code == 0 and json.loads(out)["result"] == "1114577054219522"
+        assert cli._json_int(decimal.Decimal(10**15 - 1)) == 10**15 - 1
+        assert cli._json_int(decimal.Decimal(-(10**15))) == str(-(10**15))
+
+    def test_negative_zero_prints_as_zero(self, capsys, tmp_path):
+        # 0 * -1 is Decimal("-0"); the int engine gives 0.
+        path = tmp_path / "zero.slp"
+        path.write_text(
+            "slp v1\nv0 = one\nv1 = sub v0 v0\nv2 = sub v1 v0\nv3 = mul v1 v2\nresult v3\n"
+        )
+        code, out, _ = invoke(capsys, "slp", "eval", str(path))
+        assert code == 0 and out == "0\n"
+        code, out, _ = invoke(capsys, "slp", "eval", str(path), "--json")
+        assert code == 0 and out == '{"length": 3, "result": 0}\n'
+
+    def test_callers_context_is_unchanged(self, capsys, tmp_path):
+        ctx = decimal.getcontext()
+        before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
+        path = tmp_path / "prog.slp"
+        for argv in (
+            ("pow", "--minpoly", "x^2-x-1", "-n", "5000"),
+            ("pow", "--minpoly", "x^3-x-1", "-n", "3", "--json"),
+            ("pow", "--minpoly", "x^2+2", "-n", "5"),
+            ("slp", "emit", "--minpoly", "x^2-x-1", "-n", "300", "-o", str(path)),
+            ("slp", "eval", str(path)),
+        ):
+            main(list(argv))
+        capsys.readouterr()
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
+
+    def test_any_rounding_raises(self):
+        with cli._exact_decimal() as ctx:
+            with pytest.raises(decimal.Inexact):
+                decimal.Decimal("0.5").to_integral_exact()
+            with pytest.raises(decimal.Inexact):
+                decimal.Decimal(f"1E{ctx.Etiny()}") * decimal.Decimal("0.1")
+            # At MAX_PREC a quotient with no end is sized by the precision,
+            # so libmpdec refuses it before it could round.
+            with pytest.raises((decimal.Inexact, MemoryError)):
+                decimal.Decimal(1) / 3
+            assert decimal.Decimal(10**40) * 10**40 == 10**80
+
+
+def test_parser_is_built_once_and_keeps_the_exit_codes(capsys):
+    assert cli._parser() is cli._parser()
+    for _ in range(2):
+        code, _, err = invoke(capsys, "pow", "--minpoly", "x^2-x-1")
+        assert code == 2 and "the following arguments are required: -n" in err
+        code, _, err = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "5", "--precision", "0")
+        assert code == 2 and "--precision" in err
+        assert main(["frobnicate"]) == 2
+        code, out, _ = invoke(capsys, "--help")
+        assert code == 0 and out.startswith("usage: pisot")
+        code, out, _ = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "10")
+        assert code == 0 and out == "123\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["pow"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 class TestThresholdAndBound:
