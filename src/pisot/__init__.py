@@ -18,7 +18,6 @@ from .algebraic import (
 from .lattice import IntLattice, LLLResult, check_reduced, lll_reduce
 from .pisotsearch import (
     PisotCandidate,
-    ScaledLatticeBasis,
     SearchParams,
     build_scaled_lattice,
     compute_scale_P,
@@ -40,7 +39,6 @@ __all__ = [
     "MinPolyInfo",
     "PisotCandidate",
     "SLP",
-    "ScaledLatticeBasis",
     "SearchParams",
     "analyze_minpoly",
     "build_scaled_lattice",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import mpf_shift, to_int
 
 from . import errors
@@ -130,7 +130,6 @@ class EmbeddingMatrix:
     precision_bits: int
     conductor: int | None = None
     discriminant: int | None = None
-    basis_verified: bool = False
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -166,9 +165,9 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     1 <= j < k} of Z[2cos(2*pi/n)], the ring of integers (Washington,
     Introduction to Cyclotomic Fields, Prop. 2.16), replaces it.
 
-    Each cosine is evaluated at s + GUARD_BITS bits, to within 2^-10 units
-    of 2^-s, then rounded to the nearest integer at scale 2^s; err = 1 covers
-    both.
+    Each cosine 2cos(2*pi*m/n) is evaluated once per residue m = t*a mod n
+    that occurs, at s + GUARD_BITS bits, to within 2^-10 units of 2^-s, then
+    rounded to the nearest integer at scale 2^s; err = 1 covers both.
     """
     n = int(conductor)
     if n % 4 == 2:
@@ -177,20 +176,17 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     k = len(reps)
     if k < 2:
         raise errors.UnsupportedConductor(f"conductor {n} gives degree {k} < 2")
-    s = precision_bits
+    s = _capped(precision_bits)
+    cosines = {}  # m -> 2cos(2*pi*m/n) at scale 2^s, shared by both bases
 
     def embed(exponents):
         # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
-        entries = []
         with mp.workprec(s + GUARD_BITS):
             two_pi = 2 * mpmath.pi
-            for t in reps:
-                row = []
-                for a in exponents:
-                    v = 2 * mpmath.cos(two_pi * ((t * a) % n) / n) if a else mpf(1)
-                    row.append(to_int(mpf_shift(v._mpf_, s), "n"))
-                entries.append(tuple(row))
-        return tuple(entries)
+            for m in {(t * a) % n for t in reps for a in exponents if a} - cosines.keys():
+                v = 2 * mpmath.cos(two_pi * m / n)
+                cosines[m] = to_int(mpf_shift(v._mpf_, s), "n")
+        return tuple(tuple(cosines[(t * a) % n] if a else 1 << s for a in exponents) for t in reps)
 
     entries = embed(reps)
     disc = _discriminant(entries, s, 1)
@@ -204,7 +200,6 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
         precision_bits=s,
         conductor=n,
         discriminant=disc,
-        basis_verified=True,
     )
 
 
@@ -217,6 +212,7 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     """
     if spec.kind != "explicit":
         raise errors.ParseError("explicit_embeddings requires an explicit-kind FieldSpec")
+    s = _capped(precision_bits)
     if spec.stated_precision_bits is None or spec.stated_precision_bits < precision_bits:
         raise errors.PrecisionError(
             "requested precision exceeds the stated precision of the input"
@@ -226,7 +222,6 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     if k < 2 or any(len(r) != k for r in rows):
         raise errors.ParseError("embedding matrix must be square with k >= 2")
 
-    s = precision_bits
     entries = []
     for row in rows:
         parsed = []
@@ -265,8 +260,16 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
         err=err,
         precision_bits=s,
         discriminant=disc,
-        basis_verified=spec.discriminant is not None,
     )
+
+
+def _capped(precision_bits: int) -> int:
+    """precision_bits, or PrecisionExhausted when it exceeds MAX_WORK_BITS."""
+    if precision_bits > MAX_WORK_BITS:
+        raise errors.PrecisionExhausted(
+            f"embeddings at {precision_bits} bits exceed the cap of {MAX_WORK_BITS}"
+        )
+    return precision_bits
 
 
 def _decimal_exponent(x: str) -> int | None:
@@ -385,9 +388,13 @@ def _from_roots(roots) -> list[int]:
     return coeffs
 
 
-def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
+def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     """Certify that f is the minimal polynomial of a Pisot number and locate
-    its roots, dominant root, and the trace-path threshold."""
+    its roots, dominant root, and the trace-path threshold.
+
+    Roots are isolated to precision_bits first, and the precision doubles
+    while the layout or n0 is undecided. A precision whose working bits
+    exceed MAX_WORK_BITS, requested or reached, raises PrecisionExhausted."""
     if not f.is_monic:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
     if f.degree < 2:
@@ -403,9 +410,7 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
     prec = precision_bits
-    # Doublings stop at MAX_WORK_BITS; a larger request is tried once.
-    cap = max(MAX_WORK_BITS, work_bits(precision_bits))
-    while work_bits(prec) <= cap:
+    while work_bits(prec) <= MAX_WORK_BITS:
         roots = poly_roots(f, prec)
         verdict = _certify_pisot_roots(roots)
         if verdict == "ambiguous":
@@ -429,7 +434,7 @@ def analyze_minpoly(f: IntPoly, precision_bits: int) -> MinPolyInfo:
         prec *= 2
     raise errors.PrecisionExhausted(
         f"could not certify the Pisot structure of {f}: {prec}-bit roots need "
-        f"{work_bits(prec)} working bits, above the cap of {cap}"
+        f"{work_bits(prec)} working bits, above the cap of {MAX_WORK_BITS}"
     )
 
 

@@ -16,6 +16,7 @@ from .algebraic import FieldSpec, IntPoly, analyze_minpoly, embeddings_for
 from .pisotsearch import (
     SearchParams,
     find_pisot,
+    floor_bits,
     format_fraction,
     minkowski_bound,
     verify_pisot,
@@ -120,17 +121,6 @@ def _parse_n(s: str) -> int:
     return v
 
 
-def _precision_bits(s: str) -> int:
-    """argparse type for --precision: a whole number of bits, at least 1."""
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1 bit, got {v}")
-    return v
-
-
 def _monic_poly(expr: str) -> IntPoly:
     f = parse_poly(expr)
     if not f.is_monic:
@@ -194,10 +184,8 @@ def _candidate_output(args, cand):
 
 def _cmd_find(args):
     spec = _field_spec(args)
-    params = SearchParams(
-        epsilon=_parse_epsilon(args.epsilon), precision_bits=args.precision
-    )
-    _candidate_output(args, find_pisot(spec, params))
+    eps = _parse_epsilon(args.epsilon)
+    _candidate_output(args, find_pisot(spec, SearchParams(epsilon=eps)))
     return 0
 
 
@@ -210,7 +198,7 @@ def _cmd_verify(args):
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
     if not any(z):
         raise errors.ParseError("--coeffs must not be all zero")
-    emb = embeddings_for(spec, verify_precision(z, spec, args.precision))
+    emb = embeddings_for(spec, verify_precision(z, spec, floor_bits(spec)))
     if len(z) != emb.k:
         raise errors.ParseError(
             f"--coeffs has {len(z)} entries, but the field has degree {emb.k}"
@@ -223,7 +211,7 @@ def _cmd_verify(args):
 def _cmd_pow(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
-    info = analyze_minpoly(f, args.precision)
+    info = analyze_minpoly(f)
     if args.modulus is not None:
         m = _parse_n(args.modulus)
         obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
@@ -243,7 +231,7 @@ def _cmd_pow(args):
 def _cmd_slp_emit(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
-    info = analyze_minpoly(f, args.precision)
+    info = analyze_minpoly(f)
     text = format_slp(emit_power_slp(f, n, info))
     if args.output:
         with open(args.output, "w", encoding="ascii", newline="\n") as fh:
@@ -267,7 +255,7 @@ def _cmd_slp_eval(args):
 
 def _cmd_threshold(args):
     f = _monic_poly(args.minpoly)
-    info = analyze_minpoly(f, args.precision)
+    info = analyze_minpoly(f)
     obj = {
         "minpoly": str(f),
         "threshold_n0": info.threshold_n0,
@@ -308,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         field = p.add_mutually_exclusive_group()
         field.add_argument("--conductor", type=int, help="cyclotomic conductor n")
         field.add_argument("--field", help="path to a FieldSpec JSON file")
-        p.add_argument("--precision", type=_precision_bits, default=256, metavar="BITS")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("find", help="search for an (epsilon-)Pisot generator")
@@ -326,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minpoly", required=True, help='e.g. "x^2-x-1"')
     p.add_argument("-n", required=True)
     p.add_argument("-m", dest="modulus")
-    p.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pow)
 
@@ -336,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--minpoly", required=True)
     pe.add_argument("-n", required=True)
     pe.add_argument("-o", dest="output", help="output file (default stdout)")
-    pe.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     pe.set_defaults(func=_cmd_slp_emit)
     pv = slp_sub.add_parser("eval", help="evaluate a program file")
     pv.add_argument("file")
@@ -346,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="trace-path threshold n0 of a Pisot minpoly")
     p.add_argument("--minpoly", required=True)
-    p.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_threshold)
 

@@ -35,25 +35,18 @@ from .lattice import IntLattice, lll_reduce
 
 DEFAULT_Q = 1 << 32
 SEARCH_RETRY_CAP = 8
+FLOOR_BITS = 256
 
 
 @dataclass(frozen=True)
 class SearchParams:
     epsilon: Fraction = field(default_factory=lambda: Fraction(1))
-    precision_bits: int = 256
 
     def __post_init__(self):
         eps = Fraction(self.epsilon)
         if not 0 < eps <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
         object.__setattr__(self, "epsilon", eps)
-
-
-@dataclass(frozen=True)
-class ScaledLatticeBasis:
-    P: int
-    Q: int
-    lattice: IntLattice
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ def compute_scale_P(k: int, disc: int, epsilon) -> int:
     return isqrt(B.numerator // B.denominator) + 1
 
 
-def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> ScaledLatticeBasis:
+def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> IntLattice:
     """Integer lattice with columns (round(Q*beta_j), round(Q*P*sigma_i(beta_j))),
     each rounded half away from zero from the fixed-point entries. The
     largest scaled error, Q*P*err / 2^s, must stay below 1/2."""
@@ -128,7 +121,7 @@ def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> ScaledLatticeB
         )
         for j in range(emb.k)
     )
-    return ScaledLatticeBasis(P=P, Q=Q, lattice=IntLattice(columns))
+    return IntLattice(columns)
 
 
 def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
@@ -175,37 +168,51 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     )
 
 
-def verify_precision(z, spec: FieldSpec, precision_bits: int) -> int:
-    """Precision that certifies candidate z: at least `precision_bits`, and
-    2*bits(||z||_1) + 2k + 32 (capped at an explicit field's stated precision).
-    The conjugates lose bits(||z||_1) bits to cancellation, and the error
-    bound of the minpoly's coefficients grows like ||z||_1^2 * 2^k, which
-    must stay below 1/2 for them to round to integers."""
+def floor_bits(spec: FieldSpec) -> int:
+    """The least precision of a search or a verification: FLOOR_BITS, or an
+    explicit field's stated precision when that is lower."""
+    if spec.stated_precision_bits is None:
+        return FLOOR_BITS
+    return min(FLOOR_BITS, spec.stated_precision_bits)
+
+
+def verify_precision(z, spec: FieldSpec, floor: int) -> int:
+    """Precision that certifies candidate z: at least `floor` (see
+    `floor_bits`), and 2*bits(||z||_1) + 2k + 32 (capped at an explicit
+    field's stated precision). The conjugates lose bits(||z||_1) bits to
+    cancellation, and the error bound of the minpoly's coefficients grows
+    like ||z||_1^2 * 2^k, which must stay below 1/2 for them to round to
+    integers. Above MAX_WORK_BITS the embeddings refuse it."""
     need = 2 * sum(abs(int(c)) for c in z).bit_length() + 2 * len(z) + 32
     if spec.stated_precision_bits is not None:
         need = min(need, spec.stated_precision_bits)
-    return max(precision_bits, need)
+    return max(floor, need)
 
 
 def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCandidate:
     """Algorithm: scale, round, LLL-reduce, then certify candidate vectors
-    taken from the transform columns (first reduced vector first)."""
+    taken from the transform columns (first reduced vector first). Every
+    precision derives from the field and the candidate: `floor_bits`, then
+    bits(P) + bits(Q) + 64 for the lattice, then `verify_precision`. A
+    candidate whose precision exceeds the cap is skipped like one that fails
+    certification."""
     params = params or SearchParams()
     eps = params.epsilon
-    emb = embeddings_for(spec, params.precision_bits)
+    floor = floor_bits(spec)
+    emb = embeddings_for(spec, floor)
     P = compute_scale_P(emb.k, emb.discriminant, eps)
     Q = DEFAULT_Q
     last_failure = None
     for _ in range(SEARCH_RETRY_CAP):
         need = P.bit_length() + Q.bit_length() + 64
         if emb.precision_bits < need:
-            emb = embeddings_for(spec, max(params.precision_bits, need))
-        result = lll_reduce(build_scaled_lattice(emb, P, Q).lattice)
+            emb = embeddings_for(spec, max(floor, need))
+        result = lll_reduce(build_scaled_lattice(emb, P, Q))
         for z in result.transform:
-            emb_z = embeddings_for(spec, verify_precision(z, spec, params.precision_bits))
             try:
+                emb_z = embeddings_for(spec, verify_precision(z, spec, floor))
                 return verify_pisot(z, emb_z, eps)
-            except (errors.NotPisot, errors.PrecisionError) as exc:
+            except (errors.NotPisot, errors.PrecisionError, errors.PrecisionExhausted) as exc:
                 last_failure = exc
         Q <<= 1
     raise errors.SearchFailed(f"retry cap exhausted; last failure: {last_failure}")

@@ -27,9 +27,9 @@ from .lattice import IntLattice
 if TYPE_CHECKING:
     from .algebraic import IntPoly
 
-# Working bits that root isolation may reach by its own doublings: past them
-# poly_roots and analyze_minpoly raise PrecisionExhausted, naming the bits.
-# A caller's larger request is served; poly_roots then doubles it once.
+# The one cap on working precision: root isolation and embeddings refuse a
+# request above it, and root isolation's own doublings stop there; either
+# raises PrecisionExhausted, naming the bits.
 MAX_WORK_BITS = 1 << 15
 # Sweeps of one Aberth-Ehrlich run, at 53 bits or at a working precision.
 ABERTH_STEPS = 200
@@ -62,16 +62,20 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
     rounded upward only once. Those disks jointly cover the roots, and
     contain exactly one root each once disjoint. When a certificate fails,
-    w doubles, up to MAX_WORK_BITS or twice the requested w, whichever is
-    larger, and Aberth iterations at the new w separate what floats could
-    not before Newton refines them.
+    w doubles, up to MAX_WORK_BITS, and Aberth iterations at the new w
+    separate what floats could not before Newton refines them. A request
+    whose w exceeds MAX_WORK_BITS raises PrecisionExhausted at once.
     """
+    w = work_bits(precision_bits)
+    if w > MAX_WORK_BITS:
+        raise errors.PrecisionExhausted(
+            f"{precision_bits}-bit root disks need {w} working bits, "
+            f"above the cap of {MAX_WORK_BITS}"
+        )
     f_desc = list(reversed(f.coefficients))
     df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
     if resultant(f_desc, df_desc) == 0:
         raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
-    w = work_bits(precision_bits)
-    cap = max(MAX_WORK_BITS, 2 * w)
     approx, bits = _float_starts(f_desc), 53
     while True:
         starts = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
@@ -79,10 +83,10 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
         roots = _certified_roots(f, fixed, w, precision_bits)
         if roots is not None:
             return roots
-        if 2 * w > cap:
+        if 2 * w > MAX_WORK_BITS:
             raise errors.PrecisionExhausted(
                 f"root disks of {f} were not certified at {w} working bits; "
-                f"the cap is {cap}"
+                f"the cap is {MAX_WORK_BITS}"
             )
         old, w = w, 2 * w
         with mp.workprec(w):

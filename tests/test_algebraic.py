@@ -98,7 +98,6 @@ class TestCyclotomicEmbeddings:
         emb = cyclotomic_embeddings(17, 256)
         assert emb.k == 8
         assert emb.discriminant == 17**7
-        assert emb.basis_verified
 
     def test_conductor_5(self):
         emb = cyclotomic_embeddings(5, 128)
@@ -151,7 +150,7 @@ class TestExplicitEmbeddings:
 
     def test_accepts_consistent_discriminant(self):
         emb = explicit_embeddings(self._sqrt2_spec(), 128)
-        assert emb.k == 2 and emb.basis_verified
+        assert emb.k == 2
         assert emb.discriminant == 8
 
     def test_rejects_wrong_discriminant(self):
@@ -439,20 +438,32 @@ def test_working_bits_are_capped(monkeypatch):
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         analyze_minpoly(PLASTIC, 64)
     assert time.perf_counter() - start < 5
-    # A request above the cap is tried once, not refused.
-    with pytest.raises(errors.PrecisionExhausted, match=str(work_bits(40000))):
-        analyze_minpoly(GOLDEN, 40000)
-    monkeypatch.setattr(isolation, "_certified_roots", lambda *args: None)
+    calls = []
+    monkeypatch.setattr(isolation, "_certified_roots", lambda *args: calls.append(args[2]))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         poly_roots(GOLDEN, 64)
-    # Past the cap, poly_roots still doubles a request once.
-    with pytest.raises(errors.PrecisionExhausted, match=str(2 * work_bits(40000))):
+    assert max(calls) <= MAX_WORK_BITS
+    # A request above the cap is refused before any isolation work.
+    calls.clear()
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        analyze_minpoly(GOLDEN, 40000)
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         poly_roots(GOLDEN, 40000)
+    assert calls == []
 
 
-def test_requests_above_the_cap_are_served():
-    roots = poly_roots(GOLDEN, MAX_WORK_BITS)
-    assert all(r.value.rad < mpmath.mpf(2) ** (2 - MAX_WORK_BITS) for r in roots)
+def test_embeddings_above_the_cap_compute_nothing(monkeypatch):
+    calls = []
+    cos = mpmath.cos
+    monkeypatch.setattr(mpmath, "cos", lambda x: calls.append(x) or cos(x))
+    spec = FieldSpec(kind="explicit", embedding_rows=(("1", "1"), ("1", "-1")),
+                     stated_precision_bits=2 * MAX_WORK_BITS)
+    for make in (lambda s: cyclotomic_embeddings(15, s), lambda s: explicit_embeddings(spec, s)):
+        with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+            make(MAX_WORK_BITS + 1)
+    assert calls == []
+    # One cosine per residue t*a mod 15 over t, a in {1, 2, 4, 7}: 7 of 16 entries.
+    assert cyclotomic_embeddings(15, 64).k == 4 and len(calls) == 7
 
 
 def _fixed_roots(f, s):

@@ -345,7 +345,7 @@ class TestFindAndVerify:
 
     def test_verify_accepts_find_answer(self, capsys):
         # The answer has 128-bit coefficients; verify sizes its precision
-        # from them, so the default --precision certifies it.
+        # from them.
         code, out, _ = invoke(
             capsys, "find", "--conductor", "31", "--epsilon", "1/4", "--json"
         )
@@ -382,12 +382,15 @@ class TestFindAndVerify:
         }
         path = tmp_path / "field.json"
         path.write_text(json.dumps(spec))
-        code, out, _ = invoke(
-            capsys, "find", "--field", str(path), "--precision", "128", "--json"
-        )
+        # 190 stated bits, below the 256-bit floor: the floor drops to them.
+        code, out, _ = invoke(capsys, "find", "--field", str(path), "--json")
         assert code == 0
         obj = json.loads(out)
         assert obj["minpoly"] == ["-1", "-2", "1"]
+        code, out, _ = invoke(
+            capsys, "verify", "--field", str(path), "--coeffs=1,1", "--json"
+        )
+        assert code == 0 and json.loads(out)["minpoly"] == ["-1", "-2", "1"]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -396,17 +399,20 @@ class TestFindAndVerify:
 @pytest.mark.parametrize(
     "argv",
     [
-        ("pow", "--minpoly", "x^2-x-1", "-n", "5", "--precision", "0"),
-        ("threshold", "--minpoly", "x^3-x-1", "--precision", "-5"),
-        ("slp", "emit", "--minpoly", "x^2-x-1", "-n", "5", "--precision", "0"),
-        ("find", "--conductor", "15", "--precision", "0"),
-        ("verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139", "--precision", "0"),
+        ("pow", "--minpoly", "x^2-x-1", "-n", "5"),
+        ("threshold", "--minpoly", "x^3-x-1"),
+        ("slp", "emit", "--minpoly", "x^2-x-1", "-n", "5"),
+        ("find", "--conductor", "15"),
+        ("verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139"),
     ],
     ids=["pow", "threshold", "slp-emit", "find", "verify"],
 )
 def test_precision_below_one_is_usage_error(capsys, argv):
-    code, _, err = invoke(capsys, *argv)
-    assert code == 2 and "--precision" in err
+    # Every precision derives from the input: --precision is an unrecognized
+    # argument at any value, below one or well formed.
+    for bits in ("0", "300000"):
+        code, _, err = invoke(capsys, *argv, "--precision", bits)
+        assert code == 2 and f"unrecognized arguments: --precision {bits}" in err
 
 
 @pytest.mark.parametrize(
@@ -479,6 +485,13 @@ def test_huge_values_fail_with_a_typed_message(capsys, tmp_path):
         capsys, "verify", "--conductor", "15", "--coeffs", f"{10**400},1,1,1"
     )
     assert code == 1 and err.startswith("NotPisot:") and "e+400" in err
+    # A coefficient of 60,000 digits needs about 400k bits, above the cap.
+    start = time.perf_counter()
+    code, _, err = invoke(
+        capsys, "verify", "--conductor", "15", "--coeffs", "1" + "0" * 60000 + ",1,1,1"
+    )
+    assert code == 1 and err.startswith("PrecisionExhausted:")
+    assert time.perf_counter() - start < 1
     path = tmp_path / "field.json"
     path.write_text(json.dumps({
         "kind": "explicit",
@@ -588,13 +601,6 @@ def test_threshold_beyond_the_cap_fails_at_once(capsys, monkeypatch, expr):
     code, _, err = invoke(capsys, "threshold", "--minpoly", expr)
     assert code == 1 and err.startswith("PrecisionExhausted: threshold n0 > 99999")
     assert len(calls) == 1
-
-
-def test_threshold_at_a_precision_above_the_root_bits_cap(capsys):
-    code, out, _ = invoke(
-        capsys, "threshold", "--minpoly", "x^2-x-1", "--precision", "33000", "--json"
-    )
-    assert code == 0 and json.loads(out)["threshold_n0"] == 2
 
 
 def test_cli_import_loads_no_numpy():

@@ -156,7 +156,7 @@ class TestFloatPass:
         emb = embeddings_for(spec, 256)
         P = compute_scale_P(emb.k, emb.discriminant, 1)
         emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
-        lat = build_scaled_lattice(emb, P, DEFAULT_Q).lattice
+        lat = build_scaled_lattice(emb, P, DEFAULT_Q)
         assert_same_as_exact_kernel(lat, Fraction(3, 4))
 
     @pytest.mark.parametrize("seed", range(3))

@@ -20,6 +20,7 @@ from pisot.pisotsearch import (
     verify_pisot,
     verify_precision,
 )
+from pisot.roots import MAX_WORK_BITS
 
 FIXTURE_Z15 = (2105, 1215, 1440, 139)
 FIXTURE_Z17 = (
@@ -103,15 +104,15 @@ class TestComputeScaleP:
 
 class TestBuildScaledLattice:
     def test_q1_rounding(self, emb15):
-        slat = build_scaled_lattice(emb15, P=1, Q=1)
+        lat = build_scaled_lattice(emb15, P=1, Q=1)
         # row 0 entries are round(beta_j): 1.827, 1.338, -0.209, -1.956
-        assert tuple(slat.lattice.basis[j][0] for j in range(4)) == (2, 1, 0, -2)
+        assert tuple(lat.basis[j][0] for j in range(4)) == (2, 1, 0, -2)
 
     def test_scaling_grows_entries(self, emb15):
-        slat = build_scaled_lattice(emb15, P=85769, Q=1 << 32)
-        mags = [abs(x) for col in slat.lattice.basis for x in col[1:]]
+        lat = build_scaled_lattice(emb15, P=85769, Q=1 << 32)
+        mags = [abs(x) for col in lat.basis for x in col[1:]]
         assert min(mags) > 1 << 40
-        assert slat.lattice.det() != 0
+        assert lat.det() != 0
 
     def test_rejects_bad_scales(self, emb15):
         with pytest.raises(ValueError):
@@ -210,7 +211,7 @@ class TestFindPisot:
             stated_precision_bits=190,
             discriminant=8,
         )
-        cand = find_pisot(spec, SearchParams(precision_bits=128))
+        cand = find_pisot(spec)
         assert cand.minpoly.degree == 2
         # the silver ratio 1 + sqrt(2) is the natural answer here
         assert cand.minpoly == IntPoly((-1, -2, 1))
@@ -259,6 +260,24 @@ class TestFindPisot:
         assert len(calls) == 2
         assert cand.coefficients != first.coefficients
         assert cand.minpoly.degree == 4
+        assert cand.value.gt(1) and all(m.lt(1) for m in cand.conjugate_moduli)
+
+    def test_skips_candidate_above_the_bits_cap(self, monkeypatch):
+        # A candidate whose verification precision exceeds MAX_WORK_BITS is
+        # refused by the embeddings and skipped like one that fails.
+        real = pisotsearch.verify_precision
+        calls = []
+
+        def first_above_cap(z, spec, floor):
+            calls.append(z)
+            return MAX_WORK_BITS + 1 if len(calls) == 1 else real(z, spec, floor)
+
+        spec = FieldSpec(kind="cyclotomic", conductor=15)
+        first = find_pisot(spec)
+        monkeypatch.setattr(pisotsearch, "verify_precision", first_above_cap)
+        cand = find_pisot(spec)
+        assert len(calls) == 2
+        assert cand.coefficients != first.coefficients
         assert cand.value.gt(1) and all(m.lt(1) for m in cand.conjugate_moduli)
 
     def test_bad_epsilon_rejected(self):
