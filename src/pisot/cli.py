@@ -5,15 +5,18 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 
 from . import errors
 from .algebraic import FieldSpec, IntPoly, analyze_minpoly, embeddings_for
 from .pisotsearch import (
+    MAX_SEARCH_DEGREE,
     SearchParams,
     find_pisot,
     floor_bits,
@@ -132,10 +135,30 @@ def _field_spec(args) -> FieldSpec:
     if getattr(args, "conductor", None) is not None:
         if args.conductor < 1:
             raise errors.ParseError(f"--conductor must be at least 1, got {args.conductor}")
-        return FieldSpec(kind="cyclotomic", conductor=args.conductor)
+        return _degree_capped(FieldSpec(kind="cyclotomic", conductor=args.conductor),
+                              f"--conductor {args.conductor}")
     if getattr(args, "field", None):
-        return FieldSpec.from_file(args.field)
+        return _degree_capped(FieldSpec.from_file(args.field), f"--field {args.field}")
     raise errors.ParseError("one of --conductor or --field is required")
+
+
+def _degree_capped(spec: FieldSpec, source: str) -> FieldSpec:
+    """spec, or a usage error when its field has degree above
+    MAX_SEARCH_DEGREE. Decided before any embedding: an explicit field's
+    rows are counted, and a conductor's residues only up to one past the
+    cap, so a huge conductor costs no more than a small one."""
+    if spec.kind == "cyclotomic":
+        n = spec.conductor
+        residues = (a for a in range(1, n // 2 + 1) if gcd(a, n) == 1)
+        k = sum(1 for _ in itertools.islice(residues, MAX_SEARCH_DEGREE + 1))
+    else:
+        k = len(spec.embedding_rows)
+    if k > MAX_SEARCH_DEGREE:
+        raise errors.ParseError(
+            f"{source} gives a field of degree above {MAX_SEARCH_DEGREE}, "
+            "the largest that find and verify take (MAX_SEARCH_DEGREE)"
+        )
+    return spec
 
 
 def _exact_decimal():
@@ -269,8 +292,10 @@ def _cmd_bound(args):
     delta = _parse_rational(args.delta)
     if not 0 < delta < 1:
         raise errors.ParseError(f"--delta must lie in (0, 1), got {args.delta}")
-    if args.degree < 2:
-        raise errors.ParseError(f"--degree must be at least 2, got {args.degree}")
+    if not 2 <= args.degree <= MAX_SEARCH_DEGREE:
+        raise errors.ParseError(
+            f"--degree must lie in [2, {MAX_SEARCH_DEGREE}] (MAX_SEARCH_DEGREE), got {args.degree}"
+        )
     if args.disc == 0:
         raise errors.ParseError("--disc must be nonzero")
     b = minkowski_bound(args.degree, args.disc, delta)

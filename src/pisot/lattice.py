@@ -1,13 +1,14 @@
 """LLL reduction with transform tracking, plus a reducedness check.
 
-`lll_reduce` runs two passes. A floating-point pass (after Nguyen and
-Stehle's L^2) does the bulk of the work: exact integer basis and transform
-updates, Gram-Schmidt coefficients as floats from exact inner products, and
-the exact kernel's decision rules. The all-integer kernel of de Weger /
-Cohen Alg. 2.6.7 then runs on its result, starting from its transform: every
-quantity there is an exact integer, so it certifies the reduction and
-repairs any decision the floats got wrong, and results are reproducible
-across runs and platforms.
+`lll_reduce` runs two steps, each also public. `float_reduce` (after Nguyen
+and Stehle's L^2) does the bulk of the work: exact integer basis and
+transform updates, Gram-Schmidt coefficients as floats from exact inner
+products, and the exact kernel's decision rules. Its transform is
+unimodular by construction, but its basis is not certified reduced.
+`finish_reduce` then runs the all-integer kernel of de Weger / Cohen Alg.
+2.6.7 from that basis and transform: every quantity there is an exact
+integer, so it certifies the reduction and repairs any decision the floats
+got wrong, and results are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -93,16 +94,37 @@ def lll_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
     """LLL-reduce the lattice basis; the returned transform U is unimodular
     with reduced.basis = lat.basis * U. The float pass runs first and the
     exact kernel finishes from its basis and transform."""
+    return finish_reduce(float_reduce(lat, delta))
+
+
+def float_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
+    """The float pass of `lll_reduce` alone; uncertified. The transform U is
+    unimodular with reduced.basis = lat.basis * U, since every column
+    operation is an exact integer swap or subtraction, but a float decision
+    near a tie, or a pass that stops early, can leave the basis short of
+    LLL-reduced. `finish_reduce` makes it so."""
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
     b = [list(col) for col in lat.basis]
     u = [[int(i == j) for i in range(lat.k)] for j in range(lat.k)]
     _float_pass(b, u, delta)
-    reduced_cols, u_cols = _lll_columns(b, delta.numerator, delta.denominator, u)
+    return _result(b, u, delta)
+
+
+def finish_reduce(result: LLLResult) -> LLLResult:
+    """Run the exact kernel from a unimodular reduction of some lattice, such
+    as `float_reduce`'s, with its delta. The result is LLL-reduced, certified
+    in exact integers, and its transform still maps the original basis."""
+    delta = result.delta
+    b, u = _lll_columns(result.reduced.basis, delta.numerator, delta.denominator, result.transform)
+    return _result(b, u, delta)
+
+
+def _result(b, u, delta) -> LLLResult:
     return LLLResult(
-        reduced=IntLattice(tuple(tuple(c) for c in reduced_cols)),
-        transform=tuple(tuple(c) for c in u_cols),
+        reduced=IntLattice(tuple(tuple(c) for c in b)),
+        transform=tuple(tuple(c) for c in u),
         delta=delta,
     )
 
@@ -128,9 +150,9 @@ def _float_pass(b, u, delta):
     earlier columns before its Lovasz test; that changes b_k only by
     multiples of b_0 ... b_{k-2}, which leaves mu_{k,k-1}, r_kk and so every
     swap the same. A wrong decision near a tie is possible, so the pass
-    certifies nothing: the exact kernel runs after it. The pass never
-    raises; on a column it cannot accept with r_kk > 0, a non-finite mu or
-    more swaps than exact LLL can make, it stops where it is.
+    certifies nothing: `finish_reduce` runs the exact kernel after it. The
+    pass never raises; on a column it cannot accept with r_kk > 0, a
+    non-finite mu or more swaps than exact LLL can make, it stops where it is.
     """
     n = len(b)
     g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix, kept with b

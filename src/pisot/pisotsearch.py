@@ -7,12 +7,20 @@ Each candidate is certified from scratch at a precision sized from the
 candidate itself. Every step works on the fixed-point integers of
 `EmbeddingMatrix` and checks one error bound: the lattice rounding, value
 > 1, conjugate moduli < epsilon, and the minimal polynomial's integer
-coefficients. If no candidate of a reduction certifies, Q doubles; that is
-the only retry.
+coefficients.
+
+The certificate alone makes an answer sound, whatever basis it came from,
+so the search spends as little on the lattice as it can. P starts at
+`practical_scale_P`, the paper's bound without LLL's worst-case factor, and
+rises k bits per failed reduction up to the paper's P (`compute_scale_P`);
+there Q doubles, up to SEARCH_RETRY_CAP reductions, as the paper's
+guarantee asks. Each reduction certifies the candidates of the float LLL
+pass first, and runs the exact finisher only when none of them certifies.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -31,11 +39,17 @@ from .algebraic import (
     round_div,
 )
 from .balls import Ball
-from .lattice import IntLattice, lll_reduce
+from .lattice import IntLattice, finish_reduce, float_reduce
 
 DEFAULT_Q = 1 << 32
 SEARCH_RETRY_CAP = 8
 FLOOR_BITS = 256
+# The largest field degree k that `find`, `verify` and `bound --degree` take
+# on the command line; above it they are usage errors, decided before any
+# embedding is computed. `find` at epsilon 1 on conductor 137 (k = 68) takes
+# 26-29 s in a fresh process on a 2-CPU host with Python 3.11 and mpmath's
+# pure-Python backend; at k = 69 and 70 some runs take over 30 s.
+MAX_SEARCH_DEGREE = 68
 
 
 @dataclass(frozen=True)
@@ -95,13 +109,27 @@ def format_fraction(q: Fraction) -> str:
 def compute_scale_P(k: int, disc: int, epsilon) -> int:
     """The least integer P > (2/sqrt(3))^(k^2) * k^(k/2) * sqrt(disc) /
     epsilon^k, exactly: P = isqrt(floor(B)) + 1, where
-    B = (4/3)^(k^2) * k^k * disc / epsilon^(2k) is the square of that bound."""
+    B = (4/3)^(k^2) * k^k * disc / epsilon^(2k) is the square of that bound.
+    This is the paper's scale, the ceiling of the search's ladder."""
+    return _least_above(Fraction(4, 3) ** (k * k), k, disc, epsilon)
+
+
+def practical_scale_P(k: int, disc: int, epsilon) -> int:
+    """The least integer P > k^(k/2) * sqrt(disc) / epsilon^k: the paper's
+    bound without (2/sqrt(3))^(k^2), LLL's worst-case approximation factor,
+    which LLL does far better than in practice. The first rung of the
+    search's ladder."""
+    return _least_above(1, k, disc, epsilon)
+
+
+def _least_above(factor, k: int, disc: int, epsilon) -> int:
+    """isqrt(floor(B)) + 1 for B = factor * k^k * disc / epsilon^(2k)."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if k < 2:
         raise ValueError("k must be >= 2")
-    B = Fraction(4, 3) ** (k * k) * k**k * int(disc) / eps ** (2 * k)
+    B = factor * k**k * int(disc) / eps ** (2 * k)
     return isqrt(B.numerator // B.denominator) + 1
 
 
@@ -191,31 +219,70 @@ def verify_precision(z, spec: FieldSpec, floor: int) -> int:
 
 def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCandidate:
     """Algorithm: scale, round, LLL-reduce, then certify candidate vectors
-    taken from the transform columns (first reduced vector first). Every
-    precision derives from the field and the candidate: `floor_bits`, then
-    bits(P) + bits(Q) + 64 for the lattice, then `verify_precision`. A
-    candidate whose precision exceeds the cap is skipped like one that fails
-    certification."""
+    taken from the transform columns (first reduced vector first), at each
+    (P, Q) of `_scales` in turn. In each reduction the float pass's
+    candidates are tried first; if none certifies, the exact finisher runs
+    from the float basis and transform, and those of its candidates not
+    tried yet follow. Every precision derives from the field and the
+    candidate: `floor_bits`, then bits(P) + bits(Q) + 64 for the lattice,
+    then `verify_precision`. A candidate whose precision exceeds the cap is
+    skipped like one that fails certification. SearchFailed summarises the
+    whole search."""
     params = params or SearchParams()
     eps = params.epsilon
     floor = floor_bits(spec)
     emb = embeddings_for(spec, floor)
-    P = compute_scale_P(emb.k, emb.discriminant, eps)
-    Q = DEFAULT_Q
-    last_failure = None
-    for _ in range(SEARCH_RETRY_CAP):
-        need = P.bit_length() + Q.bit_length() + 64
-        if emb.precision_bits < need:
-            emb = embeddings_for(spec, max(floor, need))
-        result = lll_reduce(build_scaled_lattice(emb, P, Q))
-        for z in result.transform:
+    ceiling = compute_scale_P(emb.k, emb.discriminant, eps)
+    start = practical_scale_P(emb.k, emb.discriminant, eps)
+    verdicts: Counter[str] = Counter()
+    scales, finished, last_failure = [], 0, None
+
+    def certify_first(transform, tried):
+        nonlocal last_failure
+        for z in transform:
+            if z in tried:
+                continue
             try:
                 emb_z = embeddings_for(spec, verify_precision(z, spec, floor))
                 return verify_pisot(z, emb_z, eps)
             except (errors.NotPisot, errors.PrecisionError, errors.PrecisionExhausted) as exc:
+                verdicts[type(exc).__name__] += 1
                 last_failure = exc
-        Q <<= 1
-    raise errors.SearchFailed(f"retry cap exhausted; last failure: {last_failure}")
+        return None
+
+    for P, Q in _scales(emb.k, start, ceiling):
+        scales.append((P.bit_length(), Q.bit_length()))
+        need = P.bit_length() + Q.bit_length() + 64
+        if emb.precision_bits < need:
+            emb = embeddings_for(spec, max(floor, need))
+        result = float_reduce(build_scaled_lattice(emb, P, Q))
+        cand = certify_first(result.transform, ())
+        if cand is None:
+            finished += 1
+            cand = certify_first(finish_reduce(result).transform, set(result.transform))
+        if cand is not None:
+            return cand
+    p_bits, q_bits = zip(*scales)
+    tally = ", ".join(f"{name} {n}" for name, n in sorted(verdicts.items())) or "none"
+    raise errors.SearchFailed(
+        f"no candidate certified in {len(scales)} reductions (P of "
+        f"{min(p_bits)}-{max(p_bits)} bits, Q of {min(q_bits)}-{max(q_bits)} bits; "
+        f"the exact finisher ran in {finished} of them); verdicts: {tally}; "
+        f"last failure: {last_failure}"
+    )
+
+
+def _scales(k: int, start: int, ceiling: int):
+    """(P, Q) of each reduction of a search: one reduction at each P of the
+    ladder start, start * 2^k, ... below the ceiling, with Q = DEFAULT_Q;
+    then SEARCH_RETRY_CAP reductions at P = ceiling, Q doubling from
+    DEFAULT_Q. A P too small costs one reduction, not SEARCH_RETRY_CAP."""
+    P = start
+    while P < ceiling:
+        yield P, DEFAULT_Q
+        P <<= k
+    for i in range(SEARCH_RETRY_CAP):
+        yield ceiling, DEFAULT_Q << i
 
 
 def minkowski_bound(k: int, disc_abs: int, delta) -> Ball:

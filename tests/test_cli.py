@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ import pytest
 from pisot import cli, errors
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
+from pisot.pisotsearch import MAX_SEARCH_DEGREE
 from pisot.powtrace import nearest_power
 from conftest import pisot_shaped
 
@@ -469,6 +471,60 @@ def test_out_of_range_integer_is_usage_error(capsys, argv, flag):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("ParseError:") and flag in err
+
+
+def _least_conductor_above_cap():
+    """The least conductor whose field has degree above MAX_SEARCH_DEGREE."""
+    n = 3
+    while n % 4 == 2 or sum(gcd(a, n) == 1 for a in range(1, n // 2 + 1)) <= MAX_SEARCH_DEGREE:
+        n += 1
+    return n
+
+
+ABOVE_CAP = str(_least_conductor_above_cap())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("find", "--conductor", ABOVE_CAP),
+        ("verify", "--conductor", ABOVE_CAP, "--coeffs", "1,2"),
+        ("bound", "--degree", str(MAX_SEARCH_DEGREE + 1), "--disc", "5", "--delta", "1/2"),
+        ("find", "--conductor", "10007"),
+        ("verify", "--conductor", str(10**40 + 1), "--coeffs", "1,2"),
+        ("bound", "--degree", "3000000", "--disc", "5", "--delta", "1/3"),
+    ],
+    ids=["find", "verify", "bound", "find-10007", "verify-10^40+1", "bound-3000000"],
+)
+def test_degree_above_cap_is_usage_error(capsys, argv):
+    # Decided before any embedding, so each ends at once.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError:") and "MAX_SEARCH_DEGREE" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("command", ["find", "verify"])
+def test_field_file_above_cap_is_usage_error(capsys, tmp_path, command):
+    k = MAX_SEARCH_DEGREE + 1
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "embedding_rows": [["1"] * k] * k,
+        "precision_bits": 256,
+    }))
+    argv = [command, "--field", str(path)] + (["--coeffs", "1,2"] if command == "verify" else [])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError:") and "MAX_SEARCH_DEGREE" in err
+
+
+def test_bound_at_the_degree_cap(capsys):
+    code, out, _ = invoke(
+        capsys, "bound", "--degree", str(MAX_SEARCH_DEGREE), "--disc", "5", "--delta", "1/2"
+    )
+    assert code == 0 and float(out) > 2 ** (MAX_SEARCH_DEGREE - 1)
 
 
 @pytest.mark.parametrize("conductor", ["1", "4", "6"])

@@ -1,6 +1,7 @@
 """End-to-end Pisot search, certification, and the scaling machinery."""
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,13 +11,17 @@ from mpmath import mp
 
 from pisot import errors, pisotsearch
 from pisot.algebraic import FieldSpec, IntPoly, cyclotomic_embeddings
+from pisot.lattice import LLLResult
 from pisot.pisotsearch import (
+    DEFAULT_Q,
+    SEARCH_RETRY_CAP,
     SearchParams,
     build_scaled_lattice,
     compute_scale_P,
     find_pisot,
     format_fraction,
     minkowski_bound,
+    practical_scale_P,
     verify_pisot,
     verify_precision,
 )
@@ -34,6 +39,8 @@ FIXTURE_Z17 = (
     725583357,
 )
 NON_SQUAREFREE = (8, 9, 12, 16, 20, 24, 25, 27, 28, 32, 36, 40)
+SMALL_SQUAREFREE = (5, 7, 11, 13, 15, 17, 19, 21, 23, 33, 35, 39)  # every one with k <= 12
+EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,24 @@ class TestComputeScaleP:
             compute_scale_P(2, 1, 0)
         with pytest.raises(ValueError):
             compute_scale_P(2, 1, 2)
+
+
+class TestPracticalScaleP:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_least_integer_above_bound(self, k, eps):
+        # bound^2 = k^k * disc / eps^(2k), compared exactly; never above the ceiling
+        for disc in (1, 5 ** (k - 1), 10**k + 7):
+            P = practical_scale_P(k, disc, eps)
+            square = Fraction(k**k * disc) / eps ** (2 * k)
+            assert (P - 1) ** 2 <= square < P**2
+            assert P <= compute_scale_P(k, disc, eps)
+
+    def test_degree4_fixture(self, emb15):
+        # 4^4 * 1125 * 2^8 = 73728000, and isqrt(73728000) = 8586
+        assert practical_scale_P(4, emb15.discriminant, Fraction(1, 2)) == 8587
+        with pytest.raises(ValueError):
+            practical_scale_P(1, 1, 1)
 
 
 class TestBuildScaledLattice:
@@ -279,6 +304,92 @@ class TestFindPisot:
         assert len(calls) == 2
         assert cand.coefficients != first.coefficients
         assert cand.value.gt(1) and all(m.lt(1) for m in cand.conjugate_moduli)
+
+    def test_finisher_runs_when_no_float_candidate_certifies(self, monkeypatch):
+        # A float pass that stops before its first column operation, as it
+        # may on an overflow, returns the identity transform. Every candidate
+        # it offers is rejected, so the exact finisher must run from it, and
+        # the answer comes from the finisher's own columns.
+        real_finish, real_verify = pisotsearch.finish_reduce, pisotsearch.verify_pisot
+        float_columns, finished = set(), []
+
+        def stopped_float_pass(lat, delta=Fraction(3, 4)):
+            k = lat.k
+            result = LLLResult(lat, tuple(tuple(int(i == j) for i in range(k)) for j in range(k)), delta)
+            float_columns.update(result.transform)
+            return result
+
+        def finish(result):
+            finished.append(result)
+            return real_finish(result)
+
+        def verify(z, emb, epsilon):
+            if tuple(z) in float_columns:
+                raise errors.NotPisot("a float-pass candidate")
+            return real_verify(z, emb, epsilon)
+
+        monkeypatch.setattr(pisotsearch, "float_reduce", stopped_float_pass)
+        monkeypatch.setattr(pisotsearch, "finish_reduce", finish)
+        monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        assert len(finished) == 1
+        z = cand.coefficients
+        assert z not in float_columns and tuple(-c for c in z) not in float_columns
+        assert cand.minpoly.degree == 4
+        assert cand.value.gt(1) and all(m.lt(Fraction(1, 2)) for m in cand.conjugate_moduli)
+
+    def test_reaches_the_paper_scale_when_every_smaller_P_fails(self, monkeypatch):
+        # With every candidate below the ceiling rejected, the ladder climbs
+        # to the paper's P and the search returns what a search at that P
+        # alone returns: the degree-4 fixture.
+        emb = cyclotomic_embeddings(15, 256)
+        ceiling = compute_scale_P(4, emb.discriminant, Fraction(1, 2))
+        real_build, real_verify = pisotsearch.build_scaled_lattice, pisotsearch.verify_pisot
+        scales = []
+
+        def build(emb, P, Q):
+            scales.append((P, Q))
+            return real_build(emb, P, Q)
+
+        def verify(z, emb, epsilon):
+            if scales[-1][0] < ceiling:
+                raise errors.NotPisot("below the paper's scale")
+            return real_verify(z, emb, epsilon)
+
+        monkeypatch.setattr(pisotsearch, "build_scaled_lattice", build)
+        monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        assert cand.minpoly == IntPoly((1, 21, -229, -4899, 1))
+        start = practical_scale_P(4, emb.discriminant, Fraction(1, 2))
+        assert scales == [(start, DEFAULT_Q), (ceiling, DEFAULT_Q)]
+
+    def test_search_failed_summarises_the_search(self, monkeypatch):
+        def reject(z, emb, epsilon):
+            raise errors.NotPisot("rejected")
+
+        monkeypatch.setattr(pisotsearch, "verify_pisot", reject)
+        with pytest.raises(errors.SearchFailed) as info:
+            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        # One rung below the ceiling (P = 8587, 14 bits), then the ceiling
+        # (85769, 17 bits) with Q from 33 to 40 bits; the finisher ran in all.
+        n = 1 + SEARCH_RETRY_CAP
+        message = str(info.value)
+        assert f"in {n} reductions (P of 14-17 bits, Q of 33-40 bits; " in message
+        assert f"the exact finisher ran in {n} of them" in message
+        tally = int(re.search(r"verdicts: NotPisot (\d+); last failure: rejected$", message).group(1))
+        assert tally >= 4 * n
+
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    @pytest.mark.parametrize("n", SMALL_SQUAREFREE)
+    def test_no_answer_larger_than_at_the_paper_scale(self, monkeypatch, n, eps):
+        spec, params = FieldSpec(kind="cyclotomic", conductor=n), SearchParams(eps)
+        cand = find_pisot(spec, params)
+        monkeypatch.setattr(pisotsearch, "practical_scale_P", compute_scale_P)
+        paper = find_pisot(spec, params)
+        if cand.coefficients != paper.coefficients:
+            upper = Fraction(cand.value.center + cand.value.radius, 1 << cand.value.scale)
+            lower = Fraction(paper.value.center - paper.value.radius, 1 << paper.value.scale)
+            assert upper < lower
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
