@@ -1,7 +1,9 @@
 """Totally real fields, their embeddings, and certified polynomial root data.
 
 Embeddings are fixed-point integers: entry m stands for 2^s * sigma, known to
-within one error bound err for the whole matrix. The trace form, the
+within one error bound err for the whole matrix. A cyclotomic field's
+cosines come from pi (Machin's formula) and a Taylor series, all in integer
+fixed point; no step uses floating point. The trace form, the
 discriminant, the values of an integer combination and the minimal
 polynomial built from them are exact integer computations checked against
 that bound. Polynomial roots are integer disks (a Gaussian-integer center
@@ -19,10 +21,6 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import mpf_shift, to_int
 
 from . import errors
 from .balls import GUARD_BITS, Ball
@@ -151,41 +149,41 @@ class MinPolyInfo:
         return self.roots[self.dominant_index]
 
 
-def _coprime_residues(n: int) -> list[int]:
-    """Representatives of (Z/nZ)*/{±1}, sorted ascending."""
-    return [a for a in range(1, n // 2 + 1) if gcd(a, n) == 1]
+def coprime_residues(n: int):
+    """Representatives of (Z/nZ)*/{±1}, ascending, generated lazily."""
+    return (a for a in range(1, n // 2 + 1) if gcd(a, n) == 1)
 
 
 def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatrix:
     """Embedding matrix of the real subfield of the cyclotomic field of the
     given conductor n, with integral basis {2cos(2*pi*a/n) : a in reps}.
+    For n = 2 mod 4, Q(zeta_n) = Q(zeta_{n/2}), so n/2 replaces n and is the
+    matrix's conductor.
 
     For n not squarefree the sum of that basis is mu(n) = 0, so it is
     dependent (discriminant 0), and the power basis {1, 2cos(2*pi*j/n) :
     1 <= j < k} of Z[2cos(2*pi/n)], the ring of integers (Washington,
     Introduction to Cyclotomic Fields, Prop. 2.16), replaces it.
 
-    Each cosine 2cos(2*pi*m/n) is evaluated once per residue m = t*a mod n
-    that occurs, at s + GUARD_BITS bits, to within 2^-10 units of 2^-s, then
-    rounded to the nearest integer at scale 2^s; err = 1 covers both.
+    Each cosine 2cos(2*pi*m/n) is computed once per residue m = t*a mod n
+    that occurs, to within 2^-16 units of 2^-s (`_two_cosines`), then rounded
+    to the nearest integer at scale 2^s; err = 1 covers both.
     """
     n = int(conductor)
     if n % 4 == 2:
-        raise errors.UnsupportedConductor(f"conductor {n} is 2 mod 4")
-    reps = _coprime_residues(n)
+        n //= 2
+    reps = list(coprime_residues(n))
     k = len(reps)
     if k < 2:
-        raise errors.UnsupportedConductor(f"conductor {n} gives degree {k} < 2")
+        raise errors.UnsupportedConductor(f"conductor {conductor} gives degree {k} < 2")
     s = _capped(precision_bits)
     cosines = {}  # m -> 2cos(2*pi*m/n) at scale 2^s, shared by both bases
 
     def embed(exponents):
         # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
-        with mp.workprec(s + GUARD_BITS):
-            two_pi = 2 * mpmath.pi
-            for m in {(t * a) % n for t in reps for a in exponents if a} - cosines.keys():
-                v = 2 * mpmath.cos(two_pi * m / n)
-                cosines[m] = to_int(mpf_shift(v._mpf_, s), "n")
+        missing = {(t * a) % n for t in reps for a in exponents if a} - cosines.keys()
+        if missing:
+            cosines.update(_two_cosines(n, missing, s))
         return tuple(tuple(cosines[(t * a) % n] if a else 1 << s for a in exponents) for t in reps)
 
     entries = embed(reps)
@@ -201,6 +199,52 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
         conductor=n,
         discriminant=disc,
     )
+
+
+def _two_cosines(n: int, residues, s: int) -> dict[int, int]:
+    """{m: round(2^s * 2cos(2*pi*m/n))} for n >= 5, in integer fixed point
+    at w = s + 64 + bits(n) bits, each within 2^-16 units before rounding.
+
+    pi = 16 atan(1/5) - 4 atan(1/239) (Machin) is within 4w + 40 units of
+    2^w pi (`_arctan_inv`), so theta = floor(2^(w+1) pi / n) is within
+    2w + 17 units of 2^w * 2pi/n. The Taylor series of exp(i theta / 2^w),
+    every term floored, adds at most 5w + 8, so z = re + i*im is within
+    e0 = 7w + 25 units of 2^w exp(2 pi i / n). Each Gaussian product
+    z^r = floor(z^(r-1) * z / 2^w) adds at most e0 + 2, and cos is even in
+    m, so with r = min(m, n - m) <= n/2, twice the real part of z^r is within
+    n(7w + 27) < 2^(w - s - 16) units.
+    """
+    w = s + 64 + n.bit_length()
+    theta = 2 * (16 * _arctan_inv(5, w) - 4 * _arctan_inv(239, w)) // n
+    re = im = 0
+    term, j = 1 << w, 0
+    while term:  # term = 2^w theta^j / j!, times i^j
+        if j % 2:
+            im += term if j % 4 == 1 else -term
+        else:
+            re += term if j % 4 == 0 else -term
+        j += 1
+        term = (term * theta >> w) // j
+    reduced = {m: min(m % n, n - m % n) for m in residues}
+    table = {}
+    a, b = 1 << w, 0
+    for r in range(1, max(reduced.values()) + 1):
+        a, b = (a * re - b * im) >> w, (a * im + b * re) >> w
+        table[r] = (a + (1 << (w - s - 2))) >> (w - s - 1)
+    return {m: table[r] for m, r in reduced.items()}
+
+
+def _arctan_inv(x: int, w: int) -> int:
+    """2^w atan(1/x) for an integer x >= 2, by its Taylor series: the k-th
+    power floor(2^w / x^(2k+1)) is exact, and each of its at most
+    w / (2 log2 x) + 1 nonzero terms, floored, and the tail lose less than
+    one unit each."""
+    total, power, k = 0, (1 << w) // x, 1
+    while power:
+        total += power // k if k % 4 == 1 else -(power // k)
+        power //= x * x
+        k += 2
+    return total
 
 
 def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix:
@@ -464,7 +508,7 @@ def _certify_pisot_roots(roots):
         if m.center - m.radius >= 1 << m.scale:
             return (
                 f"conjugate root {i} has modulus >= 1 "
-                f"(~{mpmath.nstr(m.mid, 8)})"
+                f"(~{m.digits(8)})"
             )
         return "ambiguous"
     return idx
@@ -507,6 +551,6 @@ def _threshold_n0(second: Ball, d: int) -> int | None:
     if n == THRESHOLD_CAP and side(n) > 0:
         raise errors.PrecisionExhausted(
             f"threshold n0 > {THRESHOLD_CAP}: (d-1)*|alpha_2|^{THRESHOLD_CAP} >= 1/2 "
-            f"with |alpha_2| ~ {mpmath.nstr(second.mid, 8)}, at any precision"
+            f"with |alpha_2| ~ {second.digits(8)}, at any precision"
         )
     return n if side(n) < 0 and side(n - 1) > 0 else None

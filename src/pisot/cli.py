@@ -9,18 +9,14 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from math import gcd
-
-import mpmath
 
 from . import errors
-from .algebraic import FieldSpec, IntPoly, analyze_minpoly, embeddings_for
+from .algebraic import FieldSpec, IntPoly, analyze_minpoly, coprime_residues, embeddings_for
 from .pisotsearch import (
     MAX_SEARCH_DEGREE,
     SearchParams,
     find_pisot,
     floor_bits,
-    format_fraction,
     minkowski_bound,
     verify_pisot,
     verify_precision,
@@ -148,8 +144,7 @@ def _degree_capped(spec: FieldSpec, source: str) -> FieldSpec:
     rows are counted, and a conductor's residues only up to one past the
     cap, so a huge conductor costs no more than a small one."""
     if spec.kind == "cyclotomic":
-        n = spec.conductor
-        residues = (a for a in range(1, n // 2 + 1) if gcd(a, n) == 1)
+        residues = coprime_residues(spec.conductor)
         k = sum(1 for _ in itertools.islice(residues, MAX_SEARCH_DEGREE + 1))
     else:
         k = len(spec.embedding_rows)
@@ -195,12 +190,11 @@ def _emit(args, obj: dict, plain_lines):
 def _candidate_output(args, cand):
     obj = cand.to_json()
     plain = [
-        f"value: {mpmath.nstr(cand.value.mid, 40)}",
-        "coefficients: " + " ".join(str(c) for c in cand.coefficients),
-        "conjugate moduli: "
-        + " ".join(mpmath.nstr(m.mid, 20) for m in cand.conjugate_moduli),
+        f"value: {obj['value']}",
+        "coefficients: " + " ".join(obj["coefficients"]),
+        "conjugate moduli: " + " ".join(obj["conjugate_moduli"]),
         f"minpoly: {cand.minpoly}",
-        f"epsilon: {format_fraction(cand.epsilon_certified)}",
+        f"epsilon: {obj['epsilon']}",
     ]
     _emit(args, obj, plain)
 
@@ -282,7 +276,7 @@ def _cmd_threshold(args):
     obj = {
         "minpoly": str(f),
         "threshold_n0": info.threshold_n0,
-        "second_modulus": mpmath.nstr(info.second_modulus.mid, 20),
+        "second_modulus": info.second_modulus.digits(20),
     }
     _emit(args, obj, [str(info.threshold_n0)])
     return 0
@@ -298,14 +292,13 @@ def _cmd_bound(args):
         )
     if args.disc == 0:
         raise errors.ParseError("--disc must be nonzero")
-    b = minkowski_bound(args.degree, args.disc, delta)
     obj = {
         "degree": args.degree,
         "disc": _json_int(args.disc),
         "delta": args.delta,
-        "bound": mpmath.nstr(b.mid, 20),
+        "bound": minkowski_bound(args.degree, args.disc, delta).digits(20),
     }
-    _emit(args, obj, [mpmath.nstr(b.mid, 20)])
+    _emit(args, obj, [obj["bound"]])
     return 0
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
-
 from . import errors
 from .algebraic import (
     EmbeddingMatrix,
@@ -47,8 +45,8 @@ FLOOR_BITS = 256
 # The largest field degree k that `find`, `verify` and `bound --degree` take
 # on the command line; above it they are usage errors, decided before any
 # embedding is computed. `find` at epsilon 1 on conductor 137 (k = 68) takes
-# 26-29 s in a fresh process on a 2-CPU host with Python 3.11 and mpmath's
-# pure-Python backend; at k = 69 and 70 some runs take over 30 s.
+# 26-29 s in a fresh process on a 2-CPU host with Python 3.11; at k = 69 and
+# 70 some runs take over 30 s.
 MAX_SEARCH_DEGREE = 68
 
 
@@ -75,8 +73,8 @@ class PisotCandidate:
     def to_json(self) -> dict:
         obj = {
             "coefficients": [str(c) for c in self.coefficients],
-            "value": mpmath.nstr(self.value.mid, 40),
-            "conjugate_moduli": [mpmath.nstr(m.mid, 20) for m in self.conjugate_moduli],
+            "value": self.value.digits(40),
+            "conjugate_moduli": [m.digits(20) for m in self.conjugate_moduli],
             "minpoly": [str(c) for c in self.minpoly.coefficients],
             "epsilon": format_fraction(self.epsilon_certified),
         }
@@ -172,16 +170,14 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     e = sum(abs(c) for c in z) * emb.err
     value = Ball(values[0], e, s)
     if not values[0] - e > 1 << s:
-        raise errors.NotPisot(
-            f"value {mpmath.nstr(value.mid, 10)} not certified > 1"
-        )
+        raise errors.NotPisot(f"value {value.digits(10)} not certified > 1")
     moduli = []
     for i, v in enumerate(values[1:], start=1):
         m = Ball(abs(v), e, s)
         excess = Fraction(abs(v) + e, 1 << s) - eps
         if excess >= 0:
             raise errors.NotPisot(
-                f"conjugate {i} has modulus ~{mpmath.nstr(m.mid, 8)}, "
+                f"conjugate {i} has modulus ~{m.digits(8)}, "
                 f"exceeding epsilon={format_fraction(eps)} by "
                 f"{approx_ratio(excess.numerator, excess.denominator, 3)}"
             )

@@ -1,8 +1,9 @@
 """Certified complex roots of integer polynomials.
 
 `poly_roots` finds every root by Aberth-Ehrlich iterations in floats and
-Newton steps on fixed-point Gaussian integers, and certifies each with a
-disk whose radius comes from an exact residual: f evaluated exactly at the
+Newton steps on fixed-point Gaussian integers, with Aberth's steps in fixed
+point where floats overflow or a certificate fails, and certifies each with
+a disk whose radius comes from an exact residual: f evaluated exactly at the
 dyadic midpoint, whatever solver found it. `resultant` decides exactly
 whether two integer polynomials have a common root. `fixed_power` powers a
 fixed-point Gaussian integer with an integer error bound, for the threshold
@@ -16,10 +17,6 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float, mpf_shift, to_int
-
 from . import errors
 from .balls import GUARD_BITS, Ball, CBall
 from .lattice import IntLattice
@@ -31,9 +28,9 @@ if TYPE_CHECKING:
 # request above it, and root isolation's own doublings stop there; either
 # raises PrecisionExhausted, naming the bits.
 MAX_WORK_BITS = 1 << 15
-# Sweeps of one Aberth-Ehrlich run, at 53 bits or at a working precision.
+# Sweeps of one Aberth-Ehrlich run, in floats or in fixed point at w.
 ABERTH_STEPS = 200
-# Direction in which Aberth moves an approximation off a coincidence.
+# Direction in which float Aberth moves an approximation off a coincidence.
 _NUDGE = complex(0.6, 0.8)
 
 
@@ -53,18 +50,20 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     """All complex roots with certified, pairwise disjoint error disks.
 
     A repeated root is ruled out exactly first, since no precision separates
-    it. Approximations come from Aberth-Ehrlich iterations in floats (in mpc
-    at 53 bits when floats overflow or stall), refined by Newton steps on
-    fixed-point Gaussian integers (a + bi)/2^s as s doubles up to the working
-    precision w = precision_bits + 32 + GUARD_BITS. Soundness rests on none
-    of that: f is evaluated exactly at each dyadic midpoint x_i, and
-    |lead * prod_{j != i} (x_i - x_j)|^2 is an exact integer product, so the
-    Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
-    rounded upward only once. Those disks jointly cover the roots, and
-    contain exactly one root each once disjoint. When a certificate fails,
-    w doubles, up to MAX_WORK_BITS, and Aberth iterations at the new w
-    separate what floats could not before Newton refines them. A request
-    whose w exceeds MAX_WORK_BITS raises PrecisionExhausted at once.
+    it. Approximations come from Aberth-Ehrlich iterations in floats,
+    refined by Newton steps on fixed-point Gaussian integers (a + bi)/2^s as
+    s doubles up to the working precision w = precision_bits + 32 +
+    GUARD_BITS. When floats overflow or stall, the fixed-point steps start
+    from the Newton-polygon circles instead and are Aberth's (`_newton`).
+    Soundness rests on none of that: f is evaluated exactly at each dyadic
+    midpoint x_i, and |lead * prod_{j != i} (x_i - x_j)|^2 is an exact
+    integer product, so the Weierstrass radius
+    d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is rounded upward only
+    once. Those disks jointly cover the roots, and contain exactly one root
+    each once disjoint. When a certificate fails, w doubles, up to
+    MAX_WORK_BITS, and Aberth steps at the new w separate what the last
+    round could not. A request whose w exceeds MAX_WORK_BITS raises
+    PrecisionExhausted at once.
     """
     w = work_bits(precision_bits)
     if w > MAX_WORK_BITS:
@@ -76,11 +75,15 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
     df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
     if resultant(f_desc, df_desc) == 0:
         raise errors.NotSquarefree(f"{f} has a repeated root: Res(f, f') = 0")
-    approx, bits = _float_starts(f_desc), 53
+    bits = 53
+    approx = _float_starts(f_desc)
+    if approx is None:
+        zs, repel = _circle_starts(f_desc, bits), True
+    else:
+        zs, repel = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx], False
     while True:
-        starts = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
-        fixed = _newton(f_desc, starts, bits, w)
-        roots = _certified_roots(f, fixed, w, precision_bits)
+        zs = _newton(f_desc, zs, bits, w, repel)
+        roots = _certified_roots(f, zs, w, precision_bits)
         if roots is not None:
             return roots
         if 2 * w > MAX_WORK_BITS:
@@ -88,17 +91,7 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
                 f"root disks of {f} were not certified at {w} working bits; "
                 f"the cap is {MAX_WORK_BITS}"
             )
-        old, w = w, 2 * w
-        with mp.workprec(w):
-            approx, _ = _aberth(
-                [mpf(c) for c in f_desc],
-                [mpc(mpf((a, -old)), mpf((b, -old))) for a, b in fixed],
-                mpf(2) ** -w,
-                ABERTH_STEPS,
-            )
-        # The Aberth values carry w bits relative to their size, so they are
-        # read at that scale: a root below 2^-old is not rounded to 0.
-        bits = w
+        bits, w, repel = w, 2 * w, True
 
 
 def work_bits(precision_bits: int) -> int:
@@ -106,21 +99,23 @@ def work_bits(precision_bits: int) -> int:
     return precision_bits + 32 + GUARD_BITS
 
 
-def _aberth(coeffs, zs, unit, steps):
-    """Aberth-Ehrlich iterations on the roots of sum_k coeffs[k] x^(d-k)
-    (leading coefficient first) from the approximations zs, in their number
-    type: Python complex, or mpc under the caller's precision, with unit
-    roundoff `unit`. An approximation is done once |f(z)| is within the
-    rounding error of Horner's rule there, or its correction is below the
-    roundoff. Returns the approximations and whether all are done; an
-    overflow or a non-finite value stops early and counts as not done."""
+def _float_starts(f_desc):
+    """Approximations of all roots from Aberth-Ehrlich iterations in floats,
+    started on the circles of the Newton polygon; None when a value
+    overflows a float or the iteration stalls."""
+    try:
+        coeffs = [complex(c) for c in f_desc]
+        starts = [math.exp(lr) * u for lr, u in _start_circles(f_desc[::-1])]
+    except OverflowError:
+        return None
+    zs = list(starts)
     d = len(zs)
-    zs = list(zs)
     lead, tail = coeffs[0], list(zip(coeffs[1:], (abs(c) for c in coeffs[1:])))
     noise0 = abs(lead)
+    unit = 2.0**-53
     tol = 8 * d * unit
     done = [False] * d
-    for _ in range(steps):
+    for _ in range(ABERTH_STEPS):
         for i in range(d):
             if done[i]:
                 continue
@@ -133,7 +128,9 @@ def _aberth(coeffs, zs, unit, steps):
                 noise = noise * az + ac
             afz = abs(fz)
             if not (afz < math.inf and noise < math.inf):
-                return zs, False
+                return None
+            # Done once |f(z)| is within the rounding error of Horner's
+            # rule there, or the correction is below the roundoff.
             if afz <= tol * noise:
                 done[i] = True
                 continue
@@ -148,28 +145,23 @@ def _aberth(coeffs, zs, unit, steps):
             if abs(step) <= unit * az:
                 done[i] = True
         if all(done):
-            return zs, True
-    return zs, False
+            return zs
+    return None
 
 
-def _float_starts(f_desc):
-    """Approximations of all roots from Aberth-Ehrlich iterations in floats;
-    in mpc at 53 bits when a value overflows a float or the float iteration
-    stalls. They start on the circles of the Newton polygon."""
-    circles = _start_circles(f_desc[::-1])
-    try:
-        coeffs = [complex(c) for c in f_desc]
-        starts = [math.exp(lr) * u for lr, u in circles]
-        approx, ok = _aberth(coeffs, starts, 2.0**-53, ABERTH_STEPS)
-        if ok:
-            return approx
-    except OverflowError:
-        pass
-    with mp.workprec(53):
-        coeffs = [mpf(c) for c in f_desc]
-        starts = [mpmath.exp(lr) * mpc(u) for lr, u in circles]
-        approx, _ = _aberth(coeffs, starts, mpf(2) ** -53, ABERTH_STEPS)
-    return approx
+def _circle_starts(f_desc, p: int):
+    """The starting points of `_start_circles` as fixed-point Gaussian
+    integers at scale 2^p, for when floats overflow or stall: each radius
+    exp(lr) is 2^e * r with r in [1, 2), so no float holds more than r."""
+    out = []
+    for lr, u in _start_circles(f_desc[::-1]):
+        if lr == -math.inf:
+            out.append((0, 0))
+            continue
+        e = math.floor(lr / math.log(2))
+        r = 2.0 ** (lr / math.log(2) - e)
+        out.append((_to_fixed(r * u.real, p + e), _to_fixed(r * u.imag, p + e)))
+    return out
 
 
 def _start_circles(coefficients):
@@ -195,38 +187,87 @@ def _start_circles(coefficients):
     return out
 
 
-def _to_fixed(x, p: int) -> int:
-    """A float or mpf x as the nearest integer to 2^p * x."""
-    return to_int(mpf_shift(x._mpf_ if isinstance(x, mpf) else from_float(x), p), "n")
+def _to_fixed(x: float, p: int) -> int:
+    """The nearest integer to 2^p * x, ties to even: x = m * 2^e with m a
+    53-bit fraction, and scaling m by a power of two is exact in floats
+    until 2^p * x is an integer."""
+    m, e = math.frexp(x)
+    k = p + e - 53
+    return round(math.ldexp(m, 53 + min(k, 0))) << max(k, 0)
 
 
-def _newton(f_desc, zs, bits: int, w: int):
+def _newton(f_desc, zs, bits: int, w: int, repel: bool):
     """Newton steps on fixed-point Gaussian integers: (a, b) stands for
-    (a + bi)/2^p, given at p = bits. The scale p doubles up to w, one step
-    at each scale, and one more step runs at w. f and f' are evaluated
-    together by Horner's rule, with every product truncated to the scale."""
+    (a + bi)/2^p, given at p = bits. The scale p doubles up to w, one sweep
+    over the roots at each scale, and one more sweep runs at w.
+
+    With `repel`, each step is Aberth's (`_step`), each sweep uses the
+    approximations it has already moved, and the sweeps at w repeat, up to
+    ABERTH_STEPS, while some approximation still moves."""
     scales = []
     p = bits
     while not scales or p < w:
         p = min(2 * p, w)
         scales.append(p)
+    sweeps = [1] * len(scales) + [ABERTH_STEPS if repel else 1]
     scales.append(w)
-    lead, tail = f_desc[0], f_desc[1:]
-    out = []
-    for a, b in zs:
-        p = bits
-        for q in scales:
-            a, b, p = a << (q - p), b << (q - p), q
-            fr, fi, dr, di = lead << p, 0, 0, 0
-            for c in tail:
-                dr, di = ((dr * a - di * b) >> p) + fr, ((dr * b + di * a) >> p) + fi
-                fr, fi = ((fr * a - fi * b) >> p) + (c << p), (fr * b + fi * a) >> p
-            den = dr * dr + di * di
-            if den:
-                a -= ((fr * dr + fi * di) << p) // den
-                b -= ((fi * dr - fr * di) << p) // den
-        out.append((a, b))
-    return out
+    zs = list(zs)
+    p = bits
+    for q, count in zip(scales, sweeps):
+        zs = [(a << (q - p), b << (q - p)) for a, b in zs]
+        p = q
+        moving = range(len(zs))
+        for _ in range(count):
+            moving = [i for i in moving if _step(f_desc, zs, i, p, repel)]
+            if not moving:
+                break
+    return zs
+
+
+def _step(f_desc, zs, i: int, p: int, repel: bool) -> bool:
+    """Moves zs[i] by Newton's correction N = f/f' at scale 2^p: f and f'
+    are evaluated together by Horner's rule, with every product truncated
+    to the scale.
+
+    With `repel`, the step is Aberth's, N / (1 - sum_{j != i} N/(z_i - z_j)),
+    which pushes z_i off the other approximations; each ratio there is
+    dimensionless, so the scale holds it whatever the size of the roots. An
+    approximation that meets another, or whose correction has a zero
+    denominator, moves off the coincidence by 2^10 units. Returns False
+    once z_i has settled: |f(z_i)| within four times the truncation error
+    of Horner's rule, or a correction of at most one unit per part."""
+    a, b = zs[i]
+    fr, fi, dr, di = f_desc[0] << p, 0, 0, 0
+    size, noise = abs(a) + abs(b), 0
+    for c in f_desc[1:]:
+        dr, di = ((dr * a - di * b) >> p) + fr, ((dr * b + di * a) >> p) + fi
+        fr, fi = ((fr * a - fi * b) >> p) + (c << p), (fr * b + fi * a) >> p
+        if repel:
+            noise = (noise * size >> p) + 2
+    if repel and abs(fr) + abs(fi) <= 4 * noise:
+        return False
+    step = _ratio(fr, fi, dr, di, p)
+    if repel and step:
+        ratios = [_ratio(*step, a - u, b - v, p) for j, (u, v) in enumerate(zs) if j != i]
+        if all(ratios):
+            tr, ti = sum(r for r, _ in ratios), sum(q for _, q in ratios)
+            step = _ratio(*step, (1 << p) - tr, -ti, p)
+        else:
+            step = None
+    if step is None:
+        if not repel:
+            return False
+        step = (-((i + 1) << 10),) * 2
+    zs[i] = (a - step[0], b - step[1])
+    return abs(step[0]) > 1 or abs(step[1]) > 1
+
+
+def _ratio(xr: int, xi: int, yr: int, yi: int, p: int):
+    """2^p (xr + xi i) / (yr + yi i), floored per part; None when y = 0."""
+    den = yr * yr + yi * yi
+    if not den:
+        return None
+    return ((xr * yr + xi * yi) << p) // den, ((xi * yr - xr * yi) << p) // den
 
 
 def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None:

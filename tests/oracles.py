@@ -7,6 +7,7 @@ tests compare against them; the package itself does not use them.
 for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
 Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 (`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
+`mid` and `rad` are exact mpmath views of a `Ball` or `CBall`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from pisot import errors
 from pisot.algebraic import IntPoly
+from pisot.balls import CBall
 from pisot.lattice import IntLattice
 
 
@@ -150,6 +153,24 @@ def polyroots_oracle(f: IntPoly, bits: int) -> tuple:
     since several tests ask for the same polynomial at 2000 bits."""
     with mp.workprec(bits):
         return tuple(mpmath.polyroots(list(reversed(f.coefficients)), maxsteps=400, extraprec=64))
+
+
+def _exact(m: int, s: int):
+    """The mpf m / 2^s, exact whatever the context precision."""
+    return mp.make_mpf(from_man_exp(m, -s))
+
+
+def mid(x):
+    """The center of a Ball (an mpf) or a CBall (an mpc), exactly."""
+    if isinstance(x, CBall):
+        s = -x.scale
+        return mp.make_mpc((from_man_exp(x.re, s), from_man_exp(x.im, s)))
+    return _exact(x.center, x.scale)
+
+
+def rad(x):
+    """The radius of a Ball or a CBall as an mpf, exactly."""
+    return _exact(x.radius, x.scale)
 
 
 def mpf_to_fraction(x) -> Fraction:

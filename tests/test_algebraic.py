@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from pisot import errors
+from pisot import algebraic, errors
 from pisot import roots as isolation
 from pisot.algebraic import (
     FieldSpec,
@@ -27,14 +27,14 @@ from pisot.balls import GUARD_BITS
 from pisot.roots import MAX_WORK_BITS, work_bits
 
 from conftest import pisot_shaped
-from oracles import mpf_to_fraction, polyroots_oracle, scanned_threshold
+from oracles import mid, mpf_to_fraction, polyroots_oracle, rad, scanned_threshold
 
 GOLDEN = IntPoly((-1, -1, 1))  # x^2 - x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
 
 
 def _mid(b):
-    return float(b.mid)
+    return float(mid(b))
 
 
 def _real(emb, m):
@@ -233,7 +233,7 @@ class TestPolyRoots:
         roots = poly_roots(GOLDEN, 128)
         assert len(roots) == 2
         assert all(r.is_real for r in roots)
-        vals = sorted(float(r.value.mid.real) for r in roots)
+        vals = sorted(float(mid(r.value).real) for r in roots)
         phi = (1 + 5**0.5) / 2
         assert vals == pytest.approx([1 - phi, phi], abs=1e-12)
 
@@ -241,14 +241,14 @@ class TestPolyRoots:
         roots = poly_roots(PLASTIC, 128)
         reals = [r for r in roots if r.is_real]
         assert len(reals) == 1
-        assert float(reals[0].value.mid.real) == pytest.approx(1.3247179572, abs=1e-9)
+        assert float(mid(reals[0].value).real) == pytest.approx(1.3247179572, abs=1e-9)
         complexes = [r for r in roots if not r.is_real]
         assert len(complexes) == 2
-        assert float(complexes[0].modulus().mid) == pytest.approx(0.8688369, abs=1e-6)
+        assert float(mid(complexes[0].modulus())) == pytest.approx(0.8688369, abs=1e-6)
 
     def test_radii_are_tight(self):
         for r in poly_roots(PLASTIC, 128):
-            assert mpf_to_fraction(r.value.rad) < Fraction(1, 2**120)
+            assert mpf_to_fraction(rad(r.value)) < Fraction(1, 2**120)
 
     def test_repeated_root_exhausts(self):
         square = IntPoly((1, -2, 1))  # (x-1)^2
@@ -273,7 +273,7 @@ def _assert_isolated(f, roots, bits):
     hits = []
     with mp.workprec(bits):
         for z in polyroots_oracle(f, bits):
-            inside = [i for i, r in enumerate(roots) if abs(z - r.value.mid) <= r.value.rad]
+            inside = [i for i, r in enumerate(roots) if abs(z - mid(r.value)) <= rad(r.value)]
             assert len(inside) == 1, f"{mpmath.nstr(z, 20)} lies in {len(inside)} disks"
             assert roots[inside[0]].is_real == (abs(mpmath.im(z)) < mpf(2) ** (-bits // 2))
             hits += inside
@@ -305,7 +305,7 @@ def test_modulus_bounds_hold_the_oracle_modulus(f):
     roots = poly_roots(f, 128)
     with mp.workprec(2000):
         for z in polyroots_oracle(f, 2000):
-            (root,) = [r for r in roots if abs(z - r.value.mid) <= r.value.rad]
+            (root,) = [r for r in roots if abs(z - mid(r.value)) <= rad(r.value)]
             m = root.modulus()
             assert m.center - m.radius <= mpf_to_fraction(abs(z)) * 2**m.scale <= m.center + m.radius
 
@@ -345,17 +345,24 @@ def test_clustered_roots_take_two_rounds(monkeypatch):
     assert rounds == [work_bits(64), 2 * work_bits(64)]
 
 
-def test_coefficients_beyond_floats_take_the_mpc_start_path(monkeypatch):
-    kinds = []
-    aberth = isolation._aberth
+def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch):
+    # WIDE's coefficients overflow floats: no float start comes back, and
+    # Aberth runs on fixed-point starts from the Newton-polygon circles.
+    floats, circles = [], []
+    float_starts, circle_starts = isolation._float_starts, isolation._circle_starts
 
-    def recorded(coeffs, zs, unit, steps):
-        kinds.append(type(zs[0]))
-        return aberth(coeffs, zs, unit, steps)
+    def recorded_floats(f_desc):
+        floats.append(float_starts(f_desc))
+        return floats[-1]
 
-    monkeypatch.setattr(isolation, "_aberth", recorded)
+    def recorded_circles(f_desc, p):
+        circles.append(p)
+        return circle_starts(f_desc, p)
+
+    monkeypatch.setattr(isolation, "_float_starts", recorded_floats)
+    monkeypatch.setattr(isolation, "_circle_starts", recorded_circles)
     roots = poly_roots(WIDE, 128)
-    assert kinds and complex not in kinds
+    assert floats == [None] and circles == [53]
     _assert_isolated(WIDE, roots, 2000)
 
 
@@ -454,16 +461,18 @@ def test_working_bits_are_capped(monkeypatch):
 
 def test_embeddings_above_the_cap_compute_nothing(monkeypatch):
     calls = []
-    cos = mpmath.cos
-    monkeypatch.setattr(mpmath, "cos", lambda x: calls.append(x) or cos(x))
+    two_cosines = algebraic._two_cosines
+    monkeypatch.setattr(
+        algebraic, "_two_cosines", lambda n, ms, s: calls.append(set(ms)) or two_cosines(n, ms, s)
+    )
     spec = FieldSpec(kind="explicit", embedding_rows=(("1", "1"), ("1", "-1")),
                      stated_precision_bits=2 * MAX_WORK_BITS)
     for make in (lambda s: cyclotomic_embeddings(15, s), lambda s: explicit_embeddings(spec, s)):
         with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
             make(MAX_WORK_BITS + 1)
     assert calls == []
-    # One cosine per residue t*a mod 15 over t, a in {1, 2, 4, 7}: 7 of 16 entries.
-    assert cyclotomic_embeddings(15, 64).k == 4 and len(calls) == 7
+    # One call, for the residues t*a mod 15 over t, a in {1, 2, 4, 7}: 7 of 16 entries.
+    assert cyclotomic_embeddings(15, 64).k == 4 and calls == [{1, 2, 4, 7, 8, 13, 14}]
 
 
 def _fixed_roots(f, s):
@@ -472,9 +481,9 @@ def _fixed_roots(f, s):
     values, e = [], 0
     for r in poly_roots(f, s):
         assert r.is_real
-        q = mpf_to_fraction(r.value.mid.real) * 2**s
+        q = mpf_to_fraction(mid(r.value).real) * 2**s
         values.append(round(q))
-        e = max(e, int(abs(q - round(q)) + mpf_to_fraction(r.value.rad) * 2**s) + 1)
+        e = max(e, int(abs(q - round(q)) + mpf_to_fraction(rad(r.value)) * 2**s) + 1)
     return values, e
 
 
@@ -500,7 +509,7 @@ class TestAnalyzeMinpoly:
     def test_golden_threshold(self):
         info = analyze_minpoly(GOLDEN, 64)
         assert info.threshold_n0 == 2
-        assert float(info.second_modulus.mid) == pytest.approx(0.6180339887, abs=1e-9)
+        assert float(mid(info.second_modulus)) == pytest.approx(0.6180339887, abs=1e-9)
         assert info.dominant_root.is_real
 
     def test_plastic_threshold(self):

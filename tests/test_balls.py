@@ -1,8 +1,13 @@
-"""Ball records: certified comparisons on exact integers."""
+"""Ball records: certified comparisons on exact integers, and decimal digits."""
 
+import random
 from fractions import Fraction
 
+from mpmath import nstr
+
 from pisot.balls import Ball
+
+from oracles import mid
 
 
 def test_certified_comparisons():
@@ -15,3 +20,37 @@ def test_certified_comparisons():
     assert not b.gt(Fraction((5 << 63) - 1, 1 << 64))  # the radius is closed
     wide = Ball(0, 1, 0)
     assert not wide.gt(0) and not wide.lt(0)
+
+
+def _formatter_cases(count, seed):
+    """(center, scale, n) triples: random mantissas near unit magnitude;
+    exact t * 10^k for powers of ten, 10^n - 1 carries and halves at digit
+    n + 1; binary exponents out to +-20,000; and values around nstr's
+    switch to a power-of-ten division at 2^+-3500. About a third negative."""
+    rng = random.Random(seed)
+    cases = [(0, 0, 20)]
+    for _ in range(count):
+        n = rng.choice((1, 3, 8, 10, 20, 40))
+        kind = rng.randrange(4)
+        if kind == 0:
+            c, s = rng.getrandbits(rng.randint(1, 400)) or 1, rng.randint(-64, 600)
+        elif kind == 1:
+            k = rng.randint(-1500, 1500)
+            t = rng.choice((1, 5, 15, 95, 10**n - 1, 10 ** (n + 1) - 5, 5 * 10**n, 10**n + 5))
+            c, s = (t * 10**k, 0) if k >= 0 else (t * 5**-k, -k)
+            shift = rng.randint(0, 64)
+            c, s = c << shift, s + shift
+        elif kind == 2:
+            c, s = rng.getrandbits(rng.randint(1, 200)) or 1, rng.randint(-20000, 20000)
+        else:
+            bits = rng.randint(3400, 4000)
+            c = rng.getrandbits(bits) | 1
+            s = bits + rng.choice((-3501, -3500, -3499, 3499, 3500, 3501))
+        cases.append((-c if rng.random() < 0.3 else c, s, n))
+    return cases
+
+
+def test_digits_match_nstr():
+    for c, s, n in _formatter_cases(2000, seed=12):
+        b = Ball(c, 1, s)
+        assert b.digits(n) == nstr(mid(b), n), (c, s, n)

@@ -534,6 +534,14 @@ def test_unsupported_conductor_is_a_failure(capsys, conductor):
     assert code == 1 and err.startswith("UnsupportedConductor:")
 
 
+@pytest.mark.parametrize("m", [15, 21, 33])
+def test_conductor_2_mod_4_prints_what_its_odd_half_prints(capsys, m):
+    # Q(zeta_2m) = Q(zeta_m) for odd m: the same field, search and answer.
+    half = invoke(capsys, "find", "--conductor", str(m), "--json")
+    assert half[0] == 0 and json.loads(half[1])["conductor"] == m
+    assert invoke(capsys, "find", "--conductor", str(2 * m), "--json") == half
+
+
 def test_huge_values_fail_with_a_typed_message(capsys, tmp_path):
     # Error messages print these magnitudes; beyond the float range they
     # must not end in an OverflowError traceback.
