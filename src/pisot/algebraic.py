@@ -25,7 +25,7 @@ from math import gcd
 from . import errors
 from .balls import GUARD_BITS, Ball
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, resultant, work_bits
+from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, share_a_root, work_bits
 
 THRESHOLD_CAP = 99999
 
@@ -448,9 +448,10 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     # At d >= 3 an irreducible Pisot f shares no root with x^d f(1/x): that
     # makes f reciprocal, pairing each root r with 1/r, and one root outside
     # the unit disk cannot pair with d-1 >= 2 inside. A root on the unit
-    # circle is shared (its conjugate is its reciprocal). x^2 - 3x + 1 is
-    # reciprocal and Pisot, so d = 2 is exempt.
-    if f.degree >= 3 and resultant(list(reversed(f.coefficients)), list(f.coefficients)) == 0:
+    # circle is shared (its conjugate is its reciprocal). Decided exactly,
+    # before any root isolation, by gcd(f, x^d f(1/x)) over Z. x^2 - 3x + 1
+    # is reciprocal and Pisot, so d = 2 is exempt.
+    if f.degree >= 3 and share_a_root(list(reversed(f.coefficients)), list(f.coefficients)):
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
     prec = precision_bits

@@ -27,6 +27,13 @@ from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 MAX_N = 10**19
 MAX_N_CHARS = 20
 MAX_EXACT_N = 10**6
+# `bound` raises delta's denominator to the power degree - 1, so its cost
+# grows with the denominator's digits: at this cap, --delta 1e-1000 at degree
+# MAX_SEARCH_DEGREE takes about 0.3 s in a fresh process on a 2-CPU host,
+# where 1e-30000 would take minutes. The text cap fits "num/den" with the
+# denominator at the cap.
+MAX_DELTA_DIGITS = 1000
+MAX_DELTA_CHARS = 2 * MAX_DELTA_DIGITS + 2
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -105,6 +112,31 @@ def _parse_epsilon(s: str) -> Fraction:
     if not 0 < eps <= 1:
         raise errors.ParseError(f"--epsilon must lie in (0, 1], got {s}")
     return eps
+
+
+def _parse_delta(s: str) -> Fraction:
+    """--delta: a rational in (0, 1) whose denominator, and so its
+    numerator, is at most 10^MAX_DELTA_DIGITS. Decided before any work, and
+    the text and its decimal exponent before Fraction(), which expands
+    "1e-N" into 10^N however large N is."""
+    if len(s) > MAX_DELTA_CHARS:
+        raise errors.ParseError(f"--delta takes at most {MAX_DELTA_CHARS} characters, got {len(s)}")
+    try:
+        exponent = int(s.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # not an exponent: Fraction() rejects the text
+    if abs(exponent) > MAX_DELTA_DIGITS:
+        raise errors.ParseError(
+            f"--delta's exponent must lie within +-{MAX_DELTA_DIGITS}, got {exponent}"
+        )
+    delta = _parse_rational(s)
+    if not 0 < delta < 1:
+        raise errors.ParseError(f"--delta must lie in (0, 1), got {s}")
+    if delta.denominator > 10**MAX_DELTA_DIGITS:
+        raise errors.ParseError(
+            f"--delta's denominator must be at most 10^{MAX_DELTA_DIGITS} (MAX_DELTA_DIGITS)"
+        )
+    return delta
 
 
 def _parse_n(s: str) -> int:
@@ -283,9 +315,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_bound(args):
-    delta = _parse_rational(args.delta)
-    if not 0 < delta < 1:
-        raise errors.ParseError(f"--delta must lie in (0, 1), got {args.delta}")
+    delta = _parse_delta(args.delta)
     if not 2 <= args.degree <= MAX_SEARCH_DEGREE:
         raise errors.ParseError(
             f"--degree must lie in [2, {MAX_SEARCH_DEGREE}] (MAX_SEARCH_DEGREE), got {args.degree}"

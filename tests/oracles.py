@@ -1,5 +1,5 @@
-"""Test oracles: a brute-force shortest vector, companion-matrix powers and
-polynomial roots.
+"""Test oracles: a brute-force shortest vector, companion-matrix powers,
+polynomial roots and resultants.
 
 They compute what the package computes by slower, independent means, so the
 tests compare against them; the package itself does not use them.
@@ -8,6 +8,7 @@ for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
 Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 (`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
 `mid` and `rad` are exact mpmath views of a `Ball` or `CBall`.
+`sylvester_resultant` is the oracle for the common-root test `share_a_root`.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def svp_bruteforce(lat: IntLattice, coeff_bound: int):
 
     recurse(0, False)
     return best_vec, best_coeffs, best_norm
+
+
+def sylvester_resultant(f_desc, g_desc) -> int:
+    """Res(f, g) for coefficient lists with the leading coefficient first:
+    the Bareiss determinant of the Sylvester matrix. It is zero exactly when
+    f and g have a common root."""
+    m, n = len(f_desc) - 1, len(g_desc) - 1
+    rows = [[0] * i + list(f_desc) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g_desc) + [0] * (m - 1 - i) for i in range(m)]
+    return IntLattice(tuple(map(tuple, rows))).det()
 
 
 @dataclass(frozen=True)

@@ -561,7 +561,7 @@ RECIPROCAL = {
 
 @pytest.mark.parametrize("coeffs", RECIPROCAL.values(), ids=RECIPROCAL.keys())
 def test_shared_root_with_reciprocal_rejected(coeffs, monkeypatch):
-    # Decided by Res(f, x^d f(1/x)) = 0, before any root isolation.
+    # Decided by gcd(f, x^d f(1/x)) over Z, before any root isolation.
     def no_numerics(*args):
         raise AssertionError("poly_roots ran")
 

@@ -16,6 +16,7 @@ import pytest
 from pisot import cli, errors
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
+from pisot.lattice import IntLattice
 from pisot.pisotsearch import MAX_SEARCH_DEGREE
 from pisot.powtrace import nearest_power
 from conftest import pisot_shaped
@@ -527,6 +528,47 @@ def test_bound_at_the_degree_cap(capsys):
     assert code == 0 and float(out) > 2 ** (MAX_SEARCH_DEGREE - 1)
 
 
+BOUND_AT_CAP = ("bound", "--degree", str(MAX_SEARCH_DEGREE), "--disc", "7", "--delta")
+DELTA_CAP = 10**cli.MAX_DELTA_DIGITS
+
+
+@pytest.mark.parametrize(
+    "delta,what",
+    [
+        ("0." + "1" * (cli.MAX_DELTA_CHARS - 1), "characters"),
+        (f"1e-{cli.MAX_DELTA_DIGITS + 1}", "exponent"),
+        (f"1e-{10**9}", "exponent"),
+        (f"1/{DELTA_CAP + 1}", "denominator"),
+    ],
+    ids=["chars", "exponent", "exponent-10^9", "denominator"],
+)
+def test_delta_beyond_its_caps_is_usage_error(capsys, delta, what):
+    # Decided before minkowski_bound: 1e-30000 once ran for minutes.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *BOUND_AT_CAP, delta)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: --delta") and what in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [f"1e-{cli.MAX_DELTA_DIGITS}", f"1/{DELTA_CAP}", f"{DELTA_CAP - 1}/{DELTA_CAP}"],
+    ids=["exponent", "denominator", "chars"],
+)
+def test_delta_at_its_caps_is_served_at_once(capsys, delta):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, *BOUND_AT_CAP, delta)
+    assert code == 0 and float(out) > 1
+    assert time.perf_counter() - start < 1
+
+
+def test_small_delta_prints_what_it_printed(capsys):
+    # byte for byte what `bound` printed before --delta was capped
+    code, out, _ = invoke(capsys, *BOUND_AT_CAP, "1e-300")
+    assert code == 0 and out == "2.6457513110645905905e+20100\n"
+
+
 @pytest.mark.parametrize("conductor", ["1", "4", "6"])
 def test_unsupported_conductor_is_a_failure(capsys, conductor):
     # A well-formed conductor whose field has degree < 2 or is 2 mod 4.
@@ -665,6 +707,30 @@ def test_threshold_beyond_the_cap_fails_at_once(capsys, monkeypatch, expr):
     code, _, err = invoke(capsys, "threshold", "--minpoly", expr)
     assert code == 1 and err.startswith("PrecisionExhausted: threshold n0 > 99999")
     assert len(calls) == 1
+
+
+def test_knacci_threshold_computes_no_determinant(capsys, monkeypatch):
+    # The common-root tests are gcds, not O(d^3) Sylvester determinants.
+    def no_determinant(self):
+        raise AssertionError("IntLattice.det ran")
+
+    monkeypatch.setattr(IntLattice, "det", no_determinant)
+    code, out, _ = invoke(capsys, "threshold", "--minpoly", str(IntPoly((-1,) * 30 + (1,))))
+    assert code == 0 and int(out) > 0
+
+
+@pytest.mark.parametrize(
+    "expr,error",
+    [
+        ("x^6-2x^4-2x^3+x^2+2x+1", "NotSquarefree"),  # (x^3-x-1)^2
+        ("x^4-2x^3-x^2+2x+1", "NotSquarefree"),  # (x^2-x-1)^2
+        ("x^4-x^3-x^2+1", "NotPisot"),  # (x-1)(x^3-x-1)
+    ],
+)
+def test_modular_pow_keeps_the_error_class(capsys, expr, error):
+    code, out, err = invoke(capsys, "pow", "--minpoly", expr, "-n", "1000", "-m", str(PRIME))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ")
 
 
 def test_cli_import_loads_no_numpy():
