@@ -34,6 +34,12 @@ MAX_EXACT_N = 10**6
 # denominator at the cap.
 MAX_DELTA_DIGITS = 1000
 MAX_DELTA_CHARS = 2 * MAX_DELTA_DIGITS + 2
+# `find` scales its lattice by P ~ 1/epsilon^k, so its entries grow by k
+# bits per bit of 1/epsilon. At this cap, `find --epsilon 1e-100` takes 0.2 to
+# 2.0 s at k = 2 ... 12 (conductors 5 to 35) in a fresh process on a 2-CPU
+# host, where 1e-150 takes 22 s at k = 8 and 1e-1000 54 s at k = 3.
+MAX_EPSILON_DIGITS = 100
+MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -107,8 +113,29 @@ def _parse_rational(s: str) -> Fraction:
         raise errors.ParseError(f"bad rational {s!r}") from exc
 
 
+def _capped_rational(s: str, option: str, digits: int, chars: int) -> Fraction:
+    """A rational given in at most `chars` characters, with a decimal
+    exponent within +-`digits` and a denominator of at most 10^`digits`.
+    The text and its exponent are checked before Fraction(), which expands
+    "1e-N" into 10^N however large N is."""
+    if len(s) > chars:
+        raise errors.ParseError(f"{option} takes at most {chars} characters, got {len(s)}")
+    try:
+        exponent = int(s.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # not an exponent: Fraction() rejects the text
+    if abs(exponent) > digits:
+        raise errors.ParseError(f"{option}'s exponent must lie within +-{digits}, got {exponent}")
+    value = _parse_rational(s)
+    if value.denominator > 10**digits:
+        raise errors.ParseError(f"{option}'s denominator must be at most 10^{digits}")
+    return value
+
+
 def _parse_epsilon(s: str) -> Fraction:
-    eps = _parse_rational(s)
+    """--epsilon: a rational in (0, 1] whose denominator, and so its
+    numerator, is at most 10^MAX_EPSILON_DIGITS; decided before any work."""
+    eps = _capped_rational(s, "--epsilon", MAX_EPSILON_DIGITS, MAX_EPSILON_CHARS)
     if not 0 < eps <= 1:
         raise errors.ParseError(f"--epsilon must lie in (0, 1], got {s}")
     return eps
@@ -116,26 +143,10 @@ def _parse_epsilon(s: str) -> Fraction:
 
 def _parse_delta(s: str) -> Fraction:
     """--delta: a rational in (0, 1) whose denominator, and so its
-    numerator, is at most 10^MAX_DELTA_DIGITS. Decided before any work, and
-    the text and its decimal exponent before Fraction(), which expands
-    "1e-N" into 10^N however large N is."""
-    if len(s) > MAX_DELTA_CHARS:
-        raise errors.ParseError(f"--delta takes at most {MAX_DELTA_CHARS} characters, got {len(s)}")
-    try:
-        exponent = int(s.lower().partition("e")[2] or 0)
-    except ValueError:
-        exponent = 0  # not an exponent: Fraction() rejects the text
-    if abs(exponent) > MAX_DELTA_DIGITS:
-        raise errors.ParseError(
-            f"--delta's exponent must lie within +-{MAX_DELTA_DIGITS}, got {exponent}"
-        )
-    delta = _parse_rational(s)
+    numerator, is at most 10^MAX_DELTA_DIGITS; decided before any work."""
+    delta = _capped_rational(s, "--delta", MAX_DELTA_DIGITS, MAX_DELTA_CHARS)
     if not 0 < delta < 1:
         raise errors.ParseError(f"--delta must lie in (0, 1), got {s}")
-    if delta.denominator > 10**MAX_DELTA_DIGITS:
-        raise errors.ParseError(
-            f"--delta's denominator must be at most 10^{MAX_DELTA_DIGITS} (MAX_DELTA_DIGITS)"
-        )
     return delta
 
 

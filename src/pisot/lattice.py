@@ -1,9 +1,11 @@
 """LLL reduction with transform tracking, plus a reducedness check.
 
-`lll_reduce` runs two steps, each also public. `float_reduce` (after Nguyen
-and Stehle's L^2) does the bulk of the work: exact integer basis and
-transform updates, Gram-Schmidt coefficients as floats from exact inner
-products, and the exact kernel's decision rules. Its transform is
+`lll_reduce` runs two steps, each also public. `float_reduce` (after
+Schnorr and Euchner, and Nguyen and Stehle's L^2) does the bulk of the
+work: exact integer updates of the transform and the Gram matrix,
+Gram-Schmidt coefficients as floats from exact inner products, recomputed
+only where a column operation made them stale, the exact kernel's decision
+rules, and the basis formed once from the transform. Its transform is
 unimodular by construction, but its basis is not certified reduced.
 `finish_reduce` then runs the all-integer kernel of de Weger / Cohen Alg.
 2.6.7 from that basis and transform: every quantity there is an exact
@@ -138,13 +140,20 @@ def _dot(u, v):
 
 def _float_pass(b, u, delta):
     """LLL with exact integer updates and a floating-point Gram-Schmidt, in
-    the manner of Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
+    the manner of Schnorr and Euchner (Math. Programming 66, 1994) and
+    Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
 
-    Reduces the columns `b` in place and applies every column operation to
-    the columns `u` and to their exact Gram matrix as well, so b = original
-    * u keeps holding. r and mu are floats computed from the exact inner
-    products, all shifted right by one common power of two so they fit a
-    float; mu and the Lovasz test do not depend on that scale. The decisions are the exact kernel's: reduce when
+    Applies every column operation to the columns `u` and to the exact Gram
+    matrix of original * u, and on exit, however the pass ends, sets the
+    columns `b` in place to original * u. r and mu are floats computed from
+    the exact inner products, all shifted right by one common power of two
+    so they fit a float; mu and the Lovasz test do not depend on that scale.
+    Each row of r and mu keeps a count of its leading entries that are still
+    current, and only the rest are recomputed: a swap at k leaves b*_0 ...
+    b*_{k-2} as they were, and a size reduction of column k changes only the
+    inner products with b_k. A kept float has the same inputs, in the same
+    order, as its recomputation would, so every decision is the one a full
+    recomputation makes. The decisions are the exact kernel's: reduce when
     |mu| > 1/2, rounding half away from zero, and swap on strict failure of
     Lovasz with the caller's delta. Column k is size-reduced against all
     earlier columns before its Lovasz test; that changes b_k only by
@@ -155,26 +164,33 @@ def _float_pass(b, u, delta):
     non-finite mu or more swaps than exact LLL can make, it stops where it is.
     """
     n = len(b)
-    g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix, kept with b
+    g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix of original * u
     top = max(g[i][i] for i in range(n)).bit_length()
     shift = max(0, top - _FLOAT_BITS)
     r = [[0.0] * n for _ in range(n)]
     mu = [[0.0] * n for _ in range(n)]
+    # fresh[k] leading entries of r[k] and mu[k] are current; r[k][k] is
+    # recomputed on every visit, since nothing leaves it current. Rows after
+    # the current column k keep at most k entries, since the pass came to k
+    # from k - 1 or by a swap at k + 1; so a size reduction of column k,
+    # which changes only inner products with b_k, makes only row k stale.
+    fresh = [0] * n
     d = float(delta)
     # Every exact swap multiplies prod_i D_i, at most 2^(n*n*top) and at
     # least 1, by less than delta.
     swaps_left = math.ceil(n * n * top / (1 - delta))
 
     def gso_row(k):
-        # r[k][:k+1] and mu[k][:k] of column k.
+        # r[k][:k+1] and mu[k][:k] of column k, from entry fresh[k] on.
         gk, rk, muk = g[k], r[k], mu[k]
-        for j in range(k):
+        for j in range(fresh[k], k):
             muj = mu[j]
             t = float(gk[j] >> shift)
             for i in range(j):
                 t -= muj[i] * rk[i]
             rk[j] = t
             muk[j] = t / r[j][j]
+        fresh[k] = k
         t = float(gk[k] >> shift)
         for j in range(k):
             t -= muk[j] * rk[j]
@@ -184,7 +200,7 @@ def _float_pass(b, u, delta):
         # Sweeps column k until no |mu| exceeds 1/2 or a sweep stops
         # shrinking it; False on a non-finite mu.
         gso_row(k)
-        bk, uk, gk, muk = b[k], u[k], g[k], mu[k]
+        uk, gk, muk = u[k], g[k], mu[k]
         while True:
             norm, swept = gk[k], False
             for l in range(k - 1, -1, -1):
@@ -196,29 +212,42 @@ def _float_pass(b, u, delta):
                     x = math.floor(abs(m) + 0.5)
                     if m < 0:
                         x = -x
-                    bl, ul, gl, mul = b[l], u[l], g[l], mu[l]
-                    for i in range(n):
-                        bk[i] -= x * bl[i]
-                        uk[i] -= x * ul[i]
+                    ul, gl, mul = u[l], g[l], mu[l]
                     gkk = gk[k] - x * (2 * gk[l] - x * gl[l])
-                    for j in range(n):
-                        gk[j] -= x * gl[j]
+                    # One loop updates u_k and row and column k of the Gram
+                    # matrix, with no product when x = +-1, as in most
+                    # reductions; the entry (k, k) is gkk.
+                    if x == 1:
+                        for j in range(n):
+                            uk[j] -= ul[j]
+                            g[j][k] = gk[j] = gk[j] - gl[j]
+                    elif x == -1:
+                        for j in range(n):
+                            uk[j] += ul[j]
+                            g[j][k] = gk[j] = gk[j] + gl[j]
+                    else:
+                        for j in range(n):
+                            uk[j] -= x * ul[j]
+                            g[j][k] = gk[j] = gk[j] - x * gl[j]
                     gk[k] = gkk
-                    for j in range(n):
-                        g[j][k] = gk[j]
                     for j in range(l):
                         muk[j] -= x * mul[j]
             if not swept:
                 return True
+            fresh[k] = 0
             gso_row(k)
             if gk[k] >= norm:
                 return True
 
     def swap(k):
-        for v in (b, u, g):
+        for v in (u, g, r, mu, fresh):
             v[k], v[k - 1] = v[k - 1], v[k]
         for row in g:
             row[k], row[k - 1] = row[k - 1], row[k]
+        # b*_0 ... b*_{k-2} stay as they were; entries k-1 on do not.
+        for i in range(k - 1, n):
+            if fresh[i] > k - 1:
+                fresh[i] = k - 1
 
     try:
         gso_row(0)
@@ -247,6 +276,9 @@ def _float_pass(b, u, delta):
                 return
     except OverflowError:
         return
+    finally:
+        rows = list(zip(*b))
+        b[:] = [[_dot(row, uj) for row in rows] for uj in u]
 
 
 def _lll_columns(basis, delta_num, delta_den, transform):

@@ -44,10 +44,11 @@ SEARCH_RETRY_CAP = 8
 FLOOR_BITS = 256
 # The largest field degree k that `find`, `verify` and `bound --degree` take
 # on the command line; above it they are usage errors, decided before any
-# embedding is computed. `find` at epsilon 1 on conductor 137 (k = 68) takes
-# 26-29 s in a fresh process on a 2-CPU host with Python 3.11; at k = 69 and
-# 70 some runs take over 30 s.
-MAX_SEARCH_DEGREE = 68
+# embedding is computed. `find` at epsilon 1 takes at most 24.1 s in a fresh
+# process on a 2-CPU host with Python 3.11, over three runs of each conductor
+# of degree 68 to 75 (16 conductors, 151 the slowest); at k = 78 conductor 169
+# takes 31 s. No conductor gives k = 76 or 77.
+MAX_SEARCH_DEGREE = 75
 
 
 @dataclass(frozen=True)

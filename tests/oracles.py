@@ -9,6 +9,8 @@ Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 (`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
 `mid` and `rad` are exact mpmath views of a `Ball` or `CBall`.
 `sylvester_resultant` is the oracle for the common-root test `share_a_root`.
+`float_pass_oracle` is the LLL float pass before it kept current Gram-Schmidt
+entries, the oracle for `lattice._float_pass`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from mpmath.libmp import from_man_exp
 from pisot import errors
 from pisot.algebraic import IntPoly
 from pisot.balls import CBall
-from pisot.lattice import IntLattice
+from pisot.lattice import _FLOAT_BITS, IntLattice, _dot
 
 
 class DimensionTooLarge(errors.PisotError):
@@ -226,3 +228,120 @@ def nearest_power_oracle(f: IntPoly, ns) -> dict:
     with mp.workprec(bits):
         alpha = max(polyroots_oracle(f, bits), key=lambda z: z.real).real
         return {n: int(mpmath.nint(alpha**n)) for n in ns}
+
+
+def float_pass_oracle(b, u, delta):
+    """The reference for `lattice._float_pass`: the same pass, recomputing
+    every Gram-Schmidt row in full and updating `b` with every column
+    operation. The pass must return the same `b` and `u` on every input.
+
+    LLL with exact integer updates and a floating-point Gram-Schmidt, in
+    the manner of Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
+
+    Reduces the columns `b` in place and applies every column operation to
+    the columns `u` and to their exact Gram matrix as well, so b = original
+    * u keeps holding. r and mu are floats computed from the exact inner
+    products, all shifted right by one common power of two so they fit a
+    float; mu and the Lovasz test do not depend on that scale. The decisions are the exact kernel's: reduce when
+    |mu| > 1/2, rounding half away from zero, and swap on strict failure of
+    Lovasz with the caller's delta. Column k is size-reduced against all
+    earlier columns before its Lovasz test; that changes b_k only by
+    multiples of b_0 ... b_{k-2}, which leaves mu_{k,k-1}, r_kk and so every
+    swap the same. A wrong decision near a tie is possible, so the pass
+    certifies nothing: `finish_reduce` runs the exact kernel after it. The
+    pass never raises; on a column it cannot accept with r_kk > 0, a
+    non-finite mu or more swaps than exact LLL can make, it stops where it is.
+    """
+    n = len(b)
+    g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix, kept with b
+    top = max(g[i][i] for i in range(n)).bit_length()
+    shift = max(0, top - _FLOAT_BITS)
+    r = [[0.0] * n for _ in range(n)]
+    mu = [[0.0] * n for _ in range(n)]
+    d = float(delta)
+    # Every exact swap multiplies prod_i D_i, at most 2^(n*n*top) and at
+    # least 1, by less than delta.
+    swaps_left = math.ceil(n * n * top / (1 - delta))
+
+    def gso_row(k):
+        # r[k][:k+1] and mu[k][:k] of column k.
+        gk, rk, muk = g[k], r[k], mu[k]
+        for j in range(k):
+            muj = mu[j]
+            t = float(gk[j] >> shift)
+            for i in range(j):
+                t -= muj[i] * rk[i]
+            rk[j] = t
+            muk[j] = t / r[j][j]
+        t = float(gk[k] >> shift)
+        for j in range(k):
+            t -= muk[j] * rk[j]
+        rk[k] = t
+
+    def size_reduce(k):
+        # Sweeps column k until no |mu| exceeds 1/2 or a sweep stops
+        # shrinking it; False on a non-finite mu.
+        gso_row(k)
+        bk, uk, gk, muk = b[k], u[k], g[k], mu[k]
+        while True:
+            norm, swept = gk[k], False
+            for l in range(k - 1, -1, -1):
+                m = muk[l]
+                if abs(m) > 0.5:
+                    swept = True
+                    if not math.isfinite(m):
+                        return False
+                    x = math.floor(abs(m) + 0.5)
+                    if m < 0:
+                        x = -x
+                    bl, ul, gl, mul = b[l], u[l], g[l], mu[l]
+                    for i in range(n):
+                        bk[i] -= x * bl[i]
+                        uk[i] -= x * ul[i]
+                    gkk = gk[k] - x * (2 * gk[l] - x * gl[l])
+                    for j in range(n):
+                        gk[j] -= x * gl[j]
+                    gk[k] = gkk
+                    for j in range(n):
+                        g[j][k] = gk[j]
+                    for j in range(l):
+                        muk[j] -= x * mul[j]
+            if not swept:
+                return True
+            gso_row(k)
+            if gk[k] >= norm:
+                return True
+
+    def swap(k):
+        for v in (b, u, g):
+            v[k], v[k - 1] = v[k - 1], v[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+
+    try:
+        gso_row(0)
+        if not r[0][0] > 0:
+            return
+        k = 1
+        while k < n:
+            if not size_reduce(k):
+                return
+            rkk, prev, m = r[k][k], r[k - 1][k - 1], mu[k][k - 1]
+            # Cancellation can leave a tiny r_kk <= 0; then Lovasz fails
+            # and b_k moves down, so no r_kk <= 0 is ever divided by.
+            if rkk + m * m * prev < d * prev:
+                swap(k)
+                swaps_left -= 1
+                if swaps_left < 0:
+                    return
+                if k == 1:
+                    gso_row(0)
+                    if not r[0][0] > 0:
+                        return
+                k = max(k - 1, 1)
+            elif rkk > 0:
+                k += 1
+            else:
+                return
+    except OverflowError:
+        return

@@ -564,9 +564,46 @@ def test_delta_at_its_caps_is_served_at_once(capsys, delta):
 
 
 def test_small_delta_prints_what_it_printed(capsys):
-    # byte for byte what `bound` printed before --delta was capped
-    code, out, _ = invoke(capsys, *BOUND_AT_CAP, "1e-300")
+    # byte for byte what `bound` printed at degree 68, then the degree cap,
+    # before --delta was capped
+    code, out, _ = invoke(capsys, "bound", "--degree", "68", "--disc", "7", "--delta", "1e-300")
     assert code == 0 and out == "2.6457513110645905905e+20100\n"
+
+
+EPSILON_CAP = 10**cli.MAX_EPSILON_DIGITS
+
+
+@pytest.mark.parametrize("command", ["find", "verify"])
+@pytest.mark.parametrize(
+    "epsilon,what",
+    [
+        ("0." + "1" * (cli.MAX_EPSILON_CHARS - 1), "characters"),
+        (f"1e-{cli.MAX_EPSILON_DIGITS + 1}", "exponent"),
+        ("1e-1000000", "exponent"),
+        (f"1/{EPSILON_CAP + 1}", "denominator"),
+    ],
+    ids=["chars", "exponent", "exponent-10^6", "denominator"],
+)
+def test_epsilon_beyond_its_caps_is_usage_error(capsys, command, epsilon, what):
+    # Decided before any embedding: find at 1e-1000000 once ran without end.
+    argv = [command, "--conductor", "5", "--epsilon", epsilon]
+    if command == "verify":
+        argv += ["--coeffs", "1,1"]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: --epsilon") and what in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "epsilon",
+    [f"1e-{cli.MAX_EPSILON_DIGITS}", f"1/{EPSILON_CAP}", f"{EPSILON_CAP - 1}/{EPSILON_CAP}"],
+    ids=["exponent", "denominator", "chars"],
+)
+def test_epsilon_at_its_caps_is_served(capsys, epsilon):
+    code, out, _ = invoke(capsys, "find", "--conductor", "5", "--epsilon", epsilon, "--json")
+    assert code == 0 and json.loads(out)["epsilon"]
 
 
 @pytest.mark.parametrize("conductor", ["1", "4", "6"])

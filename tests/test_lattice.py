@@ -15,8 +15,13 @@ from pisot.lattice import (
     check_reduced,
     lll_reduce,
 )
-from pisot.pisotsearch import DEFAULT_Q, build_scaled_lattice, compute_scale_P
-from oracles import DimensionTooLarge, svp_bruteforce
+from pisot.pisotsearch import (
+    DEFAULT_Q,
+    build_scaled_lattice,
+    compute_scale_P,
+    practical_scale_P,
+)
+from oracles import DimensionTooLarge, float_pass_oracle, svp_bruteforce
 
 
 def random_lattice(rng: random.Random, k: int, bound: int = 1 << 20) -> IntLattice:
@@ -190,6 +195,55 @@ class TestFloatPass:
         cols.append(tuple(a - 3 * b for a, b in zip(cols[0], cols[4])))
         with pytest.raises(errors.RankDeficient):
             lll_reduce(IntLattice(tuple(cols)))
+
+
+def assert_same_as_float_pass_oracle(lat: IntLattice, delta: Fraction = Fraction(3, 4)):
+    b, u = [list(col) for col in lat.basis], identity(lat.k)
+    _float_pass(b, u, delta)
+    b0, u0 = [list(col) for col in lat.basis], identity(lat.k)
+    float_pass_oracle(b0, u0, delta)
+    assert b == b0
+    assert u == u0
+
+
+class TestFloatPassOracle:
+    """_float_pass recomputes only the Gram-Schmidt entries a column
+    operation made stale, and forms b from u once, on exit. It must return
+    the very b and u of the oracle, which recomputes every row and updates b
+    with every column operation."""
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_random_bases(self, k, delta):
+        rng = random.Random(7919 * k + delta.denominator)
+        for bits in (8, 64, 200):
+            assert_same_as_float_pass_oracle(random_lattice(rng, k, 1 << bits), delta)
+
+    @pytest.mark.parametrize("scale", [practical_scale_P, compute_scale_P])
+    @pytest.mark.parametrize("conductor", [15, 17, 29, 41, 61])
+    def test_scaled_search_lattices(self, conductor, scale):
+        # Conductor 17 at compute_scale_P drives the float r_kk to <= 0.
+        spec = FieldSpec(kind="cyclotomic", conductor=conductor)
+        emb = embeddings_for(spec, 256)
+        P = scale(emb.k, emb.discriminant, 1)
+        emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
+        assert_same_as_float_pass_oracle(build_scaled_lattice(emb, P, DEFAULT_Q))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entries_beyond_float_range(self, seed):
+        # Norms near 2^1400: the Gram entries are shifted before float().
+        rng = random.Random(600 + seed)
+        lat = IntLattice(tuple(
+            tuple(rng.choice((-1, 1)) * rng.randint(1 << 600, 1 << 700) for _ in range(5))
+            for _ in range(5)
+        ))
+        assert_same_as_float_pass_oracle(lat)
+
+    def test_pass_that_stops_early(self):
+        # After two swaps r_00 underflows to 0.0 and the pass stops; b must
+        # still be original * u.
+        big = 1 << 2500
+        assert_same_as_float_pass_oracle(IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7))))
 
 
 class TestSVP:
