@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import errors
 from .balls import GUARD_BITS, Ball
@@ -148,6 +148,12 @@ class MinPolyInfo:
     def dominant_root(self) -> PolyRoot:
         return self.roots[self.dominant_index]
 
+    def check_poly(self, f: IntPoly) -> None:
+        """ValueError unless this is the layout of f: paired with another
+        polynomial, it would give a wrong integer with no error."""
+        if self.poly != f:
+            raise ValueError(f"the root layout is that of {self.poly}, not of {f}")
+
 
 def coprime_residues(n: int):
     """Representatives of (Z/nZ)*/{±1}, ascending, generated lazily."""
@@ -161,9 +167,10 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     matrix's conductor.
 
     For n not squarefree the sum of that basis is mu(n) = 0, so it is
-    dependent (discriminant 0), and the power basis {1, 2cos(2*pi*j/n) :
-    1 <= j < k} of Z[2cos(2*pi/n)], the ring of integers (Washington,
-    Introduction to Cyclotomic Fields, Prop. 2.16), replaces it.
+    dependent, and the power basis {1, 2cos(2*pi*j/n) : 1 <= j < k} of
+    Z[2cos(2*pi/n)], the ring of integers (Washington, Introduction to
+    Cyclotomic Fields, Prop. 2.16), is used instead. The choice is made
+    from n alone, before any cosine is computed.
 
     Each cosine 2cos(2*pi*m/n) is computed once per residue m = t*a mod n
     that occurs, to within 2^-16 units of 2^-s (`_two_cosines`), then rounded
@@ -177,27 +184,18 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     if k < 2:
         raise errors.UnsupportedConductor(f"conductor {conductor} gives degree {k} < 2")
     s = _capped(precision_bits)
-    cosines = {}  # m -> 2cos(2*pi*m/n) at scale 2^s, shared by both bases
-
-    def embed(exponents):
-        # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
-        missing = {(t * a) % n for t in reps for a in exponents if a} - cosines.keys()
-        if missing:
-            cosines.update(_two_cosines(n, missing, s))
-        return tuple(tuple(cosines[(t * a) % n] if a else 1 << s for a in exponents) for t in reps)
-
-    entries = embed(reps)
-    disc = _discriminant(entries, s, 1)
-    if disc == 0:
-        entries = embed(range(k))
-        disc = _discriminant(entries, s, 1)
+    squarefree = all(n % (d * d) for d in range(2, isqrt(n) + 1))
+    # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
+    exponents = reps if squarefree else range(k)
+    cosines = _two_cosines(n, {(t * a) % n for t in reps for a in exponents if a}, s)
+    entries = tuple(tuple(cosines[(t * a) % n] if a else 1 << s for a in exponents) for t in reps)
     return EmbeddingMatrix(
         k=k,
         entries=entries,
         err=1,
         precision_bits=s,
         conductor=n,
-        discriminant=disc,
+        discriminant=_discriminant(entries, s, 1),
     )
 
 

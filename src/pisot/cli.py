@@ -40,6 +40,14 @@ MAX_DELTA_CHARS = 2 * MAX_DELTA_DIGITS + 2
 # host, where 1e-150 takes 22 s at k = 8 and 1e-1000 54 s at k = 3.
 MAX_EPSILON_DIGITS = 100
 MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
+# Above k = 20 that cap does not bound `find`: conductor 61 (k = 30) at
+# 1e-100 takes 92 s. So `find` also takes epsilon >= 2^-b only where
+# k^4 * b <= MAX_FIND_SIZE, decided from k before any embedding. Along that
+# boundary the slowest of three fresh-process runs on the same host takes
+# 8 to 17 s at k = 30 ... 68 (conductors 61, 83, 101, 113, 127, 137). The
+# constant is 2 * 75^4, so that epsilon = 1/4 stays accepted up to
+# MAX_SEARCH_DEGREE; there conductors 149 and 151 take up to 27 and 32 s.
+MAX_FIND_SIZE = 63_281_250
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -150,17 +158,23 @@ def _parse_delta(s: str) -> Fraction:
     return delta
 
 
-def _parse_n(s: str) -> int:
+def _parse_n(s: str, name: str = "n", least: int = 0) -> int:
     # The int->str digit limit is lifted in `run`, so bound the input first.
     if len(s) > MAX_N_CHARS:
-        raise errors.ParseError(f"n must lie in [0, 10^19], got {len(s)} characters")
+        raise errors.ParseError(f"{name} must lie in [{least}, 10^19], got {len(s)} characters")
     try:
         v = int(s)
     except ValueError as exc:
         raise errors.ParseError(f"bad integer {s!r}") from exc
-    if not 0 <= v <= MAX_N:
-        raise errors.ParseError(f"n must lie in [0, 10^19], got {s}")
+    if not least <= v <= MAX_N:
+        raise errors.ParseError(f"{name} must lie in [{least}, 10^19], got {s}")
     return v
+
+
+def _parse_modulus(s: str | None) -> int | None:
+    """-m: None when absent, else an integer in [2, 10^19]; checked before
+    any root isolation and before a program file is read."""
+    return None if s is None else _parse_n(s, "-m", 2)
 
 
 def _monic_poly(expr: str) -> IntPoly:
@@ -170,7 +184,8 @@ def _monic_poly(expr: str) -> IntPoly:
     return f
 
 
-def _field_spec(args) -> FieldSpec:
+def _field_spec(args) -> tuple[FieldSpec, int]:
+    """The field of --conductor or --field, and its degree k."""
     if getattr(args, "conductor", None) is not None:
         if args.conductor < 1:
             raise errors.ParseError(f"--conductor must be at least 1, got {args.conductor}")
@@ -181,8 +196,8 @@ def _field_spec(args) -> FieldSpec:
     raise errors.ParseError("one of --conductor or --field is required")
 
 
-def _degree_capped(spec: FieldSpec, source: str) -> FieldSpec:
-    """spec, or a usage error when its field has degree above
+def _degree_capped(spec: FieldSpec, source: str) -> tuple[FieldSpec, int]:
+    """spec and its degree k, or a usage error when k is above
     MAX_SEARCH_DEGREE. Decided before any embedding: an explicit field's
     rows are counted, and a conductor's residues only up to one past the
     cap, so a huge conductor costs no more than a small one."""
@@ -196,7 +211,7 @@ def _degree_capped(spec: FieldSpec, source: str) -> FieldSpec:
             f"{source} gives a field of degree above {MAX_SEARCH_DEGREE}, "
             "the largest that find and verify take (MAX_SEARCH_DEGREE)"
         )
-    return spec
+    return spec, k
 
 
 def _exact_decimal():
@@ -243,14 +258,22 @@ def _candidate_output(args, cand):
 
 
 def _cmd_find(args):
-    spec = _field_spec(args)
+    spec, k = _field_spec(args)
     eps = _parse_epsilon(args.epsilon)
+    # ceil(log2(1/eps)): 0 at eps = 1, 1 at 1/2, 2 at 1/4.
+    bits = ((eps.denominator - 1) // eps.numerator).bit_length()
+    if k**4 * bits > MAX_FIND_SIZE:
+        raise errors.ParseError(
+            f"--epsilon {args.epsilon} is below 2^-{MAX_FIND_SIZE // k**4}, the least "
+            f"that find takes at degree {k}: k^4 * ceil(log2(1/epsilon)) = {k**4 * bits} "
+            f"exceeds {MAX_FIND_SIZE} (MAX_FIND_SIZE)"
+        )
     _candidate_output(args, find_pisot(spec, SearchParams(epsilon=eps)))
     return 0
 
 
 def _cmd_verify(args):
-    spec = _field_spec(args)
+    spec, k = _field_spec(args)
     eps = _parse_epsilon(args.epsilon)
     try:
         z = [int(c) for c in args.coeffs.split(",")]
@@ -258,11 +281,11 @@ def _cmd_verify(args):
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
     if not any(z):
         raise errors.ParseError("--coeffs must not be all zero")
+    # Checked before the build, whose precision grows with len(z). A field
+    # of degree below 2 is left to the build, which names it unsupported.
+    if k >= 2 and len(z) != k:
+        raise errors.ParseError(f"--coeffs has {len(z)} entries, but the field has degree {k}")
     emb = embeddings_for(spec, verify_precision(z, spec, floor_bits(spec)))
-    if len(z) != emb.k:
-        raise errors.ParseError(
-            f"--coeffs has {len(z)} entries, but the field has degree {emb.k}"
-        )
     cand = verify_pisot(z, emb, eps)
     _candidate_output(args, cand)
     return 0
@@ -271,9 +294,9 @@ def _cmd_verify(args):
 def _cmd_pow(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
+    m = _parse_modulus(args.modulus)
     info = analyze_minpoly(f)
-    if args.modulus is not None:
-        m = _parse_n(args.modulus)
+    if m is not None:
         obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
         _emit_result(args, obj, nearest_power_mod(f, n, m, info))
         return 0
@@ -302,11 +325,12 @@ def _cmd_slp_emit(args):
 
 
 def _cmd_slp_eval(args):
+    m = _parse_modulus(args.modulus)
     with open(args.file, "r", encoding="ascii") as fh:
         p = parse_slp(fh.read())
     obj = {"length": slp_length(p)}
-    if args.modulus is not None:
-        _emit_result(args, obj, slp_eval(p, _parse_n(args.modulus)))
+    if m is not None:
+        _emit_result(args, obj, slp_eval(p, m))
         return 0
     with _exact_decimal():
         _emit_result(args, obj, slp_eval(p, lift=decimal.Decimal))

@@ -222,9 +222,10 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
     from the float basis and transform, and those of its candidates not
     tried yet follow. Every precision derives from the field and the
     candidate: `floor_bits`, then bits(P) + bits(Q) + 64 for the lattice,
-    then `verify_precision`. A candidate whose precision exceeds the cap is
-    skipped like one that fails certification. SearchFailed summarises the
-    whole search."""
+    then `verify_precision`, on the search's matrix when it is at that
+    precision, so a small field is embedded once. A candidate whose
+    precision exceeds the cap is skipped like one that fails certification.
+    SearchFailed summarises the whole search."""
     params = params or SearchParams()
     eps = params.epsilon
     floor = floor_bits(spec)
@@ -240,7 +241,8 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
             if z in tried:
                 continue
             try:
-                emb_z = embeddings_for(spec, verify_precision(z, spec, floor))
+                prec = verify_precision(z, spec, floor)
+                emb_z = emb if prec == emb.precision_bits else embeddings_for(spec, prec)
                 return verify_pisot(z, emb_z, eps)
             except (errors.NotPisot, errors.PrecisionError, errors.PrecisionExhausted) as exc:
                 verdicts[type(exc).__name__] += 1

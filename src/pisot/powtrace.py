@@ -147,6 +147,7 @@ def nearest_power(f: IntPoly, n: int, info: MinPolyInfo, lift=int):
     `power_sum`, and the integer round(S_n) is subtracted from it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    info.check_poly(f)
     return power_sum(f, n, lift=lift) - _rounded_conjugate_sum(f, n, info)
 
 
@@ -156,4 +157,5 @@ def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:
         raise errors.BadModulus(f"modulus must be >= 2, got {m}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    info.check_poly(f)
     return (power_sum(f, n, m) - _rounded_conjugate_sum(f, n, info)) % m

@@ -116,6 +116,7 @@ def emit_power_slp(f: IntPoly, n: int, info: MinPolyInfo) -> SLP:
     Below the threshold it is the constant [alpha^n]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    info.check_poly(f)
     if n < info.threshold_n0 or n == 0:
         return slp_for_constant(nearest_power(f, n, info))
     b = _Builder()

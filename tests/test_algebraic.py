@@ -135,6 +135,64 @@ class TestCyclotomicEmbeddings:
         )
 
 
+def _prime_divisors(m):
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + ([m] if m > 1 else [])
+
+
+def _real_cyclotomic_fields(limit):
+    """(n, m, k) for each conductor n < limit: m is n/2 for n = 2 mod 4, else
+    n, and k = phi(m)/2 is the degree of the real subfield of Q(zeta_m)."""
+    out = []
+    for n in range(3, limit):
+        m = phi = n // 2 if n % 4 == 2 else n
+        for p in _prime_divisors(m):
+            phi -= phi // p
+        out.append((n, m, phi // 2))
+    return out
+
+
+# Every fourth of the 289 conductors below 2000 with 2 <= k <= 75.
+BASIS_CONDUCTORS = [c for c in _real_cyclotomic_fields(2000) if 2 <= c[2] <= 75][::4]
+
+
+@pytest.mark.parametrize("n, m, k", BASIS_CONDUCTORS, ids=lambda c: str(c))
+def test_basis_is_chosen_by_squarefreeness(n, m, k):
+    emb = cyclotomic_embeddings(n, 64)
+    assert (emb.k, emb.conductor) == (k, m)
+    assert emb.discriminant != 0
+    primes = _prime_divisors(m)
+    squarefree = all(m % (p * p) for p in primes)
+    # The power basis is {1, 2cos(2 pi j/m)}: its first column is 1 at scale 2^s.
+    assert all(row[0] == 1 << 64 for row in emb.entries) == (not squarefree)
+    if squarefree:
+        # The cosine basis sums to mu(m) = (-1)^(number of primes).
+        assert abs(sum(emb.entries[0]) - (-1) ** len(primes) * (1 << 64)) <= k
+
+
+def test_cyclotomic_embeddings_build_once(monkeypatch):
+    # 25 is not squarefree: the power basis is taken at once, with one set of
+    # cosines and one discriminant, and no dependent cosine basis first.
+    calls = {"_two_cosines": 0, "_discriminant": 0}
+    for name in calls:
+        real = getattr(algebraic, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(algebraic, name, counted)
+    emb = cyclotomic_embeddings(25, 64)
+    assert calls == {"_two_cosines": 1, "_discriminant": 1}
+    assert emb.k == 10 and emb.discriminant != 0
+
+
 class TestExplicitEmbeddings:
     @staticmethod
     def _sqrt2_spec(disc=8, stated=190):

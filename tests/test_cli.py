@@ -776,3 +776,75 @@ def test_cli_import_loads_no_numpy():
     probe = "import sys, pisot.cli; sys.exit(3 if 'numpy' in sys.modules else 0)"
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+
+def test_long_coefficient_vector_is_refused_before_any_embedding(capsys, monkeypatch):
+    # 20,000 entries once sized a 40,062-bit matrix from the vector's length
+    # and ended in PrecisionExhausted (exit 1).
+    def embed(spec, bits):
+        raise AssertionError(f"embedded at {bits} bits")
+
+    monkeypatch.setattr(cli, "embeddings_for", embed)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", "--conductor", "5", "--coeffs", ",".join(["1"] * 20000))
+    assert code == 2 and out == ""
+    assert err == "ParseError: --coeffs has 20000 entries, but the field has degree 2\n"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("modulus", ["0", "1", "1" * 21], ids=["0", "1", "21-chars"])
+def test_modulus_is_checked_before_any_work(capsys, monkeypatch, tmp_path, modulus):
+    # Once BadModulus (exit 1), for pow after root isolation; 21 characters
+    # were reported as "n must lie in [0, 10^19]".
+    def isolate(f, *args):
+        raise AssertionError("isolated the roots")
+
+    monkeypatch.setattr(cli, "analyze_minpoly", isolate)
+    absent = str(tmp_path / "absent.slp")  # read first, it would be an OSError (exit 1)
+    for argv in (("pow", "--minpoly", "x^2-x-1", "-n", "5"), ("slp", "eval", absent)):
+        code, out, err = invoke(capsys, *argv, "-m", modulus)
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError: -m must lie in [2, 10^19], got ")
+
+
+@pytest.mark.parametrize("modulus,result", [("2", "1"), (str(10**19), "11")])
+def test_modulus_at_its_bounds_is_served(capsys, modulus, result):
+    code, out, _ = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "5", "-m", modulus)
+    assert code == 0 and out == result + "\n"
+
+
+def _least_epsilon_bits(k):
+    """The b with 2^-b the least epsilon that find takes at degree k."""
+    return cli.MAX_FIND_SIZE // k**4
+
+
+# (conductor, degree): one field at each of the degrees the cap was timed at.
+FIND_CAP_FIELDS = [(15, 4), (39, 12), (41, 20), (61, 30), (83, 41), (101, 50), (151, 75)]
+
+
+@pytest.mark.parametrize("conductor,k", FIND_CAP_FIELDS, ids=lambda v: str(v))
+def test_epsilon_past_the_find_cap_is_usage_error(capsys, monkeypatch, conductor, k):
+    # Decided from k before any embedding: conductor 61 at 1e-100 once took 92 s.
+    def search(*args):
+        raise errors.SearchFailed("searched")
+
+    monkeypatch.setattr(cli, "find_pisot", search)
+    b = _least_epsilon_bits(k)
+    argv = ["find", "--conductor", str(conductor), "--epsilon"]
+    served = ["1", "1/2", "1/4"]
+    if b <= 332:  # else --epsilon's own cap of 10^-100 binds first
+        served.append(f"1/{2**b}")
+        past = f"1/{2**b + 1}"  # needs b + 1 bits
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv, past)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ParseError: --epsilon {past} is below 2^-{b}, ")
+        assert f"at degree {k}" in err and "MAX_FIND_SIZE" in err
+        assert time.perf_counter() - start < 1
+    for eps in served:  # the search runs: here, a stub that fails
+        code, _, err = invoke(capsys, *argv, eps)
+        assert code == 1 and err == "SearchFailed: searched\n"
+
+
+def test_find_cap_keeps_a_quarter_at_every_degree():
+    assert all(_least_epsilon_bits(k) >= 2 for k in range(2, MAX_SEARCH_DEGREE + 1))

@@ -393,6 +393,40 @@ class TestFindPisot:
             lower = Fraction(paper.value.center - paper.value.radius, 1 << paper.value.scale)
             assert upper < lower
 
+    def test_a_small_field_is_embedded_once(self, monkeypatch):
+        # The lattice and the certified candidate both need the floor of 256
+        # bits, so the search's one matrix serves both.
+        built = []
+        real_embeddings = pisotsearch.embeddings_for
+
+        def embeddings(spec, bits):
+            built.append(bits)
+            return real_embeddings(spec, bits)
+
+        monkeypatch.setattr(pisotsearch, "embeddings_for", embeddings)
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        assert built == [256]
+        assert cand.minpoly.degree == 4 and all(m.lt(Fraction(1, 2)) for m in cand.conjugate_moduli)
+
+    def test_a_finer_matrix_serves_no_candidate(self, monkeypatch):
+        # With every candidate sized at the floor of 256 bits and the lattice
+        # at 505 or more (epsilon 1e-30), each candidate is certified at 256
+        # bits, as `verify` would certify it, and not on the search's matrix.
+        verified = []
+        real_verify = pisotsearch.verify_pisot
+
+        def verify(z, emb, epsilon):
+            verified.append(emb.precision_bits)
+            return real_verify(z, emb, epsilon)
+
+        monkeypatch.setattr(pisotsearch, "verify_precision", lambda z, spec, floor: floor)
+        monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
+        try:
+            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 10**30)))
+        except errors.SearchFailed:
+            pass
+        assert verified and set(verified) == {256}
+
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             SearchParams(epsilon=Fraction(3, 2))

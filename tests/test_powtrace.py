@@ -11,6 +11,7 @@ from pisot import errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.balls import CBall
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
+from pisot.slp import emit_power_slp
 from conftest import newton_power_sums, pisot_shaped
 from oracles import companion_matrix, matpow, nearest_power_oracle, polyroots_oracle
 
@@ -247,3 +248,18 @@ class TestPowerSumEngine:
             power_sum(IntPoly((1, 1, 2)), 5)
         with pytest.raises(ValueError):
             power_sum(IntPoly((0, -1, 1)), 5)
+
+
+def test_root_layout_of_another_polynomial_is_refused(plastic_info, golden_info):
+    # Paired with the plastic number's layout, x^2 - x - 1 gave [phi^5] = 10
+    # (it is 11), 3 mod 7, and a program that evaluated to 10.
+    for call in (
+        lambda: nearest_power(GOLDEN, 5, plastic_info),
+        lambda: nearest_power_mod(GOLDEN, 5, 7, plastic_info),
+        lambda: emit_power_slp(GOLDEN, 5, plastic_info),
+        lambda: emit_power_slp(GOLDEN, 100, plastic_info),  # above both thresholds
+    ):
+        with pytest.raises(ValueError, match="not of x\\^2 - x - 1"):
+            call()
+    assert nearest_power(GOLDEN, 5, golden_info) == 11
+    assert nearest_power_mod(GOLDEN, 5, 7, golden_info) == 4
