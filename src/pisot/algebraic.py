@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import errors
-from .balls import GUARD_BITS, Ball
+from .balls import GUARD_BITS, Ball, decimal_digits
 from .lattice import IntLattice
 from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, share_a_root, work_bits
 
@@ -334,15 +334,6 @@ def round_div(a: int, b: int) -> int:
     return q if a >= 0 else -q
 
 
-def approx_ratio(a: int, b: int, digits: int) -> str:
-    """a / b (b > 0) for a message: as a float when it fits one, else as a
-    power of two, so that no input ends in an OverflowError."""
-    try:
-        return f"{a / b:.{digits}g}"
-    except OverflowError:
-        return f"{'-' if a < 0 else ''}~2^{abs(a).bit_length() - b.bit_length()}"
-
-
 def _discriminant(entries, s: int, err: int) -> int:
     """disc = det(Tr(b_i b_j)) exactly, for the basis embedded as entries[t][j]
     with |2^s * sigma_t(b_j) - entries[t][j]| <= err.
@@ -358,7 +349,7 @@ def _discriminant(entries, s: int, err: int) -> int:
     one = 1 << (2 * s)
     if 2 * bound >= one:
         raise errors.PrecisionError(
-            f"trace form error bound {approx_ratio(bound, one, 3)} is not below 1/2 at {s} bits"
+            f"trace form error bound {decimal_digits(bound, one, 3)} is not below 1/2 at {s} bits"
         )
     gram = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -367,7 +358,7 @@ def _discriminant(entries, s: int, err: int) -> int:
             g = round_div(acc, one)
             if abs(acc - g * one) > bound:
                 raise errors.NotIntegral(
-                    f"Tr(b_{i} b_{j}) ~ {approx_ratio(acc, one, 6)} is not an integer: "
+                    f"Tr(b_{i} b_{j}) ~ {decimal_digits(acc, one, 6)} is not an integer: "
                     "the basis is not integral"
                 )
             gram[i][j] = gram[j][i] = g

@@ -22,6 +22,7 @@ from .pisotsearch import (
     verify_precision,
 )
 from .powtrace import nearest_power, nearest_power_mod
+from .roots import MAX_WORK_BITS
 from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 
 MAX_N = 10**19
@@ -275,16 +276,29 @@ def _cmd_find(args):
 def _cmd_verify(args):
     spec, k = _field_spec(args)
     eps = _parse_epsilon(args.epsilon)
+    entries = args.coeffs.split(",")
+    # Checked before the build, whose precision grows with len(z). A field
+    # of degree below 2 is left to the build, which names it unsupported.
+    if k >= 2 and len(entries) != k:
+        raise errors.ParseError(
+            f"--coeffs has {len(entries)} entries, but the field has degree {k}"
+        )
+    # int() takes time quadratic in the digits, so an entry too long to
+    # certify is refused unparsed. d significant digits make ||z||_1 at least
+    # 10^(d-1) > 2^(3.32 (d-1)), the norm of `least`, which so needs no more
+    # precision than z.
+    d = max(len(c.strip().lstrip("+-").lstrip("0_").replace("_", "")) for c in entries)
+    least = [1 << 332 * max(d - 1, 0) // 100] + [0] * (len(entries) - 1)
+    if verify_precision(least, spec, floor_bits(spec)) > MAX_WORK_BITS:
+        raise errors.PrecisionExhausted(
+            f"a {d}-digit --coeffs entry needs over {MAX_WORK_BITS} bits"
+        )
     try:
-        z = [int(c) for c in args.coeffs.split(",")]
+        z = [int(c) for c in entries]
     except ValueError as exc:
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
     if not any(z):
         raise errors.ParseError("--coeffs must not be all zero")
-    # Checked before the build, whose precision grows with len(z). A field
-    # of degree below 2 is left to the build, which names it unsupported.
-    if k >= 2 and len(z) != k:
-        raise errors.ParseError(f"--coeffs has {len(z)} entries, but the field has degree {k}")
     emb = embeddings_for(spec, verify_precision(z, spec, floor_bits(spec)))
     cand = verify_pisot(z, emb, eps)
     _candidate_output(args, cand)
@@ -440,7 +454,8 @@ _USAGE_ERRORS = (
 
 def run(argv) -> int:
     # Exact results may have millions of digits. The limit stays lifted after
-    # run returns, so a caller in the same process can parse them with int().
+    # run returns for callers in the same process that parse those results
+    # with int(); `Ball.digits` and the error messages need no lift.
     set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_digit_limit is not None:
         set_digit_limit(0)

@@ -30,13 +30,12 @@ from .algebraic import (
     EmbeddingMatrix,
     FieldSpec,
     IntPoly,
-    approx_ratio,
     embeddings_for,
     eval_combination,
     minimal_polynomial,
     round_div,
 )
-from .balls import Ball
+from .balls import Ball, decimal_digits
 from .lattice import IntLattice, finish_reduce, float_reduce
 
 DEFAULT_Q = 1 << 32
@@ -180,7 +179,7 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
             raise errors.NotPisot(
                 f"conjugate {i} has modulus ~{m.digits(8)}, "
                 f"exceeding epsilon={format_fraction(eps)} by "
-                f"{approx_ratio(excess.numerator, excess.denominator, 3)}"
+                f"{decimal_digits(excess.numerator, excess.denominator, 3)}"
             )
         moduli.append(m)
     return PisotCandidate(

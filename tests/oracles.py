@@ -7,7 +7,10 @@ tests compare against them; the package itself does not use them.
 for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
 Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 (`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
-`mid` and `rad` are exact mpmath views of a `Ball` or `CBall`.
+`mid` and `rad` are exact mpmath views of a `Ball` or `CBall`, and
+`decimal_reference` is the correctly rounded decimal value of a center, the
+oracle for `Ball.digits`; `int_str_limit` runs a test under Python's int<->str
+digit limit.
 `sylvester_resultant` is the oracle for the common-root test `share_a_root`.
 `float_pass_oracle` is the LLL float pass before it kept current Gram-Schmidt
 entries, the oracle for `lattice._float_pass`.
@@ -15,8 +18,11 @@ entries, the oracle for `lattice._float_pass`.
 
 from __future__ import annotations
 
+import contextlib
+import decimal
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,6 +190,34 @@ def mid(x):
 def rad(x):
     """The radius of a Ball or a CBall as an mpf, exactly."""
     return _exact(x.radius, x.scale)
+
+
+def decimal_reference(c: int, s: int, n: int) -> decimal.Decimal:
+    """c / 2^s correctly rounded to n significant digits, half away from
+    zero: the exact integer c * 5^s (or c * 2^-s) rounded in a decimal context
+    of precision n, then scaled by 10^-s, which rounds nothing more."""
+    ctx = decimal.Context(
+        prec=n, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    if s < 0:
+        return ctx.create_decimal(c << -s)
+    return ctx.create_decimal(c * 5**s).scaleb(-s, ctx)
+
+
+@contextlib.contextmanager
+def int_str_limit(limit: int):
+    """Run the body with Python's int<->str digit limit at `limit`, and
+    restore the old limit after; a no-op on a Python without the limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def mpf_to_fraction(x) -> Fraction:

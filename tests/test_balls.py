@@ -1,13 +1,16 @@
 """Ball records: certified comparisons on exact integers, and decimal digits."""
 
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from mpmath import nstr
 
 from pisot.balls import Ball
 
-from oracles import mid
+from oracles import decimal_reference, int_str_limit, mid
 
 
 def test_certified_comparisons():
@@ -51,6 +54,30 @@ def _formatter_cases(count, seed):
 
 
 def test_digits_match_nstr():
+    # Every value is the correctly rounded one. Where nstr prints the same
+    # value, the text is nstr's byte for byte, which pins the layout. nstr's
+    # digits differ only beyond 2^+-3500, where it divides by a power of ten
+    # rounded to a few more bits than it prints.
     for c, s, n in _formatter_cases(2000, seed=12):
         b = Ball(c, 1, s)
-        assert b.digits(n) == nstr(mid(b), n), (c, s, n)
+        text, theirs = b.digits(n), nstr(mid(b), n)
+        assert Decimal(text) == decimal_reference(c, s, n), (c, s, n)
+        if Decimal(theirs) == Decimal(text):
+            assert text == theirs, (c, s, n)
+        else:
+            assert abs(abs(c).bit_length() - s) > 3500, (c, s, n)
+
+
+@pytest.mark.parametrize("scale", [0, 12870, 200000, -5000])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+def test_digits_of_a_huge_center_under_the_least_digit_limit(scale, parity):
+    # Only the n printed digits pass through str(), so Python's smallest
+    # int<->str limit, 640 digits, holds for a 30,103-digit value.
+    c = random.Random(scale).getrandbits(100000) | 1 << 99999
+    c = c | 1 if parity else c & ~1
+    with int_str_limit(640):
+        start = time.perf_counter()
+        text = Ball(c, 1, scale).digits(40)
+        elapsed = time.perf_counter() - start
+    assert Decimal(text) == decimal_reference(c, scale, 40)
+    assert elapsed < 0.5

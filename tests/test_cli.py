@@ -645,6 +645,30 @@ def test_huge_values_fail_with_a_typed_message(capsys, tmp_path):
     assert code == 1 and err.startswith("PrecisionError:")
 
 
+def test_a_long_coefficient_is_refused_before_it_is_parsed(capsys, monkeypatch):
+    # int() is quadratic in the digits: a million of them took 6.8 s to parse
+    # before the build refused the precision they need.
+    def embed(spec, bits):
+        raise AssertionError(f"embedded at {bits} bits")
+
+    monkeypatch.setattr(cli, "embeddings_for", embed)
+    start = time.perf_counter()
+    code, _, err = invoke(
+        capsys, "verify", "--conductor", "15", "--coeffs=-" + "9" * 1_000_000 + ",1,1,1"
+    )
+    assert code == 1 and err.startswith("PrecisionExhausted:") and " 1000000-digit " in err
+    assert time.perf_counter() - start < 1
+
+
+def test_leading_zeros_of_a_coefficient_are_not_digits(capsys):
+    plain = invoke(capsys, "verify", "--conductor", "15", "--coeffs", "2105,1215,1440,139")
+    zeros = "0" * 1_000_000
+    padded = invoke(
+        capsys, "verify", "--conductor", "15", "--coeffs", f"{zeros}2105,1215,1440,139"
+    )
+    assert plain[0] == 0 and padded == plain
+
+
 @pytest.mark.parametrize("entry", ["1e10000000", "1e-10000000"], ids=["huge", "tiny"])
 def test_extreme_decimal_exponents_end_at_once(capsys, tmp_path, entry):
     # The entry is sized from its exponent, never expanded: one too large for

@@ -1,7 +1,10 @@
 """End-to-end Pisot search, certification, and the scaling machinery."""
 
+import dataclasses
 import json
+import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +14,7 @@ from mpmath import mp
 
 from pisot import errors, pisotsearch
 from pisot.algebraic import FieldSpec, IntPoly, cyclotomic_embeddings
+from pisot.balls import Ball
 from pisot.lattice import LLLResult
 from pisot.pisotsearch import (
     DEFAULT_Q,
@@ -27,7 +31,7 @@ from pisot.pisotsearch import (
 )
 from pisot.roots import MAX_WORK_BITS
 
-from oracles import mid
+from oracles import decimal_reference, int_str_limit, mid
 
 FIXTURE_Z15 = (2105, 1215, 1440, 139)
 FIXTURE_Z17 = (
@@ -211,6 +215,16 @@ class TestVerifyPisot:
         assert obj["coefficients"] == [str(c) for c in FIXTURE_Z15]
         assert obj["epsilon"] == "0.5"
         assert obj["conductor"] == 15
+
+    def test_json_output_of_a_huge_value_under_the_default_digit_limit(self, emb15):
+        # A value the size of conductor 41's at epsilon 1e-100: a 19,269-bit
+        # center, over 5,800 decimal digits, at scale 12,870.
+        c = random.Random(41).getrandbits(19269) | 1 << 19268
+        cand = verify_pisot(FIXTURE_Z15, emb15, Fraction(1, 2))
+        cand = dataclasses.replace(cand, value=Ball(c, 1, 12870))
+        with int_str_limit(4300):
+            obj = cand.to_json()
+        assert Decimal(obj["value"]) == decimal_reference(c, 12870, 40)
 
 
 class TestFindPisot:
@@ -436,6 +450,13 @@ class TestMinkowskiBound:
     def test_fixture_value(self):
         b = minkowski_bound(4, 1125, Fraction(1, 2))
         assert float(mid(b)) == pytest.approx(268.328157, abs=1e-5)
+
+    def test_digits_under_the_default_digit_limit(self):
+        b = minkowski_bound(75, 5, Fraction(1, 10**100))
+        with int_str_limit(4300):
+            text = b.digits(20)
+        assert text == "2.2360679774997896964e+7400"
+        assert Decimal(text) == decimal_reference(b.center, b.scale, 20)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
