@@ -338,10 +338,28 @@ def _cmd_slp_emit(args):
     return 0
 
 
+def _universal_newlines(text: str) -> str:
+    """Text with CRLF and lone CR turned into LF, as text-mode reading does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_program(path: str) -> str:
+    """An SLP file's text. Program files are ASCII: a non-ASCII byte is a
+    malformed program, reported at the line that holds the first one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _universal_newlines(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        head = _universal_newlines(data[: exc.start].decode("ascii"))
+        raise errors.MalformedProgram(
+            f"non-ASCII byte 0x{data[exc.start]:02x}", line=head.count("\n") + 1
+        ) from None
+
+
 def _cmd_slp_eval(args):
     m = _parse_modulus(args.modulus)
-    with open(args.file, "r", encoding="ascii") as fh:
-        p = parse_slp(fh.read())
+    p = parse_slp(_read_program(args.file))
     obj = {"length": slp_length(p)}
     if m is not None:
         _emit_result(args, obj, slp_eval(p, m))

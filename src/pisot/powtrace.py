@@ -8,7 +8,17 @@ formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
 runs on exact integers, on integers mod m and on straight-line program
 instructions, and on any other ring its `lift` maps the integers into: the
 CLI runs it on `decimal.Decimal` in an exact context, whose products of
-large numbers are faster than int's. Below the threshold, alpha^n = p_n - S_n, where
+large numbers are faster than int's.
+
+Each bit of n costs the square of r, d^2 + d - 2 ring operations of which
+d(d+1)/2 are products of two coefficients, and its reduction by f: for each
+of the d - 1 or d terms folded back, one product by each distinct |c_i| > 1
+and one addition or subtraction per nonzero c_i. With z nonzero c_i of u
+distinct magnitudes above 1 that is d^2 + d - 2 + d(z + u) operations per
+bit: at most 3d^2 + d, and about 2d^2 when one c_i is large and the others
+lie in [-2, 2].
+
+Below the threshold, alpha^n = p_n - S_n, where
 S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
 minus the nearest integer to S_n, which the certified root disks enclose.
 """
@@ -75,6 +85,15 @@ def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
     while k >> (shift - 1) < d:
         shift -= 1
     r = [lift(1 if i == k >> shift else 0) for i in range(d)]
+    # The reduction needs t*|c_i| for each popped t: one product per distinct
+    # magnitude above 1, shared by every c_i of that magnitude, whatever its
+    # sign. terms holds (i, index of t*|c_i| in the multiples, c_i > 0).
+    magnitudes = sorted({abs(v) for v in c} - {0, 1})
+    terms = [
+        (i, magnitudes.index(abs(v)) + 1 if abs(v) > 1 else 0, v > 0)
+        for i, v in enumerate(c)
+        if v
+    ]
     for bit in range(shift - 1, -1, -1):
         # Symmetric square: d(d+1)/2 products, cross terms doubled once.
         s = [None] * (2 * d - 1)
@@ -89,9 +108,16 @@ def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
         # x^e = -sum_i c_i x^(e-d+i) for each e >= d, from the top down.
         for e in range(len(s) - 1, d - 1, -1):
             t = s.pop()
-            for i in range(d):
-                if c[i]:
-                    s[e - d + i] = _axpy(s[e - d + i], -c[i], t)
+            multiples = [t] + [t * a for a in magnitudes]
+            for i, which, positive in terms:
+                j = e - d + i
+                acc, v = s[j], multiples[which]
+                if acc is None:
+                    s[j] = t * -c[i] if positive else v
+                elif positive:
+                    s[j] = acc - v
+                else:
+                    s[j] = acc + v
         r = s if modulus is None else [v % modulus for v in s]
     # sum_i r_i u_i with u_i = sum_j p_{i+j+odd} r_j: only d full products.
     total = None

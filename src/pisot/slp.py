@@ -7,6 +7,8 @@ instruction is ADD/SUB/MUL of two earlier results. The program length
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 from . import errors
@@ -14,7 +16,8 @@ from .algebraic import IntPoly, MinPolyInfo
 from .powtrace import nearest_power, power_sum
 
 ONE = ("one",)
-_BINARY_OPS = ("add", "sub", "mul")
+_OPCODES = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_BINARY_OPS = tuple(_OPCODES)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,8 @@ class _Builder:
         return idx
 
     def finish(self, result_index: int) -> SLP:
-        p = SLP(tuple(self.instructions), result_index)
-        p.validate()
-        return p
+        # Valid by construction: every operand is an earlier instruction.
+        return SLP(tuple(self.instructions), result_index)
 
 
 def slp_for_constant(c: int) -> SLP:
@@ -111,9 +113,11 @@ class _Ref:
 
 def emit_power_slp(f: IntPoly, n: int, info: MinPolyInfo) -> SLP:
     """O(log n)-length program for [alpha^n]. At or above the threshold it is
-    the power-sum engine run on instructions: about 3d^2/2 products per bit
-    of n, for x^floor(n/2) mod f, plus the constants c_i and p_k it uses.
-    Below the threshold it is the constant [alpha^n]."""
+    the power-sum engine run on instructions: d^2 + d - 2 + d(z + u)
+    instructions per bit of n for x^floor(n/2) mod f, where z counts the
+    nonzero c_i and u their distinct magnitudes above 1 (at most 3d^2 + d),
+    plus the read-off of p_n and the constants it uses. Below the threshold
+    it is the constant [alpha^n]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     info.check_poly(f)
@@ -132,99 +136,114 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     if modulus is not None and modulus < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
     p.validate()
-    values = []
-    for ins in p.instructions:
-        if ins == ONE:
-            v = 1 % modulus if modulus is not None else lift(1)
-        else:
-            op, a, b = ins
-            x, y = values[a], values[b]
-            if op == "add":
-                v = x + y
-            elif op == "sub":
-                v = x - y
-            else:
-                v = x * y
-            if modulus is not None:
-                v %= modulus
-        values.append(v)
+    ops = _OPCODES
+    if modulus is None:
+        values = [lift(1)]
+        for op, a, b in p.instructions[1:]:
+            values.append(ops[op](values[a], values[b]))
+    else:
+        values = [1 % modulus]
+        for op, a, b in p.instructions[1:]:
+            values.append(ops[op](values[a], values[b]) % modulus)
     return values[p.result_index]
 
 
 def format_slp(p: SLP) -> str:
     """Canonical text form: line-oriented, LF newlines, ASCII."""
     p.validate()
-    lines = ["slp v1"]
-    for i, ins in enumerate(p.instructions):
-        if ins == ONE:
-            lines.append(f"v{i} = one")
-        else:
-            op, a, b = ins
-            lines.append(f"v{i} = {op} v{a} v{b}")
-    lines.append(f"result v{p.result_index}")
-    return "\n".join(lines) + "\n"
+    lines = ["slp v1\nv0 = one\n"]
+    lines += [f"v{i} = {op} v{a} v{b}\n" for i, (op, a, b) in enumerate(p.instructions[1:], 1)]
+    lines.append(f"result v{p.result_index}\n")
+    return "".join(lines)
 
 
-def _parse_ref(token: str, line_no: int) -> int:
-    if not token.startswith("v") or not token[1:].isdigit():
-        raise errors.MalformedProgram(f"bad operand {token!r}", line=line_no)
-    return int(token[1:])
+# A well-formed instruction line, and the result line; the tokens may be
+# separated by any whitespace that `str.split` splits on, as `\s` matches
+# exactly those characters. Indices are ASCII digits only.
+_INSTRUCTION = re.compile(r"\s*v([0-9]+)\s+=\s+(?:(add|sub|mul)\s+v([0-9]+)\s+v([0-9]+)|one)\s*")
+_RESULT = re.compile(r"\s*result\s+v([0-9]+)\s*")
+_REF = re.compile(r"v[0-9]+")
+
+
+def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
+    """The error for a line that `parse_slp` refused as instruction `idx`:
+    the first check it fails, taken in the order of the text format. Only
+    refused lines come here, so where a single check is left, it fails."""
+
+    def bad(message):
+        return errors.MalformedProgram(message, line=line_no)
+
+    def bad_ref(tokens):
+        for t in tokens:
+            if not _REF.fullmatch(t):
+                return bad(f"bad operand {t!r}")
+        return None
+
+    parts = line.split()
+    if not parts:
+        return bad("empty line")
+    if parts[0] == "result":
+        if len(parts) != 2:
+            return bad("malformed result line")
+        return bad_ref(parts[1:]) or bad("result must be the last line")
+    if len(parts) < 3 or parts[1] != "=":
+        return bad("expected 'v<i> = <op> ...'")
+    error = bad_ref(parts[:1])
+    if error:
+        return error
+    if int(parts[0][1:]) != idx:
+        return bad(
+            f"expected definition of v{idx}, got {parts[0]!r} "
+            "(duplicate or out-of-order definition)"
+        )
+    op = parts[2]
+    if op == "one":
+        if len(parts) != 3:
+            return bad("'one' takes no operands")
+        return bad("'one' is only allowed as instruction 0")
+    if op not in _BINARY_OPS:
+        return bad(f"unknown opcode {op!r}")
+    if len(parts) != 5:
+        return bad(f"{op} takes exactly two operands")
+    return bad_ref(parts[3:]) or bad("forward reference")
 
 
 def parse_slp(text: str) -> SLP:
     """Parse the text format; rejects forward references, duplicate
-    definitions, and unknown opcodes with line-numbered errors."""
+    definitions, and unknown opcodes with line-numbered errors. Each line is
+    matched against one pattern and its indices checked; the message for a
+    refused line is worked out only then, by `_line_error`."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != "slp v1":
         raise errors.MalformedProgram("missing 'slp v1' header", line=1)
     instructions = []
-    result_index = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise errors.MalformedProgram("empty line", line=line_no)
-        if parts[0] == "result":
-            if len(parts) != 2 or result_index is not None:
-                raise errors.MalformedProgram("malformed result line", line=line_no)
-            result_index = _parse_ref(parts[1], line_no)
-            if line_no != len(lines):
-                raise errors.MalformedProgram(
-                    "result must be the last line", line=line_no
-                )
-            continue
-        idx = len(instructions)
-        if len(parts) < 3 or parts[1] != "=":
-            raise errors.MalformedProgram("expected 'v<i> = <op> ...'", line=line_no)
-        if _parse_ref(parts[0], line_no) != idx:
-            raise errors.MalformedProgram(
-                f"expected definition of v{idx}, got {parts[0]!r} "
-                "(duplicate or out-of-order definition)",
-                line=line_no,
-            )
-        if parts[2] == "one":
-            if len(parts) != 3:
-                raise errors.MalformedProgram("'one' takes no operands", line=line_no)
-            if idx != 0:
-                raise errors.MalformedProgram(
-                    "'one' is only allowed as instruction 0", line=line_no
-                )
-            instructions.append(ONE)
-            continue
-        if parts[2] not in _BINARY_OPS:
-            raise errors.MalformedProgram(f"unknown opcode {parts[2]!r}", line=line_no)
-        if len(parts) != 5:
-            raise errors.MalformedProgram(
-                f"{parts[2]} takes exactly two operands", line=line_no
-            )
-        a = _parse_ref(parts[3], line_no)
-        b = _parse_ref(parts[4], line_no)
-        if a >= idx or b >= idx:
-            raise errors.MalformedProgram("forward reference", line=line_no)
-        instructions.append((parts[2], a, b))
-    if result_index is None:
-        raise errors.MalformedProgram("missing result line", line=len(lines))
-    p = SLP(tuple(instructions), result_index)
-    p.validate()
-    return p
+    append = instructions.append
+    match = _INSTRUCTION.fullmatch
+    for idx, line in enumerate(lines[1:]):
+        m = match(line)
+        if m is not None:
+            d, op, a, b = m.groups()
+            if op is None:
+                if idx == 0 and int(d) == 0:
+                    append(ONE)
+                    continue
+            else:
+                a, b = int(a), int(b)
+                if a < idx and b < idx and int(d) == idx:
+                    append((op, a, b))
+                    continue
+        if idx + 2 == len(lines):
+            m = _RESULT.fullmatch(line)
+            if m is not None:
+                # The two checks of `SLP.validate` that the lines above
+                # leave open.
+                result_index = int(m[1])
+                if not instructions:
+                    raise errors.MalformedProgram("instruction 0 must be ONE")
+                if result_index >= len(instructions):
+                    raise errors.MalformedProgram("result index out of range")
+                return SLP(tuple(instructions), result_index)
+        raise _line_error(line, idx + 2, idx)
+    raise errors.MalformedProgram("missing result line", line=len(lines))

@@ -13,7 +13,9 @@ oracle for `Ball.digits`; `int_str_limit` runs a test under Python's int<->str
 digit limit.
 `sylvester_resultant` is the oracle for the common-root test `share_a_root`.
 `float_pass_oracle` is the LLL float pass before it kept current Gram-Schmidt
-entries, the oracle for `lattice._float_pass`.
+entries, the oracle for `lattice._float_pass`. `parse_slp_oracle` is the SLP
+text parser before it matched whole lines against one pattern, the oracle
+for `slp.parse_slp`'s programs and error messages.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pisot import errors
 from pisot.algebraic import IntPoly
 from pisot.balls import CBall
 from pisot.lattice import _FLOAT_BITS, IntLattice, _dot
+from pisot.slp import ONE, SLP
 
 
 class DimensionTooLarge(errors.PisotError):
@@ -379,3 +382,72 @@ def float_pass_oracle(b, u, delta):
                 return
     except OverflowError:
         return
+
+
+def _parse_ref_oracle(token: str, line_no: int) -> int:
+    if not token.startswith("v") or not token[1:].isdigit():
+        raise errors.MalformedProgram(f"bad operand {token!r}", line=line_no)
+    return int(token[1:])
+
+
+def parse_slp_oracle(text: str) -> SLP:
+    """The reference for `slp.parse_slp`: each line split on whitespace and
+    checked token by token, then the whole program validated. The parser
+    must return the same program, or raise `MalformedProgram` with the same
+    message and line, on every input but one kind: an index of non-ASCII
+    digits, which `str.isdigit` accepts here and `int` may then refuse with
+    a `ValueError`, is a bad operand to the parser."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != "slp v1":
+        raise errors.MalformedProgram("missing 'slp v1' header", line=1)
+    instructions = []
+    result_index = None
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            raise errors.MalformedProgram("empty line", line=line_no)
+        if parts[0] == "result":
+            if len(parts) != 2 or result_index is not None:
+                raise errors.MalformedProgram("malformed result line", line=line_no)
+            result_index = _parse_ref_oracle(parts[1], line_no)
+            if line_no != len(lines):
+                raise errors.MalformedProgram(
+                    "result must be the last line", line=line_no
+                )
+            continue
+        idx = len(instructions)
+        if len(parts) < 3 or parts[1] != "=":
+            raise errors.MalformedProgram("expected 'v<i> = <op> ...'", line=line_no)
+        if _parse_ref_oracle(parts[0], line_no) != idx:
+            raise errors.MalformedProgram(
+                f"expected definition of v{idx}, got {parts[0]!r} "
+                "(duplicate or out-of-order definition)",
+                line=line_no,
+            )
+        if parts[2] == "one":
+            if len(parts) != 3:
+                raise errors.MalformedProgram("'one' takes no operands", line=line_no)
+            if idx != 0:
+                raise errors.MalformedProgram(
+                    "'one' is only allowed as instruction 0", line=line_no
+                )
+            instructions.append(ONE)
+            continue
+        if parts[2] not in ("add", "sub", "mul"):
+            raise errors.MalformedProgram(f"unknown opcode {parts[2]!r}", line=line_no)
+        if len(parts) != 5:
+            raise errors.MalformedProgram(
+                f"{parts[2]} takes exactly two operands", line=line_no
+            )
+        a = _parse_ref_oracle(parts[3], line_no)
+        b = _parse_ref_oracle(parts[4], line_no)
+        if a >= idx or b >= idx:
+            raise errors.MalformedProgram("forward reference", line=line_no)
+        instructions.append((parts[2], a, b))
+    if result_index is None:
+        raise errors.MalformedProgram("missing result line", line=len(lines))
+    p = SLP(tuple(instructions), result_index)
+    p.validate()
+    return p

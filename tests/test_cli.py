@@ -313,6 +313,20 @@ class TestSLPCommands:
         code, _, err = invoke(capsys, "slp", "eval", str(path))
         assert code == 2 and "MalformedProgram" in err
 
+    def test_eval_non_ascii_file(self, capsys, tmp_path):
+        # Once an untyped UnicodeDecodeError with a traceback (exit 1).
+        path = tmp_path / "bad.slp"
+        path.write_bytes("slp v1\r\nv0 = one\rv1 = add v0 v0\nresult v²\n".encode())
+        code, out, err = invoke(capsys, "slp", "eval", str(path), "-m", "7")
+        assert code == 2 and out == ""
+        assert err == "MalformedProgram: line 4: non-ASCII byte 0xc2\n"
+
+    def test_eval_reads_crlf_and_cr_line_ends(self, capsys, tmp_path):
+        path = tmp_path / "crlf.slp"
+        path.write_bytes(b"slp v1\r\nv0 = one\rv1 = add v0 v0\r\nresult v1\r\n")
+        code, out, _ = invoke(capsys, "slp", "eval", str(path))
+        assert code == 0 and out == "2\n"
+
     def test_eval_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "slp", "eval", str(tmp_path / "nope.slp"))
         assert code == 1

@@ -2,16 +2,17 @@
 companion-matrix traces."""
 
 import dataclasses
+import decimal
 import random
 
 import mpmath
 import pytest
 
-from pisot import errors, powtrace
+from pisot import cli, errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.balls import CBall
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
-from pisot.slp import emit_power_slp
+from pisot.slp import emit_power_slp, slp_eval
 from conftest import newton_power_sums, pisot_shaped
 from oracles import companion_matrix, matpow, nearest_power_oracle, polyroots_oracle
 
@@ -248,6 +249,47 @@ class TestPowerSumEngine:
             power_sum(IntPoly((1, 1, 2)), 5)
         with pytest.raises(ValueError):
             power_sum(IntPoly((0, -1, 1)), 5)
+
+
+# Low coefficients that repeat a magnitude with both signs, among zeros and
+# +-1: the reduction forms t*|c_i| once per magnitude, and each c_i must add
+# or subtract it by its own sign, also into a coefficient that is still zero.
+SHARED_MULTIPLES = [
+    IntPoly((-2, 2, 0, -1, 2, -9, 1)),
+    IntPoly((2, -2, 0, 1, -2, 0, 2, -12, 1)),
+    IntPoly((3, -3, 3, 0, -1, 3, -3, 1)),
+    IntPoly((-5, 0, 5, -5, 1, 5, 1)),
+    IntPoly((2, 2, 2, -2, -2, 0, 2, 2, -1, -2, 2, -21, 1)),  # the benchmark's degree 12
+]
+
+
+class TestSharedMultiples:
+    @pytest.mark.parametrize("f", SHARED_MULTIPLES, ids=str)
+    def test_exact_matches_matpow(self, f):
+        rng = random.Random(str(f))
+        ns = list(range(0, 4 * f.degree)) + [rng.randint(4 * f.degree, 400) for _ in range(10)]
+        with cli._exact_decimal():
+            for n in ns:
+                expected = matpow_trace(f, n)
+                assert power_sum(f, n) == expected, f"n={n}"
+                assert power_sum(f, n, lift=decimal.Decimal) == expected, f"n={n}"
+
+    @pytest.mark.parametrize("f", SHARED_MULTIPLES, ids=str)
+    def test_modular_matches_matpow(self, f):
+        rng = random.Random(str(f))
+        for n in (10**19, 2**63 - 1, 2**62, rng.randint(0, 10**19), rng.randint(0, 10**4)):
+            m = rng.randint(2, 1 << 64)
+            assert power_sum(f, n, m) == matpow_trace(f, n, m), f"n={n}, m={m}"
+
+    @pytest.mark.parametrize("f", [f for f in SHARED_MULTIPLES if f.coefficients[-2] < -8], ids=str)
+    def test_program_matches_matpow(self, f):
+        # Perron's condition holds, so from n0 on [alpha^n] = p_n.
+        info = analyze_minpoly(f)
+        rng = random.Random(str(f))
+        for n in (info.threshold_n0, 10**19, rng.randint(0, 10**19)):
+            m = rng.randint(2, 1 << 64)
+            program = emit_power_slp(f, n, info)
+            assert slp_eval(program, m) == matpow_trace(f, n, m), f"n={n}, m={m}"
 
 
 def test_root_layout_of_another_polynomial_is_refused(plastic_info, golden_info):

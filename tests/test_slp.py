@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,33 @@ from pisot.slp import (
     slp_length,
 )
 from conftest import pisot_shaped
+from oracles import parse_slp_oracle
+
+MALFORMED = [
+    "",
+    "slp v2\nv0 = one\nresult v0\n",
+    "v0 = one\nresult v0\n",
+    "slp v1\nv0 = add v0 v0\nresult v0\n",  # 'one' missing
+    "slp v1\nv0 = one\nv1 = add v1 v0\nresult v1\n",  # forward ref
+    "slp v1\nv0 = one\nv2 = add v0 v0\nresult v2\n",  # skipped index
+    "slp v1\nv0 = one\nv1 = div v0 v0\nresult v1\n",  # unknown op
+    "slp v1\nv0 = one\nv1 = add v0\nresult v1\n",  # arity
+    "slp v1\nv0 = one\nresult v0\nv1 = add v0 v0\n",  # result not last
+    "slp v1\nv0 = one\n",  # missing result
+    "slp v1\nv0 = one\nv1 = one\nresult v1\n",  # second 'one'
+    "slp v1\nresult v0\n",  # no instructions
+    # Indices are ASCII digits: str.isdigit accepts these, int() refuses '²'.
+    "slp v1\nv0 = one\nresult v\u00b2\n",
+    "slp v1\nv\u00b2 = one\nresult v0\n",
+    "slp v1\nv0 = one\nv1 = add v0 v\u00b9\nresult v1\n",
+    "slp v1\nv0 = one\nv1 = add v0 v\u0660\nresult v1\n",  # Arabic-Indic zero
+]
+# The cases that the oracle parser ends in a ValueError, or accepts.
+NON_ASCII_DIGITS = MALFORMED[-4:]
+
+# The degree-12 program of the benchmark's modular workload, at its largest n.
+BENCH_DEGREE_12 = IntPoly((2, 2, 2, -2, -2, 0, 2, 2, -1, -2, 2, -21, 1))
+BENCH_N = 8_386_254_639_759_710_208
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -108,7 +136,8 @@ class TestEmitPowerSLP:
         "coeffs", [(1, 21, -229, -4899, 1), (-1, -1, -1, -1, 1)], ids=["quartic", "4-nacci"]
     )
     def test_degree4_length_at_1e19(self, coeffs):
-        # about 3d^2/2 products per bit of n; d^3 per bit would exceed 9,000
+        # at most 3d^2 + d instructions per bit of n; d^3 per bit would
+        # exceed 9,000
         f = IntPoly(coeffs)
         p = emit_power_slp(f, 10**19, analyze_minpoly(f, 128))
         assert slp_length(p) <= 4500
@@ -146,22 +175,7 @@ class TestTextFormat:
         assert lines[-2].startswith("result v")
         assert text.endswith("\n") and "\r" not in text
 
-    @pytest.mark.parametrize(
-        "bad_text",
-        [
-            "",
-            "slp v2\nv0 = one\nresult v0\n",
-            "v0 = one\nresult v0\n",
-            "slp v1\nv0 = add v0 v0\nresult v0\n",  # 'one' missing
-            "slp v1\nv0 = one\nv1 = add v1 v0\nresult v1\n",  # forward ref
-            "slp v1\nv0 = one\nv2 = add v0 v0\nresult v2\n",  # skipped index
-            "slp v1\nv0 = one\nv1 = div v0 v0\nresult v1\n",  # unknown op
-            "slp v1\nv0 = one\nv1 = add v0\nresult v1\n",  # arity
-            "slp v1\nv0 = one\nresult v0\nv1 = add v0 v0\n",  # result not last
-            "slp v1\nv0 = one\n",  # missing result
-            "slp v1\nv0 = one\nv1 = one\nresult v1\n",  # second 'one'
-        ],
-    )
+    @pytest.mark.parametrize("bad_text", MALFORMED)
     def test_malformed_rejected(self, bad_text):
         with pytest.raises(errors.MalformedProgram):
             parse_slp(bad_text)
@@ -173,3 +187,111 @@ class TestTextFormat:
             assert exc.line == 3
         else:  # pragma: no cover
             pytest.fail("expected MalformedProgram")
+
+
+@pytest.fixture(scope="module")
+def bench_degree_12_text():
+    return format_slp(emit_power_slp(BENCH_DEGREE_12, BENCH_N, analyze_minpoly(BENCH_DEGREE_12)))
+
+
+class TestBenchmarkProgram:
+    def test_length(self, bench_degree_12_text):
+        # 25,193 instructions when every c_i had a product of its own.
+        assert len(parse_slp(bench_degree_12_text).instructions) <= 20_000
+
+    def test_text_round_trip(self, bench_degree_12_text):
+        assert format_slp(parse_slp(bench_degree_12_text)) == bench_degree_12_text
+
+
+def parsed(parse, text):
+    """The program, or the message and line of the MalformedProgram."""
+    try:
+        return parse(text)
+    except errors.MalformedProgram as exc:
+        return str(exc), exc.line
+
+
+SMALL = "slp v1\nv0 = one\nv1 = add v0 v0\nv2 = mul v1 v1\nv3 = sub v2 v0\nresult v3\n"
+# Every character that str.split takes for whitespace in ASCII.
+ASCII_BLANKS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def blank_variants(text):
+    head, body = text.split("\n", 1)
+    yield text.replace("\n", "\r\n")  # CRLF on the header too
+    yield head + "\n" + body.replace("\n", "\r\n")
+    for blank in ASCII_BLANKS:
+        yield head + "\n" + body.replace(" ", blank)
+        yield head + "\n" + body.replace(" ", blank * 3)
+        yield head + "\n" + body.replace("\n", blank + "\n")
+        yield head + "\n" + "".join(blank + line + "\n" for line in body.splitlines())
+        yield blank + text
+    yield text.replace("v1 v1", "v01 v001").replace("v2 =", "v02 =")  # leading zeros
+    yield text.replace("result v3", "result v03")
+
+
+def token_mutants(text, rng, count):
+    """Copies of the text with one token, blank or line changed."""
+    tokens = ["one", "add", "sub", "mul", "div", "=", "result", "slp", "v0", "v1",
+              "v2", "v3", "v4", "v9", "v-1", "v", "x1", "", "v1 v1", "\n", " "]
+    for _ in range(count):
+        pieces = [p for p in re.split(r"( |\n)", text) if p != ""]
+        i = rng.randrange(len(pieces))
+        kind = rng.randrange(3)
+        if kind == 0:
+            pieces[i] = rng.choice(tokens)
+        elif kind == 1:
+            pieces.insert(i, rng.choice(tokens))
+        else:
+            del pieces[i]
+        yield "".join(pieces)
+
+
+def bench_shaped(d, rng):
+    """x^d - a x^(d-1) + low terms in [-2, 2], as the benchmark draws them:
+    a = sum |c_i| + 2..4 meets Perron's condition, so the polynomial is a
+    Pisot number's minimal polynomial."""
+    low = [rng.choice((-2, -1, 1, 2))] + [rng.randint(-2, 2) for _ in range(d - 2)]
+    return IntPoly(tuple(low) + (-(sum(map(abs, low)) + rng.randint(2, 4)), 1))
+
+
+class TestParserAgreesWithOracle:
+    """`parse_slp` returns what the reference parser returns, or raises the
+    same message at the same line; indices of non-ASCII digits, which the
+    reference crashes on or reads as numbers, are its only bad operands."""
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_cases(self, text):
+        if text in NON_ASCII_DIGITS:
+            assert isinstance(parsed(parse_slp, text), tuple)
+            return
+        assert parsed(parse_slp, text) == parsed(parse_slp_oracle, text)
+
+    def test_non_ascii_digit_is_a_bad_operand(self):
+        with pytest.raises(errors.MalformedProgram, match=r"line 3: bad operand 'v²'"):
+            parse_slp("slp v1\nv0 = one\nresult v²\n")
+        with pytest.raises(ValueError):
+            parse_slp_oracle("slp v1\nv0 = one\nresult v²\n")
+
+    @pytest.mark.parametrize("text", list(blank_variants(SMALL)), ids=repr)
+    def test_blanks_and_leading_zeros(self, text):
+        assert parsed(parse_slp, text) == parsed(parse_slp_oracle, text)
+
+    def test_mutants(self):
+        rng = random.Random(17)
+        programs = [SMALL, format_slp(slp_for_constant(-5)), "slp v1\nv0 = one\nresult v0\n"]
+        for text in programs:
+            for mutant in token_mutants(text, rng, 1500):
+                assert parsed(parse_slp, mutant) == parsed(parse_slp_oracle, mutant), repr(mutant)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_benchmark_shaped_programs(self, d, bench_degree_12_text):
+        if d == 12:
+            text = bench_degree_12_text
+        else:
+            f = bench_shaped(d, random.Random(f"shaped-{d}"))
+            n = random.Random(d).randint(10**18, 10**19)
+            text = format_slp(emit_power_slp(f, n, analyze_minpoly(f)))
+        p = parse_slp(text)
+        assert p == parse_slp_oracle(text)
+        assert format_slp(p) == text
