@@ -16,7 +16,18 @@ of the d - 1 or d terms folded back, one product by each distinct |c_i| > 1
 and one addition or subtraction per nonzero c_i. With z nonzero c_i of u
 distinct magnitudes above 1 that is d^2 + d - 2 + d(z + u) operations per
 bit: at most 3d^2 + d, and about 2d^2 when one c_i is large and the others
-lie in [-2, 2].
+lie in [-2, 2]. Integers mod m and program instructions keep this step,
+since there every operation costs about the same, and a program has no
+division.
+
+On exact rings a product of two large coefficients costs far more than a
+product by a small integer, and a square less than a product. So from
+degree 3 on, once the coefficients are large enough (`_evaluation_start`),
+`nearest_power` squares by evaluation instead: r at the 2d - 1 points 0,
++-1, ..., +-(d - 1), 2d - 1 squarings, and one integer map per bit b of
+floor(n/2) from the squares straight to x^b r^2 mod f. The map costs
+d(2d - 1) products by small integers and d exact divisions by an int, and
+the values (d - 1)(d - 2) more products by small integers.
 
 Below the threshold, alpha^n = p_n - S_n, where
 S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
@@ -24,6 +35,8 @@ minus the nearest integer to S_n, which the certified root disks enclose.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import errors
 from .algebraic import IntPoly, MinPolyInfo, poly_roots, round_div
@@ -55,7 +68,93 @@ def _first_power_sums(c: tuple[int, ...], count: int) -> list[int]:
     return p
 
 
-def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
+def _reduced(q: list[int], c: tuple[int, ...]) -> list[int]:
+    """q mod f, for integer coefficients q (lowest first) and the low
+    coefficients c of the monic f."""
+    d = len(c)
+    q = list(q)
+    for e in range(len(q) - 1, d - 1, -1):
+        t = q.pop()
+        for i, v in enumerate(c):
+            q[e - d + i] -= t * v
+    return q
+
+
+def _evaluation_square(c: tuple[int, ...], lift):
+    """The step r, b -> x^b r^2 mod f of an exact ring, squaring by
+    evaluation (Toom-Cook; Bodrato and Zanoni, ISSAC 2007).
+
+    r is evaluated at the 2d - 1 points 0, +-1, ..., +-(d - 1), and each
+    value is squared. Lagrange interpolation of the squares, followed by the
+    reduction by f, is one linear map per b, built here in integers in
+    O(d (2d - 1)^2) operations: with W = prod_k (x - x_k),
+    P_k = W / (x - x_k) and delta_k = P_k(x_k), column k is
+    (x^b P_k mod f) / delta_k. Each row is scaled to integers over its least
+    denominator, so coefficient i of x^b r^2 mod f is an integer combination
+    of the squares, divided exactly by an int. The ring needs an exact // by
+    a positive int besides +, - and *.
+    """
+    d = len(c)
+    points = [0] + [s * j for j in range(1, d) for s in (1, -1)]
+    # W, lowest coefficient first.
+    w = [1]
+    for x0 in points:
+        w = [0] + w
+        for i in range(len(w) - 1):
+            w[i] -= x0 * w[i + 1]
+    columns = ([], [])
+    deltas = []
+    for xk in points:
+        # P_k by synthetic division of W by x - x_k.
+        p = [0] * (len(w) - 1)
+        carry = 0
+        for i in range(len(w) - 1, 0, -1):
+            carry = p[i - 1] = w[i] + xk * carry
+        deltas.append(sum(v * xk**i for i, v in enumerate(p)))
+        q = _reduced(p, c)
+        columns[0].append(q)
+        columns[1].append(_reduced([0] + q, c))
+    common = math.lcm(*deltas)
+    maps = []
+    for cols in columns:
+        rows = []
+        for i in range(d):
+            entries = [q[i] * (common // delta) for q, delta in zip(cols, deltas)]
+            g = math.gcd(common, *entries)
+            row = [(k, lift(e // g)) for k, e in enumerate(entries) if e]
+            rows.append((row, lift(common // g)))
+        maps.append(rows)
+    # r(+-j) = even(j) +- odd(j), the even and odd parts of r at j; no
+    # product is needed at j = 1.
+    powers = [None] * (d > 1) + [[lift(j**i) for i in range(d)] for j in range(2, d)]
+
+    def step(r, b):
+        values = [r[0]]
+        for pw in powers:
+            even, odd = r[0], 0
+            for i in range(1, d):
+                t = r[i] if pw is None else r[i] * pw[i]
+                if i & 1:
+                    odd = odd + t
+                else:
+                    even = even + t
+            values += (even + odd, even - odd)
+        squares = [v * v for v in values]
+        out = []
+        for row, den in maps[b]:
+            acc = None
+            for k, e in row:
+                t = squares[k] * e
+                acc = t if acc is None else acc + t
+            out.append(acc // den)
+        return out
+
+    return step
+
+
+def power_sum(
+    f: IntPoly, n: int, modulus: int | None = None, lift=None, evaluate_from: int | None = None
+):
     """p_n, the sum of the n-th powers of the roots of the monic f with f(0) != 0.
 
     Computes r = x^floor(n/2) mod f by square-and-reduce and reads p_n off it
@@ -63,6 +162,10 @@ def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
     The coefficients are whatever `lift` turns an integer into (integers by
     default); they need only +, - and * with each other and with ints. With
     a modulus, every step is reduced mod m and the result lies in [0, m).
+
+    With `evaluate_from` on an exact ring that also has an exact // by a
+    positive int, r is squared by `_evaluation_square` from the first bit
+    whose r is x^j with j >= evaluate_from; `nearest_power` chooses it.
     """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
@@ -94,7 +197,13 @@ def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
         for i, v in enumerate(c)
         if v
     ]
+    square = None
     for bit in range(shift - 1, -1, -1):
+        if square is None and evaluate_from is not None and k >> (bit + 1) >= evaluate_from:
+            square = _evaluation_square(c, lift)
+        if square is not None:
+            r = square(r, k >> bit & 1)
+            continue
         # Symmetric square: d(d+1)/2 products, cross terms doubled once.
         s = [None] * (2 * d - 1)
         for i in range(d):
@@ -167,14 +276,50 @@ def _rounded_conjugate_sum(f: IntPoly, n: int, info: MinPolyInfo) -> int:
         dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].value.re)
 
 
+# Where an exact square by evaluation starts: at the first bit whose r has
+# coefficients of EVALUATION_BITS_PER_DEGREE*d + EVALUATION_BITS_OVER_DEGREE/d
+# bits or more, about where one such square saves what its plan cost. The
+# plan takes about d^3 operations on growing integers, and a square saves
+# about d^2/2 products, so the size grows with d; at small d the squares
+# save only a few of the d(d+1)/2 products, which the 1/d term reflects.
+# Fitted on decimal.Decimal, the CLI's ring (2-CPU host, Python 3.11.7):
+# one square's saving first exceeded the plan's cost, on a grid of sizes
+# 1.41x apart, at 7,802 bits for d = 3, 5,534 for 4, 3,925 for 5 to 12,
+# 5,534 for 16 to 30, 7,802 for 45 and 11,000 for 60 (plans of 0.04-0.06,
+# 0.08-0.12, 0.15-1.5, 3.3-12.9, 54 and 172 ms).
+EVALUATION_MIN_DEGREE = 3  # at d = 2, 3 squares replace 2 squares and a product
+EVALUATION_BITS_PER_DEGREE = 180
+EVALUATION_BITS_OVER_DEGREE = 22000
+
+
+def _evaluation_start(f: IntPoly, info: MinPolyInfo) -> int | None:
+    """The least j from which x^j mod f is squared by evaluation, or None.
+    The coefficients of x^j mod f have about j*log2(alpha) bits, and
+    log2(alpha) > 0.4, since no Pisot number is below the plastic number."""
+    d = f.degree
+    if d < EVALUATION_MIN_DEGREE:
+        return None
+    bits = EVALUATION_BITS_PER_DEGREE * d + EVALUATION_BITS_OVER_DEGREE / d
+    alpha = info.dominant_root.value
+    return math.ceil(bits / (math.log2(alpha.re) - alpha.scale))
+
+
 def nearest_power(f: IntPoly, n: int, info: MinPolyInfo, lift=int):
     """[alpha^n] exactly, where alpha is the Pisot root of f. p_n is computed
     on whatever `lift` turns an integer into (an int by default), as in
-    `power_sum`, and the integer round(S_n) is subtracted from it."""
+    `power_sum`, and the integer round(S_n) is subtracted from it.
+
+    The ring needs +, -, * and an exact // by a positive int: from degree 3
+    and large enough coefficients on, r is squared by evaluation, whose
+    interpolation divides exactly. It is //, not /: on ints / gives a float,
+    and `decimal.Decimal` / at MAX_PREC, the CLI's exact context, works out
+    MAX_PREC digits of any quotient that is not exact and raises an untyped
+    MemoryError."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     info.check_poly(f)
-    return power_sum(f, n, lift=lift) - _rounded_conjugate_sum(f, n, info)
+    p_n = power_sum(f, n, lift=lift, evaluate_from=_evaluation_start(f, info))
+    return p_n - _rounded_conjugate_sum(f, n, info)
 
 
 def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:

@@ -132,15 +132,33 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     """Exact value of the program, or its canonical representative mod m.
     The exact value is computed on whatever `lift` turns the constant 1
     into (an int by default); a ring with +, - and *, such as
-    `decimal.Decimal` in an exact context, will do."""
+    `decimal.Decimal` in an exact context, will do. Exact values are dropped
+    after their last use, so only the live ones are held at once."""
     if modulus is not None and modulus < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
     p.validate()
     ops = _OPCODES
     if modulus is None:
-        values = [lift(1)]
-        for op, a, b in p.instructions[1:]:
-            values.append(ops[op](values[a], values[b]))
+        instructions = p.instructions
+        # dead[i]: the values that instruction i uses last, and i itself if
+        # nothing uses it, from one backward pass over the operands.
+        used = [False] * len(instructions)
+        used[p.result_index] = True
+        dead = [()] * len(instructions)
+        for i in range(len(instructions) - 1, 0, -1):
+            _, a, b = instructions[i]
+            last = [] if used[i] else [i]
+            for v in (a, b):
+                if not used[v]:
+                    used[v] = True
+                    last.append(v)
+            dead[i] = last
+        values = [lift(1)] + [None] * (len(instructions) - 1)
+        for i in range(1, len(instructions)):
+            op, a, b = instructions[i]
+            values[i] = ops[op](values[a], values[b])
+            for v in dead[i]:
+                values[v] = None
     else:
         values = [1 % modulus]
         for op, a, b in p.instructions[1:]:

@@ -3,6 +3,7 @@ companion-matrix traces."""
 
 import dataclasses
 import decimal
+import hashlib
 import random
 
 import mpmath
@@ -12,7 +13,7 @@ from pisot import cli, errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.balls import CBall
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
-from pisot.slp import emit_power_slp, slp_eval
+from pisot.slp import emit_power_slp, format_slp, slp_eval
 from conftest import newton_power_sums, pisot_shaped
 from oracles import companion_matrix, matpow, nearest_power_oracle, polyroots_oracle
 
@@ -290,6 +291,139 @@ class TestSharedMultiples:
             m = rng.randint(2, 1 << 64)
             program = emit_power_slp(f, n, info)
             assert slp_eval(program, m) == matpow_trace(f, n, m), f"n={n}, m={m}"
+
+
+def square_oracle(r, b, c):
+    """x^b r^2 mod f by schoolbook products and term-by-term reduction, for
+    f = x^d + sum c_i x^i."""
+    d = len(c)
+    s = [0] * (2 * d - 1 + b)
+    for i in range(d):
+        for j in range(d):
+            s[i + j + b] += r[i] * r[j]
+    for e in range(len(s) - 1, d - 1, -1):
+        t = s.pop()
+        for i, v in enumerate(c):
+            s[e - d + i] -= t * v
+    return s
+
+
+# Every degree from 1 to 12, the k-nacci up to degree 30, coefficients up to
+# |c_i| = 23,434 (the searched quartic), and zero coefficients.
+EVALUATION_POLYS = (
+    [IntPoly((-3, 1))]
+    + [pisot_shaped(d, random.Random(100 + d)) for d in range(2, 13)]
+    + [IntPoly((-1,) * k + (1,)) for k in (3, 4, 7, 12, 20, 30)]
+    + [
+        PLASTIC,
+        IntPoly((1, 21, -229, -4899, 1)),
+        IntPoly((1, 31, -754, -23434, 1)),
+        IntPoly((-1, 41, -418, 1)),
+        IntPoly((-1, 0, 0, -1, -1, 1)),
+    ]
+    + SHARED_MULTIPLES
+)
+
+
+class TestEvaluationSquare:
+    @pytest.mark.parametrize("f", EVALUATION_POLYS, ids=str)
+    def test_step_matches_the_schoolbook_square(self, f):
+        c = f.coefficients[:-1]
+        d = len(c)
+        rng = random.Random(str(f))
+        vectors = [[0] * d, [1] + [0] * (d - 1), [-1] * d]
+        for bits in (1, 8, 64, 300):
+            for _ in range(3):
+                r = [rng.randint(-(1 << bits), 1 << bits) for _ in range(d)]
+                r[rng.randrange(d)] = 0
+                vectors.append(r)
+        step = powtrace._evaluation_square(c, int)
+        with cli._exact_decimal():
+            decimal_step = powtrace._evaluation_square(c, decimal.Decimal)
+            for r in vectors:
+                for b in (0, 1):
+                    expected = square_oracle(r, b, c)
+                    assert step(r, b) == expected, f"r={r}, b={b}"
+                    lifted = [decimal.Decimal(v) for v in r]
+                    assert decimal_step(lifted, b) == expected, f"r={r}, b={b}"
+
+    @pytest.mark.parametrize("f", EVALUATION_POLYS, ids=str)
+    def test_from_the_first_bit(self, f):
+        # evaluate_from=0 squares by evaluation at every bit; the result is
+        # the schoolbook engine's and the companion matrix's (the root's
+        # power at degree 1).
+        d = f.degree
+        rng = random.Random(str(f))
+        top = 600 if d <= 12 else 150
+        ns = [0, 2 * d - 1, 2 * d, 2 * d + 1, top - 1, top]
+        ns += [rng.randint(2 * d, top) for _ in range(6)]
+        with cli._exact_decimal():
+            for n in ns:
+                expected = matpow_trace(f, n) if d > 1 else (-f.coefficients[0]) ** n
+                assert power_sum(f, n) == expected, f"n={n}"
+                assert power_sum(f, n, evaluate_from=0) == expected, f"n={n}"
+                assert power_sum(f, n, lift=decimal.Decimal, evaluate_from=0) == expected, f"n={n}"
+
+
+SWITCH_POLYS = [
+    IntPoly((-1, -9, -20, 1)),
+    IntPoly((1, 21, -229, -4899, 1)),
+    pisot_shaped(7, random.Random(7)),
+    SHARED_MULTIPLES[-1],  # the benchmark's degree 12
+    IntPoly((-1,) * 30 + (1,)),
+]
+
+
+@pytest.mark.parametrize("f", SWITCH_POLYS, ids=str)
+def test_exact_powers_on_both_sides_of_the_switch(f, monkeypatch):
+    # With the constants as they stand, x^j is squared by evaluation from
+    # j = j0 on and by schoolbook products below, whatever the bit b of
+    # floor(n/2) that follows. Ints and Decimal give the schoolbook result.
+    info = analyze_minpoly(f)
+    j0 = powtrace._evaluation_start(f, info)
+    assert j0 > 2 * f.degree and 4 * j0 - 4 >= info.threshold_n0
+    steps = []
+    build = powtrace._evaluation_square
+
+    def recorded(c, lift):
+        step = build(c, lift)
+
+        def run(r, b):
+            steps.append(b)
+            return step(r, b)
+
+        return run
+
+    monkeypatch.setattr(powtrace, "_evaluation_square", recorded)
+    for k, bits in (
+        (2 * j0 - 2, []),
+        (2 * j0 - 1, []),
+        (2 * j0, [0]),
+        (2 * j0 + 1, [1]),
+        (8 * j0 + 2, [0, 1, 0]),
+        (8 * j0 + 5, [1, 0, 1]),
+    ):
+        for n in (2 * k, 2 * k + 1):
+            expected = power_sum(f, n)
+            for lift in (int, decimal.Decimal):
+                steps.clear()
+                with cli._exact_decimal():
+                    assert nearest_power(f, n, info, lift=lift) == expected, f"n={n}, {lift}"
+                assert steps == bits, f"n={n}"
+
+
+def test_evaluation_takes_no_quadratic_field(golden_info):
+    # At d = 2 three squares would replace two squares and a product.
+    assert powtrace._evaluation_start(GOLDEN, golden_info) is None
+
+
+def test_benchmark_program_text_is_unchanged():
+    # Programs keep the schoolbook square: this hash is the text that the
+    # engine emitted before exact rings squared by evaluation.
+    f = SHARED_MULTIPLES[-1]
+    text = format_slp(emit_power_slp(f, 8_386_254_639_759_710_208, analyze_minpoly(f)))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == "3d4d72bb61f17cf5ac23826d18d02c60fd1eef349cb6c08930ca657313da3b70"
 
 
 def test_root_layout_of_another_polynomial_is_refused(plastic_info, golden_info):

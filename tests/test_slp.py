@@ -158,6 +158,53 @@ class TestEval:
         with pytest.raises(errors.MalformedProgram):
             bad.validate()
 
+    def test_exact_values_are_dropped_after_their_last_use(self):
+        f = IntPoly((1, 21, -229, -4899, 1))
+        info = analyze_minpoly(f)
+        n = 3000
+        p = emit_power_slp(f, n, info)
+        Counted.alive = Counted.peak = 0
+        value = slp_eval(p, lift=Counted)
+        assert value.v == nearest_power(f, n, info)
+        # The engine keeps O(d^2) values live at once; the program has
+        # hundreds of instructions.
+        assert len(p.instructions) > 500
+        assert Counted.peak <= len(p.instructions) // 10
+        del value
+        assert Counted.alive == 0
+
+    def test_unused_and_repeated_operands(self):
+        # v2 is never used; v3 uses v1 twice; the result is read mid-program.
+        p = SLP((("one",), ("add", 0, 0), ("mul", 1, 1), ("mul", 1, 1), ("add", 3, 0)), 3)
+        assert slp_eval(p) == 4
+        Counted.alive = Counted.peak = 0
+        assert slp_eval(p, lift=Counted).v == 4
+        assert Counted.peak <= 3
+
+
+class Counted:
+    """An int that counts its live instances, to see what `slp_eval` holds."""
+
+    alive = peak = 0
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+        Counted.alive += 1
+        Counted.peak = max(Counted.peak, Counted.alive)
+
+    def __del__(self):
+        Counted.alive -= 1
+
+    def __add__(self, other):
+        return Counted(self.v + other.v)
+
+    def __sub__(self, other):
+        return Counted(self.v - other.v)
+
+    def __mul__(self, other):
+        return Counted(self.v * other.v)
+
 
 class TestTextFormat:
     def test_round_trip_byte_identical(self, golden_info):
