@@ -18,7 +18,6 @@ from .algebraic import (
 from .lattice import IntLattice, LLLResult, check_reduced, lll_reduce
 from .pisotsearch import (
     PisotCandidate,
-    SearchParams,
     build_scaled_lattice,
     compute_scale_P,
     find_pisot,
@@ -39,7 +38,6 @@ __all__ = [
     "MinPolyInfo",
     "PisotCandidate",
     "SLP",
-    "SearchParams",
     "analyze_minpoly",
     "build_scaled_lattice",
     "check_reduced",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import errors
-from .balls import GUARD_BITS, Ball, decimal_digits
+from .balls import Ball, decimal_digits
 from .lattice import IntLattice
 from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, share_a_root, work_bits
 
@@ -129,13 +129,11 @@ class EmbeddingMatrix:
     conductor: int | None = None
     discriminant: int | None = None
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
 
 @dataclass(frozen=True)
 class MinPolyInfo:
-    """Certified root layout of a Pisot minimal polynomial."""
+    """Certified root layout of the Pisot minimal polynomial `poly`, which
+    the power layer reads from here and takes nowhere else."""
 
     poly: IntPoly
     roots: tuple[PolyRoot, ...]
@@ -147,12 +145,6 @@ class MinPolyInfo:
     @property
     def dominant_root(self) -> PolyRoot:
         return self.roots[self.dominant_index]
-
-    def check_poly(self, f: IntPoly) -> None:
-        """ValueError unless this is the layout of f: paired with another
-        polynomial, it would give a wrong integer with no error."""
-        if self.poly != f:
-            raise ValueError(f"the root layout is that of {self.poly}, not of {f}")
 
 
 def coprime_residues(n: int):
@@ -479,10 +471,9 @@ def _certify_pisot_roots(roots):
     for i, r in enumerate(roots):
         if not r.is_real:
             continue
-        v = r.value
-        if v.re - v.radius > 1 << v.scale:
+        if r.re - r.radius > 1 << r.scale:
             dominant.append(i)
-        elif v.re + v.radius > 1 << v.scale:
+        elif r.re + r.radius > 1 << r.scale:
             return "ambiguous"
     if len(dominant) > 1:
         return "more than one real root greater than 1"

@@ -1,17 +1,15 @@
-"""Certified real and complex numbers held as exact integers.
+"""Certified real numbers held as exact integers.
 
 A `Ball` is an integer center c, an integer radius r and a scale s: the
-number lies in [(c - r)/2^s, (c + r)/2^s]. A `CBall` has a Gaussian-integer
-center (re, im) and stands for a complex number within r/2^s of
-(re + im*i)/2^s. Whoever builds a record states its bound; the records do no
-arithmetic, so no rounding can loosen one. `lt` and `gt` are exact integer
-comparisons, and `digits` prints a center in decimal through
-`decimal_digits`, the one exact formatter, which also prints the ratios in
-error messages.
+number lies in [(c - r)/2^s, (c + r)/2^s]. Whoever builds a ball states its
+bound; balls do no arithmetic, so no rounding can loosen one. `lt` and `gt`
+are exact integer comparisons, and `digits` prints a center in decimal
+through `decimal_digits`, the one exact formatter, which also prints the
+ratios in error messages.
 
-Root isolation (`roots.poly_roots`) returns its disks as `CBall`s, a search
-candidate reports its value and conjugate moduli as `Ball`s built from its
-fixed-point integers, and `minkowski_bound` returns one.
+A search candidate reports its value and conjugate moduli as `Ball`s built
+from its fixed-point integers, a root disk (`roots.PolyRoot`) gives its
+modulus as one, and `minkowski_bound` returns one.
 """
 
 from __future__ import annotations
@@ -52,16 +50,6 @@ class Ball:
         s = self.scale
         num, den = (self.center, 1 << s) if s >= 0 else (self.center << -s, 1)
         return decimal_digits(num, den, n)
-
-
-@dataclass(frozen=True)
-class CBall:
-    """A complex number within radius / 2^scale of (re + im*i) / 2^scale."""
-
-    re: int
-    im: int
-    radius: int
-    scale: int
 
 
 def decimal_digits(num: int, den: int, n: int) -> str:

@@ -14,9 +14,7 @@ from . import errors
 from .algebraic import FieldSpec, IntPoly, analyze_minpoly, coprime_residues, embeddings_for
 from .pisotsearch import (
     MAX_SEARCH_DEGREE,
-    SearchParams,
     find_pisot,
-    floor_bits,
     minkowski_bound,
     verify_pisot,
     verify_precision,
@@ -49,10 +47,14 @@ MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
 # constant is 2 * 75^4, so that epsilon = 1/4 stays accepted up to
 # MAX_SEARCH_DEGREE; there conductors 149 and 151 take up to 27 and 32 s.
 MAX_FIND_SIZE = 63_281_250
+# Digits of a number in a polynomial: ASCII only, as in a program file.
+_DIGITS = "0123456789"
 
 
 def parse_poly(source: str) -> IntPoly:
-    """Parse expressions like "x^3 - x - 1" into an integer polynomial."""
+    """Parse expressions like "x^3 - x - 1" into an integer polynomial.
+    Numbers are ASCII digits; an exponent above MAX_SEARCH_DEGREE is refused
+    at its offset, before any coefficient tuple is built."""
     s = source
     n = len(s)
     pos = 0
@@ -62,14 +64,13 @@ def parse_poly(source: str) -> IntPoly:
         while pos < n and s[pos] in " \t":
             pos += 1
 
-    def read_int():
+    def read_digits():
         nonlocal pos
         j = pos
-        while j < n and s[j].isdigit():
+        while j < n and s[j] in _DIGITS:
             j += 1
-        v = int(s[pos:j])
-        pos = j
-        return v
+        text, pos = s[pos:j], j
+        return text
 
     terms: dict[int, int] = {}
     skip()
@@ -94,17 +95,24 @@ def parse_poly(source: str) -> IntPoly:
         skip()
         start = pos
         coef = None
-        if pos < n and s[pos].isdigit():
-            coef = read_int()
+        if pos < n and s[pos] in _DIGITS:
+            coef = int(read_digits())
         exp = 0
         if pos < n and s[pos] == "x":
             pos += 1
             exp = 1
             if pos < n and s[pos] == "^":
                 pos += 1
-                if pos >= n or not s[pos].isdigit():
+                if pos >= n or s[pos] not in _DIGITS:
                     raise errors.PolySyntaxError("expected exponent", pos)
-                exp = read_int()
+                at = pos
+                digits = read_digits().lstrip("0") or "0"
+                # An exponent longer than the cap's digits is refused unread.
+                if len(digits) > len(str(MAX_SEARCH_DEGREE)) or int(digits) > MAX_SEARCH_DEGREE:
+                    raise errors.PolySyntaxError(
+                        f"exponent above {MAX_SEARCH_DEGREE} (MAX_SEARCH_DEGREE)", at
+                    )
+                exp = int(digits)
         if pos == start:
             raise errors.PolySyntaxError("expected a term", pos)
         terms[exp] = terms.get(exp, 0) + sign * (1 if coef is None else coef)
@@ -269,7 +277,7 @@ def _cmd_find(args):
             f"that find takes at degree {k}: k^4 * ceil(log2(1/epsilon)) = {k**4 * bits} "
             f"exceeds {MAX_FIND_SIZE} (MAX_FIND_SIZE)"
         )
-    _candidate_output(args, find_pisot(spec, SearchParams(epsilon=eps)))
+    _candidate_output(args, find_pisot(spec, eps))
     return 0
 
 
@@ -289,9 +297,18 @@ def _cmd_verify(args):
     # precision than z.
     d = max(len(c.strip().lstrip("+-").lstrip("0_").replace("_", "")) for c in entries)
     least = [1 << 332 * max(d - 1, 0) // 100] + [0] * (len(entries) - 1)
-    if verify_precision(least, spec, floor_bits(spec)) > MAX_WORK_BITS:
+    if verify_precision(least, spec) > MAX_WORK_BITS:
         raise errors.PrecisionExhausted(
             f"a {d}-digit --coeffs entry needs over {MAX_WORK_BITS} bits"
+        )
+    # An explicit field verifies at s <= S, its stated bits, with err >= 1.
+    # ||z||_1 >= 2^S makes the error bound e >= 2^s, so every conjugate's
+    # bound |v| + e exceeds epsilon * 2^s: verify_pisot would refuse z.
+    stated = spec.stated_precision_bits
+    if stated is not None and least[0].bit_length() > stated:
+        raise errors.NotPisot(
+            f"a {d}-digit --coeffs entry makes ||z||_1 at least 2^{stated}, so no "
+            f"conjugate is certified below epsilon at the field's {stated} stated bits"
         )
     try:
         z = [int(c) for c in entries]
@@ -299,7 +316,7 @@ def _cmd_verify(args):
         raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
     if not any(z):
         raise errors.ParseError("--coeffs must not be all zero")
-    emb = embeddings_for(spec, verify_precision(z, spec, floor_bits(spec)))
+    emb = embeddings_for(spec, verify_precision(z, spec))
     cand = verify_pisot(z, emb, eps)
     _candidate_output(args, cand)
     return 0
@@ -312,7 +329,7 @@ def _cmd_pow(args):
     info = analyze_minpoly(f)
     if m is not None:
         obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
-        _emit_result(args, obj, nearest_power_mod(f, n, m, info))
+        _emit_result(args, obj, nearest_power_mod(info, n, m))
         return 0
     if n > MAX_EXACT_N:
         raise errors.ParseError(
@@ -321,7 +338,7 @@ def _cmd_pow(args):
         )
     obj = {"minpoly": str(f), "n": _json_int(n)}
     with _exact_decimal():
-        _emit_result(args, obj, nearest_power(f, n, info, lift=decimal.Decimal))
+        _emit_result(args, obj, nearest_power(info, n, lift=decimal.Decimal))
     return 0
 
 
@@ -329,7 +346,7 @@ def _cmd_slp_emit(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
     info = analyze_minpoly(f)
-    text = format_slp(emit_power_slp(f, n, info))
+    text = format_slp(emit_power_slp(info, n))
     if args.output:
         with open(args.output, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)

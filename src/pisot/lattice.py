@@ -64,9 +64,6 @@ class IntLattice:
             prev = m[col][col]
         return sign * m[n - 1][n - 1]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.basis[j]
-
 
 @dataclass(frozen=True)
 class LLLResult:

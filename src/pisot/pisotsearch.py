@@ -21,7 +21,7 @@ pass first, and runs the exact finisher only when none of them certifies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -48,17 +48,6 @@ FLOOR_BITS = 256
 # of degree 68 to 75 (16 conductors, 151 the slowest); at k = 78 conductor 169
 # takes 31 s. No conductor gives k = 76 or 77.
 MAX_SEARCH_DEGREE = 75
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    epsilon: Fraction = field(default_factory=lambda: Fraction(1))
-
-    def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError("epsilon must lie in (0, 1]")
-        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
@@ -200,20 +189,20 @@ def floor_bits(spec: FieldSpec) -> int:
     return min(FLOOR_BITS, spec.stated_precision_bits)
 
 
-def verify_precision(z, spec: FieldSpec, floor: int) -> int:
-    """Precision that certifies candidate z: at least `floor` (see
-    `floor_bits`), and 2*bits(||z||_1) + 2k + 32 (capped at an explicit
-    field's stated precision). The conjugates lose bits(||z||_1) bits to
+def verify_precision(z, spec: FieldSpec) -> int:
+    """Precision that certifies candidate z: at least `floor_bits(spec)`,
+    and 2*bits(||z||_1) + 2k + 32 (capped at an explicit field's stated
+    precision). The conjugates lose bits(||z||_1) bits to
     cancellation, and the error bound of the minpoly's coefficients grows
     like ||z||_1^2 * 2^k, which must stay below 1/2 for them to round to
     integers. Above MAX_WORK_BITS the embeddings refuse it."""
     need = 2 * sum(abs(int(c)) for c in z).bit_length() + 2 * len(z) + 32
     if spec.stated_precision_bits is not None:
         need = min(need, spec.stated_precision_bits)
-    return max(floor, need)
+    return max(floor_bits(spec), need)
 
 
-def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCandidate:
+def find_pisot(spec: FieldSpec, epsilon=1) -> PisotCandidate:
     """Algorithm: scale, round, LLL-reduce, then certify candidate vectors
     taken from the transform columns (first reduced vector first), at each
     (P, Q) of `_scales` in turn. In each reduction the float pass's
@@ -224,9 +213,12 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
     then `verify_precision`, on the search's matrix when it is at that
     precision, so a small field is embedded once. A candidate whose
     precision exceeds the cap is skipped like one that fails certification.
-    SearchFailed summarises the whole search."""
-    params = params or SearchParams()
-    eps = params.epsilon
+    SearchFailed summarises the whole search. Every certified conjugate
+    other than the value lies below epsilon, a rational in (0, 1]; any other
+    epsilon is a ValueError, raised before any embedding is built."""
+    eps = Fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError("epsilon must lie in (0, 1]")
     floor = floor_bits(spec)
     emb = embeddings_for(spec, floor)
     ceiling = compute_scale_P(emb.k, emb.discriminant, eps)
@@ -240,7 +232,7 @@ def find_pisot(spec: FieldSpec, params: SearchParams | None = None) -> PisotCand
             if z in tried:
                 continue
             try:
-                prec = verify_precision(z, spec, floor)
+                prec = verify_precision(z, spec)
                 emb_z = emb if prec == emb.precision_bits else embeddings_for(spec, prec)
                 return verify_pisot(z, emb_z, eps)
             except (errors.NotPisot, errors.PrecisionError, errors.PrecisionExhausted) as exc:

@@ -240,29 +240,29 @@ def power_sum(
     return total if modulus is None else total % modulus
 
 
-def _rounded_conjugate_sum(f: IntPoly, n: int, info: MinPolyInfo) -> int:
+def _rounded_conjugate_sum(info: MinPolyInfo, n: int) -> int:
     """The nearest integer to S_n = sum_{i >= 2} beta_i^n, so that
     [alpha^n] = p_n minus it; 0 from the threshold n0 on.
 
     Each beta_i lies in a certified disk of center c and radius R inside the
     unit disk, so |beta_i^n - c^n| <= n*R, and c^n comes from `fixed_power`
     with its truncation bound. When S_n lies within the summed bound of a
-    half-integer, the roots are isolated again at twice the precision, up
-    to MAX_WORK_BITS.
+    half-integer, the roots of info.poly are isolated again at twice the
+    precision, up to MAX_WORK_BITS.
     """
     if n >= info.threshold_n0:
         return 0
     roots, dom, prec = info.roots, info.dominant_index, info.precision_bits
     while True:
         others = [r for i, r in enumerate(roots) if i != dom]
-        s = others[0].value.scale  # one scale for all disks of an isolation
+        s = others[0].scale  # one scale for all disks of an isolation
         # The n*R bound needs every disk inside the unit disk.
         if all(r.modulus().lt(1) for r in others):
             total = err = 0
             for r in others:
-                u, _, e = fixed_power(r.value.re, r.value.im, n, s)
+                u, _, e = fixed_power(r.re, r.im, n, s)
                 total += u
-                err += e + n * r.value.radius
+                err += e + n * r.radius
             k = round_div(total, 1 << s)
             if 2 * (abs(total - (k << s)) + err) < 1 << s:
                 return k
@@ -272,8 +272,8 @@ def _rounded_conjugate_sum(f: IntPoly, n: int, info: MinPolyInfo) -> int:
                 f"could not certify the nearest integer to alpha^{n} below "
                 f"{MAX_WORK_BITS} working bits"
             )
-        roots = poly_roots(f, prec)
-        dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].value.re)
+        roots = poly_roots(info.poly, prec)
+        dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].re)
 
 
 # Where an exact square by evaluation starts: at the first bit whose r has
@@ -292,22 +292,22 @@ EVALUATION_BITS_PER_DEGREE = 180
 EVALUATION_BITS_OVER_DEGREE = 22000
 
 
-def _evaluation_start(f: IntPoly, info: MinPolyInfo) -> int | None:
+def _evaluation_start(info: MinPolyInfo) -> int | None:
     """The least j from which x^j mod f is squared by evaluation, or None.
     The coefficients of x^j mod f have about j*log2(alpha) bits, and
     log2(alpha) > 0.4, since no Pisot number is below the plastic number."""
-    d = f.degree
+    d = info.poly.degree
     if d < EVALUATION_MIN_DEGREE:
         return None
     bits = EVALUATION_BITS_PER_DEGREE * d + EVALUATION_BITS_OVER_DEGREE / d
-    alpha = info.dominant_root.value
+    alpha = info.dominant_root
     return math.ceil(bits / (math.log2(alpha.re) - alpha.scale))
 
 
-def nearest_power(f: IntPoly, n: int, info: MinPolyInfo, lift=int):
-    """[alpha^n] exactly, where alpha is the Pisot root of f. p_n is computed
-    on whatever `lift` turns an integer into (an int by default), as in
-    `power_sum`, and the integer round(S_n) is subtracted from it.
+def nearest_power(info: MinPolyInfo, n: int, lift=int):
+    """[alpha^n] exactly, where alpha is the Pisot root of info.poly. p_n is
+    computed on whatever `lift` turns an integer into (an int by default), as
+    in `power_sum`, and the integer round(S_n) is subtracted from it.
 
     The ring needs +, -, * and an exact // by a positive int: from degree 3
     and large enough coefficients on, r is squared by evaluation, whose
@@ -317,16 +317,15 @@ def nearest_power(f: IntPoly, n: int, info: MinPolyInfo, lift=int):
     MemoryError."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    info.check_poly(f)
-    p_n = power_sum(f, n, lift=lift, evaluate_from=_evaluation_start(f, info))
-    return p_n - _rounded_conjugate_sum(f, n, info)
+    p_n = power_sum(info.poly, n, lift=lift, evaluate_from=_evaluation_start(info))
+    return p_n - _rounded_conjugate_sum(info, n)
 
 
-def nearest_power_mod(f: IntPoly, n: int, m: int, info: MinPolyInfo) -> int:
-    """[alpha^n] mod m in time polynomial in log(mn)."""
+def nearest_power_mod(info: MinPolyInfo, n: int, m: int) -> int:
+    """[alpha^n] mod m, where alpha is the Pisot root of info.poly, in time
+    polynomial in log(mn)."""
     if m < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {m}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    info.check_poly(f)
-    return (power_sum(f, n, m) - _rounded_conjugate_sum(f, n, info)) % m
+    return (power_sum(info.poly, n, m) - _rounded_conjugate_sum(info, n)) % m

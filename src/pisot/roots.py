@@ -18,7 +18,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from . import errors
-from .balls import GUARD_BITS, Ball, CBall
+from .balls import GUARD_BITS, Ball
 
 if TYPE_CHECKING:
     from .algebraic import IntPoly
@@ -35,14 +35,19 @@ _NUDGE = complex(0.6, 0.8)
 
 @dataclass(frozen=True)
 class PolyRoot:
-    value: CBall
+    """A root within radius / 2^scale of (re + im*i) / 2^scale; a root
+    certified real has im = 0."""
+
+    re: int
+    im: int
+    radius: int
+    scale: int
     is_real: bool
 
     def modulus(self) -> Ball:
         """|root| as a Ball: the center's modulus rounded down by isqrt, so
         that the radius grows by one unit to cover the rounding."""
-        v = self.value
-        return Ball(isqrt(v.re * v.re + v.im * v.im), v.radius + 1, v.scale)
+        return Ball(isqrt(self.re * self.re + self.im * self.im), self.radius + 1, self.scale)
 
 
 def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
@@ -357,7 +362,7 @@ def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
     roots = []
     for i, ((a, b), r) in enumerate(zip(zs, radii)):
         if abs(b) << g > r:
-            roots.append(PolyRoot(CBall(a << g, b << g, r, w + g), is_real=False))
+            roots.append(PolyRoot(a << g, b << g, r, w + g, is_real=False))
             continue
         # Disk crosses the real axis. The conjugate of the true root is also
         # a root; if it cannot lie in any other disk it lies in this one, so
@@ -367,7 +372,7 @@ def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
             for j, (u, v) in enumerate(zs)
         ):
             return None
-        roots.append(PolyRoot(CBall(a << g, 0, r + (abs(b) << g), w + g), is_real=True))
+        roots.append(PolyRoot(a << g, 0, r + (abs(b) << g), w + g, is_real=True))
     return roots
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import errors
-from .algebraic import IntPoly, MinPolyInfo
+from .algebraic import MinPolyInfo
 from .powtrace import nearest_power, power_sum
 
 ONE = ("one",)
@@ -111,20 +111,19 @@ class _Ref:
         return self._op("mul", other)
 
 
-def emit_power_slp(f: IntPoly, n: int, info: MinPolyInfo) -> SLP:
-    """O(log n)-length program for [alpha^n]. At or above the threshold it is
-    the power-sum engine run on instructions: d^2 + d - 2 + d(z + u)
-    instructions per bit of n for x^floor(n/2) mod f, where z counts the
-    nonzero c_i and u their distinct magnitudes above 1 (at most 3d^2 + d),
-    plus the read-off of p_n and the constants it uses. Below the threshold
-    it is the constant [alpha^n]."""
+def emit_power_slp(info: MinPolyInfo, n: int) -> SLP:
+    """O(log n)-length program for [alpha^n], where alpha is the Pisot root
+    of f = info.poly. At or above the threshold it is the power-sum engine
+    run on instructions: d^2 + d - 2 + d(z + u) instructions per bit of n for
+    x^floor(n/2) mod f, where z counts the nonzero c_i and u their distinct
+    magnitudes above 1 (at most 3d^2 + d), plus the read-off of p_n and the
+    constants it uses. Below the threshold it is the constant [alpha^n]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    info.check_poly(f)
     if n < info.threshold_n0 or n == 0:
-        return slp_for_constant(nearest_power(f, n, info))
+        return slp_for_constant(nearest_power(info, n))
     b = _Builder()
-    result = power_sum(f, n, lift=lambda v: _Ref(b, b.const(v)))
+    result = power_sum(info.poly, n, lift=lambda v: _Ref(b, b.const(v)))
     return b.finish(result.index)
 
 

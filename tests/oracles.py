@@ -7,7 +7,7 @@ tests compare against them; the package itself does not use them.
 for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
 Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 (`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
-`mid` and `rad` are exact mpmath views of a `Ball` or `CBall`, and
+`mid` and `rad` are exact mpmath views of a `Ball` or a `PolyRoot`, and
 `decimal_reference` is the correctly rounded decimal value of a center, the
 oracle for `Ball.digits`; `int_str_limit` runs a test under Python's int<->str
 digit limit.
@@ -34,8 +34,8 @@ from mpmath.libmp import from_man_exp
 
 from pisot import errors
 from pisot.algebraic import IntPoly
-from pisot.balls import CBall
 from pisot.lattice import _FLOAT_BITS, IntLattice, _dot
+from pisot.roots import PolyRoot
 from pisot.slp import ONE, SLP
 
 
@@ -183,15 +183,15 @@ def _exact(m: int, s: int):
 
 
 def mid(x):
-    """The center of a Ball (an mpf) or a CBall (an mpc), exactly."""
-    if isinstance(x, CBall):
+    """The center of a Ball (an mpf) or a PolyRoot (an mpc), exactly."""
+    if isinstance(x, PolyRoot):
         s = -x.scale
         return mp.make_mpc((from_man_exp(x.re, s), from_man_exp(x.im, s)))
     return _exact(x.center, x.scale)
 
 
 def rad(x):
-    """The radius of a Ball or a CBall as an mpf, exactly."""
+    """The radius of a Ball or a PolyRoot as an mpf, exactly."""
     return _exact(x.radius, x.scale)
 
 

@@ -89,7 +89,7 @@ class TestCyclotomicEmbeddings:
         emb = cyclotomic_embeddings(15, 256)
         assert emb.k == 4
         assert emb.discriminant == 1125
-        row0 = [_real(emb, m) for m in emb.row(0)]
+        row0 = [_real(emb, m) for m in emb.entries[0]]
         assert row0 == pytest.approx(
             [1.82709, 1.33826, -0.20906, -1.95630], abs=1e-5
         )
@@ -114,7 +114,7 @@ class TestCyclotomicEmbeddings:
         emb = cyclotomic_embeddings(n, 128)
         assert emb.discriminant == disc
         assert all(row[0] == 1 << emb.precision_bits for row in emb.entries)
-        assert _real(emb, emb.row(0)[1]) == pytest.approx(2 * mpmath.cos(2 * mpmath.pi / n))
+        assert _real(emb, emb.entries[0][1]) == pytest.approx(2 * mpmath.cos(2 * mpmath.pi / n))
 
     def test_rejects_2_mod_4(self):
         with pytest.raises(errors.UnsupportedConductor):
@@ -291,7 +291,7 @@ class TestPolyRoots:
         roots = poly_roots(GOLDEN, 128)
         assert len(roots) == 2
         assert all(r.is_real for r in roots)
-        vals = sorted(float(mid(r.value).real) for r in roots)
+        vals = sorted(float(mid(r).real) for r in roots)
         phi = (1 + 5**0.5) / 2
         assert vals == pytest.approx([1 - phi, phi], abs=1e-12)
 
@@ -299,14 +299,14 @@ class TestPolyRoots:
         roots = poly_roots(PLASTIC, 128)
         reals = [r for r in roots if r.is_real]
         assert len(reals) == 1
-        assert float(mid(reals[0].value).real) == pytest.approx(1.3247179572, abs=1e-9)
+        assert float(mid(reals[0]).real) == pytest.approx(1.3247179572, abs=1e-9)
         complexes = [r for r in roots if not r.is_real]
         assert len(complexes) == 2
         assert float(mid(complexes[0].modulus())) == pytest.approx(0.8688369, abs=1e-6)
 
     def test_radii_are_tight(self):
         for r in poly_roots(PLASTIC, 128):
-            assert mpf_to_fraction(rad(r.value)) < Fraction(1, 2**120)
+            assert mpf_to_fraction(rad(r)) < Fraction(1, 2**120)
 
     def test_repeated_root_exhausts(self):
         square = IntPoly((1, -2, 1))  # (x-1)^2
@@ -331,7 +331,7 @@ def _assert_isolated(f, roots, bits):
     hits = []
     with mp.workprec(bits):
         for z in polyroots_oracle(f, bits):
-            inside = [i for i, r in enumerate(roots) if abs(z - mid(r.value)) <= rad(r.value)]
+            inside = [i for i, r in enumerate(roots) if abs(z - mid(r)) <= rad(r)]
             assert len(inside) == 1, f"{mpmath.nstr(z, 20)} lies in {len(inside)} disks"
             assert roots[inside[0]].is_real == (abs(mpmath.im(z)) < mpf(2) ** (-bits // 2))
             hits += inside
@@ -363,7 +363,7 @@ def test_modulus_bounds_hold_the_oracle_modulus(f):
     roots = poly_roots(f, 128)
     with mp.workprec(2000):
         for z in polyroots_oracle(f, 2000):
-            (root,) = [r for r in roots if abs(z - mid(r.value)) <= rad(r.value)]
+            (root,) = [r for r in roots if abs(z - mid(r)) <= rad(r)]
             m = root.modulus()
             assert m.center - m.radius <= mpf_to_fraction(abs(z)) * 2**m.scale <= m.center + m.radius
 
@@ -539,9 +539,9 @@ def _fixed_roots(f, s):
     values, e = [], 0
     for r in poly_roots(f, s):
         assert r.is_real
-        q = mpf_to_fraction(mid(r.value).real) * 2**s
+        q = mpf_to_fraction(mid(r).real) * 2**s
         values.append(round(q))
-        e = max(e, int(abs(q - round(q)) + mpf_to_fraction(rad(r.value)) * 2**s) + 1)
+        e = max(e, int(abs(q - round(q)) + mpf_to_fraction(rad(r)) * 2**s) + 1)
     return values, e
 
 

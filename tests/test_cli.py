@@ -159,16 +159,16 @@ class TestExactDecimal:
         rng = random.Random(str(f))
         with cli._exact_decimal():
             for n in range(601):
-                exact = nearest_power(f, n, info, lift=decimal.Decimal)
-                assert str(exact) == str(nearest_power(f, n, info)), f"n={n}"
+                exact = nearest_power(info, n, lift=decimal.Decimal)
+                assert str(exact) == str(nearest_power(info, n)), f"n={n}"
         # Through the CLI's printer around n0, also as JSON, and up to 10^5.
         for n in sorted({max(n0 - 1, 0), n0, n0 + 1}):
             code, out, _ = invoke(capsys, "pow", "--minpoly", str(f), "-n", str(n), "--json")
-            assert code == 0 and int(json.loads(out)["result"]) == nearest_power(f, n, info)
+            assert code == 0 and int(json.loads(out)["result"]) == nearest_power(info, n)
         sampled = {rng.randint(601, 10**4), rng.randint(10**4, 10**5)}
         for n in sorted({max(n0 - 1, 0), n0, n0 + 1} | sampled):
             code, out, _ = invoke(capsys, "pow", "--minpoly", str(f), "-n", str(n))
-            assert code == 0 and out == f"{nearest_power(f, n, info)}\n", f"n={n}"
+            assert code == 0 and out == f"{nearest_power(info, n)}\n", f"n={n}"
 
     @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 500])
     def test_slp_eval_equals_pow(self, capsys, tmp_path, n):
@@ -886,3 +886,89 @@ def test_epsilon_past_the_find_cap_is_usage_error(capsys, monkeypatch, conductor
 
 def test_find_cap_keeps_a_quarter_at_every_degree():
     assert all(_least_epsilon_bits(k) >= 2 for k in range(2, MAX_SEARCH_DEGREE + 1))
+
+
+@pytest.mark.parametrize(
+    "expr", ["x^²-x-1", "x^2-x-١", "x^٣-x-1"], ids=["superscript", "coefficient", "exponent"]
+)
+def test_non_ascii_digits_in_a_polynomial_are_usage_errors(capsys, expr):
+    # str.isdigit() accepts these: the first ended in a ValueError traceback,
+    # and the other two were read as x^2 - x - 1 and x^3 - x - 1.
+    code, out, err = invoke(capsys, "threshold", "--minpoly", expr)
+    assert code == 2 and out == "" and err.startswith("PolySyntaxError:")
+
+
+def test_an_exponent_above_the_degree_cap_is_refused_at_its_offset():
+    assert parse_poly(f"x^{MAX_SEARCH_DEGREE}-x-1").degree == MAX_SEARCH_DEGREE
+    for expr, offset in [("x^76-x-1", 2), ("x^100000000-1", 2), ("x^2 - 3x^0076", 9)]:
+        with pytest.raises(errors.PolySyntaxError) as exc:
+            parse_poly(expr)
+        assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "expr", ["x^76-x-1", "x^100000000-1", "x^" + "9" * 100_000], ids=["76", "10^8", "long"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [("pow", "-n", "5"), ("threshold",), ("slp", "emit", "-n", "5")],
+    ids=["pow", "threshold", "slp-emit"],
+)
+def test_a_degree_above_the_cap_exits_2_at_once(capsys, command, expr):
+    # x^100000000 - 1 used to build a coefficient tuple of 10^8 entries and
+    # start root isolation on it; it was still running after 20 s.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *command, "--minpoly", expr)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("PolySyntaxError:")
+    assert f"above {MAX_SEARCH_DEGREE}" in err
+
+
+def test_the_75_nacci_still_answers_threshold(capsys):
+    f = "x^75" + "-x^" + "-x^".join(str(e) for e in range(74, 1, -1)) + "-x-1"
+    assert parse_poly(f) == IntPoly((-1,) * 75 + (1,))
+    code, out, _ = invoke(capsys, "threshold", "--minpoly", f)
+    assert code == 0 and out == "51719\n"
+
+
+def _field_stated_at_128_bits(tmp_path):
+    with mpmath.workprec(160):
+        s = mpmath.nstr(mpmath.sqrt(2), 45)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "embedding_rows": [["1", s], ["1", "-" + s]],
+        "precision_bits": 128,
+    }))
+    return str(path)
+
+
+def test_an_entry_too_long_for_the_stated_bits_is_refused_unparsed(capsys, monkeypatch, tmp_path):
+    # At 128 stated bits, a 1,000,000-digit entry took 6.2 s in int() before
+    # verify_pisot refused it; ||z||_1 >= 2^128 leaves no conjugate below 1.
+    path = _field_stated_at_128_bits(tmp_path)
+
+    def embed(spec, bits):
+        raise AssertionError(f"embedded at {bits} bits")
+
+    monkeypatch.setattr(cli, "embeddings_for", embed)
+    for digits in (1_000_000, 40):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--field", path, "--coeffs", "9" * digits + ",1")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and err.startswith("NotPisot:") and f" {digits}-digit " in err
+
+
+def test_a_39_digit_entry_at_128_stated_bits_reaches_the_build(capsys, monkeypatch, tmp_path):
+    path = _field_stated_at_128_bits(tmp_path)
+    built = []
+    real = cli.embeddings_for
+
+    def embed(spec, bits):
+        built.append(bits)
+        return real(spec, bits)
+
+    monkeypatch.setattr(cli, "embeddings_for", embed)
+    code, _, err = invoke(capsys, "verify", "--field", path, "--coeffs", "9" * 39 + ",1")
+    assert built == [128]
+    assert code == 1 and err.startswith("NotPisot:")

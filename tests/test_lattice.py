@@ -65,7 +65,7 @@ class TestLLL:
         lat = IntLattice(((1, 1), (1, 0)))
         res = lll_reduce(lat)
         assert check_reduced(res, lat).all_ok
-        assert norm_sq(res.reduced.column(0)) == 1
+        assert norm_sq(res.reduced.basis[0]) == 1
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(errors.RankDeficient):
@@ -88,7 +88,7 @@ class TestLLL:
                 sum(lat.basis[l][i] * res.transform[j][l] for l in range(k))
                 for i in range(k)
             )
-            assert recon == res.reduced.column(j)
+            assert recon == res.reduced.basis[j]
         assert abs(IntLattice(res.transform).det()) == 1
 
     @pytest.mark.parametrize("seed", range(8))
@@ -122,7 +122,7 @@ class TestLLL:
             lat = random_lattice(rng, k, bound=500)
             res = lll_reduce(lat)
             _, _, opt = svp_bruteforce(res.reduced, coeff_bound=4)
-            assert norm_sq(res.reduced.column(0)) <= 2 ** (k - 1) * opt
+            assert norm_sq(res.reduced.basis[0]) <= 2 ** (k - 1) * opt
 
 
 def identity(k: int) -> list[list[int]]:

@@ -19,7 +19,6 @@ from pisot.lattice import LLLResult
 from pisot.pisotsearch import (
     DEFAULT_Q,
     SEARCH_RETRY_CAP,
-    SearchParams,
     build_scaled_lattice,
     compute_scale_P,
     find_pisot,
@@ -153,9 +152,9 @@ class TestBuildScaledLattice:
 class TestVerifyPrecision:
     def test_sized_from_candidate(self):
         spec = FieldSpec(kind="cyclotomic", conductor=15)
-        assert verify_precision(FIXTURE_Z15, spec, 256) == 256
+        assert verify_precision(FIXTURE_Z15, spec) == 256
         z = (1 << 200, 1, 1, 1)
-        assert verify_precision(z, spec, 256) == 2 * 201 + 8 + 32
+        assert verify_precision(z, spec) == 2 * 201 + 8 + 32
 
     def test_capped_at_stated_precision(self):
         spec = FieldSpec(
@@ -163,9 +162,17 @@ class TestVerifyPrecision:
             embedding_rows=(("1", "1"), ("1", "-1")),
             stated_precision_bits=300,
         )
-        assert verify_precision((1 << 200, 1), spec, 256) == 300
-        assert verify_precision((1 << 200, 1), spec, 64) == 300
-        assert verify_precision((1, 1), spec, 64) == 64
+        assert verify_precision((1 << 200, 1), spec) == 300
+
+    def test_floor_at_stated_precision(self):
+        # A field stated at 64 bits has a floor of 64, not FLOOR_BITS.
+        spec = FieldSpec(
+            kind="explicit",
+            embedding_rows=(("1", "1"), ("1", "-1")),
+            stated_precision_bits=64,
+        )
+        assert verify_precision((1 << 200, 1), spec) == 64
+        assert verify_precision((1, 1), spec) == 64
 
 
 class TestVerifyPisot:
@@ -231,7 +238,7 @@ class TestFindPisot:
     def test_conductor_15_half_epsilon(self):
         cand = find_pisot(
             FieldSpec(kind="cyclotomic", conductor=15),
-            SearchParams(epsilon=Fraction(1, 2)),
+            Fraction(1, 2),
         )
         assert cand.minpoly.degree == 4
         assert cand.value.gt(1)
@@ -309,9 +316,9 @@ class TestFindPisot:
         real = pisotsearch.verify_precision
         calls = []
 
-        def first_above_cap(z, spec, floor):
+        def first_above_cap(z, spec):
             calls.append(z)
-            return MAX_WORK_BITS + 1 if len(calls) == 1 else real(z, spec, floor)
+            return MAX_WORK_BITS + 1 if len(calls) == 1 else real(z, spec)
 
         spec = FieldSpec(kind="cyclotomic", conductor=15)
         first = find_pisot(spec)
@@ -347,7 +354,7 @@ class TestFindPisot:
         monkeypatch.setattr(pisotsearch, "float_reduce", stopped_float_pass)
         monkeypatch.setattr(pisotsearch, "finish_reduce", finish)
         monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
-        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 2))
         assert len(finished) == 1
         z = cand.coefficients
         assert z not in float_columns and tuple(-c for c in z) not in float_columns
@@ -374,7 +381,7 @@ class TestFindPisot:
 
         monkeypatch.setattr(pisotsearch, "build_scaled_lattice", build)
         monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
-        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 2))
         assert cand.minpoly == IntPoly((1, 21, -229, -4899, 1))
         start = practical_scale_P(4, emb.discriminant, Fraction(1, 2))
         assert scales == [(start, DEFAULT_Q), (ceiling, DEFAULT_Q)]
@@ -385,7 +392,7 @@ class TestFindPisot:
 
         monkeypatch.setattr(pisotsearch, "verify_pisot", reject)
         with pytest.raises(errors.SearchFailed) as info:
-            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 2))
         # One rung below the ceiling (P = 8587, 14 bits), then the ceiling
         # (85769, 17 bits) with Q from 33 to 40 bits; the finisher ran in all.
         n = 1 + SEARCH_RETRY_CAP
@@ -398,10 +405,10 @@ class TestFindPisot:
     @pytest.mark.parametrize("eps", EPSILONS, ids=str)
     @pytest.mark.parametrize("n", SMALL_SQUAREFREE)
     def test_no_answer_larger_than_at_the_paper_scale(self, monkeypatch, n, eps):
-        spec, params = FieldSpec(kind="cyclotomic", conductor=n), SearchParams(eps)
-        cand = find_pisot(spec, params)
+        spec = FieldSpec(kind="cyclotomic", conductor=n)
+        cand = find_pisot(spec, eps)
         monkeypatch.setattr(pisotsearch, "practical_scale_P", compute_scale_P)
-        paper = find_pisot(spec, params)
+        paper = find_pisot(spec, eps)
         if cand.coefficients != paper.coefficients:
             upper = Fraction(cand.value.center + cand.value.radius, 1 << cand.value.scale)
             lower = Fraction(paper.value.center - paper.value.radius, 1 << paper.value.scale)
@@ -418,7 +425,7 @@ class TestFindPisot:
             return real_embeddings(spec, bits)
 
         monkeypatch.setattr(pisotsearch, "embeddings_for", embeddings)
-        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 2)))
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 2))
         assert built == [256]
         assert cand.minpoly.degree == 4 and all(m.lt(Fraction(1, 2)) for m in cand.conjugate_moduli)
 
@@ -433,17 +440,22 @@ class TestFindPisot:
             verified.append(emb.precision_bits)
             return real_verify(z, emb, epsilon)
 
-        monkeypatch.setattr(pisotsearch, "verify_precision", lambda z, spec, floor: floor)
+        monkeypatch.setattr(pisotsearch, "verify_precision", lambda z, spec: pisotsearch.floor_bits(spec))
         monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
         try:
-            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), SearchParams(Fraction(1, 10**30)))
+            find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 10**30))
         except errors.SearchFailed:
             pass
         assert verified and set(verified) == {256}
 
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            SearchParams(epsilon=Fraction(3, 2))
+    def test_bad_epsilon_rejected(self, monkeypatch):
+        # Refused before any embedding is built.
+        built = []
+        monkeypatch.setattr(pisotsearch, "embeddings_for", lambda *args: built.append(args))
+        for eps in (Fraction(3, 2), 0, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                find_pisot(FieldSpec(kind="cyclotomic", conductor=15), eps)
+        assert not built
 
 
 class TestMinkowskiBound:

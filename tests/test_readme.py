@@ -56,8 +56,8 @@ def test_library_example():
     stated = dict(_stated(lines))
     printed = {
         "cand.minpoly": "x^4 - 633x^3 + 14x^2 + 18x + 1",
-        "nearest_power(f, 17, info)": "119",
-        "slp_eval(p) == nearest_power(f, 1000, info)": "True",
+        "nearest_power(info, 17)": "119",
+        "slp_eval(p) == nearest_power(info, 1000)": "True",
     }
     for expr, value in printed.items():
         assert str(eval(expr, namespace)) == value

@@ -86,17 +86,17 @@ class TestConstants:
 class TestEmitPowerSLP:
     def test_lucas_small(self, golden_info):
         for n in range(0, 30):
-            p = emit_power_slp(GOLDEN, n, golden_info)
-            assert slp_eval(p) == nearest_power(GOLDEN, n, golden_info)
+            p = emit_power_slp(golden_info, n)
+            assert slp_eval(p) == nearest_power(golden_info, n)
 
     def test_random_exponents(self, golden_info, plastic_info):
         rng = random.Random(99)
         for f, info in ((GOLDEN, golden_info), (PLASTIC, plastic_info)):
             for _ in range(25):
                 n = rng.randint(0, 10**4)
-                p = emit_power_slp(f, n, info)
+                p = emit_power_slp(info, n)
                 assert slp_eval(p, 10**9 + 7) == nearest_power_mod(
-                    f, n, 10**9 + 7, info
+                    info, n, 10**9 + 7
                 )
 
     def test_length_bound(self, golden_info, plastic_info):
@@ -104,18 +104,18 @@ class TestEmitPowerSLP:
         for f, info in ((GOLDEN, golden_info), (PLASTIC, plastic_info)):
             for _ in range(20):
                 n = rng.randint(0, 10**4)
-                p = emit_power_slp(f, n, info)
+                p = emit_power_slp(info, n)
                 assert slp_length(p) <= program_length_bound(f, n)
 
     def test_below_threshold_is_constant_program(self, plastic_info):
         # n < n0 = 10: emitted as a plain constant
-        p = emit_power_slp(PLASTIC, 5, plastic_info)
-        assert slp_eval(p) == nearest_power(PLASTIC, 5, plastic_info)
+        p = emit_power_slp(plastic_info, 5)
+        assert slp_eval(p) == nearest_power(plastic_info, 5)
         assert slp_length(p) <= constant_length_bound(5)
 
     def test_negative_n(self, golden_info):
         with pytest.raises(ValueError):
-            emit_power_slp(GOLDEN, -3, golden_info)
+            emit_power_slp(golden_info, -3)
 
     @pytest.mark.parametrize(
         "f",
@@ -128,9 +128,9 @@ class TestEmitPowerSLP:
         rng = random.Random(str(f))
         for n in (10**19, rng.randint(0, 10**19), 2 * f.degree - 1, 2 * f.degree):
             n = max(n, info.threshold_n0)
-            p = emit_power_slp(f, n, info)
+            p = emit_power_slp(info, n)
             m = rng.randint(2, 1 << 64)
-            assert slp_eval(p, m) == nearest_power_mod(f, n, m, info), f"n={n}"
+            assert slp_eval(p, m) == nearest_power_mod(info, n, m), f"n={n}"
 
     @pytest.mark.parametrize(
         "coeffs", [(1, 21, -229, -4899, 1), (-1, -1, -1, -1, 1)], ids=["quartic", "4-nacci"]
@@ -139,7 +139,7 @@ class TestEmitPowerSLP:
         # at most 3d^2 + d instructions per bit of n; d^3 per bit would
         # exceed 9,000
         f = IntPoly(coeffs)
-        p = emit_power_slp(f, 10**19, analyze_minpoly(f, 128))
+        p = emit_power_slp(analyze_minpoly(f, 128), 10**19)
         assert slp_length(p) <= 4500
 
 
@@ -162,10 +162,10 @@ class TestEval:
         f = IntPoly((1, 21, -229, -4899, 1))
         info = analyze_minpoly(f)
         n = 3000
-        p = emit_power_slp(f, n, info)
+        p = emit_power_slp(info, n)
         Counted.alive = Counted.peak = 0
         value = slp_eval(p, lift=Counted)
-        assert value.v == nearest_power(f, n, info)
+        assert value.v == nearest_power(info, n)
         # The engine keeps O(d^2) values live at once; the program has
         # hundreds of instructions.
         assert len(p.instructions) > 500
@@ -209,7 +209,7 @@ class Counted:
 class TestTextFormat:
     def test_round_trip_byte_identical(self, golden_info):
         for n in (0, 1, 2, 17, 1000):
-            p = emit_power_slp(GOLDEN, n, golden_info)
+            p = emit_power_slp(golden_info, n)
             text = format_slp(p)
             assert parse_slp(text) == p
             assert format_slp(parse_slp(text)) == text
@@ -238,7 +238,7 @@ class TestTextFormat:
 
 @pytest.fixture(scope="module")
 def bench_degree_12_text():
-    return format_slp(emit_power_slp(BENCH_DEGREE_12, BENCH_N, analyze_minpoly(BENCH_DEGREE_12)))
+    return format_slp(emit_power_slp(analyze_minpoly(BENCH_DEGREE_12), BENCH_N))
 
 
 class TestBenchmarkProgram:
@@ -338,7 +338,7 @@ class TestParserAgreesWithOracle:
         else:
             f = bench_shaped(d, random.Random(f"shaped-{d}"))
             n = random.Random(d).randint(10**18, 10**19)
-            text = format_slp(emit_power_slp(f, n, analyze_minpoly(f)))
+            text = format_slp(emit_power_slp(analyze_minpoly(f), n))
         p = parse_slp(text)
         assert p == parse_slp_oracle(text)
         assert format_slp(p) == text
