@@ -15,7 +15,7 @@ from .algebraic import (
     minimal_polynomial,
     poly_roots,
 )
-from .lattice import IntLattice, LLLResult, check_reduced, lll_reduce
+from .lattice import IntLattice, LLLResult, lll_reduce
 from .pisotsearch import (
     PisotCandidate,
     build_scaled_lattice,
@@ -40,7 +40,6 @@ __all__ = [
     "SLP",
     "analyze_minpoly",
     "build_scaled_lattice",
-    "check_reduced",
     "compute_scale_P",
     "cyclotomic_embeddings",
     "embeddings_for",

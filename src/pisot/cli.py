@@ -7,6 +7,7 @@ import decimal
 import functools
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -49,6 +50,9 @@ MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
 MAX_FIND_SIZE = 63_281_250
 # Digits of a number in a polynomial: ASCII only, as in a program file.
 _DIGITS = "0123456789"
+# Exactly the text int() takes: Unicode decimal digits, single underscores
+# between them, a sign, and the whitespace of str.isspace() but \x1c-\x1f.
+_INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -291,6 +295,8 @@ def _cmd_verify(args):
         raise errors.ParseError(
             f"--coeffs has {len(entries)} entries, but the field has degree {k}"
         )
+    if not all(_INT_TEXT.fullmatch(c) for c in entries):
+        raise errors.ParseError(f"bad coefficient list {args.coeffs!r}")
     # int() takes time quadratic in the digits, so an entry too long to
     # certify is refused unparsed. d significant digits make ||z||_1 at least
     # 10^(d-1) > 2^(3.32 (d-1)), the norm of `least`, which so needs no more
@@ -310,10 +316,7 @@ def _cmd_verify(args):
             f"a {d}-digit --coeffs entry makes ||z||_1 at least 2^{stated}, so no "
             f"conjugate is certified below epsilon at the field's {stated} stated bits"
         )
-    try:
-        z = [int(c) for c in entries]
-    except ValueError as exc:
-        raise errors.ParseError(f"bad coefficient list {args.coeffs!r}") from exc
+    z = [int(c) for c in entries]
     if not any(z):
         raise errors.ParseError("--coeffs must not be all zero")
     emb = embeddings_for(spec, verify_precision(z, spec))

@@ -1,20 +1,14 @@
-"""LLL reduction with transform tracking, plus a reducedness check.
-
-`lll_reduce` runs two steps, each also public. `float_reduce` (after
-Schnorr and Euchner, and Nguyen and Stehle's L^2) does the bulk of the
-work: exact integer updates of the transform and the Gram matrix,
-Gram-Schmidt coefficients as floats from exact inner products, recomputed
-only where a column operation made them stale, the exact kernel's decision
-rules, and the basis formed once from the transform. Its transform is
-unimodular by construction, but its basis is not certified reduced.
-`finish_reduce` then runs the all-integer kernel of de Weger / Cohen Alg.
-2.6.7 from that basis and transform: every quantity there is an exact
-integer, so it certifies the reduction and repairs any decision the floats
-got wrong, and results are reproducible across runs and platforms.
+"""LLL reduction with transform tracking. `float_reduce` does the bulk of
+the work in the one reduction loop, `_float_pass`, on floats; its transform
+is unimodular, but its basis is not certified reduced. `finish_reduce`
+checks that basis in exact integers and, where the floats could not decide,
+runs the same loop on `decimal.Decimal` until the check passes. `lll_reduce`
+runs both; its results are exact and reproducible across platforms.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,27 +66,10 @@ class LLLResult:
     delta: Fraction
 
 
-@dataclass(frozen=True)
-class ReducednessReport:
-    basis_product_ok: bool
-    unimodular_ok: bool
-    size_reduced_ok: bool
-    lovasz_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.basis_product_ok
-            and self.unimodular_ok
-            and self.size_reduced_ok
-            and self.lovasz_ok
-        )
-
-
 def lll_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
     """LLL-reduce the lattice basis; the returned transform U is unimodular
-    with reduced.basis = lat.basis * U. The float pass runs first and the
-    exact kernel finishes from its basis and transform."""
+    with reduced.basis = lat.basis * U. The float pass runs first, and
+    `finish_reduce` certifies its basis and finishes from it."""
     return finish_reduce(float_reduce(lat, delta))
 
 
@@ -105,27 +82,70 @@ def float_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    b = [list(col) for col in lat.basis]
-    u = [[int(i == j) for i in range(lat.k)] for j in range(lat.k)]
-    _float_pass(b, u, delta)
-    return _result(b, u, delta)
+    u = _identity(lat.k)
+    _float_pass(u, _gram(lat.basis), delta)
+    return LLLResult(IntLattice(_times(lat.basis, u)), tuple(map(tuple, u)), delta)
 
 
 def finish_reduce(result: LLLResult) -> LLLResult:
-    """Run the exact kernel from a unimodular reduction of some lattice, such
-    as `float_reduce`'s, with its delta. The result is LLL-reduced, certified
-    in exact integers, and its transform still maps the original basis."""
+    """Certify a unimodular reduction of some lattice, such as
+    `float_reduce`'s, with its delta, and finish it where floats could not
+    decide. The result is LLL-reduced, checked in exact integers, and its
+    transform still maps the original basis. Raises RankDeficient on a
+    rank-deficient basis."""
     delta = result.delta
-    b, u = _lll_columns(result.reduced.basis, delta.numerator, delta.denominator, result.transform)
-    return _result(b, u, delta)
+    b, u = result.reduced.basis, result.transform
+    g = _gram(b)
+    digits = _start_digits(len(b))
+    # Each Decimal pass starts from the latest basis. Once the precision
+    # separates the finitely many quantities that exact LLL compares from
+    # that basis, every decision is the exact one, so the pass ends
+    # LLL-reduced and the check passes; doubling reaches such a precision.
+    while not _is_reduced(g, delta):
+        ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN,
+                              Emax=decimal.MAX_EMAX, traps=[decimal.FloatOperation])
+        v = _identity(len(b))
+        with decimal.localcontext(ctx):
+            _float_pass(v, g, delta, ctx)
+        b, u = _times(b, v), _times(u, v)
+        digits *= 2
+    return LLLResult(IntLattice(b), tuple(map(tuple, u)), delta)
 
 
-def _result(b, u, delta) -> LLLResult:
-    return LLLResult(
-        reduced=IntLattice(tuple(tuple(c) for c in b)),
-        transform=tuple(tuple(c) for c in u),
-        delta=delta,
-    )
+def _start_digits(k: int) -> int:
+    # L^2 decides correctly at about log2(3) k = 1.6k bits plus lower-order
+    # terms; k digits are 3.3k bits, and 16 more cover the rest.
+    return k + 16
+
+
+def _is_reduced(g, delta) -> bool:
+    """Whether the basis with exact Gram matrix g is LLL-reduced for delta.
+    One fraction-free pass, as in Cohen's Alg. 2.6.7, gives the Gram
+    determinants D_i (D_0 = 1) and lam_ij = D_{j+1} mu_ij, all integers;
+    then |mu_ij| <= 1/2 is 2|lam_ij| <= D_{j+1}, and Lovasz for column i is
+    D_{i+1} D_{i-1} + lam_{i,i-1}^2 >= delta D_i^2. Raises RankDeficient
+    when some D_i is not positive."""
+    n = len(g)
+    big_d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    reduced = True
+    for i in range(n):
+        li = lam[i]
+        for j in range(i + 1):
+            t = g[i][j]
+            for k in range(j):
+                t = (big_d[k + 1] * t - li[k] * lam[j][k]) // big_d[k]
+            if j < i:
+                li[j] = t
+                reduced = reduced and 2 * abs(t) <= big_d[j + 1]
+            elif t <= 0:
+                raise errors.RankDeficient("basis is rank deficient")
+            else:
+                big_d[i + 1] = t
+        if i and reduced:
+            lovasz = big_d[i + 1] * big_d[i - 1] + li[i - 1] ** 2
+            reduced = delta.denominator * lovasz >= delta.numerator * big_d[i] ** 2
+    return reduced
 
 
 def _dot(u, v):
@@ -135,44 +155,79 @@ def _dot(u, v):
     return s
 
 
-def _float_pass(b, u, delta):
+def _identity(k):
+    return [[int(i == j) for i in range(k)] for j in range(k)]
+
+
+def _gram(cols):
+    return [[_dot(x, y) for y in cols] for x in cols]
+
+
+def _times(a, v):
+    """The columns of A V, for A and V given by their columns."""
+    rows = list(zip(*a))
+    return [[_dot(row, vj) for row in rows] for vj in v]
+
+
+def _float_pass(u, g, delta, ctx=None):
     """LLL with exact integer updates and a floating-point Gram-Schmidt, in
     the manner of Schnorr and Euchner (Math. Programming 66, 1994) and
     Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
 
-    Applies every column operation to the columns `u` and to the exact Gram
-    matrix of original * u, and on exit, however the pass ends, sets the
-    columns `b` in place to original * u. r and mu are floats computed from
-    the exact inner products, all shifted right by one common power of two
-    so they fit a float; mu and the Lovasz test do not depend on that scale.
-    Each row of r and mu keeps a count of its leading entries that are still
-    current, and only the rest are recomputed: a swap at k leaves b*_0 ...
-    b*_{k-2} as they were, and a size reduction of column k changes only the
-    inner products with b_k. A kept float has the same inputs, in the same
-    order, as its recomputation would, so every decision is the one a full
-    recomputation makes. The decisions are the exact kernel's: reduce when
-    |mu| > 1/2, rounding half away from zero, and swap on strict failure of
-    Lovasz with the caller's delta. Column k is size-reduced against all
-    earlier columns before its Lovasz test; that changes b_k only by
-    multiples of b_0 ... b_{k-2}, which leaves mu_{k,k-1}, r_kk and so every
-    swap the same. A wrong decision near a tie is possible, so the pass
-    certifies nothing: `finish_reduce` runs the exact kernel after it. The
-    pass never raises; on a column it cannot accept with r_kk > 0, a
-    non-finite mu or more swaps than exact LLL can make, it stops where it is.
+    `g` is the exact Gram matrix of original * u, and the pass applies every
+    column operation to the columns `u` and to `g`; the caller forms the
+    basis original * u once, however the pass ends. r and mu are floats
+    computed from the exact inner products, all shifted right by one common
+    power of two so they fit a float; mu and the Lovasz test do not depend
+    on that scale. Given a decimal context `ctx`, which must also be the
+    current one, they are Decimals instead, each inner product rounded to
+    its precision, with no shift and no exponent range to leave. Only the
+    entries that a column operation made stale are recomputed. The
+    decisions are exact LLL's: reduce when |mu| > 1/2, rounding half away
+    from zero, and swap on strict failure of Lovasz with the caller's delta.
+    Column k is size-reduced against all earlier columns before its Lovasz
+    test; that changes b_k only by multiples of b_0 ... b_{k-2}, which
+    leaves mu_{k,k-1}, r_kk and so every swap the same. A wrong decision
+    near a tie is possible, so the pass certifies nothing: `finish_reduce`
+    checks its result. The pass raises only on a float mixed into its
+    Decimals; on a column it cannot accept with r_kk > 0, a non-finite mu or
+    more swaps than exact LLL can make, it stops where it is.
     """
-    n = len(b)
-    g = [[_dot(x, y) for y in b] for x in b]  # exact Gram matrix of original * u
+    n = len(g)
     top = max(g[i][i] for i in range(n)).bit_length()
-    shift = max(0, top - _FLOAT_BITS)
-    r = [[0.0] * n for _ in range(n)]
-    mu = [[0.0] * n for _ in range(n)]
-    # fresh[k] leading entries of r[k] and mu[k] are current; r[k][k] is
-    # recomputed on every visit, since nothing leaves it current. Rows after
-    # the current column k keep at most k entries, since the pass came to k
-    # from k - 1 or by a swap at k + 1; so a size reduction of column k,
-    # which changes only inner products with b_k, makes only row k stale.
+    if ctx is None:
+        shift = max(0, top - _FLOAT_BITS)
+
+        def num(x):
+            return float(x >> shift)
+
+        half, d, finite = 0.5, float(delta), math.isfinite
+    else:
+        # Rounded from the leading bits alone: an exact Decimal of a long
+        # int costs time quadratic in its length.
+        bits, powers = 4 * ctx.prec + 8, {}
+
+        def num(x):
+            s = x.bit_length() - bits
+            if s <= 0:
+                return ctx.create_decimal(x)
+            if s not in powers:
+                powers[s] = ctx.power(2, s)
+            return ctx.multiply(ctx.create_decimal(x >> s), powers[s])
+
+        half, d = ctx.divide(1, 2), ctx.divide(delta.numerator, delta.denominator)
+        finite = decimal.Decimal.is_finite
+    r = [[num(0)] * n for _ in range(n)]
+    mu = [[num(0)] * n for _ in range(n)]
+    # fresh[k] leading entries of r[k] and mu[k] are current; a kept entry
+    # has the same inputs, in the same order, as its recomputation would, so
+    # every decision is the one a full recomputation makes. A swap at k
+    # leaves b*_0 ... b*_{k-2} as they were; r[k][k] is recomputed on every
+    # visit. Rows after the current column k keep at most k entries, since
+    # the pass came to k from k - 1 or by a swap at k + 1; so a size
+    # reduction of column k, which changes only inner products with b_k,
+    # makes only row k stale.
     fresh = [0] * n
-    d = float(delta)
     # Every exact swap multiplies prod_i D_i, at most 2^(n*n*top) and at
     # least 1, by less than delta.
     swaps_left = math.ceil(n * n * top / (1 - delta))
@@ -182,13 +237,13 @@ def _float_pass(b, u, delta):
         gk, rk, muk = g[k], r[k], mu[k]
         for j in range(fresh[k], k):
             muj = mu[j]
-            t = float(gk[j] >> shift)
+            t = num(gk[j])
             for i in range(j):
                 t -= muj[i] * rk[i]
             rk[j] = t
             muk[j] = t / r[j][j]
         fresh[k] = k
-        t = float(gk[k] >> shift)
+        t = num(gk[k])
         for j in range(k):
             t -= muk[j] * rk[j]
         rk[k] = t
@@ -202,11 +257,11 @@ def _float_pass(b, u, delta):
             norm, swept = gk[k], False
             for l in range(k - 1, -1, -1):
                 m = muk[l]
-                if abs(m) > 0.5:
+                if abs(m) > half:
                     swept = True
-                    if not math.isfinite(m):
+                    if not finite(m):
                         return False
-                    x = math.floor(abs(m) + 0.5)
+                    x = math.floor(abs(m) + half)
                     if m < 0:
                         x = -x
                     ul, gl, mul = u[l], g[l], mu[l]
@@ -273,119 +328,3 @@ def _float_pass(b, u, delta):
                 return
     except OverflowError:
         return
-    finally:
-        rows = list(zip(*b))
-        b[:] = [[_dot(row, uj) for row in rows] for uj in u]
-
-
-def _lll_columns(basis, delta_num, delta_den, transform):
-    """All-integer LLL on column vectors.
-
-    `basis` is a sequence of n column vectors of n ints each, and
-    `transform` the columns of a unimodular U0. Returns (reduced_columns,
-    transform_columns) with reduced = basis * U' and transform = U0 * U',
-    det(U') = +-1. Raises RankDeficient on rank-deficient input.
-    """
-    n = len(basis)
-    b = [list(col) for col in basis]
-    u = [list(col) for col in transform]  # columns of U
-
-    # D[i] = Gram determinant of the first i vectors (D[0] = 1);
-    # lam[i][j] = D[j+1] * mu_{i,j} with all entries integral.
-    big_d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            t = _dot(b[i], b[j])
-            for k in range(j):
-                t = (big_d[k + 1] * t - lam[i][k] * lam[j][k]) // big_d[k]
-            if j < i:
-                lam[i][j] = t
-            else:
-                if t <= 0:
-                    raise errors.RankDeficient("basis is rank deficient")
-                big_d[i + 1] = t
-
-    def size_reduce(k, l):
-        dl = big_d[l + 1]
-        if 2 * abs(lam[k][l]) > dl:
-            if lam[k][l] >= 0:
-                r = (2 * lam[k][l] + dl) // (2 * dl)
-            else:
-                r = -((-2 * lam[k][l] + dl) // (2 * dl))
-            bk, bl = b[k], b[l]
-            for i in range(n):
-                bk[i] -= r * bl[i]
-            uk, ul = u[k], u[l]
-            for i in range(n):
-                uk[i] -= r * ul[i]
-            lam[k][l] -= r * dl
-            for j in range(l):
-                lam[k][j] -= r * lam[l][j]
-
-    k = 1
-    while k < n:
-        size_reduce(k, k - 1)
-        # Lovasz condition in integral form; swap only on strict failure.
-        lkk = lam[k][k - 1]
-        if delta_den * (big_d[k + 1] * big_d[k - 1] + lkk * lkk) < delta_num * big_d[k] ** 2:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            lam_val = lam[k][k - 1]
-            new_dk = (big_d[k - 1] * big_d[k + 1] + lam_val * lam_val) // big_d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (big_d[k + 1] * lam[i][k - 1] - lam_val * t) // big_d[k]
-                lam[i][k - 1] = (new_dk * t + lam_val * lam[i][k]) // big_d[k + 1]
-            big_d[k] = new_dk
-            k = max(k - 1, 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
-            k += 1
-    return b, u
-
-
-def _gram_schmidt(cols):
-    """Exact rational Gram-Schmidt; returns (orthogonal vectors, mu matrix)."""
-    n = len(cols)
-    star = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        v = [Fraction(x) for x in cols[i]]
-        for j in range(i):
-            denom = sum(x * x for x in star[j])
-            mu[i][j] = sum(Fraction(a) * b for a, b in zip(cols[i], star[j])) / denom
-            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
-        star.append(v)
-    return star, mu
-
-
-def check_reduced(result: LLLResult, original: IntLattice) -> ReducednessReport:
-    """Verify B*U = B', det(U) = +-1, size-reduction, and the Lovasz
-    condition, all in exact rational arithmetic."""
-    n = original.k
-    b = original.basis
-    u = result.transform
-    bp = result.reduced.basis
-    product_ok = all(
-        bp[j][i] == sum(b[l][i] * u[j][l] for l in range(n))
-        for i in range(n)
-        for j in range(n)
-    )
-    unimodular_ok = abs(IntLattice(u).det()) == 1
-
-    star, mu = _gram_schmidt(bp)
-    size_ok = all(
-        abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
-    )
-    lovasz_ok = True
-    for i in range(1, n):
-        lhs = sum(x * x for x in star[i])
-        prev = sum(x * x for x in star[i - 1])
-        if lhs < (result.delta - mu[i][i - 1] ** 2) * prev:
-            lovasz_ok = False
-            break
-    return ReducednessReport(product_ok, unimodular_ok, size_ok, lovasz_ok)

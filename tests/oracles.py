@@ -1,5 +1,5 @@
-"""Test oracles: a brute-force shortest vector, companion-matrix powers,
-polynomial roots and resultants.
+"""Test oracles: a brute-force shortest vector, an all-integer LLL,
+companion-matrix powers, polynomial roots and resultants.
 
 They compute what the package computes by slower, independent means, so the
 tests compare against them; the package itself does not use them.
@@ -12,10 +12,12 @@ Durand-Kerner solver, the oracle for root isolation, for the threshold n0
 oracle for `Ball.digits`; `int_str_limit` runs a test under Python's int<->str
 digit limit.
 `sylvester_resultant` is the oracle for the common-root test `share_a_root`.
+`lll_columns` is de Weger's all-integer LLL, and `check_reduced` an exact
+rational test of LLL-reducedness: the oracles for `lattice.lll_reduce`.
 `float_pass_oracle` is the LLL float pass before it kept current Gram-Schmidt
-entries, the oracle for `lattice._float_pass`. `parse_slp_oracle` is the SLP
-text parser before it matched whole lines against one pattern, the oracle
-for `slp.parse_slp`'s programs and error messages.
+entries, the oracle for `lattice._float_pass` on floats. `parse_slp_oracle`
+is the SLP text parser before it matched whole lines against one pattern,
+the oracle for `slp.parse_slp`'s programs and error messages.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from mpmath.libmp import from_man_exp
 
 from pisot import errors
 from pisot.algebraic import IntPoly
-from pisot.lattice import _FLOAT_BITS, IntLattice, _dot
+from pisot.lattice import _FLOAT_BITS, IntLattice, LLLResult, _dot
 from pisot.roots import PolyRoot
 from pisot.slp import ONE, SLP
 
@@ -267,6 +269,137 @@ def nearest_power_oracle(f: IntPoly, ns) -> dict:
         return {n: int(mpmath.nint(alpha**n)) for n in ns}
 
 
+def lll_columns(basis, delta_num, delta_den, transform):
+    """The reference for `lattice.lll_reduce`: de Weger's all-integer LLL
+    (Cohen Alg. 2.6.7) on column vectors, with the same decision rules.
+
+    `basis` is a sequence of n column vectors of n ints each, and
+    `transform` the columns of a unimodular U0. Returns (reduced_columns,
+    transform_columns) with reduced = basis * U' and transform = U0 * U',
+    det(U') = +-1. Raises RankDeficient on rank-deficient input.
+    """
+    n = len(basis)
+    b = [list(col) for col in basis]
+    u = [list(col) for col in transform]  # columns of U
+
+    # D[i] = Gram determinant of the first i vectors (D[0] = 1);
+    # lam[i][j] = D[j+1] * mu_{i,j} with all entries integral.
+    big_d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            t = _dot(b[i], b[j])
+            for k in range(j):
+                t = (big_d[k + 1] * t - lam[i][k] * lam[j][k]) // big_d[k]
+            if j < i:
+                lam[i][j] = t
+            else:
+                if t <= 0:
+                    raise errors.RankDeficient("basis is rank deficient")
+                big_d[i + 1] = t
+
+    def size_reduce(k, l):
+        dl = big_d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            if lam[k][l] >= 0:
+                r = (2 * lam[k][l] + dl) // (2 * dl)
+            else:
+                r = -((-2 * lam[k][l] + dl) // (2 * dl))
+            bk, bl = b[k], b[l]
+            for i in range(n):
+                bk[i] -= r * bl[i]
+            uk, ul = u[k], u[l]
+            for i in range(n):
+                uk[i] -= r * ul[i]
+            lam[k][l] -= r * dl
+            for j in range(l):
+                lam[k][j] -= r * lam[l][j]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        # Lovasz condition in integral form; swap only on strict failure.
+        lkk = lam[k][k - 1]
+        if delta_den * (big_d[k + 1] * big_d[k - 1] + lkk * lkk) < delta_num * big_d[k] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            lam_val = lam[k][k - 1]
+            new_dk = (big_d[k - 1] * big_d[k + 1] + lam_val * lam_val) // big_d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (big_d[k + 1] * lam[i][k - 1] - lam_val * t) // big_d[k]
+                lam[i][k - 1] = (new_dk * t + lam_val * lam[i][k]) // big_d[k + 1]
+            big_d[k] = new_dk
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b, u
+
+
+@dataclass(frozen=True)
+class ReducednessReport:
+    basis_product_ok: bool
+    unimodular_ok: bool
+    size_reduced_ok: bool
+    lovasz_ok: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return (
+            self.basis_product_ok
+            and self.unimodular_ok
+            and self.size_reduced_ok
+            and self.lovasz_ok
+        )
+
+
+def _gram_schmidt(cols):
+    """Exact rational Gram-Schmidt; returns (orthogonal vectors, mu matrix)."""
+    n = len(cols)
+    star = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in cols[i]]
+        for j in range(i):
+            denom = sum(x * x for x in star[j])
+            mu[i][j] = sum(Fraction(a) * b for a, b in zip(cols[i], star[j])) / denom
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+    return star, mu
+
+
+def check_reduced(result: LLLResult, original: IntLattice) -> ReducednessReport:
+    """Verify B*U = B', det(U) = +-1, size-reduction, and the Lovasz
+    condition, all in exact rational arithmetic."""
+    n = original.k
+    b = original.basis
+    u = result.transform
+    bp = result.reduced.basis
+    product_ok = all(
+        bp[j][i] == sum(b[l][i] * u[j][l] for l in range(n))
+        for i in range(n)
+        for j in range(n)
+    )
+    unimodular_ok = abs(IntLattice(u).det()) == 1
+
+    star, mu = _gram_schmidt(bp)
+    size_ok = all(
+        abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
+    )
+    lovasz_ok = True
+    for i in range(1, n):
+        lhs = sum(x * x for x in star[i])
+        prev = sum(x * x for x in star[i - 1])
+        if lhs < (result.delta - mu[i][i - 1] ** 2) * prev:
+            lovasz_ok = False
+            break
+    return ReducednessReport(product_ok, unimodular_ok, size_ok, lovasz_ok)
+
+
 def float_pass_oracle(b, u, delta):
     """The reference for `lattice._float_pass`: the same pass, recomputing
     every Gram-Schmidt row in full and updating `b` with every column
@@ -279,13 +412,14 @@ def float_pass_oracle(b, u, delta):
     the columns `u` and to their exact Gram matrix as well, so b = original
     * u keeps holding. r and mu are floats computed from the exact inner
     products, all shifted right by one common power of two so they fit a
-    float; mu and the Lovasz test do not depend on that scale. The decisions are the exact kernel's: reduce when
-    |mu| > 1/2, rounding half away from zero, and swap on strict failure of
-    Lovasz with the caller's delta. Column k is size-reduced against all
-    earlier columns before its Lovasz test; that changes b_k only by
-    multiples of b_0 ... b_{k-2}, which leaves mu_{k,k-1}, r_kk and so every
-    swap the same. A wrong decision near a tie is possible, so the pass
-    certifies nothing: `finish_reduce` runs the exact kernel after it. The
+    float; mu and the Lovasz test do not depend on that scale. The decisions
+    are exact LLL's: reduce when |mu| > 1/2, rounding half away from zero,
+    and swap on strict failure of Lovasz with the caller's delta. Column k is
+    size-reduced against all earlier columns before its Lovasz test; that
+    changes b_k only by multiples of b_0 ... b_{k-2}, which leaves
+    mu_{k,k-1}, r_kk and so every swap the same. A wrong decision near a tie
+    is possible, so the pass certifies nothing: `finish_reduce` checks its
+    result. The
     pass never raises; on a column it cannot accept with r_kk > 0, a
     non-finite mu or more swaps than exact LLL can make, it stops where it is.
     """

@@ -11,12 +11,12 @@ from fractions import Fraction
 import pytest
 
 from pisot.algebraic import FieldSpec, IntPoly, analyze_minpoly, cyclotomic_embeddings
-from pisot.lattice import IntLattice, check_reduced, lll_reduce
+from pisot.lattice import IntLattice, lll_reduce
 from pisot.pisotsearch import compute_scale_P, find_pisot, verify_pisot
 from pisot.powtrace import nearest_power, nearest_power_mod
 from pisot.slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 from conftest import lucas_sequence, newton_power_sums, perrin_sequence
-from oracles import companion_matrix, matpow, mid, svp_bruteforce
+from oracles import check_reduced, companion_matrix, matpow, mid, svp_bruteforce
 
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))

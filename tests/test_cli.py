@@ -972,3 +972,35 @@ def test_a_39_digit_entry_at_128_stated_bits_reaches_the_build(capsys, monkeypat
     code, _, err = invoke(capsys, "verify", "--field", path, "--coeffs", "9" * 39 + ",1")
     assert built == [128]
     assert code == 1 and err.startswith("NotPisot:")
+
+
+@pytest.mark.parametrize("letters", [3, 40, 6000])
+def test_a_malformed_entry_is_a_usage_error_at_any_length(capsys, monkeypatch, tmp_path, letters):
+    # Syntax is checked before the size refusals, which count characters:
+    # 6,000 letters were PrecisionExhausted and 40 at 128 stated bits
+    # NotPisot (exit 1), where 3 letters were a ParseError.
+    def embed(spec, bits):
+        raise AssertionError(f"embedded at {bits} bits")
+
+    monkeypatch.setattr(cli, "embeddings_for", embed)
+    coeffs = "a" * letters
+    fields = [("--conductor", "15", coeffs + ",1,1,1")]
+    if letters == 40:
+        fields.append(("--field", _field_stated_at_128_bits(tmp_path), coeffs + ",1"))
+    for flag, field, arg in fields:
+        code, out, err = invoke(capsys, "verify", flag, field, "--coeffs", arg)
+        assert code == 2 and out == ""
+        assert err == f"ParseError: bad coefficient list {arg!r}\n"
+
+
+def test_entries_parse_as_int_parses_them(capsys, monkeypatch):
+    seen = []
+
+    def verify(z, emb, epsilon):
+        seen.append(z)
+        raise errors.NotPisot("recorded")
+
+    monkeypatch.setattr(cli, "verify_pisot", verify)
+    code, _, err = invoke(capsys, "verify", "--conductor", "15", "--coeffs", "1_000, -7 ,+3,١")
+    assert code == 1 and err == "NotPisot: recorded\n"
+    assert seen == [[1000, -7, 3, 1]]

@@ -1,18 +1,23 @@
-"""LLL reduction: correctness against an exact rational checker and a
-brute-force shortest-vector oracle."""
+"""LLL reduction: correctness against an exact rational checker, an
+all-integer LLL and a brute-force shortest-vector oracle."""
 
+import decimal
 import random
 from fractions import Fraction
 
 import pytest
 
-from pisot import errors
+from pisot import errors, lattice
 from pisot.algebraic import FieldSpec, embeddings_for
 from pisot.lattice import (
     IntLattice,
+    LLLResult,
     _float_pass,
-    _lll_columns,
-    check_reduced,
+    _gram,
+    _is_reduced,
+    _times,
+    finish_reduce,
+    float_reduce,
     lll_reduce,
 )
 from pisot.pisotsearch import (
@@ -21,7 +26,13 @@ from pisot.pisotsearch import (
     compute_scale_P,
     practical_scale_P,
 )
-from oracles import DimensionTooLarge, float_pass_oracle, svp_bruteforce
+from oracles import (
+    DimensionTooLarge,
+    check_reduced,
+    float_pass_oracle,
+    lll_columns,
+    svp_bruteforce,
+)
 
 
 def random_lattice(rng: random.Random, k: int, bound: int = 1 << 20) -> IntLattice:
@@ -68,8 +79,9 @@ class TestLLL:
         assert norm_sq(res.reduced.basis[0]) == 1
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(errors.RankDeficient):
+        with pytest.raises(errors.RankDeficient) as excinfo:
             lll_reduce(IntLattice(((1, 2), (2, 4))))
+        assert excinfo.traceback[-1].name == "_is_reduced"
 
     def test_bad_delta_rejected(self):
         lat = IntLattice(((1, 0), (0, 1)))
@@ -130,22 +142,32 @@ def identity(k: int) -> list[list[int]]:
 
 
 def exact_kernel_alone(lat: IntLattice, delta: Fraction):
-    reduced, transform = _lll_columns(
+    reduced, transform = lll_columns(
         lat.basis, delta.numerator, delta.denominator, identity(lat.k)
     )
     return tuple(map(tuple, reduced)), tuple(map(tuple, transform))
 
 
-def assert_same_as_exact_kernel(lat: IntLattice, delta: Fraction):
+def assert_same_as_exact_kernel(lat: IntLattice, delta: Fraction = Fraction(3, 4)):
     res = lll_reduce(lat, delta)
     reduced, transform = exact_kernel_alone(lat, delta)
     assert res.reduced.basis == reduced
     assert res.transform == transform
+    assert check_reduced(res, lat).all_ok
+
+
+def scaled_search_lattice(conductor: int, scale=compute_scale_P, epsilon=1) -> IntLattice:
+    spec = FieldSpec(kind="cyclotomic", conductor=conductor)
+    emb = embeddings_for(spec, 256)
+    P = scale(emb.k, emb.discriminant, epsilon)
+    emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
+    return build_scaled_lattice(emb, P, DEFAULT_Q)
 
 
 class TestFloatPass:
-    """lll_reduce runs a floating-point pass before the exact kernel; it must
-    return what the exact kernel returns on its own."""
+    """lll_reduce runs a floating-point pass, checks its result exactly and
+    finishes it on Decimals where floats could not decide; it must return
+    what the all-integer oracle kernel returns on its own."""
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)])
     @pytest.mark.parametrize("k", range(2, 13))
@@ -157,12 +179,7 @@ class TestFloatPass:
     @pytest.mark.parametrize("conductor", [15, 17, 29])
     def test_scaled_search_lattices_match_exact_kernel(self, conductor):
         # Conductor 17's lattice drives the float r_kk to <= 0 by cancellation.
-        spec = FieldSpec(kind="cyclotomic", conductor=conductor)
-        emb = embeddings_for(spec, 256)
-        P = compute_scale_P(emb.k, emb.discriminant, 1)
-        emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
-        lat = build_scaled_lattice(emb, P, DEFAULT_Q)
-        assert_same_as_exact_kernel(lat, Fraction(3, 4))
+        assert_same_as_exact_kernel(scaled_search_lattice(conductor))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_entries_beyond_float_range(self, seed):
@@ -175,19 +192,16 @@ class TestFloatPass:
         assert lat.det() != 0
         res = lll_reduce(lat)
         assert check_reduced(res, lat).all_ok
-        # The float pass alone already reaches the exact kernel's basis.
-        b, u = [list(col) for col in lat.basis], identity(5)
-        _float_pass(b, u, res.delta)
-        assert tuple(map(tuple, b)) == res.reduced.basis
+        # The float pass alone already reaches the oracle kernel's basis.
+        u = identity(5)
+        _float_pass(u, _gram(lat.basis), res.delta)
         assert tuple(map(tuple, u)) == res.transform
 
     def test_norms_spanning_more_than_the_float_range(self):
         # Shifted to fit the largest norm, the small ones underflow to 0.0:
-        # the pass stops and the exact kernel reduces the rest.
+        # the float pass stops and the Decimal pass reduces the rest.
         big = 1 << 2500
-        lat = IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7)))
-        res = lll_reduce(lat)
-        assert check_reduced(res, lat).all_ok
+        assert_same_as_exact_kernel(IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7))))
 
     def test_rank_deficient_large_rejected(self):
         rng = random.Random(5)
@@ -197,20 +211,92 @@ class TestFloatPass:
             lll_reduce(IntLattice(tuple(cols)))
 
 
+def is_reduced(cols, delta=Fraction(3, 4)) -> bool:
+    return _is_reduced(_gram(cols), Fraction(delta))
+
+
+class TestExactCheck:
+    """finish_reduce accepts a basis only on the exact integer test of
+    size reduction and Lovasz; otherwise the Decimal pass reduces it."""
+
+    def test_lovasz_failing_by_one_unit_is_rejected(self):
+        # |b_0|^2 = 29 and |b_1|^2 = 26 with |mu| = 5/29: at delta = 9/10,
+        # 10 * 26 = 9 * 29 - 1, one unit short. At 26/29 Lovasz holds with
+        # equality, which is no strict failure.
+        lat = IntLattice(((5, 2), (-1, 5)))
+        for delta, holds in ((Fraction(9, 10), False), (Fraction(26, 29), True)):
+            assert is_reduced(lat.basis, delta) == holds
+            assert check_reduced(LLLResult(lat, identity(2), delta), lat).lovasz_ok == holds
+
+    def test_size_reduction_bound_is_exact(self):
+        # |b_0|^2 = 10: mu = 6/10 exceeds 1/2 by 1/D_1, and mu = +-5/10 is 1/2.
+        assert not is_reduced(((3, 1), (0, 6)))
+        assert is_reduced(((3, 1), (0, 5)))
+        assert is_reduced(((3, 1), (0, -5)))
+
+    def test_a_rejected_basis_is_finished_and_an_accepted_one_kept(self):
+        delta = Fraction(3, 4)
+        for cols in (((3, 1), (0, 6)), ((3, 1), (0, 5))):
+            lat = IntLattice(cols)
+            res = finish_reduce(LLLResult(lat, tuple(map(tuple, identity(2))), delta))
+            assert check_reduced(res, lat).all_ok
+            assert (res.reduced.basis == lat.basis) == is_reduced(cols)
+
+    def test_precision_doubles_until_the_check_passes(self, monkeypatch):
+        # Conductor 15 at epsilon 10^-300: P has 3,999 bits, the float pass
+        # stops early, and a 1-digit Decimal pass cannot finish either.
+        lat = scaled_search_lattice(15, epsilon=Fraction(1, 10**300))
+        passes, checks = [], []
+        real_pass, real_check = lattice._float_pass, lattice._is_reduced
+
+        def decimal_pass(u, g, delta, ctx=None):
+            passes.append(ctx.prec)
+            real_pass(u, g, delta, ctx)
+
+        def check(g, delta):
+            checks.append(real_check(g, delta))
+            return checks[-1]
+
+        result = float_reduce(lat)
+        monkeypatch.setattr(lattice, "_start_digits", lambda k: 1)
+        monkeypatch.setattr(lattice, "_float_pass", decimal_pass)
+        monkeypatch.setattr(lattice, "_is_reduced", check)
+        res = finish_reduce(result)
+        assert passes[:2] == [1, 2] and passes == [2**i for i in range(len(passes))]
+        assert checks == [False] * len(passes) + [True]
+        assert check_reduced(res, lat).all_ok
+
+    def test_the_decimal_context_of_the_caller_is_left_as_it_was(self, monkeypatch):
+        big = 1 << 2500
+        contexts = []
+        real_pass = lattice._float_pass
+
+        def recorded_pass(u, g, delta, ctx=None):
+            contexts.append(ctx)
+            real_pass(u, g, delta, ctx)
+
+        monkeypatch.setattr(lattice, "_float_pass", recorded_pass)
+        ctx = decimal.getcontext()
+        prec = ctx.prec
+        lll_reduce(IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7))))
+        assert contexts[0] is None and len(contexts) > 1
+        assert decimal.getcontext() is ctx and ctx.prec == prec
+
+
 def assert_same_as_float_pass_oracle(lat: IntLattice, delta: Fraction = Fraction(3, 4)):
-    b, u = [list(col) for col in lat.basis], identity(lat.k)
-    _float_pass(b, u, delta)
+    u = identity(lat.k)
+    _float_pass(u, _gram(lat.basis), delta)
     b0, u0 = [list(col) for col in lat.basis], identity(lat.k)
     float_pass_oracle(b0, u0, delta)
-    assert b == b0
     assert u == u0
+    assert _times(lat.basis, u) == b0
 
 
 class TestFloatPassOracle:
     """_float_pass recomputes only the Gram-Schmidt entries a column
-    operation made stale, and forms b from u once, on exit. It must return
-    the very b and u of the oracle, which recomputes every row and updates b
-    with every column operation."""
+    operation made stale, and its callers form b from u once. It must return
+    the very u of the oracle, and that b, where the oracle recomputes every
+    row and updates b with every column operation."""
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)])
     @pytest.mark.parametrize("k", range(2, 13))
@@ -223,11 +309,7 @@ class TestFloatPassOracle:
     @pytest.mark.parametrize("conductor", [15, 17, 29, 41, 61])
     def test_scaled_search_lattices(self, conductor, scale):
         # Conductor 17 at compute_scale_P drives the float r_kk to <= 0.
-        spec = FieldSpec(kind="cyclotomic", conductor=conductor)
-        emb = embeddings_for(spec, 256)
-        P = scale(emb.k, emb.discriminant, 1)
-        emb = embeddings_for(spec, max(256, P.bit_length() + DEFAULT_Q.bit_length() + 64))
-        assert_same_as_float_pass_oracle(build_scaled_lattice(emb, P, DEFAULT_Q))
+        assert_same_as_float_pass_oracle(scaled_search_lattice(conductor, scale))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_entries_beyond_float_range(self, seed):

@@ -1,9 +1,11 @@
 """End-to-end Pisot search, certification, and the scaling machinery."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -30,7 +32,7 @@ from pisot.pisotsearch import (
 )
 from pisot.roots import MAX_WORK_BITS
 
-from oracles import decimal_reference, int_str_limit, mid
+from oracles import check_reduced, decimal_reference, int_str_limit, mid
 
 FIXTURE_Z15 = (2105, 1215, 1440, 139)
 FIXTURE_Z17 = (
@@ -360,6 +362,34 @@ class TestFindPisot:
         assert z not in float_columns and tuple(-c for c in z) not in float_columns
         assert cand.minpoly.degree == 4
         assert cand.value.gt(1) and all(m.lt(Fraction(1, 2)) for m in cand.conjugate_moduli)
+
+    def test_a_finisher_run_at_a_3999_bit_scale_takes_seconds(self, monkeypatch):
+        # At epsilon 10^-300 the lattice's norms span more than the float
+        # range, the float pass stops early and no candidate of it
+        # certifies. The finisher then took 5.7 s on the all-integer kernel;
+        # its answer is pinned by digest.
+        real_float, real_finish = pisotsearch.float_reduce, pisotsearch.finish_reduce
+        lattices, finished = [], []
+
+        def float_pass(lat, delta=Fraction(3, 4)):
+            lattices.append(lat)
+            return real_float(lat, delta)
+
+        def finish(result):
+            finished.append(real_finish(result))
+            return finished[-1]
+
+        monkeypatch.setattr(pisotsearch, "float_reduce", float_pass)
+        monkeypatch.setattr(pisotsearch, "finish_reduce", finish)
+        start = time.perf_counter()
+        cand = find_pisot(FieldSpec(kind="cyclotomic", conductor=15), Fraction(1, 10**300))
+        assert time.perf_counter() - start < 2
+        assert cand.minpoly.degree == 4
+        assert all(m.lt(Fraction(1, 10**300)) for m in cand.conjugate_moduli)
+        digest = hashlib.sha256(",".join(map(str, cand.coefficients)).encode()).hexdigest()
+        assert digest == "ec5d6373e844f0a062231c5a5040c2f8e38ceec9aa019c7936a0243b38c6f988"
+        assert len(finished) == 1
+        assert check_reduced(finished[0], lattices[-1]).all_ok
 
     def test_reaches_the_paper_scale_when_every_smaller_P_fails(self, monkeypatch):
         # With every candidate below the ceiling rejected, the ladder climbs
