@@ -3,8 +3,9 @@
 Embeddings are fixed-point integers: entry m stands for 2^s * sigma, known to
 within one error bound err for the whole matrix. A cyclotomic field's
 cosines come from pi (Machin's formula) and a Taylor series, all in integer
-fixed point; no step uses floating point. The trace form, the
-discriminant, the values of an integer combination and the minimal
+fixed point; no step uses floating point, and its discriminant comes from
+the conductor alone, through Ramanujan sums. An explicit field's trace
+form and discriminant, the values of an integer combination and the minimal
 polynomial built from them are exact integer computations checked against
 that bound. Polynomial roots are integer disks (a Gaussian-integer center
 and a radius at one scale) from `roots.poly_roots`, whose radii rest on an
@@ -15,6 +16,7 @@ and lower bounds of |alpha_2|, each with its carried error bound, to 1/2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -168,27 +170,71 @@ def cyclotomic_embeddings(conductor: int, precision_bits: int) -> EmbeddingMatri
     that occurs, to within 2^-16 units of 2^-s (`_two_cosines`), then rounded
     to the nearest integer at scale 2^s; err = 1 covers both.
     """
-    n = int(conductor)
-    if n % 4 == 2:
-        n //= 2
-    reps = list(coprime_residues(n))
-    k = len(reps)
-    if k < 2:
-        raise errors.UnsupportedConductor(f"conductor {conductor} gives degree {k} < 2")
+    n, reps, exponents = _cosine_basis(conductor)
     s = _capped(precision_bits)
-    squarefree = all(n % (d * d) for d in range(2, isqrt(n) + 1))
-    # Exponent 0 stands for the basis element 1, not for 2cos(0) = 2.
-    exponents = reps if squarefree else range(k)
     cosines = _two_cosines(n, {(t * a) % n for t in reps for a in exponents if a}, s)
     entries = tuple(tuple(cosines[(t * a) % n] if a else 1 << s for a in exponents) for t in reps)
     return EmbeddingMatrix(
-        k=k,
+        k=len(reps),
         entries=entries,
         err=1,
         precision_bits=s,
         conductor=n,
-        discriminant=_discriminant(entries, s, 1),
+        discriminant=cyclotomic_invariants(n)[1],
     )
+
+
+def _cosine_basis(conductor: int):
+    """(n, reps, exponents) of `cyclotomic_embeddings`' basis: n is the
+    conductor with n = 2 mod 4 halved, reps are `coprime_residues(n)`, and
+    basis element j is 2cos(2*pi*exponents[j]/n), where exponent 0 stands
+    for the element 1, not for 2cos(0) = 2."""
+    n = int(conductor)
+    if n % 4 == 2:
+        n //= 2
+    reps = list(coprime_residues(n))
+    if len(reps) < 2:
+        raise errors.UnsupportedConductor(f"conductor {conductor} gives degree {len(reps)} < 2")
+    squarefree = all(n % (d * d) for d in range(2, isqrt(n) + 1))
+    return n, reps, reps if squarefree else range(len(reps))
+
+
+@functools.lru_cache(maxsize=64)
+def cyclotomic_invariants(conductor: int) -> tuple[int, int]:
+    """(k, disc) of `cyclotomic_embeddings`' basis from the conductor alone,
+    with disc = det(Tr(b_i b_j)) taken over the exact trace form.
+
+    Tr 2cos(2*pi*m/n) is the Ramanujan sum c_n(m) = mu(n/g) phi(n) / phi(n/g)
+    with g = gcd(m, n), since t and -t over the k reps run through the units
+    mod n. With x_a = 2cos(2*pi*a/n) and 1 = x_0 / 2, the product
+    x_a x_b = x_(a+b) + x_(a-b) gives Tr(b_i b_j) = (c_n(a+b) + c_n(a-b)) / 2^z,
+    where z counts the exponents a, b that are 0."""
+    n, reps, exponents = _cosine_basis(conductor)
+    phi = 2 * len(reps)
+    ramanujan = {}
+    for g in range(1, n + 1):
+        if n % g == 0:
+            mu, phi_q = _mobius_totient(n // g)
+            ramanujan[g] = mu * phi // phi_q
+
+    def trace(a, b):
+        return (ramanujan[gcd(a + b, n)] + ramanujan[gcd(a - b, n)]) >> ((a == 0) + (b == 0))
+
+    gram = tuple(tuple(trace(a, b) for b in exponents) for a in exponents)
+    return len(reps), IntLattice(gram).det()
+
+
+def _mobius_totient(q: int) -> tuple[int, int]:
+    """(mu(q), phi(q)) by trial division."""
+    mu, phi, p = 1, q, 2
+    while q > 1:
+        if q % p == 0:
+            q //= p
+            mu, phi = (0 if q % p == 0 else -mu), phi - phi // p
+            while q % p == 0:
+                q //= p
+        p += 1
+    return mu, phi
 
 
 def _two_cosines(n: int, residues, s: int) -> dict[int, int]:

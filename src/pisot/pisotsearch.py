@@ -1,7 +1,8 @@
 """Search for a Pisot generator of a totally real Galois field.
 
 Builds the embedding lattice scaled by P (exact, from |det D| = sqrt(disc),
-with the discriminant computed exactly), rounds it at scale Q, LLL-reduces
+with the discriminant computed exactly: a cyclotomic field's from its
+conductor, before any embedding), rounds it at scale Q, LLL-reduces
 it, and reads candidate coefficient vectors off the unimodular transform.
 Each candidate is certified from scratch at a precision sized from the
 candidate itself. Every step works on the fixed-point integers of
@@ -10,12 +11,16 @@ candidate itself. Every step works on the fixed-point integers of
 coefficients.
 
 The certificate alone makes an answer sound, whatever basis it came from,
-so the search spends as little on the lattice as it can. P starts at
-`practical_scale_P`, the paper's bound without LLL's worst-case factor, and
-rises k bits per failed reduction up to the paper's P (`compute_scale_P`);
-there Q doubles, up to SEARCH_RETRY_CAP reductions, as the paper's
-guarantee asks. Each reduction certifies the candidates of the float LLL
-pass first, and runs the exact finisher only when none of them certifies.
+so the search spends as little on the lattice as it can. For k from
+GAUSSIAN_MIN_DEGREE to 71, P starts at `gaussian_scale_P`, where the
+Gaussian heuristic expects LLL's first vector to certify; that rung runs
+the float LLL pass alone. P then goes to `practical_scale_P`, the paper's
+bound without LLL's worst-case factor, and rises k bits per failed
+reduction up to the paper's P (`compute_scale_P`); there Q doubles, up to
+SEARCH_RETRY_CAP reductions, as the paper's guarantee asks. From
+`practical_scale_P` on, each reduction certifies the candidates of the
+float LLL pass first, and runs the exact finisher only when none of them
+certifies.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .algebraic import (
     EmbeddingMatrix,
     FieldSpec,
     IntPoly,
+    cyclotomic_invariants,
     embeddings_for,
     eval_combination,
     minimal_polynomial,
@@ -120,6 +126,33 @@ def _least_above(factor, k: int, disc: int, epsilon) -> int:
     return isqrt(B.numerator // B.denominator) + 1
 
 
+# The Gaussian heuristic puts the first reduced vector of a k-dimensional
+# lattice at sqrt(k / (2 pi e)) det^(1/k), and LLL finds one within about
+# 1.02^k of that (Gama and Nguyen, "Predicting Lattice Reduction", 2008).
+# GAUSSIAN_DIVISOR = 17 < 2 pi e ~ 17.08 and ROOT_HERMITE_FACTOR = 51/50
+# both make P err high. The rung lies about 2.04k - 0.029k^2 bits below
+# `practical_scale_P`: 11 bits at k = 6, 30 at k = 20, 36 at k = 30-40, 20
+# at k = 60, 1 at k = 71, and none from k = 72 on. Fitted on the 129 inputs
+# of conductors 5-61 (n != 2 mod 4) at epsilon 1, 1/2 and 1/4, best of 3
+# alternating in-process runs on a 2-CPU host: from k = 6 on every rung
+# certified, 99 answers shrank and none grew, and the searches took
+# 0.65-0.80 of their time without the rung (3.55 s -> 2.72 s in all). At
+# k = 2-5 the heuristic is poor: the rung failed on 21 of the 30 inputs and
+# the searches took 1.49 times as long, so GAUSSIAN_MIN_DEGREE = 6.
+GAUSSIAN_DIVISOR = 17
+ROOT_HERMITE_FACTOR = Fraction(51, 50)
+GAUSSIAN_MIN_DEGREE = 6
+
+
+def gaussian_scale_P(k: int, disc: int, epsilon) -> int:
+    """The least integer P > (51/50)^(k^2) * (k/17)^(k/2) * sqrt(disc) /
+    epsilon^k: the scale at which LLL's first vector is expected to certify,
+    from the Gaussian heuristic and LLL's root Hermite factor in practice.
+    The search's first rung for GAUSSIAN_MIN_DEGREE <= k <= 71."""
+    factor = ROOT_HERMITE_FACTOR ** (2 * k * k) / GAUSSIAN_DIVISOR**k
+    return _least_above(factor, k, disc, epsilon)
+
+
 def build_scaled_lattice(emb: EmbeddingMatrix, P: int, Q: int) -> IntLattice:
     """Integer lattice with columns (round(Q*beta_j), round(Q*P*sigma_i(beta_j))),
     each rounded half away from zero from the fixed-point entries. The
@@ -206,12 +239,16 @@ def find_pisot(spec: FieldSpec, epsilon=1) -> PisotCandidate:
     """Algorithm: scale, round, LLL-reduce, then certify candidate vectors
     taken from the transform columns (first reduced vector first), at each
     (P, Q) of `_scales` in turn. In each reduction the float pass's
-    candidates are tried first; if none certifies, the exact finisher runs
-    from the float basis and transform, and those of its candidates not
-    tried yet follow. Every precision derives from the field and the
-    candidate: `floor_bits`, then bits(P) + bits(Q) + 64 for the lattice,
-    then `verify_precision`, on the search's matrix when it is at that
-    precision, so a small field is embedded once. A candidate whose
+    candidates are tried first; if none certifies and P is at least
+    `practical_scale_P`, the exact finisher runs from the float basis and
+    transform, and those of its candidates not tried yet follow; the
+    Gaussian rung below it runs the float pass alone. Every precision
+    derives from the field and the candidate: at least `floor_bits`,
+    bits(P) + bits(Q) + 64 for the lattice, then `verify_precision`, on the
+    search's matrix when it is at that precision, so a small field is
+    embedded once. A cyclotomic field's k and discriminant come from its
+    conductor, so its first matrix is built at the lattice's precision; an
+    explicit field's come from its matrix at `floor_bits`. A candidate whose
     precision exceeds the cap is skipped like one that fails certification.
     SearchFailed summarises the whole search. Every certified conjugate
     other than the value lies below epsilon, a rational in (0, 1]; any other
@@ -220,9 +257,13 @@ def find_pisot(spec: FieldSpec, epsilon=1) -> PisotCandidate:
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     floor = floor_bits(spec)
-    emb = embeddings_for(spec, floor)
-    ceiling = compute_scale_P(emb.k, emb.discriminant, eps)
-    start = practical_scale_P(emb.k, emb.discriminant, eps)
+    if spec.kind == "cyclotomic":
+        emb, (k, disc) = None, cyclotomic_invariants(spec.conductor)
+    else:
+        emb = embeddings_for(spec, floor)
+        k, disc = emb.k, emb.discriminant
+    start = practical_scale_P(k, disc, eps)
+    rungs = _scales(k, gaussian_scale_P(k, disc, eps), start, compute_scale_P(k, disc, eps))
     verdicts: Counter[str] = Counter()
     scales, finished, last_failure = [], 0, None
 
@@ -240,14 +281,14 @@ def find_pisot(spec: FieldSpec, epsilon=1) -> PisotCandidate:
                 last_failure = exc
         return None
 
-    for P, Q in _scales(emb.k, start, ceiling):
+    for P, Q in rungs:
         scales.append((P.bit_length(), Q.bit_length()))
-        need = P.bit_length() + Q.bit_length() + 64
-        if emb.precision_bits < need:
-            emb = embeddings_for(spec, max(floor, need))
+        need = max(floor, P.bit_length() + Q.bit_length() + 64)
+        if emb is None or emb.precision_bits < need:
+            emb = embeddings_for(spec, need)
         result = float_reduce(build_scaled_lattice(emb, P, Q))
         cand = certify_first(result.transform, ())
-        if cand is None:
+        if cand is None and P >= start:
             finished += 1
             cand = certify_first(finish_reduce(result).transform, set(result.transform))
         if cand is not None:
@@ -262,11 +303,14 @@ def find_pisot(spec: FieldSpec, epsilon=1) -> PisotCandidate:
     )
 
 
-def _scales(k: int, start: int, ceiling: int):
-    """(P, Q) of each reduction of a search: one reduction at each P of the
+def _scales(k: int, gaussian: int, start: int, ceiling: int):
+    """(P, Q) of each reduction of a search: one reduction at P = gaussian
+    when k >= GAUSSIAN_MIN_DEGREE and gaussian < start; one at each P of the
     ladder start, start * 2^k, ... below the ceiling, with Q = DEFAULT_Q;
     then SEARCH_RETRY_CAP reductions at P = ceiling, Q doubling from
     DEFAULT_Q. A P too small costs one reduction, not SEARCH_RETRY_CAP."""
+    if k >= GAUSSIAN_MIN_DEGREE and gaussian < start:
+        yield gaussian, DEFAULT_Q
     P = start
     while P < ceiling:
         yield P, DEFAULT_Q

@@ -176,10 +176,21 @@ def test_basis_is_chosen_by_squarefreeness(n, m, k):
         assert abs(sum(emb.entries[0]) - (-1) ** len(primes) * (1 << 64)) <= k
 
 
+@pytest.mark.parametrize("n", [n for n in range(5, 201) if n != 6])
+def test_discriminant_from_the_conductor_matches_the_embedded_trace_form(n):
+    # Ramanujan sums give the trace form from n alone; the embeddings' own
+    # trace form, rounded and checked against its error bound, must agree.
+    # Both bases occur, and n = 2 mod 4 names the field of n/2.
+    emb = cyclotomic_embeddings(n, 64)
+    assert algebraic.cyclotomic_invariants(n) == (emb.k, emb.discriminant)
+    assert emb.discriminant == algebraic._discriminant(emb.entries, 64, 1)
+
+
 def test_cyclotomic_embeddings_build_once(monkeypatch):
     # 25 is not squarefree: the power basis is taken at once, with one set of
-    # cosines and one discriminant, and no dependent cosine basis first.
-    calls = {"_two_cosines": 0, "_discriminant": 0}
+    # cosines and one discriminant, and no dependent cosine basis first. The
+    # discriminant comes from the conductor, not from the embedded trace form.
+    calls = {"_two_cosines": 0, "cyclotomic_invariants": 0, "_discriminant": 0}
     for name in calls:
         real = getattr(algebraic, name)
 
@@ -189,7 +200,7 @@ def test_cyclotomic_embeddings_build_once(monkeypatch):
 
         monkeypatch.setattr(algebraic, name, counted)
     emb = cyclotomic_embeddings(25, 64)
-    assert calls == {"_two_cosines": 1, "_discriminant": 1}
+    assert calls == {"_two_cosines": 1, "cyclotomic_invariants": 1, "_discriminant": 0}
     assert emb.k == 10 and emb.discriminant != 0
 
 

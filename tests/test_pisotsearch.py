@@ -20,11 +20,14 @@ from pisot.balls import Ball
 from pisot.lattice import LLLResult
 from pisot.pisotsearch import (
     DEFAULT_Q,
+    MAX_SEARCH_DEGREE,
     SEARCH_RETRY_CAP,
+    _scales,
     build_scaled_lattice,
     compute_scale_P,
     find_pisot,
     format_fraction,
+    gaussian_scale_P,
     minkowski_bound,
     practical_scale_P,
     verify_pisot,
@@ -132,6 +135,43 @@ class TestPracticalScaleP:
         assert practical_scale_P(4, emb15.discriminant, Fraction(1, 2)) == 8587
         with pytest.raises(ValueError):
             practical_scale_P(1, 1, 1)
+
+
+class TestGaussianScaleP:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("k", [2, 6, 20, 75])
+    def test_least_integer_above_bound(self, k, eps):
+        # bound^2 = (51/50)^(2k^2) * (k/17)^k * disc / eps^(2k), compared exactly
+        for disc in (1, 5 ** (k - 1), 10**k + 7):
+            P = gaussian_scale_P(k, disc, eps)
+            square = Fraction(51, 50) ** (2 * k * k) * Fraction(k, 17) ** k * disc / eps ** (2 * k)
+            assert (P - 1) ** 2 <= square < P**2
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            gaussian_scale_P(1, 1, 1)
+        with pytest.raises(ValueError):
+            gaussian_scale_P(6, 1, 0)
+
+
+class TestScales:
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    def test_the_gaussian_rung_comes_first_for_degrees_6_to_71_only(self, eps):
+        # Below 6 the heuristic is poor; from 72 on the rung is not below
+        # practical_scale_P. The ladder from practical_scale_P up is the same
+        # with or without it.
+        for k in range(2, MAX_SEARCH_DEGREE + 1):
+            for disc in (5 ** (k - 1), k ** (k - 1) * 7):
+                low = gaussian_scale_P(k, disc, eps)
+                start = practical_scale_P(k, disc, eps)
+                ceiling = compute_scale_P(k, disc, eps)
+                rungs = list(_scales(k, low, start, ceiling))
+                ladder = list(_scales(k, start, start, ceiling))
+                assert ladder[0] == (start, DEFAULT_Q)
+                if 6 <= k <= 71:
+                    assert low < start and rungs == [(low, DEFAULT_Q)] + ladder
+                else:
+                    assert rungs == ladder
 
 
 class TestBuildScaledLattice:
@@ -438,11 +478,67 @@ class TestFindPisot:
         spec = FieldSpec(kind="cyclotomic", conductor=n)
         cand = find_pisot(spec, eps)
         monkeypatch.setattr(pisotsearch, "practical_scale_P", compute_scale_P)
-        paper = find_pisot(spec, eps)
-        if cand.coefficients != paper.coefficients:
-            upper = Fraction(cand.value.center + cand.value.radius, 1 << cand.value.scale)
-            lower = Fraction(paper.value.center - paper.value.radius, 1 << paper.value.scale)
-            assert upper < lower
+        disable_gaussian_rung(monkeypatch)
+        assert_no_larger(cand, find_pisot(spec, eps))
+
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    @pytest.mark.parametrize("n", SMALL_SQUAREFREE + (29, 31, 41))
+    def test_no_answer_larger_than_without_the_gaussian_rung(self, monkeypatch, n, eps):
+        spec = FieldSpec(kind="cyclotomic", conductor=n)
+        cand = find_pisot(spec, eps)
+        disable_gaussian_rung(monkeypatch)
+        assert_no_larger(cand, find_pisot(spec, eps))
+
+    def test_a_failed_gaussian_rung_climbs_without_the_finisher(self, monkeypatch):
+        # Conductor 17 (k = 8) at epsilon 1/2: with every candidate below
+        # practical_scale_P rejected, the float pass of the Gaussian rung is
+        # the only work there, and the answer is the one of a search without
+        # that rung.
+        spec, eps = FieldSpec(kind="cyclotomic", conductor=17), Fraction(1, 2)
+        disc = cyclotomic_embeddings(17, 256).discriminant
+        low, start = gaussian_scale_P(8, disc, eps), practical_scale_P(8, disc, eps)
+        real_build, real_finish = pisotsearch.build_scaled_lattice, pisotsearch.finish_reduce
+        real_verify = pisotsearch.verify_pisot
+        scales, finished_at = [], []
+
+        def build(emb, P, Q):
+            scales.append(P)
+            return real_build(emb, P, Q)
+
+        def finish(result):
+            finished_at.append(scales[-1])
+            return real_finish(result)
+
+        def verify(z, emb, epsilon):
+            if scales[-1] < start:
+                raise errors.NotPisot("below practical_scale_P")
+            return real_verify(z, emb, epsilon)
+
+        monkeypatch.setattr(pisotsearch, "build_scaled_lattice", build)
+        monkeypatch.setattr(pisotsearch, "finish_reduce", finish)
+        monkeypatch.setattr(pisotsearch, "verify_pisot", verify)
+        cand = find_pisot(spec, eps)
+        assert scales == [low, start] and low < start
+        assert low not in finished_at
+        disable_gaussian_rung(monkeypatch)
+        scales.clear()
+        assert find_pisot(spec, eps).coefficients == cand.coefficients
+        assert scales == [start]
+
+    def test_search_failed_counts_the_gaussian_rung(self, monkeypatch):
+        def reject(z, emb, epsilon):
+            raise errors.NotPisot("rejected")
+
+        monkeypatch.setattr(pisotsearch, "verify_pisot", reject)
+        with pytest.raises(errors.SearchFailed) as info:
+            find_pisot(FieldSpec(kind="cyclotomic", conductor=13), 1)
+        # k = 6, disc = 13^5: the Gaussian rung (P of 6 bits), practical_scale_P
+        # (18 bits) and one more ladder rung (24 bits) below the ceiling (25
+        # bits); the finisher ran in every reduction but the first.
+        n = 3 + SEARCH_RETRY_CAP
+        message = str(info.value)
+        assert f"in {n} reductions (P of 6-25 bits, Q of 33-40 bits; " in message
+        assert f"the exact finisher ran in {n - 1} of them" in message
 
     def test_a_small_field_is_embedded_once(self, monkeypatch):
         # The lattice and the certified candidate both need the floor of 256
@@ -486,6 +582,18 @@ class TestFindPisot:
             with pytest.raises(ValueError, match="epsilon must lie in"):
                 find_pisot(FieldSpec(kind="cyclotomic", conductor=15), eps)
         assert not built
+
+
+def disable_gaussian_rung(monkeypatch):
+    monkeypatch.setattr(pisotsearch, "GAUSSIAN_MIN_DEGREE", MAX_SEARCH_DEGREE + 1)
+
+
+def assert_no_larger(cand, other):
+    """cand's certified value is other's, or lies wholly below it."""
+    if cand.coefficients != other.coefficients:
+        upper = Fraction(cand.value.center + cand.value.radius, 1 << cand.value.scale)
+        lower = Fraction(other.value.center - other.value.radius, 1 << other.value.scale)
+        assert upper < lower
 
 
 class TestMinkowskiBound:
