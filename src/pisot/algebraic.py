@@ -8,8 +8,8 @@ the conductor alone, through Ramanujan sums. An explicit field's trace
 form and discriminant, the values of an integer combination and the minimal
 polynomial built from them are exact integer computations checked against
 that bound. Polynomial roots are integer disks (a Gaussian-integer center
-and a radius at one scale) from `roots.poly_roots`, whose radii rest on an
-exact residual. The Pisot layout and the threshold n0 are integer
+and a radius at one scale) from `roots.root_layouts`, whose radii rest on
+an exact residual. The Pisot layout and the threshold n0 are integer
 comparisons against those radii; n0 compares fixed-point powers of the upper
 and lower bounds of |alpha_2|, each with its carried error bound, to 1/2.
 """
@@ -27,7 +27,7 @@ from math import gcd, isqrt
 from . import errors
 from .balls import Ball, decimal_digits
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, share_a_root, work_bits
+from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, root_layouts, share_a_root
 
 THRESHOLD_CAP = 99999
 
@@ -463,9 +463,9 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     """Certify that f is the minimal polynomial of a Pisot number and locate
     its roots, dominant root, and the trace-path threshold.
 
-    Roots are isolated to precision_bits first, and the precision doubles
-    while the layout or n0 is undecided. A precision whose working bits
-    exceed MAX_WORK_BITS, requested or reached, raises PrecisionExhausted."""
+    The first layout of `root_layouts(f, precision_bits)` that decides the
+    Pisot verdict and n0 is kept; past the cap on working bits, requested
+    or reached, `root_layouts` raises PrecisionExhausted."""
     if not f.is_monic:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
     if f.degree < 2:
@@ -481,38 +481,30 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     if f.degree >= 3 and share_a_root(list(reversed(f.coefficients)), list(f.coefficients)):
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
-    prec = precision_bits
-    while work_bits(prec) <= MAX_WORK_BITS:
-        roots = poly_roots(f, prec)
+    for prec, roots in root_layouts(f, precision_bits):
         verdict = _certify_pisot_roots(roots)
         if verdict == "ambiguous":
-            prec *= 2
             continue
         if isinstance(verdict, str):
             raise errors.NotPisot(verdict)
-        dominant_index = verdict
-        others = [r for i, r in enumerate(roots) if i != dominant_index]
+        others = [r for i, r in enumerate(roots) if i != verdict]
         second = max((r.modulus() for r in others), key=lambda b: b.center + b.radius)
         n0 = _threshold_n0(second, f.degree)
         if n0 is not None:
             return MinPolyInfo(
                 poly=f,
                 roots=tuple(roots),
-                dominant_index=dominant_index,
+                dominant_index=verdict,
                 second_modulus=second,
                 threshold_n0=n0,
                 precision_bits=prec,
             )
-        prec *= 2
-    raise errors.PrecisionExhausted(
-        f"could not certify the Pisot structure of {f}: {prec}-bit roots need "
-        f"{work_bits(prec)} working bits, above the cap of {MAX_WORK_BITS}"
-    )
 
 
 def _certify_pisot_roots(roots):
     """Index of the dominant root, a NotPisot reason string, or 'ambiguous'.
-    Every test compares a disk's integer bounds with 1 at its scale."""
+    An index certifies every other disk inside the unit disk. Every test
+    compares a disk's integer bounds with 1 at its scale."""
     dominant = []
     for i, r in enumerate(roots):
         if not r.is_real:
@@ -533,10 +525,7 @@ def _certify_pisot_roots(roots):
         if m.lt(1):
             continue
         if m.center - m.radius >= 1 << m.scale:
-            return (
-                f"conjugate root {i} has modulus >= 1 "
-                f"(~{m.digits(8)})"
-            )
+            return f"conjugate root {i} has modulus >= 1 (~{m.digits(8)})"
         return "ambiguous"
     return idx
 

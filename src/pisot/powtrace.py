@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 
 from . import errors
-from .algebraic import IntPoly, MinPolyInfo, poly_roots, round_div
-from .roots import MAX_WORK_BITS, fixed_power, work_bits
+from .algebraic import IntPoly, MinPolyInfo, _certify_pisot_roots, round_div
+from .roots import fixed_power, root_layouts
 
 
 def _axpy(acc, c: int, t):
@@ -246,34 +246,32 @@ def _rounded_conjugate_sum(info: MinPolyInfo, n: int) -> int:
 
     Each beta_i lies in a certified disk of center c and radius R inside the
     unit disk, so |beta_i^n - c^n| <= n*R, and c^n comes from `fixed_power`
-    with its truncation bound. When S_n lies within the summed bound of a
-    half-integer, the roots of info.poly are isolated again at twice the
-    precision, up to MAX_WORK_BITS.
+    with its truncation bound. The disks of info come first; while S_n lies
+    within the summed bound of a half-integer, `root_layouts` from twice
+    info.precision_bits follows, with each dominant index from
+    `_certify_pisot_roots`, which puts every other disk in the unit disk.
     """
     if n >= info.threshold_n0:
         return 0
-    roots, dom, prec = info.roots, info.dominant_index, info.precision_bits
-    while True:
+
+    def layouts():
+        yield info.roots, info.dominant_index
+        for _, roots in root_layouts(info.poly, 2 * info.precision_bits):
+            yield roots, _certify_pisot_roots(roots)
+
+    for roots, dom in layouts():
+        if isinstance(dom, str):
+            continue  # ambiguous at this precision
         others = [r for i, r in enumerate(roots) if i != dom]
-        s = others[0].scale  # one scale for all disks of an isolation
-        # The n*R bound needs every disk inside the unit disk.
-        if all(r.modulus().lt(1) for r in others):
-            total = err = 0
-            for r in others:
-                u, _, e = fixed_power(r.re, r.im, n, s)
-                total += u
-                err += e + n * r.radius
-            k = round_div(total, 1 << s)
-            if 2 * (abs(total - (k << s)) + err) < 1 << s:
-                return k
-        prec *= 2
-        if work_bits(prec) > MAX_WORK_BITS:
-            raise errors.PrecisionExhausted(
-                f"could not certify the nearest integer to alpha^{n} below "
-                f"{MAX_WORK_BITS} working bits"
-            )
-        roots = poly_roots(info.poly, prec)
-        dom = max((i for i, r in enumerate(roots) if r.is_real), key=lambda i: roots[i].re)
+        s = others[0].scale  # one scale for all disks of a layout
+        total = err = 0
+        for r in others:
+            u, _, e = fixed_power(r.re, r.im, n, s)
+            total += u
+            err += e + n * r.radius
+        k = round_div(total, 1 << s)
+        if 2 * (abs(total - (k << s)) + err) < 1 << s:
+            return k
 
 
 # Where an exact square by evaluation starts: at the first bit whose r has

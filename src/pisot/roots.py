@@ -1,10 +1,10 @@
 """Certified complex roots of integer polynomials.
 
-`poly_roots` finds every root by Aberth-Ehrlich iterations in floats and
-Newton steps on fixed-point Gaussian integers, with Aberth's steps in fixed
-point where floats overflow or a certificate fails, and certifies each with
-a disk whose radius comes from an exact residual: f evaluated exactly at the
-dyadic midpoint, whatever solver found it. `share_a_root` decides exactly
+`root_layouts`, the one precision ladder of root isolation, finds every
+root by Aberth-Ehrlich iterations in floats and Newton steps on fixed-point
+Gaussian integers, and certifies each with a disk whose radius comes from an
+exact residual: f evaluated exactly at the dyadic midpoint, whatever solver
+found it. `poly_roots` is its first layout. `share_a_root` decides exactly
 whether two integer polynomials have a common root, by their gcd over Z.
 `fixed_power` powers a fixed-point Gaussian integer with an integer error
 bound, for the threshold n0 and for the powers of the small roots below it.
@@ -24,8 +24,8 @@ if TYPE_CHECKING:
     from .algebraic import IntPoly
 
 # The one cap on working precision: root isolation and embeddings refuse a
-# request above it, and root isolation's own doublings stop there; either
-# raises PrecisionExhausted, naming the bits.
+# request above it, and `root_layouts` stops there; either raises
+# PrecisionExhausted, naming the bits.
 MAX_WORK_BITS = 1 << 15
 # Sweeps of one Aberth-Ehrlich run, in floats or in fixed point at w.
 ABERTH_STEPS = 200
@@ -51,30 +51,35 @@ class PolyRoot:
 
 
 def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
-    """All complex roots with certified, pairwise disjoint error disks.
+    """The first layout of `root_layouts(f, precision_bits)`."""
+    return next(root_layouts(f, precision_bits))[1]
 
-    A repeated root is ruled out exactly first, by gcd(f, f') over Z
-    (`share_a_root`), since no precision separates it. Approximations come from Aberth-Ehrlich iterations in floats,
-    refined by Newton steps on fixed-point Gaussian integers (a + bi)/2^s as
-    s doubles up to the working precision w = precision_bits + 32 +
-    GUARD_BITS. When floats overflow or stall, the fixed-point steps start
-    from the Newton-polygon circles instead and are Aberth's (`_newton`).
-    Soundness rests on none of that: f is evaluated exactly at each dyadic
-    midpoint x_i, and |lead * prod_{j != i} (x_i - x_j)|^2 is an exact
-    integer product, so the Weierstrass radius
-    d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is rounded upward only
-    once. Those disks jointly cover the roots, and contain exactly one root
-    each once disjoint. When a certificate fails, w doubles, up to
-    MAX_WORK_BITS, and Aberth steps at the new w separate what the last
-    round could not. A request whose w exceeds MAX_WORK_BITS raises
-    PrecisionExhausted at once.
+
+def root_layouts(f: IntPoly, precision_bits: int):
+    """Yields (prec, roots) at prec = p, 2p, 4p, ... for p = precision_bits:
+    every complex root of f in a certified disk within 2^-prec (|x_i| + 1),
+    the disks pairwise disjoint.
+
+    A repeated root is ruled out exactly first, once, by gcd(f, f') over Z
+    (`share_a_root`), since no precision separates it. Approximations come
+    from Aberth-Ehrlich iterations in floats, refined by Newton steps on
+    fixed-point Gaussian integers (a + bi)/2^s as s doubles up to the
+    working precision w = work_bits(prec). When floats overflow or stall,
+    the fixed-point steps start from the Newton-polygon circles instead and
+    are Aberth's (`_newton`). Soundness rests on none of that: f is
+    evaluated exactly at each dyadic midpoint x_i, and
+    |lead * prod_{j != i} (x_i - x_j)|^2 is an exact integer product, so the
+    Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
+    rounded upward only once. Those disks jointly cover the roots, and
+    contain exactly one root each once disjoint. A failed certificate
+    doubles w, and Aberth steps at the new w separate what the last round
+    could not. After a layout, Newton steps go on from its midpoints at
+    w = max(w, work_bits(2 prec)), so the disks keep their order. A round
+    whose w would exceed MAX_WORK_BITS, the first included, raises
+    PrecisionExhausted instead.
     """
-    w = work_bits(precision_bits)
-    if w > MAX_WORK_BITS:
-        raise errors.PrecisionExhausted(
-            f"{precision_bits}-bit root disks need {w} working bits, "
-            f"above the cap of {MAX_WORK_BITS}"
-        )
+    prec, last, w = precision_bits, None, work_bits(precision_bits)
+    _check_cap(f, last, w)
     f_desc = list(reversed(f.coefficients))
     df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
     if share_a_root(f_desc, df_desc):
@@ -87,15 +92,23 @@ def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
         zs, repel = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx], False
     while True:
         zs = _newton(f_desc, zs, bits, w, repel)
-        roots = _certified_roots(f, zs, w, precision_bits)
-        if roots is not None:
-            return roots
-        if 2 * w > MAX_WORK_BITS:
-            raise errors.PrecisionExhausted(
-                f"root disks of {f} were not certified at {w} working bits; "
-                f"the cap is {MAX_WORK_BITS}"
-            )
-        bits, w, repel = w, 2 * w, True
+        roots = _certified_roots(f, zs, w, prec)
+        if roots is None:
+            bits, w, repel = w, 2 * w, True
+        else:
+            yield prec, roots
+            last, prec = prec, 2 * prec
+            bits, w, repel = w, max(w, work_bits(prec)), False
+        _check_cap(f, last, w)
+
+
+def _check_cap(f: IntPoly, last: int | None, w: int) -> None:
+    if w > MAX_WORK_BITS:
+        certified = "none certified" if last is None else f"last certified at {last} bits"
+        raise errors.PrecisionExhausted(
+            f"root layouts of {f}: {certified}; the next round needs {w} working bits, "
+            f"above the cap of {MAX_WORK_BITS}"
+        )
 
 
 def work_bits(precision_bits: int) -> int:

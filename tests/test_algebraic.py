@@ -1,5 +1,6 @@
 """Embeddings, certified roots, minimal polynomials, thresholds."""
 
+import itertools
 import json
 import random
 import time
@@ -24,6 +25,7 @@ from pisot.algebraic import (
     poly_roots,
 )
 from pisot.balls import GUARD_BITS
+from pisot.cli import main
 from pisot.roots import MAX_WORK_BITS, work_bits
 
 from conftest import pisot_shaped
@@ -528,6 +530,113 @@ def test_working_bits_are_capped(monkeypatch):
     assert calls == []
 
 
+def test_the_cap_message_names_the_last_certified_layout(monkeypatch):
+    with pytest.raises(errors.PrecisionExhausted) as refused:
+        poly_roots(GOLDEN, 40000)
+    assert str(refused.value) == (
+        f"root layouts of {GOLDEN}: none certified; the next round needs "
+        f"{work_bits(40000)} working bits, above the cap of {MAX_WORK_BITS}"
+    )
+    monkeypatch.setattr("pisot.algebraic._certify_pisot_roots", lambda roots: "ambiguous")
+    with pytest.raises(errors.PrecisionExhausted) as exhausted:
+        analyze_minpoly(PLASTIC, 64)
+    assert str(exhausted.value) == (
+        f"root layouts of {PLASTIC}: last certified at 16384 bits; the next round needs "
+        f"{work_bits(32768)} working bits, above the cap of {MAX_WORK_BITS}"
+    )
+
+
+@pytest.mark.parametrize("f,tests", [(GOLDEN, 1), (PLASTIC, 2), (QUARTIC, 2)],
+                         ids=["golden", "plastic", "quartic"])
+def test_the_ladder_to_the_cap_decides_squarefreeness_once(monkeypatch, f, tests):
+    # With every verdict forced to "ambiguous", analyze_minpoly climbs every
+    # layout up to the cap, yet gcd(f, f') runs once, and at d >= 3
+    # gcd(f, x^d f(1/x)) once more.
+    calls = []
+    share = isolation.share_a_root
+
+    def counted(f_desc, g_desc):
+        calls.append(len(f_desc))
+        return share(f_desc, g_desc)
+
+    monkeypatch.setattr(isolation, "share_a_root", counted)
+    monkeypatch.setattr(algebraic, "share_a_root", counted)
+    monkeypatch.setattr(algebraic, "_certify_pisot_roots", lambda roots: "ambiguous")
+    with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
+        analyze_minpoly(f, 64)
+    assert len(calls) == tests
+
+
+# x^3 - 2^400 x^2 - (2^400 -+ 1): alpha is near 2^400, and the complex pair
+# has |beta|^2 = (2^400 -+ 1)/alpha, within about 2^-400 of 1. So neither
+# the Pisot verdict nor n0 is decided at 128 or 256 bits, and 512 decides.
+NEAR_UNIT_PAIR = {
+    "n0-above-the-cap": (
+        IntPoly((-(2**400 - 1), 0, -(2**400), 1)), errors.PrecisionExhausted, "threshold n0 > 99999"
+    ),
+    "pair-outside": (IntPoly((-(2**400 + 1), 0, -(2**400), 1)), errors.NotPisot, "modulus >= 1"),
+}
+
+
+@pytest.mark.parametrize("f,error,match", NEAR_UNIT_PAIR.values(), ids=NEAR_UNIT_PAIR)
+def test_a_pair_near_the_unit_circle_climbs_three_layouts(monkeypatch, f, error, match):
+    layouts, rounds = [], []
+    ladder, certify = algebraic.root_layouts, isolation._certified_roots
+
+    def recorded_layouts(f, prec):
+        for layout in ladder(f, prec):
+            layouts.append(layout[0])
+            yield layout
+
+    def recorded_rounds(f, zs, w, prec):
+        rounds.append(w)
+        return certify(f, zs, w, prec)
+
+    monkeypatch.setattr(algebraic, "root_layouts", recorded_layouts)
+    monkeypatch.setattr(isolation, "_certified_roots", recorded_rounds)
+    with pytest.raises(error, match=match):
+        analyze_minpoly(f, 128)
+    assert layouts == [128, 256, 512]
+    assert rounds == [work_bits(128), work_bits(256), work_bits(512)]
+
+
+@pytest.mark.parametrize("f,error,match", NEAR_UNIT_PAIR.values(), ids=NEAR_UNIT_PAIR)
+def test_a_pair_near_the_unit_circle_exits_1_through_the_cli(capsys, f, error, match):
+    start = time.perf_counter()
+    code = main(["threshold", "--minpoly", str(f)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"{error.__name__}: ") and match in err
+    assert elapsed < 1
+
+
+def _ladder_polys():
+    polys = {f"{k}-nacci": KNACCI[f"{k}-nacci"] for k in range(2, 13)}
+    polys["quartic"] = QUARTIC
+    rng = random.Random(23)
+    polys.update({f"shaped-{i}": pisot_shaped(rng.randint(3, 12), rng) for i in range(5)})
+    return polys
+
+
+LADDER_POLYS = _ladder_polys()
+
+
+@pytest.mark.parametrize("f", LADDER_POLYS.values(), ids=LADDER_POLYS)
+def test_later_layouts_keep_the_order_of_the_first(f):
+    # Newton steps go on from the last midpoints, so disk i of every layout
+    # meets disk i of the first, and the dominant index stays the same.
+    layouts = list(itertools.islice(isolation.root_layouts(f, 128), 3))
+    assert [prec for prec, _ in layouts] == [128, 256, 512]
+    dominant = {algebraic._certify_pisot_roots(roots) for _, roots in layouts}
+    assert len(dominant) == 1 and isinstance(dominant.pop(), int)
+    first = layouts[0][1]
+    for _, roots in layouts[1:]:
+        for r, q in zip(roots, first, strict=True):
+            shift = r.scale - q.scale
+            dr, di = r.re - (q.re << shift), r.im - (q.im << shift)
+            assert dr * dr + di * di <= (r.radius + (q.radius << shift)) ** 2
+
+
 def test_embeddings_above_the_cap_compute_nothing(monkeypatch):
     calls = []
     two_cosines = algebraic._two_cosines
@@ -613,9 +722,9 @@ class TestAnalyzeMinpoly:
     def test_zero_constant_term_rejected(self, monkeypatch):
         # x(x^2-x-1) is reducible; it is rejected before any root isolation
         def no_numerics(*args):
-            raise AssertionError("poly_roots ran")
+            raise AssertionError("root isolation ran")
 
-        monkeypatch.setattr("pisot.algebraic.poly_roots", no_numerics)
+        monkeypatch.setattr("pisot.algebraic.root_layouts", no_numerics)
         with pytest.raises(errors.NotPisot):
             analyze_minpoly(IntPoly((0, -1, -1, 1)), 64)
 
@@ -632,9 +741,9 @@ RECIPROCAL = {
 def test_shared_root_with_reciprocal_rejected(coeffs, monkeypatch):
     # Decided by gcd(f, x^d f(1/x)) over Z, before any root isolation.
     def no_numerics(*args):
-        raise AssertionError("poly_roots ran")
+        raise AssertionError("root isolation ran")
 
-    monkeypatch.setattr("pisot.algebraic.poly_roots", no_numerics)
+    monkeypatch.setattr("pisot.algebraic.root_layouts", no_numerics)
     with pytest.raises(errors.NotPisot, match="reciprocal"):
         analyze_minpoly(IntPoly(coeffs), 64)
 

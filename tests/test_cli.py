@@ -768,20 +768,21 @@ def test_threshold_json_is_pinned(capsys, expr, n0, modulus):
 @pytest.mark.parametrize("expr", ["x^3-100000x^2-99999", "x^3-1000000x^2-999999"])
 def test_threshold_beyond_the_cap_fails_at_once(capsys, monkeypatch, expr):
     # |alpha_2| ~ 1 - 1/(2N) puts n0 near 2.8N: certified above the cap from
-    # the first root isolation, which no precision doubling could change.
+    # the first root layout, which no precision doubling could change.
     import pisot.algebraic
 
-    calls = []
-    isolate = pisot.algebraic.poly_roots
+    layouts = []
+    ladder = pisot.algebraic.root_layouts
 
     def counted(f, prec):
-        calls.append(prec)
-        return isolate(f, prec)
+        for layout in ladder(f, prec):
+            layouts.append(layout[0])
+            yield layout
 
-    monkeypatch.setattr(pisot.algebraic, "poly_roots", counted)
+    monkeypatch.setattr(pisot.algebraic, "root_layouts", counted)
     code, _, err = invoke(capsys, "threshold", "--minpoly", expr)
     assert code == 1 and err.startswith("PrecisionExhausted: threshold n0 > 99999")
-    assert len(calls) == 1
+    assert len(layouts) == 1
 
 
 def test_knacci_threshold_computes_no_determinant(capsys, monkeypatch):

@@ -124,7 +124,7 @@ def test_every_power_below_the_threshold(f, monkeypatch):
     ns = sorted(set(range(min(n0, 201))) | {n0 // 2, n0 - 1})
     expected = nearest_power_oracle(f, ns)
     calls = []
-    monkeypatch.setattr(powtrace, "poly_roots", lambda *args: calls.append(args))
+    monkeypatch.setattr(powtrace, "root_layouts", lambda *args: calls.append(args))
     m = 2**61 - 1
     for n in ns:
         assert nearest_power(info, n) == expected[n]
@@ -135,22 +135,23 @@ def test_every_power_below_the_threshold(f, monkeypatch):
 def test_undecided_rounding_isolates_the_roots_again(plastic_info, monkeypatch):
     # A small root's disk widened to radius 1/16 still lies inside the unit
     # disk, but n/16 per root leaves S_n undecided from n = 3 on; the roots
-    # are then isolated at twice the precision, and the answers hold.
+    # are then isolated again by a ladder that starts at twice the
+    # precision, and the answers hold.
     roots = list(plastic_info.roots)
     i = next(i for i in range(3) if i != plastic_info.dominant_index)
     roots[i] = dataclasses.replace(roots[i], radius=1 << (roots[i].scale - 4))
     info = dataclasses.replace(plastic_info, roots=tuple(roots))
-    calls = []
-    isolate = powtrace.poly_roots
+    starts = []
+    ladder = powtrace.root_layouts
 
     def counted(f, prec):
-        calls.append(prec)
-        return isolate(f, prec)
+        starts.append(prec)
+        return ladder(f, prec)
 
-    monkeypatch.setattr(powtrace, "poly_roots", counted)
+    monkeypatch.setattr(powtrace, "root_layouts", counted)
     rho = 1.3247179572447460
     assert [nearest_power(info, n) for n in range(10)] == [round(rho**n) for n in range(10)]
-    assert calls and set(calls) == {2 * plastic_info.precision_bits}
+    assert starts and set(starts) == {2 * plastic_info.precision_bits}
 
 
 class TestNearestPowerMod:
