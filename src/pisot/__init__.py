@@ -13,7 +13,6 @@ from .algebraic import (
     eval_combination,
     explicit_embeddings,
     minimal_polynomial,
-    poly_roots,
 )
 from .lattice import IntLattice, LLLResult, lll_reduce
 from .pisotsearch import (
@@ -25,6 +24,7 @@ from .pisotsearch import (
     verify_pisot,
 )
 from .powtrace import nearest_power, nearest_power_mod
+from .roots import poly_roots
 from .slp import SLP, emit_power_slp, format_slp, parse_slp, slp_eval, slp_for_constant, slp_length
 
 __version__ = "0.1.0"

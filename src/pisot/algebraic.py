@@ -19,15 +19,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import errors
 from .balls import Ball, decimal_digits
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, poly_roots, root_layouts, share_a_root
+from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, root_layouts, share_a_root
 
 THRESHOLD_CAP = 99999
 
@@ -85,24 +86,42 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
+        """The spec a field file's JSON object describes; a missing key or a
+        value of the wrong type or range is a ParseError."""
+        if not isinstance(obj, dict):
+            raise errors.ParseError(
+                f"field file: a JSON object is required, got {type(obj).__name__}"
+            )
         kind = obj.get("kind")
         if kind == "cyclotomic":
-            return cls(kind="cyclotomic", conductor=int(obj["conductor"]))
+            return cls(kind="cyclotomic", conductor=_field_int(obj, "conductor", 1))
         if kind == "explicit":
+            rows, labels = obj.get("embedding_rows"), obj.get("basis_labels", [])
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise errors.ParseError("field file: 'embedding_rows' must be a list of lists")
+            if not isinstance(labels, list):
+                raise errors.ParseError("field file: 'basis_labels' must be a list")
             disc = obj.get("discriminant")
             return cls(
                 kind="explicit",
-                basis_labels=tuple(obj.get("basis_labels", ())),
-                embedding_rows=tuple(tuple(row) for row in obj["embedding_rows"]),
-                stated_precision_bits=int(obj["precision_bits"]),
-                discriminant=None if disc is None else int(disc),
+                basis_labels=tuple(labels),
+                embedding_rows=tuple(tuple(row) for row in rows),
+                stated_precision_bits=_field_int(obj, "precision_bits", 1),
+                discriminant=None if disc is None else _field_int(obj, "discriminant"),
             )
-        raise errors.ParseError(f"unknown field kind: {kind!r}")
+        raise errors.ParseError(f"unknown field kind: {kind!r:.60}")
 
     @classmethod
     def from_file(cls, path) -> "FieldSpec":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_json(json.load(fh))
+        """The spec of an ASCII JSON field file. A file that is not such
+        text, or holds an integer literal longer than MAX_FIELD_INT_CHARS,
+        is a ParseError, decided before int() reads it."""
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                obj = json.load(fh, parse_int=_json_int_literal)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise errors.ParseError(f"field file {path}: {exc}") from None
+        return cls.from_json(obj)
 
     def to_json(self) -> dict:
         if self.kind == "cyclotomic":
@@ -116,6 +135,33 @@ class FieldSpec:
         if self.discriminant is not None:
             obj["discriminant"] = str(self.discriminant)
         return obj
+
+
+# The longest integer that a field file may hold, in characters: int() takes
+# time quadratic in the digits. A field's discriminant at the degrees that
+# `find` takes has a few hundred digits.
+MAX_FIELD_INT_CHARS = 4300
+_FIELD_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _json_int_literal(text: str) -> int:
+    if len(text) > MAX_FIELD_INT_CHARS:
+        raise errors.ParseError(
+            f"field file: an integer of {len(text)} characters, above {MAX_FIELD_INT_CHARS}"
+        )
+    return int(text)
+
+
+def _field_int(obj: dict, key: str, least: int | None = None) -> int:
+    """obj[key] as an int of at least `least`: a JSON integer, or a string of
+    ASCII digits with an optional sign; anything else is a ParseError."""
+    v = obj.get(key)
+    if isinstance(v, str) and len(v) <= MAX_FIELD_INT_CHARS and _FIELD_INT_TEXT.fullmatch(v):
+        v = int(v)
+    if type(v) is not int or (least is not None and v < least):
+        bound = "an integer" if least is None else f"an integer >= {least}"
+        raise errors.ParseError(f"field file: {key!r} must be {bound}, got {v!r:.60}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -135,7 +181,8 @@ class EmbeddingMatrix:
 @dataclass(frozen=True)
 class MinPolyInfo:
     """Certified root layout of the Pisot minimal polynomial `poly`, which
-    the power layer reads from here and takes nowhere else."""
+    the power layer reads from here and takes nowhere else: one layout of
+    `pisot_layouts`, at `precision_bits`, and the n0 that it decides."""
 
     poly: IntPoly
     roots: tuple[PolyRoot, ...]
@@ -195,7 +242,7 @@ def _cosine_basis(conductor: int):
     reps = list(coprime_residues(n))
     if len(reps) < 2:
         raise errors.UnsupportedConductor(f"conductor {conductor} gives degree {len(reps)} < 2")
-    squarefree = all(n % (d * d) for d in range(2, isqrt(n) + 1))
+    squarefree = _mobius_totient(n)[0] != 0
     return n, reps, reps if squarefree else range(len(reps))
 
 
@@ -463,9 +510,9 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     """Certify that f is the minimal polynomial of a Pisot number and locate
     its roots, dominant root, and the trace-path threshold.
 
-    The first layout of `root_layouts(f, precision_bits)` that decides the
-    Pisot verdict and n0 is kept; past the cap on working bits, requested
-    or reached, `root_layouts` raises PrecisionExhausted."""
+    The first layout of `pisot_layouts(f, precision_bits)` that decides n0
+    is kept; past the cap on working bits, requested or reached,
+    `root_layouts` raises PrecisionExhausted."""
     if not f.is_monic:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
     if f.degree < 2:
@@ -481,24 +528,31 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     if f.degree >= 3 and share_a_root(list(reversed(f.coefficients)), list(f.coefficients)):
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
-    for prec, roots in root_layouts(f, precision_bits):
-        verdict = _certify_pisot_roots(roots)
-        if verdict == "ambiguous":
-            continue
-        if isinstance(verdict, str):
-            raise errors.NotPisot(verdict)
-        others = [r for i, r in enumerate(roots) if i != verdict]
+    for prec, roots, dominant in pisot_layouts(f, precision_bits):
+        others = [r for i, r in enumerate(roots) if i != dominant]
         second = max((r.modulus() for r in others), key=lambda b: b.center + b.radius)
         n0 = _threshold_n0(second, f.degree)
         if n0 is not None:
             return MinPolyInfo(
                 poly=f,
                 roots=tuple(roots),
-                dominant_index=verdict,
+                dominant_index=dominant,
                 second_modulus=second,
                 threshold_n0=n0,
                 precision_bits=prec,
             )
+
+
+def pisot_layouts(f: IntPoly, precision_bits: int):
+    """(prec, roots, dominant_index) of each layout of `root_layouts` with every other disk
+    certified inside the unit disk; an ambiguous layout is skipped, a reason raises NotPisot."""
+    for prec, roots in root_layouts(f, precision_bits):
+        verdict = _certify_pisot_roots(roots)
+        if verdict == "ambiguous":
+            continue
+        if isinstance(verdict, str):
+            raise errors.NotPisot(verdict)
+        yield prec, roots, verdict
 
 
 def _certify_pisot_roots(roots):

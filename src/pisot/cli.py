@@ -48,6 +48,15 @@ MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
 # constant is 2 * 75^4, so that epsilon = 1/4 stays accepted up to
 # MAX_SEARCH_DEGREE; there conductors 149 and 151 take up to 27 and 32 s.
 MAX_FIND_SIZE = 63_281_250
+# Integer options are read as text and measured before int(), whose time is
+# quadratic in the digits once `run` lifts the int->str digit limit. Every
+# conductor above 630 gives a degree above MAX_SEARCH_DEGREE, which
+# `_degree_capped` refuses at once; this cap only bounds int().
+MAX_CONDUCTOR_CHARS = 100
+# `bound` prints --disc in full with --json, and multiplies it by
+# delta^(2 - 2 degree): at this cap, `bound --degree 75 --delta 1e-1000
+# --json` takes 0.13 s in process on a 2-CPU host, and 0.53 s at 10^5 digits.
+MAX_DISC_DIGITS = 10_000
 # Digits of a number in a polynomial: ASCII only, as in a program file.
 _DIGITS = "0123456789"
 # Exactly the text int() takes: Unicode decimal digits, single underscores
@@ -90,8 +99,6 @@ def parse_poly(source: str) -> IntPoly:
                 pos += 1
             first = False
         else:
-            if pos >= n:
-                break
             if s[pos] not in "+-":
                 raise errors.PolySyntaxError("expected '+' or '-'", pos)
             sign = -1 if s[pos] == "-" else 1
@@ -171,16 +178,23 @@ def _parse_delta(s: str) -> Fraction:
     return delta
 
 
-def _parse_n(s: str, name: str = "n", least: int = 0) -> int:
-    # The int->str digit limit is lifted in `run`, so bound the input first.
-    if len(s) > MAX_N_CHARS:
-        raise errors.ParseError(f"{name} must lie in [{least}, 10^19], got {len(s)} characters")
+def _parse_int(s: str, name: str, chars: int, span: str) -> int:
+    """The integer s, refused unread when longer than `chars` characters:
+    the int->str digit limit is lifted in `run`. `span` says what the
+    option takes, for the message."""
+    if len(s) > chars:
+        raise errors.ParseError(f"{name} must {span}, got {len(s)} characters")
     try:
-        v = int(s)
+        return int(s)
     except ValueError as exc:
         raise errors.ParseError(f"bad integer {s!r}") from exc
+
+
+def _parse_n(s: str, name: str = "n", least: int = 0) -> int:
+    span = f"lie in [{least}, 10^19]"
+    v = _parse_int(s, name, MAX_N_CHARS, span)
     if not least <= v <= MAX_N:
-        raise errors.ParseError(f"{name} must lie in [{least}, 10^19], got {s}")
+        raise errors.ParseError(f"{name} must {span}, got {s}")
     return v
 
 
@@ -200,10 +214,11 @@ def _monic_poly(expr: str) -> IntPoly:
 def _field_spec(args) -> tuple[FieldSpec, int]:
     """The field of --conductor or --field, and its degree k."""
     if getattr(args, "conductor", None) is not None:
-        if args.conductor < 1:
-            raise errors.ParseError(f"--conductor must be at least 1, got {args.conductor}")
-        return _degree_capped(FieldSpec(kind="cyclotomic", conductor=args.conductor),
-                              f"--conductor {args.conductor}")
+        n = _parse_int(args.conductor, "--conductor", MAX_CONDUCTOR_CHARS,
+                       f"have at most {MAX_CONDUCTOR_CHARS} characters")
+        if n < 1:
+            raise errors.ParseError(f"--conductor must be at least 1, got {n}")
+        return _degree_capped(FieldSpec(kind="cyclotomic", conductor=n), f"--conductor {n}")
     if getattr(args, "field", None):
         return _degree_capped(FieldSpec.from_file(args.field), f"--field {args.field}")
     raise errors.ParseError("one of --conductor or --field is required")
@@ -403,17 +418,20 @@ def _cmd_threshold(args):
 
 def _cmd_bound(args):
     delta = _parse_delta(args.delta)
-    if not 2 <= args.degree <= MAX_SEARCH_DEGREE:
-        raise errors.ParseError(
-            f"--degree must lie in [2, {MAX_SEARCH_DEGREE}] (MAX_SEARCH_DEGREE), got {args.degree}"
-        )
-    if args.disc == 0:
+    span = f"lie in [2, {MAX_SEARCH_DEGREE}] (MAX_SEARCH_DEGREE)"
+    degree = _parse_int(args.degree, "--degree", MAX_N_CHARS, span)
+    if not 2 <= degree <= MAX_SEARCH_DEGREE:
+        raise errors.ParseError(f"--degree must {span}, got {degree}")
+    chars = MAX_DISC_DIGITS + 1
+    disc = _parse_int(args.disc, "--disc", chars,
+                      f"have at most {chars} characters, MAX_DISC_DIGITS digits and a sign")
+    if disc == 0:
         raise errors.ParseError("--disc must be nonzero")
     obj = {
-        "degree": args.degree,
-        "disc": _json_int(args.disc),
+        "degree": degree,
+        "disc": _json_int(disc),
         "delta": args.delta,
-        "bound": minkowski_bound(args.degree, args.disc, delta).digits(20),
+        "bound": minkowski_bound(degree, disc, delta).digits(20),
     }
     _emit(args, obj, [obj["bound"]])
     return 0
@@ -429,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_field_flags(p):
         field = p.add_mutually_exclusive_group()
-        field.add_argument("--conductor", type=int, help="cyclotomic conductor n")
+        field.add_argument("--conductor", help="cyclotomic conductor n")
         field.add_argument("--field", help="path to a FieldSpec JSON file")
         p.add_argument("--json", action="store_true")
 
@@ -470,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("bound", help="upper bound on the minimal Pisot generator")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--disc", type=int, required=True)
+    p.add_argument("--degree", required=True)
+    p.add_argument("--disc", required=True)
     p.add_argument("--delta", required=True, help="rational in (0, 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bound)

@@ -31,16 +31,19 @@ the values (d - 1)(d - 2) more products by small integers.
 
 Below the threshold, alpha^n = p_n - S_n, where
 S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
-minus the nearest integer to S_n, which the certified root disks enclose.
+minus the nearest integer to S_n, which the certified root disks enclose:
+the layout's, then those of `algebraic.pisot_layouts`. `power_sum` alone
+checks n and m, and every entry point calls it before any other work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import errors
-from .algebraic import IntPoly, MinPolyInfo, _certify_pisot_roots, round_div
-from .roots import fixed_power, root_layouts
+from .algebraic import IntPoly, MinPolyInfo, pisot_layouts, round_div
+from .roots import fixed_power
 
 
 def _axpy(acc, c: int, t):
@@ -247,21 +250,14 @@ def _rounded_conjugate_sum(info: MinPolyInfo, n: int) -> int:
     Each beta_i lies in a certified disk of center c and radius R inside the
     unit disk, so |beta_i^n - c^n| <= n*R, and c^n comes from `fixed_power`
     with its truncation bound. The disks of info come first; while S_n lies
-    within the summed bound of a half-integer, `root_layouts` from twice
-    info.precision_bits follows, with each dominant index from
-    `_certify_pisot_roots`, which puts every other disk in the unit disk.
+    within the summed bound of a half-integer, the layouts of
+    `pisot_layouts` from twice info.precision_bits follow.
     """
     if n >= info.threshold_n0:
         return 0
-
-    def layouts():
-        yield info.roots, info.dominant_index
-        for _, roots in root_layouts(info.poly, 2 * info.precision_bits):
-            yield roots, _certify_pisot_roots(roots)
-
-    for roots, dom in layouts():
-        if isinstance(dom, str):
-            continue  # ambiguous at this precision
+    first = [(info.precision_bits, info.roots, info.dominant_index)]
+    later = pisot_layouts(info.poly, 2 * info.precision_bits)
+    for _, roots, dom in itertools.chain(first, later):
         others = [r for i, r in enumerate(roots) if i != dom]
         s = others[0].scale  # one scale for all disks of a layout
         total = err = 0
@@ -313,8 +309,6 @@ def nearest_power(info: MinPolyInfo, n: int, lift=int):
     and `decimal.Decimal` / at MAX_PREC, the CLI's exact context, works out
     MAX_PREC digits of any quotient that is not exact and raises an untyped
     MemoryError."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     p_n = power_sum(info.poly, n, lift=lift, evaluate_from=_evaluation_start(info))
     return p_n - _rounded_conjugate_sum(info, n)
 
@@ -322,8 +316,4 @@ def nearest_power(info: MinPolyInfo, n: int, lift=int):
 def nearest_power_mod(info: MinPolyInfo, n: int, m: int) -> int:
     """[alpha^n] mod m, where alpha is the Pisot root of info.poly, in time
     polynomial in log(mn)."""
-    if m < 2:
-        raise errors.BadModulus(f"modulus must be >= 2, got {m}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return (power_sum(info.poly, n, m) - _rounded_conjugate_sum(info, n)) % m

@@ -3,6 +3,7 @@
 A program is a list of instructions; instruction 0 is ONE and every later
 instruction is ADD/SUB/MUL of two earlier results. The program length
 (ONE excluded) upper-bounds the tau-complexity of the value it computes.
+An `SLP` is checked once, when it is built, so every program is valid.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ _BINARY_OPS = tuple(_OPCODES)
 
 @dataclass(frozen=True)
 class SLP:
+    """A program and its result's index; construction raises
+    MalformedProgram unless `validate` passes."""
+
     instructions: tuple[tuple, ...]
     result_index: int
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if not self.instructions or self.instructions[0] != ONE:
@@ -76,7 +83,6 @@ class _Builder:
         return idx
 
     def finish(self, result_index: int) -> SLP:
-        # Valid by construction: every operand is an earlier instruction.
         return SLP(tuple(self.instructions), result_index)
 
 
@@ -117,9 +123,8 @@ def emit_power_slp(info: MinPolyInfo, n: int) -> SLP:
     run on instructions: d^2 + d - 2 + d(z + u) instructions per bit of n for
     x^floor(n/2) mod f, where z counts the nonzero c_i and u their distinct
     magnitudes above 1 (at most 3d^2 + d), plus the read-off of p_n and the
-    constants it uses. Below the threshold it is the constant [alpha^n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    constants it uses. Below the threshold it is the constant [alpha^n].
+    `power_sum` checks n, before any other work."""
     if n < info.threshold_n0 or n == 0:
         return slp_for_constant(nearest_power(info, n))
     b = _Builder()
@@ -132,10 +137,10 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     The exact value is computed on whatever `lift` turns the constant 1
     into (an int by default); a ring with +, - and *, such as
     `decimal.Decimal` in an exact context, will do. Exact values are dropped
-    after their last use, so only the live ones are held at once."""
+    after their last use, so only the live ones are held at once. p is
+    valid, as every `SLP` is from construction."""
     if modulus is not None and modulus < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
-    p.validate()
     ops = _OPCODES
     if modulus is None:
         instructions = p.instructions
@@ -166,20 +171,27 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
 
 
 def format_slp(p: SLP) -> str:
-    """Canonical text form: line-oriented, LF newlines, ASCII."""
-    p.validate()
+    """Canonical text form: line-oriented, LF newlines, ASCII. p is valid,
+    as every `SLP` is from construction."""
     lines = ["slp v1\nv0 = one\n"]
     lines += [f"v{i} = {op} v{a} v{b}\n" for i, (op, a, b) in enumerate(p.instructions[1:], 1)]
     lines.append(f"result v{p.result_index}\n")
     return "".join(lines)
 
 
-# A well-formed instruction line, and the result line; the tokens may be
+# The result line, and below, an instruction line; the tokens may be
 # separated by any whitespace that `str.split` splits on, as `\s` matches
 # exactly those characters. Indices are ASCII digits only.
-_INSTRUCTION = re.compile(r"\s*v([0-9]+)\s+=\s+(?:(add|sub|mul)\s+v([0-9]+)\s+v([0-9]+)|one)\s*")
-_RESULT = re.compile(r"\s*result\s+v([0-9]+)\s*")
+_RESULT = re.compile(r"\s*result\s+v0*([0-9]+)\s*")
 _REF = re.compile(r"v[0-9]+")
+
+
+def _instruction_pattern(width: int) -> re.Pattern:
+    """The instruction line, with at most `width` significant digits per
+    index: those of the file's line count, which every valid index has at
+    most, so that int() never reads a long one."""
+    v = rf"v0*([0-9]{{1,{width}}})"
+    return re.compile(rf"\s*{v}\s+=\s+(?:(add|sub|mul)\s+{v}\s+{v}|one)\s*")
 
 
 def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
@@ -208,7 +220,7 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
     error = bad_ref(parts[:1])
     if error:
         return error
-    if int(parts[0][1:]) != idx:
+    if (parts[0][1:].lstrip("0") or "0") != str(idx):
         return bad(
             f"expected definition of v{idx}, got {parts[0]!r} "
             "(duplicate or out-of-order definition)"
@@ -237,7 +249,8 @@ def parse_slp(text: str) -> SLP:
         raise errors.MalformedProgram("missing 'slp v1' header", line=1)
     instructions = []
     append = instructions.append
-    match = _INSTRUCTION.fullmatch
+    width = len(str(len(lines)))
+    match = _instruction_pattern(width).fullmatch
     for idx, line in enumerate(lines[1:]):
         m = match(line)
         if m is not None:
@@ -254,13 +267,9 @@ def parse_slp(text: str) -> SLP:
         if idx + 2 == len(lines):
             m = _RESULT.fullmatch(line)
             if m is not None:
-                # The two checks of `SLP.validate` that the lines above
-                # leave open.
-                result_index = int(m[1])
-                if not instructions:
-                    raise errors.MalformedProgram("instruction 0 must be ONE")
-                if result_index >= len(instructions):
-                    raise errors.MalformedProgram("result index out of range")
-                return SLP(tuple(instructions), result_index)
+                # Construction checks what the lines above leave open. An
+                # index longer than the line count is out of range, unread.
+                index = int(m[1]) if len(m[1]) <= width else len(lines)
+                return SLP(tuple(instructions), index)
         raise _line_error(line, idx + 2, idx)
     raise errors.MalformedProgram("missing result line", line=len(lines))

@@ -1,9 +1,12 @@
 """Embeddings, certified roots, minimal polynomials, thresholds."""
 
+import dataclasses
 import itertools
 import json
+import math
 import random
 import time
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -22,11 +25,10 @@ from pisot.algebraic import (
     explicit_embeddings,
     eval_combination,
     minimal_polynomial,
-    poly_roots,
 )
 from pisot.balls import GUARD_BITS
 from pisot.cli import main
-from pisot.roots import MAX_WORK_BITS, work_bits
+from pisot.roots import MAX_WORK_BITS, poly_roots, work_bits
 
 from conftest import pisot_shaped
 from oracles import mid, mpf_to_fraction, polyroots_oracle, rad, scanned_threshold
@@ -759,3 +761,159 @@ THRESHOLD_POLYS.update(RANDOM_PISOT)
 def test_threshold_matches_scan(f):
     # (d-1)|alpha_2|^n0 < 1/2 <= (d-1)|alpha_2|^(n0-1) in exact rationals.
     assert analyze_minpoly(f, 128).threshold_n0 == scanned_threshold(f)
+
+
+class TestRefusals:
+    """Refusals of the field and root-layout layers, each with its type."""
+
+    def test_explicit_embeddings_require_an_explicit_spec(self):
+        with pytest.raises(errors.ParseError, match="explicit-kind"):
+            explicit_embeddings(FieldSpec(kind="cyclotomic", conductor=15), 64)
+
+    def test_a_non_square_matrix_is_refused(self):
+        spec = FieldSpec(kind="explicit", embedding_rows=(("1", "1"), ("1",)),
+                         stated_precision_bits=64)
+        with pytest.raises(errors.ParseError, match="square"):
+            explicit_embeddings(spec, 32)
+
+    def test_fraction_entries_are_read_as_fractions(self):
+        # Q(sqrt 2) stated at 64 bits, its irrational entries given as p/q.
+        rows = (("1", "1/1"), ("1", "-1/1"))
+        assert explicit_embeddings(
+            FieldSpec(kind="explicit", embedding_rows=rows, stated_precision_bits=64), 32
+        ).discriminant == 4
+        q = Fraction(665857, 470832)  # a convergent of sqrt 2, within 2^-40
+        rows = (("1", f"{q.numerator}/{q.denominator}"), ("1", f"-{q.numerator}/{q.denominator}"))
+        emb = explicit_embeddings(FieldSpec(kind="explicit", embedding_rows=rows,
+                                            stated_precision_bits=64), 32)
+        assert emb.discriminant == 8 and emb.entries[0][1] == round(q * 2**32)
+
+    def test_a_trace_form_bound_of_half_a_unit_is_refused(self):
+        # Entries near 10^15 at 32 bits: k * err * (2A + err) exceeds 2^63.
+        spec = FieldSpec(kind="explicit", embedding_rows=(("1", "1e15"), ("1", "-1e15")),
+                         stated_precision_bits=64)
+        with pytest.raises(errors.PrecisionError, match="trace form error bound"):
+            explicit_embeddings(spec, 32)
+
+    def test_a_coefficient_vector_of_the_wrong_length(self):
+        emb = cyclotomic_embeddings(15, 64)
+        with pytest.raises(ValueError, match="length 3, expected 4"):
+            eval_combination([1, 2, 3], emb)
+
+    def test_a_minimal_polynomial_of_no_conjugates(self):
+        with pytest.raises(ValueError, match="at least one conjugate"):
+            minimal_polynomial([], 64, 1)
+
+    def test_two_real_roots_above_one(self):
+        # x^2 - 5x + 5 has the roots (5 +- sqrt 5)/2, about 3.62 and 1.38.
+        with pytest.raises(errors.NotPisot, match="more than one real root greater than 1"):
+            analyze_minpoly(IntPoly((5, -5, 1)), 64)
+
+    def test_a_real_disk_across_one_is_ambiguous_until_a_later_layout(self, monkeypatch):
+        # The first layout of the golden ratio gets a real disk of radius 2
+        # around -0.618, which holds 1: the verdict is "ambiguous" there,
+        # `pisot_layouts` skips the layout, and the next decides.
+        ladder, seen = algebraic.root_layouts, []
+
+        def widened(f, prec):
+            for i, (p, roots) in enumerate(ladder(f, prec)):
+                if i == 0:
+                    roots = [r if r.re > 0 else dataclasses.replace(r, radius=2 << r.scale)
+                             for r in roots]
+                seen.append(algebraic._certify_pisot_roots(roots))
+                yield p, roots
+
+        monkeypatch.setattr(algebraic, "root_layouts", widened)
+        info = analyze_minpoly(GOLDEN, 64)
+        assert seen == ["ambiguous", info.dominant_index] and info.precision_bits == 128
+        assert info.threshold_n0 == 2
+
+
+@pytest.mark.parametrize("shift", [3, -3])
+def test_the_threshold_walks_from_a_wrong_estimate(monkeypatch, shift):
+    # With ceil moved by `shift`, the log estimate of n0 starts off by that
+    # much, and the certified walk must undo it.
+    expected = {k: analyze_minpoly(f, 128).threshold_n0 for k, f in KNACCI.items()}
+    shifted = types.SimpleNamespace(**{**vars(math), "ceil": lambda x: math.ceil(x) + shift})
+    monkeypatch.setattr(algebraic, "math", shifted)
+    assert {k: analyze_minpoly(f, 128).threshold_n0 for k, f in KNACCI.items()} == expected
+
+
+def _replaced_starts(monkeypatch, starts):
+    """poly_roots with the float starts replaced by `starts`, as if the
+    float iteration had returned them."""
+    monkeypatch.setattr(isolation, "_float_starts", lambda f_desc: list(starts))
+
+
+class TestIsolationRecovers:
+    """Robustness exits of root isolation: each leads on to certified disks
+    that hold exactly the oracle's roots."""
+
+    def test_coincident_float_starts_are_nudged_apart(self, monkeypatch):
+        # Every start at 1: 1/(z - z_j) divides by zero in floats.
+        monkeypatch.setattr(isolation, "_start_circles", lambda c: [(0.0, 1 + 0j)] * (len(c) - 1))
+        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+
+    def test_nearly_coincident_float_starts_settle(self, monkeypatch):
+        # Starts one unit in the last place apart: the repulsion shrinks the
+        # step below the roundoff, so both settle together, and the
+        # fixed-point rounds separate them.
+        z = 1.5 + 1.5j
+        monkeypatch.setattr(isolation, "_start_circles",
+                            lambda c: [(0.0, z), (0.0, z + 2.0**-52), (0.0, -z)])
+        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+
+    def test_a_stalled_float_iteration_starts_from_the_circles(self, monkeypatch):
+        float_starts, circles = isolation._float_starts, []
+
+        def stalled(f_desc):
+            with monkeypatch.context() as m:
+                m.setattr(isolation, "ABERTH_STEPS", 0)
+                assert float_starts(f_desc) is None
+            return None
+
+        circle_starts = isolation._circle_starts
+        monkeypatch.setattr(isolation, "_float_starts", stalled)
+        monkeypatch.setattr(isolation, "_circle_starts",
+                            lambda f_desc, p: circles.append(p) or circle_starts(f_desc, p))
+        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        assert circles == [53]
+
+    def test_a_zero_root_starts_at_zero(self):
+        # x (x - 10^400): the coefficients overflow floats, and the zero
+        # root's circle start is 0 itself.
+        f = IntPoly((0, -(10**400), 1))
+        roots = poly_roots(f, 64)
+        _assert_isolated(f, roots, 2000)
+        assert roots[0].re == roots[0].im == 0
+
+    def test_starts_at_a_critical_point(self, monkeypatch):
+        # Both starts at 1/2, where f' = 0 for x^2 - x - 1: Newton cannot
+        # move them, the coincident midpoints give no disks, and Aberth's
+        # steps at twice the bits nudge them apart.
+        _replaced_starts(monkeypatch, [0.5, 0.5])
+        _assert_isolated(GOLDEN, poly_roots(GOLDEN, 64), 2000)
+
+    def test_starts_that_meet_at_one_root(self, monkeypatch):
+        # Both starts at 1 go by Newton to the same root; Aberth's ratios
+        # then divide by their zero distance, and the step nudges instead.
+        _replaced_starts(monkeypatch, [1.0, 1.0])
+        _assert_isolated(GOLDEN, poly_roots(GOLDEN, 64), 2000)
+
+    def test_a_disk_across_the_real_axis_that_meets_another(self, monkeypatch):
+        # The first classification gets every radius widened to 2: the real
+        # disk's mirror image meets the pair's disks, so the round is not
+        # certified, and the next one is.
+        classify, calls = isolation._classify_roots, []
+
+        def widened(zs, radii, w):
+            calls.append(w)
+            if len(calls) == 1:
+                radii = [2 << (w + GUARD_BITS)] * len(radii)
+                assert classify(zs, radii, w) is None
+                return None
+            return classify(zs, radii, w)
+
+        monkeypatch.setattr(isolation, "_classify_roots", widened)
+        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        assert len(calls) == 2

@@ -1005,3 +1005,146 @@ def test_entries_parse_as_int_parses_them(capsys, monkeypatch):
     code, _, err = invoke(capsys, "verify", "--conductor", "15", "--coeffs", "1_000, -7 ,+3,١")
     assert code == 1 and err == "NotPisot: recorded\n"
     assert seen == [[1000, -7, 3, 1]]
+
+
+MALFORMED_FIELD_FILES = {
+    "explicit-without-keys": b'{"kind": "explicit"}',
+    "cyclotomic-without-conductor": b'{"kind": "cyclotomic"}',
+    "conductor-abc": b'{"kind": "cyclotomic", "conductor": "abc"}',
+    "precision-x": b'{"kind": "explicit", "embedding_rows": [["1", "1"], ["1", "-1"]],'
+                   b' "precision_bits": "x"}',
+    "top-level-list": b'[{"kind": "cyclotomic", "conductor": 15}]',
+    "rows-5": b'{"kind": "explicit", "embedding_rows": 5, "precision_bits": 64}',
+    "conductor-1e400": b'{"kind": "cyclotomic", "conductor": 1e400}',
+    "not-json": b"kind: cyclotomic",
+    "non-ascii": b'{"kind": "cyclotomic", "conductor": 15, "note": "\xc3\xa9"}',
+    "conductor-15.7": b'{"kind": "cyclotomic", "conductor": 15.7}',
+    "conductor-true": b'{"kind": "cyclotomic", "conductor": true}',
+    "labels-5": b'{"kind": "explicit", "basis_labels": 5, "embedding_rows": [["1", "1"],'
+                b' ["1", "-1"]], "precision_bits": 64}',
+    "discriminant-abc": b'{"kind": "explicit", "embedding_rows": [["1", "1"], ["1", "-1"]],'
+                        b' "precision_bits": 64, "discriminant": "abc"}',
+    "nested-10^5-deep": b"[" * 100_000,
+    "conductor-of-10^6-digits": b'{"kind": "cyclotomic", "conductor": ' + b"9" * 10**6 + b"}",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_FIELD_FILES.values(), ids=MALFORMED_FIELD_FILES)
+@pytest.mark.parametrize("command", ["find", "verify"])
+def test_a_malformed_field_file_is_a_usage_error(capsys, tmp_path, command, text):
+    # Each of these once escaped `run` with an untyped exception (KeyError,
+    # ValueError, AttributeError, TypeError, OverflowError, JSONDecodeError,
+    # UnicodeDecodeError), or searched conductor 15 for 15.7 and 1 for true.
+    path = tmp_path / "field.json"
+    path.write_bytes(text)
+    argv = [command, "--field", str(path)] + (["--coeffs", "1,1"] if command == "verify" else [])
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: field file") and err.count("\n") == 1
+
+
+def test_field_file_integers_may_be_strings_of_digits(capsys, tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"kind": "cyclotomic", "conductor": "15"}))
+    assert invoke(capsys, "find", "--field", str(path)) == invoke(capsys, "find", "--conductor", "15")
+
+
+def _write_slp_with_result(tmp_path, index):
+    path = tmp_path / "prog.slp"
+    path.write_text(f"slp v1\nv0 = one\nv1 = add v0 v0\nresult v{index}\n")
+    return str(path)
+
+
+LONG = {
+    "find --conductor": lambda t, text: ("find", "--conductor", text),
+    "verify --conductor": lambda t, text: ("verify", "--conductor", text, "--coeffs", "1,1"),
+    "bound --degree": lambda t, text: ("bound", "--degree", text, "--disc", "5", "--delta", "1/2"),
+    "bound --disc": lambda t, text: ("bound", "--degree", "4", "--disc", text, "--delta", "1/2"),
+    "slp eval result": lambda t, text: ("slp", "eval", _write_slp_with_result(t, text)),
+}
+CAP_CHARS = {
+    "find --conductor": cli.MAX_CONDUCTOR_CHARS,
+    "verify --conductor": cli.MAX_CONDUCTOR_CHARS,
+    "bound --degree": cli.MAX_N_CHARS,
+    "bound --disc": cli.MAX_DISC_DIGITS + 1,
+    "slp eval result": 1,  # a 4-line file: an index has at most 1 significant digit
+}
+
+
+@pytest.mark.parametrize("length", ["one-past", "10^6"])
+@pytest.mark.parametrize("option", LONG)
+def test_an_integer_past_its_cap_is_refused_unread(capsys, tmp_path, option, length):
+    # `run` lifts the int->str digit limit, so int() of 10^6 nines took
+    # 5-24 s before each of these ended with exit 2.
+    text = "9" * (CAP_CHARS[option] + 1 if length == "one-past" else 10**6)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *LONG[option](tmp_path, text))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    if option == "slp eval result":
+        assert err == "MalformedProgram: result index out of range\n"
+    else:
+        assert err.startswith(f"ParseError: {option.split()[1]} must ")
+        assert err.endswith(f", got {len(text)} characters\n")
+
+
+@pytest.mark.parametrize("option", ["find --conductor", "bound --degree", "bound --disc"])
+def test_an_integer_at_its_cap_is_read(capsys, option):
+    # The longest accepted text reaches the checks after the length check.
+    text = "0" * (CAP_CHARS[option] - 1) + "7"
+    code, out, err = invoke(capsys, *LONG[option](None, text))
+    if option == "find --conductor":
+        assert code == 0 and "minpoly: x^3" in out  # conductor 7, k = 3
+    else:
+        assert code == 0 and out
+
+
+def test_bound_at_the_disc_cap_takes_under_a_second(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "bound", "--degree", str(MAX_SEARCH_DEGREE),
+                          "--disc", "9" * cli.MAX_DISC_DIGITS, "--delta", "1e-1000", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["disc"] == "9" * cli.MAX_DISC_DIGITS
+
+
+@pytest.mark.parametrize("index", ["0" * 10**5 + "1", "01"])
+def test_slp_indices_keep_their_leading_zeros(capsys, tmp_path, index):
+    code, out, _ = invoke(capsys, "slp", "eval", _write_slp_with_result(tmp_path, index))
+    assert code == 0 and out == "2\n"
+
+
+@pytest.mark.parametrize("line", ["v2 = add v1 v{}", "v{} = add v1 v0"], ids=["operand", "definition"])
+def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line):
+    path = tmp_path / "prog.slp"
+    path.write_text("slp v1\nv0 = one\nv1 = add v0 v0\n" + line.format("9" * 10**6) + "\nresult v2\n")
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "slp", "eval", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.startswith("MalformedProgram: line 4: ")
+    assert ("forward reference" in err) == (line.startswith("v2"))
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("pow", "--minpoly", "x^2 x", "-n", "3"),
+         "PolySyntaxError: expected '+' or '-' (at offset 4)\n"),
+        (("find", "--conductor", "15", "--epsilon", "abc"), "ParseError: bad rational 'abc'\n"),
+        (("bound", "--degree", "4", "--disc", "5", "--delta", "1/0"),
+         "ParseError: bad rational '1/0'\n"),
+        # "5x" is no exponent, so the exponent check passes it to Fraction().
+        (("find", "--conductor", "15", "--epsilon", "1e5x"), "ParseError: bad rational '1e5x'\n"),
+        (("pow", "--minpoly", "x^2-x-1", "-n", "abc"), "ParseError: bad integer 'abc'\n"),
+    ],
+    ids=["term-without-sign", "epsilon-abc", "delta-1/0", "epsilon-1e5x", "n-abc"],
+)
+def test_malformed_text_is_a_usage_error(capsys, argv, err):
+    assert invoke(capsys, *argv) == (2, "", err)
+
+
+def test_threshold_of_a_linear_polynomial_is_not_pisot(capsys):
+    assert invoke(capsys, "threshold", "--minpoly", "x-2") == (
+        1, "", "NotPisot: degree must be at least 2\n"
+    )

@@ -8,8 +8,8 @@ import pytest
 
 from pisot import errors
 from pisot import roots as isolation
-from pisot.algebraic import IntPoly, analyze_minpoly, poly_roots
-from pisot.roots import share_a_root
+from pisot.algebraic import IntPoly, analyze_minpoly
+from pisot.roots import poly_roots, share_a_root
 
 from oracles import sylvester_resultant
 

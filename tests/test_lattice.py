@@ -2,7 +2,9 @@
 all-integer LLL and a brute-force shortest-vector oracle."""
 
 import decimal
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -326,6 +328,56 @@ class TestFloatPassOracle:
         # still be original * u.
         big = 1 << 2500
         assert_same_as_float_pass_oracle(IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7))))
+
+
+
+class TestFloatPassExits:
+    """Each early exit of the float pass leaves a unimodular transform that
+    `finish_reduce` completes: the result passes the exact check."""
+
+    @staticmethod
+    def _finished(lat, result):
+        assert check_reduced(finish_reduce(result), lat).all_ok
+
+    @staticmethod
+    def _math_with(**overrides):
+        return types.SimpleNamespace(**{**vars(math), **overrides})
+
+    def test_a_first_column_that_shifts_to_zero(self):
+        # |b_0|^2 = 5 lies over 2^960 below the largest squared norm, so
+        # r_00 is 0.0 after the common shift and the pass stops at once.
+        big = 1 << 1000
+        lat = IntLattice(((1, 2), (big + 3, big + 5)))
+        result = float_reduce(lat)
+        assert result.transform == ((1, 0), (0, 1))
+        self._finished(lat, result)
+
+    def test_a_norm_beyond_the_float_range(self, monkeypatch):
+        # With the shift set to leave 1100 bits, |b_0|^2 does not fit a float.
+        monkeypatch.setattr(lattice, "_FLOAT_BITS", 1100)
+        big = 1 << 549
+        lat = IntLattice(((big, big), (3, 1)))
+        result = float_reduce(lat)
+        assert result.transform == ((1, 0), (0, 1))
+        monkeypatch.undo()
+        self._finished(lat, result)
+
+    def test_a_non_finite_mu(self, monkeypatch):
+        monkeypatch.setattr(lattice, "math", self._math_with(isfinite=lambda x: False))
+        lat = random_lattice(random.Random(7), 4)
+        result = float_reduce(lat)
+        assert result.transform == tuple(tuple(int(i == j) for i in range(4)) for j in range(4))
+        monkeypatch.undo()
+        self._finished(lat, result)
+
+    def test_more_swaps_than_exact_lll_makes(self, monkeypatch):
+        # A budget of no swap: the pass stops at its first swap.
+        monkeypatch.setattr(lattice, "math", self._math_with(ceil=lambda x: 0))
+        lat = IntLattice(((5, 0), (1, 1)))
+        result = float_reduce(lat)
+        assert result.transform == ((0, 1), (1, 0))
+        monkeypatch.undo()
+        self._finished(lat, result)
 
 
 class TestSVP:

@@ -190,6 +190,11 @@ class TestBuildScaledLattice:
         with pytest.raises(ValueError):
             build_scaled_lattice(emb15, P=0, Q=1)
 
+    def test_refuses_a_rounding_error_of_half_a_unit(self, emb15):
+        # Q * P * err must stay below 2^s / 2.
+        with pytest.raises(errors.PrecisionError, match="not below 1/2 at 256 bits"):
+            build_scaled_lattice(emb15, P=1 << 255, Q=1)
+
 
 class TestVerifyPrecision:
     def test_sized_from_candidate(self):
@@ -218,6 +223,12 @@ class TestVerifyPrecision:
 
 
 class TestVerifyPisot:
+    def test_a_value_not_above_one(self):
+        # 2cos(2 pi/15) - 2cos(4 pi/15) ~ 0.49 on the basis a = 1, 2, 4, 7.
+        emb = cyclotomic_embeddings(15, 256)
+        with pytest.raises(errors.NotPisot, match="not certified > 1"):
+            verify_pisot((1, -1, 0, 0), emb, 1)
+
     def test_known_quartic_fixture(self, emb15):
         cand = verify_pisot(FIXTURE_Z15, emb15, Fraction(1, 2))
         assert cand.minpoly == IntPoly((1, 21, -229, -4899, 1))

@@ -9,7 +9,7 @@ import random
 import mpmath
 import pytest
 
-from pisot import cli, errors, powtrace
+from pisot import algebraic, cli, errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
 from pisot.slp import emit_power_slp, format_slp, slp_eval
@@ -124,7 +124,7 @@ def test_every_power_below_the_threshold(f, monkeypatch):
     ns = sorted(set(range(min(n0, 201))) | {n0 // 2, n0 - 1})
     expected = nearest_power_oracle(f, ns)
     calls = []
-    monkeypatch.setattr(powtrace, "root_layouts", lambda *args: calls.append(args))
+    monkeypatch.setattr(algebraic, "root_layouts", lambda *args: calls.append(args))
     m = 2**61 - 1
     for n in ns:
         assert nearest_power(info, n) == expected[n]
@@ -132,26 +132,50 @@ def test_every_power_below_the_threshold(f, monkeypatch):
     assert not calls
 
 
-def test_undecided_rounding_isolates_the_roots_again(plastic_info, monkeypatch):
-    # A small root's disk widened to radius 1/16 still lies inside the unit
-    # disk, but n/16 per root leaves S_n undecided from n = 3 on; the roots
-    # are then isolated again by a ladder that starts at twice the
-    # precision, and the answers hold.
-    roots = list(plastic_info.roots)
-    i = next(i for i in range(3) if i != plastic_info.dominant_index)
+def _undecided(info):
+    """info with a small root's disk widened to radius 1/16: it still lies
+    inside the unit disk, but n/16 per root leaves S_n undecided from n = 3
+    on."""
+    roots = list(info.roots)
+    i = next(i for i in range(len(roots)) if i != info.dominant_index)
     roots[i] = dataclasses.replace(roots[i], radius=1 << (roots[i].scale - 4))
-    info = dataclasses.replace(plastic_info, roots=tuple(roots))
+    return dataclasses.replace(info, roots=tuple(roots))
+
+
+def test_undecided_rounding_isolates_the_roots_again(plastic_info, monkeypatch):
+    # The roots are isolated again by a ladder that starts at twice the
+    # precision, and the answers hold.
+    info = _undecided(plastic_info)
     starts = []
-    ladder = powtrace.root_layouts
+    ladder = algebraic.root_layouts
 
     def counted(f, prec):
         starts.append(prec)
         return ladder(f, prec)
 
-    monkeypatch.setattr(powtrace, "root_layouts", counted)
+    monkeypatch.setattr(algebraic, "root_layouts", counted)
     rho = 1.3247179572447460
     assert [nearest_power(info, n) for n in range(10)] == [round(rho**n) for n in range(10)]
     assert starts and set(starts) == {2 * plastic_info.precision_bits}
+
+
+def test_an_ambiguous_later_layout_is_skipped(plastic_info, monkeypatch):
+    # The first layout of the new ladder has no verdict: `pisot_layouts`
+    # skips it, and the next one rounds S_n.
+    info = _undecided(plastic_info)
+    certify, verdicts = algebraic._certify_pisot_roots, []
+
+    def first_ambiguous(roots):
+        verdicts.append("ambiguous" if not verdicts else certify(roots))
+        return verdicts[-1]
+
+    monkeypatch.setattr(algebraic, "_certify_pisot_roots", first_ambiguous)
+    assert nearest_power(info, 9) == round(1.3247179572447460**9)
+    assert verdicts == ["ambiguous", plastic_info.dominant_index]
+
+
+def test_axpy_subtracts_for_minus_one():
+    assert powtrace._axpy(5, -1, 3) == 2 and powtrace._axpy(None, -1, 3) == -3
 
 
 class TestNearestPowerMod:
@@ -168,8 +192,13 @@ class TestNearestPowerMod:
         assert 0 <= r < 2**61 - 1
 
     def test_bad_modulus(self, golden_info):
-        with pytest.raises(errors.BadModulus):
+        with pytest.raises(errors.BadModulus, match="modulus must be >= 2, got 0"):
             nearest_power_mod(golden_info, 5, 0)
+
+    def test_negative_n(self, golden_info):
+        # `power_sum` checks n, with its own wording.
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            nearest_power_mod(golden_info, -1, 7)
 
 
 class TestNewtonIdentityOracle:

@@ -114,7 +114,8 @@ class TestEmitPowerSLP:
         assert slp_length(p) <= constant_length_bound(5)
 
     def test_negative_n(self, golden_info):
-        with pytest.raises(ValueError):
+        # `power_sum` checks n, below the threshold as above it.
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
             emit_power_slp(golden_info, -3)
 
     @pytest.mark.parametrize(
@@ -149,14 +150,19 @@ class TestEval:
             slp_eval(slp_for_constant(5), 1)
 
     def test_validates(self):
-        bad = SLP((("add", 0, 0),), 0)
-        with pytest.raises(errors.MalformedProgram):
-            slp_eval(bad)
+        # A program is checked when it is built, so none that is invalid
+        # reaches the evaluator.
+        with pytest.raises(errors.MalformedProgram, match="instruction 0 must be ONE"):
+            SLP((("add", 0, 0),), 0)
 
     def test_forward_reference_rejected(self):
-        bad = SLP((("one",), ("add", 1, 0)), 1)
-        with pytest.raises(errors.MalformedProgram):
-            bad.validate()
+        with pytest.raises(errors.MalformedProgram, match="non-earlier index"):
+            SLP((("one",), ("add", 1, 0)), 1)
+
+    @pytest.mark.parametrize("ins", [("add", 0), ("pow", 0, 0)], ids=["one-operand", "pow"])
+    def test_a_malformed_instruction_is_rejected(self, ins):
+        with pytest.raises(errors.MalformedProgram, match="bad instruction at index 1"):
+            SLP((("one",), ins), 1)
 
     def test_exact_values_are_dropped_after_their_last_use(self):
         f = IntPoly((1, 21, -229, -4899, 1))
