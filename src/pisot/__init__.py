@@ -24,7 +24,6 @@ from .pisotsearch import (
     verify_pisot,
 )
 from .powtrace import nearest_power, nearest_power_mod
-from .roots import poly_roots
 from .slp import SLP, emit_power_slp, format_slp, parse_slp, slp_eval, slp_for_constant, slp_length
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "nearest_power",
     "nearest_power_mod",
     "parse_slp",
-    "poly_roots",
     "slp_eval",
     "slp_for_constant",
     "slp_length",

@@ -31,6 +31,8 @@ from .lattice import IntLattice
 from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, root_layouts, share_a_root
 
 THRESHOLD_CAP = 99999
+# Working bits of the first root layout that `analyze_minpoly` asks for.
+FIRST_LAYOUT_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class IntPoly:
                 terms.append(body if c > 0 else f"-{body}")
             else:
                 terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+        return " ".join(terms)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class FieldSpec:
 
     kind: str  # "cyclotomic" | "explicit"
     conductor: int | None = None
-    basis_labels: tuple[str, ...] | None = None
     embedding_rows: tuple[tuple[str, ...], ...] | None = None
     stated_precision_bits: int | None = None
     discriminant: int | None = None
@@ -99,12 +100,12 @@ class FieldSpec:
             rows, labels = obj.get("embedding_rows"), obj.get("basis_labels", [])
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise errors.ParseError("field file: 'embedding_rows' must be a list of lists")
+            # basis_labels names the basis for a reader: checked, not used.
             if not isinstance(labels, list):
                 raise errors.ParseError("field file: 'basis_labels' must be a list")
             disc = obj.get("discriminant")
             return cls(
                 kind="explicit",
-                basis_labels=tuple(labels),
                 embedding_rows=tuple(tuple(row) for row in rows),
                 stated_precision_bits=_field_int(obj, "precision_bits", 1),
                 discriminant=None if disc is None else _field_int(obj, "discriminant"),
@@ -123,25 +124,18 @@ class FieldSpec:
             raise errors.ParseError(f"field file {path}: {exc}") from None
         return cls.from_json(obj)
 
-    def to_json(self) -> dict:
-        if self.kind == "cyclotomic":
-            return {"kind": "cyclotomic", "conductor": self.conductor}
-        obj = {
-            "kind": "explicit",
-            "basis_labels": list(self.basis_labels or ()),
-            "embedding_rows": [list(row) for row in self.embedding_rows],
-            "precision_bits": self.stated_precision_bits,
-        }
-        if self.discriminant is not None:
-            obj["discriminant"] = str(self.discriminant)
-        return obj
-
 
 # The longest integer that a field file may hold, in characters: int() takes
 # time quadratic in the digits. A field's discriminant at the degrees that
 # `find` takes has a few hundred digits.
 MAX_FIELD_INT_CHARS = 4300
 _FIELD_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+# The longest decimal entry of an explicit field, in characters, checked
+# before the entry is read: Fraction() takes time quadratic in its digits.
+# 2^-MAX_WORK_BITS is about 10^-9865, so no precision that the embeddings
+# take uses more than about 9,900 significant digits of an entry; the rest
+# leaves room for a sign, a point and an exponent.
+MAX_FIELD_ENTRY_CHARS = 10_000
 
 
 def _json_int_literal(text: str) -> int:
@@ -174,8 +168,8 @@ class EmbeddingMatrix:
     entries: tuple[tuple[int, ...], ...]
     err: int
     precision_bits: int
+    discriminant: int
     conductor: int | None = None
-    discriminant: int | None = None
 
 
 @dataclass(frozen=True)
@@ -353,6 +347,11 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
     for row in rows:
         parsed = []
         for x in row:
+            if isinstance(x, str) and len(x) > MAX_FIELD_ENTRY_CHARS:
+                raise errors.ParseError(
+                    f"decimal entry {x!r:.60} has {len(x)} characters, "
+                    f"above {MAX_FIELD_ENTRY_CHARS}"
+                )
             # Fraction expands x = m * 10^e into an integer of about e digits,
             # so the size of an entry is read off its decimal exponent first.
             # log2(10) > 3.3219, so neither test misjudges a magnitude.
@@ -506,13 +505,13 @@ def _from_roots(roots) -> list[int]:
     return coeffs
 
 
-def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
+def analyze_minpoly(f: IntPoly) -> MinPolyInfo:
     """Certify that f is the minimal polynomial of a Pisot number and locate
     its roots, dominant root, and the trace-path threshold.
 
-    The first layout of `pisot_layouts(f, precision_bits)` that decides n0
-    is kept; past the cap on working bits, requested or reached,
-    `root_layouts` raises PrecisionExhausted."""
+    The first layout of `pisot_layouts(f, FIRST_LAYOUT_BITS)` that decides
+    n0 is kept; past the cap on working bits, `root_layouts` raises
+    PrecisionExhausted."""
     if not f.is_monic:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
     if f.degree < 2:
@@ -528,7 +527,7 @@ def analyze_minpoly(f: IntPoly, precision_bits: int = 128) -> MinPolyInfo:
     if f.degree >= 3 and share_a_root(list(reversed(f.coefficients)), list(f.coefficients)):
         raise errors.NotPisot(f"{f} shares a root with its reciprocal x^d f(1/x)")
 
-    for prec, roots, dominant in pisot_layouts(f, precision_bits):
+    for prec, roots, dominant in pisot_layouts(f, FIRST_LAYOUT_BITS):
         others = [r for i, r in enumerate(roots) if i != dominant]
         second = max((r.modulus() for r in others), key=lambda b: b.center + b.radius)
         n0 = _threshold_n0(second, f.degree)

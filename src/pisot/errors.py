@@ -19,9 +19,10 @@ class PrecisionExhausted(PisotError):
     pass
 
 
-class NotSquarefree(PrecisionExhausted):
+class NotSquarefree(PisotError):
     """The polynomial has a repeated root, so its root disks can never be
-    separated; decided exactly, before any precision escalation."""
+    separated; decided exactly, before any precision escalation, so no
+    handler of PrecisionExhausted may catch it."""
 
 
 class ParseError(PisotError):

@@ -4,6 +4,8 @@ is unimodular, but its basis is not certified reduced. `finish_reduce`
 checks that basis in exact integers and, where the floats could not decide,
 runs the same loop on `decimal.Decimal` until the check passes. `lll_reduce`
 runs both; its results are exact and reproducible across platforms.
+Every reduction is at delta = 3/4, the quality that the search's scales
+were fitted on (`pisotsearch.gaussian_scale_P`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors
 
@@ -63,37 +64,32 @@ class IntLattice:
 class LLLResult:
     reduced: IntLattice
     transform: tuple[tuple[int, ...], ...]  # columns of U; reduced = original * U
-    delta: Fraction
 
 
-def lll_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
+def lll_reduce(lat: IntLattice) -> LLLResult:
     """LLL-reduce the lattice basis; the returned transform U is unimodular
     with reduced.basis = lat.basis * U. The float pass runs first, and
     `finish_reduce` certifies its basis and finishes from it."""
-    return finish_reduce(float_reduce(lat, delta))
+    return finish_reduce(float_reduce(lat))
 
 
-def float_reduce(lat: IntLattice, delta: Fraction = Fraction(3, 4)) -> LLLResult:
+def float_reduce(lat: IntLattice) -> LLLResult:
     """The float pass of `lll_reduce` alone; uncertified. The transform U is
     unimodular with reduced.basis = lat.basis * U, since every column
     operation is an exact integer swap or subtraction, but a float decision
     near a tie, or a pass that stops early, can leave the basis short of
     LLL-reduced. `finish_reduce` makes it so."""
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
     u = _identity(lat.k)
-    _float_pass(u, _gram(lat.basis), delta)
-    return LLLResult(IntLattice(_times(lat.basis, u)), tuple(map(tuple, u)), delta)
+    _float_pass(u, _gram(lat.basis))
+    return LLLResult(IntLattice(_times(lat.basis, u)), tuple(map(tuple, u)))
 
 
 def finish_reduce(result: LLLResult) -> LLLResult:
     """Certify a unimodular reduction of some lattice, such as
-    `float_reduce`'s, with its delta, and finish it where floats could not
-    decide. The result is LLL-reduced, checked in exact integers, and its
-    transform still maps the original basis. Raises RankDeficient on a
-    rank-deficient basis."""
-    delta = result.delta
+    `float_reduce`'s, and finish it where floats could not decide. The
+    result is LLL-reduced, checked in exact integers, and its transform
+    still maps the original basis. Raises RankDeficient on a rank-deficient
+    basis."""
     b, u = result.reduced.basis, result.transform
     g = _gram(b)
     digits = _start_digits(len(b))
@@ -101,15 +97,15 @@ def finish_reduce(result: LLLResult) -> LLLResult:
     # separates the finitely many quantities that exact LLL compares from
     # that basis, every decision is the exact one, so the pass ends
     # LLL-reduced and the check passes; doubling reaches such a precision.
-    while not _is_reduced(g, delta):
+    while not _is_reduced(g):
         ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN,
                               Emax=decimal.MAX_EMAX, traps=[decimal.FloatOperation])
         v = _identity(len(b))
         with decimal.localcontext(ctx):
-            _float_pass(v, g, delta, ctx)
+            _float_pass(v, g, ctx)
         b, u = _times(b, v), _times(u, v)
         digits *= 2
-    return LLLResult(IntLattice(b), tuple(map(tuple, u)), delta)
+    return LLLResult(IntLattice(b), tuple(map(tuple, u)))
 
 
 def _start_digits(k: int) -> int:
@@ -118,12 +114,12 @@ def _start_digits(k: int) -> int:
     return k + 16
 
 
-def _is_reduced(g, delta) -> bool:
-    """Whether the basis with exact Gram matrix g is LLL-reduced for delta.
+def _is_reduced(g) -> bool:
+    """Whether the basis with exact Gram matrix g is LLL-reduced.
     One fraction-free pass, as in Cohen's Alg. 2.6.7, gives the Gram
     determinants D_i (D_0 = 1) and lam_ij = D_{j+1} mu_ij, all integers;
     then |mu_ij| <= 1/2 is 2|lam_ij| <= D_{j+1}, and Lovasz for column i is
-    D_{i+1} D_{i-1} + lam_{i,i-1}^2 >= delta D_i^2. Raises RankDeficient
+    D_{i+1} D_{i-1} + lam_{i,i-1}^2 >= (3/4) D_i^2. Raises RankDeficient
     when some D_i is not positive."""
     n = len(g)
     big_d = [1] * (n + 1)
@@ -144,7 +140,7 @@ def _is_reduced(g, delta) -> bool:
                 big_d[i + 1] = t
         if i and reduced:
             lovasz = big_d[i + 1] * big_d[i - 1] + li[i - 1] ** 2
-            reduced = delta.denominator * lovasz >= delta.numerator * big_d[i] ** 2
+            reduced = 4 * lovasz >= 3 * big_d[i] ** 2
     return reduced
 
 
@@ -169,7 +165,7 @@ def _times(a, v):
     return [[_dot(row, vj) for row in rows] for vj in v]
 
 
-def _float_pass(u, g, delta, ctx=None):
+def _float_pass(u, g, ctx=None):
     """LLL with exact integer updates and a floating-point Gram-Schmidt, in
     the manner of Schnorr and Euchner (Math. Programming 66, 1994) and
     Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
@@ -184,7 +180,7 @@ def _float_pass(u, g, delta, ctx=None):
     its precision, with no shift and no exponent range to leave. Only the
     entries that a column operation made stale are recomputed. The
     decisions are exact LLL's: reduce when |mu| > 1/2, rounding half away
-    from zero, and swap on strict failure of Lovasz with the caller's delta.
+    from zero, and swap on strict failure of Lovasz with delta = 3/4.
     Column k is size-reduced against all earlier columns before its Lovasz
     test; that changes b_k only by multiples of b_0 ... b_{k-2}, which
     leaves mu_{k,k-1}, r_kk and so every swap the same. A wrong decision
@@ -201,7 +197,7 @@ def _float_pass(u, g, delta, ctx=None):
         def num(x):
             return float(x >> shift)
 
-        half, d, finite = 0.5, float(delta), math.isfinite
+        half, d, finite = 0.5, 0.75, math.isfinite
     else:
         # Rounded from the leading bits alone: an exact Decimal of a long
         # int costs time quadratic in its length.
@@ -215,7 +211,7 @@ def _float_pass(u, g, delta, ctx=None):
                 powers[s] = ctx.power(2, s)
             return ctx.multiply(ctx.create_decimal(x >> s), powers[s])
 
-        half, d = ctx.divide(1, 2), ctx.divide(delta.numerator, delta.denominator)
+        half, d = ctx.divide(1, 2), ctx.divide(3, 4)
         finite = decimal.Decimal.is_finite
     r = [[num(0)] * n for _ in range(n)]
     mu = [[num(0)] * n for _ in range(n)]
@@ -229,8 +225,8 @@ def _float_pass(u, g, delta, ctx=None):
     # makes only row k stale.
     fresh = [0] * n
     # Every exact swap multiplies prod_i D_i, at most 2^(n*n*top) and at
-    # least 1, by less than delta.
-    swaps_left = math.ceil(n * n * top / (1 - delta))
+    # least 1, by less than 3/4.
+    swaps_left = 4 * n * n * top
 
     def gso_row(k):
         # r[k][:k+1] and mu[k][:k] of column k, from entry fresh[k] on.

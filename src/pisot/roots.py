@@ -4,10 +4,10 @@
 root by Aberth-Ehrlich iterations in floats and Newton steps on fixed-point
 Gaussian integers, and certifies each with a disk whose radius comes from an
 exact residual: f evaluated exactly at the dyadic midpoint, whatever solver
-found it. `poly_roots` is its first layout. `share_a_root` decides exactly
-whether two integer polynomials have a common root, by their gcd over Z.
-`fixed_power` powers a fixed-point Gaussian integer with an integer error
-bound, for the threshold n0 and for the powers of the small roots below it.
+found it. `share_a_root` decides exactly whether two integer polynomials
+have a common root, by their gcd over Z. `fixed_power` powers a fixed-point
+Gaussian integer with an integer error bound, for the threshold n0 and for
+the powers of the small roots below it.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ class PolyRoot:
         """|root| as a Ball: the center's modulus rounded down by isqrt, so
         that the radius grows by one unit to cover the rounding."""
         return Ball(isqrt(self.re * self.re + self.im * self.im), self.radius + 1, self.scale)
-
-
-def poly_roots(f: IntPoly, precision_bits: int) -> list[PolyRoot]:
-    """The first layout of `root_layouts(f, precision_bits)`."""
-    return next(root_layouts(f, precision_bits))[1]
 
 
 def root_layouts(f: IntPoly, precision_bits: int):

@@ -125,7 +125,7 @@ def emit_power_slp(info: MinPolyInfo, n: int) -> SLP:
     magnitudes above 1 (at most 3d^2 + d), plus the read-off of p_n and the
     constants it uses. Below the threshold it is the constant [alpha^n].
     `power_sum` checks n, before any other work."""
-    if n < info.threshold_n0 or n == 0:
+    if n < info.threshold_n0:
         return slp_for_constant(nearest_power(info, n))
     b = _Builder()
     result = power_sum(info.poly, n, lift=lambda v: _Ref(b, b.const(v)))
@@ -205,7 +205,7 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
     def bad_ref(tokens):
         for t in tokens:
             if not _REF.fullmatch(t):
-                return bad(f"bad operand {t!r}")
+                return bad(f"bad operand {t!r:.60}")
         return None
 
     parts = line.split()
@@ -222,7 +222,7 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
         return error
     if (parts[0][1:].lstrip("0") or "0") != str(idx):
         return bad(
-            f"expected definition of v{idx}, got {parts[0]!r} "
+            f"expected definition of v{idx}, got {parts[0]!r:.60} "
             "(duplicate or out-of-order definition)"
         )
     op = parts[2]
@@ -231,7 +231,7 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
             return bad("'one' takes no operands")
         return bad("'one' is only allowed as instruction 0")
     if op not in _BINARY_OPS:
-        return bad(f"unknown opcode {op!r}")
+        return bad(f"unknown opcode {op!r:.60}")
     if len(parts) != 5:
         return bad(f"{op} takes exactly two operands")
     return bad_ref(parts[3:]) or bad("forward reference")

@@ -374,7 +374,8 @@ def _gram_schmidt(cols):
 
 def check_reduced(result: LLLResult, original: IntLattice) -> ReducednessReport:
     """Verify B*U = B', det(U) = +-1, size-reduction, and the Lovasz
-    condition, all in exact rational arithmetic."""
+    condition at delta = 3/4, the package's one delta, all in exact rational
+    arithmetic."""
     n = original.k
     b = original.basis
     u = result.transform
@@ -394,7 +395,7 @@ def check_reduced(result: LLLResult, original: IntLattice) -> ReducednessReport:
     for i in range(1, n):
         lhs = sum(x * x for x in star[i])
         prev = sum(x * x for x in star[i - 1])
-        if lhs < (result.delta - mu[i][i - 1] ** 2) * prev:
+        if lhs < (Fraction(3, 4) - mu[i][i - 1] ** 2) * prev:
             lovasz_ok = False
             break
     return ReducednessReport(product_ok, unimodular_ok, size_ok, lovasz_ok)

@@ -31,12 +31,12 @@ def report(number: int, label: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def golden_info():
-    return analyze_minpoly(GOLDEN, 64)
+    return analyze_minpoly(GOLDEN)
 
 
 @pytest.fixture(scope="module")
 def plastic_info():
-    return analyze_minpoly(PLASTIC, 64)
+    return analyze_minpoly(PLASTIC)
 
 
 def test_criterion_1_lucas_oracle(golden_info):

@@ -28,10 +28,17 @@ from pisot.algebraic import (
 )
 from pisot.balls import GUARD_BITS
 from pisot.cli import main
-from pisot.roots import MAX_WORK_BITS, poly_roots, work_bits
+from pisot.roots import MAX_WORK_BITS, root_layouts, work_bits
 
 from conftest import pisot_shaped
-from oracles import mid, mpf_to_fraction, polyroots_oracle, rad, scanned_threshold
+from oracles import (
+    int_str_limit,
+    mid,
+    mpf_to_fraction,
+    polyroots_oracle,
+    rad,
+    scanned_threshold,
+)
 
 GOLDEN = IntPoly((-1, -1, 1))  # x^2 - x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -39,6 +46,11 @@ PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
 
 def _mid(b):
     return float(mid(b))
+
+
+def first_layout(f, precision_bits):
+    """The disks of f's first certified root layout."""
+    return next(root_layouts(f, precision_bits))[1]
 
 
 def _real(emb, m):
@@ -64,24 +76,27 @@ class TestIntPoly:
 
 
 class TestFieldSpec:
+    # A field file's JSON reads back as the spec it describes.
     def test_cyclotomic_roundtrip(self):
         spec = FieldSpec(kind="cyclotomic", conductor=15)
-        again = FieldSpec.from_json(spec.to_json())
-        assert again == spec
+        assert FieldSpec.from_json({"kind": "cyclotomic", "conductor": 15}) == spec
 
     def test_explicit_roundtrip(self, tmp_path):
         spec = FieldSpec(
             kind="explicit",
-            basis_labels=("1", "r"),
             embedding_rows=(("1", "1.5"), ("1", "-1.5")),
             stated_precision_bits=64,
             discriminant=9,
         )
         path = tmp_path / "field.json"
-        path.write_text(json.dumps(spec.to_json()), encoding="ascii")
-        again = FieldSpec.from_file(path)
-        assert again.embedding_rows == spec.embedding_rows
-        assert again.discriminant == 9
+        path.write_text(json.dumps({
+            "kind": "explicit",
+            "basis_labels": ["1", "r"],  # checked to be a list, not kept
+            "embedding_rows": [["1", "1.5"], ["1", "-1.5"]],
+            "precision_bits": 64,
+            "discriminant": "9",
+        }), encoding="ascii")
+        assert FieldSpec.from_file(path) == spec
 
     def test_unknown_kind(self):
         with pytest.raises(errors.ParseError):
@@ -215,7 +230,6 @@ class TestExplicitEmbeddings:
             s = mpmath.nstr(mpmath.sqrt(2), 60)
         return FieldSpec(
             kind="explicit",
-            basis_labels=("1", "sqrt2"),
             embedding_rows=(("1", s), ("1", "-" + s)),
             stated_precision_bits=stated,
             discriminant=disc,
@@ -241,7 +255,6 @@ class TestExplicitEmbeddings:
             rows = (("1", mpmath.nstr(r, 60)), ("1", mpmath.nstr(1 - r, 60)))
         spec = FieldSpec(
             kind="explicit",
-            basis_labels=("1", "(1+sqrt2)/2"),
             embedding_rows=rows,
             stated_precision_bits=190,
         )
@@ -258,10 +271,35 @@ class TestExplicitEmbeddings:
         with pytest.raises(errors.ParseError):
             explicit_embeddings(spec, 32)
 
+    def test_an_entry_at_the_character_cap_is_read_at_the_working_cap(self):
+        # sqrt(2) to 9,998 places is good to about 2^-33212, past what
+        # MAX_WORK_BITS can use; its text fills the cap exactly.
+        # Digits past Python's default int-to-str limit need it lifted, as
+        # `cli.run` does.
+        cap = algebraic.MAX_FIELD_ENTRY_CHARS
+        with int_str_limit(0):
+            digits = str(math.isqrt(2 * 10 ** (2 * (cap - 2))))
+            root = digits[0] + "." + digits[1:]
+            rows = (("1", root), ("1", "-" + root[:-1]))
+            assert max(len(x) for row in rows for x in row) == cap
+            spec = FieldSpec(kind="explicit", embedding_rows=rows,
+                             stated_precision_bits=MAX_WORK_BITS)
+            emb = explicit_embeddings(spec, MAX_WORK_BITS)
+        assert emb.discriminant == 8 and emb.precision_bits == MAX_WORK_BITS
+
+    def test_an_entry_past_the_character_cap_is_refused_unread(self, monkeypatch):
+        # The entry comes first, so nothing is read before it is refused.
+        cap = algebraic.MAX_FIELD_ENTRY_CHARS
+        monkeypatch.setattr(algebraic, "Fraction", None)
+        monkeypatch.setattr(algebraic, "Decimal", None)
+        spec = FieldSpec(kind="explicit", embedding_rows=(("1." + "4" * (cap - 1), "1"), ("-1.5", "1")),
+                         stated_precision_bits=64)
+        with pytest.raises(errors.ParseError, match=f"{cap + 1} characters, above {cap}"):
+            explicit_embeddings(spec, 32)
+
     def test_rejects_rank_deficient(self):
         spec = FieldSpec(
             kind="explicit",
-            basis_labels=("1", "r"),
             embedding_rows=(("1", "2"), ("1", "2")),
             stated_precision_bits=256,
             discriminant=None,
@@ -303,7 +341,7 @@ def test_eval_combination_within_error_bound(field):
 
 class TestPolyRoots:
     def test_golden_roots(self):
-        roots = poly_roots(GOLDEN, 128)
+        roots = first_layout(GOLDEN, 128)
         assert len(roots) == 2
         assert all(r.is_real for r in roots)
         vals = sorted(float(mid(r).real) for r in roots)
@@ -311,7 +349,7 @@ class TestPolyRoots:
         assert vals == pytest.approx([1 - phi, phi], abs=1e-12)
 
     def test_plastic_root_classification(self):
-        roots = poly_roots(PLASTIC, 128)
+        roots = first_layout(PLASTIC, 128)
         reals = [r for r in roots if r.is_real]
         assert len(reals) == 1
         assert float(mid(reals[0]).real) == pytest.approx(1.3247179572, abs=1e-9)
@@ -320,13 +358,16 @@ class TestPolyRoots:
         assert float(mid(complexes[0].modulus())) == pytest.approx(0.8688369, abs=1e-6)
 
     def test_radii_are_tight(self):
-        for r in poly_roots(PLASTIC, 128):
+        for r in first_layout(PLASTIC, 128):
             assert mpf_to_fraction(rad(r)) < Fraction(1, 2**120)
 
     def test_repeated_root_exhausts(self):
+        # No precision separates a repeated root, so it is refused exactly,
+        # as a NotSquarefree that no handler of PrecisionExhausted catches.
         square = IntPoly((1, -2, 1))  # (x-1)^2
-        with pytest.raises(errors.PrecisionExhausted):
-            poly_roots(square, 64)
+        with pytest.raises(errors.NotSquarefree):
+            first_layout(square, 64)
+        assert not issubclass(errors.NotSquarefree, errors.PrecisionExhausted)
 
 
 QUARTIC = IntPoly((1, 21, -229, -4899, 1))
@@ -360,11 +401,11 @@ def _random_pisot_shaped(count, seed=2024):
 
 class TestSoundDisks:
     def test_quartic_fixture_at_64_bits(self):
-        _assert_isolated(QUARTIC, poly_roots(QUARTIC, 64), 2000)
+        _assert_isolated(QUARTIC, first_layout(QUARTIC, 64), 2000)
 
     def test_random_pisot_shaped(self):
         for f in _random_pisot_shaped(50):
-            _assert_isolated(f, poly_roots(f, 64), 2000)
+            _assert_isolated(f, first_layout(f, 64), 2000)
 
 
 KNACCI = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
@@ -375,7 +416,7 @@ RANDOM_PISOT = {f"random-{i}": f for i, f in enumerate(_random_pisot_shaped(50))
 def test_modulus_bounds_hold_the_oracle_modulus(f):
     # modulus() rounds |center| down by isqrt; its interval must still hold
     # the modulus of the root that the 2000-bit oracle puts in the disk.
-    roots = poly_roots(f, 128)
+    roots = first_layout(f, 128)
     with mp.workprec(2000):
         for z in polyroots_oracle(f, 2000):
             (root,) = [r for r in roots if abs(z - mid(r)) <= rad(r)]
@@ -386,7 +427,7 @@ def test_modulus_bounds_hold_the_oracle_modulus(f):
 @pytest.mark.parametrize("k", range(2, 31))
 def test_knacci_roots_match_oracle(k):
     f = IntPoly((-1,) * k + (1,))
-    _assert_isolated(f, poly_roots(f, 128), 256)
+    _assert_isolated(f, first_layout(f, 128), 256)
 
 
 def test_close_roots_take_the_precision_path(monkeypatch):
@@ -398,7 +439,7 @@ def test_close_roots_take_the_precision_path(monkeypatch):
         return certify(f, zs, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
-    roots = poly_roots(MIGNOTTE, 64)
+    roots = first_layout(MIGNOTTE, 64)
     assert len(rounds) > 1
     _assert_isolated(MIGNOTTE, roots, 2000)
 
@@ -414,7 +455,7 @@ def test_clustered_roots_take_two_rounds(monkeypatch):
         return certify(f, zs, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
-    poly_roots(MIGNOTTE, 64)
+    first_layout(MIGNOTTE, 64)
     assert rounds == [work_bits(64), 2 * work_bits(64)]
 
 
@@ -434,7 +475,7 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
 
     monkeypatch.setattr(isolation, "_float_starts", recorded_floats)
     monkeypatch.setattr(isolation, "_circle_starts", recorded_circles)
-    roots = poly_roots(WIDE, 128)
+    roots = first_layout(WIDE, 128)
     assert floats == [None] and circles == [53]
     _assert_isolated(WIDE, roots, 2000)
 
@@ -453,7 +494,7 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
     rng = random.Random(5)
     for f in [QUARTIC] + [pisot_shaped(rng.randint(2, 12), rng) for _ in range(10)]:
         seen.clear()
-        poly_roots(f, 64)
+        first_layout(f, 64)
         zs, radii, w = seen[-1]
         xs = [(Fraction(a, 2**w), Fraction(b, 2**w)) for a, b in zs]
         d, lead = f.degree, f.coefficients[-1]
@@ -514,34 +555,34 @@ def test_working_bits_are_capped(monkeypatch):
     monkeypatch.setattr("pisot.algebraic._certify_pisot_roots", lambda roots: "ambiguous")
     start = time.perf_counter()
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        analyze_minpoly(GOLDEN, 64)
+        analyze_minpoly(GOLDEN)
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        analyze_minpoly(PLASTIC, 64)
+        analyze_minpoly(PLASTIC)
     assert time.perf_counter() - start < 5
     calls = []
     monkeypatch.setattr(isolation, "_certified_roots", lambda *args: calls.append(args[2]))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        poly_roots(GOLDEN, 64)
+        first_layout(GOLDEN, 64)
     assert max(calls) <= MAX_WORK_BITS
     # A request above the cap is refused before any isolation work.
     calls.clear()
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        analyze_minpoly(GOLDEN, 40000)
+        next(algebraic.pisot_layouts(GOLDEN, 40000))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        poly_roots(GOLDEN, 40000)
+        first_layout(GOLDEN, 40000)
     assert calls == []
 
 
 def test_the_cap_message_names_the_last_certified_layout(monkeypatch):
     with pytest.raises(errors.PrecisionExhausted) as refused:
-        poly_roots(GOLDEN, 40000)
+        first_layout(GOLDEN, 40000)
     assert str(refused.value) == (
         f"root layouts of {GOLDEN}: none certified; the next round needs "
         f"{work_bits(40000)} working bits, above the cap of {MAX_WORK_BITS}"
     )
     monkeypatch.setattr("pisot.algebraic._certify_pisot_roots", lambda roots: "ambiguous")
     with pytest.raises(errors.PrecisionExhausted) as exhausted:
-        analyze_minpoly(PLASTIC, 64)
+        analyze_minpoly(PLASTIC)
     assert str(exhausted.value) == (
         f"root layouts of {PLASTIC}: last certified at 16384 bits; the next round needs "
         f"{work_bits(32768)} working bits, above the cap of {MAX_WORK_BITS}"
@@ -565,7 +606,7 @@ def test_the_ladder_to_the_cap_decides_squarefreeness_once(monkeypatch, f, tests
     monkeypatch.setattr(algebraic, "share_a_root", counted)
     monkeypatch.setattr(algebraic, "_certify_pisot_roots", lambda roots: "ambiguous")
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        analyze_minpoly(f, 64)
+        analyze_minpoly(f)
     assert len(calls) == tests
 
 
@@ -597,7 +638,7 @@ def test_a_pair_near_the_unit_circle_climbs_three_layouts(monkeypatch, f, error,
     monkeypatch.setattr(algebraic, "root_layouts", recorded_layouts)
     monkeypatch.setattr(isolation, "_certified_roots", recorded_rounds)
     with pytest.raises(error, match=match):
-        analyze_minpoly(f, 128)
+        analyze_minpoly(f)
     assert layouts == [128, 256, 512]
     assert rounds == [work_bits(128), work_bits(256), work_bits(512)]
 
@@ -659,7 +700,7 @@ def _fixed_roots(f, s):
     """Fixed-point values of f's real roots at scale 2^s, and one error
     bound e that covers every certified root disk."""
     values, e = [], 0
-    for r in poly_roots(f, s):
+    for r in first_layout(f, s):
         assert r.is_real
         q = mpf_to_fraction(mid(r).real) * 2**s
         values.append(round(q))
@@ -687,30 +728,30 @@ class TestMinimalPolynomial:
 
 class TestAnalyzeMinpoly:
     def test_golden_threshold(self):
-        info = analyze_minpoly(GOLDEN, 64)
+        info = analyze_minpoly(GOLDEN)
         assert info.threshold_n0 == 2
         assert float(mid(info.second_modulus)) == pytest.approx(0.6180339887, abs=1e-9)
         assert info.dominant_root.is_real
 
     def test_plastic_threshold(self):
-        info = analyze_minpoly(PLASTIC, 64)
+        info = analyze_minpoly(PLASTIC)
         assert info.threshold_n0 == 10
 
     def test_quartic_fixture_threshold(self):
         f = IntPoly((1, 21, -229, -4899, 1))
-        info = analyze_minpoly(f, 128)
+        info = analyze_minpoly(f)
         # all conjugate moduli < 0.066, so (d-1)*|a2|^n < 1/2 already at n=1
         assert info.threshold_n0 == 1
 
     def test_not_pisot_rejected(self):
         with pytest.raises(errors.NotPisot):
-            analyze_minpoly(IntPoly((-3, -1, 1)), 64)  # second root ~ -1.30
+            analyze_minpoly(IntPoly((-3, -1, 1)))  # second root ~ -1.30
         with pytest.raises(errors.NotPisot):
-            analyze_minpoly(IntPoly((2, 0, 1)), 64)  # x^2 + 2: no real root
+            analyze_minpoly(IntPoly((2, 0, 1)))  # x^2 + 2: no real root
 
     def test_non_monic_rejected(self):
         with pytest.raises(errors.NotMonic):
-            analyze_minpoly(IntPoly((-1, -1, 2)), 64)
+            analyze_minpoly(IntPoly((-1, -1, 2)))
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -719,7 +760,7 @@ class TestAnalyzeMinpoly:
     )
     def test_not_squarefree_rejected(self, coeffs):
         with pytest.raises(errors.NotSquarefree):
-            analyze_minpoly(IntPoly(coeffs), 64)
+            analyze_minpoly(IntPoly(coeffs))
 
     def test_zero_constant_term_rejected(self, monkeypatch):
         # x(x^2-x-1) is reducible; it is rejected before any root isolation
@@ -728,7 +769,7 @@ class TestAnalyzeMinpoly:
 
         monkeypatch.setattr("pisot.algebraic.root_layouts", no_numerics)
         with pytest.raises(errors.NotPisot):
-            analyze_minpoly(IntPoly((0, -1, -1, 1)), 64)
+            analyze_minpoly(IntPoly((0, -1, -1, 1)))
 
 
 RECIPROCAL = {
@@ -747,7 +788,7 @@ def test_shared_root_with_reciprocal_rejected(coeffs, monkeypatch):
 
     monkeypatch.setattr("pisot.algebraic.root_layouts", no_numerics)
     with pytest.raises(errors.NotPisot, match="reciprocal"):
-        analyze_minpoly(IntPoly(coeffs), 64)
+        analyze_minpoly(IntPoly(coeffs))
 
 
 THRESHOLD_POLYS = dict(KNACCI)
@@ -760,7 +801,7 @@ THRESHOLD_POLYS.update(RANDOM_PISOT)
 @pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
 def test_threshold_matches_scan(f):
     # (d-1)|alpha_2|^n0 < 1/2 <= (d-1)|alpha_2|^(n0-1) in exact rationals.
-    assert analyze_minpoly(f, 128).threshold_n0 == scanned_threshold(f)
+    assert analyze_minpoly(f).threshold_n0 == scanned_threshold(f)
 
 
 class TestRefusals:
@@ -807,7 +848,7 @@ class TestRefusals:
     def test_two_real_roots_above_one(self):
         # x^2 - 5x + 5 has the roots (5 +- sqrt 5)/2, about 3.62 and 1.38.
         with pytest.raises(errors.NotPisot, match="more than one real root greater than 1"):
-            analyze_minpoly(IntPoly((5, -5, 1)), 64)
+            analyze_minpoly(IntPoly((5, -5, 1)))
 
     def test_a_real_disk_across_one_is_ambiguous_until_a_later_layout(self, monkeypatch):
         # The first layout of the golden ratio gets a real disk of radius 2
@@ -824,8 +865,9 @@ class TestRefusals:
                 yield p, roots
 
         monkeypatch.setattr(algebraic, "root_layouts", widened)
-        info = analyze_minpoly(GOLDEN, 64)
-        assert seen == ["ambiguous", info.dominant_index] and info.precision_bits == 128
+        info = analyze_minpoly(GOLDEN)
+        assert seen == ["ambiguous", info.dominant_index]
+        assert info.precision_bits == 2 * algebraic.FIRST_LAYOUT_BITS
         assert info.threshold_n0 == 2
 
 
@@ -833,14 +875,14 @@ class TestRefusals:
 def test_the_threshold_walks_from_a_wrong_estimate(monkeypatch, shift):
     # With ceil moved by `shift`, the log estimate of n0 starts off by that
     # much, and the certified walk must undo it.
-    expected = {k: analyze_minpoly(f, 128).threshold_n0 for k, f in KNACCI.items()}
+    expected = {k: analyze_minpoly(f).threshold_n0 for k, f in KNACCI.items()}
     shifted = types.SimpleNamespace(**{**vars(math), "ceil": lambda x: math.ceil(x) + shift})
     monkeypatch.setattr(algebraic, "math", shifted)
-    assert {k: analyze_minpoly(f, 128).threshold_n0 for k, f in KNACCI.items()} == expected
+    assert {k: analyze_minpoly(f).threshold_n0 for k, f in KNACCI.items()} == expected
 
 
 def _replaced_starts(monkeypatch, starts):
-    """poly_roots with the float starts replaced by `starts`, as if the
+    """first_layout with the float starts replaced by `starts`, as if the
     float iteration had returned them."""
     monkeypatch.setattr(isolation, "_float_starts", lambda f_desc: list(starts))
 
@@ -852,7 +894,7 @@ class TestIsolationRecovers:
     def test_coincident_float_starts_are_nudged_apart(self, monkeypatch):
         # Every start at 1: 1/(z - z_j) divides by zero in floats.
         monkeypatch.setattr(isolation, "_start_circles", lambda c: [(0.0, 1 + 0j)] * (len(c) - 1))
-        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
 
     def test_nearly_coincident_float_starts_settle(self, monkeypatch):
         # Starts one unit in the last place apart: the repulsion shrinks the
@@ -861,7 +903,7 @@ class TestIsolationRecovers:
         z = 1.5 + 1.5j
         monkeypatch.setattr(isolation, "_start_circles",
                             lambda c: [(0.0, z), (0.0, z + 2.0**-52), (0.0, -z)])
-        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
 
     def test_a_stalled_float_iteration_starts_from_the_circles(self, monkeypatch):
         float_starts, circles = isolation._float_starts, []
@@ -876,14 +918,14 @@ class TestIsolationRecovers:
         monkeypatch.setattr(isolation, "_float_starts", stalled)
         monkeypatch.setattr(isolation, "_circle_starts",
                             lambda f_desc, p: circles.append(p) or circle_starts(f_desc, p))
-        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
         assert circles == [53]
 
     def test_a_zero_root_starts_at_zero(self):
         # x (x - 10^400): the coefficients overflow floats, and the zero
         # root's circle start is 0 itself.
         f = IntPoly((0, -(10**400), 1))
-        roots = poly_roots(f, 64)
+        roots = first_layout(f, 64)
         _assert_isolated(f, roots, 2000)
         assert roots[0].re == roots[0].im == 0
 
@@ -892,13 +934,13 @@ class TestIsolationRecovers:
         # move them, the coincident midpoints give no disks, and Aberth's
         # steps at twice the bits nudge them apart.
         _replaced_starts(monkeypatch, [0.5, 0.5])
-        _assert_isolated(GOLDEN, poly_roots(GOLDEN, 64), 2000)
+        _assert_isolated(GOLDEN, first_layout(GOLDEN, 64), 2000)
 
     def test_starts_that_meet_at_one_root(self, monkeypatch):
         # Both starts at 1 go by Newton to the same root; Aberth's ratios
         # then divide by their zero distance, and the step nudges instead.
         _replaced_starts(monkeypatch, [1.0, 1.0])
-        _assert_isolated(GOLDEN, poly_roots(GOLDEN, 64), 2000)
+        _assert_isolated(GOLDEN, first_layout(GOLDEN, 64), 2000)
 
     def test_a_disk_across_the_real_axis_that_meets_another(self, monkeypatch):
         # The first classification gets every radius widened to 2: the real
@@ -915,5 +957,5 @@ class TestIsolationRecovers:
             return classify(zs, radii, w)
 
         monkeypatch.setattr(isolation, "_classify_roots", widened)
-        _assert_isolated(PLASTIC, poly_roots(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
         assert len(calls) == 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from pisot import cli, errors
+from pisot import algebraic, cli, errors
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
 from pisot.lattice import IntLattice
@@ -154,7 +154,7 @@ class TestExactDecimal:
 
     @pytest.mark.parametrize("f", EXACT_POLYS.values(), ids=EXACT_POLYS)
     def test_same_digits_as_the_int_engine(self, capsys, f):
-        info = analyze_minpoly(f, 128)
+        info = analyze_minpoly(f)
         n0 = info.threshold_n0
         rng = random.Random(str(f))
         with cli._exact_decimal():
@@ -1045,6 +1045,44 @@ def test_a_malformed_field_file_is_a_usage_error(capsys, tmp_path, command, text
     assert err.startswith("ParseError: field file") and err.count("\n") == 1
 
 
+def _sqrt2_field_file(path, root, rest="1.5"):
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "embedding_rows": [["1", root], ["1", "-" + rest]],
+        "precision_bits": 190,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("length", ["one-past", "10^6", "p/q-10^6"])
+@pytest.mark.parametrize("command", ["find", "verify"])
+def test_a_field_entry_past_its_cap_is_refused_unread(capsys, tmp_path, command, length):
+    # `run` lifts the int->str digit limit, so Fraction() of a 10^6-digit
+    # entry took about 9 s before it failed or was read.
+    cap = algebraic.MAX_FIELD_ENTRY_CHARS
+    root = {"one-past": "1." + "4" * (cap - 1), "10^6": "1." + "4" * 10**6,
+            "p/q-10^6": "1/" + "7" * 10**6}[length]
+    argv = [command, "--field", _sqrt2_field_file(tmp_path / "field.json", root)]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv + (["--coeffs", "1,1"] if command == "verify" else []))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: decimal entry ") and err.count("\n") == 1
+    assert err.endswith(f"has {len(root)} characters, above {cap}\n")
+
+
+def test_a_field_entry_at_its_cap_is_read(capsys, tmp_path):
+    cap = algebraic.MAX_FIELD_ENTRY_CHARS
+    root = str(decimal.Context(prec=cap - 1).sqrt(2))
+    assert len(root) == cap
+    at_cap = _sqrt2_field_file(tmp_path / "at-cap.json", root, root[:-1])
+    short = _sqrt2_field_file(tmp_path / "short.json", root[:62], root[:62])
+    for command in (["find", "--json"], ["verify", "--coeffs=1,1", "--json"]):
+        code, out, _ = invoke(capsys, command[0], "--field", at_cap, *command[1:])
+        assert code == 0 and json.loads(out)["minpoly"] == ["-1", "-2", "1"]
+        assert (code, out) == invoke(capsys, command[0], "--field", short, *command[1:])[:2]
+
+
 def test_field_file_integers_may_be_strings_of_digits(capsys, tmp_path):
     path = tmp_path / "field.json"
     path.write_text(json.dumps({"kind": "cyclotomic", "conductor": "15"}))
@@ -1115,15 +1153,25 @@ def test_slp_indices_keep_their_leading_zeros(capsys, tmp_path, index):
     assert code == 0 and out == "2\n"
 
 
-@pytest.mark.parametrize("line", ["v2 = add v1 v{}", "v{} = add v1 v0"], ids=["operand", "definition"])
-def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line):
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("v2 = add v1 v{}", "forward reference"),
+        ("v{} = add v1 v0", "expected definition of v2, got 'v999"),
+        ("v2 = add v1 w{}", "bad operand 'w999"),
+        ("v2 = x{} v1 v0", "unknown opcode 'x999"),
+    ],
+    ids=["operand", "definition", "bad-operand", "opcode"],
+)
+def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line, message):
     path = tmp_path / "prog.slp"
     path.write_text("slp v1\nv0 = one\nv1 = add v0 v0\n" + line.format("9" * 10**6) + "\nresult v2\n")
     start = time.perf_counter()
     code, _, err = invoke(capsys, "slp", "eval", str(path))
     assert time.perf_counter() - start < 1
-    assert code == 2 and err.startswith("MalformedProgram: line 4: ")
-    assert ("forward reference" in err) == (line.startswith("v2"))
+    # A refused token is quoted to at most 60 characters: one short line.
+    assert code == 2 and err.startswith("MalformedProgram: line 4: " + message)
+    assert len(err) < 200 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

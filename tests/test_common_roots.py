@@ -9,7 +9,7 @@ import pytest
 from pisot import errors
 from pisot import roots as isolation
 from pisot.algebraic import IntPoly, analyze_minpoly
-from pisot.roots import poly_roots, share_a_root
+from pisot.roots import root_layouts, share_a_root
 
 from oracles import sylvester_resultant
 
@@ -107,7 +107,7 @@ def no_numerics(monkeypatch):
 def test_rejected_before_any_numerics(coeffs, error, no_numerics):
     f = IntPoly(coeffs)
     with pytest.raises(error):
-        analyze_minpoly(f, 64)
+        analyze_minpoly(f)
     if error is errors.NotSquarefree:
         with pytest.raises(errors.NotSquarefree, match=r"gcd\(f, f'\)"):
-            poly_roots(f, 64)
+            next(root_layouts(f, 64))

@@ -307,7 +307,6 @@ class TestFindPisot:
             s = mpmath.nstr(mpmath.sqrt(2), 60)
         spec = FieldSpec(
             kind="explicit",
-            basis_labels=("1", "sqrt2"),
             embedding_rows=(("1", s), ("1", "-" + s)),
             stated_precision_bits=190,
             discriminant=8,
@@ -389,9 +388,9 @@ class TestFindPisot:
         real_finish, real_verify = pisotsearch.finish_reduce, pisotsearch.verify_pisot
         float_columns, finished = set(), []
 
-        def stopped_float_pass(lat, delta=Fraction(3, 4)):
+        def stopped_float_pass(lat):
             k = lat.k
-            result = LLLResult(lat, tuple(tuple(int(i == j) for i in range(k)) for j in range(k)), delta)
+            result = LLLResult(lat, tuple(tuple(int(i == j) for i in range(k)) for j in range(k)))
             float_columns.update(result.transform)
             return result
 
@@ -422,9 +421,9 @@ class TestFindPisot:
         real_float, real_finish = pisotsearch.float_reduce, pisotsearch.finish_reduce
         lattices, finished = [], []
 
-        def float_pass(lat, delta=Fraction(3, 4)):
+        def float_pass(lat):
             lattices.append(lat)
-            return real_float(lat, delta)
+            return real_float(lat)
 
         def finish(result):
             finished.append(real_finish(result))

@@ -22,12 +22,12 @@ PLASTIC = IntPoly((-1, -1, 0, 1))
 
 @pytest.fixture(scope="module")
 def golden_info():
-    return analyze_minpoly(GOLDEN, 64)
+    return analyze_minpoly(GOLDEN)
 
 
 @pytest.fixture(scope="module")
 def plastic_info():
-    return analyze_minpoly(PLASTIC, 64)
+    return analyze_minpoly(PLASTIC)
 
 
 class TestCompanionMatrix:
@@ -94,7 +94,7 @@ class TestNearestPower:
         # |beta| ~ 0.9995 puts n0 near 2770, so alpha^2000 (about 19,950
         # bits) is powered directly and needs roots past MAX_WORK_BITS / 2.
         f = IntPoly((-999, 0, -1000, 1))
-        info = analyze_minpoly(f, 128)
+        info = analyze_minpoly(f)
         n = 2000
         assert n < info.threshold_n0
         # alpha^n = p_n - 2 Re(beta^n), with p_n the trace of C(f)^n.
@@ -119,7 +119,7 @@ def test_every_power_below_the_threshold(f, monkeypatch):
     # p_n minus the rounded conjugate sum, against nint(alpha^n) from the
     # oracle, for every n < n0 up to 200 and at n0/2 and n0 - 1. The disks
     # of analyze_minpoly suffice: no root isolation runs again.
-    info = analyze_minpoly(f, 128)
+    info = analyze_minpoly(f)
     n0 = info.threshold_n0
     ns = sorted(set(range(min(n0, 201))) | {n0 // 2, n0 - 1})
     expected = nearest_power_oracle(f, ns)

@@ -67,6 +67,6 @@ def test_library_example():
     moduli = namespace["cand"].conjugate_moduli
     assert len(moduli) == 3
     assert all(isinstance(m, Ball) and m.lt(Fraction(1, 2)) for m in moduli)
-    n0 = re.search(r"threshold n0 = (\d+)", stated["info = analyze_minpoly(f, 128)"])
+    n0 = re.search(r"threshold n0 = (\d+)", stated["info = analyze_minpoly(f)"])
     assert namespace["info"].threshold_n0 == int(n0.group(1)) == 10
     assert len(stated) == 5

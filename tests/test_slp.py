@@ -53,12 +53,12 @@ PLASTIC = IntPoly((-1, -1, 0, 1))
 
 @pytest.fixture(scope="module")
 def golden_info():
-    return analyze_minpoly(GOLDEN, 64)
+    return analyze_minpoly(GOLDEN)
 
 
 @pytest.fixture(scope="module")
 def plastic_info():
-    return analyze_minpoly(PLASTIC, 64)
+    return analyze_minpoly(PLASTIC)
 
 
 def constant_length_bound(c: int) -> int:
@@ -125,7 +125,7 @@ class TestEmitPowerSLP:
         ids=str,
     )
     def test_huge_exponents_match_modular_path(self, f):
-        info = analyze_minpoly(f, 128)
+        info = analyze_minpoly(f)
         rng = random.Random(str(f))
         for n in (10**19, rng.randint(0, 10**19), 2 * f.degree - 1, 2 * f.degree):
             n = max(n, info.threshold_n0)
@@ -140,7 +140,7 @@ class TestEmitPowerSLP:
         # at most 3d^2 + d instructions per bit of n; d^3 per bit would
         # exceed 9,000
         f = IntPoly(coeffs)
-        p = emit_power_slp(analyze_minpoly(f, 128), 10**19)
+        p = emit_power_slp(analyze_minpoly(f), 10**19)
         assert slp_length(p) <= 4500
 
 
