@@ -131,7 +131,7 @@ class FieldSpec:
 MAX_FIELD_INT_CHARS = 4300
 _FIELD_INT_TEXT = re.compile(r"[+-]?[0-9]+")
 # The longest decimal entry of an explicit field, in characters, checked
-# before the entry is read: Fraction() takes time quadratic in its digits.
+# before the entry is read: reading it takes time quadratic in its digits.
 # 2^-MAX_WORK_BITS is about 10^-9865, so no precision that the embeddings
 # take uses more than about 9,900 significant digits of an entry; the rest
 # leaves room for a sign, a point and an exponent.
@@ -352,10 +352,12 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
                     f"decimal entry {x!r:.60} has {len(x)} characters, "
                     f"above {MAX_FIELD_ENTRY_CHARS}"
                 )
-            # Fraction expands x = m * 10^e into an integer of about e digits,
-            # so the size of an entry is read off its decimal exponent first.
-            # log2(10) > 3.3219, so neither test misjudges a magnitude.
-            e10 = _decimal_exponent(x) if isinstance(x, str) else None
+            # x = m * 10^e expands into an integer of about e digits, so the
+            # size of an entry is read off its decimal exponent E first, with
+            # 10^(E-1) <= |x| < 10^E. log2(10) > 3.3219, so neither test
+            # misjudges a magnitude.
+            d = _decimal_entry(x) if isinstance(x, str) else None
+            e10 = d.adjusted() + 1 if d is not None and d.is_finite() and d else None
             if e10 is not None and (e10 - 1) * 33219 > (s + 64) * 10000:
                 raise errors.PrecisionError(
                     f"entry {x[:40]!r} exceeds 2^{s + 64} in magnitude: "
@@ -364,11 +366,15 @@ def explicit_embeddings(spec: FieldSpec, precision_bits: int) -> EmbeddingMatrix
             if e10 is not None and -e10 * 33219 > (s + 64) * 10000:
                 parsed.append(0)  # below 2^-(s+64): rounds to 0 at scale 2^s
                 continue
+            # A decimal's ratio converts no text to int, so it holds to no
+            # int/str digit limit. Fraction reads p and q with int(), so in
+            # library use a fraction's p and q are held to Python's limit
+            # (4,300 digits by default), which `cli.run` lifts.
             try:
-                q = Fraction(x)
+                num, den = (Fraction(x) if d is None else d).as_integer_ratio()
             except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
                 raise errors.ParseError(f"bad decimal entry {x!r:.60}") from exc
-            parsed.append(round_div(q.numerator << s, q.denominator))
+            parsed.append(round_div(num << s, den))
         entries.append(tuple(parsed))
     entries = tuple(entries)
     err = 2 * ((max(abs(m) for row in entries for m in row) >> s) + 2) + 1
@@ -398,18 +404,25 @@ def _capped(precision_bits: int) -> int:
     return precision_bits
 
 
-def _decimal_exponent(x: str) -> int | None:
-    """E with 10^(E-1) <= |x| < 10^E for a finite nonzero decimal string x,
-    read by Decimal without expanding x; None for zero, infinities, NaN and
-    fractions p/q, which Fraction then parses or rejects. A string Decimal
-    cannot read, such as an exponent beyond 10^18, is a ParseError."""
+# Decimal drops every underscore of its text; Fraction, which reads the
+# fractions p/q, takes one only between two digits, and so do decimal entries.
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
+
+
+def _decimal_entry(x: str) -> Decimal | None:
+    """The decimal string x, read by Decimal without expanding it into an
+    integer; None for a fraction p/q, which Fraction then parses or rejects.
+    Any other string Decimal cannot read, such as an exponent beyond 10^18,
+    or one with a stray underscore, is a ParseError."""
     try:
         d = Decimal(x)
     except InvalidOperation:
+        d = None
+    if d is None or _STRAY_UNDERSCORE.search(x):
         if "/" in x:
             return None
-        raise errors.ParseError(f"bad decimal entry {x!r:.60}") from None
-    return d.adjusted() + 1 if d.is_finite() and d else None
+        raise errors.ParseError(f"bad decimal entry {x!r:.60}")
+    return d
 
 
 def round_div(a: int, b: int) -> int:

@@ -48,11 +48,6 @@ def _mid(b):
     return float(mid(b))
 
 
-def first_layout(f, precision_bits):
-    """The disks of f's first certified root layout."""
-    return next(root_layouts(f, precision_bits))[1]
-
-
 def _real(emb, m):
     """The real number a fixed-point entry or value of emb stands for."""
     return m / 2**emb.precision_bits
@@ -273,19 +268,42 @@ class TestExplicitEmbeddings:
 
     def test_an_entry_at_the_character_cap_is_read_at_the_working_cap(self):
         # sqrt(2) to 9,998 places is good to about 2^-33212, past what
-        # MAX_WORK_BITS can use; its text fills the cap exactly.
-        # Digits past Python's default int-to-str limit need it lifted, as
-        # `cli.run` does.
+        # MAX_WORK_BITS can use; its text fills the cap exactly. Only
+        # building its digits needs Python's int-to-str limit lifted: the
+        # entry is read under the default limit of 4,300 digits.
         cap = algebraic.MAX_FIELD_ENTRY_CHARS
         with int_str_limit(0):
             digits = str(math.isqrt(2 * 10 ** (2 * (cap - 2))))
-            root = digits[0] + "." + digits[1:]
-            rows = (("1", root), ("1", "-" + root[:-1]))
-            assert max(len(x) for row in rows for x in row) == cap
-            spec = FieldSpec(kind="explicit", embedding_rows=rows,
-                             stated_precision_bits=MAX_WORK_BITS)
+        root = digits[0] + "." + digits[1:]
+        rows = (("1", root), ("1", "-" + root[:-1]))
+        assert max(len(x) for row in rows for x in row) == cap
+        spec = FieldSpec(kind="explicit", embedding_rows=rows, stated_precision_bits=MAX_WORK_BITS)
+        with int_str_limit(4300):
             emb = explicit_embeddings(spec, MAX_WORK_BITS)
         assert emb.discriminant == 8 and emb.precision_bits == MAX_WORK_BITS
+
+    def test_a_fraction_entry_is_held_to_the_int_str_limit(self):
+        # A p/q entry is read by Fraction, whose int() of p and q keeps
+        # Python's digit limit; `cli.run` lifts it.
+        q = "1" + "0" * 4300
+        spec = FieldSpec(kind="explicit", embedding_rows=(("1", f"{q}/{q}"), ("1", "-1")),
+                         stated_precision_bits=64)
+        with int_str_limit(4300), pytest.raises(errors.ParseError, match="bad decimal entry"):
+            explicit_embeddings(spec, 32)
+        with int_str_limit(0):
+            assert explicit_embeddings(spec, 32).discriminant == 4
+
+    def test_an_underscore_only_between_digits(self):
+        # Decimal would drop any underscore; the entries take Fraction's rule.
+        for x, ok in (("1_0.0", True), ("1.0_0e0_1", True), ("_10.0", False),
+                      ("1__0.0", False), ("1_.0", False), ("10.0_", False)):
+            spec = FieldSpec(kind="explicit", embedding_rows=(("1", x), ("1", "-" + x)),
+                             stated_precision_bits=64)
+            if ok:
+                assert explicit_embeddings(spec, 32).discriminant > 0, x
+            else:
+                with pytest.raises(errors.ParseError, match="bad decimal entry"):
+                    explicit_embeddings(spec, 32)
 
     def test_an_entry_past_the_character_cap_is_refused_unread(self, monkeypatch):
         # The entry comes first, so nothing is read before it is refused.
@@ -341,7 +359,7 @@ def test_eval_combination_within_error_bound(field):
 
 class TestPolyRoots:
     def test_golden_roots(self):
-        roots = first_layout(GOLDEN, 128)
+        roots = next(root_layouts(GOLDEN, 128))[1]
         assert len(roots) == 2
         assert all(r.is_real for r in roots)
         vals = sorted(float(mid(r).real) for r in roots)
@@ -349,7 +367,7 @@ class TestPolyRoots:
         assert vals == pytest.approx([1 - phi, phi], abs=1e-12)
 
     def test_plastic_root_classification(self):
-        roots = first_layout(PLASTIC, 128)
+        roots = next(root_layouts(PLASTIC, 128))[1]
         reals = [r for r in roots if r.is_real]
         assert len(reals) == 1
         assert float(mid(reals[0]).real) == pytest.approx(1.3247179572, abs=1e-9)
@@ -358,7 +376,7 @@ class TestPolyRoots:
         assert float(mid(complexes[0].modulus())) == pytest.approx(0.8688369, abs=1e-6)
 
     def test_radii_are_tight(self):
-        for r in first_layout(PLASTIC, 128):
+        for r in next(root_layouts(PLASTIC, 128))[1]:
             assert mpf_to_fraction(rad(r)) < Fraction(1, 2**120)
 
     def test_repeated_root_exhausts(self):
@@ -366,7 +384,7 @@ class TestPolyRoots:
         # as a NotSquarefree that no handler of PrecisionExhausted catches.
         square = IntPoly((1, -2, 1))  # (x-1)^2
         with pytest.raises(errors.NotSquarefree):
-            first_layout(square, 64)
+            next(root_layouts(square, 64))[1]
         assert not issubclass(errors.NotSquarefree, errors.PrecisionExhausted)
 
 
@@ -401,11 +419,11 @@ def _random_pisot_shaped(count, seed=2024):
 
 class TestSoundDisks:
     def test_quartic_fixture_at_64_bits(self):
-        _assert_isolated(QUARTIC, first_layout(QUARTIC, 64), 2000)
+        _assert_isolated(QUARTIC, next(root_layouts(QUARTIC, 64))[1], 2000)
 
     def test_random_pisot_shaped(self):
         for f in _random_pisot_shaped(50):
-            _assert_isolated(f, first_layout(f, 64), 2000)
+            _assert_isolated(f, next(root_layouts(f, 64))[1], 2000)
 
 
 KNACCI = {f"{k}-nacci": IntPoly((-1,) * k + (1,)) for k in range(2, 31)}
@@ -416,7 +434,7 @@ RANDOM_PISOT = {f"random-{i}": f for i, f in enumerate(_random_pisot_shaped(50))
 def test_modulus_bounds_hold_the_oracle_modulus(f):
     # modulus() rounds |center| down by isqrt; its interval must still hold
     # the modulus of the root that the 2000-bit oracle puts in the disk.
-    roots = first_layout(f, 128)
+    roots = next(root_layouts(f, 128))[1]
     with mp.workprec(2000):
         for z in polyroots_oracle(f, 2000):
             (root,) = [r for r in roots if abs(z - mid(r)) <= rad(r)]
@@ -427,7 +445,7 @@ def test_modulus_bounds_hold_the_oracle_modulus(f):
 @pytest.mark.parametrize("k", range(2, 31))
 def test_knacci_roots_match_oracle(k):
     f = IntPoly((-1,) * k + (1,))
-    _assert_isolated(f, first_layout(f, 128), 256)
+    _assert_isolated(f, next(root_layouts(f, 128))[1], 256)
 
 
 def test_close_roots_take_the_precision_path(monkeypatch):
@@ -439,7 +457,7 @@ def test_close_roots_take_the_precision_path(monkeypatch):
         return certify(f, zs, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
-    roots = first_layout(MIGNOTTE, 64)
+    roots = next(root_layouts(MIGNOTTE, 64))[1]
     assert len(rounds) > 1
     _assert_isolated(MIGNOTTE, roots, 2000)
 
@@ -455,7 +473,7 @@ def test_clustered_roots_take_two_rounds(monkeypatch):
         return certify(f, zs, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
-    first_layout(MIGNOTTE, 64)
+    next(root_layouts(MIGNOTTE, 64))[1]
     assert rounds == [work_bits(64), 2 * work_bits(64)]
 
 
@@ -475,7 +493,7 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
 
     monkeypatch.setattr(isolation, "_float_starts", recorded_floats)
     monkeypatch.setattr(isolation, "_circle_starts", recorded_circles)
-    roots = first_layout(WIDE, 128)
+    roots = next(root_layouts(WIDE, 128))[1]
     assert floats == [None] and circles == [53]
     _assert_isolated(WIDE, roots, 2000)
 
@@ -494,7 +512,7 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
     rng = random.Random(5)
     for f in [QUARTIC] + [pisot_shaped(rng.randint(2, 12), rng) for _ in range(10)]:
         seen.clear()
-        first_layout(f, 64)
+        next(root_layouts(f, 64))[1]
         zs, radii, w = seen[-1]
         xs = [(Fraction(a, 2**w), Fraction(b, 2**w)) for a, b in zs]
         d, lead = f.degree, f.coefficients[-1]
@@ -562,20 +580,20 @@ def test_working_bits_are_capped(monkeypatch):
     calls = []
     monkeypatch.setattr(isolation, "_certified_roots", lambda *args: calls.append(args[2]))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        first_layout(GOLDEN, 64)
+        next(root_layouts(GOLDEN, 64))[1]
     assert max(calls) <= MAX_WORK_BITS
     # A request above the cap is refused before any isolation work.
     calls.clear()
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         next(algebraic.pisot_layouts(GOLDEN, 40000))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
-        first_layout(GOLDEN, 40000)
+        next(root_layouts(GOLDEN, 40000))[1]
     assert calls == []
 
 
 def test_the_cap_message_names_the_last_certified_layout(monkeypatch):
     with pytest.raises(errors.PrecisionExhausted) as refused:
-        first_layout(GOLDEN, 40000)
+        next(root_layouts(GOLDEN, 40000))[1]
     assert str(refused.value) == (
         f"root layouts of {GOLDEN}: none certified; the next round needs "
         f"{work_bits(40000)} working bits, above the cap of {MAX_WORK_BITS}"
@@ -700,7 +718,7 @@ def _fixed_roots(f, s):
     """Fixed-point values of f's real roots at scale 2^s, and one error
     bound e that covers every certified root disk."""
     values, e = [], 0
-    for r in first_layout(f, s):
+    for r in next(root_layouts(f, s))[1]:
         assert r.is_real
         q = mpf_to_fraction(mid(r).real) * 2**s
         values.append(round(q))
@@ -882,7 +900,7 @@ def test_the_threshold_walks_from_a_wrong_estimate(monkeypatch, shift):
 
 
 def _replaced_starts(monkeypatch, starts):
-    """first_layout with the float starts replaced by `starts`, as if the
+    """Root isolation with the float starts replaced by `starts`, as if the
     float iteration had returned them."""
     monkeypatch.setattr(isolation, "_float_starts", lambda f_desc: list(starts))
 
@@ -894,7 +912,7 @@ class TestIsolationRecovers:
     def test_coincident_float_starts_are_nudged_apart(self, monkeypatch):
         # Every start at 1: 1/(z - z_j) divides by zero in floats.
         monkeypatch.setattr(isolation, "_start_circles", lambda c: [(0.0, 1 + 0j)] * (len(c) - 1))
-        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
 
     def test_nearly_coincident_float_starts_settle(self, monkeypatch):
         # Starts one unit in the last place apart: the repulsion shrinks the
@@ -903,7 +921,7 @@ class TestIsolationRecovers:
         z = 1.5 + 1.5j
         monkeypatch.setattr(isolation, "_start_circles",
                             lambda c: [(0.0, z), (0.0, z + 2.0**-52), (0.0, -z)])
-        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
 
     def test_a_stalled_float_iteration_starts_from_the_circles(self, monkeypatch):
         float_starts, circles = isolation._float_starts, []
@@ -918,14 +936,14 @@ class TestIsolationRecovers:
         monkeypatch.setattr(isolation, "_float_starts", stalled)
         monkeypatch.setattr(isolation, "_circle_starts",
                             lambda f_desc, p: circles.append(p) or circle_starts(f_desc, p))
-        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
         assert circles == [53]
 
     def test_a_zero_root_starts_at_zero(self):
         # x (x - 10^400): the coefficients overflow floats, and the zero
         # root's circle start is 0 itself.
         f = IntPoly((0, -(10**400), 1))
-        roots = first_layout(f, 64)
+        roots = next(root_layouts(f, 64))[1]
         _assert_isolated(f, roots, 2000)
         assert roots[0].re == roots[0].im == 0
 
@@ -934,13 +952,13 @@ class TestIsolationRecovers:
         # move them, the coincident midpoints give no disks, and Aberth's
         # steps at twice the bits nudge them apart.
         _replaced_starts(monkeypatch, [0.5, 0.5])
-        _assert_isolated(GOLDEN, first_layout(GOLDEN, 64), 2000)
+        _assert_isolated(GOLDEN, next(root_layouts(GOLDEN, 64))[1], 2000)
 
     def test_starts_that_meet_at_one_root(self, monkeypatch):
         # Both starts at 1 go by Newton to the same root; Aberth's ratios
         # then divide by their zero distance, and the step nudges instead.
         _replaced_starts(monkeypatch, [1.0, 1.0])
-        _assert_isolated(GOLDEN, first_layout(GOLDEN, 64), 2000)
+        _assert_isolated(GOLDEN, next(root_layouts(GOLDEN, 64))[1], 2000)
 
     def test_a_disk_across_the_real_axis_that_meets_another(self, monkeypatch):
         # The first classification gets every radius widened to 2: the real
@@ -957,5 +975,5 @@ class TestIsolationRecovers:
             return classify(zs, radii, w)
 
         monkeypatch.setattr(isolation, "_classify_roots", widened)
-        _assert_isolated(PLASTIC, first_layout(PLASTIC, 64), 2000)
+        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
         assert len(calls) == 2

@@ -393,6 +393,140 @@ class TestEvaluationSquare:
                 assert power_sum(f, n, lift=decimal.Decimal, evaluate_from=0) == expected, f"n={n}"
 
 
+# Every degree from 1 to 30, the k-nacci, the benchmark's degree-12
+# polynomial and polynomials with zero coefficients.
+PACKED_POLYS = (
+    [IntPoly((-3, 1))]
+    + [pisot_shaped(d, random.Random(200 + d)) for d in range(2, 31)]
+    + [IntPoly((-1,) * k + (1,)) for k in (3, 12, 30)]
+    + SHARED_MULTIPLES
+)
+CAP = powtrace.PACKED_MAX_MODULUS_BITS
+# 2, 3, an even m, a Mersenne prime, 10^19, the largest m the packed step
+# takes and the first it leaves to the schoolbook.
+PACKED_MODULI = [2, 3, 10**18 + 2, 2**61 - 1, 10**19, 2**CAP - 1, 2**CAP]
+
+
+def _schoolbook(f, n, m, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(powtrace, "PACKED_MAX_MODULUS_BITS", 0)
+        return power_sum(f, n, m)
+
+
+def _steps(monkeypatch):
+    """The packed steps that `power_sum` builds, recorded as (c, m)."""
+    built = []
+    build = powtrace._packed_square
+
+    def recorded(c, m):
+        built.append((c, m))
+        return build(c, m)
+
+    monkeypatch.setattr(powtrace, "_packed_square", recorded)
+    return built
+
+
+class TestPackedSquare:
+    @pytest.mark.parametrize("f", PACKED_POLYS, ids=str)
+    def test_step_matches_the_schoolbook_square(self, f):
+        c = f.coefficients[:-1]
+        d = len(c)
+        rng = random.Random(str(f))
+        for m in PACKED_MODULI:
+            step = powtrace._packed_square(c, m)
+            vectors = [[0] * d, [1] + [0] * (d - 1), [m - 1] * d]
+            vectors += [[rng.randrange(m) for _ in range(d)] for _ in range(3)]
+            for r in vectors:
+                for b in (0, 1):
+                    expected = [v % m for v in square_oracle(r, b, c)]
+                    assert step(r, b) == expected, f"m={m}, r={r}, b={b}"
+
+    @pytest.mark.parametrize("f", PACKED_POLYS, ids=str)
+    def test_power_sums_match_matpow_and_the_schoolbook(self, f, monkeypatch):
+        # n of both parities, below 2d, at it and at the CLI's largest.
+        # The companion matrix checks every case up to degree 12 and every
+        # small n; above degree 12 the schoolbook checks the large n.
+        d = f.degree
+        built = _steps(monkeypatch)
+        for m in PACKED_MODULI:
+            for n in (0, 2 * d - 1, 2 * d, 2 * d + 1, 10**18, 10**19 - 1):
+                built.clear()
+                got = power_sum(f, n, m)
+                assert bool(built) == (n >= 2 * d and m.bit_length() <= CAP), f"m={m}, n={n}"
+                assert got == _schoolbook(f, n, m, monkeypatch), f"m={m}, n={n}"
+                if d == 1:
+                    assert got == pow(-f.coefficients[0], n, m), f"m={m}, n={n}"
+                elif d <= 12 or n < 10**6:
+                    assert got == matpow_trace(f, n, m), f"m={m}, n={n}"
+
+    def test_the_largest_nacci_at_both_ends_of_the_gate(self):
+        f = IntPoly((-1,) * 30 + (1,))
+        for m in (2**CAP - 1, 2**CAP):
+            assert power_sum(f, 10**19 - 1, m) == matpow_trace(f, 10**19 - 1, m), f"m={m}"
+
+    def test_every_residue_at_its_largest(self):
+        # The 30-nacci's coefficients are -1, so every residue is m - 1: r,
+        # the fold rows and the coefficients. Each slot of the square then
+        # holds up to 30 (m - 1)^2.
+        m = 2**CAP - 1
+        c = (-1,) * 30
+        r = [m - 1] * 30
+        expected = [v % m for v in square_oracle(r, 1, c)]
+        assert powtrace._packed_square(c, m)(r, 1) == expected
+
+    def test_a_slot_at_its_bound(self):
+        # The fold's worst case: residues near m - 1 fill slot d - 1 of the
+        # square with d - 1 products near m^2, the high slots reduce to
+        # residues spread over [0, m), and every fold row has m - 1 in
+        # column d - 1 (c is solved for that, one coefficient at a time).
+        # The slot then needs every bit of 2 bits(m) + bits(2d): one fewer
+        # and it would carry into the next slot.
+        d, b, m = 30, 1, 2**CAP - 1
+        rng = random.Random(30)
+        c, tops = [0] * d, [0] * (d - 1) + [1]  # x^k mod f's top coefficient, k < d
+        for j in range(d):
+            c[d - 1 - j] = (1 - sum(c[i] * tops[j + i] for i in range(d - j, d))) % m or m
+            tops.append(-sum(c[i] * tops[j + i] for i in range(d)) % m)
+        assert tops[d:] == [m - 1] * d
+        c = tuple(c)
+        r = [m - 1 - rng.randrange(m >> 20) for _ in range(d)]
+        square = [0] * (2 * d - 1 + b)
+        for i in range(d):
+            for j in range(d):
+                square[i + j + b] += r[i] * r[j]
+        top = square[d - 1] + (m - 1) * sum(v % m for v in square[d:])
+        slot = 2 * m.bit_length() + (2 * d).bit_length()
+        assert 1 << (slot - 1) <= top < 1 << slot
+        expected = [v % m for v in square_oracle(r, b, c)]
+        assert powtrace._packed_square(c, m)(r, b) == expected
+
+    def test_which_step_runs_for_each_ring(self, monkeypatch):
+        f = SHARED_MULTIPLES[-1]  # the benchmark's degree 12
+        info = analyze_minpoly(f)
+        n = 8_386_254_639_759_710_208
+        built = _steps(monkeypatch)
+        evaluated = []
+        monkeypatch.setattr(
+            powtrace, "_evaluation_square", lambda c, lift: evaluated.append(lift)
+        )
+        # Integers mod m up to the cap pack, whatever the entry point.
+        for m in (2, 10**19, 2**CAP - 1):
+            power_sum(f, n, m)
+            nearest_power_mod(info, n, m)
+            assert built == [(f.coefficients[:-1], m)] * 2
+            built.clear()
+        # Above the cap, exact ints, Decimal, a lift of their own and
+        # program instructions keep the schoolbook; no ring here evaluates.
+        power_sum(f, n, 2**CAP)
+        nearest_power_mod(info, n, 2**CAP)
+        power_sum(f, 1000)
+        with cli._exact_decimal():
+            power_sum(f, 1000, lift=decimal.Decimal)
+        power_sum(f, n, 7, lift=lambda v: v % 7)
+        emit_power_slp(info, n)
+        assert built == [] and evaluated == []
+
+
 SWITCH_POLYS = [
     IntPoly((-1, -9, -20, 1)),
     IntPoly((1, 21, -229, -4899, 1)),
