@@ -4,10 +4,14 @@
 root by Aberth-Ehrlich iterations in floats and Newton steps on fixed-point
 Gaussian integers, and certifies each with a disk whose radius comes from an
 exact residual: f evaluated exactly at the dyadic midpoint, whatever solver
-found it. `share_a_root` decides exactly whether two integer polynomials
-have a common root, by their gcd over Z. `fixed_power` powers a fixed-point
-Gaussian integer with an integer error bound, for the threshold n0 and for
-the powers of the small roots below it.
+found it. Its layouts are exactly conjugate-symmetric: the real roots,
+counted by Sturm's theorem on the remainder sequence of f and f', lie on
+the axis, and each lower disk mirrors an upper one, so Newton steps and
+exact residuals run on the real and upper midpoints alone. `share_a_root`
+decides exactly whether two integer polynomials have a common root, by
+their gcd over Z, from the same remainder sequence. `fixed_power` powers a
+fixed-point Gaussian integer with an integer error bound, for the threshold
+n0 and for the powers of the small roots below it.
 """
 
 from __future__ import annotations
@@ -53,22 +57,29 @@ class PolyRoot:
 def root_layouts(f: IntPoly, precision_bits: int):
     """Yields (prec, roots) at prec = p, 2p, 4p, ... for p = precision_bits:
     every complex root of f in a certified disk within 2^-prec (|x_i| + 1),
-    the disks pairwise disjoint.
+    the disks pairwise disjoint and exactly conjugate-symmetric.
 
-    A repeated root is ruled out exactly first, once, by gcd(f, f') over Z
-    (`share_a_root`), since no precision separates it. Approximations come
-    from Aberth-Ehrlich iterations in floats, refined by Newton steps on
-    fixed-point Gaussian integers (a + bi)/2^s as s doubles up to the
-    working precision w = work_bits(prec). When floats overflow or stall,
-    the fixed-point steps start from the Newton-polygon circles instead and
-    are Aberth's (`_newton`). Soundness rests on none of that: f is
-    evaluated exactly at each dyadic midpoint x_i, and
+    A repeated root is ruled out exactly first, once, since no precision
+    separates it: the primitive remainder sequence of f and f'
+    (`_remainder_sequence`) ends at gcd(f, f') over Z, and its signs give r,
+    the number of real roots, by Sturm's theorem. Approximations come from
+    Aberth-Ehrlich iterations in floats; the r nearest the real axis become
+    real, and each other one above the axis takes one below as its mirror
+    (`_mirrored`). Newton steps on fixed-point Gaussian integers
+    (a + bi)/2^s refine the real and upper midpoints as s doubles up to the
+    working precision w = work_bits(prec), and each lower one stays the
+    mirror of its upper one. When floats overflow or stall, the fixed-point
+    steps start from the Newton-polygon circles instead and are Aberth's on
+    every midpoint (`_newton`), and the result is mirrored. Soundness rests
+    on none of that: f is evaluated exactly at each dyadic midpoint x_i, and
     |lead * prod_{j != i} (x_i - x_j)|^2 is an exact integer product, so the
     Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
-    rounded upward only once. Those disks jointly cover the roots, and
-    contain exactly one root each once disjoint. A failed certificate
-    doubles w, and Aberth steps at the new w separate what the last round
-    could not. After a layout, Newton steps go on from its midpoints at
+    rounded upward only once. On a mirrored layout it is computed for the
+    real and upper midpoints alone, since f(conj x) = conj f(x) and the
+    gaps are the same. Those disks jointly cover the roots, and contain
+    exactly one root each once disjoint. A failed certificate doubles w, and
+    Aberth steps at the new w separate what the last round could not. After
+    a layout, Newton steps go on from its midpoints at
     w = max(w, work_bits(2 prec)), so the disks keep their order. A round
     whose w would exceed MAX_WORK_BITS, the first included, raises
     PrecisionExhausted instead.
@@ -76,17 +87,20 @@ def root_layouts(f: IntPoly, precision_bits: int):
     prec, last, w = precision_bits, None, work_bits(precision_bits)
     _check_cap(f, last, w)
     f_desc = list(reversed(f.coefficients))
-    df_desc = [e * f.coefficients[e] for e in range(f.degree, 0, -1)]
-    if share_a_root(f_desc, df_desc):
+    real = _real_root_count(f_desc)
+    if real is None:
         raise errors.NotSquarefree(f"{f} has a repeated root: gcd(f, f') != 1")
     bits = 53
     approx = _float_starts(f_desc)
     if approx is None:
         zs, repel = _circle_starts(f_desc, bits), True
     else:
-        zs, repel = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx], False
+        zs = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
+        zs, repel = _mirrored(zs, real, bits), False
     while True:
         zs = _newton(f_desc, zs, bits, w, repel)
+        if repel:
+            zs = _mirrored(zs, real, w)
         roots = _certified_roots(f, zs, w, prec)
         if roots is None:
             bits, w, repel = w, 2 * w, True
@@ -95,6 +109,71 @@ def root_layouts(f: IntPoly, precision_bits: int):
             last, prec = prec, 2 * prec
             bits, w, repel = w, max(w, work_bits(prec)), False
         _check_cap(f, last, w)
+
+
+def _real_root_count(f_desc) -> int | None:
+    """The number of real roots of f, given leading coefficient first, by
+    Sturm's theorem: the sign changes of the members of
+    `_remainder_sequence(f, f')` at -inf less those at +inf. None when the
+    sequence ends at a gcd(f, f') that is not constant: f has a repeated
+    root."""
+    d = len(f_desc) - 1
+    df_desc = [(d - k) * c for k, c in enumerate(f_desc[:-1])]
+    ends = [(len(p), p[0] > 0) for p in _remainder_sequence(f_desc, df_desc)]
+    if ends[-1][0] > 1:
+        return None
+    # A member of degree n - 1 has the sign of its leading coefficient at
+    # +inf, and that sign times (-1)^(n - 1) at -inf.
+    at_minus = [positive == (n % 2 == 1) for n, positive in ends]
+    at_plus = [positive for _, positive in ends]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
+
+
+def _sign_changes(positive) -> int:
+    return sum(x != y for x, y in zip(positive, positive[1:]))
+
+
+def _mirrored(zs, real: int, p: int):
+    """The approximations zs at scale 2^p made exactly conjugate-symmetric,
+    in their order: the `real` nearest the real axis, relative to |z| + 1,
+    get im = 0; of the others, the upper half by im keep their values, and
+    each takes the nearest conjugate among the lower half as its mirror
+    (a, -b). Only the certificate judges whether the choice was right."""
+    tilt = [abs(b) / (abs(a) + abs(b) + (1 << p)) for a, b in zs]
+    near = sorted(range(len(zs)), key=tilt.__getitem__)
+    out = list(zs)
+    for i in near[:real]:
+        out[i] = (zs[i][0], 0)
+    rest = sorted(near[real:], key=lambda i: zs[i][1], reverse=True)
+    lower = rest[len(rest) // 2:]
+    for i in rest[: len(rest) // 2]:
+        a, b = zs[i]
+        j = min(lower, key=lambda j: (zs[j][0] - a) ** 2 + (zs[j][1] + b) ** 2)
+        lower.remove(j)
+        out[j] = (a, -b)
+    return out
+
+
+def _mirror_pairs(zs):
+    """(i, j) for each midpoint i on or above the real axis, where j is the
+    index of its exact mirror (a, -b), or None on the axis, when the
+    midpoints are exactly conjugate-symmetric; otherwise (i, None) for every
+    i."""
+    below = {}
+    for j, (a, b) in enumerate(zs):
+        if b < 0:
+            below.setdefault((a, -b), []).append(j)
+    pairs = []
+    for i, (a, b) in enumerate(zs):
+        if b > 0:
+            if not below.get((a, b)):
+                return [(i, None) for i in range(len(zs))]
+            pairs.append((i, below[(a, b)].pop()))
+        elif b == 0:
+            pairs.append((i, None))
+    if any(below.values()):
+        return [(i, None) for i in range(len(zs))]
+    return pairs
 
 
 def _check_cap(f: IntPoly, last: int | None, w: int) -> None:
@@ -147,7 +226,7 @@ def _float_starts(f_desc):
                 done[i] = True
                 continue
             try:
-                repel = sum(1 / (z - zs[j]) for j in range(d) if j != i)
+                repel = sum([1 / (z - u) for u in zs[:i]] + [1 / (z - u) for u in zs[i + 1:]])
                 step = fz / (dfz - fz * repel)
             except ZeroDivisionError:
                 # z meets another approximation, or the correction's
@@ -211,26 +290,40 @@ def _to_fixed(x: float, p: int) -> int:
 def _newton(f_desc, zs, bits: int, w: int, repel: bool):
     """Newton steps on fixed-point Gaussian integers: (a, b) stands for
     (a + bi)/2^p, given at p = bits. The scale p doubles up to w, one sweep
-    over the roots at each scale, and one more sweep runs at w.
+    over the roots at each scale. Quadratic convergence takes a start good
+    to `bits` bits to w, and the certificate judges the result.
 
-    With `repel`, each step is Aberth's (`_step`), each sweep uses the
-    approximations it has already moved, and the sweeps at w repeat, up to
-    ABERTH_STEPS, while some approximation still moves."""
+    Without `repel`, a sweep steps the real and upper midpoints alone, the
+    real ones by real Horner, and sets each lower one to the mirror of its
+    upper one (`_mirror_pairs`). With `repel`, each step is Aberth's
+    (`_step`) on every midpoint, each sweep uses the approximations it has
+    already moved, and more sweeps run at w, up to ABERTH_STEPS, while some
+    approximation still moves."""
     scales = []
     p = bits
     while not scales or p < w:
         p = min(2 * p, w)
         scales.append(p)
-    sweeps = [1] * len(scales) + [ABERTH_STEPS if repel else 1]
-    scales.append(w)
     zs = list(zs)
     p = bits
+    if not repel:
+        pairs = _mirror_pairs(zs)
+        for q in scales:
+            zs = [(a << (q - p), b << (q - p)) for a, b in zs]
+            p = q
+            for i, j in pairs:
+                _step(f_desc, zs, i, p, False)
+                if j is not None:
+                    zs[j] = (zs[i][0], -zs[i][1])
+        return zs
+    sweeps = [1] * len(scales) + [ABERTH_STEPS]
+    scales.append(w)
     for q, count in zip(scales, sweeps):
         zs = [(a << (q - p), b << (q - p)) for a, b in zs]
         p = q
         moving = range(len(zs))
         for _ in range(count):
-            moving = [i for i in moving if _step(f_desc, zs, i, p, repel)]
+            moving = [i for i in moving if _step(f_desc, zs, i, p, True)]
             if not moving:
                 break
     return zs
@@ -239,7 +332,7 @@ def _newton(f_desc, zs, bits: int, w: int, repel: bool):
 def _step(f_desc, zs, i: int, p: int, repel: bool) -> bool:
     """Moves zs[i] by Newton's correction N = f/f' at scale 2^p: f and f'
     are evaluated together by Horner's rule, with every product truncated
-    to the scale.
+    to the scale, and in real arithmetic at a real zs[i] without `repel`.
 
     With `repel`, the step is Aberth's, N / (1 - sum_{j != i} N/(z_i - z_j)),
     which pushes z_i off the other approximations; each ratio there is
@@ -249,6 +342,16 @@ def _step(f_desc, zs, i: int, p: int, repel: bool) -> bool:
     once z_i has settled: |f(z_i)| within four times the truncation error
     of Horner's rule, or a correction of at most one unit per part."""
     a, b = zs[i]
+    if not (b or repel):
+        fr, dr = f_desc[0] << p, 0
+        for c in f_desc[1:]:
+            dr = (dr * a >> p) + fr
+            fr = (fr * a >> p) + (c << p)
+        if not dr:
+            return False
+        step = (fr << p) // dr
+        zs[i] = (a - step, 0)
+        return abs(step) > 1
     fr, fi, dr, di = f_desc[0] << p, 0, 0, 0
     size, noise = abs(a) + abs(b), 0
     for c in f_desc[1:]:
@@ -291,6 +394,11 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
     Q_i = lead^2 * prod_{j != i} |X_i - X_j|^2, the radius is
     d * |f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| = 2^-w * d * sqrt(|F_i|^2 / Q_i),
     held as an integer R_i in units of 2^-(w + GUARD_BITS), rounded up.
+    When the midpoints are exactly conjugate-symmetric (`_mirror_pairs`),
+    F_i and Q_i are computed for the real and upper ones alone, and each
+    mirror takes the radius of its upper midpoint: F(conj x) = conj F(x) for
+    integer f, and conjugation maps the gaps from conj x_i to the gaps from
+    x_i, so both are exact. On the axis F_i takes real Horner.
     """
     d = f.degree
     g = GUARD_BITS
@@ -300,23 +408,33 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
     for i, (a, b) in enumerate(zs):
         for j in range(i + 1, d):
             gaps[i][j] = gaps[j][i] = (a - zs[j][0]) ** 2 + (b - zs[j][1]) ** 2
-    radii = []
-    for i, (a, b) in enumerate(zs):
+    radii = [0] * d
+    for i, mirror in _mirror_pairs(zs):
+        a, b = zs[i]
         q = lead * lead
         for j in range(d):
             if j != i:
                 q *= gaps[i][j]
         if q == 0:
             return None
-        fr, fi = lead, 0
-        for c in scaled:
-            fr, fi = fr * a - fi * b + c, fr * b + fi * a
-        t = -((-(d * d * (fr * fr + fi * fi)) << (2 * g)) // q)
+        if b:
+            fr, fi = lead, 0
+            for c in scaled:
+                fr, fi = fr * a - fi * b + c, fr * b + fi * a
+            t = d * d * (fr * fr + fi * fi)
+        else:
+            fr = lead
+            for c in scaled:
+                fr = fr * a + c
+            t = d * d * fr * fr
+        t = -((-t << (2 * g)) // q)
         r = isqrt(t)
         r += r * r < t
         if r << prec > (isqrt(a * a + b * b) + (1 << w)) << g:
             return None
-        radii.append(r)
+        radii[i] = r
+        if mirror is not None:
+            radii[mirror] = r
     for i in range(d):
         for j in range(i + 1, d):
             if gaps[i][j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
@@ -327,21 +445,37 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
 def share_a_root(f_desc, g_desc) -> bool:
     """Whether two integer polynomials, given with their nonzero leading
     coefficients first, have a common complex root: whether gcd(f, g) over Z
-    has degree >= 1. Decided by a primitive pseudo-remainder sequence
-    (Collins, J. ACM 14(1), 1967) in O(d^2) integer operations: each
-    remainder is divided by the gcd of its coefficients, which keeps their
-    size polynomial in the degree where plain pseudo-remainders grow
-    exponentially. The sequence ends at a zero remainder, when the last
-    divisor is the gcd, or at a nonzero constant, when the gcd is 1."""
+    has degree >= 1, the last member of `_remainder_sequence`."""
+    for last in _remainder_sequence(f_desc, g_desc):
+        pass
+    return len(last) > 1
+
+
+def _remainder_sequence(f_desc, g_desc):
+    """Yields f, g and the members of their primitive pseudo-remainder
+    sequence (Collins, J. ACM 14(1), 1967), leading coefficient first, up to
+    the last nonzero one: gcd(f, g) over Z when it is not constant. It takes
+    O(d^2) integer operations: each remainder is divided by the positive gcd
+    of its coefficients, which keeps their size polynomial in the degree
+    where plain pseudo-remainders grow exponentially. prem(a, b) is
+    lead(b)^(delta + 1) times the remainder, so each member is negated
+    unless that power is negative: every member is then a positive multiple
+    of the member of Sturm's sequence f, g, -rem(f, g), ..., and for g = f'
+    the sign changes at -inf and +inf count the real roots of f."""
     a, b = _primitive(f_desc), _primitive(g_desc)
+    yield a
+    yield b
     while len(b) > 1:
         r = _pseudo_remainder(a, b)
         while r and not r[0]:
             del r[0]
         if not r:
-            return True
-        a, b = b, _primitive(r)
-    return False
+            return
+        g = math.gcd(*r)
+        if b[0] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        a, b = b, [c // g for c in r]
+        yield b
 
 
 def _pseudo_remainder(a, b):

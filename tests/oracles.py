@@ -6,7 +6,8 @@ tests compare against them; the package itself does not use them.
 `companion_matrix` and `matpow` give p_n as the trace of C(f)^n, the oracle
 for the power-sum engine. `polyroots_oracle` gives roots by mpmath's
 Durand-Kerner solver, the oracle for root isolation, for the threshold n0
-(`scanned_threshold`) and for powers below it (`nearest_power_oracle`).
+(`scanned_threshold`) and for powers below it (`nearest_power_oracle`);
+`real_roots_oracle` counts its real roots, the oracle for Sturm's count.
 `mid` and `rad` are exact mpmath views of a `Ball` or a `PolyRoot`, and
 `decimal_reference` is the correctly rounded decimal value of a center, the
 oracle for `Ball.digits`; `int_str_limit` runs a test under Python's int<->str
@@ -177,6 +178,14 @@ def polyroots_oracle(f: IntPoly, bits: int) -> tuple:
     since several tests ask for the same polynomial at 2000 bits."""
     with mp.workprec(bits):
         return tuple(mpmath.polyroots(list(reversed(f.coefficients)), maxsteps=400, extraprec=64))
+
+
+def real_roots_oracle(f: IntPoly, bits: int) -> int:
+    """How many roots of `polyroots_oracle(f, bits)` lie within
+    2^(-bits/2) (|z| + 1) of the real axis."""
+    with mp.workprec(bits):
+        cut = mpmath.mpf(2) ** (-(bits // 2))
+        return sum(abs(mpmath.im(z)) < cut * (abs(z) + 1) for z in polyroots_oracle(f, bits))
 
 
 def _exact(m: int, s: int):

@@ -1,5 +1,6 @@
 """Embeddings, certified roots, minimal polynomials, thresholds."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -37,6 +38,7 @@ from oracles import (
     mpf_to_fraction,
     polyroots_oracle,
     rad,
+    real_roots_oracle,
     scanned_threshold,
 )
 
@@ -528,6 +530,72 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
             assert radius**2 * denom >= d * d * (fr * fr + fi * fi)
 
 
+# (x^2 - 2^62 x + 2^122 + 1)(x - 3): the pair 2^61 +- i lies closer to the
+# real axis than a float near 2^61 can resolve.
+NEAR_REAL_PAIR = IntPoly((-3 * (2**122 + 1), 2**122 + 1 + 3 * 2**62, -(2**62) - 3, 1))
+# The minimal polynomials `find` prints for conductors 29 and 41 at epsilon 1:
+# totally real fields, so every root is real.
+FOUND_29 = IntPoly((-1, -141, -981, 17734, 157800, -392426, -5037363, 3893370, 67560168,
+                    -38065009, -405157639, 317628310, 780260274, -738227558, 1))
+FOUND_41 = IntPoly((-1, -199, -13133, -332134, 600146, 196167639, 3220443147, -7533767142,
+                    -709695523798, -6007361752491, 14460990249037, 433223988187430,
+                    1424012323943871, -7013928724661928, -49104113328531411,
+                    -23067676961968073, 386075276590979628, 605611133437254980,
+                    -881370781145599815, -1815247828808565607, 1))
+COUNTED = {
+    **KNACCI,
+    "Mignotte": MIGNOTTE,
+    "wide": WIDE,
+    "x^4+1": IntPoly((1, 0, 0, 0, 1)),
+    "found-29": FOUND_29,
+    "found-41": FOUND_41,
+    "near-real-pair": NEAR_REAL_PAIR,
+    "quartic": QUARTIC,
+    **dict(itertools.islice(RANDOM_PISOT.items(), 10)),
+}
+
+
+@pytest.mark.parametrize("f", COUNTED.values(), ids=COUNTED)
+def test_the_remainder_sequence_counts_the_real_roots(f):
+    assert isolation._real_root_count(list(reversed(f.coefficients))) == real_roots_oracle(f, 2000)
+
+
+def _assert_mirrored(f, roots):
+    """The layout is exactly conjugate-symmetric: the disks off the axis,
+    (re, im, radius), are the same multiset as their mirrors (re, -im,
+    radius), and the disks on it, im = 0, are the real ones, as many as the
+    remainder sequence counts."""
+    off = [(r.re, r.im, r.radius, r.scale) for r in roots if r.im]
+    assert collections.Counter(off) == collections.Counter((a, -b, r, s) for a, b, r, s in off)
+    assert all(r.is_real == (r.im == 0) for r in roots)
+    assert len(roots) - len(off) == isolation._real_root_count(list(reversed(f.coefficients)))
+
+
+@pytest.mark.parametrize("f", COUNTED.values(), ids=COUNTED)
+def test_every_layout_is_conjugate_symmetric(f):
+    for _, roots in itertools.islice(root_layouts(f, 64), 2):
+        _assert_mirrored(f, roots)
+
+
+@pytest.mark.parametrize("f", [*KNACCI.values(), QUARTIC], ids=[*KNACCI, "quartic"])
+def test_mirrored_float_starts_certify_each_layout_in_one_round(monkeypatch, f):
+    # Newton steps from mirrored float starts, and from the last layout's
+    # midpoints, keep each lower midpoint the mirror of its upper one, so
+    # no pair collapses and no round has to be repeated.
+    rounds = []
+    certify = isolation._certified_roots
+    monkeypatch.setattr(isolation, "_certified_roots",
+                        lambda f, zs, w, prec: rounds.append(w) or certify(f, zs, w, prec))
+    list(itertools.islice(root_layouts(f, 128), 2))
+    assert rounds == [work_bits(128), work_bits(256)]
+
+
+@pytest.mark.parametrize("f", [NEAR_REAL_PAIR, FOUND_29, FOUND_41],
+                         ids=["near-real-pair", "found-29", "found-41"])
+def test_mirrored_disks_hold_the_oracle_roots(f):
+    _assert_isolated(f, next(root_layouts(f, 64))[1], 2000)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 255, 1000])
 def test_fixed_power_error_bound_holds(n):
     # (u + vi)/2^s is within e/2^s of z^n, checked against the exact
@@ -611,17 +679,16 @@ def test_the_cap_message_names_the_last_certified_layout(monkeypatch):
                          ids=["golden", "plastic", "quartic"])
 def test_the_ladder_to_the_cap_decides_squarefreeness_once(monkeypatch, f, tests):
     # With every verdict forced to "ambiguous", analyze_minpoly climbs every
-    # layout up to the cap, yet gcd(f, f') runs once, and at d >= 3
-    # gcd(f, x^d f(1/x)) once more.
+    # layout up to the cap, yet the remainder sequence of f and f' runs
+    # once, and at d >= 3 that of f and x^d f(1/x) once more.
     calls = []
-    share = isolation.share_a_root
+    sequence = isolation._remainder_sequence
 
     def counted(f_desc, g_desc):
         calls.append(len(f_desc))
-        return share(f_desc, g_desc)
+        return sequence(f_desc, g_desc)
 
-    monkeypatch.setattr(isolation, "share_a_root", counted)
-    monkeypatch.setattr(algebraic, "share_a_root", counted)
+    monkeypatch.setattr(isolation, "_remainder_sequence", counted)
     monkeypatch.setattr(algebraic, "_certify_pisot_roots", lambda roots: "ambiguous")
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         analyze_minpoly(f)

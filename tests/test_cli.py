@@ -754,15 +754,27 @@ THRESHOLD_PINS = {
     "plastic": ("x^3 - x - 1", 10, "0.86883696183270930181"),
     "quartic": ("x^4 - 4899x^3 - 229x^2 + 21x + 1", 1, "0.065726438484347730112"),
     "x^2-3x+1": ("x^2 - 3x + 1", 1, "0.3819660112501051518"),
+    # The benchmark's other searched minpolys (its slow-decay cubics and
+    # quartics are the 3- and 4-nacci and the plastic polynomial above) and
+    # its degree-12 polynomial, as printed while root isolation still
+    # refined and certified both members of each conjugate pair.
+    "x^2-4x-1": ("x^2 - 4x - 1", 1, "0.23606797749978969641"),
+    "x^2-11x-1": ("x^2 - 11x - 1", 1, "0.090169943749474241023"),
+    "x^3-20x^2": ("x^3 - 20x^2 - 9x - 1", 1, "0.22952120737367602805"),
+    "x^3-83x^2": ("x^3 - 83x^2 + 19x - 1", 1, "0.14748898226795085164"),
+    "x^3-418x^2": ("x^3 - 418x^2 + 41x - 1", 1, "0.05267998463426999511"),
+    "x^4-633x^3": ("x^4 - 633x^3 + 14x^2 + 18x + 1", 2, "0.20184139533361323059"),
+    "x^4-23434x^3": ("x^4 - 23434x^3 - 754x^2 + 31x + 1", 1, "0.036393113866509420216"),
+    "degree-12": ("x^12 - 21x^11 + 2x^10 - 2x^9 - x^8 + 2x^7 + 2x^6 - 2x^4 - 2x^3 + 2x^2 + 2x + 2",
+                  38, "0.92115585289692542615"),
 }
 
 
 @pytest.mark.parametrize("expr,n0,modulus", THRESHOLD_PINS.values(), ids=THRESHOLD_PINS)
 def test_threshold_json_is_pinned(capsys, expr, n0, modulus):
     code, out, _ = invoke(capsys, "threshold", "--minpoly", expr, "--json")
-    obj = json.loads(out)
     assert code == 0
-    assert (obj["threshold_n0"], obj["second_modulus"]) == (n0, modulus)
+    assert json.loads(out) == {"minpoly": expr, "threshold_n0": n0, "second_modulus": modulus}
 
 
 @pytest.mark.parametrize("expr", ["x^3-100000x^2-99999", "x^3-1000000x^2-999999"])

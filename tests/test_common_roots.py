@@ -11,7 +11,7 @@ from pisot import roots as isolation
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.roots import root_layouts, share_a_root
 
-from oracles import sylvester_resultant
+from oracles import real_roots_oracle, sylvester_resultant
 
 
 def _mul(a, b):
@@ -35,7 +35,8 @@ def _poly(rng, degree, size=9, lead_size=None):
 
 def _pairs():
     rng = random.Random(13)
-    pairs = {"random": [], "square": [], "reciprocal": [], "planted": [], "huge": [], "small": []}
+    pairs = {"random": [], "square": [], "reciprocal": [], "planted": [], "huge": [], "small": [],
+             "sparse": []}
     for _ in range(100):
         pairs["random"].append((_poly(rng, rng.randint(1, 8), 3), _poly(rng, rng.randint(0, 8), 3)))
     for _ in range(40):
@@ -67,6 +68,14 @@ def _pairs():
     for _ in range(30):
         c = rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(0, 400))
         pairs["small"].append((_poly(rng, 1, 10**rng.randint(0, 400)), [c]))
+    for _ in range(60):
+        # Mostly zero coefficients: the remainder sequence of f and f' drops
+        # more than one degree at some steps, where an odd power of a
+        # negative leading coefficient decides a member's sign.
+        degree = rng.randint(3, 7)
+        f = [rng.choice([-1, 1])] + [rng.choice([0, 0, 0, -1, 1, -2, 2]) for _ in range(degree)]
+        f[-1] = f[-1] or 1
+        pairs["sparse"].append((f, _derivative(f)))
     return pairs
 
 
@@ -84,6 +93,20 @@ def test_share_a_root_agrees_with_the_sylvester_resultant(family):
 @pytest.mark.parametrize("family", ["square", "planted"])
 def test_planted_common_factors_are_found(family):
     assert all(share_a_root(f, g) for f, g in PAIRS[family])
+
+
+@pytest.mark.parametrize("family", PAIRS)
+def test_the_remainder_sequence_counts_the_oracle_real_roots(family):
+    # Sturm's count from the signed primitive remainder sequence of f and
+    # f', against the oracle; None exactly when f has a repeated root.
+    polys = [p for pair in PAIRS[family] for p in pair if len(p) > 1]
+    for f_desc in polys:
+        count = isolation._real_root_count(f_desc)
+        if share_a_root(f_desc, _derivative(f_desc)):
+            assert count is None, f_desc
+            continue
+        bits = 1000 + 2 * max(abs(c) for c in f_desc).bit_length()
+        assert count == real_roots_oracle(IntPoly(tuple(reversed(f_desc))), bits), f_desc
 
 
 # Decided exactly, so no float or fixed-point solver may run.
