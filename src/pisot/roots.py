@@ -226,7 +226,7 @@ def _float_starts(f_desc):
                 done[i] = True
                 continue
             try:
-                repel = sum([1 / (z - u) for u in zs[:i]] + [1 / (z - u) for u in zs[i + 1:]])
+                repel = sum(1 / (z - zs[j]) for j in range(d) if j != i)
                 step = fz / (dfz - fz * repel)
             except ZeroDivisionError:
                 # z meets another approximation, or the correction's
@@ -398,7 +398,7 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
     F_i and Q_i are computed for the real and upper ones alone, and each
     mirror takes the radius of its upper midpoint: F(conj x) = conj F(x) for
     integer f, and conjugation maps the gaps from conj x_i to the gaps from
-    x_i, so both are exact. On the axis F_i takes real Horner.
+    x_i, so both are exact.
     """
     d = f.degree
     g = GUARD_BITS
@@ -417,17 +417,10 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
                 q *= gaps[i][j]
         if q == 0:
             return None
-        if b:
-            fr, fi = lead, 0
-            for c in scaled:
-                fr, fi = fr * a - fi * b + c, fr * b + fi * a
-            t = d * d * (fr * fr + fi * fi)
-        else:
-            fr = lead
-            for c in scaled:
-                fr = fr * a + c
-            t = d * d * fr * fr
-        t = -((-t << (2 * g)) // q)
+        fr, fi = lead, 0
+        for c in scaled:
+            fr, fi = fr * a - fi * b + c, fr * b + fi * a
+        t = -((-(d * d * (fr * fr + fi * fi)) << (2 * g)) // q)
         r = isqrt(t)
         r += r * r < t
         if r << prec > (isqrt(a * a + b * b) + (1 << w)) << g:

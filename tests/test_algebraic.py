@@ -500,34 +500,65 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
     _assert_isolated(WIDE, roots, 2000)
 
 
-def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
-    # The midpoints and radii that reach the classification, checked in
-    # exact rationals: radius^2 >= d^2 |f(x_i)|^2 / |lead prod (x_i - x_j)|^2.
+def _recorded_classifications(monkeypatch):
+    # The midpoints and radii that reach the classification, in call order.
     seen = []
     classify = isolation._classify_roots
 
     def recorded(zs, radii, w):
-        seen.append((zs, radii, w))
+        seen.append((list(zs), radii, w))
         return classify(zs, radii, w)
 
     monkeypatch.setattr(isolation, "_classify_roots", recorded)
+    return seen
+
+
+def _assert_radii_cover_the_weierstrass_bound(f, zs, radii, w):
+    # In exact rationals: radius^2 >= d^2 |f(x_i)|^2 / |lead prod (x_i - x_j)|^2.
+    xs = [(Fraction(a, 2**w), Fraction(b, 2**w)) for a, b in zs]
+    d, lead = f.degree, f.coefficients[-1]
+    for i, (a, b) in enumerate(xs):
+        fr, fi = Fraction(lead), Fraction(0)
+        for c in reversed(f.coefficients[:-1]):
+            fr, fi = fr * a - fi * b + c, fr * b + fi * a
+        denom = Fraction(lead * lead)
+        for j, (u, v) in enumerate(xs):
+            if j != i:
+                denom *= (a - u) ** 2 + (b - v) ** 2
+        radius = Fraction(radii[i], 2 ** (w + GUARD_BITS))
+        assert radius**2 * denom >= d * d * (fr * fr + fi * fi)
+
+
+def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
+    seen = _recorded_classifications(monkeypatch)
     rng = random.Random(5)
     for f in [QUARTIC] + [pisot_shaped(rng.randint(2, 12), rng) for _ in range(10)]:
         seen.clear()
         next(root_layouts(f, 64))[1]
-        zs, radii, w = seen[-1]
-        xs = [(Fraction(a, 2**w), Fraction(b, 2**w)) for a, b in zs]
-        d, lead = f.degree, f.coefficients[-1]
-        for i, (a, b) in enumerate(xs):
-            fr, fi = Fraction(lead), Fraction(0)
-            for c in reversed(f.coefficients[:-1]):
-                fr, fi = fr * a - fi * b + c, fr * b + fi * a
-            denom = Fraction(lead * lead)
-            for j, (u, v) in enumerate(xs):
-                if j != i:
-                    denom *= (a - u) ** 2 + (b - v) ** 2
-            radius = Fraction(radii[i], 2 ** (w + GUARD_BITS))
-            assert radius**2 * denom >= d * d * (fr * fr + fi * fi)
+        _assert_radii_cover_the_weierstrass_bound(f, *seen[-1])
+
+
+@pytest.mark.parametrize("shift", [1, 1 << 12])
+def test_an_asymmetric_layout_gets_a_radius_per_midpoint(monkeypatch, shift):
+    # A certified layout with one lower midpoint moved off its upper one's
+    # mirror is no longer conjugate-symmetric, so no radius may be copied:
+    # each still covers the exact bound at its own midpoint.
+    seen = _recorded_classifications(monkeypatch)
+    rng = random.Random(6)
+    moved = 0
+    for f in [QUARTIC, PLASTIC] + [pisot_shaped(rng.randint(4, 12), rng) for _ in range(6)]:
+        seen.clear()
+        next(root_layouts(f, 64))[1]
+        zs, _, w = seen[-1]
+        lower = [j for j, (_, b) in enumerate(zs) if b < 0]
+        if not lower:
+            continue
+        moved += 1
+        zs[lower[0]] = (zs[lower[0]][0], zs[lower[0]][1] - shift)
+        seen.clear()
+        assert isolation._certified_roots(f, zs, w, 16) is not None
+        _assert_radii_cover_the_weierstrass_bound(f, *seen[-1])
+    assert moved >= 6
 
 
 # (x^2 - 2^62 x + 2^122 + 1)(x - 3): the pair 2^61 +- i lies closer to the
