@@ -418,7 +418,7 @@ def _decimal_entry(x: str) -> Decimal | None:
         d = Decimal(x)
     except InvalidOperation:
         d = None
-    if d is None or _STRAY_UNDERSCORE.search(x):
+    if d is None or "_" in x and _STRAY_UNDERSCORE.search(x):
         if "/" in x:
             return None
         raise errors.ParseError(f"bad decimal entry {x!r:.60}")

@@ -5,14 +5,21 @@ checks that basis in exact integers and, where the floats could not decide,
 runs the same loop on `decimal.Decimal` until the check passes. `lll_reduce`
 runs both; its results are exact and reproducible across platforms.
 Every reduction is at delta = 3/4, the quality that the search's scales
-were fitted on (`pisotsearch.gaussian_scale_P`).
+were fitted on (`pisotsearch.gaussian_scale_P`). The loop updates a
+Gram-Schmidt row in place after a size reduction, and keeps it while its
+r_kk agrees with the exact Gram matrix to a relative tolerance (2^-30 on
+floats, 10^-floor(prec/2) on Decimals); it skips the sweep of a column that
+a swap moved down, which is already size-reduced. A result holds the
+transform; its reduced basis is formed when a caller reads it.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import errors
 
@@ -62,8 +69,13 @@ class IntLattice:
 
 @dataclass(frozen=True)
 class LLLResult:
-    reduced: IntLattice
-    transform: tuple[tuple[int, ...], ...]  # columns of U; reduced = original * U
+    original: IntLattice
+    transform: tuple[tuple[int, ...], ...]  # columns of U
+
+    @cached_property
+    def reduced(self) -> IntLattice:
+        """original * U, formed on first read: the search reads only U."""
+        return IntLattice(_times(self.original.basis, self.transform))
 
 
 def lll_reduce(lat: IntLattice) -> LLLResult:
@@ -81,7 +93,7 @@ def float_reduce(lat: IntLattice) -> LLLResult:
     LLL-reduced. `finish_reduce` makes it so."""
     u = _identity(lat.k)
     _float_pass(u, _gram(lat.basis))
-    return LLLResult(IntLattice(_times(lat.basis, u)), tuple(map(tuple, u)))
+    return LLLResult(lat, tuple(map(tuple, u)))
 
 
 def finish_reduce(result: LLLResult) -> LLLResult:
@@ -90,9 +102,9 @@ def finish_reduce(result: LLLResult) -> LLLResult:
     result is LLL-reduced, checked in exact integers, and its transform
     still maps the original basis. Raises RankDeficient on a rank-deficient
     basis."""
-    b, u = result.reduced.basis, result.transform
-    g = _gram(b)
-    digits = _start_digits(len(b))
+    u = result.transform
+    g = _gram(result.reduced.basis)
+    digits = _start_digits(len(u))
     # Each Decimal pass starts from the latest basis. Once the precision
     # separates the finitely many quantities that exact LLL compares from
     # that basis, every decision is the exact one, so the pass ends
@@ -100,12 +112,12 @@ def finish_reduce(result: LLLResult) -> LLLResult:
     while not _is_reduced(g):
         ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN,
                               Emax=decimal.MAX_EMAX, traps=[decimal.FloatOperation])
-        v = _identity(len(b))
+        v = _identity(len(u))
         with decimal.localcontext(ctx):
             _float_pass(v, g, ctx)
-        b, u = _times(b, v), _times(u, v)
+        u = _times(u, v)
         digits *= 2
-    return LLLResult(IntLattice(b), tuple(map(tuple, u)))
+    return LLLResult(result.original, tuple(map(tuple, u)))
 
 
 def _start_digits(k: int) -> int:
@@ -145,10 +157,7 @@ def _is_reduced(g) -> bool:
 
 
 def _dot(u, v):
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
+    return sum(map(operator.mul, u, v))
 
 
 def _identity(k):
@@ -156,7 +165,11 @@ def _identity(k):
 
 
 def _gram(cols):
-    return [[_dot(x, y) for y in cols] for x in cols]
+    g = [[0] * len(cols) for _ in cols]
+    for i, x in enumerate(cols):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = _dot(x, cols[j])
+    return g
 
 
 def _times(a, v):
@@ -171,23 +184,39 @@ def _float_pass(u, g, ctx=None):
     Nguyen and Stehle's L^2 (SIAM J. Comput. 39(3), 2009).
 
     `g` is the exact Gram matrix of original * u, and the pass applies every
-    column operation to the columns `u` and to `g`; the caller forms the
-    basis original * u once, however the pass ends. r and mu are floats
+    column operation to the columns `u` and to `g`; a caller that needs the
+    basis forms original * u once, however the pass ends. r and mu are floats
     computed from the exact inner products, all shifted right by one common
     power of two so they fit a float; mu and the Lovasz test do not depend
     on that scale. Given a decimal context `ctx`, which must also be the
     current one, they are Decimals instead, each inner product rounded to
-    its precision, with no shift and no exponent range to leave. Only the
-    entries that a column operation made stale are recomputed. The
+    its precision, with no shift and no exponent range to leave. The
     decisions are exact LLL's: reduce when |mu| > 1/2, rounding half away
     from zero, and swap on strict failure of Lovasz with delta = 3/4.
     Column k is size-reduced against all earlier columns before its Lovasz
     test; that changes b_k only by multiples of b_0 ... b_{k-2}, which
-    leaves mu_{k,k-1}, r_kk and so every swap the same. A wrong decision
-    near a tie is possible, so the pass certifies nothing: `finish_reduce`
-    checks its result. The pass raises only on a float mixed into its
-    Decimals; on a column it cannot accept with r_kk > 0, a non-finite mu or
-    more swaps than exact LLL can make, it stops where it is.
+    leaves mu_{k,k-1}, r_kk and so every swap the same.
+
+    A row of r and mu is computed from g only where no cheaper rule holds:
+    - A sweep that reduces column k by x b_l updates mu_k in place, as
+      Schnorr and Euchner do: mu_kj -= x mu_lj for j < l, and mu_kl -= x.
+      After the sweep r_kj = mu_kj r_jj, and r_kk is recomputed from the
+      exact g_kk. Size reduction leaves b*_k, so r_kk, as it was: the row
+      stands when the new r_kk lies within a relative `tol` of the one the
+      sweep started from, 2^-30 on floats and 10^-floor(prec/2) on
+      Decimals. Otherwise cancellation has eaten the updated row, and it is
+      recomputed in full from g, as L^2 does after every sweep.
+    - After a swap at k >= 2, the column now at k - 1 was size-reduced
+      against b_0 ... b_{k-2}, which the swap left as they were. Only its
+      r_{k-1,k-1} is computed, and it goes to its Lovasz test unswept. (A
+      column whose sweeps stopped shrinking it may keep a |mu| > 1/2; the
+      pass leaves that to `finish_reduce`, as it does at that column.)
+
+    A wrong decision near a tie is possible, so the pass certifies nothing:
+    `finish_reduce` checks its result. The pass raises only on a float mixed
+    into its Decimals; on a column it cannot accept with r_kk > 0, a
+    non-finite mu or more swaps than exact LLL can make, it stops where it
+    is.
     """
     n = len(g)
     top = max(g[i][i] for i in range(n)).bit_length()
@@ -197,7 +226,7 @@ def _float_pass(u, g, ctx=None):
         def num(x):
             return float(x >> shift)
 
-        half, d, finite = 0.5, 0.75, math.isfinite
+        half, d, tol, finite = 0.5, 0.75, 2.0**-30, math.isfinite
     else:
         # Rounded from the leading bits alone: an exact Decimal of a long
         # int costs time quadratic in its length.
@@ -212,13 +241,12 @@ def _float_pass(u, g, ctx=None):
             return ctx.multiply(ctx.create_decimal(x >> s), powers[s])
 
         half, d = ctx.divide(1, 2), ctx.divide(3, 4)
+        tol = ctx.power(10, -(ctx.prec // 2))
         finite = decimal.Decimal.is_finite
     r = [[num(0)] * n for _ in range(n)]
     mu = [[num(0)] * n for _ in range(n)]
-    # fresh[k] leading entries of r[k] and mu[k] are current; a kept entry
-    # has the same inputs, in the same order, as its recomputation would, so
-    # every decision is the one a full recomputation makes. A swap at k
-    # leaves b*_0 ... b*_{k-2} as they were; r[k][k] is recomputed on every
+    # fresh[k] leading entries of r[k] and mu[k] are current. A swap at k
+    # leaves b*_0 ... b*_{k-2} as they were; r[k][k] is computed on every
     # visit. Rows after the current column k keep at most k entries, since
     # the pass came to k from k - 1 or by a swap at k + 1; so a size
     # reduction of column k, which changes only inner products with b_k,
@@ -248,9 +276,9 @@ def _float_pass(u, g, ctx=None):
         # Sweeps column k until no |mu| exceeds 1/2 or a sweep stops
         # shrinking it; False on a non-finite mu.
         gso_row(k)
-        uk, gk, muk = u[k], g[k], mu[k]
+        uk, gk, rk, muk = u[k], g[k], r[k], mu[k]
         while True:
-            norm, swept = gk[k], False
+            norm, rkk, swept = gk[k], rk[k], False
             for l in range(k - 1, -1, -1):
                 m = muk[l]
                 if abs(m) > half:
@@ -280,10 +308,17 @@ def _float_pass(u, g, ctx=None):
                     gk[k] = gkk
                     for j in range(l):
                         muk[j] -= x * mul[j]
+                    muk[l] = m - x
             if not swept:
                 return True
-            fresh[k] = 0
+            # The row updated in place stands if r_kk, which size reduction
+            # leaves as it was, comes out the same from the exact g_kk.
+            for j in range(k):
+                rk[j] = muk[j] * r[j][j]
             gso_row(k)
+            if not abs(rk[k] - rkk) <= tol * rkk:
+                fresh[k] = 0
+                gso_row(k)
             if gk[k] >= norm:
                 return True
 
@@ -301,9 +336,11 @@ def _float_pass(u, g, ctx=None):
         gso_row(0)
         if not r[0][0] > 0:
             return
-        k = 1
+        k, moved = 1, False
         while k < n:
-            if not size_reduce(k):
+            if moved:
+                gso_row(k)
+            elif not size_reduce(k):
                 return
             rkk, prev, m = r[k][k], r[k - 1][k - 1], mu[k][k - 1]
             # Cancellation can leave a tiny r_kk <= 0; then Lovasz fails
@@ -317,9 +354,12 @@ def _float_pass(u, g, ctx=None):
                     gso_row(0)
                     if not r[0][0] > 0:
                         return
+                # b_k, now at k - 1, was size-reduced against b_0 ... b_{k-2},
+                # which the swap left as they were: only its r_kk is new.
+                moved = k > 1
                 k = max(k - 1, 1)
             elif rkk > 0:
-                k += 1
+                k, moved = k + 1, False
             else:
                 return
     except OverflowError:

@@ -196,8 +196,8 @@ def verify_pisot(z, emb: EmbeddingMatrix, epsilon) -> PisotCandidate:
     moduli = []
     for i, v in enumerate(values[1:], start=1):
         m = Ball(abs(v), e, s)
-        excess = Fraction(abs(v) + e, 1 << s) - eps
-        if excess >= 0:
+        if not m.lt(eps):
+            excess = Fraction(abs(v) + e, 1 << s) - eps
             raise errors.NotPisot(
                 f"conjugate {i} has modulus ~{m.digits(8)}, "
                 f"exceeding epsilon={format_fraction(eps)} by "

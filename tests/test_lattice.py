@@ -206,6 +206,37 @@ class TestFloatPass:
         big = 1 << 2500
         assert_same_as_exact_kernel(IntLattice(((big, 3, 1), (5, big + 1, 2), (1, 1, 7))))
 
+    def test_a_size_reduced_row_is_updated_in_place(self):
+        # b_1 = 3 b_0 + (0, 1): the sweep subtracts 3 b_0, mu_10 goes from 3
+        # to 0 in place, and r_11 = 1 stands, so of the new Gram row only
+        # g_11 is read. The Decimal pass reads each Gram entry through
+        # ctx.create_decimal, after one zero per row of r and of mu.
+        reads = []
+
+        class Counting(decimal.Context):
+            def create_decimal(self, x=0):
+                reads.append(x)
+                return super().create_decimal(x)
+
+        ctx = Counting(prec=20, traps=[decimal.FloatOperation])
+        u = identity(2)
+        with decimal.localcontext(ctx):
+            _float_pass(u, _gram(((1, 0), (3, 1))), ctx)
+        assert u == [[1, 0], [-3, 1]]
+        assert reads == [0] * 4 + [1, 3, 10, 1]
+
+    def test_a_six_digit_decimal_pass_takes_exact_decisions(self):
+        # Far below finish_reduce's k + 16 = 36 digits, the Decimal pass
+        # still makes exact LLL's decisions on conductor 41's lattice
+        # (k = 20): where cancellation has eaten a row updated in place, its
+        # r_kk is off by more than 10^-3 and the row is recomputed.
+        lat = scaled_search_lattice(41, practical_scale_P)
+        ctx = decimal.Context(prec=6, traps=[decimal.FloatOperation])
+        u = identity(lat.k)
+        with decimal.localcontext(ctx):
+            _float_pass(u, _gram(lat.basis), ctx)
+        assert tuple(map(tuple, u)) == exact_kernel_alone(lat, Fraction(3, 4))[1]
+
     def test_rank_deficient_large_rejected(self):
         rng = random.Random(5)
         cols = [tuple(rng.randint(-(1 << 100), 1 << 100) for _ in range(6)) for _ in range(5)]
@@ -304,10 +335,13 @@ def assert_same_as_float_pass_oracle(lat: IntLattice):
 
 
 class TestFloatPassOracle:
-    """_float_pass recomputes only the Gram-Schmidt entries a column
-    operation made stale, and its callers form b from u once. It must return
-    the very u of the oracle, and that b, where the oracle recomputes every
-    row and updates b with every column operation."""
+    """_float_pass updates a Gram-Schmidt row in place after a size
+    reduction while its r_kk agrees with the exact Gram matrix, sends a
+    column that a swap moved down to its Lovasz test unswept, and leaves b
+    to its callers, who form it from u. It must return the very u of the
+    oracle, and that b, where the oracle recomputes the whole row after
+    every sweep, sweeps every column it visits and updates b with every
+    column operation."""
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("k", range(2, 13))
@@ -316,9 +350,11 @@ class TestFloatPassOracle:
             assert_same_as_float_pass_oracle(lat)
 
     @pytest.mark.parametrize("scale", [practical_scale_P, compute_scale_P])
-    @pytest.mark.parametrize("conductor", [15, 17, 29, 41, 61])
+    @pytest.mark.parametrize("conductor", [15, 17, 29, 41, 61, 71])
     def test_scaled_search_lattices(self, conductor, scale):
-        # Conductor 17 at compute_scale_P drives the float r_kk to <= 0.
+        # Conductor 17 at compute_scale_P drives the float r_kk to <= 0. At
+        # 61 a row kept in place without the r_kk check, and at 71 (k = 35)
+        # one kept within a relative tolerance of 1, lead to other decisions.
         assert_same_as_float_pass_oracle(scaled_search_lattice(conductor, scale))
 
     @pytest.mark.parametrize("seed", range(3))

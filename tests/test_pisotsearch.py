@@ -594,6 +594,60 @@ class TestFindPisot:
         assert not built
 
 
+# The first 12 hex digits of the sha256 of each answer's coefficients, in
+# conductor order, recorded while the float pass still recomputed every
+# Gram-Schmidt row that a size reduction touched.
+SWEEP_CONDUCTORS = tuple(n for n in range(5, 62) if n % 4 != 2)
+SWEEP_DIGESTS = {
+    Fraction(1): (
+        "c381e5db8b5e 55cae35e8705 03ebfc2d40db 26849e91685d e56c1b138d9f d19b84a729d7 "
+        "54527ddbd78d 43f7380b64fa 3d59ed9214f5 c0d0eb7a659f 9e08e438f5cf 11782c2a0a52 "
+        "79e3651a287f 687c68f6b3b3 b2f919e87a37 60d37fd546c1 c91311ac7909 b7c7bbca6316 "
+        "355cea7e5ed1 174b698a7f7a 49b76e198e94 56b04145e457 c8893a61d980 12c276e34ac5 "
+        "b2ede7f9a597 5d0a82acdb6d 73d3cdb8574f 2601c25f06e9 67e85f4404d3 772f1f4c44db "
+        "2943c356af87 816418ab5920 59376993b94c 19161a4ef599 ff5e30d12c53 489c1c8b6aaf "
+        "5655c82a1535 e1686c3d06f8 30fa5837e448 94816ec5a29c f0dd916f62da 2fed12149ae1 "
+        "93f950c527e9"
+    ),
+    Fraction(1, 2): (
+        "af2ce27506ca 43593aea633e ed0b3c234edd a591ea78042d 27325e30028b d19b84a729d7 "
+        "7c8762b6d090 0f2cd5f184a7 536027d39167 a2e64bec00ed c91bb1629490 d9fc1694429b "
+        "09fd309003a3 acedcdac798f a6f519faef12 c97591d29065 73f8b373c0e5 bf598cbbefa3 "
+        "4c23acadc710 f0ec1d93dd22 49a95d8affd3 87b2cbc3da5c db1d67fe7779 8bfd9031add6 "
+        "9753296ba82e 7bdbf528b34f 783b0d92c75a dddf8295af7b 55b1606fd512 ebb2dfc948cb "
+        "13cc16f1ab9c e069cddebb04 1bee43738f56 12e6fd861021 c8e0fae8346b 1d57543de778 "
+        "493ddedf0091 4cc03818d678 9dd308add968 1591e3e2299b bfdee4c61b0b 88b8b8621919 "
+        "fbc8f37dfa93"
+    ),
+    Fraction(1, 4): (
+        "1c949469ea08 4a79ba69330b ed0b3c234edd 98647de2be77 057c72e85ece e083bf6e504b "
+        "66b26c7ef6f3 a1bc53f6f7ec 2abbb91fd9cd 95868da18406 791ca3a25444 fe35dbbfdc76 "
+        "a6e759650061 d3bc52c89c13 486e0d042868 4ff0b3fde4c2 727e28aa770d 9abedef87874 "
+        "f0f821c39313 0117a1403840 45534522f4cb 6fc227b2226b a343549eb545 ff5ef44d1484 "
+        "72cf417ce9e9 e7d986ed7faf 7ae0f0c5daf7 b514d2a42039 bf8aa9d2529f 7a078808d423 "
+        "9f414beeca91 a4a66e368770 869fb0f8eba5 12574bfcdf44 aa83124e00ac 1e189aac21e7 "
+        "cf53197d7a73 3f6a8648b2dc d49919f4db81 a12b2856f0b6 a4377596cce2 8021785ffdc1 "
+        "f3fd07e4e05e"
+    ),
+}
+
+
+class TestSweepAnswers:
+    """The search's answers on the 129 inputs of conductors 5-61 with
+    n != 2 mod 4 at epsilon 1, 1/2 and 1/4, the inputs on which the
+    Gaussian rung was fitted. The float pass decides which candidate is
+    certified first, so a change to its arithmetic that changes one of its
+    decisions can change an answer here."""
+
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    def test_answers_are_pinned(self, eps):
+        found = {}
+        for n in SWEEP_CONDUCTORS:
+            z = find_pisot(FieldSpec(kind="cyclotomic", conductor=n), eps).coefficients
+            found[n] = hashlib.sha256(",".join(map(str, z)).encode()).hexdigest()[:12]
+        assert found == dict(zip(SWEEP_CONDUCTORS, SWEEP_DIGESTS[eps].split()))
+
+
 def disable_gaussian_rung(monkeypatch):
     monkeypatch.setattr(pisotsearch, "GAUSSIAN_MIN_DEGREE", MAX_SEARCH_DEGREE + 1)
 
