@@ -3,93 +3,226 @@
 A program is a list of instructions; instruction 0 is ONE and every later
 instruction is ADD/SUB/MUL of two earlier results. The program length
 (ONE excluded) upper-bounds the tau-complexity of the value it computes.
-An `SLP` is checked once, when it is built, so every program is valid.
+An `SLP` holds its instructions in three flat columns, one opcode byte and
+two `array('q')` operand indices each: 17 bytes an instruction, where a
+tuple of three took about 130. The builder, the parser, the formatter and
+the evaluator read and write the columns directly. An `SLP` is checked
+once, when it is built, by C-level scans over the columns, so every
+program is valid.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from array import array
+from collections.abc import Sequence
+from itertools import chain, islice
 
 from . import errors
 from .algebraic import MinPolyInfo
 from .powtrace import nearest_power, power_sum
 
 ONE = ("one",)
-_OPCODES = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_BINARY_OPS = tuple(_OPCODES)
+# The opcode byte of an instruction indexes these. ONE's operands are 0 and 0.
+_NAMES = ("one", "add", "sub", "mul")
+_FUNCS = (None, operator.add, operator.sub, operator.mul)
+_BINARY_OPS = _NAMES[1:]
+_ADD, _SUB, _MUL = 1, 2, 3
+_CODES = {"add": _ADD, "sub": _SUB, "mul": _MUL}
+_BINARY_CODES = bytes((_ADD, _SUB, _MUL))
 
 
-@dataclass(frozen=True)
+def _unsigned(column: array) -> memoryview:
+    """The column read as uint64, where a negative operand is above every
+    index."""
+    return memoryview(column).cast("B").cast("Q")
+
+
+def _operand_fault(left: array, right: array, stop: int) -> int | None:
+    """The first instruction i in [1, stop) with an operand outside [0, i),
+    or None: one C-level pass over each column decides, and a loop only
+    locates a fault."""
+    with _unsigned(left) as a, _unsigned(right) as b:
+        indices = range(1, stop)
+        if all(map(operator.lt, a[1:stop], indices)) and all(map(operator.lt, b[1:stop], indices)):
+            return None
+        return next(i for i in indices if not (a[i] < i and b[i] < i))
+
+
+def _non_earlier(i: int) -> str:
+    return f"instruction {i} references a non-earlier index"
+
+
 class SLP:
-    """A program and its result's index; construction raises
-    MalformedProgram unless `validate` passes."""
+    """A program and its result's index. `SLP(instructions, result_index)`
+    takes the instructions as tuples, ONE and then (op, a, b), and
+    `instructions` gives them back; the program itself is the columns
+    `opcodes` (bytes), `left` and `right` (`array('q')`). Construction
+    raises MalformedProgram unless `validate` passes."""
 
-    instructions: tuple[tuple, ...]
-    result_index: int
+    __slots__ = ("opcodes", "left", "right", "result_index")
 
-    def __post_init__(self):
+    def __init__(self, instructions, result_index: int):
+        opcodes, left, right = bytearray(), array("q"), array("q")
+        fault = None
+        for i, ins in enumerate(instructions):
+            if i == 0:
+                if ins != ONE:
+                    raise errors.MalformedProgram("instruction 0 must be ONE")
+                code, a, b = 0, 0, 0
+            elif len(ins) != 3 or ins[0] not in _BINARY_OPS:
+                fault = f"bad instruction at index {i}: {ins!r}"
+                break
+            else:
+                code, a, b = _CODES[ins[0]], ins[1], ins[2]
+            try:
+                left.append(a)
+                right.append(b)
+            except OverflowError:  # outside int64, so outside [0, i)
+                fault = _non_earlier(i)
+                break
+            opcodes.append(code)
+        if fault is not None:
+            # A fault in an earlier instruction comes first.
+            i = _operand_fault(left, right, len(opcodes))
+            raise errors.MalformedProgram(fault if i is None else _non_earlier(i))
+        self._adopt(bytes(opcodes), left, right, result_index)
+
+    @classmethod
+    def _from_columns(cls, opcodes: bytes, left: array, right: array, result_index: int) -> SLP:
+        p = cls.__new__(cls)
+        p._adopt(opcodes, left, right, result_index)
+        return p
+
+    def _adopt(self, opcodes, left, right, result_index):
+        self.opcodes, self.left, self.right = opcodes, left, right
+        self.result_index = result_index
         self.validate()
 
     def validate(self):
-        if not self.instructions or self.instructions[0] != ONE:
+        """Raise MalformedProgram for the first check the program fails:
+        instruction 0 is ONE, every later opcode is add, sub or mul, every
+        operand indexes an earlier instruction, and the result index names
+        an instruction."""
+        opcodes, n = self.opcodes, len(self.opcodes)
+        if not n or opcodes[0] or self.left[0] or self.right[0]:
             raise errors.MalformedProgram("instruction 0 must be ONE")
-        for i, ins in enumerate(self.instructions[1:], start=1):
-            if len(ins) != 3 or ins[0] not in _BINARY_OPS:
-                raise errors.MalformedProgram(f"bad instruction at index {i}: {ins!r}")
-            _, a, b = ins
-            if not (0 <= a < i and 0 <= b < i):
-                raise errors.MalformedProgram(
-                    f"instruction {i} references a non-earlier index"
-                )
-        if not 0 <= self.result_index < len(self.instructions):
+        if opcodes.translate(None, _BINARY_CODES) != b"\0":
+            i = next(i for i in range(1, n) if opcodes[i] not in _BINARY_CODES)
+            raise errors.MalformedProgram(f"bad instruction at index {i}: opcode {opcodes[i]}")
+        i = _operand_fault(self.left, self.right, n)
+        if i is not None:
+            raise errors.MalformedProgram(_non_earlier(i))
+        if not 0 <= self.result_index < n:
             raise errors.MalformedProgram("result index out of range")
+
+    @property
+    def instructions(self) -> _Instructions:
+        return _Instructions(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, SLP):
+            return NotImplemented
+        return (self.result_index, self.opcodes, self.left, self.right) == (
+            other.result_index, other.opcodes, other.left, other.right
+        )
+
+    def __hash__(self):
+        return hash((self.result_index, self.opcodes))
+
+    def __repr__(self):
+        return f"SLP(<{len(self.opcodes)} instructions>, result_index={self.result_index!r})"
+
+
+class _Instructions(Sequence):
+    """An SLP's instructions as tuples, made from its columns when read."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: SLP):
+        self._p = p
+
+    def __len__(self):
+        return len(self._p.opcodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        p = self._p
+        code = p.opcodes[i]
+        return ONE if not code else (_NAMES[code], p.left[i], p.right[i])
+
+    def __iter__(self):
+        p = self._p
+        for code, a, b in zip(p.opcodes, p.left, p.right):
+            yield ONE if not code else (_NAMES[code], a, b)
 
 
 def slp_length(p: SLP) -> int:
     """Number of ring operations, i.e. instructions excluding the initial ONE."""
-    return len(p.instructions) - 1
+    return len(p.opcodes) - 1
 
 
 class _Builder:
-    """Appends instructions, caching integer constants built from 1."""
+    """Appends instructions to the columns, caching integer constants built
+    from 1."""
 
     def __init__(self):
-        self.instructions = [ONE]
+        self.opcodes = bytearray(1)  # ONE
+        self.left = array("q", [0])
+        self.right = array("q", [0])
         self._consts = {1: 0}
 
-    def emit(self, op, a, b) -> int:
-        self.instructions.append((op, a, b))
-        return len(self.instructions) - 1
+    def emit(self, code: int, a: int, b: int) -> int:
+        self.opcodes.append(code)
+        self.left.append(a)
+        self.right.append(b)
+        return len(self.opcodes) - 1
 
     def const(self, c: int) -> int:
         c = int(c)
         if c in self._consts:
             return self._consts[c]
         if c == 0:
-            idx = self.emit("sub", 0, 0)
+            idx = self.emit(_SUB, 0, 0)
         elif c > 0:
             # left-to-right binary: double, then add one on set bits
             idx = 0
             for bit in bin(c)[3:]:
-                idx = self.emit("add", idx, idx)
+                idx = self.emit(_ADD, idx, idx)
                 if bit == "1":
-                    idx = self.emit("add", idx, 0)
+                    idx = self.emit(_ADD, idx, 0)
         else:
             zero = self.const(0)
-            idx = self.emit("sub", zero, self.const(-c))
+            idx = self.emit(_SUB, zero, self.const(-c))
         self._consts[c] = idx
         return idx
 
     def finish(self, result_index: int) -> SLP:
-        return SLP(tuple(self.instructions), result_index)
+        return SLP._from_columns(bytes(self.opcodes), self.left, self.right, result_index)
 
 
 def slp_for_constant(c: int) -> SLP:
     """Program of length at most 2*floor(log2 max(|c|, 2)) + 2 computing c."""
     b = _Builder()
     return b.finish(b.const(c))
+
+
+def _ring_op(code: int):
+    """The operator of a _Ref that emits `code` on it and another _Ref, or an
+    integer constant."""
+
+    def op(self, other):
+        b = self.builder
+        j = other.index if isinstance(other, _Ref) else b.const(other)
+        # `_Builder.emit`, inlined: this runs once an instruction.
+        b.opcodes.append(code)
+        b.left.append(self.index)
+        b.right.append(j)
+        return _Ref(b, len(b.opcodes) - 1)
+
+    return op
 
 
 class _Ref:
@@ -102,19 +235,9 @@ class _Ref:
         self.builder = builder
         self.index = index
 
-    def _op(self, op, other):
-        b = self.builder
-        j = other.index if isinstance(other, _Ref) else b.const(other)
-        return _Ref(b, b.emit(op, self.index, j))
-
-    def __add__(self, other):
-        return self._op("add", other)
-
-    def __sub__(self, other):
-        return self._op("sub", other)
-
-    def __mul__(self, other):
-        return self._op("mul", other)
+    __add__ = _ring_op(_ADD)
+    __sub__ = _ring_op(_SUB)
+    __mul__ = _ring_op(_MUL)
 
 
 def emit_power_slp(info: MinPolyInfo, n: int) -> SLP:
@@ -141,42 +264,51 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     valid, as every `SLP` is from construction."""
     if modulus is not None and modulus < 2:
         raise errors.BadModulus(f"modulus must be >= 2, got {modulus}")
-    ops = _OPCODES
-    if modulus is None:
-        instructions = p.instructions
-        # dead[i]: the values that instruction i uses last, and i itself if
-        # nothing uses it, from one backward pass over the operands.
-        used = [False] * len(instructions)
-        used[p.result_index] = True
-        dead = [()] * len(instructions)
-        for i in range(len(instructions) - 1, 0, -1):
-            _, a, b = instructions[i]
-            last = [] if used[i] else [i]
-            for v in (a, b):
-                if not used[v]:
-                    used[v] = True
-                    last.append(v)
-            dead[i] = last
-        values = [lift(1)] + [None] * (len(instructions) - 1)
-        for i in range(1, len(instructions)):
-            op, a, b = instructions[i]
-            values[i] = ops[op](values[a], values[b])
-            for v in dead[i]:
-                values[v] = None
-    else:
+    funcs, n = _FUNCS, len(p.opcodes)
+    steps = zip(islice(p.opcodes, 1, None), islice(p.left, 1, None), islice(p.right, 1, None))
+    if modulus is not None:
         values = [1 % modulus]
-        for op, a, b in p.instructions[1:]:
-            values.append(ops[op](values[a], values[b]) % modulus)
+        append = values.append
+        for code, a, b in steps:
+            append(funcs[code](values[a], values[b]) % modulus)
+        return values[p.result_index]
+    # last[v]: the instruction that uses v last, from one pass over the
+    # operands; v itself if none does, and n for the result, which stays.
+    last = array("q", range(n))
+    for i, a, b in zip(range(1, n), islice(p.left, 1, None), islice(p.right, 1, None)):
+        last[a] = last[b] = i
+    last[p.result_index] = n
+    values = [lift(1)] + [None] * (n - 1)
+    for i, (code, a, b) in enumerate(steps, 1):
+        values[i] = funcs[code](values[a], values[b])
+        if last[a] == i:
+            values[a] = None
+        if last[b] == i:
+            values[b] = None
+        if last[i] == i:
+            values[i] = None
     return values[p.result_index]
 
 
+# Instructions per piece of `format_slp`'s text, and each opcode's line with
+# its three indices left to fill.
+_FORMAT_PIECE = 1024
+_LINES = {code: f"v%d = {_NAMES[code]} v%d v%d\n" for code in _BINARY_CODES}
+
+
 def format_slp(p: SLP) -> str:
-    """Canonical text form: line-oriented, LF newlines, ASCII. p is valid,
-    as every `SLP` is from construction."""
-    lines = ["slp v1\nv0 = one\n"]
-    lines += [f"v{i} = {op} v{a} v{b}\n" for i, (op, a, b) in enumerate(p.instructions[1:], 1)]
-    lines.append(f"result v{p.result_index}\n")
-    return "".join(lines)
+    """Canonical text form: line-oriented, LF newlines, ASCII. Each piece of
+    the text is one %-format of its lines' templates, filled from the
+    columns, so no more than one piece is held in parts. p is valid, as
+    every `SLP` is from construction."""
+    opcodes, left, right = p.opcodes, p.left, p.right
+    pieces = ["slp v1\nv0 = one\n"]
+    for s in range(1, len(opcodes), _FORMAT_PIECE):
+        e = min(s + _FORMAT_PIECE, len(opcodes))
+        indices = chain.from_iterable(zip(range(s, e), left[s:e], right[s:e]))
+        pieces.append("".join(map(_LINES.get, opcodes[s:e])) % tuple(indices))
+    pieces.append(f"result v{p.result_index}\n")
+    return "".join(pieces)
 
 
 # The result line, and below, an instruction line; the tokens may be
@@ -237,39 +369,101 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
     return bad_ref(parts[3:]) or bad("forward reference")
 
 
+def _canonical_run(width: int) -> re.Pattern:
+    """Lines as `format_slp` writes them, with no leading zeros and at most
+    `width` digits per index: the fast path of `parse_slp`."""
+    v = rf"v(?:0|[1-9][0-9]{{0,{width - 1}}})"
+    return re.compile(rf"(?:{v} = (?:add|sub|mul) {v} {v}\n)*")
+
+
+# Characters of text per run of canonical lines that `parse_slp` reads at once.
+_PARSE_PIECE = 1 << 13
+
+
 def parse_slp(text: str) -> SLP:
     """Parse the text format; rejects forward references, duplicate
-    definitions, and unknown opcodes with line-numbered errors. Each line is
-    matched against one pattern and its indices checked; the message for a
-    refused line is worked out only then, by `_line_error`."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "slp v1":
+    definitions, and unknown opcodes with line-numbered errors. The text is
+    read in place, into the columns: runs of canonical lines a piece at a
+    time by `_take_run`, and any other line by one pattern. The message for
+    a refused line is worked out only then, by `_line_error`. Operands are
+    checked once, when the program is built; a forward reference found
+    there, or above a refused line, is reported at its own line."""
+    end = len(text) - text.endswith("\n")  # the final LF ends the last line
+    line_count = text.count("\n", 0, end) + 1 if end else 0
+    header_end = text.find("\n", 0, end)
+    if header_end < 0:
+        header_end = end
+    if not line_count or text[:header_end] != "slp v1":
         raise errors.MalformedProgram("missing 'slp v1' header", line=1)
-    instructions = []
-    append = instructions.append
-    width = len(str(len(lines)))
+    if line_count == 1:
+        raise errors.MalformedProgram("missing result line", line=1)
+    width = len(str(line_count))
     match = _instruction_pattern(width).fullmatch
-    for idx, line in enumerate(lines[1:]):
+    run = _canonical_run(width).match
+    opcodes, left, right = bytearray(), array("q"), array("q")
+
+    def take(line: str) -> bool:
+        """Append the line as instruction `len(opcodes)` if it is one."""
         m = match(line)
-        if m is not None:
-            d, op, a, b = m.groups()
-            if op is None:
-                if idx == 0 and int(d) == 0:
-                    append(ONE)
-                    continue
-            else:
-                a, b = int(a), int(b)
-                if a < idx and b < idx and int(d) == idx:
-                    append((op, a, b))
-                    continue
-        if idx + 2 == len(lines):
-            m = _RESULT.fullmatch(line)
-            if m is not None:
-                # Construction checks what the lines above leave open. An
-                # index longer than the line count is out of range, unread.
-                index = int(m[1]) if len(m[1]) <= width else len(lines)
-                return SLP(tuple(instructions), index)
-        raise _line_error(line, idx + 2, idx)
-    raise errors.MalformedProgram("missing result line", line=len(lines))
+        if m is None:
+            return False
+        d, op, a, b = m.groups()
+        idx = len(opcodes)
+        if int(d) != idx or (op is None) != (idx == 0):
+            return False
+        opcodes.append(_CODES[op] if op else 0)
+        left.append(int(a) if op else 0)
+        right.append(int(b) if op else 0)
+        return True
+
+    def first(error: errors.MalformedProgram) -> errors.MalformedProgram:
+        """`error`, unless a forward reference in the lines read comes first."""
+        i = _operand_fault(left, right, len(opcodes))
+        return error if i is None else errors.MalformedProgram("forward reference", line=i + 2)
+
+    last = text.rfind("\n", 0, end) + 1  # the start of the last line
+    pos = header_end + 1
+    while pos < last:
+        if opcodes:
+            stop = run(text, pos, text.find("\n", min(pos + _PARSE_PIECE, last) - 1) + 1).end()
+            if stop > pos:
+                stop = _take_run(text, pos, stop, opcodes, left, right)
+            if stop > pos:
+                pos = stop
+                continue
+        stop = text.find("\n", pos)
+        if not take(text[pos:stop]):
+            raise first(_line_error(text[pos:stop], len(opcodes) + 2, len(opcodes)))
+        pos = stop + 1
+    line = text[last:end]
+    m = _RESULT.fullmatch(line)
+    if m is None:
+        if not take(line):
+            raise first(_line_error(line, line_count, len(opcodes)))
+        raise first(errors.MalformedProgram("missing result line", line=line_count))
+    # An index longer than the line count is out of range, unread.
+    index = int(m[1]) if len(m[1]) <= width else line_count
+    try:
+        return SLP._from_columns(bytes(opcodes), left, right, index)
+    except errors.MalformedProgram as exc:
+        raise first(exc) from None
+
+
+def _take_run(text: str, pos: int, stop: int, opcodes: bytearray, left: array, right: array) -> int:
+    """Append the canonical lines of text[pos:stop] that define the next
+    instructions in order, and return where the first one that does not
+    begins."""
+    tokens = text[pos:stop].replace("v", " ").split()  # d = op a b, per line
+    idx = len(opcodes)
+    defined = list(map(int, tokens[0::5]))
+    count = len(defined)
+    if defined != list(range(idx, idx + count)):
+        count = next(j for j, d in enumerate(defined) if d != idx + j)
+        stop = pos
+        for _ in range(count):
+            stop = text.index("\n", stop) + 1
+    end = 5 * count
+    opcodes += bytes(map(_CODES.__getitem__, tokens[2:end:5]))
+    left.extend(map(int, tokens[3:end:5]))
+    right.extend(map(int, tokens[4:end:5]))
+    return stop

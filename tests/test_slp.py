@@ -1,8 +1,10 @@
 """Straight-line programs: emission, evaluation, length bounds, text format."""
 
+import gc
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -164,6 +166,37 @@ class TestEval:
         with pytest.raises(errors.MalformedProgram, match="bad instruction at index 1"):
             SLP((("one",), ins), 1)
 
+    @pytest.mark.parametrize(
+        "ins, result, message",
+        [
+            ((("one",), ("add", -1, 0)), 1, "instruction 1 references a non-earlier index"),
+            ((("one",), ("add", 0, -1)), 1, "instruction 1 references a non-earlier index"),
+            ((("one",), ("add", 0, 0)), -1, "result index out of range"),
+            ((("one",), ("add", 0, 0), ("mul", 1, 2**64)), 2, "instruction 2 references a non-earlier index"),
+            # The first fault in program order is the one reported.
+            ((("one",), ("sub", 0, 1), ("pow", 0, 0)), 2, "instruction 1 references a non-earlier index"),
+            ((("one",), ("sub", 0, 0), ("add", 0, -2**70), ("pow", 0, 0)), 9, "instruction 2 references a non-earlier index"),
+        ],
+        ids=["negative-left", "negative-right", "negative-result", "beyond-int64", "ref-before-op", "ref-before-op-and-result"],
+    )
+    def test_operands_below_zero_or_beyond_int64_are_rejected(self, ins, result, message):
+        # The columns are array('q'): they hold negative operands, and an
+        # operand beyond int64 never reaches them.
+        with pytest.raises(errors.MalformedProgram) as exc:
+            SLP(ins, result)
+        assert str(exc.value) == message
+
+    def test_instructions_read_back_as_tuples(self):
+        ins = (("one",), ("add", 0, 0), ("mul", 1, 1), ("sub", 2, 0))
+        p = SLP(ins, 3)
+        assert len(p.instructions) == 4
+        assert tuple(p.instructions) == ins
+        assert [p.instructions[i] for i in range(-4, 4)] == list(ins + ins)
+        assert p.instructions[1:] == ins[1:]
+        assert p == SLP(ins, 3) == parse_slp(format_slp(p))
+        assert p != SLP(ins, 2) and p != SLP(ins[:3], 2)
+        assert hash(p) == hash(SLP(ins, 3))
+
     def test_exact_values_are_dropped_after_their_last_use(self):
         f = IntPoly((1, 21, -229, -4899, 1))
         info = analyze_minpoly(f)
@@ -254,6 +287,46 @@ class TestBenchmarkProgram:
 
     def test_text_round_trip(self, bench_degree_12_text):
         assert format_slp(parse_slp(bench_degree_12_text)) == bench_degree_12_text
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most memory that it held at once beyond what was
+    live when it started, in bytes, as tracemalloc counts it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryPerInstruction:
+    """Each SLP layer's peak on the benchmark's degree-12 program (19,819
+    instructions), per instruction. The columns take 17 bytes an
+    instruction, and the text 25. Tuples took about 130, and the parser's
+    list of lines 150 more: emit peaked at 121, parse at 284 and format at
+    107."""
+
+    def test_emit(self):
+        info = analyze_minpoly(BENCH_DEGREE_12)
+        p, peak = traced_peak(emit_power_slp, info, BENCH_N)
+        assert peak <= 40 * len(p.instructions)
+
+    def test_parse_beyond_the_text(self, bench_degree_12_text):
+        p, peak = traced_peak(parse_slp, bench_degree_12_text)
+        assert peak <= 40 * len(p.instructions)
+
+    def test_format(self, bench_degree_12_text):
+        p = parse_slp(bench_degree_12_text)
+        text, peak = traced_peak(format_slp, p)
+        assert text == bench_degree_12_text
+        assert peak <= 64 * len(p.instructions)
 
 
 def parsed(parse, text):
@@ -348,3 +421,32 @@ class TestParserAgreesWithOracle:
         p = parse_slp(text)
         assert p == parse_slp_oracle(text)
         assert format_slp(p) == text
+
+
+class TestFaultsDeepInALongProgram:
+    """The parser reads runs of canonical lines a piece at a time and checks
+    operands when the program is built; a fault thousands of lines into the
+    benchmark's program must still be the reference parser's, at its line,
+    and non-canonical lines there must read as the reference reads them."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["forward", "duplicate", "opcode", "blank", "zero", "forward-then-opcode", "missing-result"],
+    )
+    def test_agrees_with_oracle(self, edit, bench_degree_12_text):
+        lines = bench_degree_12_text.split("\n")
+        i, j = 15_003, 18_007
+        if edit in ("forward", "forward-then-opcode"):
+            lines[i] = lines[i].rsplit(" ", 1)[0] + f" v{i}"
+        if edit == "duplicate":
+            lines[i] = lines[i - 1]
+        if edit in ("opcode", "forward-then-opcode"):
+            lines[j] = lines[j].replace(" = ", " = div ", 1)
+        if edit == "blank":
+            lines[i] = lines[i].replace(" ", "\t")
+        if edit == "zero":
+            lines[i] = lines[i].replace(" v", " v0")
+        if edit == "missing-result":
+            del lines[-2]
+        text = "\n".join(lines)
+        assert parsed(parse_slp, text) == parsed(parse_slp_oracle, text)
