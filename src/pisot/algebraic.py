@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import errors
 from .balls import Ball, decimal_digits
@@ -31,8 +31,10 @@ from .lattice import IntLattice
 from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, root_layouts, share_a_root
 
 THRESHOLD_CAP = 99999
-# Working bits of the first root layout that `analyze_minpoly` asks for.
-FIRST_LAYOUT_BITS = 128
+# Precision of the first root layout that `analyze_minpoly` asks for: the
+# largest of the ladder's 64 * 2^k that one Newton sweep from float starts
+# reaches (`roots._newton`), since 2 * 53 >= 64 + GUARD_BITS and not 128.
+FIRST_LAYOUT_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -542,7 +544,9 @@ def analyze_minpoly(f: IntPoly) -> MinPolyInfo:
 
     for prec, roots, dominant in pisot_layouts(f, FIRST_LAYOUT_BITS):
         others = [r for i, r in enumerate(roots) if i != dominant]
-        second = max((r.modulus() for r in others), key=lambda b: b.center + b.radius)
+        # |center| + radius picks the disk of the largest upper bound on
+        # |alpha_2|: every disk of a layout has one scale.
+        second = max(others, key=lambda r: isqrt(r.re * r.re + r.im * r.im) + r.radius).modulus()
         n0 = _threshold_n0(second, f.degree)
         if n0 is not None:
             return MinPolyInfo(
@@ -588,7 +592,7 @@ def _certify_pisot_roots(roots):
         if i == idx:
             continue
         m = r.modulus()
-        if m.lt(1):
+        if m.center + m.radius < 1 << m.scale:
             continue
         if m.center - m.radius >= 1 << m.scale:
             return f"conjugate root {i} has modulus >= 1 (~{m.digits(8)})"
@@ -611,8 +615,10 @@ def _threshold_n0(second: Ball, d: int) -> int | None:
     s = second.scale
     hi, lo = second.center + second.radius, second.center - second.radius
 
+    @functools.cache
     def side(n):
-        """-1 if certified below 1/2, 1 if certified at least 1/2, else 0."""
+        """-1 if certified below 1/2, 1 if certified at least 1/2, else 0;
+        the walks and the final check ask for some n twice, computed once."""
         if n == 0:
             return 1  # d - 1 >= 1
         u, _, e = fixed_power(hi, 0, n, s)

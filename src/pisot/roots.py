@@ -5,9 +5,12 @@ root by Aberth-Ehrlich iterations in floats and Newton steps on fixed-point
 Gaussian integers, and certifies each with a disk whose radius comes from an
 exact residual: f evaluated exactly at the dyadic midpoint, whatever solver
 found it. Its layouts are exactly conjugate-symmetric: the real roots,
-counted by Sturm's theorem on the remainder sequence of f and f', lie on
-the axis, and each lower disk mirrors an upper one, so Newton steps and
-exact residuals run on the real and upper midpoints alone. `share_a_root`
+counted and split by sign by Sturm's theorem on the remainder sequence of f
+and f', lie on the axis, and each lower disk mirrors an upper one, so the
+float iterations, the Newton steps and the exact residuals run on the real
+and upper approximations alone, and the real ones in real arithmetic. A
+mirrored layout needs no separate test that a real disk holds a real root:
+the disjointness of its disks is that test. `share_a_root`
 decides exactly whether two integer polynomials have a common root, by
 their gcd over Z, from the same remainder sequence. `fixed_power` powers a
 fixed-point Gaussian integer with an integer error bound, for the threshold
@@ -16,6 +19,7 @@ n0 and for the powers of the small roots below it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -33,8 +37,14 @@ if TYPE_CHECKING:
 MAX_WORK_BITS = 1 << 15
 # Sweeps of one Aberth-Ehrlich run, in floats or in fixed point at w.
 ABERTH_STEPS = 200
+# Working bits above a layout's precision and its guard bits (`work_bits`).
+_SLACK_BITS = 32
 # Direction in which float Aberth moves an approximation off a coincidence.
 _NUDGE = complex(0.6, 0.8)
+# Ratio of the moduli of successive real starts on one circle
+# (`_float_starts`): irrational, so that no start on one circle meets one on
+# another, whose radius is a rational power of a rational.
+_SPREAD = (5**0.5 - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -61,20 +71,22 @@ def root_layouts(f: IntPoly, precision_bits: int):
 
     A repeated root is ruled out exactly first, once, since no precision
     separates it: the primitive remainder sequence of f and f'
-    (`_remainder_sequence`) ends at gcd(f, f') over Z, and its signs give r,
-    the number of real roots, by Sturm's theorem. Approximations come from
-    Aberth-Ehrlich iterations in floats; the r nearest the real axis become
-    real, and each other one above the axis takes one below as its mirror
-    (`_mirrored`). Newton steps on fixed-point Gaussian integers
-    (a + bi)/2^s refine the real and upper midpoints as s doubles up to the
-    working precision w = work_bits(prec), and each lower one stays the
-    mirror of its upper one. When floats overflow or stall, the fixed-point
-    steps start from the Newton-polygon circles instead and are Aberth's on
-    every midpoint (`_newton`), and the result is mirrored. Soundness rests
-    on none of that: f is evaluated exactly at each dyadic midpoint x_i, and
-    |lead * prod_{j != i} (x_i - x_j)|^2 is an exact integer product, so the
-    Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is
-    rounded upward only once. On a mirrored layout it is computed for the
+    (`_remainder_sequence`) ends at gcd(f, f') over Z, and its signs give
+    the numbers of real roots at most 0 and above 0 by Sturm's theorem
+    (`_real_root_signs`), r in all. Approximations come from Aberth-Ehrlich
+    iterations in floats on r real and (d - r)/2 upper approximations, each
+    lower one the mirror of an upper one (`_float_starts`). Newton steps on
+    fixed-point Gaussian integers (a + bi)/2^s refine the real and upper
+    midpoints as s doubles up to the working precision w = work_bits(prec),
+    and each lower one stays the mirror of its upper one. When floats
+    overflow or stall, the fixed-point steps start from the Newton-polygon
+    circles instead and are Aberth's on every midpoint (`_newton`), and the
+    r nearest the axis are put on it and the others mirrored (`_mirrored`).
+    Soundness rests on none of that: f is evaluated exactly at each dyadic
+    midpoint x_i, and |lead * prod_{j != i} (x_i - x_j)|^2 is an exact
+    integer product, so the Weierstrass radius
+    d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is rounded upward only
+    once. On a mirrored layout it is computed for the
     real and upper midpoints alone, since f(conj x) = conj f(x) and the
     gaps are the same. Those disks jointly cover the roots, and contain
     exactly one root each once disjoint. A failed certificate doubles w, and
@@ -87,16 +99,16 @@ def root_layouts(f: IntPoly, precision_bits: int):
     prec, last, w = precision_bits, None, work_bits(precision_bits)
     _check_cap(f, last, w)
     f_desc = list(reversed(f.coefficients))
-    real = _real_root_count(f_desc)
-    if real is None:
+    signs = _real_root_signs(f_desc)
+    if signs is None:
         raise errors.NotSquarefree(f"{f} has a repeated root: gcd(f, f') != 1")
-    bits = 53
-    approx = _float_starts(f_desc)
+    real, bits = sum(signs), 53
+    approx = _float_starts(f_desc, signs)
     if approx is None:
         zs, repel = _circle_starts(f_desc, bits), True
     else:
         zs = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
-        zs, repel = _mirrored(zs, real, bits), False
+        repel = False
     while True:
         zs = _newton(f_desc, zs, bits, w, repel)
         if repel:
@@ -111,22 +123,30 @@ def root_layouts(f: IntPoly, precision_bits: int):
         _check_cap(f, last, w)
 
 
-def _real_root_count(f_desc) -> int | None:
-    """The number of real roots of f, given leading coefficient first, by
-    Sturm's theorem: the sign changes of the members of
-    `_remainder_sequence(f, f')` at -inf less those at +inf. None when the
+def _real_root_signs(f_desc) -> tuple[int, int] | None:
+    """(n, p): the numbers of real roots of f, given leading coefficient
+    first, in (-inf, 0] and in (0, inf), by Sturm's theorem on the members
+    of `_remainder_sequence(f, f')`: with V(x) their sign changes at x,
+    zeros dropped, n = V(-inf) - V(0) and p = V(0) - V(inf). None when the
     sequence ends at a gcd(f, f') that is not constant: f has a repeated
     root."""
     d = len(f_desc) - 1
     df_desc = [(d - k) * c for k, c in enumerate(f_desc[:-1])]
-    ends = [(len(p), p[0] > 0) for p in _remainder_sequence(f_desc, df_desc)]
-    if ends[-1][0] > 1:
+    members = list(_remainder_sequence(f_desc, df_desc))
+    if len(members[-1]) > 1:
         return None
-    # A member of degree n - 1 has the sign of its leading coefficient at
-    # +inf, and that sign times (-1)^(n - 1) at -inf.
-    at_minus = [positive == (n % 2 == 1) for n, positive in ends]
-    at_plus = [positive for _, positive in ends]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
+    # A member of degree m has the sign of its leading coefficient at +inf,
+    # that sign times (-1)^m at -inf, and the sign of its constant term at 0.
+    at_minus = _sign_changes([(p[0] > 0) == (len(p) % 2 == 1) for p in members])
+    at_zero = _sign_changes([p[-1] > 0 for p in members if p[-1]])
+    at_plus = _sign_changes([p[0] > 0 for p in members])
+    return at_minus - at_zero, at_zero - at_plus
+
+
+def _real_root_count(f_desc) -> int | None:
+    """r, the number of real roots of f, from `_real_root_signs`."""
+    signs = _real_root_signs(f_desc)
+    return None if signs is None else sum(signs)
 
 
 def _sign_changes(positive) -> int:
@@ -186,33 +206,67 @@ def _check_cap(f: IntPoly, last: int | None, w: int) -> None:
 
 
 def work_bits(precision_bits: int) -> int:
-    """Working bits of root disks certified to precision_bits."""
-    return precision_bits + 32 + GUARD_BITS
+    """Working bits of root disks certified to precision_bits: _SLACK_BITS
+    and the guard bits above them."""
+    return precision_bits + _SLACK_BITS + GUARD_BITS
 
 
-def _float_starts(f_desc):
+def _float_starts(f_desc, signs):
     """Approximations of all roots from Aberth-Ehrlich iterations in floats,
-    started on the circles of the Newton polygon; None when a value
-    overflows a float or the iteration stalls."""
+    exactly conjugate-symmetric: r = n + p real ones, for signs = (n, p) of
+    `_real_root_signs`, then the upper ones, then their mirrors in the same
+    order. None when a value overflows a float or the iteration stalls.
+
+    The starts come from the circles of the Newton polygon
+    (`_start_circles`). Conjugate roots share a modulus, so a circle with an
+    odd number of points gets one real start; two more go to the circle
+    with the most points left until there are r, and with too many the
+    outermost give theirs up. Going inward from the outermost circle, the
+    real starts take the signs in turn, + first, while both remain, and the
+    j-th on a circle of radius R lies at +-R * _SPREAD^j; it takes the place
+    of the circle's point nearest the axis. The circles' other points,
+    turned into the upper half plane and ordered by circle and angle, start
+    the upper approximations: of each two in turn, the one farther from the
+    axis. Only the real and upper approximations move, the real ones in
+    real arithmetic, and each lower one stays the mirror of its upper one;
+    each step is Aberth's over all d approximations."""
+    negative, positive = signs
     try:
-        coeffs = [complex(c) for c in f_desc]
-        starts = [math.exp(lr) * u for lr, u in _start_circles(f_desc[::-1])]
+        lead, *tail = [float(c) for c in f_desc]
+        circles = [(math.exp(lr), [u for _, u in group])
+                   for lr, group in itertools.groupby(_start_circles(f_desc[::-1]), lambda c: c[0])]
     except OverflowError:
         return None
-    zs = list(starts)
+    real = [len(units) % 2 for _, units in circles]
+    while sum(real) > negative + positive:
+        real[len(real) - 1 - real[::-1].index(1)] = 0
+    while sum(real) < negative + positive:
+        real[max(range(len(real)), key=lambda e: len(circles[e][1]) - real[e])] += 2
+    zs, rest = [], []
+    for (radius, units), count in zip(reversed(circles), reversed(real)):
+        units = sorted(units, key=lambda u: abs(u.imag) / (abs(u) or 1))
+        for j in range(count):
+            plus = positive > 0 and (j % 2 == 0 or not negative)
+            positive, negative = positive - plus, negative - (not plus)
+            zs.append((radius if plus else -radius) * _SPREAD**j)
+        rest += sorted((complex(u.real, abs(u.imag)) * radius for u in units[count:]),
+                       key=lambda z: math.atan2(z.imag, z.real))
+    r = len(zs)
+    zs += [min(rest[i : i + 2], key=lambda z: abs(math.atan2(z.imag, z.real) - math.pi / 2))
+           for i in range(0, len(rest) - 1, 2)]
+    upper = len(zs) - r
+    zs += [z.conjugate() for z in zs[r:]]
     d = len(zs)
-    lead, tail = coeffs[0], list(zip(coeffs[1:], (abs(c) for c in coeffs[1:])))
-    noise0 = abs(lead)
+    tail = [(c, abs(c)) for c in tail]
     unit = 2.0**-53
     tol = 8 * d * unit
-    done = [False] * d
+    moving = range(r + upper)
     for _ in range(ABERTH_STEPS):
-        for i in range(d):
-            if done[i]:
-                continue
+        left = []
+        for i in moving:
             z = zs[i]
             az = abs(z)
-            fz, dfz, noise = lead, 0, noise0
+            fz, dfz, noise = lead, 0.0, abs(lead)
             for c, ac in tail:
                 dfz = dfz * z + fz
                 fz = fz * z + c
@@ -223,19 +277,22 @@ def _float_starts(f_desc):
             # Done once |f(z)| is within the rounding error of Horner's
             # rule there, or the correction is below the roundoff.
             if afz <= tol * noise:
-                done[i] = True
                 continue
             try:
                 repel = sum(1 / (z - zs[j]) for j in range(d) if j != i)
-                step = fz / (dfz - fz * repel)
+                step = fz / (dfz - fz * (repel.real if i < r else repel))
             except ZeroDivisionError:
                 # z meets another approximation, or the correction's
                 # denominator vanishes: move z off the coincidence.
                 step = (az + 1) * (1024 * unit) * _NUDGE ** (i + 1)
+                step = step.real if i < r else step
             zs[i] = z - step
-            if abs(step) <= unit * az:
-                done[i] = True
-        if all(done):
+            if i >= r:
+                zs[i + upper] = zs[i].conjugate()
+            if abs(step) > unit * az:
+                left.append(i)
+        moving = left
+        if not moving:
             return zs
     return None
 
@@ -289,9 +346,13 @@ def _to_fixed(x: float, p: int) -> int:
 
 def _newton(f_desc, zs, bits: int, w: int, repel: bool):
     """Newton steps on fixed-point Gaussian integers: (a, b) stands for
-    (a + bi)/2^p, given at p = bits. The scale p doubles up to w, one sweep
-    over the roots at each scale. Quadratic convergence takes a start good
-    to `bits` bits to w, and the certificate judges the result.
+    (a + bi)/2^p, given at p = bits. The scale p doubles, one sweep over the
+    roots at each scale, and goes straight to w once a doubling covers
+    w - _SLACK_BITS, the layout's precision and its guard bits: quadratic
+    convergence takes a start good to `bits` bits to 2 * bits, so from the
+    53 bits of a float start one sweep at w = 112 gives the 64-bit layout,
+    and two, at 106 and 176, the 128-bit one. The certificate judges the
+    result.
 
     Without `repel`, a sweep steps the real and upper midpoints alone, the
     real ones by real Horner, and sets each lower one to the mirror of its
@@ -302,7 +363,7 @@ def _newton(f_desc, zs, bits: int, w: int, repel: bool):
     scales = []
     p = bits
     while not scales or p < w:
-        p = min(2 * p, w)
+        p = 2 * p if 2 * p < w - _SLACK_BITS else w
         scales.append(p)
     zs = list(zs)
     p = bits
@@ -432,7 +493,7 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
         for j in range(i + 1, d):
             if gaps[i][j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
                 return None
-    return _classify_roots(zs, radii, w)
+    return _classify_roots(zs, radii, w, disjoint=True)
 
 
 def share_a_root(f_desc, g_desc) -> bool:
@@ -489,10 +550,16 @@ def _primitive(p):
     return [c // g for c in p]
 
 
-def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
+def _classify_roots(zs, radii, w: int, disjoint: bool = False) -> list[PolyRoot] | None:
     """Flag real roots by conjugation symmetry; None means ambiguous (retry).
     The midpoints (a, b) are at scale 2^w, the radii at 2^(w + GUARD_BITS),
-    and every test is an integer comparison."""
+    and every test is an integer comparison.
+
+    With `disjoint`, the caller has found the disks pairwise disjoint. The
+    mirror of a disk centred on the axis is that disk, so its mirror test
+    is the disjointness test, and is skipped. On a mirrored layout every
+    disk that crosses the axis is centred on it, since one off the axis
+    would meet its mirror, so no mirror test runs there."""
     g = GUARD_BITS
     roots = []
     for i, ((a, b), r) in enumerate(zip(zs, radii)):
@@ -502,7 +569,7 @@ def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
         # Disk crosses the real axis. The conjugate of the true root is also
         # a root; if it cannot lie in any other disk it lies in this one, so
         # the root is fixed by conjugation, i.e. real.
-        if any(
+        if not (disjoint and b == 0) and any(
             j != i and ((a - u) ** 2 + (b + v) ** 2) << (2 * g) <= (r + radii[j]) ** 2
             for j, (u, v) in enumerate(zs)
         ):

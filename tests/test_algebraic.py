@@ -485,8 +485,8 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
     floats, circles = [], []
     float_starts, circle_starts = isolation._float_starts, isolation._circle_starts
 
-    def recorded_floats(f_desc):
-        floats.append(float_starts(f_desc))
+    def recorded_floats(f_desc, signs):
+        floats.append(float_starts(f_desc, signs))
         return floats[-1]
 
     def recorded_circles(f_desc, p):
@@ -505,7 +505,7 @@ def _recorded_classifications(monkeypatch):
     seen = []
     classify = isolation._classify_roots
 
-    def recorded(zs, radii, w):
+    def recorded(zs, radii, w, disjoint=False):
         seen.append((list(zs), radii, w))
         return classify(zs, radii, w)
 
@@ -625,6 +625,65 @@ def test_mirrored_float_starts_certify_each_layout_in_one_round(monkeypatch, f):
                          ids=["near-real-pair", "found-29", "found-41"])
 def test_mirrored_disks_hold_the_oracle_roots(f):
     _assert_isolated(f, next(root_layouts(f, 64))[1], 2000)
+
+
+# f(0) = 0: the zero root counts among the roots at most 0.
+ZERO_ROOT = {
+    "x(x^3-x-1)": IntPoly((0, -1, -1, 0, 1)),
+    "x(x+2)(x^2-x-1)": IntPoly((0, -2, -3, 1, 1)),
+}
+
+
+def _oracle_sign_split(f):
+    """(n, p): the oracle's real roots at most 0 and above 0, a root within
+    2^-1000 of 0 counted as 0."""
+    with mp.workprec(2000):
+        cut = mpf(2) ** -1000
+        real = [mpmath.re(z) for z in polyroots_oracle(f, 2000)
+                if abs(mpmath.im(z)) < cut * (abs(z) + 1)]
+        return sum(x < cut for x in real), sum(x >= cut for x in real)
+
+
+@pytest.mark.parametrize("f", {**COUNTED, **ZERO_ROOT}.values(), ids={**COUNTED, **ZERO_ROOT})
+def test_the_remainder_sequence_splits_the_real_roots_by_sign(f):
+    assert isolation._real_root_signs(list(reversed(f.coefficients))) == _oracle_sign_split(f)
+
+
+FLOAT_STAGE = {**KNACCI, **RANDOM_PISOT, **ZERO_ROOT}
+
+
+@pytest.mark.parametrize("f", FLOAT_STAGE.values(), ids=FLOAT_STAGE)
+def test_the_float_stage_is_conjugate_symmetric_and_near_the_oracle_roots(f):
+    # Exactly r real entries, each other one the exact conjugate of another,
+    # and each within 1e-12 relative of its own oracle root.
+    f_desc = list(reversed(f.coefficients))
+    signs = isolation._real_root_signs(f_desc)
+    zs = [complex(z) for z in isolation._float_starts(f_desc, signs)]
+    assert len(zs) == f.degree
+    assert sum(z.imag == 0 for z in zs) == sum(signs)
+    assert collections.Counter(zs) == collections.Counter(z.conjugate() for z in zs)
+    left = [complex(w) for w in polyroots_oracle(f, 2000)]
+    for z in zs:
+        w = min(left, key=lambda w: abs(w - z))
+        assert abs(w - z) <= 1e-12 * abs(w)
+        left.remove(w)
+
+
+@pytest.mark.parametrize("f", [*KNACCI.values(), *RANDOM_PISOT.values()], ids=[*KNACCI, *RANDOM_PISOT])
+def test_the_first_layout_steps_each_real_and_upper_midpoint_once(monkeypatch, f):
+    # From float starts, one Newton sweep at w reaches FIRST_LAYOUT_BITS,
+    # and the lower midpoints are mirrored, not stepped.
+    stepped = []
+    step = isolation._step
+
+    def counted(f_desc, zs, i, p, repel):
+        stepped.append(i)
+        return step(f_desc, zs, i, p, repel)
+
+    monkeypatch.setattr(isolation, "_step", counted)
+    next(root_layouts(f, algebraic.FIRST_LAYOUT_BITS))
+    real = isolation._real_root_count(list(reversed(f.coefficients)))
+    assert len(stepped) == len(set(stepped)) == real + (f.degree - real) // 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 255, 1000])
@@ -755,8 +814,8 @@ def test_a_pair_near_the_unit_circle_climbs_three_layouts(monkeypatch, f, error,
     monkeypatch.setattr(isolation, "_certified_roots", recorded_rounds)
     with pytest.raises(error, match=match):
         analyze_minpoly(f)
-    assert layouts == [128, 256, 512]
-    assert rounds == [work_bits(128), work_bits(256), work_bits(512)]
+    assert layouts == [64, 128, 256, 512]
+    assert rounds == [work_bits(64), work_bits(128), work_bits(256), work_bits(512)]
 
 
 @pytest.mark.parametrize("f,error,match", NEAR_UNIT_PAIR.values(), ids=NEAR_UNIT_PAIR)
@@ -920,6 +979,24 @@ def test_threshold_matches_scan(f):
     assert analyze_minpoly(f).threshold_n0 == scanned_threshold(f)
 
 
+@pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
+def test_the_threshold_powers_each_bound_once_per_n(monkeypatch, f):
+    # side(n) is cached: the walks and the final check share its powers, so
+    # each bound of |alpha_2| is powered at most once per n, two powers per n.
+    info = analyze_minpoly(f)
+    calls = collections.Counter()
+    power = algebraic.fixed_power
+
+    def counted(a, b, n, s):
+        calls[a, n] += 1
+        return power(a, b, n, s)
+
+    monkeypatch.setattr(algebraic, "fixed_power", counted)
+    assert algebraic._threshold_n0(info.second_modulus, f.degree) == info.threshold_n0
+    assert calls and max(calls.values()) == 1
+    assert max(collections.Counter(n for _, n in calls).values()) <= 2
+
+
 class TestRefusals:
     """Refusals of the field and root-layout layers, each with its type."""
 
@@ -1000,7 +1077,7 @@ def test_the_threshold_walks_from_a_wrong_estimate(monkeypatch, shift):
 def _replaced_starts(monkeypatch, starts):
     """Root isolation with the float starts replaced by `starts`, as if the
     float iteration had returned them."""
-    monkeypatch.setattr(isolation, "_float_starts", lambda f_desc: list(starts))
+    monkeypatch.setattr(isolation, "_float_starts", lambda f_desc, signs: list(starts))
 
 
 class TestIsolationRecovers:
@@ -1024,10 +1101,10 @@ class TestIsolationRecovers:
     def test_a_stalled_float_iteration_starts_from_the_circles(self, monkeypatch):
         float_starts, circles = isolation._float_starts, []
 
-        def stalled(f_desc):
+        def stalled(f_desc, signs):
             with monkeypatch.context() as m:
                 m.setattr(isolation, "ABERTH_STEPS", 0)
-                assert float_starts(f_desc) is None
+                assert float_starts(f_desc, signs) is None
             return None
 
         circle_starts = isolation._circle_starts
@@ -1064,7 +1141,7 @@ class TestIsolationRecovers:
         # certified, and the next one is.
         classify, calls = isolation._classify_roots, []
 
-        def widened(zs, radii, w):
+        def widened(zs, radii, w, disjoint=False):
             calls.append(w)
             if len(calls) == 1:
                 radii = [2 << (w + GUARD_BITS)] * len(radii)

@@ -767,6 +767,68 @@ THRESHOLD_PINS = {
     "x^4-23434x^3": ("x^4 - 23434x^3 - 754x^2 + 31x + 1", 1, "0.036393113866509420216"),
     "degree-12": ("x^12 - 21x^11 + 2x^10 - 2x^9 - x^8 + 2x^7 + 2x^6 - 2x^4 - 2x^3 + 2x^2 + 2x + 2",
                   38, "0.92115585289692542615"),
+    # With the k-nacci, plastic, quartic and x^2-3x+1 pins above, these are
+    # THRESHOLD_POLYS (tests/test_algebraic.py): its 50 random Pisot-shaped
+    # polynomials, as printed while the first root layout was certified at
+    # 128 bits.
+    "random-0": ("x^9 - 19x^8 + x^7 + x^5 - x^4 + x^2 + x - 1", 10, "0.74533544928291738633"),
+    "random-1": ("x^6 - 13x^5 + x^2 + x - 1", 6, "0.65555627101997491567"),
+    "random-2": ("x^8 - 17x^7 - x^6 + x^5 + x^3 + x^2 - 1", 8, "0.70602167750720912517"),
+    "random-3": ("x^5 - 11x^4 - x^3 + x^2 + x + 1", 5, "0.64504834035969954625"),
+    "random-4": ("x^10 - 21x^9 + x^8 - x^7 + x^4 - x^2 - 1", 10, "0.74088186239672307953"),
+    "random-5": ("x^4 - 9x^3 + 1", 3, "0.48980149137237201922"),
+    "random-6": ("x^7 - 15x^6 + x^5 - 1", 6, "0.65124870901553573134"),
+    "random-7": ("x^5 - 11x^4 - x^3 - x^2 - x + 1", 5, "0.60050298408503846062"),
+    "random-8": ("x^5 - 11x^4 + x^2 - 1", 4, "0.55511143249600342831"),
+    "random-9": ("x^11 - 23x^10 - x^7 - x^6 + x^5 + x^4 - x^2 + x + 1", 13,
+                 "0.79360801022669755527"),
+    "random-10": ("x^4 - 9x^3 - 1", 3, "0.48483132075565469963"),
+    "random-11": ("x^11 - 23x^10 - x^9 + x^7 + x^6 + x^3 - 1", 11, "0.74865287142738510983"),
+    "random-12": ("x^12 - 25x^11 - x^9 - x^8 - x^7 - x^6 - x^5 + x^4 + x^3 - x^2 - 1", 14,
+                  "0.79872003899436747593"),
+    "random-13": ("x^5 - 11x^4 - x^3 - x^2 - x + 1", 5, "0.60050298408503846062"),
+    "random-14": ("x^6 - 13x^5 + x^3 + x - 1", 6, "0.68043953219343966973"),
+    "random-15": ("x^9 - 19x^8 - x^4 - x^3 + x + 1", 11, "0.76795240982419336059"),
+    "random-16": ("x^4 - 9x^3 - x^2 + x + 1", 3, "0.52830791346561457812"),
+    "random-17": ("x^9 - 19x^8 - x^5 + x^4 - x^3 - x - 1", 10, "0.74872426219584482636"),
+    "random-18": ("x^2 - 5x + 1", 1, "0.20871215252207999671"),
+    "random-19": ("x^12 - 25x^11 + x^10 - x^9 + x^8 + x^7 - x^6 - x^5 + x^4 - x^3 - x^2 - x - 1", 17,
+                  "0.82520379726261183783"),
+    "random-20": ("x^4 - 9x^3 + x^2 - 1", 3, "0.50544749673596492457"),
+    "random-21": ("x^4 - 9x^3 - x^2 - x - 1", 3, "0.50433909636723925448"),
+    "random-22": ("x^11 - 23x^10 - x^9 + x^8 - x^7 + x^6 - x^5 + x^4 + x^3 + x^2 + x - 1", 12,
+                  "0.77873212755181930979"),
+    "random-23": ("x^10 - 21x^9 + x^8 - x^7 - x^6 - x^5 - x^4 - x^2 - x + 1", 11,
+                  "0.76037335657428813395"),
+    "random-24": ("x^11 - 23x^10 - x^6 - x^4 + x^3 - x^2 + x - 1", 15, "0.81212115618154924068"),
+    "random-25": ("x^9 - 19x^8 + x^7 + x^4 - x^2 + x + 1", 10, "0.75647035573148908826"),
+    "random-26": ("x^4 - 9x^3 - x - 1", 3, "0.52683547367858460106"),
+    "random-27": ("x^8 - 17x^7 - x^6 - x^5 + x^4 - x - 1", 8, "0.70949258066645495774"),
+    "random-28": ("x^7 - 15x^6 - x^5 + x^4 + x^2 - x - 1", 7, "0.67272137451682255632"),
+    "random-29": ("x^5 - 11x^4 + x^3 + x + 1", 5, "0.65845130080460538216"),
+    "random-30": ("x^2 - 5x + 1", 1, "0.20871215252207999671"),
+    "random-31": ("x^7 - 15x^6 + x^5 + x^3 + x - 1", 7, "0.67868550949709318325"),
+    "random-32": ("x^4 - 9x^3 - x^2 + x - 1", 4, "0.58605119023321558536"),
+    "random-33": ("x^8 - 17x^7 - x^3 - x^2 - x - 1", 10, "0.75633021722949538256"),
+    "random-34": ("x^9 - 19x^8 - x^7 + x^5 - 1", 8, "0.70562908025512850878"),
+    "random-35": ("x^2 - 5x - 1", 1, "0.19258240356725201563"),
+    "random-36": ("x^3 - 7x^2 + 1", 2, "0.3889232446865155582"),
+    "random-37": ("x^12 - 25x^11 - x^10 - x^9 - x^7 + x^5 - x^4 - x^3 + x^2 + x - 1", 16,
+                  "0.81543943678498914435"),
+    "random-38": ("x^7 - 15x^6 - x^4 + x^3 + x^2 - x - 1", 8, "0.71245144906980901667"),
+    "random-39": ("x^3 - 7x^2 + 1", 2, "0.3889232446865155582"),
+    "random-40": ("x^10 - 21x^9 + x^8 + x^7 - x^5 - x^4 + x^3 - x^2 - x - 1", 13,
+                  "0.7872035956207180368"),
+    "random-41": ("x^8 - 17x^7 + x^5 - x^4 + x^3 - x^2 + x + 1", 8, "0.71062560315305126024"),
+    "random-42": ("x^6 - 13x^5 - x^3 + x^2 + 1", 5, "0.62132109254544120921"),
+    "random-43": ("x^8 - 17x^7 - x^5 - x^4 + x^3 + x^2 + 1", 8, "0.70614518731373133753"),
+    "random-44": ("x^5 - 11x^4 + x^2 + 1", 5, "0.60158155468396237662"),
+    "random-45": ("x^6 - 13x^5 - x^4 + x^3 + x^2 - 1", 5, "0.61203962813262188254"),
+    "random-46": ("x^6 - 13x^5 - x^2 + x + 1", 6, "0.65951918400539013722"),
+    "random-47": ("x^10 - 21x^9 + x^8 - x^7 - x^6 + x^5 + x^4 + x - 1", 11,
+                  "0.74908974475571224509"),
+    "random-48": ("x^5 - 11x^4 + x + 1", 5, "0.62961086619367056234"),
+    "random-49": ("x^5 - 11x^4 - x^3 + x + 1", 5, "0.60400439201921298723"),
 }
 
 
