@@ -35,6 +35,10 @@ THRESHOLD_CAP = 99999
 # largest of the ladder's 64 * 2^k that one Newton sweep from float starts
 # reaches (`roots._newton`), since 2 * 53 >= 64 + GUARD_BITS and not 128.
 FIRST_LAYOUT_BITS = 64
+# Significant digits of |alpha_2| that `threshold` prints: `analyze_minpoly`
+# keeps a layout only once its ball of |alpha_2| fixes them, since a 64-bit
+# certificate covers only about 19 of them.
+SECOND_MODULUS_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -524,8 +528,9 @@ def analyze_minpoly(f: IntPoly) -> MinPolyInfo:
     """Certify that f is the minimal polynomial of a Pisot number and locate
     its roots, dominant root, and the trace-path threshold.
 
-    The first layout of `pisot_layouts(f, FIRST_LAYOUT_BITS)` that decides
-    n0 is kept; past the cap on working bits, `root_layouts` raises
+    The first layout of `pisot_layouts(f, FIRST_LAYOUT_BITS)` whose ball of
+    |alpha_2| fixes its SECOND_MODULUS_DIGITS digits and that decides n0 is
+    kept; past the cap on working bits, `root_layouts` raises
     PrecisionExhausted."""
     if not f.is_monic:
         raise errors.NotMonic("analyze_minpoly requires a monic polynomial")
@@ -547,6 +552,8 @@ def analyze_minpoly(f: IntPoly) -> MinPolyInfo:
         # |center| + radius picks the disk of the largest upper bound on
         # |alpha_2|: every disk of a layout has one scale.
         second = max(others, key=lambda r: isqrt(r.re * r.re + r.im * r.im) + r.radius).modulus()
+        if not second.fixes_digits(SECOND_MODULUS_DIGITS):
+            continue
         n0 = _threshold_n0(second, f.degree)
         if n0 is not None:
             return MinPolyInfo(
@@ -574,7 +581,10 @@ def pisot_layouts(f: IntPoly, precision_bits: int):
 def _certify_pisot_roots(roots):
     """Index of the dominant root, a NotPisot reason string, or 'ambiguous'.
     An index certifies every other disk inside the unit disk. Every test
-    compares a disk's integer bounds with 1 at its scale."""
+    compares a disk's integer bounds with 1 at its scale, and each verdict
+    and reason depends on the set of disks, not on their order: a conjugate
+    certified outside the unit disk is named by the largest lower bound of
+    a conjugate's modulus, and rules f out even when another is undecided."""
     dominant = []
     for i, r in enumerate(roots):
         if not r.is_real:
@@ -588,14 +598,12 @@ def _certify_pisot_roots(roots):
     if not dominant:
         return "no real root greater than 1"
     idx = dominant[0]
-    for i, r in enumerate(roots):
-        if i == idx:
-            continue
-        m = r.modulus()
-        if m.center + m.radius < 1 << m.scale:
-            continue
-        if m.center - m.radius >= 1 << m.scale:
-            return f"conjugate root {i} has modulus >= 1 (~{m.digits(8)})"
+    moduli = [r.modulus() for i, r in enumerate(roots) if i != idx]
+    one = 1 << moduli[0].scale
+    top = max(moduli, key=lambda m: m.center - m.radius)
+    if top.center - top.radius >= one:
+        return f"a conjugate root has modulus >= 1 (the largest is ~{top.digits(8)})"
+    if any(m.center + m.radius >= one for m in moduli):
         return "ambiguous"
     return idx
 

@@ -47,8 +47,17 @@ class Ball:
     def digits(self, n: int) -> str:
         """The center to n >= 1 significant digits by `decimal_digits`:
         correctly rounded, half away from zero, in mpmath's `nstr` layout."""
+        return self._digits(self.center, n)
+
+    def fixes_digits(self, n: int) -> bool:
+        """Whether both ends of the ball, and so every number in it, round
+        to the same n significant digits: then `digits(n)` is the number
+        itself correctly rounded, however wide the ball."""
+        return self._digits(self.center - self.radius, n) == self._digits(self.center + self.radius, n)
+
+    def _digits(self, num: int, n: int) -> str:
         s = self.scale
-        num, den = (self.center, 1 << s) if s >= 0 else (self.center << -s, 1)
+        num, den = (num, 1 << s) if s >= 0 else (num << -s, 1)
         return decimal_digits(num, den, n)
 
 

@@ -12,7 +12,14 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .algebraic import FieldSpec, IntPoly, analyze_minpoly, coprime_residues, embeddings_for
+from .algebraic import (
+    SECOND_MODULUS_DIGITS,
+    FieldSpec,
+    IntPoly,
+    analyze_minpoly,
+    coprime_residues,
+    embeddings_for,
+)
 from .pisotsearch import (
     MAX_SEARCH_DEGREE,
     find_pisot,
@@ -410,7 +417,7 @@ def _cmd_threshold(args):
     obj = {
         "minpoly": str(f),
         "threshold_n0": info.threshold_n0,
-        "second_modulus": info.second_modulus.digits(20),
+        "second_modulus": info.second_modulus.digits(SECOND_MODULUS_DIGITS),
     }
     _emit(args, obj, [str(info.threshold_n0)])
     return 0

@@ -493,7 +493,7 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
         for j in range(i + 1, d):
             if gaps[i][j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
                 return None
-    return _classify_roots(zs, radii, w, disjoint=True)
+    return _classify_roots(zs, radii, w)
 
 
 def share_a_root(f_desc, g_desc) -> bool:
@@ -550,16 +550,16 @@ def _primitive(p):
     return [c // g for c in p]
 
 
-def _classify_roots(zs, radii, w: int, disjoint: bool = False) -> list[PolyRoot] | None:
+def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
     """Flag real roots by conjugation symmetry; None means ambiguous (retry).
     The midpoints (a, b) are at scale 2^w, the radii at 2^(w + GUARD_BITS),
-    and every test is an integer comparison.
+    every test is an integer comparison, and the disks are pairwise
+    disjoint, one root in each.
 
-    With `disjoint`, the caller has found the disks pairwise disjoint. The
-    mirror of a disk centred on the axis is that disk, so its mirror test
-    is the disjointness test, and is skipped. On a mirrored layout every
-    disk that crosses the axis is centred on it, since one off the axis
-    would meet its mirror, so no mirror test runs there."""
+    The mirror of a disk centred on the axis is that disk, so its mirror
+    test is the disjointness test, and is skipped. On a mirrored layout
+    every disk that crosses the axis is centred on it, since one off the
+    axis would meet its mirror, so no mirror test runs there."""
     g = GUARD_BITS
     roots = []
     for i, ((a, b), r) in enumerate(zip(zs, radii)):
@@ -569,7 +569,7 @@ def _classify_roots(zs, radii, w: int, disjoint: bool = False) -> list[PolyRoot]
         # Disk crosses the real axis. The conjugate of the true root is also
         # a root; if it cannot lie in any other disk it lies in this one, so
         # the root is fixed by conjugation, i.e. real.
-        if not (disjoint and b == 0) and any(
+        if b and any(
             j != i and ((a - u) ** 2 + (b + v) ** 2) << (2 * g) <= (r + radii[j]) ** 2
             for j, (u, v) in enumerate(zs)
         ):

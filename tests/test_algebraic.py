@@ -505,7 +505,7 @@ def _recorded_classifications(monkeypatch):
     seen = []
     classify = isolation._classify_roots
 
-    def recorded(zs, radii, w, disjoint=False):
+    def recorded(zs, radii, w):
         seen.append((list(zs), radii, w))
         return classify(zs, radii, w)
 
@@ -979,6 +979,33 @@ def test_threshold_matches_scan(f):
     assert analyze_minpoly(f).threshold_n0 == scanned_threshold(f)
 
 
+WIDENED = {"golden": GOLDEN, "plastic": PLASTIC, "quartic": QUARTIC, "5-nacci": KNACCI["5-nacci"]}
+
+
+@pytest.mark.parametrize("f", WIDENED.values(), ids=WIDENED)
+def test_a_second_modulus_that_does_not_fix_its_digits_waits_for_the_next_layout(monkeypatch, f):
+    # Every radius of the first layout widened to 2^-64, as far as a 64-bit
+    # certificate may reach: the ball of |alpha_2| < 1 then spans about ten
+    # units of its 20th digit, so the layout is passed over, and the 128-bit
+    # one prints the digits that the first would have.
+    expected = analyze_minpoly(f)
+    assert expected.precision_bits == algebraic.FIRST_LAYOUT_BITS
+    ladder = algebraic.root_layouts
+
+    def widened(f, prec):
+        for i, (p, roots) in enumerate(ladder(f, prec)):
+            if i == 0:
+                roots = [dataclasses.replace(r, radius=max(r.radius, 1 << (r.scale - 64)))
+                         for r in roots]
+            yield p, roots
+
+    monkeypatch.setattr(algebraic, "root_layouts", widened)
+    info = analyze_minpoly(f)
+    assert info.precision_bits == 2 * algebraic.FIRST_LAYOUT_BITS
+    assert info.threshold_n0 == expected.threshold_n0
+    assert info.second_modulus.digits(20) == expected.second_modulus.digits(20)
+
+
 @pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
 def test_the_threshold_powers_each_bound_once_per_n(monkeypatch, f):
     # side(n) is cached: the walks and the final check share its powers, so
@@ -995,6 +1022,31 @@ def test_the_threshold_powers_each_bound_once_per_n(monkeypatch, f):
     assert algebraic._threshold_n0(info.second_modulus, f.degree) == info.threshold_n0
     assert calls and max(calls.values()) == 1
     assert max(collections.Counter(n for _, n in calls).values()) <= 2
+
+
+# (x - 5)(x^2 + 4)(x^2 + 9): one real root above 1, and conjugates of
+# moduli 2 and 3 outside the unit disk.
+TWO_PAIRS_OUTSIDE = IntPoly((-180, 36, -65, 13, -5, 1))
+LAYOUT_ORDERS = {
+    "as-isolated": list,
+    "reversed": lambda roots: roots[::-1],
+    "by-modulus": lambda roots: sorted(roots, key=lambda r: r.re**2 + r.im**2),
+    "by-modulus-descending": lambda roots: sorted(roots, key=lambda r: -(r.re**2 + r.im**2)),
+}
+
+
+@pytest.mark.parametrize("order", LAYOUT_ORDERS.values(), ids=LAYOUT_ORDERS)
+def test_a_conjugate_outside_is_named_by_the_largest_modulus_in_any_layout_order(monkeypatch, order):
+    ladder = algebraic.root_layouts
+
+    def reordered(f, prec):
+        for p, roots in ladder(f, prec):
+            yield p, order(roots)
+
+    monkeypatch.setattr(algebraic, "root_layouts", reordered)
+    with pytest.raises(errors.NotPisot) as caught:
+        analyze_minpoly(TWO_PAIRS_OUTSIDE)
+    assert str(caught.value) == "a conjugate root has modulus >= 1 (the largest is ~3.0)"
 
 
 class TestRefusals:
@@ -1090,13 +1142,27 @@ class TestIsolationRecovers:
         _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
 
     def test_nearly_coincident_float_starts_settle(self, monkeypatch):
-        # Starts one unit in the last place apart: the repulsion shrinks the
-        # step below the roundoff, so both settle together, and the
-        # fixed-point rounds separate them.
+        # x^4 + x^3 + x^2 + x + 1 has two conjugate pairs and no real root.
+        # Of the circle points at angles 0.1, ~pi/4 (z + 2^-52, then z) and
+        # 3, each two in turn give the upper start nearer the imaginary
+        # axis: z + 2^-52 and z, one unit in the last place apart. Their
+        # repulsion shrinks the steps below the roundoff, so one settles
+        # next to z, on no root, and the fixed-point rounds separate it.
+        f = IntPoly((1, 1, 1, 1, 1))
         z = 1.5 + 1.5j
-        monkeypatch.setattr(isolation, "_start_circles",
-                            lambda c: [(0.0, z), (0.0, z + 2.0**-52), (0.0, -z)])
-        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
+        monkeypatch.setattr(isolation, "_start_circles", lambda c: [
+            (0.0, complex(math.cos(0.1), math.sin(0.1))), (0.0, z), (0.0, z + 2.0**-52),
+            (0.0, complex(math.cos(3.0), math.sin(3.0))),
+        ])
+        float_starts, approx = isolation._float_starts, []
+
+        def recorded(f_desc, signs):
+            approx.append(float_starts(f_desc, signs))
+            return approx[-1]
+
+        monkeypatch.setattr(isolation, "_float_starts", recorded)
+        _assert_isolated(f, next(root_layouts(f, 64))[1], 2000)
+        assert any(abs(x - z) < 2.0**-50 for x in approx[0])
 
     def test_a_stalled_float_iteration_starts_from_the_circles(self, monkeypatch):
         float_starts, circles = isolation._float_starts, []
@@ -1136,12 +1202,12 @@ class TestIsolationRecovers:
         _assert_isolated(GOLDEN, next(root_layouts(GOLDEN, 64))[1], 2000)
 
     def test_a_disk_across_the_real_axis_that_meets_another(self, monkeypatch):
-        # The first classification gets every radius widened to 2: the real
-        # disk's mirror image meets the pair's disks, so the round is not
-        # certified, and the next one is.
+        # The first classification gets every radius widened to 2: the
+        # pair's upper disk then crosses the real axis and meets its own
+        # mirror, so the round is not certified, and the next one is.
         classify, calls = isolation._classify_roots, []
 
-        def widened(zs, radii, w, disjoint=False):
+        def widened(zs, radii, w):
             calls.append(w)
             if len(calls) == 1:
                 radii = [2 << (w + GUARD_BITS)] * len(radii)

@@ -25,6 +25,18 @@ def test_certified_comparisons():
     assert not wide.gt(0) and not wide.lt(0)
 
 
+def test_fixes_digits_when_both_ends_round_alike():
+    # 123456785 is where 8 digits round up: the closed ball of radius 5
+    # about 123456780 reaches it, the one of radius 4 does not.
+    assert Ball(123456780, 4, 0).fixes_digits(8)
+    assert not Ball(123456780, 5, 0).fixes_digits(8)
+    assert Ball(123456780 << 70, (5 << 70) - 1, 70).fixes_digits(8)
+    assert not Ball(123456780 << 70, 5 << 70, 70).fixes_digits(8)
+    # About 1/3 within 2^-64, or 5.4e-20: 18 digits are fixed, 20 are not.
+    third = Ball(((1 << 128) - 1) // 3, 1 << 64, 128)
+    assert third.fixes_digits(18) and not third.fixes_digits(20)
+
+
 def _formatter_cases(count, seed):
     """(center, scale, n) triples: random mantissas near unit magnitude;
     exact t * 10^k for powers of ten, 10^n - 1 carries and halves at digit
