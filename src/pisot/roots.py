@@ -4,13 +4,16 @@
 root by Aberth-Ehrlich iterations in floats and Newton steps on fixed-point
 Gaussian integers, and certifies each with a disk whose radius comes from an
 exact residual: f evaluated exactly at the dyadic midpoint, whatever solver
-found it. Its layouts are exactly conjugate-symmetric: the real roots,
-counted and split by sign by Sturm's theorem on the remainder sequence of f
-and f', lie on the axis, and each lower disk mirrors an upper one, so the
-float iterations, the Newton steps and the exact residuals run on the real
-and upper approximations alone, and the real ones in real arithmetic. A
-mirrored layout needs no separate test that a real disk holds a real root:
-the disjointness of its disks is that test. `share_a_root`
+found it. A layout has one format from the start points to the certificate:
+the r real midpoints, counted and split by sign by Sturm's theorem on the
+remainder sequence of f and f', then one midpoint of each conjugate pair.
+The lower mirrors are never stored, so the float iterations, the Newton and
+Aberth steps and the exact residuals run on r + (d - r)/2 midpoints, the
+real ones in real arithmetic. Once the d disks are pairwise disjoint, two
+facts decide which roots are real with no further test: a disk centred on
+the axis is its own mirror, so the mirror of its one root lies in it and
+the root is real; and a pair's disk that reached the axis would meet its
+own mirror. `share_a_root`
 decides exactly whether two integer polynomials have a common root, by
 their gcd over Z, from the same remainder sequence. `fixed_power` powers a
 fixed-point Gaussian integer with an integer error bound, for the threshold
@@ -42,7 +45,7 @@ _SLACK_BITS = 32
 # Direction in which float Aberth moves an approximation off a coincidence.
 _NUDGE = complex(0.6, 0.8)
 # Ratio of the moduli of successive real starts on one circle
-# (`_float_starts`): irrational, so that no start on one circle meets one on
+# (`_start_points`): irrational, so that no start on one circle meets one on
 # another, whose radius is a rational power of a rational.
 _SPREAD = (5**0.5 - 1) / 2
 
@@ -67,34 +70,31 @@ class PolyRoot:
 def root_layouts(f: IntPoly, precision_bits: int):
     """Yields (prec, roots) at prec = p, 2p, 4p, ... for p = precision_bits:
     every complex root of f in a certified disk within 2^-prec (|x_i| + 1),
-    the disks pairwise disjoint and exactly conjugate-symmetric.
+    the disks pairwise disjoint and exactly conjugate-symmetric: the real
+    ones, then one of each conjugate pair, then their mirrors in that order.
 
     A repeated root is ruled out exactly first, once, since no precision
     separates it: the primitive remainder sequence of f and f'
     (`_remainder_sequence`) ends at gcd(f, f') over Z, and its signs give
     the numbers of real roots at most 0 and above 0 by Sturm's theorem
-    (`_real_root_signs`), r in all. Approximations come from Aberth-Ehrlich
-    iterations in floats on r real and (d - r)/2 upper approximations, each
-    lower one the mirror of an upper one (`_float_starts`). Newton steps on
-    fixed-point Gaussian integers (a + bi)/2^s refine the real and upper
-    midpoints as s doubles up to the working precision w = work_bits(prec),
-    and each lower one stays the mirror of its upper one. When floats
-    overflow or stall, the fixed-point steps start from the Newton-polygon
-    circles instead and are Aberth's on every midpoint (`_newton`), and the
-    r nearest the axis are put on it and the others mirrored (`_mirrored`).
-    Soundness rests on none of that: f is evaluated exactly at each dyadic
-    midpoint x_i, and |lead * prod_{j != i} (x_i - x_j)|^2 is an exact
-    integer product, so the Weierstrass radius
-    d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| is rounded upward only
-    once. On a mirrored layout it is computed for the
-    real and upper midpoints alone, since f(conj x) = conj f(x) and the
-    gaps are the same. Those disks jointly cover the roots, and contain
-    exactly one root each once disjoint. A failed certificate doubles w, and
-    Aberth steps at the new w separate what the last round could not. After
-    a layout, Newton steps go on from its midpoints at
-    w = max(w, work_bits(2 prec)), so the disks keep their order. A round
-    whose w would exceed MAX_WORK_BITS, the first included, raises
-    PrecisionExhausted instead.
+    (`_real_root_signs`), r in all. From there on the midpoints are the r
+    real ones and one of each of the (d - r)/2 conjugate pairs, from the
+    points of `_start_points`. Aberth-Ehrlich iterations in floats refine
+    them (`_float_starts`), then Newton steps on fixed-point Gaussian
+    integers (a + bi)/2^s as s doubles up to the working precision
+    w = work_bits(prec) (`_newton`). When floats overflow or stall, the
+    fixed-point steps start from the same points (`_circle_starts`) and are
+    Aberth's. Soundness rests on none of that: f is evaluated exactly at
+    each dyadic midpoint x_i, and |lead * prod_{j != i} (x_i - x_j)|^2,
+    over all d midpoints with the mirrors, is an exact integer product, so
+    the Weierstrass radius d*|f(x_i)| / |lead * prod_{j != i} (x_i - x_j)|
+    is rounded upward only once (`_certified_roots`). Those disks jointly
+    cover the roots, and contain exactly one root each once disjoint. A
+    failed certificate doubles w, and Aberth steps at the new w separate
+    what the last round could not. After a layout, Newton steps go on from
+    its midpoints at w = max(w, work_bits(2 prec)), so the disks keep their
+    order. A round whose w would exceed MAX_WORK_BITS, the first included,
+    raises PrecisionExhausted instead.
     """
     prec, last, w = precision_bits, None, work_bits(precision_bits)
     _check_cap(f, last, w)
@@ -105,15 +105,13 @@ def root_layouts(f: IntPoly, precision_bits: int):
     real, bits = sum(signs), 53
     approx = _float_starts(f_desc, signs)
     if approx is None:
-        zs, repel = _circle_starts(f_desc, bits), True
+        zs, repel = _circle_starts(f_desc, signs, bits), True
     else:
         zs = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in approx]
         repel = False
     while True:
-        zs = _newton(f_desc, zs, bits, w, repel)
-        if repel:
-            zs = _mirrored(zs, real, w)
-        roots = _certified_roots(f, zs, w, prec)
+        zs = _newton(f_desc, zs, real, bits, w, repel)
+        roots = _certified_roots(f, zs, real, w, prec)
         if roots is None:
             bits, w, repel = w, 2 * w, True
         else:
@@ -143,57 +141,8 @@ def _real_root_signs(f_desc) -> tuple[int, int] | None:
     return at_minus - at_zero, at_zero - at_plus
 
 
-def _real_root_count(f_desc) -> int | None:
-    """r, the number of real roots of f, from `_real_root_signs`."""
-    signs = _real_root_signs(f_desc)
-    return None if signs is None else sum(signs)
-
-
 def _sign_changes(positive) -> int:
     return sum(x != y for x, y in zip(positive, positive[1:]))
-
-
-def _mirrored(zs, real: int, p: int):
-    """The approximations zs at scale 2^p made exactly conjugate-symmetric,
-    in their order: the `real` nearest the real axis, relative to |z| + 1,
-    get im = 0; of the others, the upper half by im keep their values, and
-    each takes the nearest conjugate among the lower half as its mirror
-    (a, -b). Only the certificate judges whether the choice was right."""
-    tilt = [abs(b) / (abs(a) + abs(b) + (1 << p)) for a, b in zs]
-    near = sorted(range(len(zs)), key=tilt.__getitem__)
-    out = list(zs)
-    for i in near[:real]:
-        out[i] = (zs[i][0], 0)
-    rest = sorted(near[real:], key=lambda i: zs[i][1], reverse=True)
-    lower = rest[len(rest) // 2:]
-    for i in rest[: len(rest) // 2]:
-        a, b = zs[i]
-        j = min(lower, key=lambda j: (zs[j][0] - a) ** 2 + (zs[j][1] + b) ** 2)
-        lower.remove(j)
-        out[j] = (a, -b)
-    return out
-
-
-def _mirror_pairs(zs):
-    """(i, j) for each midpoint i on or above the real axis, where j is the
-    index of its exact mirror (a, -b), or None on the axis, when the
-    midpoints are exactly conjugate-symmetric; otherwise (i, None) for every
-    i."""
-    below = {}
-    for j, (a, b) in enumerate(zs):
-        if b < 0:
-            below.setdefault((a, -b), []).append(j)
-    pairs = []
-    for i, (a, b) in enumerate(zs):
-        if b > 0:
-            if not below.get((a, b)):
-                return [(i, None) for i in range(len(zs))]
-            pairs.append((i, below[(a, b)].pop()))
-        elif b == 0:
-            pairs.append((i, None))
-    if any(below.values()):
-        return [(i, None) for i in range(len(zs))]
-    return pairs
 
 
 def _check_cap(f: IntPoly, last: int | None, w: int) -> None:
@@ -212,48 +161,20 @@ def work_bits(precision_bits: int) -> int:
 
 
 def _float_starts(f_desc, signs):
-    """Approximations of all roots from Aberth-Ehrlich iterations in floats,
-    exactly conjugate-symmetric: r = n + p real ones, for signs = (n, p) of
-    `_real_root_signs`, then the upper ones, then their mirrors in the same
-    order. None when a value overflows a float or the iteration stalls.
+    """The r real and (d - r)/2 upper approximations from Aberth-Ehrlich
+    iterations in floats, from the points of `_start_points`, in their
+    order; one that ended below the axis is given as its conjugate. None
+    when a value overflows a float or the iteration stalls.
 
-    The starts come from the circles of the Newton polygon
-    (`_start_circles`). Conjugate roots share a modulus, so a circle with an
-    odd number of points gets one real start; two more go to the circle
-    with the most points left until there are r, and with too many the
-    outermost give theirs up. Going inward from the outermost circle, the
-    real starts take the signs in turn, + first, while both remain, and the
-    j-th on a circle of radius R lies at +-R * _SPREAD^j; it takes the place
-    of the circle's point nearest the axis. The circles' other points,
-    turned into the upper half plane and ordered by circle and angle, start
-    the upper approximations: of each two in turn, the one farther from the
-    axis. Only the real and upper approximations move, the real ones in
-    real arithmetic, and each lower one stays the mirror of its upper one;
-    each step is Aberth's over all d approximations."""
-    negative, positive = signs
+    Only those approximations move, the real ones in real arithmetic, and
+    each lower one stays the mirror of its upper one; each step is
+    Aberth's over all d approximations."""
     try:
         lead, *tail = [float(c) for c in f_desc]
-        circles = [(math.exp(lr), [u for _, u in group])
-                   for lr, group in itertools.groupby(_start_circles(f_desc[::-1]), lambda c: c[0])]
+        zs = [math.exp(lr) * u for lr, u in _start_points(f_desc, signs)]
     except OverflowError:
         return None
-    real = [len(units) % 2 for _, units in circles]
-    while sum(real) > negative + positive:
-        real[len(real) - 1 - real[::-1].index(1)] = 0
-    while sum(real) < negative + positive:
-        real[max(range(len(real)), key=lambda e: len(circles[e][1]) - real[e])] += 2
-    zs, rest = [], []
-    for (radius, units), count in zip(reversed(circles), reversed(real)):
-        units = sorted(units, key=lambda u: abs(u.imag) / (abs(u) or 1))
-        for j in range(count):
-            plus = positive > 0 and (j % 2 == 0 or not negative)
-            positive, negative = positive - plus, negative - (not plus)
-            zs.append((radius if plus else -radius) * _SPREAD**j)
-        rest += sorted((complex(u.real, abs(u.imag)) * radius for u in units[count:]),
-                       key=lambda z: math.atan2(z.imag, z.real))
-    r = len(zs)
-    zs += [min(rest[i : i + 2], key=lambda z: abs(math.atan2(z.imag, z.real) - math.pi / 2))
-           for i in range(0, len(rest) - 1, 2)]
+    r = sum(signs)
     upper = len(zs) - r
     zs += [z.conjugate() for z in zs[r:]]
     d = len(zs)
@@ -293,16 +214,55 @@ def _float_starts(f_desc, signs):
                 left.append(i)
         moving = left
         if not moving:
-            return zs
+            return [complex(z.real, abs(z.imag)) for z in zs[: r + upper]]
     return None
 
 
-def _circle_starts(f_desc, p: int):
-    """The starting points of `_start_circles` as fixed-point Gaussian
-    integers at scale 2^p, for when floats overflow or stall: each radius
-    exp(lr) is 2^e * r with r in [1, 2), so no float holds more than r."""
+def _start_points(f_desc, signs):
+    """Starts for the r = n + p real and the (d - r)/2 upper approximations,
+    for signs = (n, p) of `_real_root_signs`, as (lr, u) for the point
+    exp(lr) * u: lr is a log radius, so no value overflows, and u is a
+    float for a real start and a complex number above the axis for the
+    others.
+
+    The points come from the circles of the Newton polygon
+    (`_start_circles`). Conjugate roots share a modulus, so a circle with an
+    odd number of points gets one real start; two more go to the circle
+    with the most points left until there are r, and with too many the
+    outermost give theirs up. Going inward from the outermost circle, the
+    real starts take the signs in turn, + first, while both remain, and the
+    j-th on a circle of radius R lies at +-R * _SPREAD^j; it takes the place
+    of the circle's point nearest the axis. The circles' other points,
+    turned into the upper half plane and ordered by circle and angle, start
+    the upper approximations: of each two in turn, the one farther from the
+    axis."""
+    negative, positive = signs
+    circles = [(lr, [u for _, u in group])
+               for lr, group in itertools.groupby(_start_circles(f_desc[::-1]), lambda c: c[0])]
+    real = [len(units) % 2 for _, units in circles]
+    while sum(real) > negative + positive:
+        real[len(real) - 1 - real[::-1].index(1)] = 0
+    while sum(real) < negative + positive:
+        real[max(range(len(real)), key=lambda e: len(circles[e][1]) - real[e])] += 2
+    starts, rest = [], []
+    for (lr, units), count in zip(reversed(circles), reversed(real)):
+        units = sorted(units, key=lambda u: abs(u.imag) / (abs(u) or 1))
+        for j in range(count):
+            plus = positive > 0 and (j % 2 == 0 or not negative)
+            positive, negative = positive - plus, negative - (not plus)
+            starts.append((lr, (1 if plus else -1) * _SPREAD**j))
+        rest += sorted(((lr, complex(u.real, abs(u.imag))) for u in units[count:]),
+                       key=lambda s: math.atan2(s[1].imag, s[1].real))
+    return starts + [min(rest[i : i + 2], key=lambda s: abs(math.atan2(s[1].imag, s[1].real) - math.pi / 2))
+                     for i in range(0, len(rest) - 1, 2)]
+
+
+def _circle_starts(f_desc, signs, p: int):
+    """The points of `_start_points` as fixed-point Gaussian integers at
+    scale 2^p, for when floats overflow or stall: each radius exp(lr) is
+    2^e * r with r in [1, 2), so no float holds more than r."""
     out = []
-    for lr, u in _start_circles(f_desc[::-1]):
+    for lr, u in _start_points(f_desc, signs):
         if lr == -math.inf:
             out.append((0, 0))
             continue
@@ -344,89 +304,89 @@ def _to_fixed(x: float, p: int) -> int:
     return round(math.ldexp(m, 53 + min(k, 0))) << max(k, 0)
 
 
-def _newton(f_desc, zs, bits: int, w: int, repel: bool):
+def _newton(f_desc, zs, real: int, bits: int, w: int, repel: bool):
     """Newton steps on fixed-point Gaussian integers: (a, b) stands for
-    (a + bi)/2^p, given at p = bits. The scale p doubles, one sweep over the
-    roots at each scale, and goes straight to w once a doubling covers
+    (a + bi)/2^p, given at p = bits, and zs holds the `real` real midpoints,
+    then one of each conjugate pair. The scale p doubles, one sweep over the
+    midpoints at each scale, and goes straight to w once a doubling covers
     w - _SLACK_BITS, the layout's precision and its guard bits: quadratic
     convergence takes a start good to `bits` bits to 2 * bits, so from the
     53 bits of a float start one sweep at w = 112 gives the 64-bit layout,
     and two, at 106 and 176, the 128-bit one. The certificate judges the
     result.
 
-    Without `repel`, a sweep steps the real and upper midpoints alone, the
-    real ones by real Horner, and sets each lower one to the mirror of its
-    upper one (`_mirror_pairs`). With `repel`, each step is Aberth's
-    (`_step`) on every midpoint, each sweep uses the approximations it has
-    already moved, and more sweeps run at w, up to ABERTH_STEPS, while some
-    approximation still moves."""
+    With `repel`, each step is Aberth's (`_step`), each sweep uses the
+    approximations it has already moved, and more sweeps run at w, up to
+    ABERTH_STEPS, while some approximation still moves."""
     scales = []
     p = bits
     while not scales or p < w:
         p = 2 * p if 2 * p < w - _SLACK_BITS else w
         scales.append(p)
-    zs = list(zs)
+    sweeps = [1] * len(scales)
+    if repel:
+        scales.append(w)
+        sweeps.append(ABERTH_STEPS)
     p = bits
-    if not repel:
-        pairs = _mirror_pairs(zs)
-        for q in scales:
-            zs = [(a << (q - p), b << (q - p)) for a, b in zs]
-            p = q
-            for i, j in pairs:
-                _step(f_desc, zs, i, p, False)
-                if j is not None:
-                    zs[j] = (zs[i][0], -zs[i][1])
-        return zs
-    sweeps = [1] * len(scales) + [ABERTH_STEPS]
-    scales.append(w)
     for q, count in zip(scales, sweeps):
         zs = [(a << (q - p), b << (q - p)) for a, b in zs]
         p = q
         moving = range(len(zs))
         for _ in range(count):
-            moving = [i for i in moving if _step(f_desc, zs, i, p, True)]
+            moving = [i for i in moving if _step(f_desc, zs, i, p, real, repel)]
             if not moving:
                 break
+    # A real midpoint still moving after the last sweeps is held on the axis
+    # by a conjugate pair it cannot reach, and a pair midpoint still moving
+    # has no complex root of its own, often a real one beside its mirror:
+    # they trade places, and the next round starts from there.
+    if repel:
+        stuck = [i for i in moving if i < real][:1] + [i for i in moving if i >= real][:1]
+        if len(stuck) == 2:
+            (a, _), (u, v) = zs[stuck[0]], zs[stuck[1]]
+            zs[stuck[0]], zs[stuck[1]] = (u, 0), (a, abs(v) or 1)
     return zs
 
 
-def _step(f_desc, zs, i: int, p: int, repel: bool) -> bool:
-    """Moves zs[i] by Newton's correction N = f/f' at scale 2^p: f and f'
-    are evaluated together by Horner's rule, with every product truncated
-    to the scale, and in real arithmetic at a real zs[i] without `repel`.
+def _step(f_desc, zs, i: int, p: int, real: int, repel: bool) -> bool:
+    """Moves zs[i] by Newton's correction N = f/f' at scale 2^p, where zs
+    holds the `real` real midpoints, then one of each conjugate pair: f and
+    f' are evaluated together by Horner's rule, with every product
+    truncated to the scale, and in real arithmetic on the real axis.
 
     With `repel`, the step is Aberth's, N / (1 - sum_{j != i} N/(z_i - z_j)),
-    which pushes z_i off the other approximations; each ratio there is
+    the sum over all d approximations, the mirrors (a, -b) of the pairs
+    included, which pushes z_i off the others; each ratio there is
     dimensionless, so the scale holds it whatever the size of the roots. An
     approximation that meets another, or whose correction has a zero
-    denominator, moves off the coincidence by 2^10 units. Returns False
-    once z_i has settled: |f(z_i)| within four times the truncation error
-    of Horner's rule, or a correction of at most one unit per part."""
+    denominator, moves off the coincidence by 2^10 units. A real midpoint
+    takes only the real part of the sum and of its step, so it stays real.
+    Returns False once z_i has settled: |f(z_i)| within four times the
+    truncation error of Horner's rule, or a correction of at most one unit
+    per part."""
     a, b = zs[i]
-    if not (b or repel):
-        fr, dr = f_desc[0] << p, 0
+    fr, fi, dr, di = f_desc[0] << p, 0, 0, 0
+    if b:
+        for c in f_desc[1:]:
+            dr, di = ((dr * a - di * b) >> p) + fr, ((dr * b + di * a) >> p) + fi
+            fr, fi = ((fr * a - fi * b) >> p) + (c << p), (fr * b + fi * a) >> p
+    else:
         for c in f_desc[1:]:
             dr = (dr * a >> p) + fr
             fr = (fr * a >> p) + (c << p)
-        if not dr:
-            return False
-        step = (fr << p) // dr
-        zs[i] = (a - step, 0)
-        return abs(step) > 1
-    fr, fi, dr, di = f_desc[0] << p, 0, 0, 0
-    size, noise = abs(a) + abs(b), 0
-    for c in f_desc[1:]:
-        dr, di = ((dr * a - di * b) >> p) + fr, ((dr * b + di * a) >> p) + fi
-        fr, fi = ((fr * a - fi * b) >> p) + (c << p), (fr * b + fi * a) >> p
-        if repel:
+    if repel:
+        size, noise = abs(a) + abs(b), 0
+        for _ in f_desc[1:]:
             noise = (noise * size >> p) + 2
-    if repel and abs(fr) + abs(fi) <= 4 * noise:
-        return False
+        if abs(fr) + abs(fi) <= 4 * noise:
+            return False
     step = _ratio(fr, fi, dr, di, p)
     if repel and step:
-        ratios = [_ratio(*step, a - u, b - v, p) for j, (u, v) in enumerate(zs) if j != i]
+        others = zs[:i] + zs[i + 1 :] + [(u, -v) for u, v in zs[real:]]
+        ratios = [_ratio(*step, a - u, b - v, p) for u, v in others]
         if all(ratios):
-            tr, ti = sum(r for r, _ in ratios), sum(q for _, q in ratios)
+            tr = sum(r for r, _ in ratios)
+            ti = 0 if i < real else sum(q for _, q in ratios)
             step = _ratio(*step, (1 << p) - tr, -ti, p)
         else:
             step = None
@@ -434,6 +394,8 @@ def _step(f_desc, zs, i: int, p: int, repel: bool) -> bool:
         if not repel:
             return False
         step = (-((i + 1) << 10),) * 2
+    if i < real:
+        step = (step[0], 0)
     zs[i] = (a - step[0], b - step[1])
     return abs(step[0]) > 1 or abs(step[1]) > 1
 
@@ -446,36 +408,41 @@ def _ratio(xr: int, xi: int, yr: int, yi: int, p: int):
     return ((xr * yr + xi * yi) << p) // den, ((xi * yr - xr * yi) << p) // den
 
 
-def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None:
-    """Weierstrass disks around the midpoints x_i = (a_i + b_i i)/2^w, from
-    exact integers, or None when they are not disjoint, not within
-    2^-prec * (|x_i| + 1), or ambiguous on the real axis.
+def _certified_roots(f: IntPoly, zs, real: int, w: int, prec: int) -> list[PolyRoot] | None:
+    """Weierstrass disks around all d roots, from exact integers: zs holds
+    the `real` real midpoints x_i = a_i/2^w, then one x_i = (a_i + b_i i)/2^w
+    of each conjugate pair, and the d midpoints are those and the pairs'
+    mirrors. None when the d disks are not pairwise disjoint, or not within
+    2^-prec * (|x_i| + 1).
 
     With X_i = 2^w x_i, F_i = 2^(wd) f(x_i) by exact Horner and
-    Q_i = lead^2 * prod_{j != i} |X_i - X_j|^2, the radius is
+    Q_i = lead^2 * prod_{j != i} |X_i - X_j|^2 over all d midpoints, the
+    radius is
     d * |f(x_i)| / |lead * prod_{j != i} (x_i - x_j)| = 2^-w * d * sqrt(|F_i|^2 / Q_i),
     held as an integer R_i in units of 2^-(w + GUARD_BITS), rounded up.
-    When the midpoints are exactly conjugate-symmetric (`_mirror_pairs`),
-    F_i and Q_i are computed for the real and upper ones alone, and each
-    mirror takes the radius of its upper midpoint: F(conj x) = conj F(x) for
-    integer f, and conjugation maps the gaps from conj x_i to the gaps from
-    x_i, so both are exact.
+    F_i and Q_i are computed at the stored midpoints alone, and each mirror
+    takes the radius of its pair's: F(conj x) = conj F(x) for integer f, and
+    conjugation maps the gaps from conj x_i to the gaps from x_i, so both
+    are exact.
+
+    The roots come back in the order of the d midpoints, the first `real`
+    flagged real. Disjoint disks hold one root each, and that is sound: a
+    disk centred on the axis is its own mirror, so it holds the mirror of
+    its root, which is then real; a pair's disk that reached the axis would
+    meet its own mirror, so it holds a root off the axis.
     """
     d = f.degree
     g = GUARD_BITS
     lead = f.coefficients[-1]
     scaled = [c << (w * (d - k)) for k, c in enumerate(f.coefficients)][-2::-1]
-    gaps = [[0] * d for _ in range(d)]
+    every = zs + [(a, -b) for a, b in zs[real:]]
+    gaps = [[(a - u) ** 2 + (b - v) ** 2 for u, v in every] for a, b in zs]
+    radii = []
     for i, (a, b) in enumerate(zs):
-        for j in range(i + 1, d):
-            gaps[i][j] = gaps[j][i] = (a - zs[j][0]) ** 2 + (b - zs[j][1]) ** 2
-    radii = [0] * d
-    for i, mirror in _mirror_pairs(zs):
-        a, b = zs[i]
         q = lead * lead
-        for j in range(d):
+        for j, gap in enumerate(gaps[i]):
             if j != i:
-                q *= gaps[i][j]
+                q *= gap
         if q == 0:
             return None
         fr, fi = lead, 0
@@ -486,14 +453,14 @@ def _certified_roots(f: IntPoly, zs, w: int, prec: int) -> list[PolyRoot] | None
         r += r * r < t
         if r << prec > (isqrt(a * a + b * b) + (1 << w)) << g:
             return None
-        radii[i] = r
-        if mirror is not None:
-            radii[mirror] = r
-    for i in range(d):
+        radii.append(r)
+    radii += radii[real:]
+    for i, row in enumerate(gaps):
         for j in range(i + 1, d):
-            if gaps[i][j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
+            if row[j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
                 return None
-    return _classify_roots(zs, radii, w)
+    return [PolyRoot(a << g, b << g, r, w + g, is_real=i < real)
+            for i, ((a, b), r) in enumerate(zip(every, radii))]
 
 
 def share_a_root(f_desc, g_desc) -> bool:
@@ -548,34 +515,6 @@ def _pseudo_remainder(a, b):
 def _primitive(p):
     g = math.gcd(*p)
     return [c // g for c in p]
-
-
-def _classify_roots(zs, radii, w: int) -> list[PolyRoot] | None:
-    """Flag real roots by conjugation symmetry; None means ambiguous (retry).
-    The midpoints (a, b) are at scale 2^w, the radii at 2^(w + GUARD_BITS),
-    every test is an integer comparison, and the disks are pairwise
-    disjoint, one root in each.
-
-    The mirror of a disk centred on the axis is that disk, so its mirror
-    test is the disjointness test, and is skipped. On a mirrored layout
-    every disk that crosses the axis is centred on it, since one off the
-    axis would meet its mirror, so no mirror test runs there."""
-    g = GUARD_BITS
-    roots = []
-    for i, ((a, b), r) in enumerate(zip(zs, radii)):
-        if abs(b) << g > r:
-            roots.append(PolyRoot(a << g, b << g, r, w + g, is_real=False))
-            continue
-        # Disk crosses the real axis. The conjugate of the true root is also
-        # a root; if it cannot lie in any other disk it lies in this one, so
-        # the root is fixed by conjugation, i.e. real.
-        if b and any(
-            j != i and ((a - u) ** 2 + (b + v) ** 2) << (2 * g) <= (r + radii[j]) ** 2
-            for j, (u, v) in enumerate(zs)
-        ):
-            return None
-        roots.append(PolyRoot(a << g, 0, r + (abs(b) << g), w + g, is_real=True))
-    return roots
 
 
 def fixed_power(a: int, b: int, n: int, s: int) -> tuple[int, int, int]:

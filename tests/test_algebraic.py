@@ -454,9 +454,9 @@ def test_close_roots_take_the_precision_path(monkeypatch):
     rounds = []
     certify = isolation._certified_roots
 
-    def counted(f, zs, w, prec):
+    def counted(f, zs, real, w, prec):
         rounds.append(w)
-        return certify(f, zs, w, prec)
+        return certify(f, zs, real, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
     roots = next(root_layouts(MIGNOTTE, 64))[1]
@@ -470,9 +470,9 @@ def test_clustered_roots_take_two_rounds(monkeypatch):
     rounds = []
     certify = isolation._certified_roots
 
-    def counted(f, zs, w, prec):
+    def counted(f, zs, real, w, prec):
         rounds.append(w)
-        return certify(f, zs, w, prec)
+        return certify(f, zs, real, w, prec)
 
     monkeypatch.setattr(isolation, "_certified_roots", counted)
     next(root_layouts(MIGNOTTE, 64))[1]
@@ -489,9 +489,9 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
         floats.append(float_starts(f_desc, signs))
         return floats[-1]
 
-    def recorded_circles(f_desc, p):
+    def recorded_circles(f_desc, signs, p):
         circles.append(p)
-        return circle_starts(f_desc, p)
+        return circle_starts(f_desc, signs, p)
 
     monkeypatch.setattr(isolation, "_float_starts", recorded_floats)
     monkeypatch.setattr(isolation, "_circle_starts", recorded_circles)
@@ -501,15 +501,19 @@ def test_coefficients_beyond_floats_take_the_fixed_point_start_path(monkeypatch)
 
 
 def _recorded_classifications(monkeypatch):
-    # The midpoints and radii that reach the classification, in call order.
+    # The d midpoints, their radii and w of each certified layout, in call
+    # order, read from the disks that `_certified_roots` returns.
     seen = []
-    classify = isolation._classify_roots
+    certify = isolation._certified_roots
 
-    def recorded(zs, radii, w):
-        seen.append((list(zs), radii, w))
-        return classify(zs, radii, w)
+    def recorded(f, zs, real, w, prec):
+        roots = certify(f, zs, real, w, prec)
+        if roots is not None:
+            seen.append(([(r.re >> GUARD_BITS, r.im >> GUARD_BITS) for r in roots],
+                         [r.radius for r in roots], w))
+        return roots
 
-    monkeypatch.setattr(isolation, "_classify_roots", recorded)
+    monkeypatch.setattr(isolation, "_certified_roots", recorded)
     return seen
 
 
@@ -540,23 +544,27 @@ def test_each_radius_covers_the_exact_weierstrass_bound(monkeypatch):
 
 @pytest.mark.parametrize("shift", [1, 1 << 12])
 def test_an_asymmetric_layout_gets_a_radius_per_midpoint(monkeypatch, shift):
-    # A certified layout with one lower midpoint moved off its upper one's
-    # mirror is no longer conjugate-symmetric, so no radius may be copied:
-    # each still covers the exact bound at its own midpoint.
+    # A certified layout with its first stored pair midpoint moved: its
+    # mirror moves with it, and every radius, the mirrors' included, still
+    # covers the exact bound at its own midpoint.
     seen = _recorded_classifications(monkeypatch)
     rng = random.Random(6)
     moved = 0
     for f in [QUARTIC, PLASTIC] + [pisot_shaped(rng.randint(4, 12), rng) for _ in range(6)]:
         seen.clear()
-        next(root_layouts(f, 64))[1]
+        roots = next(root_layouts(f, 64))[1]
         zs, _, w = seen[-1]
-        lower = [j for j, (_, b) in enumerate(zs) if b < 0]
-        if not lower:
+        real = sum(r.is_real for r in roots)
+        pairs = (f.degree - real) // 2
+        if not pairs:
             continue
         moved += 1
-        zs[lower[0]] = (zs[lower[0]][0], zs[lower[0]][1] - shift)
+        stored = zs[: real + pairs]
+        a, b = stored[real]
+        stored[real] = (a, b - shift)
         seen.clear()
-        assert isolation._certified_roots(f, zs, w, 16) is not None
+        assert isolation._certified_roots(f, stored, real, w, 16) is not None
+        assert seen[-1][0][real + pairs] == (a, shift - b)
         _assert_radii_cover_the_weierstrass_bound(f, *seen[-1])
     assert moved >= 6
 
@@ -573,6 +581,22 @@ FOUND_41 = IntPoly((-1, -199, -13133, -332134, 600146, 196167639, 3220443147, -7
                     1424012323943871, -7013928724661928, -49104113328531411,
                     -23067676961968073, 386075276590979628, 605611133437254980,
                     -881370781145599815, -1815247828808565607, 1))
+
+# A random monic polynomial of degree 20, not Pisot, on which the float
+# stage stalls: its real roots are 0.974 and 1.168, but the real starts go
+# to the Newton polygon's circles of radius 3 and 0.69, and the outer one,
+# of one point, stands for the pair -2.03 +- 0.08i.
+TRAPPED = IntPoly((1, 0, 0, 3, 1, -3, 1, 3, 1, -3, -1, 1, -3, 0, -3, -2, 2, -3, 0, 3, 1))
+
+# x^3 - 2^400 x^2 - (2^400 -+ 1): alpha is near 2^400, and the complex pair
+# has |beta|^2 = (2^400 -+ 1)/alpha, within about 2^-400 of 1. So neither
+# the Pisot verdict nor n0 is decided at 128 or 256 bits, and 512 decides.
+NEAR_UNIT_PAIR = {
+    "n0-above-the-cap": (
+        IntPoly((-(2**400 - 1), 0, -(2**400), 1)), errors.PrecisionExhausted, "threshold n0 > 99999"
+    ),
+    "pair-outside": (IntPoly((-(2**400 + 1), 0, -(2**400), 1)), errors.NotPisot, "modulus >= 1"),
+}
 COUNTED = {
     **KNACCI,
     "Mignotte": MIGNOTTE,
@@ -588,21 +612,34 @@ COUNTED = {
 
 @pytest.mark.parametrize("f", COUNTED.values(), ids=COUNTED)
 def test_the_remainder_sequence_counts_the_real_roots(f):
-    assert isolation._real_root_count(list(reversed(f.coefficients))) == real_roots_oracle(f, 2000)
+    assert sum(isolation._real_root_signs(list(reversed(f.coefficients)))) == real_roots_oracle(f, 2000)
 
 
 def _assert_mirrored(f, roots):
-    """The layout is exactly conjugate-symmetric: the disks off the axis,
-    (re, im, radius), are the same multiset as their mirrors (re, -im,
-    radius), and the disks on it, im = 0, are the real ones, as many as the
-    remainder sequence counts."""
-    off = [(r.re, r.im, r.radius, r.scale) for r in roots if r.im]
-    assert collections.Counter(off) == collections.Counter((a, -b, r, s) for a, b, r, s in off)
-    assert all(r.is_real == (r.im == 0) for r in roots)
-    assert len(roots) - len(off) == isolation._real_root_count(list(reversed(f.coefficients)))
+    """The layout is exactly conjugate-symmetric, in the stored order: the
+    real disks first, im = 0, as many as the remainder sequence counts,
+    then one disk off the axis for each conjugate pair, then their mirrors
+    (re, -im, radius) in the same order."""
+    real = sum(isolation._real_root_signs(list(reversed(f.coefficients))))
+    pairs = (f.degree - real) // 2
+    assert len(roots) == real + 2 * pairs
+    assert all(r.is_real and r.im == 0 for r in roots[:real])
+    assert all(not r.is_real and r.im for r in roots[real:])
+    upper, lower = roots[real : real + pairs], roots[real + pairs :]
+    assert [(r.re, -r.im, r.radius, r.scale) for r in upper] == [(r.re, r.im, r.radius, r.scale) for r in lower]
 
 
-@pytest.mark.parametrize("f", COUNTED.values(), ids=COUNTED)
+# Layouts from fixed-point Aberth steps: on the Newton-polygon points where
+# the coefficients overflow floats, and in Mignotte's retried round.
+FIXED_POINT_STARTED = {
+    "wide": WIDE,
+    "x(x-10^400)": IntPoly((0, -(10**400), 1)),
+    **{name: f for name, (f, _, _) in NEAR_UNIT_PAIR.items()},
+    "Mignotte": MIGNOTTE,
+}
+
+
+@pytest.mark.parametrize("f", {**COUNTED, **FIXED_POINT_STARTED}.values(), ids={**COUNTED, **FIXED_POINT_STARTED})
 def test_every_layout_is_conjugate_symmetric(f):
     for _, roots in itertools.islice(root_layouts(f, 64), 2):
         _assert_mirrored(f, roots)
@@ -616,7 +653,7 @@ def test_mirrored_float_starts_certify_each_layout_in_one_round(monkeypatch, f):
     rounds = []
     certify = isolation._certified_roots
     monkeypatch.setattr(isolation, "_certified_roots",
-                        lambda f, zs, w, prec: rounds.append(w) or certify(f, zs, w, prec))
+                        lambda f, zs, real, w, prec: rounds.append(w) or certify(f, zs, real, w, prec))
     list(itertools.islice(root_layouts(f, 128), 2))
     assert rounds == [work_bits(128), work_bits(256)]
 
@@ -654,16 +691,17 @@ FLOAT_STAGE = {**KNACCI, **RANDOM_PISOT, **ZERO_ROOT}
 
 @pytest.mark.parametrize("f", FLOAT_STAGE.values(), ids=FLOAT_STAGE)
 def test_the_float_stage_is_conjugate_symmetric_and_near_the_oracle_roots(f):
-    # Exactly r real entries, each other one the exact conjugate of another,
-    # and each within 1e-12 relative of its own oracle root.
+    # The r real entries, then one above the axis for each conjugate pair;
+    # with the mirrors of those, each within 1e-12 relative of its own
+    # oracle root.
     f_desc = list(reversed(f.coefficients))
     signs = isolation._real_root_signs(f_desc)
+    real = sum(signs)
     zs = [complex(z) for z in isolation._float_starts(f_desc, signs)]
-    assert len(zs) == f.degree
-    assert sum(z.imag == 0 for z in zs) == sum(signs)
-    assert collections.Counter(zs) == collections.Counter(z.conjugate() for z in zs)
+    assert len(zs) == real + (f.degree - real) // 2
+    assert all(z.imag == 0 for z in zs[:real]) and all(z.imag > 0 for z in zs[real:])
     left = [complex(w) for w in polyroots_oracle(f, 2000)]
-    for z in zs:
+    for z in zs + [z.conjugate() for z in zs[real:]]:
         w = min(left, key=lambda w: abs(w - z))
         assert abs(w - z) <= 1e-12 * abs(w)
         left.remove(w)
@@ -676,14 +714,39 @@ def test_the_first_layout_steps_each_real_and_upper_midpoint_once(monkeypatch, f
     stepped = []
     step = isolation._step
 
-    def counted(f_desc, zs, i, p, repel):
+    def counted(f_desc, zs, i, p, real, repel):
         stepped.append(i)
-        return step(f_desc, zs, i, p, repel)
+        return step(f_desc, zs, i, p, real, repel)
 
     monkeypatch.setattr(isolation, "_step", counted)
     next(root_layouts(f, algebraic.FIRST_LAYOUT_BITS))
-    real = isolation._real_root_count(list(reversed(f.coefficients)))
+    real = sum(isolation._real_root_signs(list(reversed(f.coefficients))))
     assert len(stepped) == len(set(stepped)) == real + (f.degree - real) // 2
+
+
+@pytest.mark.parametrize("f", [WIDE, FOUND_41, PLASTIC], ids=["wide", "found-41", "plastic-stalled"])
+def test_each_fixed_point_aberth_sweep_steps_the_real_and_pair_midpoints(monkeypatch, f):
+    # Where floats overflow (WIDE, FOUND_41) or stall (PLASTIC, patched),
+    # Aberth's steps run on the r real midpoints, kept on the axis, and one
+    # of each conjugate pair, never on the mirrors: every step sees
+    # r + (d - r)/2 midpoints, and the first sweep at each scale steps each
+    # of them once.
+    if f is PLASTIC:
+        monkeypatch.setattr(isolation, "_float_starts", lambda f_desc, signs: None)
+    steps = []
+    step = isolation._step
+
+    def counted(f_desc, zs, i, p, real, repel):
+        steps.append((len(zs), i, p, all(b == 0 for _, b in zs[:real])))
+        return step(f_desc, zs, i, p, real, repel)
+
+    monkeypatch.setattr(isolation, "_step", counted)
+    next(root_layouts(f, 64))
+    real = sum(isolation._real_root_signs(list(reversed(f.coefficients))))
+    stored = real + (f.degree - real) // 2
+    assert steps and all(n == stored and on_axis for n, _, _, on_axis in steps)
+    for p in {p for _, _, p, _ in steps}:
+        assert [i for _, i, q, _ in steps if q == p][:stored] == list(range(stored))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 255, 1000])
@@ -714,8 +777,8 @@ def test_overlapping_disks_are_not_certified():
     m, w = 30, 64
     f = IntPoly((4**m + 1, -(2 ** (m + 1)), 2 * 4**m + 1, -(2 ** (m + 1)), 4**m))
     eps = 1 << (w - 40)
-    zs = [(eps, 1 << w), (-eps, 1 << w), (eps, -(1 << w)), (-eps, -(1 << w))]
-    assert isolation._certified_roots(f, zs, w, 16) is None
+    zs = [(eps, 1 << w), (-eps, 1 << w)]
+    assert isolation._certified_roots(f, zs, 0, w, 16) is None
 
 
 def test_disks_wider_than_the_precision_are_not_certified():
@@ -723,8 +786,8 @@ def test_disks_wider_than_the_precision_are_not_certified():
     # and fine for 4 bits but not for 64.
     w = 64
     zs = [(round(x * 2**10) << (w - 10), 0) for x in (1.6180339887, -0.6180339887)]
-    assert isolation._certified_roots(GOLDEN, zs, w, 4) is not None
-    assert isolation._certified_roots(GOLDEN, zs, w, 64) is None
+    assert isolation._certified_roots(GOLDEN, zs, 2, w, 4) is not None
+    assert isolation._certified_roots(GOLDEN, zs, 2, w, 64) is None
 
 
 def test_working_bits_are_capped(monkeypatch):
@@ -736,7 +799,7 @@ def test_working_bits_are_capped(monkeypatch):
         analyze_minpoly(PLASTIC)
     assert time.perf_counter() - start < 5
     calls = []
-    monkeypatch.setattr(isolation, "_certified_roots", lambda *args: calls.append(args[2]))
+    monkeypatch.setattr(isolation, "_certified_roots", lambda *args: calls.append(args[3]))
     with pytest.raises(errors.PrecisionExhausted, match=str(MAX_WORK_BITS)):
         next(root_layouts(GOLDEN, 64))[1]
     assert max(calls) <= MAX_WORK_BITS
@@ -785,17 +848,6 @@ def test_the_ladder_to_the_cap_decides_squarefreeness_once(monkeypatch, f, tests
     assert len(calls) == tests
 
 
-# x^3 - 2^400 x^2 - (2^400 -+ 1): alpha is near 2^400, and the complex pair
-# has |beta|^2 = (2^400 -+ 1)/alpha, within about 2^-400 of 1. So neither
-# the Pisot verdict nor n0 is decided at 128 or 256 bits, and 512 decides.
-NEAR_UNIT_PAIR = {
-    "n0-above-the-cap": (
-        IntPoly((-(2**400 - 1), 0, -(2**400), 1)), errors.PrecisionExhausted, "threshold n0 > 99999"
-    ),
-    "pair-outside": (IntPoly((-(2**400 + 1), 0, -(2**400), 1)), errors.NotPisot, "modulus >= 1"),
-}
-
-
 @pytest.mark.parametrize("f,error,match", NEAR_UNIT_PAIR.values(), ids=NEAR_UNIT_PAIR)
 def test_a_pair_near_the_unit_circle_climbs_three_layouts(monkeypatch, f, error, match):
     layouts, rounds = [], []
@@ -806,9 +858,9 @@ def test_a_pair_near_the_unit_circle_climbs_three_layouts(monkeypatch, f, error,
             layouts.append(layout[0])
             yield layout
 
-    def recorded_rounds(f, zs, w, prec):
+    def recorded_rounds(f, zs, real, w, prec):
         rounds.append(w)
-        return certify(f, zs, w, prec)
+        return certify(f, zs, real, w, prec)
 
     monkeypatch.setattr(algebraic, "root_layouts", recorded_layouts)
     monkeypatch.setattr(isolation, "_certified_roots", recorded_rounds)
@@ -1176,7 +1228,7 @@ class TestIsolationRecovers:
         circle_starts = isolation._circle_starts
         monkeypatch.setattr(isolation, "_float_starts", stalled)
         monkeypatch.setattr(isolation, "_circle_starts",
-                            lambda f_desc, p: circles.append(p) or circle_starts(f_desc, p))
+                            lambda f_desc, signs, p: circles.append(p) or circle_starts(f_desc, signs, p))
         _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
         assert circles == [53]
 
@@ -1186,7 +1238,7 @@ class TestIsolationRecovers:
         f = IntPoly((0, -(10**400), 1))
         roots = next(root_layouts(f, 64))[1]
         _assert_isolated(f, roots, 2000)
-        assert roots[0].re == roots[0].im == 0
+        assert any(r.re == r.im == 0 for r in roots)
 
     def test_starts_at_a_critical_point(self, monkeypatch):
         # Both starts at 1/2, where f' = 0 for x^2 - x - 1: Newton cannot
@@ -1201,20 +1253,30 @@ class TestIsolationRecovers:
         _replaced_starts(monkeypatch, [1.0, 1.0])
         _assert_isolated(GOLDEN, next(root_layouts(GOLDEN, 64))[1], 2000)
 
+    def test_a_real_midpoint_held_by_a_pair_trades_places(self, monkeypatch):
+        # On TRAPPED the fixed-point Aberth steps from the circles stall as
+        # the float stage does: a real midpoint ends by the pair
+        # -2.03 +- 0.08i, which it cannot reach on the axis, and a pair
+        # midpoint by the real root 0.974, beside its own mirror. The two
+        # trade places, and the second round certifies.
+        f_desc = list(reversed(TRAPPED.coefficients))
+        assert isolation._float_starts(f_desc, isolation._real_root_signs(f_desc)) is None
+        rounds = []
+        certify = isolation._certified_roots
+        monkeypatch.setattr(isolation, "_certified_roots",
+                            lambda f, zs, real, w, prec: rounds.append(w) or certify(f, zs, real, w, prec))
+        _assert_isolated(TRAPPED, next(root_layouts(TRAPPED, 64))[1], 2000)
+        assert rounds == [work_bits(64), 2 * work_bits(64)]
+
     def test_a_disk_across_the_real_axis_that_meets_another(self, monkeypatch):
-        # The first classification gets every radius widened to 2: the
-        # pair's upper disk then crosses the real axis and meets its own
-        # mirror, so the round is not certified, and the next one is.
-        classify, calls = isolation._classify_roots, []
-
-        def widened(zs, radii, w):
-            calls.append(w)
-            if len(calls) == 1:
-                radii = [2 << (w + GUARD_BITS)] * len(radii)
-                assert classify(zs, radii, w) is None
-                return None
-            return classify(zs, radii, w)
-
-        monkeypatch.setattr(isolation, "_classify_roots", widened)
-        _assert_isolated(PLASTIC, next(root_layouts(PLASTIC, 64))[1], 2000)
-        assert len(calls) == 2
+        # NEAR_REAL_PAIR's certified layout: the real midpoint near 3, then
+        # the pair's near 2^61 + i. Moved to 2^61 + i/2, the pair midpoint
+        # gets a disk of radius 9/4 (three times 1/2 * 3/2 over the gap of 1
+        # to its mirror), within 2^-16 of 2^61 but across the real axis, so
+        # it meets its own mirror and nothing is certified.
+        seen = _recorded_classifications(monkeypatch)
+        next(root_layouts(NEAR_REAL_PAIR, 64))
+        zs, _, w = seen[-1]
+        assert isolation._certified_roots(NEAR_REAL_PAIR, zs[:2], 1, w, 16) is not None
+        (x, _), (a, b) = zs[:2]
+        assert isolation._certified_roots(NEAR_REAL_PAIR, [(x, 0), (a, b >> 1)], 1, w, 16) is None
