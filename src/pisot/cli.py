@@ -254,8 +254,12 @@ def _exact_decimal():
     sum or product of integers rounds, and if any operation would round,
     Inexact raises instead of giving a wrong digit. libmpdec multiplies
     large numbers by a number-theoretic transform, faster than int's
-    Karatsuba, and str() of an integral Decimal needs no base conversion.
-    The caller's context is restored on exit."""
+    Karatsuba, but only above its schoolbook and Karatsuba sizes: a product
+    whose shorter operand has at most 256 words of 19 digits runs
+    schoolbook, and only above 512 words does a square cost less than a
+    product (`powtrace._mul` pads the operands past the first). str() of an
+    integral Decimal needs no base conversion. The caller's context is
+    restored on exit."""
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
     return decimal.localcontext(ctx)

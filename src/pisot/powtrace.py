@@ -36,6 +36,28 @@ floor(n/2) from the squares straight to x^b r^2 mod f. The map costs
 d(2d - 1) products by small integers and d exact divisions by an int, and
 the values (d - 1)(d - 2) more products by small integers.
 
+The closing reads p_n = r^T H r (H_ij = p_{i+j+(n mod 2)}) off r as
+sum_i r_i u_i, u_i = sum_j H_ij r_j: d^2 products by small integers and d
+products at the full size of r, which are most of its cost. On an exact ring
+that squared by evaluation, and once r has a coefficient of at least
+SQUARES_MIN_DIGITS digits, p_n = sum_k c_k l_k(r)^2 / den instead: d squares
+of integer forms l_k of r from one fraction-free elimination of H per call
+(`_square_forms`), about d(d+1)/2 products by small integers for the forms,
+d more for the weights and one exact division by den. Programs and residues
+have no exact division, and smaller exact cases gain nothing, so they keep
+the d products.
+
+On `decimal.Decimal`, every full-size product of the evaluation step and of
+the closing goes through `_mul`. libmpdec 2.5.1 multiplies by schoolbook
+while the shorter operand has at most 256 words of 19 digits
+(SCHOOLBOOK_MAX_DIGITS = 4,864), by Karatsuba up to a 1,024-word product and
+by its number-theoretic transform above. So from PAD_MIN_DIGITS (2,500) to
+4,864 digits, `_mul` pads both operands with zeros past 256 words, where a
+product costs about a third of the schoolbook one at 4,864 digits; and only
+above 512 words (9,728 digits) does a square cost less than a product, about
+two thirds of one, which sets SQUARES_MIN_DIGITS. The schoolbook step keeps
+plain products.
+
 Below the threshold, alpha^n = p_n - S_n, where
 S_n = sum_{i >= 2} beta_i^n runs over the other roots, so [alpha^n] is p_n
 minus the nearest integer to S_n, which the certified root disks enclose:
@@ -45,6 +67,8 @@ checks n and m, and every entry point calls it before any other work.
 
 from __future__ import annotations
 
+import decimal
+import fractions
 import itertools
 import math
 
@@ -88,6 +112,107 @@ def _reduced(q: list[int], c: tuple[int, ...]) -> list[int]:
         for i, v in enumerate(c):
             q[e - d + i] -= t * v
     return q
+
+
+# libmpdec 2.5.1 multiplies by schoolbook while the shorter operand has at
+# most 256 words of 19 digits, by Karatsuba while the product has at most
+# 1,024 words, and by its number-theoretic transform above. Measured on a
+# 2-CPU host (Python 3.11.7): a square of 4,864 digits took 599-682 us and one
+# of 4,865 digits 160-181 us. Padded to 4,865 digits, a square cost what the
+# schoolbook one did at 2,400-2,500 digits (154-174 us), and less above.
+SCHOOLBOOK_MAX_DIGITS = 256 * 19
+PAD_MIN_DIGITS = 2500
+
+
+def _mul(a, b):
+    """a * b, where a pair of `decimal.Decimal`s whose shorter operand has
+    PAD_MIN_DIGITS to SCHOOLBOOK_MAX_DIGITS digits skips libmpdec's
+    schoolbook: both are quantized to the negative exponent that gives the
+    shorter SCHOOLBOOK_MAX_DIGITS + 1 digits, and the exactly integral
+    product comes back at exponent 0. Padding with zeros and dropping them
+    round nothing, so no flag is raised. a is b stays a square, which libmpdec's
+    transform computes with one forward transform fewer."""
+    if isinstance(a, decimal.Decimal) and isinstance(b, decimal.Decimal):
+        digits = min(a.adjusted(), b.adjusted()) + 1
+        if PAD_MIN_DIGITS <= digits <= SCHOOLBOOK_MAX_DIGITS:
+            unit = decimal.Decimal((0, (1,), digits - SCHOOLBOOK_MAX_DIGITS - 1))
+            padded = a.quantize(unit)
+            return (padded * (padded if a is b else b.quantize(unit))).to_integral_value()
+    return a * b
+
+
+def _digits(v) -> int:
+    """The decimal digits of an integral Decimal at exponent 0, and about
+    those of an int."""
+    if isinstance(v, decimal.Decimal):
+        return v.adjusted() + 1
+    return int(v.bit_length() * math.log10(2)) + 1
+
+
+# An exact ring that squared by evaluation (so it divides exactly) closes by
+# squares once r has a coefficient of SQUARES_MIN_DIGITS digits: from 512
+# words on, libmpdec's transform squares in about two thirds of a product's
+# time (12,000 digits: 491 against 723 us), and below it a square costs what
+# a product does. Fitted with `nearest_power` on Decimal (2-CPU host, Python
+# 3.11.7; medians of 9 alternating runs, squares against products): at r of
+# 1.0-2.0 times this size the squares took 0.85-0.91 of the time for d = 3
+# to 8, 0.90-0.96 for the 12-nacci and 0.96-0.98 for the 30-nacci, whose
+# elimination takes under 1 ms; at 0.3-0.9 times it they took 1.00-1.11.
+SQUARES_MIN_DIGITS = 512 * 19
+
+
+def _square_forms(h: list[list[int]]) -> tuple[list[tuple[int, list[int]]], int]:
+    """Integer forms l_k with weights c_k and a den > 0 such that
+    den * x^T h x = sum_k c_k l_k(x)^2 for every x, for a symmetric integer h.
+
+    A fraction-free symmetric elimination: with a nonzero diagonal pivot a
+    (the least in magnitude) and row l of h,
+    a * x^T h x = l(x)^2 + x^T (a h - l l^T) x, whose matrix is 0 in the
+    pivot's row and column. When every remaining diagonal entry is 0 and
+    h_ij = e is not, rows u, v of i and j give
+    e * x^T h x = 2 u(x) v(x) + x^T (e h - u v^T - v u^T) x, and
+    2 u v = ((u + v)^2 - (u - v)^2) / 2. Each remainder is divided by the
+    gcd of its entries. The elimination stops when the remainder is 0, which
+    takes rank(h) forms: d for the Hankel of power sums of a squarefree f
+    with f(0) != 0, fewer otherwise.
+    """
+    d = len(h)
+    b = [list(row) for row in h]
+    live = list(range(d))
+    scale = fractions.Fraction(1)  # x^T h x = sum_k w_k l_k(x)^2 + scale * x^T b x
+    weighted = []
+    while True:
+        pivots = [i for i in live if b[i][i]]
+        if pivots:
+            i = min(pivots, key=lambda i: abs(b[i][i]))
+            a, u = b[i][i], b[i]
+            scale /= a
+            weighted.append((scale, u))
+            b = [[a * b[s][t] - u[s] * u[t] for t in range(d)] for s in range(d)]
+            live.remove(i)
+        else:
+            pair = next(((i, j) for i in live for j in live if b[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            e, u, v = b[i][j], b[i], b[j]
+            scale /= e
+            weighted.append((scale / 2, [x + y for x, y in zip(u, v)]))
+            weighted.append((-scale / 2, [x - y for x, y in zip(u, v)]))
+            b = [[e * b[s][t] - u[s] * v[t] - v[s] * u[t] for t in range(d)] for s in range(d)]
+            live.remove(i)
+            live.remove(j)
+        g = math.gcd(*(x for row in b for x in row))
+        if g == 0:
+            break
+        b = [[x // g for x in row] for row in b]
+        scale *= g
+    forms = []
+    for w, row in weighted:
+        g = math.gcd(*row)
+        forms.append((w * g * g, [x // g for x in row]))
+    den = math.lcm(*(w.denominator for w, _ in forms))
+    return [(int(w * den), row) for w, row in forms], den
 
 
 def _evaluation_square(c: tuple[int, ...], lift):
@@ -149,7 +274,7 @@ def _evaluation_square(c: tuple[int, ...], lift):
                 else:
                     even = even + t
             values += (even + odd, even - odd)
-        squares = [v * v for v in values]
+        squares = [_mul(v, v) for v in values]
         out = []
         for row, den in maps[b]:
             acc = None
@@ -232,7 +357,10 @@ def power_sum(
 
     With `evaluate_from` on an exact ring that also has an exact // by a
     positive int, r is squared by `_evaluation_square` from the first bit
-    whose r is x^j with j >= evaluate_from; `nearest_power` chooses it.
+    whose r is x^j with j >= evaluate_from; `nearest_power` chooses it. If
+    it did, and r has a coefficient of SQUARES_MIN_DIGITS digits or more
+    (measured as an int or an integral Decimal), p_n is read off by d
+    squares of integer forms of r (`_square_forms`) instead of d products.
     """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
@@ -300,6 +428,18 @@ def power_sum(
                 else:
                     s[j] = acc + v
         r = s if modulus is None else [v % modulus for v in s]
+    # A ring that squared by evaluation divides exactly, so once r is large
+    # it closes by sum_k c_k l_k(r)^2 / den, d squares of integer forms of r.
+    if modulus is None and square is not None and max(map(_digits, r)) >= SQUARES_MIN_DIGITS:
+        forms, den = _square_forms([[p[i + j + odd] for j in range(d)] for i in range(d)])
+        total = None
+        for c_k, row in forms:
+            form = None
+            for v, t in zip(row, r):
+                if v:
+                    form = _axpy(form, v, t)
+            total = _axpy(total, c_k, _mul(form, form))
+        return total if den == 1 else total // den
     # sum_i r_i u_i with u_i = sum_j p_{i+j+odd} r_j: only d full products.
     total = None
     for i in range(d):
@@ -308,7 +448,7 @@ def power_sum(
             if p[i + j + odd]:
                 u = _axpy(u, p[i + j + odd], r[j])
         if u is not None:
-            total = _axpy(total, 1, r[i] * u)
+            total = _axpy(total, 1, _mul(r[i], u))
     return total if modulus is None else total % modulus
 
 

@@ -426,6 +426,46 @@ def _steps(monkeypatch):
     return built
 
 
+def _full_size_products(monkeypatch):
+    """Every call of `powtrace._mul`, as (inside an evaluation step, a is b,
+    padded): padded when both are Decimals and the shorter has
+    PAD_MIN_DIGITS to SCHOOLBOOK_MAX_DIGITS digits, counted from str()."""
+    calls, inside = [], [False]
+    mul, build = powtrace._mul, powtrace._evaluation_square
+
+    def recorded(a, b):
+        padded = isinstance(a, decimal.Decimal) and isinstance(b, decimal.Decimal)
+        if padded:
+            shorter = min(len(str(abs(a))), len(str(abs(b))))
+            padded = powtrace.PAD_MIN_DIGITS <= shorter <= powtrace.SCHOOLBOOK_MAX_DIGITS
+        calls.append((inside[0], a is b, padded))
+        return mul(a, b)
+
+    def marked(c, lift):
+        step = build(c, lift)
+
+        def run(r, b):
+            inside[0] = True
+            try:
+                return step(r, b)
+            finally:
+                inside[0] = False
+
+        return run
+
+    monkeypatch.setattr(powtrace, "_mul", recorded)
+    monkeypatch.setattr(powtrace, "_evaluation_square", marked)
+    return calls
+
+
+def _closing(calls):
+    """The closing's products among `_full_size_products`' calls, as
+    (a is b, padded), and clears the record."""
+    closing = [call[1:] for call in calls if not call[0]]
+    calls.clear()
+    return closing
+
+
 class TestPackedSquare:
     @pytest.mark.parametrize("f", PACKED_POLYS, ids=str)
     def test_step_matches_the_schoolbook_square(self, f):
@@ -502,28 +542,42 @@ class TestPackedSquare:
 
     def test_which_step_runs_for_each_ring(self, monkeypatch):
         f = SHARED_MULTIPLES[-1]  # the benchmark's degree 12
+        d = f.degree
         info = analyze_minpoly(f)
         n = 8_386_254_639_759_710_208
+        calls = _full_size_products(monkeypatch)
+        # The exact ring, squared by evaluation, closes by d squares once r
+        # reaches SQUARES_MIN_DIGITS (alpha is about 21, so at n = 15,000 r
+        # has about 9,900 digits), and by d products below.
+        for exact_n, square in ((15_000, True), (13_000, False)):
+            with cli._exact_decimal():
+                nearest_power(info, exact_n, lift=decimal.Decimal)
+            assert _closing(calls) == [(square, False)] * d, f"n={exact_n}"
         built = _steps(monkeypatch)
         evaluated = []
         monkeypatch.setattr(
             powtrace, "_evaluation_square", lambda c, lift: evaluated.append(lift)
         )
-        # Integers mod m up to the cap pack, whatever the entry point.
+        # Integers mod m up to the cap pack, whatever the entry point, and
+        # close by d products.
         for m in (2, 10**19, 2**CAP - 1):
             power_sum(f, n, m)
             nearest_power_mod(info, n, m)
             assert built == [(f.coefficients[:-1], m)] * 2
+            assert _closing(calls) == [(False, False)] * 2 * d
             built.clear()
         # Above the cap, exact ints, Decimal, a lift of their own and
-        # program instructions keep the schoolbook; no ring here evaluates.
+        # program instructions keep the schoolbook and the d products; no
+        # ring here evaluates.
         power_sum(f, n, 2**CAP)
         nearest_power_mod(info, n, 2**CAP)
         power_sum(f, 1000)
         with cli._exact_decimal():
             power_sum(f, 1000, lift=decimal.Decimal)
         power_sum(f, n, 7, lift=lambda v: v % 7)
+        assert _closing(calls) == [(False, False)] * 5 * d
         emit_power_slp(info, n)
+        assert _closing(calls) == [(False, False)] * d
         assert built == [] and evaluated == []
 
 
@@ -586,3 +640,159 @@ def test_benchmark_program_text_is_unchanged():
     text = format_slp(emit_power_slp(analyze_minpoly(f), 8_386_254_639_759_710_208))
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == "3d4d72bb61f17cf5ac23826d18d02c60fd1eef349cb6c08930ca657313da3b70"
+
+
+def _hankel(f, odd):
+    """H_ij = p_{i+j+odd} for the power sums p of the roots of f."""
+    d = f.degree
+    p = newton_power_sums(f.coefficients, 2 * d)
+    return [[p[i + j + odd] for j in range(d)] for i in range(d)]
+
+
+QUARTIC = IntPoly((1, 21, -229, -4899, 1))
+X3_PLUS_2 = IntPoly((2, 0, 0, 1))  # p_1 = p_2 = 0: a zero-diagonal remainder
+GOLDEN_SQUARED = IntPoly((1, 2, -1, -2, 1))  # (x^2 - x - 1)^2, rank 2
+SQUARES_POLYS = [PLASTIC, X3_PLUS_2, GOLDEN_SQUARED] + [
+    IntPoly((-1,) * k + (1,)) for k in range(3, 9)
+]
+# [[0, 1], [1, 0]] and a 3x3 one have no nonzero diagonal entry; the last
+# three are singular.
+SYMMETRIC = {
+    "swap": [[0, 1], [1, 0]],
+    "zero diagonal": [[0, 2, -3], [2, 0, 5], [-3, 5, 0]],
+    "rank 1": [[2, -4, 6], [-4, 8, -12], [6, -12, 18]],
+    "rank 2": [[1, 1, 2], [1, 0, 1], [2, 1, 3]],
+    "zero": [[0, 0], [0, 0]],
+}
+SQUARES_MATRICES = dict(SYMMETRIC)
+SQUARES_MATRICES.update(
+    (f"{f} odd={odd}", _hankel(f, odd)) for f in SQUARES_POLYS for odd in (0, 1)
+)
+
+
+class TestSquareForms:
+    @pytest.mark.parametrize("h", SQUARES_MATRICES.values(), ids=SQUARES_MATRICES)
+    def test_squares_give_the_quadratic_form(self, h):
+        forms, den = powtrace._square_forms(h)
+        assert den > 0 and len(forms) <= len(h)
+        rng = random.Random(str(h))
+        vectors = [[0] * len(h), [1] * len(h)]
+        vectors += [[rng.randint(-(10**40), 10**40) for _ in h] for _ in range(20)]
+        for x in vectors:
+            expected = sum(v * x[i] * x[j] for i, row in enumerate(h) for j, v in enumerate(row))
+            total = sum(c * sum(v * t for v, t in zip(row, x)) ** 2 for c, row in forms)
+            assert total % den == 0 and total // den == expected, f"x={x}"
+
+    def test_one_form_per_rank(self):
+        # rank(h) squares: d for a squarefree f with f(0) != 0, fewer for a
+        # square, none for 0; a zero diagonal is eliminated two at a time.
+        ranks = {"swap": 2, "zero diagonal": 3, "rank 1": 1, "rank 2": 2, "zero": 0}
+        for name, rank in ranks.items():
+            assert len(powtrace._square_forms(SYMMETRIC[name])[0]) == rank, name
+        for f in SQUARES_POLYS:
+            rank = 2 if f == GOLDEN_SQUARED else f.degree
+            for odd in (0, 1):
+                assert len(powtrace._square_forms(_hankel(f, odd))[0]) == rank, f"{f} odd={odd}"
+        # x^3 + 2 at n even: after the pivot p_0 = 3 the remainder
+        # [[0, -6], [-6, 0]] splits into (u + v)^2 and (u - v)^2.
+        (c0, _), (c1, u_plus_v), (c2, u_minus_v) = powtrace._square_forms(_hankel(X3_PLUS_2, 0))[0]
+        assert c1 == -c2 and u_plus_v[0] == u_minus_v[0] == 0
+
+    @pytest.mark.parametrize("f", SQUARES_POLYS + [pisot_shaped(d, random.Random(300 + d)) for d in range(2, 13)], ids=str)
+    def test_power_sums_with_the_gate_open(self, f, monkeypatch):
+        # With SQUARES_MIN_DIGITS at 0 every n >= 2d closes by squares.
+        monkeypatch.setattr(powtrace, "SQUARES_MIN_DIGITS", 0)
+        calls = _full_size_products(monkeypatch)
+        d = f.degree
+        rank = 2 if f == GOLDEN_SQUARED else d
+        rng = random.Random(str(f))
+        ns = list(range(2 * d, 4 * d + 2)) + [rng.randint(4 * d, 400) for _ in range(6)]
+        with cli._exact_decimal():
+            for n in ns:
+                expected = matpow_trace(f, n)
+                assert power_sum(f, n, evaluate_from=0) == expected, f"n={n}"
+                assert _closing(calls) == [(True, False)] * rank, f"n={n}"
+                got = power_sum(f, n, lift=decimal.Decimal, evaluate_from=0)
+                assert got == expected and got.as_tuple().exponent == 0, f"n={n}"
+                assert _closing(calls) == [(True, False)] * rank, f"n={n}"
+
+
+LOW, HIGH = powtrace.PAD_MIN_DIGITS, powtrace.SCHOOLBOOK_MAX_DIGITS
+
+
+def _number(digits, rng, sign=1):
+    return sign * rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+class TestPaddedProduct:
+    @pytest.mark.parametrize(
+        "lengths",
+        [(LOW - 1, LOW - 1), (LOW, LOW), (LOW, 3 * HIGH), (HIGH, HIGH), (HIGH + 1, HIGH + 1),
+         (LOW - 1, 3 * HIGH), (3000, HIGH + 1), (HIGH, 2 * HIGH + 1), (3 * HIGH, 3 * HIGH), (1, HIGH)],
+        ids=str,
+    )
+    def test_equals_the_int_product(self, lengths):
+        rng = random.Random(str(lengths))
+        with cli._exact_decimal() as ctx:
+            traps = dict(ctx.traps)
+            for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                a, b = (_number(k, rng, s) for k, s in zip(lengths, signs))
+                pairs = [(decimal.Decimal(a), decimal.Decimal(b), a * b)]
+                if lengths[0] == lengths[1]:
+                    x = decimal.Decimal(a)
+                    pairs.append((x, x, a * a))  # a is b: a square
+                for x, y, expected in pairs:
+                    got = powtrace._mul(x, y)
+                    assert got == expected and got.as_tuple().exponent == 0
+                    assert str(got).lstrip("-").isdigit() and str(got)[-1] == str(abs(expected) % 10)
+                    assert powtrace._mul(y, x) == expected
+            assert not any(ctx.flags.values()) and dict(ctx.traps) == traps
+
+    def test_zero_and_ints(self):
+        rng = random.Random(0)
+        a = _number(3000, rng)
+        with cli._exact_decimal() as ctx:
+            zero = decimal.Decimal(0)
+            for x, y in ((zero, decimal.Decimal(a)), (decimal.Decimal(a), zero), (zero, zero)):
+                got = powtrace._mul(x, y)
+                assert got == 0 and str(got) == "0"
+            assert not any(ctx.flags.values())
+        for x, y in ((a, a), (-a, 7), (0, a)):
+            got = powtrace._mul(x, y)
+            assert type(got) is int and got == x * y
+
+
+# The cases of CI's step that compares exact pow with exact slp eval, and
+# the path that each takes at the constants as they stand: the closing's
+# products padded, the last evaluation step's squares padded, the closing
+# by squares, and the closing by squares where p_1 = 0.
+CI_EXACT_CASES = [
+    (QUARTIC, 2101, "padded closing"),
+    (QUARTIC, 2102, "padded closing"),
+    (QUARTIC, 4001, "padded squares"),
+    (QUARTIC, 4002, "padded squares"),
+    (QUARTIC, 6001, "squares closing"),
+    (QUARTIC, 6002, "squares closing"),
+    (PLASTIC, 160_001, "squares closing"),
+    (PLASTIC, 160_002, "squares closing"),
+]
+
+
+@pytest.mark.parametrize("f, n, path", CI_EXACT_CASES, ids=lambda v: str(v))
+def test_each_ci_case_takes_its_path(f, n, path, monkeypatch):
+    d = f.degree
+    calls = _full_size_products(monkeypatch)
+    with cli._exact_decimal():
+        got = nearest_power(analyze_minpoly(f), n, lift=decimal.Decimal)
+    evaluation = [padded for inside, _, padded in calls if inside]
+    closing = _closing(calls)
+    assert evaluation and len(closing) == d
+    squares = {square for square, _ in closing}
+    padded_closing = {padded for _, padded in closing}
+    if path == "padded closing":
+        assert not any(evaluation) and squares == {False} and padded_closing == {True}
+    elif path == "padded squares":
+        assert any(evaluation) and squares == {False} and padded_closing == {False}
+    else:
+        assert squares == {True}
+    assert got == power_sum(f, n)
