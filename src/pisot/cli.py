@@ -249,22 +249,6 @@ def _degree_capped(spec: FieldSpec, source: str) -> tuple[FieldSpec, int]:
     return spec, k
 
 
-def _exact_decimal():
-    """A local `decimal` context for exact integer results: at MAX_PREC no
-    sum or product of integers rounds, and if any operation would round,
-    Inexact raises instead of giving a wrong digit. libmpdec multiplies
-    large numbers by a number-theoretic transform, faster than int's
-    Karatsuba, but only above its schoolbook and Karatsuba sizes: a product
-    whose shorter operand has at most 256 words of 19 digits runs
-    schoolbook, and only above 512 words does a square cost less than a
-    product (`powtrace._mul` pads the operands past the first). str() of an
-    integral Decimal needs no base conversion. The caller's context is
-    restored on exit."""
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-    return decimal.localcontext(ctx)
-
-
 def _json_int(v):
     """v, an int or an integral Decimal, as a JSON number below 10^15, else
     as its decimal string. No Decimal reaches json, and a Decimal -0 reads 0."""
@@ -366,8 +350,7 @@ def _cmd_pow(args):
             "of n*log2(alpha) bits; compute it modulo m instead"
         )
     obj = {"minpoly": str(f), "n": _json_int(n)}
-    with _exact_decimal():
-        _emit_result(args, obj, nearest_power(info, n, lift=decimal.Decimal))
+    _emit_result(args, obj, nearest_power(info, n, lift=decimal.Decimal))
     return 0
 
 
@@ -410,8 +393,7 @@ def _cmd_slp_eval(args):
     if m is not None:
         _emit_result(args, obj, slp_eval(p, m))
         return 0
-    with _exact_decimal():
-        _emit_result(args, obj, slp_eval(p, lift=decimal.Decimal))
+    _emit_result(args, obj, slp_eval(p, lift=decimal.Decimal))
     return 0
 
 

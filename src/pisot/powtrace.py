@@ -7,8 +7,11 @@ first 2d power sums from the Newton identities (Fiduccia, "An efficient
 formula for linear recurrences", SIAM J. Comput. 14(1), 1985). The same loop
 runs on exact integers, on integers mod m and on straight-line program
 instructions, and on any other ring its `lift` maps the integers into: the
-CLI runs it on `decimal.Decimal` in an exact context, whose products of
-large numbers are faster than int's.
+CLI runs it on `decimal.Decimal`, whose products of large numbers are
+faster than int's. The exact rings are the integers and `decimal.Decimal`
+with no modulus; `power_sum` decides that once, and it, `nearest_power`
+and `slp.slp_eval` run in `_exact_decimal`'s context, so a Decimal is exact
+whatever context the caller has.
 
 Each bit of n costs the square of r, d^2 + d - 2 ring operations of which
 d(d+1)/2 are products of two coefficients, and its reduction by f: for each
@@ -29,8 +32,9 @@ products it replaces.
 
 On exact rings a product of two large coefficients costs far more than a
 product by a small integer, and a square less than a product. So from
-degree 3 on, once the coefficients are large enough (`_evaluation_start`),
-`nearest_power` squares by evaluation instead: r at the 2d - 1 points 0,
+degree 3 on, from the first bit whose r has a coefficient of
+EVALUATION_BITS_PER_DEGREE*d + EVALUATION_BITS_OVER_DEGREE/d bits, an exact
+ring squares by evaluation instead: r at the 2d - 1 points 0,
 +-1, ..., +-(d - 1), 2d - 1 squarings, and one integer map per bit b of
 floor(n/2) from the squares straight to x^b r^2 mod f. The map costs
 d(2d - 1) products by small integers and d exact divisions by an int, and
@@ -38,14 +42,14 @@ the values (d - 1)(d - 2) more products by small integers.
 
 The closing reads p_n = r^T H r (H_ij = p_{i+j+(n mod 2)}) off r as
 sum_i r_i u_i, u_i = sum_j H_ij r_j: d^2 products by small integers and d
-products at the full size of r, which are most of its cost. On an exact ring
-that squared by evaluation, and once r has a coefficient of at least
+products at the full size of r, which are most of its cost. On an exact
+ring, at any degree, once r has a coefficient of at least
 SQUARES_MIN_DIGITS digits, p_n = sum_k c_k l_k(r)^2 / den instead: d squares
 of integer forms l_k of r from one fraction-free elimination of H per call
 (`_square_forms`), about d(d+1)/2 products by small integers for the forms,
 d more for the weights and one exact division by den. Programs and residues
 have no exact division, and smaller exact cases gain nothing, so they keep
-the d products.
+the d products. Both gates measure r itself, as `_digits` does.
 
 On `decimal.Decimal`, every full-size product of the evaluation step and of
 the closing goes through `_mul`. libmpdec 2.5.1 multiplies by schoolbook
@@ -141,23 +145,25 @@ def _mul(a, b):
     return a * b
 
 
-def _digits(v) -> int:
-    """The decimal digits of an integral Decimal at exponent 0, and about
-    those of an int."""
-    if isinstance(v, decimal.Decimal):
-        return v.adjusted() + 1
-    return int(v.bit_length() * math.log10(2)) + 1
+def _digits(r) -> int:
+    """The decimal digits of r's largest coefficient: exact for integral
+    Decimals at exponent 0, and about them for ints."""
+    if isinstance(r[0], decimal.Decimal):
+        return max(map(decimal.Decimal.adjusted, r)) + 1
+    return int(max(map(int.bit_length, r)) * math.log10(2)) + 1
 
 
-# An exact ring that squared by evaluation (so it divides exactly) closes by
-# squares once r has a coefficient of SQUARES_MIN_DIGITS digits: from 512
-# words on, libmpdec's transform squares in about two thirds of a product's
-# time (12,000 digits: 491 against 723 us), and below it a square costs what
-# a product does. Fitted with `nearest_power` on Decimal (2-CPU host, Python
-# 3.11.7; medians of 9 alternating runs, squares against products): at r of
-# 1.0-2.0 times this size the squares took 0.85-0.91 of the time for d = 3
-# to 8, 0.90-0.96 for the 12-nacci and 0.96-0.98 for the 30-nacci, whose
-# elimination takes under 1 ms; at 0.3-0.9 times it they took 1.00-1.11.
+# An exact ring, which divides exactly, closes by squares once r has a
+# coefficient of SQUARES_MIN_DIGITS digits: from 512 words on, libmpdec's
+# transform squares in about two thirds of a product's time (12,000 digits:
+# 491 against 723 us), and below it a square costs what a product does.
+# Fitted with `nearest_power` on Decimal (2-CPU host, Python 3.11.7; medians
+# of 9 alternating runs, squares against products): at r of 1.0-2.0 times
+# this size the squares took 0.85-0.91 of the time for d = 3 to 8, 0.90-0.96
+# for the 12-nacci and 0.96-0.98 for the 30-nacci, whose elimination takes
+# under 1 ms; at 0.3-0.9 times it they took 1.00-1.11. Quadratics, measured
+# the same way over 41 runs (x^2 - 5x + 1, x^2 - 11x - 1 and x^2 - 5x - 1 at
+# r of 1.0-2.4 times this size), took 0.85-0.88.
 SQUARES_MIN_DIGITS = 512 * 19
 
 
@@ -227,7 +233,9 @@ def _evaluation_square(c: tuple[int, ...], lift):
     (x^b P_k mod f) / delta_k. Each row is scaled to integers over its least
     denominator, so coefficient i of x^b r^2 mod f is an integer combination
     of the squares, divided exactly by an int. The ring needs an exact // by
-    a positive int besides +, - and *.
+    a positive int besides +, - and *: //, not /, since on ints / gives a
+    float, and `decimal.Decimal` / at MAX_PREC works out MAX_PREC digits of
+    any quotient that is not exact and raises an untyped MemoryError.
     """
     d = len(c)
     points = [0] + [s * j for j in range(1, d) for s in (1, -1)]
@@ -342,9 +350,37 @@ def _packed_square(c: tuple[int, ...], m: int):
     return step
 
 
-def power_sum(
-    f: IntPoly, n: int, modulus: int | None = None, lift=None, evaluate_from: int | None = None
-):
+def _exact_decimal():
+    """A local `decimal` context for exact integer results: at MAX_PREC no
+    sum or product of integers rounds, and if any operation would round,
+    Inexact raises instead of giving a wrong digit. libmpdec multiplies
+    large numbers by a number-theoretic transform, faster than int's
+    Karatsuba, but only above its schoolbook and Karatsuba sizes (`_mul`).
+    str() of an integral Decimal needs no base conversion. `power_sum`,
+    `nearest_power` and `slp.slp_eval` enter it, so a `decimal.Decimal` lift
+    is exact whatever the caller's context, which is restored on exit."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    return decimal.localcontext(ctx)
+
+
+# Where an exact square by evaluation starts: at the first bit whose r has a
+# coefficient of EVALUATION_BITS_PER_DEGREE*d + EVALUATION_BITS_OVER_DEGREE/d
+# bits or more, about where one such square saves what its plan cost. The
+# plan takes about d^3 operations on growing integers, and a square saves
+# about d^2/2 products, so the size grows with d; at small d the squares
+# save only a few of the d(d+1)/2 products, which the 1/d term reflects.
+# Fitted on decimal.Decimal, the CLI's ring (2-CPU host, Python 3.11.7):
+# one square's saving first exceeded the plan's cost, on a grid of sizes
+# 1.41x apart, at 7,802 bits for d = 3, 5,534 for 4, 3,925 for 5 to 12,
+# 5,534 for 16 to 30, 7,802 for 45 and 11,000 for 60 (plans of 0.04-0.06,
+# 0.08-0.12, 0.15-1.5, 3.3-12.9, 54 and 172 ms).
+EVALUATION_MIN_DEGREE = 3  # at d = 2, 3 squares replace 2 squares and a product
+EVALUATION_BITS_PER_DEGREE = 180
+EVALUATION_BITS_OVER_DEGREE = 22000
+
+
+def power_sum(f: IntPoly, n: int, modulus: int | None = None, lift=None):
     """p_n, the sum of the n-th powers of the roots of the monic f with f(0) != 0.
 
     Computes r = x^floor(n/2) mod f by square-and-reduce and reads p_n off it
@@ -355,12 +391,15 @@ def power_sum(
     On the integers mod m (no `lift`), r is squared by `_packed_square`
     while m has at most PACKED_MAX_MODULUS_BITS bits.
 
-    With `evaluate_from` on an exact ring that also has an exact // by a
-    positive int, r is squared by `_evaluation_square` from the first bit
-    whose r is x^j with j >= evaluate_from; `nearest_power` chooses it. If
-    it did, and r has a coefficient of SQUARES_MIN_DIGITS digits or more
-    (measured as an int or an integral Decimal), p_n is read off by d
-    squares of integer forms of r (`_square_forms`) instead of d products.
+    The exact rings are the integers and `decimal.Decimal` with no modulus;
+    the work runs in `_exact_decimal`'s context, so a Decimal is exact
+    whatever the caller's context. They alone divide exactly, and both gates
+    below measure r as `_digits` does. From degree EVALUATION_MIN_DEGREE on,
+    r is squared by `_evaluation_square` from the first bit whose r has a
+    coefficient of EVALUATION_BITS_PER_DEGREE*d + EVALUATION_BITS_OVER_DEGREE/d
+    bits or more. Once r has a coefficient of SQUARES_MIN_DIGITS digits, at
+    any degree, p_n is read off by d squares of integer forms of r
+    (`_square_forms`) instead of d products.
     """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
@@ -372,6 +411,7 @@ def power_sum(
     if c[0] == 0:
         raise ValueError("f(0) must be nonzero")
     d = len(c)
+    exact = modulus is None and lift in (None, int, decimal.Decimal)
     # Integers mod a small enough m square by packing. Programs, which must
     # keep their text, and every other ring keep the schoolbook square.
     packed = lift is None and modulus is not None and (
@@ -398,58 +438,66 @@ def power_sum(
         if v
     ]
     square = _packed_square(c, modulus) if packed else None
-    for bit in range(shift - 1, -1, -1):
-        if square is None and evaluate_from is not None and k >> (bit + 1) >= evaluate_from:
-            square = _evaluation_square(c, lift)
-        if square is not None:
-            r = square(r, k >> bit & 1)
-            continue
-        # Symmetric square: d(d+1)/2 products, cross terms doubled once.
-        s = [None] * (2 * d - 1)
-        for i in range(d):
-            for j in range(i + 1, d):
-                s[i + j] = _axpy(s[i + j], 1, r[i] * r[j])
-        s = [v if v is None else v + v for v in s]
-        for i in range(d):
-            s[2 * i] = _axpy(s[2 * i], 1, r[i] * r[i])
-        if k >> bit & 1:
-            s.insert(0, None)  # times x
-        # x^e = -sum_i c_i x^(e-d+i) for each e >= d, from the top down.
-        for e in range(len(s) - 1, d - 1, -1):
-            t = s.pop()
-            multiples = [t] + [t * a for a in magnitudes]
-            for i, which, positive in terms:
-                j = e - d + i
-                acc, v = s[j], multiples[which]
-                if acc is None:
-                    s[j] = t * -c[i] if positive else v
-                elif positive:
-                    s[j] = acc - v
-                else:
-                    s[j] = acc + v
-        r = s if modulus is None else [v % modulus for v in s]
-    # A ring that squared by evaluation divides exactly, so once r is large
-    # it closes by sum_k c_k l_k(r)^2 / den, d squares of integer forms of r.
-    if modulus is None and square is not None and max(map(_digits, r)) >= SQUARES_MIN_DIGITS:
-        forms, den = _square_forms([[p[i + j + odd] for j in range(d)] for i in range(d)])
+    # An exact ring squares by evaluation from the first r = x^j with a
+    # coefficient of evaluate_at digits. Those of x^j mod f are at most
+    # (1 + max|c_i|)^j, so no r before j = measure_from reaches it.
+    evaluate_at = math.log10(2) * (EVALUATION_BITS_PER_DEGREE * d + EVALUATION_BITS_OVER_DEGREE / d)
+    measure_from = math.inf
+    if exact and d >= EVALUATION_MIN_DEGREE:
+        measure_from = (evaluate_at - 2) / math.log10(1 + max(map(abs, c)))
+    with _exact_decimal():
+        for bit in range(shift - 1, -1, -1):
+            if k >> (bit + 1) >= measure_from and _digits(r) >= evaluate_at:
+                square, measure_from = _evaluation_square(c, lift), math.inf
+            if square is not None:
+                r = square(r, k >> bit & 1)
+                continue
+            # Symmetric square: d(d+1)/2 products, cross terms doubled once.
+            s = [None] * (2 * d - 1)
+            for i in range(d):
+                for j in range(i + 1, d):
+                    s[i + j] = _axpy(s[i + j], 1, r[i] * r[j])
+            s = [v if v is None else v + v for v in s]
+            for i in range(d):
+                s[2 * i] = _axpy(s[2 * i], 1, r[i] * r[i])
+            if k >> bit & 1:
+                s.insert(0, None)  # times x
+            # x^e = -sum_i c_i x^(e-d+i) for each e >= d, from the top down.
+            for e in range(len(s) - 1, d - 1, -1):
+                t = s.pop()
+                multiples = [t] + [t * a for a in magnitudes]
+                for i, which, positive in terms:
+                    j = e - d + i
+                    acc, v = s[j], multiples[which]
+                    if acc is None:
+                        s[j] = t * -c[i] if positive else v
+                    elif positive:
+                        s[j] = acc - v
+                    else:
+                        s[j] = acc + v
+            r = s if modulus is None else [v % modulus for v in s]
+        # An exact ring divides exactly, so once r is large it closes by
+        # sum_k c_k l_k(r)^2 / den, d squares of integer forms of r.
+        if exact and _digits(r) >= SQUARES_MIN_DIGITS:
+            forms, den = _square_forms([[p[i + j + odd] for j in range(d)] for i in range(d)])
+            total = None
+            for c_k, row in forms:
+                form = None
+                for v, t in zip(row, r):
+                    if v:
+                        form = _axpy(form, v, t)
+                total = _axpy(total, c_k, _mul(form, form))
+            return total if den == 1 else total // den
+        # sum_i r_i u_i with u_i = sum_j p_{i+j+odd} r_j: only d full products.
         total = None
-        for c_k, row in forms:
-            form = None
-            for v, t in zip(row, r):
-                if v:
-                    form = _axpy(form, v, t)
-            total = _axpy(total, c_k, _mul(form, form))
-        return total if den == 1 else total // den
-    # sum_i r_i u_i with u_i = sum_j p_{i+j+odd} r_j: only d full products.
-    total = None
-    for i in range(d):
-        u = None
-        for j in range(d):
-            if p[i + j + odd]:
-                u = _axpy(u, p[i + j + odd], r[j])
-        if u is not None:
-            total = _axpy(total, 1, _mul(r[i], u))
-    return total if modulus is None else total % modulus
+        for i in range(d):
+            u = None
+            for j in range(d):
+                if p[i + j + odd]:
+                    u = _axpy(u, p[i + j + odd], r[j])
+            if u is not None:
+                total = _axpy(total, 1, _mul(r[i], u))
+        return total if modulus is None else total % modulus
 
 
 def _rounded_conjugate_sum(info: MinPolyInfo, n: int) -> int:
@@ -479,47 +527,17 @@ def _rounded_conjugate_sum(info: MinPolyInfo, n: int) -> int:
             return k
 
 
-# Where an exact square by evaluation starts: at the first bit whose r has
-# coefficients of EVALUATION_BITS_PER_DEGREE*d + EVALUATION_BITS_OVER_DEGREE/d
-# bits or more, about where one such square saves what its plan cost. The
-# plan takes about d^3 operations on growing integers, and a square saves
-# about d^2/2 products, so the size grows with d; at small d the squares
-# save only a few of the d(d+1)/2 products, which the 1/d term reflects.
-# Fitted on decimal.Decimal, the CLI's ring (2-CPU host, Python 3.11.7):
-# one square's saving first exceeded the plan's cost, on a grid of sizes
-# 1.41x apart, at 7,802 bits for d = 3, 5,534 for 4, 3,925 for 5 to 12,
-# 5,534 for 16 to 30, 7,802 for 45 and 11,000 for 60 (plans of 0.04-0.06,
-# 0.08-0.12, 0.15-1.5, 3.3-12.9, 54 and 172 ms).
-EVALUATION_MIN_DEGREE = 3  # at d = 2, 3 squares replace 2 squares and a product
-EVALUATION_BITS_PER_DEGREE = 180
-EVALUATION_BITS_OVER_DEGREE = 22000
-
-
-def _evaluation_start(info: MinPolyInfo) -> int | None:
-    """The least j from which x^j mod f is squared by evaluation, or None.
-    The coefficients of x^j mod f have about j*log2(alpha) bits, and
-    log2(alpha) > 0.4, since no Pisot number is below the plastic number."""
-    d = info.poly.degree
-    if d < EVALUATION_MIN_DEGREE:
-        return None
-    bits = EVALUATION_BITS_PER_DEGREE * d + EVALUATION_BITS_OVER_DEGREE / d
-    alpha = info.dominant_root
-    return math.ceil(bits / (math.log2(alpha.re) - alpha.scale))
-
-
 def nearest_power(info: MinPolyInfo, n: int, lift=int):
-    """[alpha^n] exactly, where alpha is the Pisot root of info.poly. p_n is
-    computed on whatever `lift` turns an integer into (an int by default), as
-    in `power_sum`, and the integer round(S_n) is subtracted from it.
-
-    The ring needs +, -, * and an exact // by a positive int: from degree 3
-    and large enough coefficients on, r is squared by evaluation, whose
-    interpolation divides exactly. It is //, not /: on ints / gives a float,
-    and `decimal.Decimal` / at MAX_PREC, the CLI's exact context, works out
-    MAX_PREC digits of any quotient that is not exact and raises an untyped
-    MemoryError."""
-    p_n = power_sum(info.poly, n, lift=lift, evaluate_from=_evaluation_start(info))
-    return p_n - _rounded_conjugate_sum(info, n)
+    """[alpha^n] exactly, where alpha is the Pisot root of info.poly: p_n
+    from `power_sum` on whatever `lift` turns an integer into (an int by
+    default), minus the integer round(S_n). Like `power_sum`, a nonzero
+    round(S_n) is subtracted in `_exact_decimal`'s context, so on
+    `decimal.Decimal` the result is exact whatever the caller's context."""
+    p_n, k = power_sum(info.poly, n, lift=lift), _rounded_conjugate_sum(info, n)
+    if k == 0:  # always from n0 on: no Decimal operation is left
+        return p_n
+    with _exact_decimal():
+        return p_n - k
 
 
 def nearest_power_mod(info: MinPolyInfo, n: int, m: int) -> int:

@@ -21,7 +21,7 @@ from itertools import chain, islice
 
 from . import errors
 from .algebraic import MinPolyInfo
-from .powtrace import nearest_power, power_sum
+from .powtrace import _exact_decimal, nearest_power, power_sum
 
 ONE = ("one",)
 # The opcode byte of an instruction indexes these. ONE's operands are 0 and 0.
@@ -258,8 +258,9 @@ def emit_power_slp(info: MinPolyInfo, n: int) -> SLP:
 def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     """Exact value of the program, or its canonical representative mod m.
     The exact value is computed on whatever `lift` turns the constant 1
-    into (an int by default); a ring with +, - and *, such as
-    `decimal.Decimal` in an exact context, will do. Exact values are dropped
+    into (an int by default); a ring with +, - and * will do. It runs in
+    `powtrace._exact_decimal`'s context, so `decimal.Decimal` is exact
+    whatever the caller's context. Exact values are dropped
     after their last use, so only the live ones are held at once. p is
     valid, as every `SLP` is from construction."""
     if modulus is not None and modulus < 2:
@@ -278,15 +279,16 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     for i, a, b in zip(range(1, n), islice(p.left, 1, None), islice(p.right, 1, None)):
         last[a] = last[b] = i
     last[p.result_index] = n
-    values = [lift(1)] + [None] * (n - 1)
-    for i, (code, a, b) in enumerate(steps, 1):
-        values[i] = funcs[code](values[a], values[b])
-        if last[a] == i:
-            values[a] = None
-        if last[b] == i:
-            values[b] = None
-        if last[i] == i:
-            values[i] = None
+    with _exact_decimal():
+        values = [lift(1)] + [None] * (n - 1)
+        for i, (code, a, b) in enumerate(steps, 1):
+            values[i] = funcs[code](values[a], values[b])
+            if last[a] == i:
+                values[a] = None
+            if last[b] == i:
+                values[b] = None
+            if last[i] == i:
+                values[i] = None
     return values[p.result_index]
 
 

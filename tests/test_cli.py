@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from pisot import algebraic, cli, errors
+from pisot import algebraic, cli, errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
 from pisot.lattice import IntLattice
@@ -157,7 +157,7 @@ class TestExactDecimal:
         info = analyze_minpoly(f)
         n0 = info.threshold_n0
         rng = random.Random(str(f))
-        with cli._exact_decimal():
+        with powtrace._exact_decimal():
             for n in range(601):
                 exact = nearest_power(info, n, lift=decimal.Decimal)
                 assert str(exact) == str(nearest_power(info, n)), f"n={n}"
@@ -231,7 +231,7 @@ class TestExactDecimal:
         assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
 
     def test_any_rounding_raises(self):
-        with cli._exact_decimal() as ctx:
+        with powtrace._exact_decimal() as ctx:
             with pytest.raises(decimal.Inexact):
                 decimal.Decimal("0.5").to_integral_exact()
             with pytest.raises(decimal.Inexact):

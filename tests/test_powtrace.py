@@ -1,15 +1,17 @@
 """Nearest-integer powers via power sums, exact and modular, checked against
 companion-matrix traces."""
 
+import contextlib
 import dataclasses
 import decimal
 import hashlib
+import math
 import random
 
 import mpmath
 import pytest
 
-from pisot import algebraic, cli, errors, powtrace
+from pisot import algebraic, errors, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.powtrace import nearest_power, nearest_power_mod, power_sum
 from pisot.slp import emit_power_slp, format_slp, slp_eval
@@ -297,7 +299,7 @@ class TestSharedMultiples:
     def test_exact_matches_matpow(self, f):
         rng = random.Random(str(f))
         ns = list(range(0, 4 * f.degree)) + [rng.randint(4 * f.degree, 400) for _ in range(10)]
-        with cli._exact_decimal():
+        with powtrace._exact_decimal():
             for n in ns:
                 expected = matpow_trace(f, n)
                 assert power_sum(f, n) == expected, f"n={n}"
@@ -353,6 +355,23 @@ EVALUATION_POLYS = (
 )
 
 
+def _open_the_evaluation_gate(monkeypatch):
+    """Every exact ring, at every degree, squares by evaluation from the
+    first bit on."""
+    monkeypatch.setattr(powtrace, "EVALUATION_MIN_DEGREE", 1)
+    monkeypatch.setattr(powtrace, "EVALUATION_BITS_PER_DEGREE", 0)
+    monkeypatch.setattr(powtrace, "EVALUATION_BITS_OVER_DEGREE", 0)
+
+
+def _by_products(f, n, monkeypatch):
+    """p_n on ints with both exact gates shut: schoolbook squares and a
+    closing by d products."""
+    with monkeypatch.context() as patch:
+        patch.setattr(powtrace, "EVALUATION_MIN_DEGREE", f.degree + 1)
+        patch.setattr(powtrace, "SQUARES_MIN_DIGITS", math.inf)
+        return power_sum(f, n)
+
+
 class TestEvaluationSquare:
     @pytest.mark.parametrize("f", EVALUATION_POLYS, ids=str)
     def test_step_matches_the_schoolbook_square(self, f):
@@ -366,7 +385,7 @@ class TestEvaluationSquare:
                 r[rng.randrange(d)] = 0
                 vectors.append(r)
         step = powtrace._evaluation_square(c, int)
-        with cli._exact_decimal():
+        with powtrace._exact_decimal():
             decimal_step = powtrace._evaluation_square(c, decimal.Decimal)
             for r in vectors:
                 for b in (0, 1):
@@ -376,8 +395,8 @@ class TestEvaluationSquare:
                     assert decimal_step(lifted, b) == expected, f"r={r}, b={b}"
 
     @pytest.mark.parametrize("f", EVALUATION_POLYS, ids=str)
-    def test_from_the_first_bit(self, f):
-        # evaluate_from=0 squares by evaluation at every bit; the result is
+    def test_from_the_first_bit(self, f, monkeypatch):
+        # With the gate open every bit squares by evaluation; the result is
         # the schoolbook engine's and the companion matrix's (the root's
         # power at degree 1).
         d = f.degree
@@ -385,12 +404,13 @@ class TestEvaluationSquare:
         top = 600 if d <= 12 else 150
         ns = [0, 2 * d - 1, 2 * d, 2 * d + 1, top - 1, top]
         ns += [rng.randint(2 * d, top) for _ in range(6)]
-        with cli._exact_decimal():
-            for n in ns:
-                expected = matpow_trace(f, n) if d > 1 else (-f.coefficients[0]) ** n
-                assert power_sum(f, n) == expected, f"n={n}"
-                assert power_sum(f, n, evaluate_from=0) == expected, f"n={n}"
-                assert power_sum(f, n, lift=decimal.Decimal, evaluate_from=0) == expected, f"n={n}"
+        expected = {n: matpow_trace(f, n) if d > 1 else (-f.coefficients[0]) ** n for n in ns}
+        for n in ns:
+            assert power_sum(f, n) == expected[n], f"n={n}"
+        _open_the_evaluation_gate(monkeypatch)
+        for n in ns:
+            assert power_sum(f, n) == expected[n], f"n={n}"
+            assert power_sum(f, n, lift=decimal.Decimal) == expected[n], f"n={n}"
 
 
 # Every degree from 1 to 30, the k-nacci, the benchmark's degree-12
@@ -550,7 +570,7 @@ class TestPackedSquare:
         # reaches SQUARES_MIN_DIGITS (alpha is about 21, so at n = 15,000 r
         # has about 9,900 digits), and by d products below.
         for exact_n, square in ((15_000, True), (13_000, False)):
-            with cli._exact_decimal():
+            with powtrace._exact_decimal():
                 nearest_power(info, exact_n, lift=decimal.Decimal)
             assert _closing(calls) == [(square, False)] * d, f"n={exact_n}"
         built = _steps(monkeypatch)
@@ -572,12 +592,17 @@ class TestPackedSquare:
         power_sum(f, n, 2**CAP)
         nearest_power_mod(info, n, 2**CAP)
         power_sum(f, 1000)
-        with cli._exact_decimal():
+        with powtrace._exact_decimal():
             power_sum(f, 1000, lift=decimal.Decimal)
         power_sum(f, n, 7, lift=lambda v: v % 7)
         assert _closing(calls) == [(False, False)] * 5 * d
         emit_power_slp(info, n)
         assert _closing(calls) == [(False, False)] * d
+        # Residues mod an m above the cap never evaluate, so their
+        # schoolbook step stays exact mod m.
+        m = 2**200 + 235
+        for small_n in (50, 101, 1000):
+            assert power_sum(QUARTIC, small_n, m) == matpow_trace(QUARTIC, small_n, m)
         assert built == [] and evaluated == []
 
 
@@ -590,14 +615,30 @@ SWITCH_POLYS = [
 ]
 
 
+def _evaluation_starts(f):
+    """The least j whose x^j mod f has a coefficient that opens the
+    evaluation gate, measured as `power_sum` measures r, keyed by the ring:
+    an int's digits are measured from its bit length, a Decimal's exactly."""
+    c, d = f.coefficients[:-1], f.degree
+    bits = powtrace.EVALUATION_BITS_PER_DEGREE * d + powtrace.EVALUATION_BITS_OVER_DEGREE / d
+    starts, r, j = {}, [0] * (d - 1) + [1], d - 1
+    # The int measure is never below the Decimal one, so the Decimal search
+    # goes on from the int start.
+    for lift in (int, decimal.Decimal):
+        while powtrace._digits([lift(v) for v in r]) < bits * math.log10(2):
+            r = [v - r[-1] * u for v, u in zip([0] + r[:-1], c)]
+            j += 1
+        starts[lift] = j
+    return starts
+
+
 @pytest.mark.parametrize("f", SWITCH_POLYS, ids=str)
 def test_exact_powers_on_both_sides_of_the_switch(f, monkeypatch):
     # With the constants as they stand, x^j is squared by evaluation from
-    # j = j0 on and by schoolbook products below, whatever the bit b of
-    # floor(n/2) that follows. Ints and Decimal give the schoolbook result.
+    # the least j0 whose x^j mod f reaches the gate's size on, and by
+    # schoolbook products below, whatever the bit b of floor(n/2) that
+    # follows. Ints and Decimal give the result of products alone.
     info = analyze_minpoly(f)
-    j0 = powtrace._evaluation_start(info)
-    assert j0 > 2 * f.degree and 4 * j0 - 4 >= info.threshold_n0
     steps = []
     build = powtrace._evaluation_square
 
@@ -611,26 +652,36 @@ def test_exact_powers_on_both_sides_of_the_switch(f, monkeypatch):
         return run
 
     monkeypatch.setattr(powtrace, "_evaluation_square", recorded)
-    for k, bits in (
-        (2 * j0 - 2, []),
-        (2 * j0 - 1, []),
-        (2 * j0, [0]),
-        (2 * j0 + 1, [1]),
-        (8 * j0 + 2, [0, 1, 0]),
-        (8 * j0 + 5, [1, 0, 1]),
-    ):
-        for n in (2 * k, 2 * k + 1):
-            expected = power_sum(f, n)
-            for lift in (int, decimal.Decimal):
+    expected = {}
+    for lift, j0 in _evaluation_starts(f).items():
+        assert j0 > 2 * f.degree and 4 * j0 - 4 >= info.threshold_n0
+        for k, bits in (
+            (2 * j0 - 2, []),
+            (2 * j0 - 1, []),
+            (2 * j0, [0]),
+            (2 * j0 + 1, [1]),
+            (8 * j0 + 2, [0, 1, 0]),
+            (8 * j0 + 5, [1, 0, 1]),
+        ):
+            for n in (2 * k, 2 * k + 1):
+                if n not in expected:
+                    expected[n] = _by_products(f, n, monkeypatch)
                 steps.clear()
-                with cli._exact_decimal():
-                    assert nearest_power(info, n, lift=lift) == expected, f"n={n}, {lift}"
-                assert steps == bits, f"n={n}"
+                assert nearest_power(info, n, lift=lift) == expected[n], f"n={n}, {lift}"
+                assert steps == bits, f"n={n}, {lift}"
 
 
-def test_evaluation_takes_no_quadratic_field(golden_info):
-    # At d = 2 three squares would replace two squares and a product.
-    assert powtrace._evaluation_start(golden_info) is None
+def test_evaluation_takes_no_quadratic_field(golden_info, monkeypatch):
+    # At d = 2 three squares would replace two squares and a product, so no
+    # quadratic squares by evaluation; its exact closing still goes by two
+    # squares once r is large (at n = 10^5 r has about 10,450 digits).
+    calls = _full_size_products(monkeypatch)
+    for n in (100_000, 100_001):
+        expected = matpow_trace(GOLDEN, n)
+        for lift in (int, decimal.Decimal):
+            assert nearest_power(golden_info, n, lift=lift) == expected, f"n={n}, {lift}"
+            assert calls == [(False, True, False)] * 2, f"n={n}, {lift}"
+            calls.clear()
 
 
 def test_benchmark_program_text_is_unchanged():
@@ -700,21 +751,22 @@ class TestSquareForms:
 
     @pytest.mark.parametrize("f", SQUARES_POLYS + [pisot_shaped(d, random.Random(300 + d)) for d in range(2, 13)], ids=str)
     def test_power_sums_with_the_gate_open(self, f, monkeypatch):
-        # With SQUARES_MIN_DIGITS at 0 every n >= 2d closes by squares.
+        # With SQUARES_MIN_DIGITS at 0 every n >= 2d closes by squares, here
+        # after squares by evaluation from the first bit.
         monkeypatch.setattr(powtrace, "SQUARES_MIN_DIGITS", 0)
+        _open_the_evaluation_gate(monkeypatch)
         calls = _full_size_products(monkeypatch)
         d = f.degree
         rank = 2 if f == GOLDEN_SQUARED else d
         rng = random.Random(str(f))
         ns = list(range(2 * d, 4 * d + 2)) + [rng.randint(4 * d, 400) for _ in range(6)]
-        with cli._exact_decimal():
-            for n in ns:
-                expected = matpow_trace(f, n)
-                assert power_sum(f, n, evaluate_from=0) == expected, f"n={n}"
-                assert _closing(calls) == [(True, False)] * rank, f"n={n}"
-                got = power_sum(f, n, lift=decimal.Decimal, evaluate_from=0)
-                assert got == expected and got.as_tuple().exponent == 0, f"n={n}"
-                assert _closing(calls) == [(True, False)] * rank, f"n={n}"
+        for n in ns:
+            expected = matpow_trace(f, n)
+            assert power_sum(f, n) == expected, f"n={n}"
+            assert _closing(calls) == [(True, False)] * rank, f"n={n}"
+            got = power_sum(f, n, lift=decimal.Decimal)
+            assert got == expected and got.as_tuple().exponent == 0, f"n={n}"
+            assert _closing(calls) == [(True, False)] * rank, f"n={n}"
 
 
 LOW, HIGH = powtrace.PAD_MIN_DIGITS, powtrace.SCHOOLBOOK_MAX_DIGITS
@@ -733,7 +785,7 @@ class TestPaddedProduct:
     )
     def test_equals_the_int_product(self, lengths):
         rng = random.Random(str(lengths))
-        with cli._exact_decimal() as ctx:
+        with powtrace._exact_decimal() as ctx:
             traps = dict(ctx.traps)
             for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
                 a, b = (_number(k, rng, s) for k, s in zip(lengths, signs))
@@ -751,7 +803,7 @@ class TestPaddedProduct:
     def test_zero_and_ints(self):
         rng = random.Random(0)
         a = _number(3000, rng)
-        with cli._exact_decimal() as ctx:
+        with powtrace._exact_decimal() as ctx:
             zero = decimal.Decimal(0)
             for x, y in ((zero, decimal.Decimal(a)), (decimal.Decimal(a), zero), (zero, zero)):
                 got = powtrace._mul(x, y)
@@ -765,7 +817,8 @@ class TestPaddedProduct:
 # The cases of CI's step that compares exact pow with exact slp eval, and
 # the path that each takes at the constants as they stand: the closing's
 # products padded, the last evaluation step's squares padded, the closing
-# by squares, and the closing by squares where p_1 = 0.
+# by squares, the closing by squares where p_1 = 0, and a quadratic's
+# closing by squares with no evaluation step.
 CI_EXACT_CASES = [
     (QUARTIC, 2101, "padded closing"),
     (QUARTIC, 2102, "padded closing"),
@@ -775,6 +828,8 @@ CI_EXACT_CASES = [
     (QUARTIC, 6002, "squares closing"),
     (PLASTIC, 160_001, "squares closing"),
     (PLASTIC, 160_002, "squares closing"),
+    (IntPoly((1, -5, 1)), 30_001, "squares closing"),
+    (IntPoly((1, -5, 1)), 30_002, "squares closing"),
 ]
 
 
@@ -782,11 +837,11 @@ CI_EXACT_CASES = [
 def test_each_ci_case_takes_its_path(f, n, path, monkeypatch):
     d = f.degree
     calls = _full_size_products(monkeypatch)
-    with cli._exact_decimal():
+    with powtrace._exact_decimal():
         got = nearest_power(analyze_minpoly(f), n, lift=decimal.Decimal)
     evaluation = [padded for inside, _, padded in calls if inside]
     closing = _closing(calls)
-    assert evaluation and len(closing) == d
+    assert bool(evaluation) == (d > 2) and len(closing) == d
     squares = {square for square, _ in closing}
     padded_closing = {padded for _, padded in closing}
     if path == "padded closing":
@@ -796,3 +851,46 @@ def test_each_ci_case_takes_its_path(f, n, path, monkeypatch):
     else:
         assert squares == {True}
     assert got == power_sum(f, n)
+
+
+# x^3 - x - 1 at 1,000 has 123 digits, past a 28-digit context's precision.
+# The 30-nacci at 782, below its n0 of 2,655, subtracts round(S_n) = 1.
+LIBRARY_CASES = [(PLASTIC, 1000), (QUARTIC, 6002)] + [
+    (IntPoly((-1,) * 30 + (1,)), n) for n in (782, 10**4)
+]
+
+
+@pytest.mark.parametrize("f, n", LIBRARY_CASES, ids=str)
+@pytest.mark.parametrize("caller", [None, decimal.Context(prec=28)], ids=["no context", "prec=28"])
+def test_decimal_lift_is_exact_in_any_caller_context(f, n, caller):
+    # A library caller passes lift=Decimal without the exact context; the
+    # results equal the int ones, and the caller's context is left as it was.
+    info = analyze_minpoly(f)
+    assert (n < info.threshold_n0) == (n == 782)
+    program = emit_power_slp(info, n)
+    expected = [nearest_power(info, n), power_sum(f, n), slp_eval(program)]
+    with decimal.localcontext(caller) if caller else contextlib.nullcontext():
+        ctx = decimal.getcontext()
+        before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
+        got = [
+            nearest_power(info, n, lift=decimal.Decimal),
+            power_sum(f, n, lift=decimal.Decimal),
+            slp_eval(program, lift=decimal.Decimal),
+        ]
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
+    assert got == expected and all(v.as_tuple().exponent == 0 for v in got)
+
+
+@pytest.mark.parametrize("n", [30_001, 30_002])
+def test_a_quadratic_closes_by_two_squares(n, monkeypatch):
+    # x^2 - 5x + 1 at n = 30,001: r has about 10,200 digits, past
+    # SQUARES_MIN_DIGITS, and no evaluation step runs at d = 2.
+    f = IntPoly((1, -5, 1))
+    info = analyze_minpoly(f)
+    expected = matpow_trace(f, n)
+    calls = _full_size_products(monkeypatch)
+    for lift in (int, decimal.Decimal):
+        assert nearest_power(info, n, lift=lift) == expected, f"{lift}"
+        assert calls == [(False, True, False)] * 2, f"{lift}"
+        calls.clear()

@@ -58,6 +58,7 @@ def test_library_example():
         "cand.minpoly": "x^4 - 633x^3 + 14x^2 + 18x + 1",
         "nearest_power(info, 17)": "119",
         "slp_eval(p) == nearest_power(info, 1000)": "True",
+        "nearest_power(info, 1000, lift=Decimal) == nearest_power(info, 1000)": "True",
     }
     for expr, value in printed.items():
         assert str(eval(expr, namespace)) == value
@@ -69,4 +70,4 @@ def test_library_example():
     assert all(isinstance(m, Ball) and m.lt(Fraction(1, 2)) for m in moduli)
     n0 = re.search(r"threshold n0 = (\d+)", stated["info = analyze_minpoly(f)"])
     assert namespace["info"].threshold_n0 == int(n0.group(1)) == 10
-    assert len(stated) == 5
+    assert len(stated) == 6
