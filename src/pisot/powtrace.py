@@ -350,18 +350,25 @@ def _packed_square(c: tuple[int, ...], m: int):
     return step
 
 
+# The `decimal` context for exact integer results: at MAX_PREC no sum or
+# product of integers rounds, and if any operation would round, Inexact
+# raises instead of giving a wrong digit.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, flags=[],
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+
+
 def _exact_decimal():
-    """A local `decimal` context for exact integer results: at MAX_PREC no
-    sum or product of integers rounds, and if any operation would round,
-    Inexact raises instead of giving a wrong digit. libmpdec multiplies
-    large numbers by a number-theoretic transform, faster than int's
-    Karatsuba, but only above its schoolbook and Karatsuba sizes (`_mul`).
-    str() of an integral Decimal needs no base conversion. `power_sum`,
-    `nearest_power` and `slp.slp_eval` enter it, so a `decimal.Decimal` lift
-    is exact whatever the caller's context, which is restored on exit."""
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-    return decimal.localcontext(ctx)
+    """A local context made from a copy of `_EXACT` on entry, so no flag or
+    trap set inside one entry reaches the next. libmpdec multiplies large
+    numbers by a number-theoretic transform, faster than int's Karatsuba,
+    but only above its schoolbook and Karatsuba sizes (`_mul`). str() of an
+    integral Decimal needs no base conversion. `power_sum`, `nearest_power`
+    and `slp.slp_eval` enter it, so a `decimal.Decimal` lift is exact
+    whatever the caller's context, which is restored on exit."""
+    return decimal.localcontext(_EXACT)
 
 
 # Where an exact square by evaluation starts: at the first bit whose r has a

@@ -53,13 +53,16 @@ _SPREAD = (5**0.5 - 1) / 2
 @dataclass(frozen=True)
 class PolyRoot:
     """A root within radius / 2^scale of (re + im*i) / 2^scale; a root
-    certified real has im = 0."""
+    certified real has im = 0, and only such a root."""
 
     re: int
     im: int
     radius: int
     scale: int
-    is_real: bool
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
 
     def modulus(self) -> Ball:
         """|root| as a Ball: the center's modulus rounded down by isqrt, so
@@ -426,10 +429,12 @@ def _certified_roots(f: IntPoly, zs, real: int, w: int, prec: int) -> list[PolyR
     are exact.
 
     The roots come back in the order of the d midpoints, the first `real`
-    flagged real. Disjoint disks hold one root each, and that is sound: a
-    disk centred on the axis is its own mirror, so it holds the mirror of
-    its root, which is then real; a pair's disk that reached the axis would
-    meet its own mirror, so it holds a root off the axis.
+    on the axis, so `PolyRoot.is_real`, and no other: a pair midpoint on
+    the axis is its own mirror, a gap of 0, and is refused. Disjoint disks
+    hold one root each, and that is sound: a disk centred on the axis is
+    its own mirror, so it holds the mirror of its root, which is then real;
+    a pair's disk that reached the axis would meet its own mirror, so it
+    holds a root off the axis.
     """
     d = f.degree
     g = GUARD_BITS
@@ -459,8 +464,7 @@ def _certified_roots(f: IntPoly, zs, real: int, w: int, prec: int) -> list[PolyR
         for j in range(i + 1, d):
             if row[j] << (2 * g) <= (radii[i] + radii[j]) ** 2:
                 return None
-    return [PolyRoot(a << g, b << g, r, w + g, is_real=i < real)
-            for i, ((a, b), r) in enumerate(zip(every, radii))]
+    return [PolyRoot(a << g, b << g, r, w + g) for (a, b), r in zip(every, radii)]
 
 
 def share_a_root(f_desc, g_desc) -> bool:

@@ -3,12 +3,13 @@
 A program is a list of instructions; instruction 0 is ONE and every later
 instruction is ADD/SUB/MUL of two earlier results. The program length
 (ONE excluded) upper-bounds the tau-complexity of the value it computes.
-An `SLP` holds its instructions in three flat columns, one opcode byte and
-two `array('q')` operand indices each: 17 bytes an instruction, where a
-tuple of three took about 130. The builder, the parser, the formatter and
-the evaluator read and write the columns directly. An `SLP` is checked
-once, when it is built, by C-level scans over the columns, so every
-program is valid.
+An `SLP` is three flat columns, one opcode byte and two `array('q')`
+operand indices an instruction: 17 bytes, where a tuple of three took
+about 130. The builder, the parser, the formatter and the evaluator read
+and write the columns directly. `SLP(opcodes, left, right, result_index)`
+is the only constructor and the only check, made once by C-level scans
+over the columns, so every program is valid. `SLP.instructions` gives the
+tuples back, built when read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from collections.abc import Sequence
 from itertools import chain, islice
 
 from . import errors
@@ -27,7 +27,6 @@ ONE = ("one",)
 # The opcode byte of an instruction indexes these. ONE's operands are 0 and 0.
 _NAMES = ("one", "add", "sub", "mul")
 _FUNCS = (None, operator.add, operator.sub, operator.mul)
-_BINARY_OPS = _NAMES[1:]
 _ADD, _SUB, _MUL = 1, 2, 3
 _CODES = {"add": _ADD, "sub": _SUB, "mul": _MUL}
 _BINARY_CODES = bytes((_ADD, _SUB, _MUL))
@@ -50,76 +49,41 @@ def _operand_fault(left: array, right: array, stop: int) -> int | None:
         return next(i for i in indices if not (a[i] < i and b[i] < i))
 
 
-def _non_earlier(i: int) -> str:
-    return f"instruction {i} references a non-earlier index"
-
-
 class SLP:
-    """A program and its result's index. `SLP(instructions, result_index)`
-    takes the instructions as tuples, ONE and then (op, a, b), and
-    `instructions` gives them back; the program itself is the columns
-    `opcodes` (bytes), `left` and `right` (`array('q')`). Construction
-    raises MalformedProgram unless `validate` passes."""
+    """A program and its result's index, held as three columns of one
+    length: `opcodes` (bytes; 0 for ONE, then 1, 2, 3 for add, sub, mul),
+    and `left` and `right` (`array('q')`), the operand indices. The
+    constructor is the one check. It raises MalformedProgram for the first
+    of these rules that the program breaks: the columns are bytes and two
+    `array('q')` of one length; instruction 0 is ONE, with operands 0 and
+    0; every later opcode is add, sub or mul; every operand indexes an
+    earlier instruction; the result index names an instruction."""
 
     __slots__ = ("opcodes", "left", "right", "result_index")
 
-    def __init__(self, instructions, result_index: int):
-        opcodes, left, right = bytearray(), array("q"), array("q")
-        fault = None
-        for i, ins in enumerate(instructions):
-            if i == 0:
-                if ins != ONE:
-                    raise errors.MalformedProgram("instruction 0 must be ONE")
-                code, a, b = 0, 0, 0
-            elif len(ins) != 3 or ins[0] not in _BINARY_OPS:
-                fault = f"bad instruction at index {i}: {ins!r}"
-                break
-            else:
-                code, a, b = _CODES[ins[0]], ins[1], ins[2]
-            try:
-                left.append(a)
-                right.append(b)
-            except OverflowError:  # outside int64, so outside [0, i)
-                fault = _non_earlier(i)
-                break
-            opcodes.append(code)
-        if fault is not None:
-            # A fault in an earlier instruction comes first.
-            i = _operand_fault(left, right, len(opcodes))
-            raise errors.MalformedProgram(fault if i is None else _non_earlier(i))
-        self._adopt(bytes(opcodes), left, right, result_index)
-
-    @classmethod
-    def _from_columns(cls, opcodes: bytes, left: array, right: array, result_index: int) -> SLP:
-        p = cls.__new__(cls)
-        p._adopt(opcodes, left, right, result_index)
-        return p
-
-    def _adopt(self, opcodes, left, right, result_index):
-        self.opcodes, self.left, self.right = opcodes, left, right
-        self.result_index = result_index
-        self.validate()
-
-    def validate(self):
-        """Raise MalformedProgram for the first check the program fails:
-        instruction 0 is ONE, every later opcode is add, sub or mul, every
-        operand indexes an earlier instruction, and the result index names
-        an instruction."""
-        opcodes, n = self.opcodes, len(self.opcodes)
-        if not n or opcodes[0] or self.left[0] or self.right[0]:
+    def __init__(self, opcodes: bytes, left: array, right: array, result_index: int):
+        if ((type(opcodes), type(left), type(right)) != (bytes, array, array) or left.typecode != "q"
+                or right.typecode != "q" or not len(opcodes) == len(left) == len(right)):
+            raise errors.MalformedProgram("the columns must be bytes and two array('q') of one length")
+        n = len(opcodes)
+        if not n or opcodes[0] or left[0] or right[0]:
             raise errors.MalformedProgram("instruction 0 must be ONE")
         if opcodes.translate(None, _BINARY_CODES) != b"\0":
             i = next(i for i in range(1, n) if opcodes[i] not in _BINARY_CODES)
             raise errors.MalformedProgram(f"bad instruction at index {i}: opcode {opcodes[i]}")
-        i = _operand_fault(self.left, self.right, n)
+        i = _operand_fault(left, right, n)
         if i is not None:
-            raise errors.MalformedProgram(_non_earlier(i))
-        if not 0 <= self.result_index < n:
+            raise errors.MalformedProgram(f"instruction {i} references a non-earlier index")
+        if not 0 <= result_index < n:
             raise errors.MalformedProgram("result index out of range")
+        self.opcodes, self.left, self.right, self.result_index = opcodes, left, right, result_index
 
     @property
-    def instructions(self) -> _Instructions:
-        return _Instructions(self)
+    def instructions(self) -> tuple:
+        """The instructions as tuples, ONE and then (op, a, b), built from
+        the columns when read."""
+        return tuple(ONE if not code else (_NAMES[code], a, b)
+                     for code, a, b in zip(self.opcodes, self.left, self.right))
 
     def __eq__(self, other):
         if not isinstance(other, SLP):
@@ -133,30 +97,6 @@ class SLP:
 
     def __repr__(self):
         return f"SLP(<{len(self.opcodes)} instructions>, result_index={self.result_index!r})"
-
-
-class _Instructions(Sequence):
-    """An SLP's instructions as tuples, made from its columns when read."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: SLP):
-        self._p = p
-
-    def __len__(self):
-        return len(self._p.opcodes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        p = self._p
-        code = p.opcodes[i]
-        return ONE if not code else (_NAMES[code], p.left[i], p.right[i])
-
-    def __iter__(self):
-        p = self._p
-        for code, a, b in zip(p.opcodes, p.left, p.right):
-            yield ONE if not code else (_NAMES[code], a, b)
 
 
 def slp_length(p: SLP) -> int:
@@ -200,7 +140,7 @@ class _Builder:
         return idx
 
     def finish(self, result_index: int) -> SLP:
-        return SLP._from_columns(bytes(self.opcodes), self.left, self.right, result_index)
+        return SLP(bytes(self.opcodes), self.left, self.right, result_index)
 
 
 def slp_for_constant(c: int) -> SLP:
@@ -364,7 +304,7 @@ def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
         if len(parts) != 3:
             return bad("'one' takes no operands")
         return bad("'one' is only allowed as instruction 0")
-    if op not in _BINARY_OPS:
+    if op not in _CODES:
         return bad(f"unknown opcode {op!r:.60}")
     if len(parts) != 5:
         return bad(f"{op} takes exactly two operands")
@@ -446,7 +386,7 @@ def parse_slp(text: str) -> SLP:
     # An index longer than the line count is out of range, unread.
     index = int(m[1]) if len(m[1]) <= width else line_count
     try:
-        return SLP._from_columns(bytes(opcodes), left, right, index)
+        return SLP(bytes(opcodes), left, right, index)
     except errors.MalformedProgram as exc:
         raise first(exc) from None
 

@@ -18,7 +18,8 @@ rational test of LLL-reducedness: the oracles for `lattice.lll_reduce`.
 `float_pass_oracle` is the LLL float pass before it kept current Gram-Schmidt
 entries, the oracle for `lattice._float_pass` on floats. `parse_slp_oracle`
 is the SLP text parser before it matched whole lines against one pattern,
-the oracle for `slp.parse_slp`'s programs and error messages.
+the oracle for `slp.parse_slp`'s programs and error messages; `program`
+builds an SLP's columns from instruction tuples.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import decimal
 import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -592,6 +594,14 @@ def parse_slp_oracle(text: str) -> SLP:
         instructions.append((parts[2], a, b))
     if result_index is None:
         raise errors.MalformedProgram("missing result line", line=len(lines))
-    p = SLP(tuple(instructions), result_index)
-    p.validate()
-    return p
+    return program(instructions, result_index)
+
+
+_OPCODES = {"one": 0, "add": 1, "sub": 2, "mul": 3}
+
+
+def program(instructions, result_index: int) -> SLP:
+    """The SLP of instructions given as tuples, ONE and then (op, a, b)."""
+    rows = [("one", 0, 0) if ins == ONE else ins for ins in instructions]
+    return SLP(bytes(_OPCODES[op] for op, _, _ in rows), array("q", [a for _, a, _ in rows]),
+               array("q", [b for _, _, b in rows]), result_index)

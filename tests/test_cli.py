@@ -242,6 +242,29 @@ class TestExactDecimal:
                 decimal.Decimal(1) / 3
             assert decimal.Decimal(10**40) * 10**40 == 10**80
 
+    def test_each_entry_starts_from_the_exact_context(self):
+        # Each entry copies the one module-level context: what one entry
+        # sets, by hand or by an operation, neither reaches the next nor
+        # changes that context.
+        exact = powtrace._EXACT
+        before = (exact.prec, dict(exact.traps), dict(exact.flags))
+        with powtrace._exact_decimal() as ctx:
+            assert ctx is not exact
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = False
+            ctx.traps[decimal.FloatOperation] = True
+            decimal.Decimal("0.5").to_integral_exact()  # now only flags Inexact
+            assert ctx.flags[decimal.Inexact]
+            ctx.flags[decimal.Clamped] = True
+            ctx.prec = 5
+        with powtrace._exact_decimal() as ctx:
+            assert ctx.prec == decimal.MAX_PREC and not any(ctx.flags.values())
+            assert dict(ctx.traps) == before[1]
+            assert ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
+            with pytest.raises(decimal.Inexact):
+                decimal.Decimal("0.5").to_integral_exact()
+        assert (exact.prec, dict(exact.traps), dict(exact.flags)) == before
+        assert not any(exact.flags.values())
+
 
 def test_parser_is_built_once_and_keeps_the_exit_codes(capsys):
     assert cli._parser() is cli._parser()

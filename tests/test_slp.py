@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -21,7 +22,7 @@ from pisot.slp import (
     slp_length,
 )
 from conftest import pisot_shaped
-from oracles import parse_slp_oracle
+from oracles import parse_slp_oracle, program
 
 MALFORMED = [
     "",
@@ -155,16 +156,34 @@ class TestEval:
         # A program is checked when it is built, so none that is invalid
         # reaches the evaluator.
         with pytest.raises(errors.MalformedProgram, match="instruction 0 must be ONE"):
-            SLP((("add", 0, 0),), 0)
+            program((("add", 0, 0),), 0)
 
     def test_forward_reference_rejected(self):
         with pytest.raises(errors.MalformedProgram, match="non-earlier index"):
-            SLP((("one",), ("add", 1, 0)), 1)
+            program((("one",), ("add", 1, 0)), 1)
 
-    @pytest.mark.parametrize("ins", [("add", 0), ("pow", 0, 0)], ids=["one-operand", "pow"])
-    def test_a_malformed_instruction_is_rejected(self, ins):
-        with pytest.raises(errors.MalformedProgram, match="bad instruction at index 1"):
-            SLP((("one",), ins), 1)
+    @pytest.mark.parametrize("code", [4, 255])
+    def test_a_malformed_instruction_is_rejected(self, code):
+        with pytest.raises(errors.MalformedProgram) as exc:
+            SLP(bytes((0, code)), array("q", [0, 0]), array("q", [0, 0]), 1)
+        assert str(exc.value) == f"bad instruction at index 1: opcode {code}"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (b"\0\1", array("q", [0]), array("q", [0]), 1),  # accepted before, unformattable
+            (b"\0", array("q", [0, 0]), array("q", [0]), 0),
+            (b"\0", array("q", [0]), array("q"), 0),
+            (bytearray(1), array("q", [0]), array("q", [0]), 0),
+            (b"\0", array("l", [0]), array("q", [0]), 0),
+            (b"\0", array("q", [0]), [0], 0),
+        ],
+        ids=["opcodes-longer", "left-longer", "right-shorter", "bytearray", "array-l", "list"],
+    )
+    def test_columns_of_unequal_lengths_or_wrong_types_are_rejected(self, columns):
+        with pytest.raises(errors.MalformedProgram) as exc:
+            SLP(*columns)
+        assert str(exc.value) == "the columns must be bytes and two array('q') of one length"
 
     @pytest.mark.parametrize(
         "ins, result, message",
@@ -172,30 +191,26 @@ class TestEval:
             ((("one",), ("add", -1, 0)), 1, "instruction 1 references a non-earlier index"),
             ((("one",), ("add", 0, -1)), 1, "instruction 1 references a non-earlier index"),
             ((("one",), ("add", 0, 0)), -1, "result index out of range"),
-            ((("one",), ("add", 0, 0), ("mul", 1, 2**64)), 2, "instruction 2 references a non-earlier index"),
-            # The first fault in program order is the one reported.
-            ((("one",), ("sub", 0, 1), ("pow", 0, 0)), 2, "instruction 1 references a non-earlier index"),
-            ((("one",), ("sub", 0, 0), ("add", 0, -2**70), ("pow", 0, 0)), 9, "instruction 2 references a non-earlier index"),
         ],
-        ids=["negative-left", "negative-right", "negative-result", "beyond-int64", "ref-before-op", "ref-before-op-and-result"],
+        ids=["negative-left", "negative-right", "negative-result"],
     )
     def test_operands_below_zero_or_beyond_int64_are_rejected(self, ins, result, message):
         # The columns are array('q'): they hold negative operands, and an
         # operand beyond int64 never reaches them.
         with pytest.raises(errors.MalformedProgram) as exc:
-            SLP(ins, result)
+            program(ins, result)
         assert str(exc.value) == message
 
     def test_instructions_read_back_as_tuples(self):
         ins = (("one",), ("add", 0, 0), ("mul", 1, 1), ("sub", 2, 0))
-        p = SLP(ins, 3)
+        p = program(ins, 3)
         assert len(p.instructions) == 4
         assert tuple(p.instructions) == ins
         assert [p.instructions[i] for i in range(-4, 4)] == list(ins + ins)
         assert p.instructions[1:] == ins[1:]
-        assert p == SLP(ins, 3) == parse_slp(format_slp(p))
-        assert p != SLP(ins, 2) and p != SLP(ins[:3], 2)
-        assert hash(p) == hash(SLP(ins, 3))
+        assert p == program(ins, 3) == parse_slp(format_slp(p))
+        assert p != program(ins, 2) and p != program(ins[:3], 2)
+        assert hash(p) == hash(program(ins, 3))
 
     def test_exact_values_are_dropped_after_their_last_use(self):
         f = IntPoly((1, 21, -229, -4899, 1))
@@ -214,7 +229,7 @@ class TestEval:
 
     def test_unused_and_repeated_operands(self):
         # v2 is never used; v3 uses v1 twice; the result is read mid-program.
-        p = SLP((("one",), ("add", 0, 0), ("mul", 1, 1), ("mul", 1, 1), ("add", 3, 0)), 3)
+        p = program((("one",), ("add", 0, 0), ("mul", 1, 1), ("mul", 1, 1), ("add", 3, 0)), 3)
         assert slp_eval(p) == 4
         Counted.alive = Counted.peak = 0
         assert slp_eval(p, lift=Counted).v == 4
