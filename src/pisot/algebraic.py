@@ -28,9 +28,9 @@ from math import gcd, isqrt
 from . import errors
 from .balls import Ball, decimal_digits
 from .lattice import IntLattice
-from .roots import MAX_WORK_BITS, PolyRoot, fixed_power, root_layouts, share_a_root
+from .limits import MAX_FIELD_ENTRY_CHARS, MAX_FIELD_INT_CHARS, MAX_WORK_BITS, THRESHOLD_CAP
+from .roots import PolyRoot, fixed_power, root_layouts, share_a_root
 
-THRESHOLD_CAP = 99999
 # Precision of the first root layout that `analyze_minpoly` asks for: the
 # largest of the ladder's 64 * 2^k that one Newton sweep from float starts
 # reaches (`roots._newton`), since 2 * 53 >= 64 + GUARD_BITS and not 128.
@@ -131,17 +131,7 @@ class FieldSpec:
         return cls.from_json(obj)
 
 
-# The longest integer that a field file may hold, in characters: int() takes
-# time quadratic in the digits. A field's discriminant at the degrees that
-# `find` takes has a few hundred digits.
-MAX_FIELD_INT_CHARS = 4300
 _FIELD_INT_TEXT = re.compile(r"[+-]?[0-9]+")
-# The longest decimal entry of an explicit field, in characters, checked
-# before the entry is read: reading it takes time quadratic in its digits.
-# 2^-MAX_WORK_BITS is about 10^-9865, so no precision that the embeddings
-# take uses more than about 9,900 significant digits of an entry; the rest
-# leaves room for a sign, a point and an exponent.
-MAX_FIELD_ENTRY_CHARS = 10_000
 
 
 def _json_int_literal(text: str) -> int:

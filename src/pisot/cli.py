@@ -20,52 +20,33 @@ from .algebraic import (
     coprime_residues,
     embeddings_for,
 )
-from .pisotsearch import (
+from .limits import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_CONDUCTOR_CHARS,
+    MAX_DELTA_CHARS,
+    MAX_DELTA_DIGITS,
+    MAX_DISC_CHARS,
+    MAX_EPSILON_CHARS,
+    MAX_EPSILON_DIGITS,
+    MAX_EXACT_N,
+    MAX_FIND_SIZE,
+    MAX_N,
+    MAX_N_CHARS,
     MAX_SEARCH_DEGREE,
+    MAX_WORK_BITS,
+)
+from .pisotsearch import (
     find_pisot,
     minkowski_bound,
     verify_pisot,
     verify_precision,
 )
 from .powtrace import nearest_power, nearest_power_mod
-from .roots import MAX_WORK_BITS
 from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 
-MAX_N = 10**19
-MAX_N_CHARS = 20
-MAX_EXACT_N = 10**6
-# `bound` raises delta's denominator to the power degree - 1, so its cost
-# grows with the denominator's digits: at this cap, --delta 1e-1000 at degree
-# MAX_SEARCH_DEGREE takes about 0.3 s in a fresh process on a 2-CPU host,
-# where 1e-30000 would take minutes. The text cap fits "num/den" with the
-# denominator at the cap.
-MAX_DELTA_DIGITS = 1000
-MAX_DELTA_CHARS = 2 * MAX_DELTA_DIGITS + 2
-# `find` scales its lattice by P ~ 1/epsilon^k, so its entries grow by k
-# bits per bit of 1/epsilon. At this cap, `find --epsilon 1e-100` takes 0.2 to
-# 2.0 s at k = 2 ... 12 (conductors 5 to 35) in a fresh process on a 2-CPU
-# host, where 1e-150 takes 22 s at k = 8 and 1e-1000 54 s at k = 3.
-MAX_EPSILON_DIGITS = 100
-MAX_EPSILON_CHARS = 2 * MAX_EPSILON_DIGITS + 2
-# Above k = 20 that cap does not bound `find`: conductor 61 (k = 30) at
-# 1e-100 takes 92 s. So `find` also takes epsilon >= 2^-b only where
-# k^4 * b <= MAX_FIND_SIZE, decided from k before any embedding. Along that
-# boundary the slowest of three fresh-process runs on the same host takes
-# 8 to 17 s at k = 30 ... 68 (conductors 61, 83, 101, 113, 127, 137). The
-# constant is 2 * 75^4, so that epsilon = 1/4 stays accepted up to
-# MAX_SEARCH_DEGREE; there conductors 149 and 151 take up to 27 and 32 s.
-MAX_FIND_SIZE = 63_281_250
-# Integer options are read as text and measured before int(), whose time is
-# quadratic in the digits once `run` lifts the int->str digit limit. Every
-# conductor above 630 gives a degree above MAX_SEARCH_DEGREE, which
-# `_degree_capped` refuses at once; this cap only bounds int().
-MAX_CONDUCTOR_CHARS = 100
-# `bound` prints --disc in full with --json, and multiplies it by
-# delta^(2 - 2 degree): at this cap, `bound --degree 75 --delta 1e-1000
-# --json` takes 0.13 s in process on a 2-CPU host, and 0.53 s at 10^5 digits.
-MAX_DISC_DIGITS = 10_000
 # Digits of a number in a polynomial: ASCII only, as in a program file.
 _DIGITS = "0123456789"
+_DIGIT_RUN = re.compile(r"[0-9]*")
 # Exactly the text int() takes: Unicode decimal digits, single underscores
 # between them, a sign, and the whitespace of str.isspace() but \x1c-\x1f.
 _INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
@@ -73,8 +54,9 @@ _INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 def parse_poly(source: str) -> IntPoly:
     """Parse expressions like "x^3 - x - 1" into an integer polynomial.
-    Numbers are ASCII digits; an exponent above MAX_SEARCH_DEGREE is refused
-    at its offset, before any coefficient tuple is built."""
+    Numbers are ASCII digits; an exponent above MAX_SEARCH_DEGREE, or a
+    coefficient of more than MAX_COEFFICIENT_DIGITS significant digits, is
+    refused at its offset before int() reads it."""
     s = source
     n = len(s)
     pos = 0
@@ -85,12 +67,11 @@ def parse_poly(source: str) -> IntPoly:
             pos += 1
 
     def read_digits():
+        """The run of digits at pos without its leading zeros, "0" for zeros only."""
         nonlocal pos
-        j = pos
-        while j < n and s[j] in _DIGITS:
-            j += 1
+        j = _DIGIT_RUN.match(s, pos).end()
         text, pos = s[pos:j], j
-        return text
+        return text.lstrip("0") or "0"
 
     terms: dict[int, int] = {}
     skip()
@@ -114,7 +95,14 @@ def parse_poly(source: str) -> IntPoly:
         start = pos
         coef = None
         if pos < n and s[pos] in _DIGITS:
-            coef = int(read_digits())
+            digits = read_digits()
+            # A coefficient longer than the cap is refused unread.
+            if len(digits) > MAX_COEFFICIENT_DIGITS:
+                raise errors.PolySyntaxError(
+                    f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits "
+                    "(MAX_COEFFICIENT_DIGITS)", start
+                )
+            coef = int(digits)
         exp = 0
         if pos < n and s[pos] == "x":
             pos += 1
@@ -124,7 +112,7 @@ def parse_poly(source: str) -> IntPoly:
                 if pos >= n or s[pos] not in _DIGITS:
                     raise errors.PolySyntaxError("expected exponent", pos)
                 at = pos
-                digits = read_digits().lstrip("0") or "0"
+                digits = read_digits()
                 # An exponent longer than the cap's digits is refused unread.
                 if len(digits) > len(str(MAX_SEARCH_DEGREE)) or int(digits) > MAX_SEARCH_DEGREE:
                     raise errors.PolySyntaxError(
@@ -415,9 +403,8 @@ def _cmd_bound(args):
     degree = _parse_int(args.degree, "--degree", MAX_N_CHARS, span)
     if not 2 <= degree <= MAX_SEARCH_DEGREE:
         raise errors.ParseError(f"--degree must {span}, got {degree}")
-    chars = MAX_DISC_DIGITS + 1
-    disc = _parse_int(args.disc, "--disc", chars,
-                      f"have at most {chars} characters, MAX_DISC_DIGITS digits and a sign")
+    disc = _parse_int(args.disc, "--disc", MAX_DISC_CHARS,
+                      f"have at most {MAX_DISC_CHARS} characters, MAX_DISC_DIGITS digits and a sign")
     if disc == 0:
         raise errors.ParseError("--disc must be nonzero")
     obj = {

@@ -47,13 +47,6 @@ from .lattice import IntLattice, finish_reduce, float_reduce
 DEFAULT_Q = 1 << 32
 SEARCH_RETRY_CAP = 8
 FLOOR_BITS = 256
-# The largest field degree k that `find`, `verify` and `bound --degree` take
-# on the command line; above it they are usage errors, decided before any
-# embedding is computed. `find` at epsilon 1 takes at most 24.1 s in a fresh
-# process on a 2-CPU host with Python 3.11, over three runs of each conductor
-# of degree 68 to 75 (16 conductors, 151 the slowest); at k = 78 conductor 169
-# takes 31 s. No conductor gives k = 76 or 77.
-MAX_SEARCH_DEGREE = 75
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,11 @@ from typing import TYPE_CHECKING
 
 from . import errors
 from .balls import GUARD_BITS, Ball
+from .limits import MAX_WORK_BITS
 
 if TYPE_CHECKING:
     from .algebraic import IntPoly
 
-# The one cap on working precision: root isolation and embeddings refuse a
-# request above it, and `root_layouts` stops there; either raises
-# PrecisionExhausted, naming the bits.
-MAX_WORK_BITS = 1 << 15
 # Sweeps of one Aberth-Ehrlich run, in floats or in fixed point at w.
 ABERTH_STEPS = 200
 # Working bits above a layout's precision and its guard bits (`work_bits`).

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from pisot import algebraic, errors
+from pisot import algebraic, errors, limits
 from pisot import roots as isolation
 from pisot.algebraic import (
     FieldSpec,
@@ -273,7 +273,7 @@ class TestExplicitEmbeddings:
         # MAX_WORK_BITS can use; its text fills the cap exactly. Only
         # building its digits needs Python's int-to-str limit lifted: the
         # entry is read under the default limit of 4,300 digits.
-        cap = algebraic.MAX_FIELD_ENTRY_CHARS
+        cap = limits.MAX_FIELD_ENTRY_CHARS
         with int_str_limit(0):
             digits = str(math.isqrt(2 * 10 ** (2 * (cap - 2))))
         root = digits[0] + "." + digits[1:]
@@ -309,7 +309,7 @@ class TestExplicitEmbeddings:
 
     def test_an_entry_past_the_character_cap_is_refused_unread(self, monkeypatch):
         # The entry comes first, so nothing is read before it is refused.
-        cap = algebraic.MAX_FIELD_ENTRY_CHARS
+        cap = limits.MAX_FIELD_ENTRY_CHARS
         monkeypatch.setattr(algebraic, "Fraction", None)
         monkeypatch.setattr(algebraic, "Decimal", None)
         spec = FieldSpec(kind="explicit", embedding_rows=(("1." + "4" * (cap - 1), "1"), ("-1.5", "1")),

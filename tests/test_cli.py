@@ -13,11 +13,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from pisot import algebraic, cli, errors, powtrace
+from pisot import cli, errors, limits, powtrace
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.cli import main, parse_poly, run
 from pisot.lattice import IntLattice
-from pisot.pisotsearch import MAX_SEARCH_DEGREE
+from pisot.limits import MAX_SEARCH_DEGREE
 from pisot.powtrace import nearest_power
 from conftest import pisot_shaped
 
@@ -566,14 +566,14 @@ def test_bound_at_the_degree_cap(capsys):
 
 
 BOUND_AT_CAP = ("bound", "--degree", str(MAX_SEARCH_DEGREE), "--disc", "7", "--delta")
-DELTA_CAP = 10**cli.MAX_DELTA_DIGITS
+DELTA_CAP = 10**limits.MAX_DELTA_DIGITS
 
 
 @pytest.mark.parametrize(
     "delta,what",
     [
-        ("0." + "1" * (cli.MAX_DELTA_CHARS - 1), "characters"),
-        (f"1e-{cli.MAX_DELTA_DIGITS + 1}", "exponent"),
+        ("0." + "1" * (limits.MAX_DELTA_CHARS - 1), "characters"),
+        (f"1e-{limits.MAX_DELTA_DIGITS + 1}", "exponent"),
         (f"1e-{10**9}", "exponent"),
         (f"1/{DELTA_CAP + 1}", "denominator"),
     ],
@@ -590,7 +590,7 @@ def test_delta_beyond_its_caps_is_usage_error(capsys, delta, what):
 
 @pytest.mark.parametrize(
     "delta",
-    [f"1e-{cli.MAX_DELTA_DIGITS}", f"1/{DELTA_CAP}", f"{DELTA_CAP - 1}/{DELTA_CAP}"],
+    [f"1e-{limits.MAX_DELTA_DIGITS}", f"1/{DELTA_CAP}", f"{DELTA_CAP - 1}/{DELTA_CAP}"],
     ids=["exponent", "denominator", "chars"],
 )
 def test_delta_at_its_caps_is_served_at_once(capsys, delta):
@@ -607,15 +607,15 @@ def test_small_delta_prints_what_it_printed(capsys):
     assert code == 0 and out == "2.6457513110645905905e+20100\n"
 
 
-EPSILON_CAP = 10**cli.MAX_EPSILON_DIGITS
+EPSILON_CAP = 10**limits.MAX_EPSILON_DIGITS
 
 
 @pytest.mark.parametrize("command", ["find", "verify"])
 @pytest.mark.parametrize(
     "epsilon,what",
     [
-        ("0." + "1" * (cli.MAX_EPSILON_CHARS - 1), "characters"),
-        (f"1e-{cli.MAX_EPSILON_DIGITS + 1}", "exponent"),
+        ("0." + "1" * (limits.MAX_EPSILON_CHARS - 1), "characters"),
+        (f"1e-{limits.MAX_EPSILON_DIGITS + 1}", "exponent"),
         ("1e-1000000", "exponent"),
         (f"1/{EPSILON_CAP + 1}", "denominator"),
     ],
@@ -635,7 +635,7 @@ def test_epsilon_beyond_its_caps_is_usage_error(capsys, command, epsilon, what):
 
 @pytest.mark.parametrize(
     "epsilon",
-    [f"1e-{cli.MAX_EPSILON_DIGITS}", f"1/{EPSILON_CAP}", f"{EPSILON_CAP - 1}/{EPSILON_CAP}"],
+    [f"1e-{limits.MAX_EPSILON_DIGITS}", f"1/{EPSILON_CAP}", f"{EPSILON_CAP - 1}/{EPSILON_CAP}"],
     ids=["exponent", "denominator", "chars"],
 )
 def test_epsilon_at_its_caps_is_served(capsys, epsilon):
@@ -951,7 +951,7 @@ def test_modulus_at_its_bounds_is_served(capsys, modulus, result):
 
 def _least_epsilon_bits(k):
     """The b with 2^-b the least epsilon that find takes at degree k."""
-    return cli.MAX_FIND_SIZE // k**4
+    return limits.MAX_FIND_SIZE // k**4
 
 
 # (conductor, degree): one field at each of the degrees the cap was timed at.
@@ -1156,7 +1156,7 @@ def _sqrt2_field_file(path, root, rest="1.5"):
 def test_a_field_entry_past_its_cap_is_refused_unread(capsys, tmp_path, command, length):
     # `run` lifts the int->str digit limit, so Fraction() of a 10^6-digit
     # entry took about 9 s before it failed or was read.
-    cap = algebraic.MAX_FIELD_ENTRY_CHARS
+    cap = limits.MAX_FIELD_ENTRY_CHARS
     root = {"one-past": "1." + "4" * (cap - 1), "10^6": "1." + "4" * 10**6,
             "p/q-10^6": "1/" + "7" * 10**6}[length]
     argv = [command, "--field", _sqrt2_field_file(tmp_path / "field.json", root)]
@@ -1169,7 +1169,7 @@ def test_a_field_entry_past_its_cap_is_refused_unread(capsys, tmp_path, command,
 
 
 def test_a_field_entry_at_its_cap_is_read(capsys, tmp_path):
-    cap = algebraic.MAX_FIELD_ENTRY_CHARS
+    cap = limits.MAX_FIELD_ENTRY_CHARS
     root = str(decimal.Context(prec=cap - 1).sqrt(2))
     assert len(root) == cap
     at_cap = _sqrt2_field_file(tmp_path / "at-cap.json", root, root[:-1])
@@ -1197,13 +1197,15 @@ LONG = {
     "verify --conductor": lambda t, text: ("verify", "--conductor", text, "--coeffs", "1,1"),
     "bound --degree": lambda t, text: ("bound", "--degree", text, "--disc", "5", "--delta", "1/2"),
     "bound --disc": lambda t, text: ("bound", "--degree", "4", "--disc", text, "--delta", "1/2"),
+    "pow --minpoly": lambda t, text: ("pow", "--minpoly", f"x^2 - {text}x - 1", "-n", "3"),
     "slp eval result": lambda t, text: ("slp", "eval", _write_slp_with_result(t, text)),
 }
 CAP_CHARS = {
-    "find --conductor": cli.MAX_CONDUCTOR_CHARS,
-    "verify --conductor": cli.MAX_CONDUCTOR_CHARS,
-    "bound --degree": cli.MAX_N_CHARS,
-    "bound --disc": cli.MAX_DISC_DIGITS + 1,
+    "find --conductor": limits.MAX_CONDUCTOR_CHARS,
+    "verify --conductor": limits.MAX_CONDUCTOR_CHARS,
+    "bound --degree": limits.MAX_N_CHARS,
+    "bound --disc": limits.MAX_DISC_CHARS,
+    "pow --minpoly": limits.MAX_COEFFICIENT_DIGITS,
     "slp eval result": 1,  # a 4-line file: an index has at most 1 significant digit
 }
 
@@ -1220,6 +1222,9 @@ def test_an_integer_past_its_cap_is_refused_unread(capsys, tmp_path, option, len
     assert code == 2 and out == ""
     if option == "slp eval result":
         assert err == "MalformedProgram: result index out of range\n"
+    elif option == "pow --minpoly":
+        assert err == (f"PolySyntaxError: coefficient of more than {limits.MAX_COEFFICIENT_DIGITS}"
+                       " digits (MAX_COEFFICIENT_DIGITS) (at offset 6)\n")
     else:
         assert err.startswith(f"ParseError: {option.split()[1]} must ")
         assert err.endswith(f", got {len(text)} characters\n")
@@ -1236,12 +1241,66 @@ def test_an_integer_at_its_cap_is_read(capsys, option):
         assert code == 0 and out
 
 
+def test_a_coefficient_is_capped_by_its_significant_digits():
+    cap = limits.MAX_COEFFICIENT_DIGITS
+    assert parse_poly(f"x^2 - {'9' * cap}x - 1") == IntPoly((-1, 1 - 10**cap, 1))
+    assert parse_poly(f"x^2 - {'0' * cap}7x - 1") == IntPoly((-1, -7, 1))
+    for expr, offset in [(f"x^2 - x - {'9' * (cap + 1)}", 10), (f"{'7' * (cap + 1)}x^2", 0)]:
+        with pytest.raises(errors.PolySyntaxError) as exc:
+            parse_poly(expr)
+        assert exc.value.offset == offset
+
+
+def _field_file_with(tmp_path, text):
+    path = tmp_path / "field.json"
+    path.write_text(text)
+    return str(path)
+
+
+# One input one past each length cap of `pisot.limits`, as argv; each takes
+# a scratch directory for the files it needs.
+PAST_LENGTH_CAP = {
+    "MAX_N_CHARS": lambda t: LONG["bound --degree"](t, "9" * (limits.MAX_N_CHARS + 1)),
+    "MAX_CONDUCTOR_CHARS": lambda t: LONG["find --conductor"](
+        t, "9" * (limits.MAX_CONDUCTOR_CHARS + 1)),
+    "MAX_DISC_CHARS": lambda t: LONG["bound --disc"](t, "9" * (limits.MAX_DISC_CHARS + 1)),
+    "MAX_DISC_DIGITS": lambda t: LONG["bound --disc"](t, "-" + "9" * (limits.MAX_DISC_DIGITS + 1)),
+    "MAX_COEFFICIENT_DIGITS": lambda t: LONG["pow --minpoly"](
+        t, "9" * (limits.MAX_COEFFICIENT_DIGITS + 1)),
+    "MAX_DELTA_CHARS": lambda t: (*BOUND_AT_CAP, "0." + "1" * (limits.MAX_DELTA_CHARS - 1)),
+    "MAX_DELTA_DIGITS": lambda t: (*BOUND_AT_CAP, f"1e-{limits.MAX_DELTA_DIGITS + 1}"),
+    "MAX_EPSILON_CHARS": lambda t: (
+        "find", "--conductor", "5", "--epsilon", "0." + "1" * (limits.MAX_EPSILON_CHARS - 1)),
+    "MAX_EPSILON_DIGITS": lambda t: (
+        "find", "--conductor", "5", "--epsilon", f"1e-{limits.MAX_EPSILON_DIGITS + 1}"),
+    "MAX_FIELD_INT_CHARS": lambda t: ("find", "--field", _field_file_with(
+        t, '{"kind": "cyclotomic", "conductor": ' + "9" * (limits.MAX_FIELD_INT_CHARS + 1) + "}")),
+    "MAX_FIELD_ENTRY_CHARS": lambda t: ("find", "--field", _sqrt2_field_file(
+        t / "field.json", "1." + "4" * (limits.MAX_FIELD_ENTRY_CHARS - 1))),
+}
+
+
+def test_every_length_cap_has_a_one_past_case():
+    caps = {name for name in vars(limits)
+            if name.startswith("MAX_") and name.endswith(("_CHARS", "_DIGITS"))}
+    assert caps == set(PAST_LENGTH_CAP)
+
+
+@pytest.mark.parametrize("cap", PAST_LENGTH_CAP)
+def test_one_past_each_length_cap_exits_2_at_once(capsys, tmp_path, cap):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *PAST_LENGTH_CAP[cap](tmp_path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_bound_at_the_disc_cap_takes_under_a_second(capsys):
     start = time.perf_counter()
     code, out, _ = invoke(capsys, "bound", "--degree", str(MAX_SEARCH_DEGREE),
-                          "--disc", "9" * cli.MAX_DISC_DIGITS, "--delta", "1e-1000", "--json")
+                          "--disc", "9" * limits.MAX_DISC_DIGITS, "--delta", "1e-1000", "--json")
     assert time.perf_counter() - start < 1
-    assert code == 0 and json.loads(out)["disc"] == "9" * cli.MAX_DISC_DIGITS
+    assert code == 0 and json.loads(out)["disc"] == "9" * limits.MAX_DISC_DIGITS
 
 
 @pytest.mark.parametrize("index", ["0" * 10**5 + "1", "01"])

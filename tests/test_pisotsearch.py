@@ -20,7 +20,6 @@ from pisot.balls import Ball
 from pisot.lattice import LLLResult
 from pisot.pisotsearch import (
     DEFAULT_Q,
-    MAX_SEARCH_DEGREE,
     SEARCH_RETRY_CAP,
     _scales,
     build_scaled_lattice,
@@ -33,7 +32,7 @@ from pisot.pisotsearch import (
     verify_pisot,
     verify_precision,
 )
-from pisot.roots import MAX_WORK_BITS
+from pisot.limits import MAX_SEARCH_DEGREE, MAX_WORK_BITS
 
 from oracles import check_reduced, decimal_reference, int_str_limit, mid
 
