@@ -122,10 +122,13 @@ class FieldSpec:
     def from_file(cls, path) -> "FieldSpec":
         """The spec of an ASCII JSON field file. A file that is not such
         text, or holds an integer literal longer than MAX_FIELD_INT_CHARS,
-        is a ParseError, decided before int() reads it."""
+        is a ParseError, decided before int() reads it. A number with a
+        fraction or an exponent is kept as its text, never a binary float,
+        so an unquoted entry is read exactly and ends as its quoted text
+        does."""
         try:
             with open(path, "r", encoding="ascii") as fh:
-                obj = json.load(fh, parse_int=_json_int_literal)
+                obj = json.load(fh, parse_int=_json_int_literal, parse_float=str)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
             raise errors.ParseError(f"field file {path}: {exc}") from None
         return cls.from_json(obj)
@@ -601,14 +604,15 @@ def _certify_pisot_roots(roots):
 def _threshold_n0(second: Ball, d: int) -> int | None:
     """Smallest n with (d-1)*|alpha_2|^n < 1/2, by certified comparison.
 
-    The sequence decreases in n, so n is estimated from logarithms at the
-    center, moved while the certified comparisons say so, and certified by
-    two fixed-point powers: the upper bound of |alpha_2| to the n below 1/2,
-    and the lower bound to the n-1 at least 1/2. Returns None when a
-    comparison at the 1/2 boundary is not certified at the current precision
-    (the caller then retries with more bits). Raises PrecisionExhausted when
-    (d-1)*|alpha_2|^THRESHOLD_CAP is certified at least 1/2: n0 exceeds the
-    cap, and no precision changes that.
+    The sequence decreases in n, so n is estimated from logarithms of the
+    upper bound of |alpha_2|, bracketed by doubling steps from there and
+    bisected, and certified by two fixed-point powers: the upper bound of
+    |alpha_2| to the n below 1/2, and the lower bound to the n-1 at least
+    1/2. Returns None when a comparison at the 1/2 boundary is not certified
+    at the current precision (the caller then retries with more bits).
+    Raises PrecisionExhausted when (d-1)*|alpha_2|^THRESHOLD_CAP is
+    certified at least 1/2: n0 exceeds the cap, and no precision changes
+    that.
     """
     s = second.scale
     hi, lo = second.center + second.radius, second.center - second.radius
@@ -616,7 +620,7 @@ def _threshold_n0(second: Ball, d: int) -> int | None:
     @functools.cache
     def side(n):
         """-1 if certified below 1/2, 1 if certified at least 1/2, else 0;
-        the walks and the final check ask for some n twice, computed once."""
+        the bracket and the final check ask for some n twice, computed once."""
         if n == 0:
             return 1  # d - 1 >= 1
         u, _, e = fixed_power(hi, 0, n, s)
@@ -625,18 +629,30 @@ def _threshold_n0(second: Ball, d: int) -> int | None:
         u, _, e = fixed_power(max(lo, 0), 0, n, s)
         return 1 if 2 * (d - 1) * (u - e) >= 1 << s else 0
 
-    estimate = THRESHOLD_CAP
-    mid = second.center / (1 << s)
-    if 0 < mid < 1:
-        estimate = min(estimate, math.ceil(math.log(2 * (d - 1)) / -math.log(mid)))
-    n = max(1, estimate)
-    while n > 1 and side(n - 1) < 0:
-        n -= 1
-    while n < THRESHOLD_CAP and side(n) > 0:
-        n += 1
-    if n == THRESHOLD_CAP and side(n) > 0:
-        raise errors.PrecisionExhausted(
-            f"threshold n0 > {THRESHOLD_CAP}: (d-1)*|alpha_2|^{THRESHOLD_CAP} >= 1/2 "
-            f"with |alpha_2| ~ {second.digits(8)}, at any precision"
-        )
-    return n if side(n) < 0 and side(n - 1) > 0 else None
+    # -log(hi / 2^s) from the logarithms of integers, where the float of
+    # hi / 2^s would be 0 once |alpha_2| < ~10^-308. hi < 2^s on a Pisot
+    # layout, so the rate is positive but for rounding.
+    rate = s * math.log(2) - math.log(hi)
+    n = THRESHOLD_CAP
+    if rate > 0:
+        n = max(1, math.ceil(min(THRESHOLD_CAP, math.log(2 * (d - 1)) / rate)))
+    # below and above: side(below) >= 0 > side(above) once bracketed.
+    below, above, step = n - 1, n, 1
+    while side(above) >= 0:
+        if above == THRESHOLD_CAP:
+            if side(above) > 0:
+                raise errors.PrecisionExhausted(
+                    f"threshold n0 > {THRESHOLD_CAP}: (d-1)*|alpha_2|^{THRESHOLD_CAP} >= 1/2 "
+                    f"with |alpha_2| ~ {second.digits(8)}, at any precision"
+                )
+            return None
+        below, above, step = above, min(above + step, THRESHOLD_CAP), 2 * step
+    while side(below) < 0:
+        below, above, step = max(below - step, 0), below, 2 * step
+    while above - below > 1:
+        mid = (below + above) // 2
+        if side(mid) < 0:
+            above = mid
+        else:
+            below = mid
+    return above if side(above - 1) > 0 else None

@@ -26,6 +26,7 @@ from .limits import (
     MAX_DELTA_CHARS,
     MAX_DELTA_DIGITS,
     MAX_DISC_CHARS,
+    MAX_DISC_DIGITS,
     MAX_EPSILON_CHARS,
     MAX_EPSILON_DIGITS,
     MAX_EXACT_N,
@@ -44,12 +45,13 @@ from .pisotsearch import (
 from .powtrace import nearest_power, nearest_power_mod
 from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
 
-# Digits of a number in a polynomial: ASCII only, as in a program file.
-_DIGITS = "0123456789"
-_DIGIT_RUN = re.compile(r"[0-9]*")
 # Exactly the text int() takes: Unicode decimal digits, single underscores
 # between them, a sign, and the whitespace of str.isspace() but \x1c-\x1f.
 _INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
+# One term of a polynomial and the blanks after it: sign, coefficient, x and
+# "^" with the exponent. Every part may be empty, so it matches anywhere, and
+# the groups say which parts are there. Digits are ASCII only.
+_TERM = re.compile(r"([+-]?)[ \t]*([0-9]*)(?:(x)(\^([0-9]*))?)?[ \t]*")
 
 
 def parse_poly(source: str) -> IntPoly:
@@ -57,72 +59,33 @@ def parse_poly(source: str) -> IntPoly:
     Numbers are ASCII digits; an exponent above MAX_SEARCH_DEGREE, or a
     coefficient of more than MAX_COEFFICIENT_DIGITS significant digits, is
     refused at its offset before int() reads it."""
-    s = source
-    n = len(s)
-    pos = 0
-
-    def skip():
-        nonlocal pos
-        while pos < n and s[pos] in " \t":
-            pos += 1
-
-    def read_digits():
-        """The run of digits at pos without its leading zeros, "0" for zeros only."""
-        nonlocal pos
-        j = _DIGIT_RUN.match(s, pos).end()
-        text, pos = s[pos:j], j
-        return text.lstrip("0") or "0"
-
-    terms: dict[int, int] = {}
-    skip()
-    if pos >= n:
+    pos = len(source) - len(source.lstrip(" \t"))
+    if pos == len(source):
         raise errors.PolySyntaxError("empty expression", pos)
-    first = True
-    while pos < n:
-        skip()
-        if first:
-            sign = 1
-            if pos < n and s[pos] in "+-":
-                sign = -1 if s[pos] == "-" else 1
-                pos += 1
-            first = False
-        else:
-            if s[pos] not in "+-":
-                raise errors.PolySyntaxError("expected '+' or '-'", pos)
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-        skip()
-        start = pos
-        coef = None
-        if pos < n and s[pos] in _DIGITS:
-            digits = read_digits()
-            # A coefficient longer than the cap is refused unread.
-            if len(digits) > MAX_COEFFICIENT_DIGITS:
-                raise errors.PolySyntaxError(
-                    f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits "
-                    "(MAX_COEFFICIENT_DIGITS)", start
-                )
-            coef = int(digits)
-        exp = 0
-        if pos < n and s[pos] == "x":
-            pos += 1
-            exp = 1
-            if pos < n and s[pos] == "^":
-                pos += 1
-                if pos >= n or s[pos] not in _DIGITS:
-                    raise errors.PolySyntaxError("expected exponent", pos)
-                at = pos
-                digits = read_digits()
-                # An exponent longer than the cap's digits is refused unread.
-                if len(digits) > len(str(MAX_SEARCH_DEGREE)) or int(digits) > MAX_SEARCH_DEGREE:
-                    raise errors.PolySyntaxError(
-                        f"exponent above {MAX_SEARCH_DEGREE} (MAX_SEARCH_DEGREE)", at
-                    )
-                exp = int(digits)
-        if pos == start:
-            raise errors.PolySyntaxError("expected a term", pos)
-        terms[exp] = terms.get(exp, 0) + sign * (1 if coef is None else coef)
-        skip()
+    terms: dict[int, int] = {}
+    while pos < len(source):
+        m = _TERM.match(source, pos)
+        sign, coef, x, caret, exp = m.groups(default="")
+        if terms and not sign:
+            raise errors.PolySyntaxError("expected '+' or '-'", pos)
+        # Leading zeros are not counted against a cap, nor read by int().
+        coef, exp = coef.lstrip("0") or coef[:1], exp.lstrip("0") or exp[:1]
+        if len(coef) > MAX_COEFFICIENT_DIGITS:
+            raise errors.PolySyntaxError(
+                f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits "
+                "(MAX_COEFFICIENT_DIGITS)", m.start(2)
+            )
+        if caret and not exp:
+            raise errors.PolySyntaxError("expected exponent", m.start(5))
+        if len(exp) > len(str(MAX_SEARCH_DEGREE)) or int(exp or 0) > MAX_SEARCH_DEGREE:
+            raise errors.PolySyntaxError(
+                f"exponent above {MAX_SEARCH_DEGREE} (MAX_SEARCH_DEGREE)", m.start(5)
+            )
+        if not (coef or x):
+            raise errors.PolySyntaxError("expected a term", m.start(2))
+        e = int(exp) if exp else 1 if x else 0
+        terms[e] = terms.get(e, 0) + (-1 if sign == "-" else 1) * (int(coef) if coef else 1)
+        pos = m.end()
     degree = max((e for e, c in terms.items() if c != 0), default=-1)
     if degree < 1:
         raise errors.PolySyntaxError("polynomial must have degree >= 1", 0)
@@ -327,16 +290,16 @@ def _cmd_pow(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
     m = _parse_modulus(args.modulus)
+    if m is None and n > MAX_EXACT_N:
+        raise errors.ParseError(
+            f"n > {MAX_EXACT_N} needs -m: the exact answer has on the order "
+            "of n*log2(alpha) bits; compute it modulo m instead"
+        )
     info = analyze_minpoly(f)
     if m is not None:
         obj = {"minpoly": str(f), "n": _json_int(n), "modulus": _json_int(m)}
         _emit_result(args, obj, nearest_power_mod(info, n, m))
         return 0
-    if n > MAX_EXACT_N:
-        raise errors.ParseError(
-            f"n > {MAX_EXACT_N} needs -m: the exact answer has on the order "
-            "of n*log2(alpha) bits; compute it modulo m instead"
-        )
     obj = {"minpoly": str(f), "n": _json_int(n)}
     _emit_result(args, obj, nearest_power(info, n, lift=decimal.Decimal))
     return 0
@@ -403,8 +366,12 @@ def _cmd_bound(args):
     degree = _parse_int(args.degree, "--degree", MAX_N_CHARS, span)
     if not 2 <= degree <= MAX_SEARCH_DEGREE:
         raise errors.ParseError(f"--degree must {span}, got {degree}")
-    disc = _parse_int(args.disc, "--disc", MAX_DISC_CHARS,
-                      f"have at most {MAX_DISC_CHARS} characters, MAX_DISC_DIGITS digits and a sign")
+    disc_span = f"have at most {MAX_DISC_CHARS} characters, MAX_DISC_DIGITS digits and a sign"
+    disc = _parse_int(args.disc, "--disc", MAX_DISC_CHARS, disc_span)
+    # The text cap leaves room for a sign, so an unsigned number may be one
+    # digit longer than the digit cap.
+    if abs(disc) >= 10**MAX_DISC_DIGITS:
+        raise errors.ParseError(f"--disc must {disc_span}, got {len(args.disc)} characters")
     if disc == 0:
         raise errors.ParseError("--disc must be nonzero")
     obj = {

@@ -27,12 +27,12 @@ MAX_SEARCH_DEGREE = 75
 # int() reads them. Every polynomial that `find` prints stays accepted: the
 # largest known, the minpoly of conductor 41 at epsilon 1e-100, has
 # coefficients of about 1,930 digits. At this cap, `threshold` on x^2 - cx - 1
-# and x^3 - cx^2 - x - 1 with c = 10^10000 - 1 ends in 0.17 and 15.2 s
+# and x^3 - cx^2 - x - 1 with c = 10^10000 - 1 ends in 0.18 and 15.3 s
 # (PrecisionExhausted at MAX_WORK_BITS) in a fresh process on a 2-CPU host,
-# about as long as at 2,000 to 5,000 digits (0.14 to 13 s). At 3*10^4 digits
-# they took 9.5 and 87 s beside another process, and an earlier version took
-# over 100 s on x^2 - cx - 1 at 10^5 digits. The cap bounds the coefficient's
-# length only: x^3 - cx^2 - x - 1 at 1,000 digits takes 82 s.
+# and from 300 to 5,000 digits in 0.08 to 10.9 s, all of it root isolation.
+# At 3*10^4 digits they took 9.5 and 87 s beside another process, and an
+# earlier version took over 100 s on x^2 - cx - 1 at 10^5 digits. The cap
+# bounds the coefficient's length only.
 MAX_COEFFICIENT_DIGITS = 10_000
 # `bound` raises delta's denominator to the power degree - 1, so its cost
 # grows with the denominator's digits: at this cap, --delta 1e-1000 at degree
@@ -77,7 +77,7 @@ MAX_FIELD_INT_CHARS = 4300
 # digits of an entry; the rest leaves room for a sign, a point and an
 # exponent.
 MAX_FIELD_ENTRY_CHARS = 10_000
-# The largest threshold n0 that `analyze_minpoly` certifies: it scans n up to
-# here, and a second root with (d-1)*|alpha_2|^THRESHOLD_CAP >= 1/2 is
+# The largest threshold n0 that `analyze_minpoly` certifies: it searches n up
+# to here, and a second root with (d-1)*|alpha_2|^THRESHOLD_CAP >= 1/2 is
 # refused at any precision.
 THRESHOLD_CAP = 99999

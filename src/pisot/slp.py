@@ -253,64 +253,6 @@ def format_slp(p: SLP) -> str:
     return "".join(pieces)
 
 
-# The result line, and below, an instruction line; the tokens may be
-# separated by any whitespace that `str.split` splits on, as `\s` matches
-# exactly those characters. Indices are ASCII digits only.
-_RESULT = re.compile(r"\s*result\s+v0*([0-9]+)\s*")
-_REF = re.compile(r"v[0-9]+")
-
-
-def _instruction_pattern(width: int) -> re.Pattern:
-    """The instruction line, with at most `width` significant digits per
-    index: those of the file's line count, which every valid index has at
-    most, so that int() never reads a long one."""
-    v = rf"v0*([0-9]{{1,{width}}})"
-    return re.compile(rf"\s*{v}\s+=\s+(?:(add|sub|mul)\s+{v}\s+{v}|one)\s*")
-
-
-def _line_error(line: str, line_no: int, idx: int) -> errors.MalformedProgram:
-    """The error for a line that `parse_slp` refused as instruction `idx`:
-    the first check it fails, taken in the order of the text format. Only
-    refused lines come here, so where a single check is left, it fails."""
-
-    def bad(message):
-        return errors.MalformedProgram(message, line=line_no)
-
-    def bad_ref(tokens):
-        for t in tokens:
-            if not _REF.fullmatch(t):
-                return bad(f"bad operand {t!r:.60}")
-        return None
-
-    parts = line.split()
-    if not parts:
-        return bad("empty line")
-    if parts[0] == "result":
-        if len(parts) != 2:
-            return bad("malformed result line")
-        return bad_ref(parts[1:]) or bad("result must be the last line")
-    if len(parts) < 3 or parts[1] != "=":
-        return bad("expected 'v<i> = <op> ...'")
-    error = bad_ref(parts[:1])
-    if error:
-        return error
-    if (parts[0][1:].lstrip("0") or "0") != str(idx):
-        return bad(
-            f"expected definition of v{idx}, got {parts[0]!r:.60} "
-            "(duplicate or out-of-order definition)"
-        )
-    op = parts[2]
-    if op == "one":
-        if len(parts) != 3:
-            return bad("'one' takes no operands")
-        return bad("'one' is only allowed as instruction 0")
-    if op not in _CODES:
-        return bad(f"unknown opcode {op!r:.60}")
-    if len(parts) != 5:
-        return bad(f"{op} takes exactly two operands")
-    return bad_ref(parts[3:]) or bad("forward reference")
-
-
 def _canonical_run(width: int) -> re.Pattern:
     """Lines as `format_slp` writes them, with no leading zeros and at most
     `width` digits per index: the fast path of `parse_slp`."""
@@ -326,10 +268,10 @@ def parse_slp(text: str) -> SLP:
     """Parse the text format; rejects forward references, duplicate
     definitions, and unknown opcodes with line-numbered errors. The text is
     read in place, into the columns: runs of canonical lines a piece at a
-    time by `_take_run`, and any other line by one pattern. The message for
-    a refused line is worked out only then, by `_line_error`. Operands are
-    checked once, when the program is built; a forward reference found
-    there, or above a refused line, is reported at its own line."""
+    time by `_take_run`, and any other line by `read`, which also names the
+    first check that refuses it. Operands of canonical lines are checked
+    once, when the program is built; a forward reference found there, or
+    above a refused line, is reported at its own line."""
     end = len(text) - text.endswith("\n")  # the final LF ends the last line
     line_count = text.count("\n", 0, end) + 1 if end else 0
     header_end = text.find("\n", 0, end)
@@ -340,28 +282,60 @@ def parse_slp(text: str) -> SLP:
     if line_count == 1:
         raise errors.MalformedProgram("missing result line", line=1)
     width = len(str(line_count))
-    match = _instruction_pattern(width).fullmatch
     run = _canonical_run(width).match
     opcodes, left, right = bytearray(), array("q"), array("q")
 
-    def take(line: str) -> bool:
-        """Append the line as instruction `len(opcodes)` if it is one."""
-        m = match(line)
-        if m is None:
-            return False
-        d, op, a, b = m.groups()
-        idx = len(opcodes)
-        if int(d) != idx or (op is None) != (idx == 0):
-            return False
-        opcodes.append(_CODES[op] if op else 0)
-        left.append(int(a) if op else 0)
-        right.append(int(b) if op else 0)
-        return True
-
-    def first(error: errors.MalformedProgram) -> errors.MalformedProgram:
-        """`error`, unless a forward reference in the lines read comes first."""
+    def bad(message: str, line_no: int | None = None) -> errors.MalformedProgram:
+        """The error at line_no, unless a forward reference in the lines
+        read comes first."""
         i = _operand_fault(left, right, len(opcodes))
-        return error if i is None else errors.MalformedProgram("forward reference", line=i + 2)
+        if i is not None:
+            message, line_no = "forward reference", i + 2
+        return errors.MalformedProgram(message, line=line_no)
+
+    def ref(token: str, line_no: int) -> int:
+        """The index that a token v<ASCII digits> names. One of more than
+        `width` significant digits, those of the line count, reads as the
+        line count, out of range, so that int() never reads a long one."""
+        digits = token[1:]
+        if token[:1] != "v" or not (digits.isascii() and digits.isdigit()):
+            raise bad(f"bad operand {token!r:.60}", line_no)
+        digits = digits.lstrip("0") or "0"
+        return int(digits) if len(digits) <= width else line_count
+
+    def read(line: str, line_no: int) -> tuple | int:
+        """The line split on whitespace and read as instruction
+        `len(opcodes)`: its (opcode, left, right), or a result line's index.
+        Each check is made in the order of the text format, and the first
+        that fails raises its error."""
+        idx = len(opcodes)
+        parts = line.split()
+        if not parts:
+            raise bad("empty line", line_no)
+        if parts[0] == "result":
+            if len(parts) != 2:
+                raise bad("malformed result line", line_no)
+            return ref(parts[1], line_no)
+        if len(parts) < 3 or parts[1] != "=":
+            raise bad("expected 'v<i> = <op> ...'", line_no)
+        if ref(parts[0], line_no) != idx:
+            raise bad(f"expected definition of v{idx}, got {parts[0]!r:.60} "
+                      "(duplicate or out-of-order definition)", line_no)
+        op = parts[2]
+        if op == "one":
+            if len(parts) != 3:
+                raise bad("'one' takes no operands", line_no)
+            if idx:
+                raise bad("'one' is only allowed as instruction 0", line_no)
+            return 0, 0, 0
+        if op not in _CODES:
+            raise bad(f"unknown opcode {op!r:.60}", line_no)
+        if len(parts) != 5:
+            raise bad(f"{op} takes exactly two operands", line_no)
+        a, b = ref(parts[3], line_no), ref(parts[4], line_no)
+        if a >= idx or b >= idx:
+            raise bad("forward reference", line_no)
+        return _CODES[op], a, b
 
     last = text.rfind("\n", 0, end) + 1  # the start of the last line
     pos = header_end + 1
@@ -374,21 +348,21 @@ def parse_slp(text: str) -> SLP:
                 pos = stop
                 continue
         stop = text.find("\n", pos)
-        if not take(text[pos:stop]):
-            raise first(_line_error(text[pos:stop], len(opcodes) + 2, len(opcodes)))
+        line_no = len(opcodes) + 2
+        instruction = read(text[pos:stop], line_no)
+        if isinstance(instruction, int):
+            raise bad("result must be the last line", line_no)
+        opcodes.append(instruction[0])
+        left.append(instruction[1])
+        right.append(instruction[2])
         pos = stop + 1
-    line = text[last:end]
-    m = _RESULT.fullmatch(line)
-    if m is None:
-        if not take(line):
-            raise first(_line_error(line, line_count, len(opcodes)))
-        raise first(errors.MalformedProgram("missing result line", line=line_count))
-    # An index longer than the line count is out of range, unread.
-    index = int(m[1]) if len(m[1]) <= width else line_count
+    index = read(text[last:end], line_count)
+    if not isinstance(index, int):
+        raise bad("missing result line", line_count)
     try:
         return SLP(bytes(opcodes), left, right, index)
     except errors.MalformedProgram as exc:
-        raise first(exc) from None
+        raise bad(str(exc)) from None
 
 
 def _take_run(text: str, pos: int, stop: int, opcodes: bytearray, left: array, right: array) -> int:

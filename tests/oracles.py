@@ -19,7 +19,9 @@ rational test of LLL-reducedness: the oracles for `lattice.lll_reduce`.
 entries, the oracle for `lattice._float_pass` on floats. `parse_slp_oracle`
 is the SLP text parser before it matched whole lines against one pattern,
 the oracle for `slp.parse_slp`'s programs and error messages; `program`
-builds an SLP's columns from instruction tuples.
+builds an SLP's columns from instruction tuples. `parse_poly_oracle` is the
+polynomial parser before it matched each term against one pattern, the
+oracle for `cli.parse_poly`'s polynomials, messages and offsets.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import contextlib
 import decimal
 import functools
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from mpmath.libmp import from_man_exp
 from pisot import errors
 from pisot.algebraic import IntPoly
 from pisot.lattice import _FLOAT_BITS, IntLattice, LLLResult, _dot
+from pisot.limits import MAX_COEFFICIENT_DIGITS, MAX_SEARCH_DEGREE
 from pisot.roots import PolyRoot
 from pisot.slp import ONE, SLP
 
@@ -605,3 +609,82 @@ def program(instructions, result_index: int) -> SLP:
     rows = [("one", 0, 0) if ins == ONE else ins for ins in instructions]
     return SLP(bytes(_OPCODES[op] for op, _, _ in rows), array("q", [a for _, a, _ in rows]),
                array("q", [b for _, _, b in rows]), result_index)
+
+
+_DIGIT_RUN_ORACLE = re.compile(r"[0-9]*")
+
+
+def parse_poly_oracle(source: str) -> IntPoly:
+    """The reference for `cli.parse_poly`: the polynomial scanned character
+    by character. The parser must return the same polynomial, or raise
+    `PolySyntaxError` with the same message and offset, on every input."""
+    s = source
+    n = len(s)
+    pos = 0
+
+    def skip():
+        nonlocal pos
+        while pos < n and s[pos] in " \t":
+            pos += 1
+
+    def read_digits():
+        """The run of digits at pos without its leading zeros, "0" for zeros only."""
+        nonlocal pos
+        j = _DIGIT_RUN_ORACLE.match(s, pos).end()
+        text, pos = s[pos:j], j
+        return text.lstrip("0") or "0"
+
+    terms: dict[int, int] = {}
+    skip()
+    if pos >= n:
+        raise errors.PolySyntaxError("empty expression", pos)
+    first = True
+    while pos < n:
+        skip()
+        if first:
+            sign = 1
+            if pos < n and s[pos] in "+-":
+                sign = -1 if s[pos] == "-" else 1
+                pos += 1
+            first = False
+        else:
+            if s[pos] not in "+-":
+                raise errors.PolySyntaxError("expected '+' or '-'", pos)
+            sign = -1 if s[pos] == "-" else 1
+            pos += 1
+        skip()
+        start = pos
+        coef = None
+        if pos < n and s[pos] in "0123456789":
+            digits = read_digits()
+            # A coefficient longer than the cap is refused unread.
+            if len(digits) > MAX_COEFFICIENT_DIGITS:
+                raise errors.PolySyntaxError(
+                    f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits "
+                    "(MAX_COEFFICIENT_DIGITS)", start
+                )
+            coef = int(digits)
+        exp = 0
+        if pos < n and s[pos] == "x":
+            pos += 1
+            exp = 1
+            if pos < n and s[pos] == "^":
+                pos += 1
+                if pos >= n or s[pos] not in "0123456789":
+                    raise errors.PolySyntaxError("expected exponent", pos)
+                at = pos
+                digits = read_digits()
+                # An exponent longer than the cap's digits is refused unread.
+                if len(digits) > len(str(MAX_SEARCH_DEGREE)) or int(digits) > MAX_SEARCH_DEGREE:
+                    raise errors.PolySyntaxError(
+                        f"exponent above {MAX_SEARCH_DEGREE} (MAX_SEARCH_DEGREE)", at
+                    )
+                exp = int(digits)
+        if pos == start:
+            raise errors.PolySyntaxError("expected a term", pos)
+        terms[exp] = terms.get(exp, 0) + sign * (1 if coef is None else coef)
+        skip()
+    degree = max((e for e, c in terms.items() if c != 0), default=-1)
+    if degree < 1:
+        raise errors.PolySyntaxError("polynomial must have degree >= 1", 0)
+    return IntPoly(tuple(terms.get(e, 0) for e in range(degree + 1)))

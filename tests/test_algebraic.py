@@ -1060,8 +1060,9 @@ def test_a_second_modulus_that_does_not_fix_its_digits_waits_for_the_next_layout
 
 @pytest.mark.parametrize("f", THRESHOLD_POLYS.values(), ids=THRESHOLD_POLYS.keys())
 def test_the_threshold_powers_each_bound_once_per_n(monkeypatch, f):
-    # side(n) is cached: the walks and the final check share its powers, so
-    # each bound of |alpha_2| is powered at most once per n, two powers per n.
+    # side(n) is cached: the bracket, the bisection and the final check share
+    # its powers, so each bound of |alpha_2| is powered at most once per n,
+    # two powers per n.
     info = analyze_minpoly(f)
     calls = collections.Counter()
     power = algebraic.fixed_power
@@ -1168,14 +1169,24 @@ class TestRefusals:
         assert info.threshold_n0 == 2
 
 
-@pytest.mark.parametrize("shift", [3, -3])
+@pytest.mark.parametrize("shift", [3, -3, 1000, -1000])
 def test_the_threshold_walks_from_a_wrong_estimate(monkeypatch, shift):
     # With ceil moved by `shift`, the log estimate of n0 starts off by that
-    # much, and the certified walk must undo it.
+    # much, and the certified bracket and bisection must undo it, in a number
+    # of powers logarithmic in the shift.
     expected = {k: analyze_minpoly(f).threshold_n0 for k, f in KNACCI.items()}
     shifted = types.SimpleNamespace(**{**vars(math), "ceil": lambda x: math.ceil(x) + shift})
     monkeypatch.setattr(algebraic, "math", shifted)
+    calls = []
+    power = algebraic.fixed_power
+
+    def counted(a, b, n, s):
+        calls.append(n)
+        return power(a, b, n, s)
+
+    monkeypatch.setattr(algebraic, "fixed_power", counted)
     assert {k: analyze_minpoly(f).threshold_n0 for k, f in KNACCI.items()} == expected
+    assert len(calls) <= len(KNACCI) * (4 * abs(shift).bit_length() + 8)
 
 
 def _replaced_starts(monkeypatch, starts):
@@ -1280,3 +1291,29 @@ class TestIsolationRecovers:
         assert isolation._certified_roots(NEAR_REAL_PAIR, zs[:2], 1, w, 16) is not None
         (x, _), (a, b) = zs[:2]
         assert isolation._certified_roots(NEAR_REAL_PAIR, [(x, 0), (a, b >> 1)], 1, w, 16) is None
+
+
+# |alpha_2| ~ 10^-1000 and ~ 10^-500, whose floats are 0: the estimate of n0
+# once fell back to THRESHOLD_CAP there and stepped down one n at a time,
+# 99,998 powers in seconds. The k-nacci and the benchmark's degree-12
+# polynomial need the two powers at n0 and one at n0 - 1.
+FIXED_POWER_PINS = {
+    "tiny-quadratic": (IntPoly((-1, 1 - 10**1000, 1)), 1, 1),
+    "tiny-cubic": (IntPoly((-1, -1, 1 - 10**1000, 1)), 1, 1),
+    "30-nacci": (KNACCI["30-nacci"], 2655, 3),
+    "degree-12": (IntPoly((2, 2, 2, -2, -2, 0, 2, 2, -1, -2, 2, -21, 1)), 38, 3),
+}
+
+
+@pytest.mark.parametrize("f,n0,powers", FIXED_POWER_PINS.values(), ids=FIXED_POWER_PINS)
+def test_the_threshold_takes_few_powers(monkeypatch, f, n0, powers):
+    calls = []
+    power = algebraic.fixed_power
+
+    def counted(a, b, n, s):
+        calls.append(n)
+        return power(a, b, n, s)
+
+    monkeypatch.setattr(algebraic, "fixed_power", counted)
+    assert analyze_minpoly(f).threshold_n0 == n0
+    assert len(calls) == powers

@@ -20,6 +20,7 @@ from pisot.lattice import IntLattice
 from pisot.limits import MAX_SEARCH_DEGREE
 from pisot.powtrace import nearest_power
 from conftest import pisot_shaped
+from oracles import parse_poly_oracle
 
 
 def invoke(capsys, *argv):
@@ -48,6 +49,30 @@ class TestParsePoly:
             parse_poly("x^2 -")
         assert exc.value.offset == 5
 
+    def test_agrees_with_oracle(self):
+        """The polynomial, or the message and offset, of the reference
+        scanner, on seeded strings of the grammar's characters: half drawn
+        character by character, half as signed terms with one edit."""
+
+        def parsed(parse, text):
+            try:
+                return parse(text)
+            except errors.PolySyntaxError as exc:
+                return str(exc), exc.offset
+
+        rng = random.Random(36)
+        pieces = ["x", "^", "0", "1", "2", "9", "12", "+", "-", "*", " ", "\t"]
+        for _ in range(20_000):
+            if rng.random() < 0.5:
+                text = "".join(rng.choices(pieces, k=rng.randrange(13)))
+            else:
+                text = "".join(rng.choice(["", "+", "-", " - ", "+ "]) + rng.choice(["", "2", "012"])
+                               + rng.choice(["", "x", "x^2", "x^09", "x^12"])
+                               for _ in range(rng.randrange(1, 5)))
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice(pieces + [""]) + text[i + rng.randrange(2):]
+            assert parsed(parse_poly, text) == parsed(parse_poly_oracle, text), repr(text)
+
 
 class TestPow:
     def test_lucas(self, capsys):
@@ -66,8 +91,13 @@ class TestPow:
         obj = json.loads(out)
         assert obj["result"] == "1682287737405264361"
 
-    def test_huge_n_without_modulus_is_usage_error(self, capsys):
-        code, _, err = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", "10000001")
+    def test_huge_n_without_modulus_is_usage_error(self, capsys, monkeypatch):
+        # Refused before the work, as every input past a cap of pisot.limits.
+        def no_isolation(f):
+            raise AssertionError("analyze_minpoly ran")
+
+        monkeypatch.setattr(cli, "analyze_minpoly", no_isolation)
+        code, _, err = invoke(capsys, "pow", "--minpoly", "x^2-x-1", "-n", str(limits.MAX_EXACT_N + 1))
         assert code == 2 and "needs -m" in err
 
     def test_non_pisot_fails_cleanly(self, capsys):
@@ -724,12 +754,9 @@ def test_extreme_decimal_exponents_end_at_once(capsys, tmp_path, entry):
     assert code == 1 and err.startswith(expected)
 
 
-@pytest.mark.parametrize(
-    "entry", ["1e400", "null", '"1e%s"' % ("9" * 50)], ids=["inf", "null", "exponent"]
-)
+@pytest.mark.parametrize("entry", ["null", '"1e%s"' % ("9" * 50)], ids=["null", "exponent"])
 def test_non_decimal_entries_are_usage_errors(capsys, tmp_path, entry):
-    # The JSON number 1e400 (unquoted) loads as a float infinity; neither it
-    # nor null is a decimal entry. An exponent of 50 digits is refused as
+    # null is not a decimal entry. An exponent of 50 digits is refused as
     # written, never expanded.
     path = tmp_path / "field.json"
     path.write_text(
@@ -1116,6 +1143,8 @@ MALFORMED_FIELD_FILES = {
     "not-json": b"kind: cyclotomic",
     "non-ascii": b'{"kind": "cyclotomic", "conductor": 15, "note": "\xc3\xa9"}',
     "conductor-15.7": b'{"kind": "cyclotomic", "conductor": 15.7}',
+    "precision-15.7": b'{"kind": "explicit", "embedding_rows": [["1", "1"], ["1", "-1"]],'
+                      b' "precision_bits": 15.7}',
     "conductor-true": b'{"kind": "cyclotomic", "conductor": true}',
     "labels-5": b'{"kind": "explicit", "basis_labels": 5, "embedding_rows": [["1", "1"],'
                 b' ["1", "-1"]], "precision_bits": 64}',
@@ -1149,6 +1178,34 @@ def _sqrt2_field_file(path, root, rest="1.5"):
         "precision_bits": 190,
     }))
     return str(path)
+
+
+PHI = "1.618033988749894848204586834365638117720309179805762862135448623"
+
+
+@pytest.mark.parametrize(
+    "root,rest,code,ending",
+    [
+        (PHI, "0" + PHI[1:], 0, "minpoly: x^2 - 3x + 1\nepsilon: 1\n"),
+        ("1e999999999", "1.5", 1, "PrecisionError: entry '1e999999999' exceeds 2^264 in "
+                                  "magnitude: no error bound below 1/2 holds at 200 bits\n"),
+        ("1e400", "1.5", 1, "PrecisionError: entry '1e400' exceeds 2^264 in "
+                            "magnitude: no error bound below 1/2 holds at 200 bits\n"),
+    ],
+    ids=["phi-64-digits", "1e999999999", "1e400"],
+)
+def test_an_unquoted_entry_ends_as_its_quoted_text(capsys, tmp_path, root, rest, code, ending):
+    # json.load once read an unquoted entry as a binary float: phi lost all
+    # but 17 digits (NotIntegral: Tr(b_1 b_1) ~ 3.0 is not an integer), and
+    # 1e999999999 and 1e400 became inf (ParseError: bad decimal entry inf).
+    path = tmp_path / "field.json"
+    ends = []
+    for quote in ('"', ""):
+        path.write_text(f'{{"kind": "explicit", "precision_bits": 200, "embedding_rows": '
+                        f'[[1, {quote}{root}{quote}], [1, {quote}-{rest}{quote}]]}}')
+        ends.append(invoke(capsys, "find", "--field", str(path)))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == code and (ends[0][1] + ends[0][2]).endswith(ending)
 
 
 @pytest.mark.parametrize("length", ["one-past", "10^6", "p/q-10^6"])
@@ -1265,6 +1322,7 @@ PAST_LENGTH_CAP = {
         t, "9" * (limits.MAX_CONDUCTOR_CHARS + 1)),
     "MAX_DISC_CHARS": lambda t: LONG["bound --disc"](t, "9" * (limits.MAX_DISC_CHARS + 1)),
     "MAX_DISC_DIGITS": lambda t: LONG["bound --disc"](t, "-" + "9" * (limits.MAX_DISC_DIGITS + 1)),
+    "MAX_DISC_DIGITS, unsigned": lambda t: LONG["bound --disc"](t, "9" * (limits.MAX_DISC_DIGITS + 1)),
     "MAX_COEFFICIENT_DIGITS": lambda t: LONG["pow --minpoly"](
         t, "9" * (limits.MAX_COEFFICIENT_DIGITS + 1)),
     "MAX_DELTA_CHARS": lambda t: (*BOUND_AT_CAP, "0." + "1" * (limits.MAX_DELTA_CHARS - 1)),
@@ -1283,7 +1341,8 @@ PAST_LENGTH_CAP = {
 def test_every_length_cap_has_a_one_past_case():
     caps = {name for name in vars(limits)
             if name.startswith("MAX_") and name.endswith(("_CHARS", "_DIGITS"))}
-    assert caps == set(PAST_LENGTH_CAP)
+    # A cap may have more than one case, each named after it.
+    assert caps == {case.split(",")[0] for case in PAST_LENGTH_CAP}
 
 
 @pytest.mark.parametrize("cap", PAST_LENGTH_CAP)
@@ -1335,6 +1394,18 @@ def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line, message):
     [
         (("pow", "--minpoly", "x^2 x", "-n", "3"),
          "PolySyntaxError: expected '+' or '-' (at offset 4)\n"),
+        (("pow", "--minpoly", "x2", "-n", "3"),
+         "PolySyntaxError: expected '+' or '-' (at offset 1)\n"),
+        (("pow", "--minpoly", "x 2", "-n", "3"),
+         "PolySyntaxError: expected '+' or '-' (at offset 2)\n"),
+        (("pow", "--minpoly", "2 x", "-n", "3"),
+         "PolySyntaxError: expected '+' or '-' (at offset 2)\n"),
+        (("pow", "--minpoly", "x ^2", "-n", "3"),
+         "PolySyntaxError: expected '+' or '-' (at offset 2)\n"),
+        (("pow", "--minpoly", "x^ 2", "-n", "3"),
+         "PolySyntaxError: expected exponent (at offset 2)\n"),
+        (("pow", "--minpoly", "x^-1", "-n", "3"),
+         "PolySyntaxError: expected exponent (at offset 2)\n"),
         (("find", "--conductor", "15", "--epsilon", "abc"), "ParseError: bad rational 'abc'\n"),
         (("bound", "--degree", "4", "--disc", "5", "--delta", "1/0"),
          "ParseError: bad rational '1/0'\n"),
@@ -1342,7 +1413,8 @@ def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line, message):
         (("find", "--conductor", "15", "--epsilon", "1e5x"), "ParseError: bad rational '1e5x'\n"),
         (("pow", "--minpoly", "x^2-x-1", "-n", "abc"), "ParseError: bad integer 'abc'\n"),
     ],
-    ids=["term-without-sign", "epsilon-abc", "delta-1/0", "epsilon-1e5x", "n-abc"],
+    ids=["term-without-sign", "x2", "x-space-2", "2-space-x", "x-space-caret", "caret-space",
+         "negative-exponent", "epsilon-abc", "delta-1/0", "epsilon-1e5x", "n-abc"],
 )
 def test_malformed_text_is_a_usage_error(capsys, argv, err):
     assert invoke(capsys, *argv) == (2, "", err)
