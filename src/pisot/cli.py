@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import io
 import itertools
 import json
 import re
@@ -43,7 +44,7 @@ from .pisotsearch import (
     verify_precision,
 )
 from .powtrace import nearest_power, nearest_power_mod
-from .slp import emit_power_slp, format_slp, parse_slp, slp_eval, slp_length
+from .slp import emit_power_slp, format_slp_pieces, parse_slp_pieces, slp_eval, slp_length
 
 # Exactly the text int() takes: Unicode decimal digits, single underscores
 # between them, a sign, and the whitespace of str.isspace() but \x1c-\x1f.
@@ -309,12 +310,13 @@ def _cmd_slp_emit(args):
     f = _monic_poly(args.minpoly)
     n = _parse_n(args.n)
     info = analyze_minpoly(f)
-    text = format_slp(emit_power_slp(info, n))
+    # Written as it is formatted: one piece of text is held at a time.
+    pieces = format_slp_pieces(emit_power_slp(info, n))
     if args.output:
         with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -323,23 +325,39 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_program(path: str) -> str:
-    """An SLP file's text. Program files are ASCII: a non-ASCII byte is a
-    malformed program, reported at the line that holds the first one."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _universal_newlines(data.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        head = _universal_newlines(data[: exc.start].decode("ascii"))
-        raise errors.MalformedProgram(
-            f"non-ASCII byte 0x{data[exc.start]:02x}", line=head.count("\n") + 1
-        ) from None
+# Bytes of a program file that `slp eval` reads and decodes at a time.
+_READ_PIECE = 1 << 14
+
+
+def _program_pieces(fh):
+    """The text of an open program file from its start, a piece at a time,
+    with CRLF and lone CR read as LF; a CR that ends a piece waits for the
+    next. Program files are ASCII: a non-ASCII byte is a malformed program,
+    reported at the line that holds the first one."""
+    fh.seek(0)
+    line, cr = 1, ""
+    while data := fh.read(_READ_PIECE):
+        try:
+            text = cr + data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            head = _universal_newlines(cr + data[: exc.start].decode("ascii"))
+            raise errors.MalformedProgram(
+                f"non-ASCII byte 0x{data[exc.start]:02x}", line=line + head.count("\n")
+            ) from None
+        cr = "\r" if text.endswith("\r") else ""
+        text = _universal_newlines(text[: len(text) - len(cr)])
+        line += text.count("\n")
+        yield text
+    if cr:
+        yield "\n"
 
 
 def _cmd_slp_eval(args):
     m = _parse_modulus(args.modulus)
-    p = parse_slp(_read_program(args.file))
+    with open(args.file, "rb") as fh:
+        # The parser reads the file twice, so a pipe is read into memory.
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        p = parse_slp_pieces(lambda: _program_pieces(source))
     obj = {"length": slp_length(p)}
     if m is not None:
         _emit_result(args, obj, slp_eval(p, m))
@@ -369,9 +387,9 @@ def _cmd_bound(args):
     disc_span = f"have at most {MAX_DISC_CHARS} characters, MAX_DISC_DIGITS digits and a sign"
     disc = _parse_int(args.disc, "--disc", MAX_DISC_CHARS, disc_span)
     # The text cap leaves room for a sign, so an unsigned number may be one
-    # digit longer than the digit cap.
+    # digit longer than the digit cap. Such a text is all digits.
     if abs(disc) >= 10**MAX_DISC_DIGITS:
-        raise errors.ParseError(f"--disc must {disc_span}, got {len(args.disc)} characters")
+        raise errors.ParseError(f"--disc must {disc_span}, got {len(args.disc)} digits")
     if disc == 0:
         raise errors.ParseError("--disc must be nonzero")
     obj = {

@@ -9,7 +9,9 @@ about 130. The builder, the parser, the formatter and the evaluator read
 and write the columns directly. `SLP(opcodes, left, right, result_index)`
 is the only constructor and the only check, made once by C-level scans
 over the columns, so every program is valid. `SLP.instructions` gives the
-tuples back, built when read.
+tuples back, built when read. The formatter and the parser also take the
+text a piece at a time (`format_slp_pieces`, `parse_slp_pieces`), so a
+program file is written and read without holding its whole text.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 
 from . import errors
@@ -208,7 +211,9 @@ def slp_eval(p: SLP, modulus: int | None = None, lift=int):
     funcs, n = _FUNCS, len(p.opcodes)
     steps = zip(islice(p.opcodes, 1, None), islice(p.left, 1, None), islice(p.right, 1, None))
     if modulus is not None:
-        values = [1 % modulus]
+        # A residue below 2^64 takes 8 bytes in an array('Q'), where an int
+        # and its pointer in a list take about 40.
+        values = array("Q", [1 % modulus]) if modulus <= 1 << 64 else [1 % modulus]
         append = values.append
         for code, a, b in steps:
             append(funcs[code](values[a], values[b]) % modulus)
@@ -238,46 +243,97 @@ _FORMAT_PIECE = 1024
 _LINES = {code: f"v%d = {_NAMES[code]} v%d v%d\n" for code in _BINARY_CODES}
 
 
-def format_slp(p: SLP) -> str:
-    """Canonical text form: line-oriented, LF newlines, ASCII. Each piece of
-    the text is one %-format of its lines' templates, filled from the
-    columns, so no more than one piece is held in parts. p is valid, as
-    every `SLP` is from construction."""
+def format_slp_pieces(p: SLP) -> Iterator[str]:
+    """The canonical text of p, a piece at a time: the header, then one
+    %-format of each `_FORMAT_PIECE` instructions' line templates, filled
+    from the columns, then the result line. p is valid, as every `SLP` is
+    from construction."""
     opcodes, left, right = p.opcodes, p.left, p.right
-    pieces = ["slp v1\nv0 = one\n"]
+    yield "slp v1\nv0 = one\n"
     for s in range(1, len(opcodes), _FORMAT_PIECE):
         e = min(s + _FORMAT_PIECE, len(opcodes))
         indices = chain.from_iterable(zip(range(s, e), left[s:e], right[s:e]))
-        pieces.append("".join(map(_LINES.get, opcodes[s:e])) % tuple(indices))
-    pieces.append(f"result v{p.result_index}\n")
-    return "".join(pieces)
+        yield "".join(map(_LINES.get, opcodes[s:e])) % tuple(indices)
+    yield f"result v{p.result_index}\n"
+
+
+def format_slp(p: SLP) -> str:
+    """Canonical text form: line-oriented, LF newlines, ASCII; the pieces
+    of `format_slp_pieces` joined."""
+    return "".join(format_slp_pieces(p))
 
 
 def _canonical_run(width: int) -> re.Pattern:
     """Lines as `format_slp` writes them, with no leading zeros and at most
-    `width` digits per index: the fast path of `parse_slp`."""
+    `width` digits per index: the fast path of `parse_slp_pieces`."""
     v = rf"v(?:0|[1-9][0-9]{{0,{width - 1}}})"
     return re.compile(rf"(?:{v} = (?:add|sub|mul) {v} {v}\n)*")
 
 
-# Characters of text per run of canonical lines that `parse_slp` reads at once.
+# Characters of text per run of canonical lines that the parser reads at once.
 _PARSE_PIECE = 1 << 13
 
 
 def parse_slp(text: str) -> SLP:
-    """Parse the text format; rejects forward references, duplicate
-    definitions, and unknown opcodes with line-numbered errors. The text is
-    read in place, into the columns: runs of canonical lines a piece at a
-    time by `_take_run`, and any other line by `read`, which also names the
-    first check that refuses it. Operands of canonical lines are checked
-    once, when the program is built; a forward reference found there, or
-    above a refused line, is reported at its own line."""
-    end = len(text) - text.endswith("\n")  # the final LF ends the last line
-    line_count = text.count("\n", 0, end) + 1 if end else 0
-    header_end = text.find("\n", 0, end)
-    if header_end < 0:
-        header_end = end
-    if not line_count or text[:header_end] != "slp v1":
+    """Parse the text format: `parse_slp_pieces` of text as one piece."""
+    return parse_slp_pieces(lambda: (text,))
+
+
+def _measure(pieces: Iterable[str]) -> tuple[str, int, int, int]:
+    """The first 7 characters of the text that the pieces make, as many as
+    the header line has ("slp v1" and its LF), its line count, and where its
+    last line begins and ends (the final LF excluded), from one pass over
+    the pieces."""
+    head, size, lfs = "", 0, 0
+    last = before = -1  # the offsets of the last LF and of the one before it
+    for piece in pieces:
+        if len(head) < 7:
+            head += piece[:7 - len(head)]
+        count = piece.count("\n")
+        if count:
+            j = piece.rfind("\n")
+            before = size + piece.rfind("\n", 0, j) if count > 1 else last
+            last = size + j
+        lfs += count
+        size += len(piece)
+    final = size > 0 and last == size - 1  # the final LF ends the last line
+    end = size - final
+    line_count = lfs - final + 1 if end else 0
+    return head, line_count, (before if final else last) + 1, end
+
+
+def _line_runs(pieces: Iterable[str]) -> Iterator[tuple[str, int]]:
+    """(text, cut) for each piece that holds a LF: text is what followed the
+    last cut, this piece included, and text[:cut] ends at the piece's last
+    LF. Then (rest, len(rest)) for the text after the last LF. A line that
+    spans pieces is joined once."""
+    held = []
+    for piece in pieces:
+        j = piece.rfind("\n") + 1
+        if not j:
+            held.append(piece)
+            continue
+        text = "".join((*held, piece)) if held else piece
+        cut = len(text) - len(piece) + j
+        yield text, cut
+        held = [text[cut:]] if cut < len(text) else []
+    rest = "".join(held)
+    yield rest, len(rest)
+
+
+def parse_slp_pieces(pieces: Callable[[], Iterable[str]]) -> SLP:
+    """Parse the text that the pieces of `pieces()` make; rejects forward
+    references, duplicate definitions, and unknown opcodes with
+    line-numbered errors. `pieces` is called twice: once to count the lines,
+    whose count bounds an index's digits, and once to read them. So no more
+    than one piece, and the line that spans pieces, is held at a time. The
+    text is read in place, into the columns: runs of canonical lines a
+    piece at a time by `_take_run`, and any other line by `read`, which also
+    names the first check that refuses it. Operands of canonical lines are
+    checked once, when the program is built; a forward reference found
+    there, or above a refused line, is reported at its own line."""
+    head, line_count, last, end = _measure(pieces())
+    if not line_count or head.partition("\n")[0] != "slp v1":
         raise errors.MalformedProgram("missing 'slp v1' header", line=1)
     if line_count == 1:
         raise errors.MalformedProgram("missing result line", line=1)
@@ -337,26 +393,33 @@ def parse_slp(text: str) -> SLP:
             raise bad("forward reference", line_no)
         return _CODES[op], a, b
 
-    last = text.rfind("\n", 0, end) + 1  # the start of the last line
-    pos = header_end + 1
-    while pos < last:
-        if opcodes:
-            stop = run(text, pos, text.find("\n", min(pos + _PARSE_PIECE, last) - 1) + 1).end()
-            if stop > pos:
-                stop = _take_run(text, pos, stop, opcodes, left, right)
-            if stop > pos:
-                pos = stop
-                continue
-        stop = text.find("\n", pos)
-        line_no = len(opcodes) + 2
-        instruction = read(text[pos:stop], line_no)
-        if isinstance(instruction, int):
-            raise bad("result must be the last line", line_no)
-        opcodes.append(instruction[0])
-        left.append(instruction[1])
-        right.append(instruction[2])
-        pos = stop + 1
-    index = read(text[last:end], line_count)
+    base, pos = 0, 7  # past the header, "slp v1\n"
+    for text, cut in _line_runs(pieces()):
+        # text[:cut] is whole lines; the last line is read on its own.
+        limit = min(last - base, cut)
+        while pos < limit:
+            if opcodes:
+                stop = run(text, pos, text.find("\n", min(pos + _PARSE_PIECE, limit) - 1) + 1).end()
+                if stop > pos:
+                    stop = _take_run(text, pos, stop, opcodes, left, right)
+                if stop > pos:
+                    pos = stop
+                    continue
+            stop = text.find("\n", pos)
+            line_no = len(opcodes) + 2
+            instruction = read(text[pos:stop], line_no)
+            if isinstance(instruction, int):
+                raise bad("result must be the last line", line_no)
+            opcodes.append(instruction[0])
+            left.append(instruction[1])
+            right.append(instruction[2])
+            pos = stop + 1
+        if last < base + cut:  # the last line begins in this text
+            index = read(text[last - base:end - base], line_count)
+            break
+        base, pos = base + cut, pos - cut
+    else:  # the text ended before the line that the first pass found last
+        raise bad("missing result line", line_count)
     if not isinstance(index, int):
         raise bad("missing result line", line_count)
     try:

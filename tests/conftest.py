@@ -1,7 +1,8 @@
 """Shared oracles: classical recurrences and Newton-identity power sums.
 
 Everything here is computed independently of the package's companion-matrix
-and ball-arithmetic machinery, so agreement is meaningful.
+and ball-arithmetic machinery, so agreement is meaningful. The malformed
+program texts are shared by the parser's tests and the CLI's.
 """
 
 from __future__ import annotations
@@ -9,6 +10,28 @@ from __future__ import annotations
 import pytest
 
 from pisot.algebraic import IntPoly
+
+
+# Program texts that `parse_slp` refuses.
+MALFORMED_PROGRAMS = [
+    "",
+    "slp v2\nv0 = one\nresult v0\n",
+    "v0 = one\nresult v0\n",
+    "slp v1\nv0 = add v0 v0\nresult v0\n",  # 'one' missing
+    "slp v1\nv0 = one\nv1 = add v1 v0\nresult v1\n",  # forward ref
+    "slp v1\nv0 = one\nv2 = add v0 v0\nresult v2\n",  # skipped index
+    "slp v1\nv0 = one\nv1 = div v0 v0\nresult v1\n",  # unknown op
+    "slp v1\nv0 = one\nv1 = add v0\nresult v1\n",  # arity
+    "slp v1\nv0 = one\nresult v0\nv1 = add v0 v0\n",  # result not last
+    "slp v1\nv0 = one\n",  # missing result
+    "slp v1\nv0 = one\nv1 = one\nresult v1\n",  # second 'one'
+    "slp v1\nresult v0\n",  # no instructions
+    # Indices are ASCII digits: str.isdigit accepts these, int() refuses '²'.
+    "slp v1\nv0 = one\nresult v\u00b2\n",
+    "slp v1\nv\u00b2 = one\nresult v0\n",
+    "slp v1\nv0 = one\nv1 = add v0 v\u00b9\nresult v1\n",
+    "slp v1\nv0 = one\nv1 = add v0 v\u0660\nresult v1\n",  # Arabic-Indic zero
+]
 
 
 def lucas_sequence(limit: int) -> list[int]:

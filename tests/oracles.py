@@ -19,7 +19,9 @@ rational test of LLL-reducedness: the oracles for `lattice.lll_reduce`.
 entries, the oracle for `lattice._float_pass` on floats. `parse_slp_oracle`
 is the SLP text parser before it matched whole lines against one pattern,
 the oracle for `slp.parse_slp`'s programs and error messages; `program`
-builds an SLP's columns from instruction tuples. `parse_poly_oracle` is the
+builds an SLP's columns from instruction tuples, and `slp_eval_oracle`
+evaluates those tuples mod m in a list of ints, the oracle for `slp_eval`'s
+residues. `parse_poly_oracle` is the
 polynomial parser before it matched each term against one pattern, the
 oracle for `cli.parse_poly`'s polynomials, messages and offsets.
 """
@@ -609,6 +611,16 @@ def program(instructions, result_index: int) -> SLP:
     rows = [("one", 0, 0) if ins == ONE else ins for ins in instructions]
     return SLP(bytes(_OPCODES[op] for op, _, _ in rows), array("q", [a for _, a, _ in rows]),
                array("q", [b for _, _, b in rows]), result_index)
+
+
+def slp_eval_oracle(p: SLP, modulus: int) -> int:
+    """The program's value mod m, from its instruction tuples and a list of
+    every residue."""
+    ops = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y, "mul": lambda x, y: x * y}
+    values = []
+    for ins in p.instructions:
+        values.append(1 % modulus if ins == ONE else ops[ins[0]](values[ins[1]], values[ins[2]]) % modulus)
+    return values[p.result_index]
 
 
 _DIGIT_RUN_ORACLE = re.compile(r"[0-9]*")

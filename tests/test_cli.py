@@ -19,7 +19,7 @@ from pisot.cli import main, parse_poly, run
 from pisot.lattice import IntLattice
 from pisot.limits import MAX_SEARCH_DEGREE
 from pisot.powtrace import nearest_power
-from conftest import pisot_shaped
+from conftest import MALFORMED_PROGRAMS, pisot_shaped
 from oracles import parse_poly_oracle
 
 
@@ -1354,6 +1354,14 @@ def test_one_past_each_length_cap_exits_2_at_once(capsys, tmp_path, cap):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_an_unsigned_disc_past_the_digit_cap_is_refused_by_its_digits(capsys, tmp_path):
+    # Its length is within MAX_DISC_CHARS; its digits are not.
+    code, out, err = invoke(capsys, *PAST_LENGTH_CAP["MAX_DISC_DIGITS, unsigned"](tmp_path))
+    assert code == 2 and out == ""
+    assert err == (f"ParseError: --disc must have at most {limits.MAX_DISC_CHARS} characters, "
+                   f"MAX_DISC_DIGITS digits and a sign, got {limits.MAX_DISC_DIGITS + 1} digits\n")
+
+
 def test_bound_at_the_disc_cap_takes_under_a_second(capsys):
     start = time.perf_counter()
     code, out, _ = invoke(capsys, "bound", "--degree", str(MAX_SEARCH_DEGREE),
@@ -1387,6 +1395,63 @@ def test_a_long_slp_index_keeps_its_line_error(capsys, tmp_path, line, message):
     # A refused token is quoted to at most 60 characters: one short line.
     assert code == 2 and err.startswith("MalformedProgram: line 4: " + message)
     assert len(err) < 200 and err.count("\n") == 1
+
+
+def _files_across_pieces(size):
+    """Program files whose bytes cross pieces of `size` bytes in each way the
+    reader joins: a CRLF or a lone CR whose CR ends a piece, a non-ASCII
+    byte after the first piece, tab-separated lines with leading zeros, and a
+    result line that is not last."""
+    crlf = b"slp v1\r\nv0 = one" + b" " * ((size - 17) % size) + b"\r\nv1 = add v0 v0\r\nresult v1\r\n"
+    lone = b"slp v1\rv0 = one" + b" " * ((size - 16) % size) + b"\rv1 = add v0 v0\rresult v1\r"
+
+    def after_a_cr_that_ends_a_piece(data):
+        return {data[i + 1] for i in range(size - 1, len(data) - 1, size) if data[i] == 13}
+
+    assert 10 in after_a_cr_that_ends_a_piece(crlf) and 10 not in after_a_cr_that_ends_a_piece(lone)
+    assert lone[size - 1] == 13
+    return [
+        crlf,
+        lone,
+        lone[:size] + "²".encode(),  # right after a lone CR that ends a piece
+        b"slp v1\r\nv0 = one\r\n" + b"v1 = add v0 v0\r\n" * 8 + "result v²\r\n".encode(),
+        b"slp v1\r\nv00\t=\tone\r\nv001\t=\tadd\tv000\tv00\r\nresult\tv01\r\n",
+        b"slp v1\r\nv0 = one\r\nresult v0\r\nv1 = add v0 v0\r\n",
+    ]
+
+
+@pytest.mark.parametrize("size", [7, 64])
+def test_slp_eval_reads_a_file_in_pieces_as_it_reads_it_whole(capsys, monkeypatch, tmp_path, size):
+    # Every malformed program of these tests, and the files above: the
+    # same exit code, output and message, at the same line.
+    long_index = "9" * 10**6
+    texts = MALFORMED_PROGRAMS + [
+        "slp v1\nv0 = one\nv1 = frob v0 v0\nresult v1\n",
+        "slp v1\r\nv0 = one\rv1 = add v0 v0\nresult v²\n",
+        "slp v1\r\nv0 = one\rv1 = add v0 v0\r\nresult v1\r\n",
+        f"slp v1\nv0 = one\nv1 = add v0 v0\nresult v{'0' * 10**5}1\n",
+        f"slp v1\nv0 = one\nv1 = add v0 v0\nresult v{long_index}\n",
+    ] + ["slp v1\nv0 = one\nv1 = add v0 v0\n" + line.format(long_index) + "\nresult v2\n"
+         for line in ("v2 = add v1 v{}", "v{} = add v1 v0", "v2 = add v1 w{}", "v2 = x{} v1 v0")]
+    files = [text.encode() for text in texts] + _files_across_pieces(size)
+    path = tmp_path / "prog.slp"
+    for data in files:
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "_READ_PIECE", len(data))
+        whole = invoke(capsys, "slp", "eval", str(path), "-m", "7")
+        monkeypatch.setattr(cli, "_READ_PIECE", size)
+        assert invoke(capsys, "slp", "eval", str(path), "-m", "7") == whole, data[:80]
+
+
+def test_slp_eval_reads_a_pipe(capsys, tmp_path):
+    # A pipe cannot be read twice, so it is read once, into memory.
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"slp v1\r\nv0 = one\r\nv1 = add v0 v0\r\nresult v1\r\n")
+    os.close(write_end)
+    try:
+        assert invoke(capsys, "slp", "eval", f"/dev/fd/{read_end}") == (0, "2\n", "")
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.parametrize(

@@ -9,42 +9,25 @@ from array import array
 
 import pytest
 
-from pisot import errors
+from pisot import cli, errors
 from pisot.algebraic import IntPoly, analyze_minpoly
 from pisot.powtrace import nearest_power, nearest_power_mod
 from pisot.slp import (
     SLP,
     emit_power_slp,
     format_slp,
+    format_slp_pieces,
     parse_slp,
+    parse_slp_pieces,
     slp_eval,
     slp_for_constant,
     slp_length,
 )
-from conftest import pisot_shaped
-from oracles import parse_slp_oracle, program
+from conftest import MALFORMED_PROGRAMS, pisot_shaped
+from oracles import parse_slp_oracle, program, slp_eval_oracle
 
-MALFORMED = [
-    "",
-    "slp v2\nv0 = one\nresult v0\n",
-    "v0 = one\nresult v0\n",
-    "slp v1\nv0 = add v0 v0\nresult v0\n",  # 'one' missing
-    "slp v1\nv0 = one\nv1 = add v1 v0\nresult v1\n",  # forward ref
-    "slp v1\nv0 = one\nv2 = add v0 v0\nresult v2\n",  # skipped index
-    "slp v1\nv0 = one\nv1 = div v0 v0\nresult v1\n",  # unknown op
-    "slp v1\nv0 = one\nv1 = add v0\nresult v1\n",  # arity
-    "slp v1\nv0 = one\nresult v0\nv1 = add v0 v0\n",  # result not last
-    "slp v1\nv0 = one\n",  # missing result
-    "slp v1\nv0 = one\nv1 = one\nresult v1\n",  # second 'one'
-    "slp v1\nresult v0\n",  # no instructions
-    # Indices are ASCII digits: str.isdigit accepts these, int() refuses '²'.
-    "slp v1\nv0 = one\nresult v\u00b2\n",
-    "slp v1\nv\u00b2 = one\nresult v0\n",
-    "slp v1\nv0 = one\nv1 = add v0 v\u00b9\nresult v1\n",
-    "slp v1\nv0 = one\nv1 = add v0 v\u0660\nresult v1\n",  # Arabic-Indic zero
-]
 # The cases that the oracle parser ends in a ValueError, or accepts.
-NON_ASCII_DIGITS = MALFORMED[-4:]
+NON_ASCII_DIGITS = MALFORMED_PROGRAMS[-4:]
 
 # The degree-12 program of the benchmark's modular workload, at its largest n.
 BENCH_DEGREE_12 = IntPoly((2, 2, 2, -2, -2, 0, 2, 2, -1, -2, 2, -21, 1))
@@ -212,6 +195,24 @@ class TestEval:
         assert p != program(ins, 2) and p != program(ins[:3], 2)
         assert hash(p) == hash(program(ins, 3))
 
+    @pytest.mark.parametrize("m", [2, (1 << 64) - 1, 1 << 64, (1 << 64) + 1],
+                             ids=["2", "2^64-1", "2^64", "2^64+1"])
+    def test_residues_at_the_edge_of_eight_bytes(self, m, bench_degree_12_text):
+        # Residues mod m <= 2^64 are kept in an array('Q'), above it in a
+        # list; -1 mod m is the largest residue, 2^64 at m = 2^64 + 1.
+        minus_one = program((("one",), ("sub", 0, 0), ("sub", 1, 0)), 2)
+        assert slp_eval(minus_one, m) == m - 1
+        rng = random.Random(m)
+        for _ in range(40):
+            ins = [("one",)]
+            for i in range(1, rng.randint(2, 200)):
+                ins.append((rng.choice(("add", "sub", "mul")), rng.randrange(i), rng.randrange(i)))
+            p = program(ins, rng.randrange(len(ins)))
+            assert slp_eval(p, m) == slp_eval_oracle(p, m)
+        p = parse_slp(bench_degree_12_text)
+        expected = nearest_power_mod(analyze_minpoly(BENCH_DEGREE_12), BENCH_N, m)
+        assert slp_eval(p, m) == slp_eval_oracle(p, m) == expected
+
     def test_exact_values_are_dropped_after_their_last_use(self):
         f = IntPoly((1, 21, -229, -4899, 1))
         info = analyze_minpoly(f)
@@ -276,7 +277,7 @@ class TestTextFormat:
         assert lines[-2].startswith("result v")
         assert text.endswith("\n") and "\r" not in text
 
-    @pytest.mark.parametrize("bad_text", MALFORMED)
+    @pytest.mark.parametrize("bad_text", MALFORMED_PROGRAMS)
     def test_malformed_rejected(self, bad_text):
         with pytest.raises(errors.MalformedProgram):
             parse_slp(bad_text)
@@ -324,9 +325,11 @@ def traced_peak(fn, *args):
 class TestMemoryPerInstruction:
     """Each SLP layer's peak on the benchmark's degree-12 program (19,819
     instructions), per instruction. The columns take 17 bytes an
-    instruction, and the text 25. Tuples took about 130, and the parser's
-    list of lines 150 more: emit peaked at 121, parse at 284 and format at
-    107."""
+    instruction, the text 25 and the residues mod m 8. Tuples took about
+    130, and the parser's list of lines 150 more: emit peaked at 121, parse
+    at 284 and format at 107. The whole `slp emit -o` request peaked at 69
+    while it held every piece of the text and their join, and `slp eval -m`
+    at 63 while it held the file's bytes and text, then an int a residue."""
 
     def test_emit(self):
         info = analyze_minpoly(BENCH_DEGREE_12)
@@ -342,6 +345,21 @@ class TestMemoryPerInstruction:
         text, peak = traced_peak(format_slp, p)
         assert text == bench_degree_12_text
         assert peak <= 64 * len(p.instructions)
+
+    def test_slp_emit_and_eval_requests(self, bench_degree_12_text, tmp_path, capsys):
+        # Each request holds the columns and at most one piece of text.
+        count = len(parse_slp(bench_degree_12_text).opcodes)
+        path = str(tmp_path / "prog.slp")
+        cli._parser()  # built once a process, and kept
+        emit = ["slp", "emit", "--minpoly", str(BENCH_DEGREE_12), "-n", str(BENCH_N), "-o", path]
+        code, peak = traced_peak(cli.run, emit)
+        assert code == 0 and peak <= 40 * count
+        with open(path, encoding="ascii", newline="") as fh:
+            assert fh.read() == bench_degree_12_text
+        code, peak = traced_peak(cli.run, ["slp", "eval", path, "-m", str(10**19)])
+        assert code == 0 and peak <= 40 * count
+        out = capsys.readouterr().out
+        assert int(out) == nearest_power_mod(analyze_minpoly(BENCH_DEGREE_12), BENCH_N, 10**19)
 
 
 def parsed(parse, text):
@@ -401,7 +419,7 @@ class TestParserAgreesWithOracle:
     same message at the same line; indices of non-ASCII digits, which the
     reference crashes on or reads as numbers, are its only bad operands."""
 
-    @pytest.mark.parametrize("text", MALFORMED)
+    @pytest.mark.parametrize("text", MALFORMED_PROGRAMS)
     def test_malformed_cases(self, text):
         if text in NON_ASCII_DIGITS:
             assert isinstance(parsed(parse_slp, text), tuple)
@@ -438,30 +456,85 @@ class TestParserAgreesWithOracle:
         assert format_slp(p) == text
 
 
+DEEP_EDITS = ["forward", "duplicate", "opcode", "blank", "zero", "forward-then-opcode", "missing-result"]
+
+
+def deep_fault(text, edit):
+    """The benchmark's program text with lines 15,004 and 18,008 edited."""
+    lines = text.split("\n")
+    i, j = 15_003, 18_007
+    if edit in ("forward", "forward-then-opcode"):
+        lines[i] = lines[i].rsplit(" ", 1)[0] + f" v{i}"
+    if edit == "duplicate":
+        lines[i] = lines[i - 1]
+    if edit in ("opcode", "forward-then-opcode"):
+        lines[j] = lines[j].replace(" = ", " = div ", 1)
+    if edit == "blank":
+        lines[i] = lines[i].replace(" ", "\t")
+    if edit == "zero":
+        lines[i] = lines[i].replace(" v", " v0")
+    if edit == "missing-result":
+        del lines[-2]
+    return "\n".join(lines)
+
+
 class TestFaultsDeepInALongProgram:
     """The parser reads runs of canonical lines a piece at a time and checks
     operands when the program is built; a fault thousands of lines into the
     benchmark's program must still be the reference parser's, at its line,
     and non-canonical lines there must read as the reference reads them."""
 
-    @pytest.mark.parametrize(
-        "edit",
-        ["forward", "duplicate", "opcode", "blank", "zero", "forward-then-opcode", "missing-result"],
-    )
+    @pytest.mark.parametrize("edit", DEEP_EDITS)
     def test_agrees_with_oracle(self, edit, bench_degree_12_text):
-        lines = bench_degree_12_text.split("\n")
-        i, j = 15_003, 18_007
-        if edit in ("forward", "forward-then-opcode"):
-            lines[i] = lines[i].rsplit(" ", 1)[0] + f" v{i}"
-        if edit == "duplicate":
-            lines[i] = lines[i - 1]
-        if edit in ("opcode", "forward-then-opcode"):
-            lines[j] = lines[j].replace(" = ", " = div ", 1)
-        if edit == "blank":
-            lines[i] = lines[i].replace(" ", "\t")
-        if edit == "zero":
-            lines[i] = lines[i].replace(" v", " v0")
-        if edit == "missing-result":
-            del lines[-2]
-        text = "\n".join(lines)
+        text = deep_fault(bench_degree_12_text, edit)
         assert parsed(parse_slp, text) == parsed(parse_slp_oracle, text)
+
+
+def in_pieces(text, size):
+    """`parse_slp_pieces` of text cut into pieces of `size` characters."""
+    return parse_slp_pieces(lambda: (text[i:i + size] for i in range(0, len(text), size)))
+
+
+# Lines that only the per-line reader takes, and a result line that is not last.
+PIECE_CASES = [
+    "slp v1\nv00\t=\tone\nv001\t=\tadd\tv000\tv00\nv2\t=\tmul\tv01\tv001\nresult\tv002\n",
+    "slp v1\nv0 = one\nresult v0\nv1 = add v0 v0\nresult v1\n",
+]
+
+
+class TestPieceBoundaries:
+    """`parse_slp_pieces` holds one piece of text at a time, and the line
+    that spans pieces. Cut anywhere, a text gives the program, or the
+    message and line, that it gives whole."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_short_texts(self, size):
+        rng = random.Random(size)
+        texts = MALFORMED_PROGRAMS + PIECE_CASES + list(blank_variants(SMALL))
+        texts += list(token_mutants(SMALL, rng, 500))
+        for text in texts:
+            assert parsed(lambda t: in_pieces(t, size), text) == parsed(parse_slp, text), repr(text)
+
+    @pytest.mark.parametrize("size", [7, 64, 1 << 14])
+    @pytest.mark.parametrize("edit", [None] + DEEP_EDITS)
+    def test_faults_deep_in_a_long_program(self, size, edit, bench_degree_12_text):
+        text = bench_degree_12_text if edit is None else deep_fault(bench_degree_12_text, edit)
+        assert parsed(lambda t: in_pieces(t, size), text) == parsed(parse_slp, text)
+
+    def test_pieces_are_read_twice(self):
+        # Once to count the lines, whose count bounds an index's digits,
+        # and once to read them.
+        calls = []
+
+        def pieces():
+            calls.append(None)
+            return iter(("slp v1\nv0 = ", "one\nres", "ult v0"))
+
+        assert parse_slp_pieces(pieces) == slp_for_constant(1)
+        assert len(calls) == 2
+
+    def test_format_pieces_join_to_the_text(self, bench_degree_12_text):
+        pieces = list(format_slp_pieces(parse_slp(bench_degree_12_text)))
+        assert "".join(pieces) == bench_degree_12_text
+        # The header, one piece a 1,024 instructions, and the result line.
+        assert len(pieces) == 2 + -(-(bench_degree_12_text.count("\n") - 3) // 1024)
